@@ -106,8 +106,9 @@ def _cubic_real_roots(kappa_scaled: float, beta: float) -> list[float]:
         ts = [m * math.cos(theta - 2.0 * math.pi * kk / 3.0) for kk in range(3)]
         roots = [t + 2.0 / 3.0 for t in ts]
     else:
-        # single real root; avoid cancellation between the two cube roots
-        rad = math.sqrt(q * q / 4.0 + p**3 / 27.0)
+        # single real root; avoid cancellation between the two cube roots.
+        # The radicand is -disc/108, which rounds below 0 when disc ~ 0.
+        rad = math.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
         a = -math.copysign(abs(q) / 2.0 + rad, q)
         a = math.copysign(abs(a) ** (1.0 / 3.0), a)
         b = 0.0 if a == 0.0 else -p / (3.0 * a)
@@ -162,7 +163,11 @@ def solve_attractors(beta: float, kappa_scaled: float) -> list[Attractor]:
             i + 1 < len(roots)
             and roots[i + 1] - roots[i] < _MERGE_TOL * max(1.0, roots[i + 1])
         ):
-            merged.append((0.5 * (roots[i] + roots[i + 1]), True))
+            # near a double root the polished pair is only good to
+            # ~sqrt(eps) (Newton converges there linearly), enough to leave
+            # |det K| above 1e-8; the analytic turning radius is exact
+            u_minus, u_plus = _turning_radii(kappa_scaled)
+            merged.append((u_minus if roots[i] < 2.0 / 3.0 else u_plus, True))
             i += 2
         else:
             merged.append((roots[i], False))
@@ -203,6 +208,12 @@ def solve_attractors(beta: float, kappa_scaled: float) -> list[Attractor]:
     return out
 
 
+def _turning_radii(kappa_scaled: float) -> tuple[float, float]:
+    """Radii where d beta/d u = 0: u = [2 -/+ sqrt(1 - 3 kappa_scaled^2)] / 3."""
+    root = math.sqrt(max(1.0 - 3.0 * kappa_scaled**2, 0.0))
+    return (2.0 - root) / 3.0, (2.0 + root) / 3.0
+
+
 def bifurcation_betas(kappa_scaled: float) -> BifurcationInfo:
     """Bistability window boundaries: extrema of beta(u) at d beta/d u = 0.
 
@@ -211,13 +222,12 @@ def bifurcation_betas(kappa_scaled: float) -> BifurcationInfo:
     """
     if kappa_scaled <= 0.0:
         raise ValueError("kappa_scaled must be positive")
-    disc = 1.0 - 3.0 * kappa_scaled**2
-    if disc <= 0.0:
+    if 3.0 * kappa_scaled**2 >= 1.0:
         nan = float("nan")
         return BifurcationInfo(False, nan, nan, nan, nan)
-    root = math.sqrt(disc)
-    u_minus = (2.0 - root) / 3.0  # local maximum of beta(u): upper boundary
-    u_plus = (2.0 + root) / 3.0   # local minimum of beta(u): lower boundary
+    # u_minus: local maximum of beta(u), upper boundary;
+    # u_plus: local minimum of beta(u), lower boundary
+    u_minus, u_plus = _turning_radii(kappa_scaled)
     return BifurcationInfo(
         bistable=True,
         beta_low=_beta_of_u(u_plus, kappa_scaled),

@@ -89,7 +89,10 @@ def stationary_covariance(
 
 
 def spectrum_matrix(
-    drift: np.ndarray, covariance: np.ndarray, lambda_s: float, omega: float
+    drift: np.ndarray,
+    covariance: np.ndarray,
+    lambda_s: float,
+    omega: float | np.ndarray,
 ) -> np.ndarray:
     """One-sided spectrum matrix N(omega) of the quadrature deviations.
 
@@ -100,30 +103,50 @@ def spectrum_matrix(
 
     where C is the stationary covariance and eps the rank-2 antisymmetric
     tensor carrying the equal-time commutator of the quadratures.
+
+    ``omega: float | ndarray``; the result has shape ``omega.shape + (2, 2)``,
+    one batched solve over the whole grid.
     """
     m = covariance + 0.5j * lambda_s * LEVI_CIVITA
-    return -np.linalg.solve(1j * omega * np.eye(2) + drift, m)
+    return -np.linalg.solve(1j * np.multiply.outer(omega, np.eye(2)) + drift, m)
+
+
+def _trace_part(n: np.ndarray, sign: float, omega: float | np.ndarray) -> float | np.ndarray:
+    # Re[N11 + N22 + sign * i (N21 - N12)], a float for a scalar omega
+    out = (n[..., 0, 0] + n[..., 1, 1]).real - sign * (n[..., 1, 0] - n[..., 0, 1]).imag
+    return float(out) if np.ndim(omega) == 0 else out
 
 
 def emission_from_matrix(
-    drift: np.ndarray, covariance: np.ndarray, lambda_s: float, omega: float
-) -> float:
-    """Re of the Z+Z- spectrum via the matrix route (Z+- = Z1 +/- i Z2)."""
+    drift: np.ndarray,
+    covariance: np.ndarray,
+    lambda_s: float,
+    omega: float | np.ndarray,
+) -> float | np.ndarray:
+    """Re of the Z+Z- spectrum via the matrix route (Z+- = Z1 +/- i Z2).
+
+    ``omega: float | ndarray``; a scalar gives a float, an array an array of
+    the same shape.
+    """
     n = spectrum_matrix(drift, covariance, lambda_s, omega)
-    return float((n[0, 0] + n[1, 1] + 1j * (n[1, 0] - n[0, 1])).real)
+    return _trace_part(n, 1.0, omega)
 
 
 def absorption_from_matrix(
-    drift: np.ndarray, covariance: np.ndarray, lambda_s: float, omega: float
-) -> float:
+    drift: np.ndarray,
+    covariance: np.ndarray,
+    lambda_s: float,
+    omega: float | np.ndarray,
+) -> float | np.ndarray:
     """Re of the Z-Z+ spectrum at -omega via the matrix route.
 
     The sign flip of the argument matches the convention of
     :func:`absorption_spectrum`, so both routes are compared at the same
-    ``omega``.
+    ``omega``.  ``omega: float | ndarray``; a scalar gives a float, an array
+    an array of the same shape.
     """
-    n = spectrum_matrix(drift, covariance, lambda_s, -omega)
-    return float((n[0, 0] + n[1, 1] - 1j * (n[1, 0] - n[0, 1])).real)
+    n = spectrum_matrix(drift, covariance, lambda_s, np.negative(omega))
+    return _trace_part(n, -1.0, omega)
 
 
 def _closed_form(

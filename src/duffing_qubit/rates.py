@@ -298,6 +298,19 @@ def gamma_resonant_1q(
     _require_stable(a)
     if s is None:
         s = scale_params(p)
+    g0 = dephasing_g_zero(a, s) if q.delta != 0.0 else None
+    return _resonant_1q(q, p, a, s, g0)
+
+
+def _resonant_1q(
+    q: QubitParams,
+    p: PhysicalParams,
+    a: Attractor,
+    s: ScaledParams,
+    dephasing_g0: float | None,
+) -> RateResult:
+    # gamma_resonant_1q given the dephasing weight (None when delta = 0), so
+    # that gamma_total_resonant computes that weight once per point
     d = s.scale
     omega_rel = (q.omega_q - 2.0 * p.omega_f) / d
     f_e = emission_spectrum(omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
@@ -309,8 +322,8 @@ def gamma_resonant_1q(
     gamma_0 = hbar * cg * a.u / (6.0 * p.gamma_s)
     t1 = _channel_t1(gamma_e, gamma_g)
     t2 = None
-    if q.delta != 0.0:
-        _, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g_zero(a, s))
+    if dephasing_g0 is not None:
+        _, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g0)
     ratios = validity_flags(q, p, s, a, t1, t2)
     return RateResult(
         gamma_e=gamma_e,
@@ -365,16 +378,18 @@ def gamma_total_resonant(
     comparable to the fluctuation cloud, u <~ lambda_s (2 n_bar + 1), where
     the two-quantum channel stops being negligible.
     """
+    _require_stable(a)
     if s is None:
         s = scale_params(p)
-    one = gamma_resonant_1q(q, p, a, s)
+    g0 = dephasing_g_zero(a, s) if q.delta != 0.0 else None
+    one = _resonant_1q(q, p, a, s, g0)
     two = gamma_resonant_2q(q, p, n_bar=s.n_bar)
     gamma_e = one.gamma_e + two.gamma_e
     gamma_g = one.gamma_g + two.gamma_g
     t1 = _channel_t1(gamma_e, gamma_g)
     t2 = None
-    if q.delta != 0.0:
-        _, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g_zero(a, s))
+    if g0 is not None:
+        _, t2 = bloch_redfield(gamma_e, gamma_g, q, p, g0)
     ratios = dict(one.ratios)
     ratios.update(two.ratios)
     if a.u > 0.0:

@@ -134,6 +134,21 @@ class TestBifurcation:
                     det = float(np.linalg.det(drift_matrix(a, 0.3)))
                     assert abs(det) < 1e-8
 
+    @pytest.mark.parametrize("kappa", [0.02, 0.053166, 0.06, 0.1, 0.105678,
+                                       0.3, 0.321752, 0.45, 0.57])
+    def test_exact_edges_solve_and_marginal_gap_closes(self, kappa):
+        # 0.06 once hit a negative Cardano radicand (math domain error) and
+        # the others left a merged pair ~1e-8 off the turning radius
+        info = bifurcation_betas(kappa)
+        turning = (info.u_at_beta_low, info.u_at_beta_high)
+        for beta_edge in (info.beta_low, info.beta_high):
+            for a in solve_attractors(beta_edge, kappa):
+                assert abs(a.u * ((a.u - 1) ** 2 + kappa**2) - beta_edge) < 1e-10
+                if a.marginal:
+                    assert a.u in turning
+                    det = float(np.linalg.det(drift_matrix(a, kappa)))
+                    assert abs(det) < 1e-8
+
     def test_gap_continuous_to_zero(self):
         info = bifurcation_betas(0.3)
         nus = []

@@ -47,6 +47,18 @@ class TestGridAndConfig:
         with pytest.raises(CliInputError):
             parse_grid(bad)
 
+    @pytest.mark.parametrize("spec", ["0:inf:3", "-inf:0:3", "nan:1:3", "0:nan:3",
+                                      "-1e308:1e308:3", "1:inf:3:log"])
+    def test_nonfinite_grid_is_input_error(self, capsys, spec):
+        from duffing_qubit.cli import CliInputError
+        with pytest.raises(CliInputError, match="finite"):
+            parse_grid(spec)
+        code, out, err = run_cli(capsys, "attractors", "--kappa-scaled", "0.3",
+                                 f"--grid={spec}")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "Warning" not in err
+
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa-scaled = 0.3\ngrid = 0:0.2:3  # sweep\n")
@@ -165,6 +177,64 @@ class TestSpectrumCommand:
         code, _, _ = run_cli(capsys, "spectrum", "--beta", "0.05",
                              "--kappa-scaled", "0.3", "--attractor", "large")
         assert code == EXIT_INPUT
+
+
+class TestBatchedSweepsAgainstPerPoint:
+    """The whole-grid CLI sweeps against one library call per grid point."""
+
+    RTOL = 1e-13
+
+    def test_spectrum_columns(self, capsys):
+        from duffing_qubit import (absorption_from_matrix, absorption_spectrum,
+                                   emission_from_matrix, emission_spectrum,
+                                   stationary_covariance)
+        beta, kappa, lam, n_bar = 0.12, 0.3, 0.01, 0.5
+        code, out, _ = run_cli(capsys, "spectrum", "--beta", "0.12", "--kappa-scaled",
+                               "0.3", "--lambda-s", "0.01", "--nbar", "0.5",
+                               "--attractor", "small", "--grid=-4:4:161", "--check")
+        assert code == EXIT_OK
+        _, columns, rows = parse_csv(out)
+        a = solve_attractors(beta, kappa)[0]
+        k = drift_matrix(a, kappa)
+        cov = stationary_covariance(k, lam, kappa, n_bar)
+        reference = {
+            "emission_closed": lambda w: emission_spectrum(w, a.u, a.nu_scaled, kappa,
+                                                           lam, n_bar),
+            "absorption_closed": lambda w: absorption_spectrum(w, a.u, a.nu_scaled,
+                                                               kappa, lam, n_bar),
+            "emission_matrix": lambda w: emission_from_matrix(k, cov, lam, w),
+            "absorption_matrix": lambda w: absorption_from_matrix(k, cov, lam, w),
+        }
+        assert len(rows) == 161
+        for row in rows:
+            w = float(row[columns.index("omega")])
+            for name, f in reference.items():
+                assert math.isclose(float(row[columns.index(name)]), f(w),
+                                    rel_tol=self.RTOL)
+
+    def test_resonant_1q_both_branches(self, capsys):
+        from duffing_qubit import resonant_1q_scaled
+        beta, kappa, n_bar = 0.12, 0.3, 0.5
+        code, out, _ = run_cli(capsys, "rates", "--beta", "0.12", "--kappa-scaled",
+                               "0.3", "--nbar", "0.5", "--attractor", "both",
+                               "--grid=-3:3:121")
+        assert code == EXIT_OK
+        _, columns, rows = parse_csv(out)
+        small, _, large = solve_attractors(beta, kappa)
+        assert len(rows) == 121
+        for row in rows:
+            w = float(row[columns.index("omega")])
+            for tag, a in (("small", small), ("large", large)):
+                ge, gg = resonant_1q_scaled(w, a.u, a.nu_scaled, kappa, n_bar)
+                got_e = float(row[columns.index(f"gamma_e_scaled_{tag}")])
+                got_g = float(row[columns.index(f"gamma_g_scaled_{tag}")])
+                assert math.isclose(got_e, ge, rel_tol=self.RTOL)
+                assert math.isclose(got_g, gg, rel_tol=self.RTOL)
+                # 1/ln(ge/gg) amplifies a last-ulp rate difference near its
+                # pole, so the column is held to the printed rates exactly
+                teff = float(row[columns.index(f"teff_star_{tag}")])
+                assert teff == 1.0 / math.log(got_e / got_g)
+                assert float(row[columns.index(f"u_{tag}")]) == a.u
 
 
 class TestRatesCommand:
@@ -294,6 +364,18 @@ class TestValidateCommand:
         assert code == EXIT_OK
         lines = [ln for ln in out.splitlines() if ln]
         assert lines and all(ln.startswith("ok  ") for ln in lines)
+
+
+class TestValidateAcrossKappa:
+    # 0.06 once ended in a math domain error and 0.321752 failed
+    # bifurcation_gap (|det K| = 2.3e-8) at an exact window edge
+    @pytest.mark.parametrize("kappa", ["0.02", "0.06", "0.1", "0.2", "0.3",
+                                       "0.321752", "0.45", "0.57"])
+    def test_all_checks_green(self, capsys, kappa):
+        code, out, err = run_cli(capsys, "validate", "--kappa-scaled", kappa)
+        assert code == EXIT_OK, out + err
+        lines = [ln for ln in out.splitlines() if ln]
+        assert len(lines) == 6 and all(ln.startswith("ok  ") for ln in lines)
 
 
 class TestOutputModes:

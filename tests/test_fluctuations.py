@@ -151,6 +151,68 @@ class TestDualRoute:
         assert worst < 1e-8
 
 
+def per_point_reference(k, cov, lambda_s, omega):
+    """Emission/absorption by one 2x2 solve per grid point."""
+    m = cov + 0.5j * lambda_s * LEVI_CIVITA
+    emission, absorption = [], []
+    for w in omega:
+        n = -np.linalg.solve(1j * w * np.eye(2) + k, m)
+        emission.append((n[0, 0] + n[1, 1] + 1j * (n[1, 0] - n[0, 1])).real)
+        n = -np.linalg.solve(1j * -w * np.eye(2) + k, m)
+        absorption.append((n[0, 0] + n[1, 1] - 1j * (n[1, 0] - n[0, 1])).real)
+    return np.array(emission), np.array(absorption)
+
+
+# the closed form's arithmetic is the same per point and on an array, except
+# that numpy squares a 0-d operand through pow and an array through x*x
+CLOSED_FORM_RTOL = 4 * np.finfo(np.float64).eps
+
+
+class TestBatchedOmega:
+    GRID = np.concatenate([np.linspace(-6.0, 6.0, 301), [0.0, -0.0, 1e3, -1e3]])
+    CASES = [(0.12, 0.3, 0.5), (0.14, 0.3, 0.0), (0.05, 0.1, 3.0), (0.2, 0.5, 0.5)]
+
+    @pytest.mark.parametrize("beta,kappa,n_bar", CASES)
+    def test_matrix_route_equals_per_point_solve(self, beta, kappa, n_bar):
+        for a in stable_attractors(beta, kappa):
+            k, cov = covariance_for(a, kappa, n_bar=n_bar)
+            emission, absorption = per_point_reference(k, cov, LAMBDA_S, self.GRID)
+            assert np.array_equal(
+                emission_from_matrix(k, cov, LAMBDA_S, self.GRID), emission)
+            assert np.array_equal(
+                absorption_from_matrix(k, cov, LAMBDA_S, self.GRID), absorption)
+
+    def test_spectrum_matrix_stack(self):
+        a = stable_attractors(0.12, 0.3)[-1]
+        k, cov = covariance_for(a, 0.3)
+        grid = self.GRID.reshape(5, -1)
+        stack = spectrum_matrix(k, cov, LAMBDA_S, grid)
+        assert stack.shape == grid.shape + (2, 2)
+        for index in np.ndindex(grid.shape):
+            assert np.array_equal(
+                stack[index], spectrum_matrix(k, cov, LAMBDA_S, float(grid[index])))
+
+    @pytest.mark.parametrize("beta,kappa,n_bar", CASES)
+    def test_closed_form_array_matches_scalar_calls(self, beta, kappa, n_bar):
+        for a in stable_attractors(beta, kappa):
+            for spectrum in (emission_spectrum, absorption_spectrum):
+                batched = spectrum(self.GRID, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)
+                scalar = [spectrum(float(w), a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)
+                          for w in self.GRID]
+                np.testing.assert_allclose(batched, scalar, rtol=CLOSED_FORM_RTOL, atol=0)
+
+    def test_scalar_inputs_return_float(self):
+        a = stable_attractors(0.12, 0.3)[-1]
+        k, cov = covariance_for(a, 0.3)
+        for w in (0.3, np.float64(-1.5)):
+            for value in (emission_from_matrix(k, cov, LAMBDA_S, w),
+                          absorption_from_matrix(k, cov, LAMBDA_S, w),
+                          emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR),
+                          absorption_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)):
+                assert type(value) is float
+        assert spectrum_matrix(k, cov, LAMBDA_S, 0.3).shape == (2, 2)
+
+
 class TestClosedForms:
     def test_positive_everywhere(self):
         grid = np.linspace(-6.0, 6.0, 401)

@@ -107,9 +107,14 @@ def _cubic_real_roots(kappa_scaled: float, beta: float) -> list[float]:
         roots = [t + 2.0 / 3.0 for t in ts]
     else:
         # single real root; avoid cancellation between the two cube roots.
-        # The radicand is -disc/108, which rounds below 0 when disc ~ 0.
-        rad = math.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
-        a = -math.copysign(abs(q) / 2.0 + rad, q)
+        # The radicand is -disc/108, which rounds below 0 when disc ~ 0; for
+        # a huge beta it is factored as (q/2)^2 (1 + ...), as q*q overflows
+        h = abs(q) / 2.0
+        if h < 1e150:
+            rad = math.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
+        else:
+            rad = h * math.sqrt(max(1.0 + p**3 / 27.0 / h / h, 0.0))
+        a = -math.copysign(h + rad, q)
         a = math.copysign(abs(a) ** (1.0 / 3.0), a)
         b = 0.0 if a == 0.0 else -p / (3.0 * a)
         roots = [a + b + 2.0 / 3.0]
@@ -147,13 +152,24 @@ def solve_attractors(beta: float, kappa_scaled: float) -> list[Attractor]:
     unstable, large) inside it.  Exactly at a bifurcation the merging pair
     is reported as a single entry with ``marginal=True`` and ``nu_scaled=0``;
     downstream spectral formulas refuse such entries.
-    """
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
-    if kappa_scaled <= 0.0:
-        raise ValueError("kappa_scaled must be positive")
 
-    roots = _cubic_real_roots(kappa_scaled, beta)
+    Raises ValueError for a negative or non-finite ``beta``, a non-positive
+    or non-finite ``kappa_scaled``, and where the steady state is too large
+    to represent.
+    """
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
+    if not 0.0 < kappa_scaled < math.inf:
+        raise ValueError(f"kappa_scaled must be finite and positive, got {kappa_scaled}")
+
+    try:
+        roots = _cubic_real_roots(kappa_scaled, beta)
+    except OverflowError:  # a power of the cubic's coefficients
+        roots = [math.inf]
+    if not all(map(math.isfinite, roots)):
+        raise ValueError(
+            f"no finite steady state at beta={beta:g}, kappa_scaled={kappa_scaled:g}"
+        )
 
     # collapse a numerically degenerate pair (bifurcation point)
     merged: list[tuple[float, bool]] = []
@@ -220,9 +236,10 @@ def bifurcation_betas(kappa_scaled: float) -> BifurcationInfo:
     Bistable iff kappa_scaled^2 < 1/3; the turning radii are
     u = [2 -/+ sqrt(1 - 3 kappa_scaled^2)] / 3.
     """
-    if kappa_scaled <= 0.0:
-        raise ValueError("kappa_scaled must be positive")
-    if 3.0 * kappa_scaled**2 >= 1.0:
+    if not 0.0 < kappa_scaled < math.inf:
+        raise ValueError(f"kappa_scaled must be finite and positive, got {kappa_scaled}")
+    # the first test keeps the square of a huge kappa_scaled from overflowing
+    if kappa_scaled > 1.0 or 3.0 * kappa_scaled**2 >= 1.0:
         nan = float("nan")
         return BifurcationInfo(False, nan, nan, nan, nan)
     # u_minus: local maximum of beta(u), upper boundary;

@@ -343,17 +343,15 @@ def _si_physical(args, config) -> PhysicalParams:
         raise CliInputError(str(exc)) from None
 
 
-def _si_qubit(args, config, omega_q: float | None = None) -> QubitParams:
+def _si_qubit(args, config, omega_q: np.ndarray) -> QubitParams:
+    """The qubit swept over ``omega_q``: one QubitParams with an array splitting."""
     delta = _resolve(args, config, "qubit_delta", required=True)
     delta_q = _resolve(args, config, "delta_q", default=0.0)
     v_x = _resolve(args, config, "v_x", default=0.0)
     v_z = _resolve(args, config, "v_z", default=0.0)
-    if omega_q is None:
-        w = _resolve(args, config, "qubit_w", required=True)
-    else:
-        if omega_q <= abs(delta):
-            raise CliInputError("swept omega_q must exceed |qubit-delta|")
-        w = math.sqrt(omega_q**2 - delta**2)
+    if np.any(omega_q <= abs(delta)):
+        raise CliInputError("swept omega_q must exceed |qubit-delta|")
+    w = np.sqrt(omega_q**2 - delta**2)
     try:
         return QubitParams(w=w, delta=delta, delta_q=delta_q, v_x=v_x, v_z=v_z)
     except ValueError as exc:
@@ -423,6 +421,18 @@ def _rates_scaled(args, config) -> int:
     return EXIT_OK
 
 
+# regime -> (needs an attractor, rate call); the rate functions are looked up
+# when called, so a rebinding of the module attributes takes effect
+_SI_RATES = {
+    "resonant-2q": (False, lambda q, p, a, s: gamma_resonant_2q(q, p)),
+    "resonant-total": (True, lambda q, p, a, s: gamma_total_resonant(q, p, a, s)),
+    "nonresonant": (True, lambda q, p, a, s: gamma_nonresonant(q, p, a, s=s)),
+    "nonresonant-2q": (False, lambda q, p, a, s: gamma_nonresonant_2q(q, p)),
+    "linear-resonant": (True, lambda q, p, a, s: gamma_linear_resonant(q, p, a, s)),
+    "linear-nonresonant": (False, lambda q, p, a, s: gamma_linear_nonresonant(q, p)),
+}
+
+
 def _rates_si(args, config, regime: str) -> int:
     """SI sweep over the qubit frequency for the remaining regimes."""
     phys = _si_physical(args, config)
@@ -430,7 +440,7 @@ def _rates_si(args, config, regime: str) -> int:
     grid = parse_grid(_resolve(args, config, "grid", cast=str, required=True))
     which = _resolve(args, config, "attractor", cast=str, default="large")
 
-    needs_attractor = regime in ("resonant-total", "nonresonant", "linear-resonant")
+    needs_attractor, rate = _SI_RATES[regime]
     attractor = None
     if needs_attractor:
         attractor = _pick_required(scaled.beta, scaled.kappa_scaled, Branch(which))
@@ -447,26 +457,12 @@ def _rates_si(args, config, regime: str) -> int:
     for key in _SI_KEYS:
         params[key] = _resolve(args, config, key)
     columns = ["omega_q", "gamma_e", "gamma_g", "t1", "t_eff", "flags"]
-    rows = []
-    for omega_q in grid:
-        qubit = _si_qubit(args, config, omega_q=float(omega_q))
-        if regime == "resonant-2q":
-            res = gamma_resonant_2q(qubit, phys)
-        elif regime == "resonant-total":
-            res = gamma_total_resonant(qubit, phys, attractor, scaled)
-        elif regime == "nonresonant":
-            res = gamma_nonresonant(qubit, phys, attractor, s=scaled)
-        elif regime == "nonresonant-2q":
-            res = gamma_nonresonant_2q(qubit, phys)
-        else:  # linear-resonant / linear-nonresonant
-            if regime == "linear-resonant":
-                res = gamma_linear_resonant(qubit, phys, attractor, scaled)
-            else:
-                res = gamma_linear_nonresonant(qubit, phys)
-        rows.append(
-            [float(omega_q), res.gamma_e, res.gamma_g, res.t1, res.t_eff,
-             _flags_str(res.flags)]
-        )
+    res = rate(_si_qubit(args, config, grid), phys, attractor, scaled)
+    names = {flags: _flags_str(flags) for flags in set(res.flags)}
+    rows = list(zip(
+        grid.tolist(), res.gamma_e.tolist(), res.gamma_g.tolist(), res.t1.tolist(),
+        res.t_eff.tolist(), [names[flags] for flags in res.flags],
+    ))
     emit_table(params, columns, rows, args.format, args.out_stream)
     return EXIT_OK
 
@@ -688,7 +684,6 @@ def _add_si_flags(sp) -> None:
     sp.add_argument("--kappa", type=float, default=None)
     sp.add_argument("--temperature", type=float, default=None)
     sp.add_argument("--omega-c", dest="omega_c", type=float, default=None)
-    sp.add_argument("--qubit-w", dest="qubit_w", type=float, default=None)
     sp.add_argument("--qubit-delta", dest="qubit_delta", type=float, default=None)
     sp.add_argument("--delta-q", dest="delta_q", type=float, default=None)
     sp.add_argument("--v-x", dest="v_x", type=float, default=None)
@@ -768,6 +763,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDITY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError as exc:  # an input too large for float arithmetic
+        print(f"error: numerical overflow ({exc}); an input is out of range", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -23,10 +23,12 @@ and convert to SI seconds after division by ``|delta_omega|``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.constants import hbar
 
 from .attractors import MarginalAttractorError
+from .model import hbar
 
 __all__ = [
     "LEVI_CIVITA",
@@ -42,6 +44,11 @@ __all__ = [
 LEVI_CIVITA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _check_n_bar(n_bar: float) -> None:
+    if not 0.0 <= n_bar < math.inf:
+        raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
+
+
 def stationary_covariance(
     drift: np.ndarray, lambda_s: float, kappa_scaled: float, n_bar: float
 ) -> np.ndarray:
@@ -55,11 +62,14 @@ def stationary_covariance(
 
     Raises
     ------
+    ValueError
+        If ``n_bar`` is negative or not finite.
     MarginalAttractorError
         If the drift is not strictly stable (an eigenvalue with
         non-negative real part makes the stationary state ill-defined),
         or if the solution fails to be positive definite.
     """
+    _check_n_bar(n_bar)
     k = np.asarray(drift, dtype=float)
     if k.shape != (2, 2):
         raise ValueError("drift must be a 2x2 matrix")
@@ -182,8 +192,10 @@ def emission_spectrum(
     / [ (w^2 - nu^2)^2 + 4 kappa^2 w^2 ]
 
     For weak damping this has Lorentzian peaks of halfwidth kappa_scaled at
-    omega = +/- nu_scaled.
+    omega = +/- nu_scaled.  Raises ValueError for a negative or non-finite
+    ``n_bar``.
     """
+    _check_n_bar(n_bar)
     return _closed_form(
         omega, u, nu_scaled, kappa_scaled, lambda_s, n_bar + 1.0, n_bar
     )
@@ -202,21 +214,23 @@ def absorption_spectrum(
     Same rational function as :func:`emission_spectrum` with the thermal
     weights n_bar + 1 and n_bar interchanged.  The argument-negation of the
     underlying one-sided transform is folded in, so callers evaluate it at
-    the same frequency offset as the emission spectrum.
+    the same frequency offset as the emission spectrum.  Raises ValueError
+    for a negative or non-finite ``n_bar``.
     """
+    _check_n_bar(n_bar)
     return _closed_form(
         omega, u, nu_scaled, kappa_scaled, lambda_s, n_bar, n_bar + 1.0
     )
 
 
 def two_quantum_spectrum(
-    omega_q: float,
+    omega_q: float | np.ndarray,
     omega_0: float,
     kappa: float,
     n_bar: float,
     m: float,
     ground: bool = False,
-) -> float:
+) -> float | np.ndarray:
     """Squared-displacement spectrum for two-quantum transitions (SI, m^4 s).
 
     Lorentzian around omega_q = 2*omega_0 with halfwidth 2*kappa:
@@ -226,7 +240,10 @@ def two_quantum_spectrum(
     with W = (n_bar + 1)^2 for decay of the qubit excited state and
     W = n_bar^2 (``ground=True``) for excitation out of the ground state;
     the thermal swap applies once per emitted or absorbed quantum.
+    ``omega_q: float | ndarray``; the result has its shape.  Raises
+    ValueError for a negative or non-finite ``n_bar``.
     """
+    _check_n_bar(n_bar)
     weight = n_bar**2 if ground else (n_bar + 1.0) ** 2
     det = omega_q - 2.0 * omega_0
     return (hbar / (m * omega_0)) ** 2 * kappa * weight / (det * det + 4.0 * kappa**2)

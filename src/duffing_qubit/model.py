@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 __all__ = [
     "PhysicalParams",
@@ -30,21 +29,51 @@ __all__ = [
     "scale_params",
     "physical_from_scaled",
     "bath_j",
+    "hbar",
+    "k_B",
 ]
 
+# exact SI-2019 values (the Planck constant h and the Boltzmann constant)
+hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s
+k_B = 1.380649e-23                       # J/K
 
-def planck(omega: float, temperature: float) -> float:
+
+def _per_value(fn, x: float | np.ndarray) -> float | np.ndarray:
+    """``fn`` applied to each value of ``x``: a float for a scalar ``x``,
+    otherwise an array of its shape.
+
+    For the ``math`` functions whose numpy counterparts round differently
+    on some values (``expm1``, ``log``, ``hypot``), so that a sweep gives
+    the same bits as one call per point.
+    """
+    a = np.asarray(x, dtype=float)
+    if a.ndim == 0:
+        return fn(float(a))
+    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _bose(x: float) -> float:
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:  # exp(x) is past the float range: no thermal quanta
+        return 0.0
+
+
+def planck(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
     """Bose occupation number 1/(exp(hbar*omega/kB*T) - 1).
 
-    Returns exactly 0.0 at T = 0 instead of evaluating the exponential.
+    ``omega: float | ndarray``; a scalar gives a float, an array an array of
+    its shape.  Returns exactly 0.0 at T = 0, and where hbar*omega/kB*T is
+    too large for the exponential to be represented.
     """
-    if omega <= 0.0:
-        raise ValueError(f"planck requires omega > 0, got {omega}")
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be non-negative, got {temperature}")
+    w = np.asarray(omega, dtype=float)
+    if not np.all(w > 0.0):
+        raise ValueError(f"planck requires omega > 0, got {w[~(w > 0.0)].flat[0]}")
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and non-negative, got {temperature}")
     if temperature == 0.0:
-        return 0.0
-    return 1.0 / math.expm1(hbar * omega / (k_B * temperature))
+        return 0.0 if w.ndim == 0 else np.zeros(w.shape)
+    return _per_value(_bose, hbar * w / (k_B * temperature))
 
 
 @dataclass(frozen=True)
@@ -61,6 +90,9 @@ class PhysicalParams:
     omega_c: float      # Ohmic cutoff (rad/s)
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.m <= 0:
             raise ValueError("mass must be positive")
         if self.omega_0 <= 0 or self.omega_f <= 0:

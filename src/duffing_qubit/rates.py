@@ -21,6 +21,12 @@ reported as flags, never auto-switched):
 - nonresonant (one- and two-quantum): bath density of states probed at the
   combination frequencies; matches the resonant forms in the overlap range;
 - linear coupling, resonant and nonresonant.
+
+Every rate function takes the qubit splitting ``QubitParams.w`` as a float
+or an array: a sweep over the qubit frequency is one call, whose results
+have the shape of ``omega_q``.  The terms that depend only on the attractor
+and the oscillator (the dephasing weight, the scaled parameters, the Bose
+factors at omega_f and omega_0) are computed once per call.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .attractors import Attractor, MarginalAttractorError, drift_matrix
 from .fluctuations import (
@@ -39,7 +44,17 @@ from .fluctuations import (
     stationary_covariance,
     two_quantum_spectrum,
 )
-from .model import BathSpec, PhysicalParams, ScaledParams, bath_j, planck, scale_params
+from .model import (
+    BathSpec,
+    PhysicalParams,
+    ScaledParams,
+    _per_value,
+    bath_j,
+    hbar,
+    k_B,
+    planck,
+    scale_params,
+)
 
 __all__ = [
     "QubitParams",
@@ -101,92 +116,135 @@ FLAG_THRESHOLDS = {
 
 @dataclass(frozen=True)
 class QubitParams:
-    """Qubit constants; energies hbar*w/2 along z and hbar*delta/2 along x."""
+    """Qubit constants; energies hbar*w/2 along z and hbar*delta/2 along x.
 
-    w: float              # dominant splitting (rad/s)
-    delta: float          # transverse term (rad/s); |delta| << w in practice
-    delta_q: float = 0.0  # oscillator frequency shift from the quadratic coupling (rad/s)
-    v_x: float = 0.0      # linear coupling energy on sigma_x (J/m)
-    v_z: float = 0.0      # linear coupling energy on sigma_z (J/m)
+    ``w: float | ndarray``; an array of splittings is a sweep, which every
+    rate function evaluates in one call.  The other fields are scalars.
+    """
+
+    w: float | np.ndarray  # dominant splitting (rad/s)
+    delta: float           # transverse term (rad/s); |delta| << w in practice
+    delta_q: float = 0.0   # oscillator frequency shift from the quadratic coupling (rad/s)
+    v_x: float = 0.0       # linear coupling energy on sigma_x (J/m)
+    v_z: float = 0.0       # linear coupling energy on sigma_z (J/m)
 
     def __post_init__(self) -> None:
-        if self.w <= 0:
-            raise ValueError("qubit splitting w must be positive")
+        if np.ndim(self.w):
+            object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
+        if not np.all(np.greater(self.w, 0.0) & np.isfinite(self.w)):
+            raise ValueError("qubit splitting w must be positive and finite")
+        for name in ("delta", "delta_q", "v_x", "v_z"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"qubit {name} must be finite")
 
     @property
-    def omega_q(self) -> float:
-        """Transition frequency sqrt(w^2 + delta^2), always recomputed."""
-        return math.hypot(self.w, self.delta)
+    def omega_q(self) -> float | np.ndarray:
+        """Transition frequency sqrt(w^2 + delta^2), always recomputed.
+
+        A float for a scalar ``w``, otherwise an array of its shape.
+        """
+        delta = self.delta
+        return _per_value(lambda w: math.hypot(w, delta), self.w)
 
 
 @dataclass(frozen=True)
 class RateResult:
-    """Rates for one channel, with per-channel Bloch-Redfield times."""
+    """Rates for one channel, with per-channel Bloch-Redfield times.
 
-    gamma_e: float                 # excited-state decay rate (1/s)
-    gamma_g: float                 # ground-state excitation rate (1/s)
+    The numeric fields and the ``ratios`` values have the shape of
+    ``omega_q``: floats for a scalar qubit frequency.  ``flags`` is a
+    frozenset for a scalar and a tuple of frozensets, one per point in C
+    order, for an array.
+    """
+
+    gamma_e: float | np.ndarray    # excited-state decay rate (1/s)
+    gamma_g: float | np.ndarray    # ground-state excitation rate (1/s)
     regime: str
-    t1: float                      # 1/(gamma_e + gamma_g) (s)
-    t_eff: float                   # effective temperature (K, signed, may be inf)
-    t2: float | None = None        # dephasing time when the dc channel is available
-    gamma_0: float | None = None   # rate scale hbar*C_gamma*u/(6*gamma_s)
-    gamma_e_scaled: float | None = None  # gamma_e / gamma_0
-    gamma_g_scaled: float | None = None
-    flags: frozenset[str] = frozenset()
-    ratios: dict[str, float] = field(default_factory=dict)
+    t1: float | np.ndarray         # 1/(gamma_e + gamma_g) (s)
+    t_eff: float | np.ndarray      # effective temperature (K, signed, may be inf)
+    t2: float | np.ndarray | None = None  # dephasing time when the dc channel is available
+    gamma_0: float | np.ndarray | None = None  # rate scale hbar*C_gamma*u/(6*gamma_s)
+    gamma_e_scaled: float | np.ndarray | None = None  # gamma_e / gamma_0
+    gamma_g_scaled: float | np.ndarray | None = None
+    flags: frozenset[str] | tuple[frozenset[str], ...] = frozenset()
+    ratios: dict[str, float | np.ndarray] = field(default_factory=dict)
 
 
-def c_gamma(q: QubitParams, m: float, omega_0: float) -> float:
-    """Golden-rule prefactor of the quadratic coupling, (m w0 Dq d / hbar wq)^2 / 2."""
+def _scalar_or_array(x):
+    # a 0-d value as a Python float, an array as it is
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def c_gamma(q: QubitParams, m: float, omega_0: float) -> float | np.ndarray:
+    """Golden-rule prefactor of the quadratic coupling, (m w0 Dq d / hbar wq)^2 / 2.
+
+    Has the shape of ``q.omega_q``.
+    """
     return 0.5 * (m * omega_0 * q.delta_q * q.delta / (hbar * q.omega_q)) ** 2
 
 
-def _channel_t1(gamma_e: float, gamma_g: float) -> float:
-    total = gamma_e + gamma_g
-    return math.inf if total == 0.0 else 1.0 / total
+def _channel_t1(gamma_e, gamma_g):
+    total = np.add(gamma_e, gamma_g)
+    with np.errstate(divide="ignore"):
+        return np.where(total == 0.0, math.inf, np.divide(1.0, total))[()]
 
 
-def effective_temperature(gamma_e: float, gamma_g: float, omega_q: float) -> float:
+def effective_temperature(
+    gamma_e: float | np.ndarray,
+    gamma_g: float | np.ndarray,
+    omega_q: float | np.ndarray,
+) -> float | np.ndarray:
     """T_eff = hbar*omega_q / [kB * ln(gamma_e/gamma_g)] (K, signed).
 
     Infinite when the rates balance; +0 in the ground-state-only limit
     gamma_g = 0; negative under population inversion gamma_g > gamma_e.
+    The arguments are floats or arrays; the result has their broadcast
+    shape, a float when all are scalars.
     """
-    if gamma_e < 0.0 or gamma_g < 0.0:
+    ge, gg, wq = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (gamma_e, gamma_g, omega_q))
+    )
+    if np.any(ge < 0.0) or np.any(gg < 0.0):
         raise ValueError("rates must be non-negative")
-    if gamma_e == 0.0 and gamma_g == 0.0:
-        return float("nan")
-    if gamma_g == 0.0:
-        return 0.0
-    if gamma_e == 0.0:
-        return -0.0
-    if gamma_e == gamma_g:
-        return math.inf
-    return hbar * omega_q / (k_B * math.log(gamma_e / gamma_g))
+    general = (ge != 0.0) & (gg != 0.0) & (ge != gg)
+    log_ratio = np.zeros(ge.shape)
+    log_ratio[general] = _per_value(math.log, ge[general] / gg[general])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_eff = hbar * wq / (k_B * log_ratio)
+    out = np.select(
+        [(ge == 0.0) & (gg == 0.0), gg == 0.0, ge == 0.0, ge == gg],
+        [math.nan, 0.0, -0.0, math.inf],
+        t_eff,
+    )
+    return _scalar_or_array(out)
 
 
 def bloch_redfield(
-    gamma_e: float,
-    gamma_g: float,
+    gamma_e: float | np.ndarray,
+    gamma_g: float | np.ndarray,
     q: QubitParams,
     p: PhysicalParams,
     dephasing_g0: float,
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(T1, T2) from the channel rates and the zero-frequency noise weight.
 
     T1^-1 = gamma_e + gamma_g;
     T2^-1 = T1^-1 / 2 + 2 C_gamma (w/delta)^2 * dephasing_g0.
+
+    The rates are floats or arrays of the shape of ``q.omega_q``, and so
+    are T1 and T2.
     """
-    if gamma_e < 0.0 or gamma_g < 0.0 or dephasing_g0 < 0.0:
+    if np.any(np.less(gamma_e, 0.0)) or np.any(np.less(gamma_g, 0.0)) or dephasing_g0 < 0.0:
         raise ValueError("rates and dephasing weight must be non-negative")
     if q.delta == 0.0 and dephasing_g0 != 0.0:
         raise ValueError("delta = 0 makes the dephasing prefactor divergent")
     t1 = _channel_t1(gamma_e, gamma_g)
     rate2 = 0.5 * (gamma_e + gamma_g)
     if dephasing_g0 != 0.0:
-        rate2 += 2.0 * c_gamma(q, p.m, p.omega_0) * (q.w / q.delta) ** 2 * dephasing_g0
-    t2 = math.inf if rate2 == 0.0 else 1.0 / rate2
-    return t1, t2
+        rate2 = rate2 + 2.0 * c_gamma(q, p.m, p.omega_0) * (q.w / q.delta) ** 2 * dephasing_g0
+    with np.errstate(divide="ignore"):
+        t2 = np.where(rate2 == 0.0, math.inf, np.divide(1.0, rate2))
+    return _scalar_or_array(t1), _scalar_or_array(t2)
 
 
 def dephasing_g_zero(a: Attractor, s: ScaledParams) -> float:
@@ -195,7 +253,8 @@ def dephasing_g_zero(a: Attractor, s: ScaledParams) -> float:
     Leading (one-quantum) dc channel: the slow part of 2*x_a*dx projects the
     quadrature noise onto v = (Q_a, P_a), so the weight is
     c_res^4 * v.Re N(0).v / |delta_omega|.  Two-quantum dc contributions are
-    smaller by a factor lambda_s and neglected.
+    smaller by a factor lambda_s and neglected.  It does not depend on the
+    qubit, so a sweep over the qubit frequency computes it once.
     """
     if not a.stable:
         raise MarginalAttractorError("dephasing weight needs a stable attractor")
@@ -212,9 +271,9 @@ def validity_flags(
     p: PhysicalParams,
     s: ScaledParams,
     a: Attractor | None,
-    t1: float,
-    t2: float | None,
-) -> dict[str, float]:
+    t1: float | np.ndarray,
+    t2: float | np.ndarray | None,
+) -> dict[str, float | np.ndarray]:
     """Dimensionless validity ratios; see FLAG_THRESHOLDS for the limits.
 
     - ResonantPumping: saturation parameter of the coherent drive at the
@@ -224,31 +283,75 @@ def validity_flags(
     - WeakDampingViolated: kappa_scaled / nu_scaled;
     - RWAViolated: max(|delta_omega|, kappa) / omega_0;
     - QubitFasterThanOscillator: (1/T1) / kappa.
+
+    ``t1`` and ``t2`` are floats or arrays of the shape of ``q.omega_q``.
+    ResonantPumping is NaN where T1 or T2 is infinite, and
+    QubitFasterThanOscillator where T1 is infinite or zero.
     """
-    ratios: dict[str, float] = {}
-    if a is not None and t2 is not None and math.isfinite(t1) and math.isfinite(t2):
-        omega_rabi = (
-            p.m * p.omega_0 * q.delta_q * q.delta * s.c_res**2 * a.u
-            / (hbar * q.omega_q)
-        )
-        det = q.omega_q - 2.0 * p.omega_f
-        ratios[FLAG_RESONANT_PUMPING] = (
-            omega_rabi**2 * t1 * t2 / (1.0 + det**2 * t2**2)
-        )
-    ratios[FLAG_SEMICLASSICAL] = s.fluctuation_area
-    if a is not None and a.nu_scaled > 0.0:
-        ratios[FLAG_WEAK_DAMPING] = s.kappa_scaled / a.nu_scaled
-    ratios[FLAG_RWA] = max(s.scale, p.kappa) / p.omega_0
-    if math.isfinite(t1) and t1 > 0.0:
-        ratios[FLAG_QUBIT_FASTER] = 1.0 / (t1 * p.kappa)
-    return ratios
+    ratios: dict[str, float | np.ndarray] = {}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if a is not None and t2 is not None:
+            omega_rabi = (
+                p.m * p.omega_0 * q.delta_q * q.delta * s.c_res**2 * a.u
+                / (hbar * q.omega_q)
+            )
+            det = q.omega_q - 2.0 * p.omega_f
+            pumping = omega_rabi**2 * t1 * t2 / (1.0 + det**2 * t2**2)
+            ratios[FLAG_RESONANT_PUMPING] = np.where(
+                np.isfinite(t1) & np.isfinite(t2), pumping, math.nan)
+        ratios[FLAG_SEMICLASSICAL] = s.fluctuation_area
+        if a is not None and a.nu_scaled > 0.0:
+            ratios[FLAG_WEAK_DAMPING] = s.kappa_scaled / a.nu_scaled
+        ratios[FLAG_RWA] = max(s.scale, p.kappa) / p.omega_0
+        faster = np.divide(1.0, np.multiply(t1, p.kappa))
+        ratios[FLAG_QUBIT_FASTER] = np.where(
+            np.isfinite(t1) & np.greater(t1, 0.0), faster, math.nan)
+    return {name: _scalar_or_array(value) for name, value in ratios.items()}
 
 
-def raised_flags(ratios: dict[str, float]) -> frozenset[str]:
-    return frozenset(
-        name
-        for name, value in ratios.items()
-        if math.isfinite(value) and value >= FLAG_THRESHOLDS[name]
+def raised_flags(
+    ratios: dict[str, float | np.ndarray],
+) -> frozenset[str] | tuple[frozenset[str], ...]:
+    """Names of the flags whose ratio is finite and meets its threshold.
+
+    A frozenset when every ratio is a scalar, otherwise a tuple of
+    frozensets, one per point of their broadcast shape in C order.
+    """
+    names = list(ratios)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in ratios.values()))
+    code = np.zeros(shape, dtype=np.int64)
+    for bit, name in enumerate(names):
+        value = np.asarray(ratios[name], dtype=float)
+        raised = np.isfinite(value) & (value >= FLAG_THRESHOLDS[name])
+        code |= raised.astype(np.int64) << bit
+    sets = {
+        c: frozenset(name for bit, name in enumerate(names) if c >> bit & 1)
+        for c in np.unique(code).tolist()
+    }
+    if not shape:
+        return sets[int(code)]
+    return tuple(map(sets.__getitem__, code.ravel().tolist()))
+
+
+def _rate_result(regime, omega_q, gamma_e, gamma_g, t1, ratios, **extra) -> RateResult:
+    # T_eff and the flags, with every numeric field in the shape of omega_q
+    shape = np.shape(omega_q)
+
+    def shaped(x):
+        if x is None:
+            return None
+        if not shape:
+            return float(x)
+        return x if np.shape(x) == shape else np.full(shape, x)
+
+    ratios = {name: shaped(value) for name, value in ratios.items()}
+    t_eff = effective_temperature(gamma_e, gamma_g, omega_q)
+    fields = dict(gamma_e=gamma_e, gamma_g=gamma_g, t1=t1, t_eff=t_eff, **extra)
+    return RateResult(
+        regime=regime,
+        flags=raised_flags(ratios),
+        ratios=ratios,
+        **{name: shaped(value) for name, value in fields.items()},
     )
 
 
@@ -293,7 +396,8 @@ def gamma_resonant_1q(
         Re G(omega_q) = (m^2 omega_f^2 dw^2 / 9 gamma_s^2) * u * ReN(omega_rel)
 
     evaluated at omega_rel = (omega_q - 2 omega_f)/|dw|, with the emission /
-    absorption spectra supplying gamma_e / gamma_g.
+    absorption spectra supplying gamma_e / gamma_g.  ``omega_q`` (through
+    ``q.w``) is a float or an array.
     """
     _require_stable(a)
     if s is None:
@@ -310,60 +414,47 @@ def _resonant_1q(
     dephasing_g0: float | None,
 ) -> RateResult:
     # gamma_resonant_1q given the dephasing weight (None when delta = 0), so
-    # that gamma_total_resonant computes that weight once per point
+    # that gamma_total_resonant computes that weight once per call
     d = s.scale
-    omega_rel = (q.omega_q - 2.0 * p.omega_f) / d
+    wq = q.omega_q
+    omega_rel = (wq - 2.0 * p.omega_f) / d
     f_e = emission_spectrum(omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
     f_g = absorption_spectrum(omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
     pref = (p.m * p.omega_f) ** 2 * d / (9.0 * p.gamma_s**2) * a.u
     cg = c_gamma(q, p.m, p.omega_0)
     gamma_e = cg * pref * f_e
     gamma_g = cg * pref * f_g
-    gamma_0 = hbar * cg * a.u / (6.0 * p.gamma_s)
     t1 = _channel_t1(gamma_e, gamma_g)
     t2 = None
     if dephasing_g0 is not None:
         _, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g0)
-    ratios = validity_flags(q, p, s, a, t1, t2)
-    return RateResult(
-        gamma_e=gamma_e,
-        gamma_g=gamma_g,
-        regime="resonant-1q",
-        t1=t1,
+    return _rate_result(
+        "resonant-1q", wq, gamma_e, gamma_g, t1, validity_flags(q, p, s, a, t1, t2),
         t2=t2,
-        t_eff=effective_temperature(gamma_e, gamma_g, q.omega_q),
-        gamma_0=gamma_0,
+        gamma_0=hbar * cg * a.u / (6.0 * p.gamma_s),
         gamma_e_scaled=f_e / s.lambda_s,
         gamma_g_scaled=f_g / s.lambda_s,
-        flags=raised_flags(ratios),
-        ratios=ratios,
     )
 
 
 def gamma_resonant_2q(
     q: QubitParams, p: PhysicalParams, n_bar: float | None = None
 ) -> RateResult:
-    """Two-quantum rates near omega_q = 2*omega_0, amplitude independent."""
-    if n_bar is None:
-        n_bar = planck(p.omega_f, p.temperature)
-    cg = c_gamma(q, p.m, p.omega_0)
-    gamma_e = cg * two_quantum_spectrum(q.omega_q, p.omega_0, p.kappa, n_bar, p.m)
-    gamma_g = cg * two_quantum_spectrum(
-        q.omega_q, p.omega_0, p.kappa, n_bar, p.m, ground=True
-    )
-    t1 = _channel_t1(gamma_e, gamma_g)
+    """Two-quantum rates near omega_q = 2*omega_0, amplitude independent.
+
+    ``omega_q`` (through ``q.w``) is a float or an array.
+    """
     s = scale_params(p)
+    if n_bar is None:
+        n_bar = s.n_bar
+    wq = q.omega_q
+    cg = c_gamma(q, p.m, p.omega_0)
+    gamma_e = cg * two_quantum_spectrum(wq, p.omega_0, p.kappa, n_bar, p.m)
+    gamma_g = cg * two_quantum_spectrum(wq, p.omega_0, p.kappa, n_bar, p.m, ground=True)
+    t1 = _channel_t1(gamma_e, gamma_g)
     ratios = validity_flags(q, p, s, None, t1, None)
     ratios[FLAG_MODERATE_T] = hbar * n_bar * p.gamma_s / (p.m**2 * p.omega_0**2 * p.kappa)
-    return RateResult(
-        gamma_e=gamma_e,
-        gamma_g=gamma_g,
-        regime="resonant-2q",
-        t1=t1,
-        t_eff=effective_temperature(gamma_e, gamma_g, q.omega_q),
-        flags=raised_flags(ratios),
-        ratios=ratios,
-    )
+    return _rate_result("resonant-2q", wq, gamma_e, gamma_g, t1, ratios)
 
 
 def gamma_total_resonant(
@@ -376,7 +467,9 @@ def gamma_total_resonant(
 
     Raises the crossover flag when the forced-vibration amplitude is
     comparable to the fluctuation cloud, u <~ lambda_s (2 n_bar + 1), where
-    the two-quantum channel stops being negligible.
+    the two-quantum channel stops being negligible.  The T1- and T2-based
+    ratios are those of the total rates.  ``omega_q`` (through ``q.w``) is a
+    float or an array.
     """
     _require_stable(a)
     if s is None:
@@ -390,56 +483,65 @@ def gamma_total_resonant(
     t2 = None
     if g0 is not None:
         _, t2 = bloch_redfield(gamma_e, gamma_g, q, p, g0)
-    ratios = dict(one.ratios)
-    ratios.update(two.ratios)
+    ratios = validity_flags(q, p, s, a, t1, t2)
+    ratios[FLAG_MODERATE_T] = two.ratios[FLAG_MODERATE_T]
     if a.u > 0.0:
         ratios[FLAG_TWO_QUANTUM] = s.fluctuation_area / a.u
     gamma_0 = one.gamma_0
-    return RateResult(
-        gamma_e=gamma_e,
-        gamma_g=gamma_g,
-        regime="resonant-total",
-        t1=t1,
-        t2=t2,
-        t_eff=effective_temperature(gamma_e, gamma_g, q.omega_q),
-        gamma_0=gamma_0,
-        gamma_e_scaled=None if gamma_0 in (None, 0.0) else gamma_e / gamma_0,
-        gamma_g_scaled=None if gamma_0 in (None, 0.0) else gamma_g / gamma_0,
-        flags=raised_flags(ratios),
-        ratios=ratios,
+    scaled = {}
+    if np.any(gamma_0 != 0.0):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = dict(gamma_e_scaled=gamma_e / gamma_0, gamma_g_scaled=gamma_g / gamma_0)
+    return _rate_result(
+        "resonant-total", q.omega_q, gamma_e, gamma_g, t1, ratios,
+        t2=t2, gamma_0=gamma_0, **scaled,
     )
 
 
-def _guard_denominator(p: PhysicalParams, omega_i: float) -> None:
-    if abs(p.omega_0**2 - omega_i**2) < 10.0 * p.kappa * p.omega_0:
+def _guard_denominator(p: PhysicalParams, channels) -> None:
+    """Refuse channel frequencies within the oscillator resonance.
+
+    ``channels`` holds the channel frequencies, each a float or an array
+    over the sweep; closed channels (omega_i <= 0) are exempt.  The whole
+    sweep is checked before anything is computed, and the error names the
+    first offending frequency in grid order, then in channel order.
+    """
+    w = np.stack(np.broadcast_arrays(*channels), axis=-1).reshape(-1)
+    with np.errstate(over="ignore"):
+        bad = (w > 0.0) & (np.abs(p.omega_0**2 - w**2) < 10.0 * p.kappa * p.omega_0)
+    if bad.any():
+        omega_i = float(w[np.argmax(bad)])
         raise NearResonanceError(
             f"combination frequency {omega_i:g} rad/s lies within the "
             "oscillator resonance; use the resonant routines"
         )
 
 
-def _nonresonant_sum(
-    p: PhysicalParams,
-    b: BathSpec,
-    channels: list[tuple[float, float]],
-) -> float:
-    """Sum of J(w_i) * Phi_i / (w0^2 - w_i^2)^2 over open channels.
+def _channel_sums(p: PhysicalParams, b: BathSpec, omegas, offsets, factors=None):
+    """Sums of J(w_i) * Phi_i / (w0^2 - w_i^2)^2 over the open channels.
 
-    channels holds (omega_i, thermal_offset) pairs; the thermal factor is
-    planck(omega_i) + offset.  Channels with omega_i <= 0 carry no bath
-    states (J = 0) and are skipped.
+    ``omegas`` holds the channel frequencies (floats or arrays over the
+    sweep).  Two sums are returned, for gamma_e and for gamma_g; per
+    channel, ``offsets`` and ``factors`` hold one (gamma_e, gamma_g) pair
+    each, and Phi_i = (planck(w_i) + offset) * factor, the factor 1 by
+    default.  Channels with w_i <= 0 carry no bath states (J = 0) and add
+    nothing.
     """
-    total = 0.0
-    for omega_i, offset in channels:
-        if omega_i <= 0.0:
-            continue
-        _guard_denominator(p, omega_i)
-        j = bath_j(b, omega_i)
-        if j == 0.0:
-            continue
-        phi = planck(omega_i, p.temperature) + offset
-        total += j * phi / (p.omega_0**2 - omega_i**2) ** 2
-    return total
+    _guard_denominator(p, omegas)
+    if factors is None:
+        factors = [(1.0, 1.0)] * len(omegas)
+    shape = np.broadcast_shapes(*(np.shape(w) for w in omegas))
+    sum_e, sum_g = np.zeros(shape), np.zeros(shape)
+    for omega_i, (off_e, off_g), (fac_e, fac_g) in zip(omegas, offsets, factors):
+        omega_i = np.broadcast_to(omega_i, shape)
+        open_ = omega_i > 0.0
+        w = omega_i[open_]
+        j = bath_j(b, w)
+        n = planck(w, p.temperature)
+        den = (p.omega_0**2 - w**2) ** 2
+        sum_e[open_] += j * (n + off_e) * fac_e / den
+        sum_g[open_] += j * (n + off_g) * fac_g / den
+    return sum_e[()], sum_g[()]
 
 
 def gamma_nonresonant(
@@ -459,7 +561,8 @@ def gamma_nonresonant(
         Re G = (2 omega_f |dw| / 3 m gamma_s) * u * sum_i J(w_i) Phi_i / (w0^2-w_i^2)^2
 
     Raises NearResonanceError when a channel falls within ~kappa of the
-    oscillator resonance.
+    oscillator resonance.  ``omega_q`` (through ``q.w``) is a float or an
+    array.
     """
     _require_stable(a)
     if b is None:
@@ -467,26 +570,19 @@ def gamma_nonresonant(
     if s is None:
         s = scale_params(p)
     wq, wf = q.omega_q, p.omega_f
+    sum_e, sum_g = _channel_sums(
+        p, b, (wq + wf, wq - wf, wf - wq), offsets=((1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    )
     pref = 2.0 * wf * s.scale / (3.0 * p.m * p.gamma_s) * a.u
     cg = c_gamma(q, p.m, p.omega_0)
-    sum_e = _nonresonant_sum(p, b, [(wq + wf, 1.0), (wq - wf, 1.0), (wf - wq, 0.0)])
-    sum_g = _nonresonant_sum(p, b, [(wq + wf, 0.0), (wq - wf, 0.0), (wf - wq, 1.0)])
     gamma_e = cg * pref * sum_e
     gamma_g = cg * pref * sum_g
     t1 = _channel_t1(gamma_e, gamma_g)
     t2 = None
     if q.delta != 0.0:
         _, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g_zero(a, s))
-    ratios = validity_flags(q, p, s, a, t1, t2)
-    return RateResult(
-        gamma_e=gamma_e,
-        gamma_g=gamma_g,
-        regime="nonresonant",
-        t1=t1,
-        t2=t2,
-        t_eff=effective_temperature(gamma_e, gamma_g, q.omega_q),
-        flags=raised_flags(ratios),
-        ratios=ratios,
+    return _rate_result(
+        "nonresonant", wq, gamma_e, gamma_g, t1, validity_flags(q, p, s, a, t1, t2), t2=t2
     )
 
 
@@ -502,7 +598,8 @@ def gamma_nonresonant_2q(
         Re G = (2 hbar / m^3 omega_0) sum_i J(w_i) Phi(w_i) Phi_i / (w0^2-w_i^2)^2.
 
     Matches the resonant two-quantum Lorentzian for
-    omega_0 >> |omega_q - 2 omega_0| >> kappa.
+    omega_0 >> |omega_q - 2 omega_0| >> kappa.  ``omega_q`` (through
+    ``q.w``) is a float or an array.
     """
     if b is None:
         b = BathSpec.from_physical(p)
@@ -510,44 +607,19 @@ def gamma_nonresonant_2q(
     n0 = planck(w0, p.temperature)
     pref = 2.0 * hbar / (p.m**3 * w0)
     cg = c_gamma(q, p.m, w0)
-
-    def channel_sum(bath_offsets: tuple[float, float, float], osc_e: bool) -> float:
-        osc = (n0 + 1.0) if osc_e else n0
-        osc_plus = n0 if osc_e else (n0 + 1.0)
-        total = 0.0
-        entries = [
-            (wq - w0, bath_offsets[0], osc),
-            (w0 - wq, bath_offsets[1], osc),
-            (wq + w0, bath_offsets[2], osc_plus),
-        ]
-        for omega_i, offset, phi_i in entries:
-            if omega_i <= 0.0:
-                continue
-            _guard_denominator(p, omega_i)
-            j = bath_j(b, omega_i)
-            if j == 0.0:
-                continue
-            phi = planck(omega_i, p.temperature) + offset
-            total += j * phi * phi_i / (w0**2 - omega_i**2) ** 2
-        return total
-
-    gamma_e = cg * pref * channel_sum((1.0, 0.0, 1.0), osc_e=True)
-    gamma_g = cg * pref * channel_sum((0.0, 1.0, 0.0), osc_e=False)
-    t1 = _channel_t1(gamma_e, gamma_g)
-    s = scale_params(p)
-    ratios = validity_flags(q, p, s, None, t1, None)
-    return RateResult(
-        gamma_e=gamma_e,
-        gamma_g=gamma_g,
-        regime="nonresonant-2q",
-        t1=t1,
-        t_eff=effective_temperature(gamma_e, gamma_g, q.omega_q),
-        flags=raised_flags(ratios),
-        ratios=ratios,
+    sum_e, sum_g = _channel_sums(
+        p, b, (wq - w0, w0 - wq, wq + w0),
+        offsets=((1.0, 0.0), (0.0, 1.0), (1.0, 0.0)),
+        factors=((n0 + 1.0, n0), (n0 + 1.0, n0), (n0, n0 + 1.0)),
     )
+    gamma_e = cg * pref * sum_e
+    gamma_g = cg * pref * sum_g
+    t1 = _channel_t1(gamma_e, gamma_g)
+    ratios = validity_flags(q, p, scale_params(p), None, t1, None)
+    return _rate_result("nonresonant-2q", wq, gamma_e, gamma_g, t1, ratios)
 
 
-def _linear_coupling_sq(q: QubitParams) -> float:
+def _linear_coupling_sq(q: QubitParams) -> float | np.ndarray:
     # sigma_x and sigma_z couplings enter through w and delta respectively;
     # combined incoherently (the cross term depends on an eigenbasis phase
     # the rate formulas do not fix)
@@ -567,18 +639,20 @@ def gamma_linear_resonant(
 
     (V_x w -> V_z delta for sigma_z coupling).  No forced-amplitude
     prefactor, but the spectra still distinguish the attractors through u
-    and the quasienergy gap.
+    and the quasienergy gap.  ``omega_q`` (through ``q.w``) is a float or an
+    array.
     """
     _require_stable(a)
     if s is None:
         s = scale_params(p)
     d = s.scale
-    omega_rel = (q.omega_q - p.omega_f) / d
+    wq = q.omega_q
+    omega_rel = (wq - p.omega_f) / d
     f_e = emission_spectrum(omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
     f_g = absorption_spectrum(omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
     pref = (
         _linear_coupling_sq(q)
-        / (hbar * q.omega_q) ** 2
+        / (hbar * wq) ** 2
         * (p.m * p.omega_f * d / (3.0 * p.gamma_s))
         / d
     )
@@ -586,15 +660,7 @@ def gamma_linear_resonant(
     gamma_g = pref * f_g
     t1 = _channel_t1(gamma_e, gamma_g)
     ratios = validity_flags(q, p, s, a, t1, None)
-    return RateResult(
-        gamma_e=gamma_e,
-        gamma_g=gamma_g,
-        regime="linear-resonant",
-        t1=t1,
-        t_eff=effective_temperature(gamma_e, gamma_g, q.omega_q),
-        flags=raised_flags(ratios),
-        ratios=ratios,
-    )
+    return _rate_result("linear-resonant", wq, gamma_e, gamma_g, t1, ratios)
 
 
 def gamma_linear_nonresonant(
@@ -609,12 +675,13 @@ def gamma_linear_nonresonant(
                   / (omega_q^2 - omega_0^2)^2
 
     with n(omega_q) in place of n(omega_q)+1 for gamma_g.  Independent of
-    the occupied attractor.
+    the occupied attractor.  ``omega_q`` (through ``q.w``) is a float or an
+    array.
     """
     if b is None:
         b = BathSpec.from_physical(p)
     wq = q.omega_q
-    _guard_denominator(p, wq)
+    _guard_denominator(p, (wq,))
     pref = (
         2.0
         * _linear_coupling_sq(q)
@@ -626,14 +693,5 @@ def gamma_linear_nonresonant(
     gamma_e = pref * (n_q + 1.0)
     gamma_g = pref * n_q
     t1 = _channel_t1(gamma_e, gamma_g)
-    s = scale_params(p)
-    ratios = validity_flags(q, p, s, None, t1, None)
-    return RateResult(
-        gamma_e=gamma_e,
-        gamma_g=gamma_g,
-        regime="linear-nonresonant",
-        t1=t1,
-        t_eff=effective_temperature(gamma_e, gamma_g, q.omega_q),
-        flags=raised_flags(ratios),
-        ratios=ratios,
-    )
+    ratios = validity_flags(q, p, scale_params(p), None, t1, None)
+    return _rate_result("linear-nonresonant", wq, gamma_e, gamma_g, t1, ratios)

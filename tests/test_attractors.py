@@ -244,3 +244,26 @@ class TestGapScaling:
             nus.append(small.nu_scaled)
         slope = np.polyfit(np.log(dbs), np.log(nus), 1)[0]
         assert abs(slope - 0.25) <= 0.03
+
+
+class TestInputDomain:
+    @pytest.mark.parametrize("beta, kappa", [
+        (math.nan, 0.3), (math.inf, 0.3), (-math.inf, 0.3),
+        (0.1, math.nan), (0.1, math.inf),
+    ])
+    def test_nonfinite_inputs_are_refused(self, beta, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            solve_attractors(beta, kappa)
+
+    @pytest.mark.parametrize("beta", [1e150, 1e200, 1e300, 1e308, 1.7e308])
+    def test_huge_beta_solves_the_cubic(self, beta):
+        (a,) = solve_attractors(beta, 0.3)
+        assert math.isfinite(a.u) and math.isfinite(a.nu_scaled)
+        assert math.isclose(a.u * ((a.u - 1.0) ** 2 + 0.09), beta, rel_tol=1e-12)
+        assert math.isclose(a.u, beta ** (1.0 / 3.0), rel_tol=1e-10)
+
+    def test_window_of_nonfinite_or_huge_damping(self):
+        for kappa in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="finite"):
+                bifurcation_betas(kappa)
+        assert not bifurcation_betas(1e300).bistable

@@ -404,3 +404,115 @@ class TestOutputModes:
         code, _, _ = run_cli(capsys, "attractors", "--kappa-scaled", "0.3",
                              "--frobnicate")
         assert code == EXIT_INPUT
+
+
+class TestSiSweepAgainstPerPoint:
+    """SI rate sweeps, one array call per grid, against one library call per
+    grid point built as the CLI builds it."""
+
+    RTOL = 1e-13
+    DELTA = 5e8
+
+    @staticmethod
+    def grids(p):
+        det = p.omega_0 - p.omega_f
+        return {
+            "resonant-2q": (2 * p.omega_0 - 50 * p.kappa, 2 * p.omega_0 + 50 * p.kappa),
+            "resonant-total": (2 * p.omega_f - 4 * det, 2 * p.omega_f + 4 * det),
+            "nonresonant": (3.2 * p.omega_f, 5.0 * p.omega_f),
+            "nonresonant-2q": (2.5 * p.omega_0, 4.0 * p.omega_0),
+            "linear-resonant": (p.omega_f - 4 * det, p.omega_f + 4 * det),
+            "linear-nonresonant": (1.5 * p.omega_0, 3.0 * p.omega_0),
+        }
+
+    @staticmethod
+    def reference(regime, q, p, a, s):
+        from duffing_qubit import (gamma_linear_nonresonant, gamma_linear_resonant,
+                                   gamma_nonresonant, gamma_nonresonant_2q,
+                                   gamma_resonant_2q, gamma_total_resonant)
+        return {
+            "resonant-2q": lambda: gamma_resonant_2q(q, p),
+            "resonant-total": lambda: gamma_total_resonant(q, p, a, s),
+            "nonresonant": lambda: gamma_nonresonant(q, p, a, s=s),
+            "nonresonant-2q": lambda: gamma_nonresonant_2q(q, p),
+            "linear-resonant": lambda: gamma_linear_resonant(q, p, a, s),
+            "linear-nonresonant": lambda: gamma_linear_nonresonant(q, p),
+        }[regime]()
+
+    @pytest.mark.parametrize("regime", ["resonant-2q", "resonant-total", "nonresonant",
+                                        "nonresonant-2q", "linear-resonant",
+                                        "linear-nonresonant"])
+    def test_columns_and_flags(self, capsys, regime):
+        from duffing_qubit import QubitParams, scale_params
+        flags, p = TestRatesCommand.si_flags()
+        start, stop = self.grids(p)[regime]
+        code, out, _ = run_cli(
+            capsys, "rates", "--regime", regime, *flags, "--attractor", "large",
+            "--qubit-delta", repr(self.DELTA), "--delta-q", "1e8", "--v-x", "1e-15",
+            "--v-z", "1e-15", "--grid", f"{start!r}:{stop!r}:31")
+        assert code == EXIT_OK
+        _, columns, rows = parse_csv(out)
+        assert len(rows) == 31
+        s = scale_params(p)
+        a = solve_attractors(s.beta, s.kappa_scaled)[-1]
+        for row in rows:
+            omega_q = float(row[0])
+            q = QubitParams(w=math.sqrt(omega_q**2 - self.DELTA**2), delta=self.DELTA,
+                            delta_q=1e8, v_x=1e-15, v_z=1e-15)
+            res = self.reference(regime, q, p, a, s)
+            for name in ("gamma_e", "gamma_g", "t1", "t_eff"):
+                assert math.isclose(float(row[columns.index(name)]), getattr(res, name),
+                                    rel_tol=self.RTOL), name
+            assert row[columns.index("flags")] == "|".join(sorted(res.flags))
+
+    def test_swept_frequency_below_delta_is_input_error(self, capsys):
+        flags, _ = TestRatesCommand.si_flags()
+        code, out, err = run_cli(
+            capsys, "rates", "--regime", "resonant-2q", *flags, "--qubit-delta", "5e8",
+            "--delta-q", "1e6", "--grid", "1e8:4e10:11")
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: swept omega_q must exceed |qubit-delta|\n"
+
+
+class TestInputDomainAtTheCli:
+    def test_low_temperature_linear_nonresonant(self, capsys):
+        flags, p = TestRatesCommand.si_flags()
+        flags[flags.index("--temperature") + 1] = "1e-9"
+        code, out, err = run_cli(
+            capsys, "rates", "--regime", "linear-nonresonant", *flags,
+            "--qubit-delta", "5e8", "--v-x", "1e-15",
+            "--grid", f"{1.5 * p.omega_0!r}:{3 * p.omega_0!r}:11")
+        assert code == EXIT_OK, err
+        _, columns, rows = parse_csv(out)
+        for name in ("gamma_e", "gamma_g", "t1"):
+            values = [float(r[columns.index(name)]) for r in rows]
+            assert all(math.isfinite(v) for v in values), name
+
+    def test_negative_occupation_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "rates", "--beta", "0.12", "--kappa-scaled",
+                                 "0.3", "--nbar", "-3", "--grid=-2:2:11")
+        assert code == EXIT_INPUT and out == ""
+        assert "n_bar" in err
+
+    def test_huge_beta_rows_are_finite(self, capsys):
+        code, out, _ = run_cli(capsys, "attractors", "--kappa-scaled", "0.3",
+                               "--grid", "1e-300:1e308:3:log")
+        assert code == EXIT_OK
+        _, columns, rows = parse_csv(out)
+        for row in rows:
+            beta = float(row[0])
+            present = [float(row[columns.index(f"u_{tag}")]) for tag in ("small", "large")]
+            present = [u for u in present if not math.isnan(u)]
+            assert present and all(math.isfinite(u) for u in present)
+            for u in present:
+                assert math.isclose(u * ((u - 1.0) ** 2 + 0.09), beta, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("flag", ["--mass", "--f0", "--temperature"])
+    def test_nonfinite_si_parameter_is_input_error(self, capsys, flag):
+        flags, p = TestRatesCommand.si_flags()
+        flags[flags.index(flag) + 1] = "nan"
+        code, out, err = run_cli(
+            capsys, "rates", "--regime", "resonant-2q", *flags, "--qubit-delta", "5e8",
+            "--delta-q", "1e6", "--grid", f"{2 * p.omega_0 - 1e8!r}:{2 * p.omega_0 + 1e8!r}:5")
+        assert code == EXIT_INPUT and out == ""
+        assert "finite" in err

@@ -330,3 +330,24 @@ class TestTwoQuantum:
         at_half = two_quantum_spectrum(2 * self.OMEGA_0 + 2 * self.KAPPA,
                                        self.OMEGA_0, self.KAPPA, NBAR, self.M)
         assert math.isclose(at_half, peak / 2.0, rel_tol=1e-12)
+
+
+class TestOccupationDomain:
+    @pytest.mark.parametrize("n_bar", [-3.0, -1e-12, math.nan, math.inf])
+    def test_negative_or_nonfinite_occupation_is_refused(self, n_bar):
+        a = stable_attractors(0.12, 0.3)[0]
+        k = drift_matrix(a, 0.3)
+        with pytest.raises(ValueError, match="n_bar"):
+            stationary_covariance(k, LAMBDA_S, 0.3, n_bar)
+        for closed in (emission_spectrum, absorption_spectrum):
+            with pytest.raises(ValueError, match="n_bar"):
+                closed(0.1, a.u, a.nu_scaled, 0.3, LAMBDA_S, n_bar)
+        with pytest.raises(ValueError, match="n_bar"):
+            two_quantum_spectrum(3e10, 1.5e10, 1e6, n_bar, 1e-12)
+
+    def test_two_quantum_array(self):
+        omega_q = np.linspace(2.9e10, 3.1e10, 21)
+        swept = two_quantum_spectrum(omega_q, 1.5e10, 1e6, NBAR, 1e-12)
+        for w, value in zip(omega_q.tolist(), swept.tolist()):
+            assert math.isclose(two_quantum_spectrum(w, 1.5e10, 1e6, NBAR, 1e-12),
+                                value, rel_tol=1e-14)

@@ -184,3 +184,56 @@ class TestBath:
         with pytest.raises(ValueError):
             BathSpec(kind="tabulated", kappa=1.0, m=1.0, omega_c=3.0,
                      table=np.array([[0.0, 1.0], [0.5, -2.0]]))
+
+
+class TestConstants:
+    def test_literals_equal_scipy_constants(self):
+        import scipy.constants
+
+        from duffing_qubit import model
+        assert model.hbar == scipy.constants.hbar
+        assert model.k_B == scipy.constants.k
+
+    def test_package_does_not_import_scipy(self):
+        import subprocess
+        import sys
+        code = ("import sys, duffing_qubit.cli; "
+                "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+class TestPlanckArrays:
+    def test_array_equals_scalar_calls(self):
+        omega = np.geomspace(1e7, 1e13, 61)
+        swept = planck(omega, 0.05)
+        assert swept.shape == omega.shape
+        assert swept.tolist() == [planck(w, 0.05) for w in omega.tolist()]
+        assert type(planck(1e9, 0.05)) is float
+
+    def test_no_overflow_at_low_temperature(self):
+        assert planck(1e10, 1e-9) == 0.0
+        assert planck(np.array([1e10, 1e12]), 1e-9).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("temperature", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_temperature(self, temperature):
+        with pytest.raises(ValueError):
+            planck(1e9, temperature)
+
+    def test_rejects_nonpositive_frequency_in_array(self):
+        with pytest.raises(ValueError, match="-5"):
+            planck(np.array([1e9, -5.0, 0.0]), 0.1)
+
+
+class TestPhysicalParamsFinite:
+    @pytest.mark.parametrize("field", ["m", "omega_0", "gamma_s", "f_0", "kappa",
+                                       "temperature", "omega_c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite(self, field, value):
+        p = squid_scale_params()
+        values = dict(
+            m=p.m, omega_0=p.omega_0, omega_f=p.omega_f, gamma_s=p.gamma_s,
+            f_0=p.f_0, kappa=p.kappa, temperature=p.temperature, omega_c=p.omega_c,
+        )
+        values[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalParams(**values)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from duffing_qubit import (
     solve_attractors,
 )
 from duffing_qubit.rates import (
+    FLAG_QUBIT_FASTER,
     FLAG_RESONANT_PUMPING,
     FLAG_SEMICLASSICAL,
     FLAG_TWO_QUANTUM,
@@ -503,3 +505,174 @@ class TestValidityFlags:
         qubit, phys, a, s = make_setup(delta_q=0.0)
         res = gamma_resonant_1q(qubit, phys, a, s)
         assert FLAG_RESONANT_PUMPING not in res.flags
+
+
+def sweep_params():
+    """GHz oscillator driven 2e8 rad/s below resonance, its scaled
+    parameters and the large-amplitude attractor."""
+    phys = physical_from_scaled(0.12, 0.3, 1e-4, 0.5, detuning=2e8,
+                                omega_f_ratio=46.0, m=3e-13)
+    scaled = scale_params(phys)
+    attractor = solve_attractors(scaled.beta, scaled.kappa_scaled)[-1]
+    return phys, scaled, attractor
+
+
+# regime -> (rate call, omega_q grid clear of the resonance guard band)
+SWEEPS = {
+    "resonant-2q": (
+        lambda q, p, a, s: gamma_resonant_2q(q, p),
+        lambda p, s: np.linspace(2 * p.omega_0 - 50 * p.kappa, 2 * p.omega_0 + 50 * p.kappa, 41)),
+    "resonant-total": (
+        lambda q, p, a, s: gamma_total_resonant(q, p, a, s),
+        lambda p, s: np.linspace(2 * p.omega_f - 4 * s.scale, 2 * p.omega_f + 4 * s.scale, 41)),
+    "nonresonant": (
+        lambda q, p, a, s: gamma_nonresonant(q, p, a, s=s),
+        lambda p, s: np.linspace(3.2 * p.omega_f, 5.0 * p.omega_f, 41)),
+    "nonresonant-2q": (
+        lambda q, p, a, s: gamma_nonresonant_2q(q, p),
+        lambda p, s: np.linspace(2.5 * p.omega_0, 4.0 * p.omega_0, 41)),
+    "linear-resonant": (
+        lambda q, p, a, s: gamma_linear_resonant(q, p, a, s),
+        lambda p, s: np.linspace(p.omega_f - 4 * s.scale, p.omega_f + 4 * s.scale, 41)),
+    "linear-nonresonant": (
+        lambda q, p, a, s: gamma_linear_nonresonant(q, p),
+        lambda p, s: np.geomspace(1.5 * p.omega_0, 3.0 * p.omega_0, 41)),
+}
+
+NUMERIC_FIELDS = ("gamma_e", "gamma_g", "t1", "t_eff", "t2", "gamma_0",
+                  "gamma_e_scaled", "gamma_g_scaled")
+
+
+def sweep_qubit(omega_q, delta=5e8):
+    return QubitParams(w=np.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1e8,
+                       v_x=1e-15, v_z=1e-15)
+
+
+class TestArraySweeps:
+    """One call over an omega_q array against one scalar call per point."""
+
+    RTOL = 1e-13
+
+    @pytest.mark.parametrize("regime", sorted(SWEEPS))
+    def test_array_matches_per_point_calls(self, regime):
+        rate, grid = SWEEPS[regime]
+        phys, scaled, a = sweep_params()
+        q = sweep_qubit(grid(phys, scaled))
+        swept = rate(q, phys, a, scaled)
+        assert len(swept.flags) == q.w.size
+        for i, w in enumerate(q.w.tolist()):
+            point = rate(dataclasses.replace(q, w=w), phys, a, scaled)
+            assert point.regime == swept.regime == regime
+            assert point.flags == swept.flags[i]
+            for name in NUMERIC_FIELDS:
+                got, want = getattr(swept, name), getattr(point, name)
+                assert (got is None) == (want is None), name
+                if want is not None:
+                    assert math.isclose(got[i], want, rel_tol=self.RTOL), name
+            assert swept.ratios.keys() == point.ratios.keys()
+            for name, value in point.ratios.items():
+                got = swept.ratios[name][i]
+                assert (math.isnan(got) and math.isnan(value)) or \
+                    math.isclose(got, value, rel_tol=self.RTOL), name
+
+    @pytest.mark.parametrize("regime", sorted(SWEEPS))
+    def test_scalar_gives_floats_and_a_frozenset(self, regime):
+        rate, grid = SWEEPS[regime]
+        phys, scaled, a = sweep_params()
+        omega_q = grid(phys, scaled)
+        res = rate(sweep_qubit(float(omega_q[7])), phys, a, scaled)
+        assert isinstance(res.flags, frozenset)
+        for name in NUMERIC_FIELDS:
+            value = getattr(res, name)
+            assert value is None or type(value) is float, name
+        assert all(type(v) is float for v in res.ratios.values())
+        swept = rate(sweep_qubit(omega_q), phys, a, scaled)
+        assert isinstance(swept.flags, tuple)
+        assert all(isinstance(f, frozenset) for f in swept.flags)
+        assert swept.gamma_e.shape == swept.t_eff.shape == omega_q.shape
+        assert all(np.shape(v) == omega_q.shape for v in swept.ratios.values())
+
+    @pytest.mark.parametrize("regime, crossing", [
+        ("nonresonant", lambda p: p.omega_f + p.omega_0),
+        ("nonresonant-2q", lambda p: 2 * p.omega_0),
+        ("linear-nonresonant", lambda p: p.omega_0),
+    ])
+    def test_guard_band_names_first_failing_point(self, regime, crossing):
+        rate, _ = SWEEPS[regime]
+        phys, scaled, a = sweep_params()
+        centre = crossing(phys)
+        omega_q = np.linspace(centre - 20 * phys.kappa, centre + 20 * phys.kappa, 81)
+        omega_q = omega_q[omega_q > 5e8]
+        q = sweep_qubit(omega_q)
+        first = None
+        for w in q.w.tolist():
+            try:
+                rate(dataclasses.replace(q, w=w), phys, a, scaled)
+            except NearResonanceError as exc:
+                first = str(exc)
+                break
+        assert first is not None
+        with pytest.raises(NearResonanceError) as info:
+            rate(q, phys, a, scaled)
+        assert str(info.value) == first
+
+    def test_guard_band_reports_channel_order_within_a_point(self):
+        # at kappa = 0.3 omega_0 the band holds both open channels,
+        # omega_q + omega_f and omega_f - omega_q; the first listed is named
+        phys = squid_params(kappa_frac=0.3)
+        s = scale_params(phys)
+        a = solve_attractors(s.beta, s.kappa_scaled)[0]
+        omega_q = np.array([0.5, 0.6]) * phys.omega_0
+        q = QubitParams(w=omega_q, delta=0.0, delta_q=1e6)
+        named = re.escape(f"frequency {omega_q[0] + phys.omega_f:g} rad/s")
+        with pytest.raises(NearResonanceError, match=named):
+            gamma_nonresonant(q, phys, a, s=s)
+        with pytest.raises(NearResonanceError, match=named):
+            gamma_nonresonant(dataclasses.replace(q, w=float(omega_q[0])), phys, a, s=s)
+
+
+class TestTotalResonantQubitFaster:
+    def test_ratio_uses_the_total_t1(self):
+        phys, scaled, a = sweep_params()
+        omega_q = 2 * phys.omega_f
+        delta = 5e8
+        q = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1e8)
+        total = gamma_total_resonant(q, phys, a, scaled)
+        one = gamma_resonant_1q(q, phys, a, scaled)
+        assert total.ratios[FLAG_QUBIT_FASTER] == 1.0 / (total.t1 * phys.kappa)
+        assert total.ratios[FLAG_QUBIT_FASTER] > 1.0
+        assert FLAG_QUBIT_FASTER in total.flags
+        assert FLAG_QUBIT_FASTER in one.flags
+
+
+class TestPlanckOverflow:
+    def test_occupation_is_zero_past_the_exponential_range(self):
+        assert planck(1e10, 1e-9) == 0.0
+        omega = np.geomspace(1e8, 1e12, 41)
+        swept = planck(omega, 1e-3)
+        assert swept[-1] == 0.0 and swept[0] > 0.0
+        assert [planck(w, 1e-3) for w in omega.tolist()] == swept.tolist()
+
+    def test_linear_nonresonant_at_low_temperature(self):
+        phys = dataclasses.replace(squid_params(), temperature=1e-9)
+        omega_q = np.linspace(2.0, 3.0, 11) * phys.omega_0
+        res = gamma_linear_nonresonant(
+            QubitParams(w=omega_q, delta=0.0, v_x=1e-30), phys)
+        assert np.all(np.isfinite(res.gamma_e)) and np.all(res.gamma_e > 0.0)
+        assert np.all(res.gamma_g == 0.0)
+
+
+class TestQubitParamsDomain:
+    @pytest.mark.parametrize("field", ["w", "delta", "delta_q", "v_x", "v_z"])
+    def test_rejects_nonfinite(self, field):
+        values = dict(w=1e10, delta=1e8, delta_q=1e6, v_x=0.0, v_z=0.0)
+        for bad in (math.nan, math.inf):
+            values[field] = bad
+            with pytest.raises(ValueError, match="finite"):
+                QubitParams(**values)
+
+    def test_rejects_a_bad_point_of_an_array(self):
+        with pytest.raises(ValueError):
+            QubitParams(w=np.array([1e10, -1.0]), delta=1e8)
+        with pytest.raises(ValueError):
+            QubitParams(w=np.array([1e10, math.nan]), delta=1e8)

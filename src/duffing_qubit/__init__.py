@@ -15,10 +15,12 @@ from .attractors import (
     Attractor,
     BifurcationInfo,
     Branch,
+    Branches,
     MarginalAttractorError,
     bifurcation_betas,
     drift_matrix,
     solve_attractors,
+    solve_branches,
 )
 from .fluctuations import (
     absorption_from_matrix,
@@ -64,6 +66,7 @@ __all__ = [
     "BathSpec",
     "BifurcationInfo",
     "Branch",
+    "Branches",
     "MarginalAttractorError",
     "NearResonanceError",
     "PhysicalParams",
@@ -93,6 +96,7 @@ __all__ = [
     "resonant_1q_scaled",
     "scale_params",
     "solve_attractors",
+    "solve_branches",
     "spectrum_matrix",
     "stationary_covariance",
     "two_quantum_spectrum",

@@ -11,6 +11,10 @@ saddle of the rotating-frame dynamics; the outer two are the small- and
 large-amplitude attractors.  The linearized drift about a root has trace
 ``-2*kappa_scaled`` and determinant ``nu^2 = kappa_scaled^2 + 3u^2 - 4u + 1``;
 ``nu`` is the quasienergy gap frequency, vanishing at bifurcations.
+
+:func:`solve_branches` solves a whole drive-intensity grid in one array
+call; :func:`solve_attractors` is its one-element form, with the quadratures
+and drift eigenvalues of each steady state.
 """
 
 from __future__ import annotations
@@ -21,11 +25,15 @@ from enum import Enum
 
 import numpy as np
 
+from .model import _per_value
+
 __all__ = [
     "Branch",
     "Attractor",
     "BifurcationInfo",
     "MarginalAttractorError",
+    "Branches",
+    "solve_branches",
     "solve_attractors",
     "bifurcation_betas",
     "drift_matrix",
@@ -74,75 +82,234 @@ class BifurcationInfo:
     u_at_beta_high: float
 
 
+@dataclass(frozen=True)
+class Branches:
+    """Steady states over a drive-intensity grid, one column per branch.
+
+    Each field has the shape of ``beta`` (a float or bool for a scalar
+    ``beta``).  ``u_*`` and ``nu_*`` are NaN where the branch is absent;
+    ``marginal_*`` is True for the entry that stands for a degenerate pair
+    at a bifurcation (its ``nu`` is 0) and False where the branch is absent.
+    The unstable branch has no ``nu`` column.
+    """
+
+    u_small: float | np.ndarray
+    nu_small: float | np.ndarray
+    marginal_small: bool | np.ndarray
+    u_unstable: float | np.ndarray
+    u_large: float | np.ndarray
+    nu_large: float | np.ndarray
+    marginal_large: bool | np.ndarray
+
+    def pick(self, branch: Branch) -> tuple:
+        """(u, nu, marginal) of the small or large branch."""
+        if branch is Branch.SMALL:
+            return self.u_small, self.nu_small, self.marginal_small
+        if branch is Branch.LARGE:
+            return self.u_large, self.nu_large, self.marginal_large
+        raise ValueError("only the small and large branches carry (u, nu, marginal)")
+
+
 def _beta_of_u(u: float, kappa_scaled: float) -> float:
     return u * ((u - 1.0) ** 2 + kappa_scaled**2)
 
 
-def _cubic_real_roots(kappa_scaled: float, beta: float) -> list[float]:
-    """Non-negative real roots of u^3 - 2u^2 + (1 + k^2)u - beta = 0.
+def _cbrt(x: float) -> float:
+    return x ** (1.0 / 3.0)
 
-    Closed-form discriminant classification (trigonometric form for three
-    real roots, cancellation-safe Cardano for one) followed by Newton
-    polishing on the original cubic; near bifurcations the closed forms
-    alone lose digits as roots collide.
+
+def _trig_angle(x: float) -> float:
+    return math.acos(min(1.0, max(-1.0, x))) / 3.0
+
+
+# phases of the three trigonometric roots
+_SHIFTS = np.array([2.0 * math.pi * kk / 3.0 for kk in range(3)])
+
+
+def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form roots of u^3 - 2u^2 + (1 + k^2)u - beta = 0 per beta.
+
+    Returns an (n, 3) array, NaN-padded, and the mask of the rows with
+    three real roots: trigonometric form where the discriminant is
+    positive, cancellation-safe Cardano for the one real root otherwise.
+    ``acos``, ``cos`` and the cube root run per value through ``math``;
+    numpy's vectorized versions round differently, and these values seed
+    Newton.
     """
     k2 = kappa_scaled * kappa_scaled
-    c1 = 1.0 + k2
-
-    if beta == 0.0:
-        return [0.0]  # the quadratic factor u^2 - 2u + 1 + k^2 has no real roots
-
+    roots = np.full((beta.size, 3), np.nan)
     # depressed cubic t^3 + p t + q with u = t + 2/3
     p = k2 - 1.0 / 3.0
+    try:
+        p3 = p**3
+    except OverflowError:  # a power of the cubic's coefficients
+        roots[:, 0] = np.where(beta == 0.0, 0.0, math.inf)
+        return roots, np.zeros(beta.size, dtype=bool)
     q = (2.0 + 18.0 * k2) / 27.0 - beta
+    # beta = 0 gives u = 0 alone: the quadratic factor u^2 - 2u + 1 + k^2
+    # has no real roots there, whatever the discriminant rounds to
+    three = (-4.0 * p3 - 27.0 * q * q > 0.0) & (beta != 0.0)
 
-    disc = -4.0 * p**3 - 27.0 * q * q
-    if disc > 0.0:
-        # three distinct real roots
+    n_three = np.count_nonzero(three)
+    if n_three:
         m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg) / 3.0
-        ts = [m * math.cos(theta - 2.0 * math.pi * kk / 3.0) for kk in range(3)]
-        roots = [t + 2.0 / 3.0 for t in ts]
-    else:
+        theta = _per_value(_trig_angle, 3.0 * q[three] / (p * m))
+        roots[three] = m * _per_value(math.cos, theta[:, None] - _SHIFTS) + 2.0 / 3.0
+    if n_three < beta.size:
         # single real root; avoid cancellation between the two cube roots.
         # The radicand is -disc/108, which rounds below 0 when disc ~ 0; for
         # a huge beta it is factored as (q/2)^2 (1 + ...), as q*q overflows
-        h = abs(q) / 2.0
-        if h < 1e150:
-            rad = math.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
+        one = ~three
+        q1 = q[one]
+        h = np.abs(q1) / 2.0
+        rad = np.sqrt(np.maximum(q1 * q1 / 4.0 + p3 / 27.0, 0.0))
+        huge = h >= 1e150
+        if np.count_nonzero(huge):
+            hh = h[huge]
+            rad[huge] = hh * np.sqrt(np.maximum(1.0 + p3 / 27.0 / hh / hh, 0.0))
+        a = -np.copysign(h + rad, q1)
+        a = np.copysign(_per_value(_cbrt, np.abs(a)), a)
+        b = np.where(a == 0.0, 0.0, -p / (3.0 * a))
+        roots[one, 0] = np.where(beta[one] == 0.0, 0.0, a + b + 2.0 / 3.0)
+    return roots, three
+
+
+def _polish(roots: np.ndarray, beta: np.ndarray, c1: float) -> None:
+    """Newton on the original cubic, in place on the (n, 3) roots.
+
+    Near bifurcations the closed forms alone lose digits as roots collide.
+    Each value stops on its own rule: a step below 1e-15 relative, a zero
+    derivative, or 50 iterations.  NaN padding is left alone.
+    """
+    u = roots.reshape(-1)
+    np.maximum(u, 0.0, out=u)
+    idx = np.flatnonzero(~np.isnan(u))
+    x, b = u[idx], beta[idx // 3]
+    for _ in range(50):
+        df = (3.0 * x - 4.0) * x + c1
+        step = (((x - 2.0) * x + c1) * x - b) / df
+        new = x - step
+        go = ~(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(new)))
+        stuck = df == 0.0
+        if np.count_nonzero(stuck):  # a zero slope ends the value where it is
+            new[stuck] = x[stuck]
+            go &= ~stuck
+        u[idx] = new
+        if not np.count_nonzero(go):
+            break
+        idx, x, b = idx[go], new[go], b[go]
+    np.maximum(u, 0.0, out=u)
+
+
+def _graze(roots: np.ndarray, three: np.ndarray, kappa_scaled: float) -> np.ndarray:
+    """Surface a grazing pair next to one polished root; the new three-root mask.
+
+    A bifurcation value rounded to the one-root side of the cubic's
+    discriminant leaves the pair of the quadratic factor complex or real,
+    as that factor's own discriminant rounds; where the pair is closer
+    than ``_MERGE_TOL`` it is the degenerate real double root it represents.
+    With u = r a root, the factor is u^2 + (r - 2)u + 1 + k^2 + r(r - 2),
+    whose discriminant needs no division by a possibly subnormal r.
+    """
+    r = roots[:, 0]
+    center = 0.5 * (2.0 - r)
+    disc2 = (4.0 - 3.0 * r) * r - 4.0 * kappa_scaled * kappa_scaled
+    graze = ~three & (r > 0.0) & (
+        0.5 * np.sqrt(np.abs(disc2)) < _MERGE_TOL * np.maximum(1.0, center))
+    if not np.count_nonzero(graze):
+        return three
+    roots[graze, 1:] = center[graze, None]
+    return three | graze
+
+
+def _merge(roots: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse a numerically degenerate pair (bifurcation point) in place.
+
+    On the sorted, NaN-padded (n, 3) roots, a pair closer than
+    ``_MERGE_TOL`` becomes one marginal entry: the lower pair in column 0,
+    the upper pair in column 2, with column 1 emptied, so that whichever
+    side the pair sits on, the lower-u entry is the small branch.  NaN
+    padding makes both tests false on rows with one root.  Near a double
+    root the polished pair is only good to ~sqrt(eps) (Newton converges
+    there linearly), enough to leave |det K| above 1e-8; the analytic
+    turning radius is exact.  Returns the masks of the two merged columns.
+    """
+    # (r1 - r0, r2 - r1) against the tolerance at the upper root of each pair
+    close = roots[:, 1:] - roots[:, :-1] < _MERGE_TOL * np.maximum(1.0, roots[:, 1:])
+    low = close[:, 0]
+    high = close[:, 1] & ~low
+    if np.count_nonzero(close):
+        u_minus, u_plus = _turning_radii(kappa_scaled)
+        roots[low, 0] = np.where(roots[low, 0] < 2.0 / 3.0, u_minus, u_plus)
+        roots[high, 2] = np.where(roots[high, 1] < 2.0 / 3.0, u_minus, u_plus)
+        roots[low | high, 1] = math.nan
+    return low, high
+
+
+def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
+    """Small, unstable and large steady states at each drive intensity.
+
+    ``beta: float | ndarray``; every field of the result has its shape.  The
+    roots of the cubic come from closed forms polished by Newton.  A pair
+    closer than a relative ``_MERGE_TOL`` (a bifurcation) is one marginal
+    entry at the analytic turning radius; so is a grazing pair that the
+    cubic's discriminant rounds away.  Outside the bistable window the one
+    root is the small branch for u <= 2/3 and the large branch above.
+
+    Raises ValueError for a negative or non-finite ``beta``, a non-positive
+    or non-finite ``kappa_scaled``, and where the steady state is too large
+    to represent.
+    """
+    b = np.asarray(beta, dtype=float)
+    flat = b.reshape(-1)
+    ok = (flat >= 0.0) & (flat < math.inf)
+    if np.count_nonzero(ok) < flat.size:
+        raise ValueError(f"beta must be finite and non-negative, got {flat[~ok][0]}")
+    if not 0.0 < kappa_scaled < math.inf:
+        raise ValueError(f"kappa_scaled must be finite and positive, got {kappa_scaled}")
+    ks2 = kappa_scaled**2  # OverflowError for a kappa_scaled past ~1e154
+
+    with np.errstate(all="ignore"):
+        roots, three = _seeds(flat, kappa_scaled)
+        _polish(roots, flat, 1.0 + kappa_scaled * kappa_scaled)
+
+        n_three = np.count_nonzero(three)
+        if n_three < flat.size:
+            three = _graze(roots, three, kappa_scaled)
+            n_three = np.count_nonzero(three)
+        roots.sort(axis=1)
+
+        if np.count_nonzero(np.isfinite(roots)) < flat.size + 2 * n_three:
+            bad = ~np.isfinite(np.where(three, roots[:, 2], roots[:, 0]))
+            raise ValueError(
+                f"no finite steady state at beta={flat[bad][0]:g}, "
+                f"kappa_scaled={kappa_scaled:g}"
+            )
+        if n_three:
+            low, high = _merge(roots, kappa_scaled)
         else:
-            rad = h * math.sqrt(max(1.0 + p**3 / 27.0 / h / h, 0.0))
-        a = -math.copysign(h + rad, q)
-        a = math.copysign(abs(a) ** (1.0 / 3.0), a)
-        b = 0.0 if a == 0.0 else -p / (3.0 * a)
-        roots = [a + b + 2.0 / 3.0]
+            low, high = np.zeros(flat.size, dtype=bool), np.zeros(flat.size, dtype=bool)
+        if n_three < flat.size:
+            # one root is the large branch above u = 2/3: [r, nan, nan] -> [nan, nan, r]
+            large = ~three & (roots[:, 0] > 2.0 / 3.0)
+            roots[large] = roots[large, ::-1]
 
-    polished = []
-    for u in roots:
-        u = max(u, 0.0)
-        for _ in range(50):
-            f = ((u - 2.0) * u + c1) * u - beta
-            df = (3.0 * u - 4.0) * u + c1
-            if df == 0.0:
-                break
-            step = f / df
-            u -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(u)):
-                break
-        polished.append(max(u, 0.0))
+        nu = np.sqrt(np.maximum(ks2 + (3.0 * roots - 4.0) * roots + 1.0, 0.0))
+        if n_three:
+            nu[low, 0] = 0.0
+            nu[high, 2] = 0.0
 
-    if len(polished) == 1 and polished[0] > 0.0:
-        # a bifurcation value rounded to the one-root side of the
-        # discriminant leaves a grazing complex pair; surface it as the
-        # degenerate real double root it represents
-        r = polished[0]
-        center = 0.5 * (2.0 - r)
-        disc2 = (2.0 - r) ** 2 - 4.0 * beta / r
-        if disc2 < 0.0 and 0.5 * math.sqrt(-disc2) < _MERGE_TOL * max(1.0, center):
-            polished += [center, center]
-    return sorted(polished)
+    if b.ndim == 0:
+        (u_small, u_unstable, u_large), = roots.tolist()
+        (nu_small, _, nu_large), = nu.tolist()
+        return Branches(u_small, nu_small, bool(low[0]), u_unstable,
+                        u_large, nu_large, bool(high[0]))
+    shape = b.shape
+    return Branches(
+        roots[:, 0].reshape(shape), nu[:, 0].reshape(shape), low.reshape(shape),
+        roots[:, 1].reshape(shape), roots[:, 2].reshape(shape),
+        nu[:, 2].reshape(shape), high.reshape(shape),
+    )
 
 
 def solve_attractors(beta: float, kappa_scaled: float) -> list[Attractor]:
@@ -151,68 +318,26 @@ def solve_attractors(beta: float, kappa_scaled: float) -> list[Attractor]:
     Returns one attractor outside the bistable window and three (small,
     unstable, large) inside it.  Exactly at a bifurcation the merging pair
     is reported as a single entry with ``marginal=True`` and ``nu_scaled=0``;
-    downstream spectral formulas refuse such entries.
-
-    Raises ValueError for a negative or non-finite ``beta``, a non-positive
-    or non-finite ``kappa_scaled``, and where the steady state is too large
-    to represent.
+    downstream spectral formulas refuse such entries.  A one-element
+    :func:`solve_branches`, with its errors.
     """
-    if not 0.0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
-    if not 0.0 < kappa_scaled < math.inf:
-        raise ValueError(f"kappa_scaled must be finite and positive, got {kappa_scaled}")
-
-    try:
-        roots = _cubic_real_roots(kappa_scaled, beta)
-    except OverflowError:  # a power of the cubic's coefficients
-        roots = [math.inf]
-    if not all(map(math.isfinite, roots)):
-        raise ValueError(
-            f"no finite steady state at beta={beta:g}, kappa_scaled={kappa_scaled:g}"
-        )
-
-    # collapse a numerically degenerate pair (bifurcation point)
-    merged: list[tuple[float, bool]] = []
-    i = 0
-    while i < len(roots):
-        if (
-            i + 1 < len(roots)
-            and roots[i + 1] - roots[i] < _MERGE_TOL * max(1.0, roots[i + 1])
-        ):
-            # near a double root the polished pair is only good to
-            # ~sqrt(eps) (Newton converges there linearly), enough to leave
-            # |det K| above 1e-8; the analytic turning radius is exact
-            u_minus, u_plus = _turning_radii(kappa_scaled)
-            merged.append((u_minus if roots[i] < 2.0 / 3.0 else u_plus, True))
-            i += 2
-        else:
-            merged.append((roots[i], False))
-            i += 1
-
-    if len(merged) == 3:
-        branches = [Branch.SMALL, Branch.UNSTABLE, Branch.LARGE]
-    elif len(merged) == 2:
-        # one simple root plus the degenerate pair; whichever side the pair
-        # sits on, the lower-u entry is the small branch
-        branches = [Branch.SMALL, Branch.LARGE]
-    else:
-        branches = [Branch.SMALL if merged[0][0] <= 2.0 / 3.0 else Branch.LARGE]
-
-    sqrt_beta = math.sqrt(beta) if beta > 0.0 else 0.0
+    s = solve_branches(beta, kappa_scaled)
+    entries = (
+        (s.u_small, s.nu_small, s.marginal_small, Branch.SMALL),
+        (s.u_unstable, math.nan, False, Branch.UNSTABLE),
+        (s.u_large, s.nu_large, s.marginal_large, Branch.LARGE),
+    )
+    sqrt_beta = math.sqrt(beta)
     out = []
-    for (u, marginal), branch in zip(merged, branches):
+    for u, nu, marginal, branch in entries:
+        if math.isnan(u):
+            continue
         if beta > 0.0:
             q = u * (u - 1.0) / sqrt_beta
             p = -kappa_scaled * u / sqrt_beta
         else:
             q = p = 0.0
         det = kappa_scaled**2 + (3.0 * u - 4.0) * u + 1.0
-        if marginal:
-            nu = 0.0
-        elif branch is Branch.UNSTABLE:
-            nu = float("nan")
-        else:
-            nu = math.sqrt(max(det, 0.0))
         root = complex(kappa_scaled**2 - det) ** 0.5
         eigs = (-kappa_scaled + root, -kappa_scaled - root)
         out.append(

@@ -161,8 +161,8 @@ def absorption_from_matrix(
 
 def _closed_form(
     omega: float | np.ndarray,
-    u: float,
-    nu_scaled: float,
+    u: float | np.ndarray,
+    nu_scaled: float | np.ndarray,
     kappa_scaled: float,
     lambda_s: float,
     weight_bracket: float,
@@ -173,15 +173,15 @@ def _closed_form(
     num = num + weight_quanta * u * u
     den = (w * w - nu_scaled**2) ** 2 + 4.0 * kappa_scaled**2 * w * w
     out = 2.0 * lambda_s * kappa_scaled * num / den
-    if np.ndim(omega) == 0:
+    if np.ndim(out) == 0:
         return float(out)
     return out
 
 
 def emission_spectrum(
     omega: float | np.ndarray,
-    u: float,
-    nu_scaled: float,
+    u: float | np.ndarray,
+    nu_scaled: float | np.ndarray,
     kappa_scaled: float,
     lambda_s: float,
     n_bar: float,
@@ -192,8 +192,9 @@ def emission_spectrum(
     / [ (w^2 - nu^2)^2 + 4 kappa^2 w^2 ]
 
     For weak damping this has Lorentzian peaks of halfwidth kappa_scaled at
-    omega = +/- nu_scaled.  Raises ValueError for a negative or non-finite
-    ``n_bar``.
+    omega = +/- nu_scaled.  ``omega``, ``u`` and ``nu_scaled`` may be floats
+    or arrays that broadcast; a float comes back only when all are scalars.
+    Raises ValueError for a negative or non-finite ``n_bar``.
     """
     _check_n_bar(n_bar)
     return _closed_form(
@@ -203,8 +204,8 @@ def emission_spectrum(
 
 def absorption_spectrum(
     omega: float | np.ndarray,
-    u: float,
-    nu_scaled: float,
+    u: float | np.ndarray,
+    nu_scaled: float | np.ndarray,
     kappa_scaled: float,
     lambda_s: float,
     n_bar: float,
@@ -214,8 +215,9 @@ def absorption_spectrum(
     Same rational function as :func:`emission_spectrum` with the thermal
     weights n_bar + 1 and n_bar interchanged.  The argument-negation of the
     underlying one-sided transform is folded in, so callers evaluate it at
-    the same frequency offset as the emission spectrum.  Raises ValueError
-    for a negative or non-finite ``n_bar``.
+    the same frequency offset as the emission spectrum.  Takes floats or
+    broadcasting arrays as :func:`emission_spectrum` does.  Raises
+    ValueError for a negative or non-finite ``n_bar``.
     """
     _check_n_bar(n_bar)
     return _closed_form(

@@ -365,14 +365,16 @@ def _require_stable(a: Attractor) -> None:
 
 def resonant_1q_scaled(
     omega_rel: float | np.ndarray,
-    u: float,
-    nu_scaled: float,
+    u: float | np.ndarray,
+    nu_scaled: float | np.ndarray,
     kappa_scaled: float,
     n_bar: float,
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(gamma_e, gamma_g)/gamma_0 for the resonant one-quantum channel.
 
     omega_rel is the scaled detuning (omega_q - 2*omega_f)/|delta_omega|.
+    It may be an array over a detuning sweep, or ``u`` and ``nu_scaled``
+    arrays over a drive-intensity sweep; floats come back for scalars.
     Equal to the closed-form spectra with the lambda_s factor stripped:
 
         gamma_e/gamma_0 = 2 k [(n+1)((w-(2u-1))^2 + k^2) + n u^2] / D(w).

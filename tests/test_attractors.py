@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from duffing_qubit import (
@@ -9,6 +11,7 @@ from duffing_qubit import (
     bifurcation_betas,
     drift_matrix,
     solve_attractors,
+    solve_branches,
 )
 
 
@@ -267,3 +270,169 @@ class TestInputDomain:
             with pytest.raises(ValueError, match="finite"):
                 bifurcation_betas(kappa)
         assert not bifurcation_betas(1e300).bistable
+
+
+def _per_beta_columns(betas, kappa):
+    """The seven solve_branches columns, built from one scalar solve per beta."""
+    cols = {name: [] for name in ("u_small", "nu_small", "marginal_small", "u_unstable",
+                                  "u_large", "nu_large", "marginal_large")}
+    for beta in np.asarray(betas, dtype=float).tolist():
+        found = {a.branch: a for a in solve_attractors(beta, kappa)}
+        for tag, branch in (("small", Branch.SMALL), ("large", Branch.LARGE)):
+            a = found.get(branch)
+            cols[f"u_{tag}"].append(a.u if a else math.nan)
+            cols[f"nu_{tag}"].append(a.nu_scaled if a else math.nan)
+            cols[f"marginal_{tag}"].append(a.marginal if a else False)
+        a = found.get(Branch.UNSTABLE)
+        cols["u_unstable"].append(a.u if a else math.nan)
+    return {name: np.array(values) for name, values in cols.items()}
+
+
+def _grid_through_window(kappa, n=401):
+    info = bifurcation_betas(kappa)
+    grid = np.linspace(0.0, 0.4, n)
+    if info.bistable:
+        edges = [info.beta_low, info.beta_high]
+        near = [e * (1.0 + d) for e in edges for d in (-1e-9, -1e-13, 1e-13, 1e-9)]
+        grid = np.concatenate([grid, edges, near])
+    return grid
+
+
+class TestSolveBranches:
+    """One array call over a beta grid against one scalar solve per beta."""
+
+    @pytest.mark.parametrize("kappa", [0.02, 0.1, 0.3, 0.321752, 0.5, 0.57])
+    def test_array_equals_per_beta_through_the_window(self, kappa):
+        self.assert_equal_per_beta(_grid_through_window(kappa), kappa)
+
+    @pytest.mark.parametrize("kappa", [0.6, 1.0, 3.0])
+    def test_array_equals_per_beta_monostable(self, kappa):
+        self.assert_equal_per_beta(np.linspace(0.0, 2.0, 301), kappa)
+
+    def test_array_equals_per_beta_zero_and_huge(self):
+        grid = np.array([0.0, 0.0, 5e-324, 1e-310, 1e-300, 1e-12, 0.12, 1e150, 1e200,
+                         1e308, 1.7e308])
+        self.assert_equal_per_beta(grid, 0.3)
+        s = solve_branches(grid, 0.3)
+        assert s.u_small[0] == 0.0 and s.u_small[1] == 0.0
+        # at a subnormal beta the root r is subnormal too and 4 beta / r rounds
+        # to 4, so a pair test through beta / r would see a grazing pair there
+        assert np.isnan(s.u_large[:6]).all() and not s.marginal_large.any()
+
+    @staticmethod
+    def assert_equal_per_beta(grid, kappa):
+        s = solve_branches(grid, kappa)
+        for name, expected in _per_beta_columns(grid, kappa).items():
+            got = getattr(s, name)
+            assert got.shape == grid.shape, name
+            assert np.array_equal(got, expected, equal_nan=True), name
+
+    def test_scalar_beta_gives_python_scalars(self):
+        s = solve_branches(0.12, 0.3)
+        for name in ("u_small", "nu_small", "u_unstable", "u_large", "nu_large"):
+            assert type(getattr(s, name)) is float
+        assert type(s.marginal_small) is bool and type(s.marginal_large) is bool
+        assert math.isnan(solve_branches(0.05, 0.3).u_large)
+
+    def test_shape_is_kept(self):
+        grid = np.linspace(0.0, 0.3, 12).reshape(3, 4)
+        s = solve_branches(grid, 0.3)
+        flat = solve_branches(grid.ravel(), 0.3)
+        assert s.u_large.shape == (3, 4) and s.marginal_small.shape == (3, 4)
+        assert np.array_equal(s.u_large.ravel(), flat.u_large, equal_nan=True)
+
+    def test_pick(self):
+        s = solve_branches(np.array([0.05, 0.12]), 0.3)
+        u, nu, marginal = s.pick(Branch.LARGE)
+        assert u is s.u_large and nu is s.nu_large and marginal is s.marginal_large
+        with pytest.raises(ValueError):
+            s.pick(Branch.UNSTABLE)
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_first_bad_beta_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            solve_branches(np.array([0.1, bad, -5.0]), 0.3)
+
+
+class TestBifurcationEdges:
+    KAPPAS = np.linspace(0.02, 0.57, 200)
+
+    def test_merging_pair_is_marginal_at_all_400_edges(self):
+        # at 155 of these edges the cubic's discriminant once rounded to the
+        # one-root side while the pair stayed real, and the pair was dropped
+        for kappa in self.KAPPAS.tolist():
+            info = bifurcation_betas(kappa)
+            for beta, branch, u_edge in (
+                (info.beta_low, Branch.LARGE, info.u_at_beta_low),
+                (info.beta_high, Branch.SMALL, info.u_at_beta_high),
+            ):
+                ats = solve_attractors(beta, kappa)
+                marginal = [a for a in ats if a.marginal]
+                assert len(ats) == 2 and len(marginal) == 1, (kappa, beta)
+                assert marginal[0].branch is branch and marginal[0].u == u_edge
+                assert marginal[0].nu_scaled == 0.0
+
+    def test_edges_in_one_array_call(self):
+        for kappa in self.KAPPAS[::20].tolist():
+            info = bifurcation_betas(kappa)
+            s = solve_branches(np.array([info.beta_low, info.beta_high]), kappa)
+            assert s.marginal_large.tolist() == [True, False]
+            assert s.marginal_small.tolist() == [False, True]
+            assert np.isnan(s.u_unstable).all()
+
+
+def _mp_real_roots(beta, kappa):
+    """Real roots of u^3 - 2u^2 + (1 + k^2)u - beta at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        k2 = mpmath.mpf(kappa) ** 2
+        roots = mpmath.polyroots([1, -2, 1 + k2, -mpmath.mpf(beta)],
+                                 maxsteps=200, extraprec=200)
+        return sorted(float(r.real) for r in roots if abs(r.imag) < mpmath.mpf(10) ** -30)
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize("kappa", [0.02, 0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("rel", [-1e-6, -1e-8, 1e-8, 1e-6])
+    def test_roots_within_1e6_of_each_edge(self, kappa, rel):
+        info = bifurcation_betas(kappa)
+        grid = np.array([info.beta_low * (1.0 + rel), info.beta_high * (1.0 + rel)])
+        s = solve_branches(grid, kappa)
+        for i, beta in enumerate(grid.tolist()):
+            oracle = _mp_real_roots(beta, kappa)
+            got = [u for u in (s.u_small[i], s.u_unstable[i], s.u_large[i])
+                   if not math.isnan(u)]
+            assert len(got) == len(oracle), (beta, got, oracle)
+            inside = info.beta_low < beta < info.beta_high
+            assert len(got) == (3 if inside else 1)
+            for u, ref in zip(got, oracle):
+                assert abs(u - ref) <= 1e-10 * max(1.0, ref), (beta, u, ref)
+            assert not s.marginal_small[i] and not s.marginal_large[i]
+
+
+class TestSolveBranchesProperties:
+    # kappa near 1/sqrt(3) is left out: there the whole window is narrower
+    # than the merge tolerance allows a count to be told
+    kappas = st.one_of(st.floats(0.01, 0.56), st.floats(0.6, 5.0))
+    betas = st.one_of(st.floats(0.0, 0.6), st.floats(0.0, 1e12))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(betas, min_size=1, max_size=20), kappas)
+    def test_residual_order_and_count(self, betas, kappa):
+        grid = np.array(betas)
+        s = solve_branches(grid, kappa)
+        info = bifurcation_betas(kappa)
+        cols = np.stack([s.u_small, s.u_unstable, s.u_large], axis=1)
+        for beta, row in zip(betas, cols.tolist()):
+            present = [u for u in row if not math.isnan(u)]
+            for u in present:
+                assert abs(u * ((u - 1.0) ** 2 + kappa**2) - beta) <= 1e-10 * max(beta, 1.0)
+            assert present == sorted(present) and len(set(present)) == len(present)
+            if info.bistable and (info.beta_low * (1 + 1e-9) < beta
+                                  < info.beta_high * (1 - 1e-9)):
+                assert len(present) == 3
+            elif not info.bistable or not (info.beta_low * (1 - 1e-9) <= beta
+                                           <= info.beta_high * (1 + 1e-9)):
+                assert len(present) == 1
+        for name, expected in _per_beta_columns(grid, kappa).items():
+            assert np.array_equal(getattr(s, name), expected, equal_nan=True), name

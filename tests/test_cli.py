@@ -516,3 +516,106 @@ class TestInputDomainAtTheCli:
             "--delta-q", "1e6", "--grid", f"{2 * p.omega_0 - 1e8!r}:{2 * p.omega_0 + 1e8!r}:5")
         assert code == EXIT_INPUT and out == ""
         assert "finite" in err
+
+
+class TestBetaSweepsAgainstPerPoint:
+    """attractors and teff make one array solve per grid; per-point reference."""
+
+    @pytest.mark.parametrize("kappa, grid", [("0.3", "0:0.25:301"), ("0.02", "0:0.01:201"),
+                                             ("0.8", "0:1:51"), ("0.3", "1e-300:1e308:9:log")])
+    def test_attractors_rows_are_per_point_solves(self, capsys, kappa, grid):
+        code, out, _ = run_cli(capsys, "attractors", "--kappa-scaled", kappa, "--grid", grid)
+        assert code == EXIT_OK
+        _, columns, rows = parse_csv(out)
+        for row in rows:
+            beta = float(row[0])
+            found = {a.branch.value: a for a in solve_attractors(beta, float(kappa))}
+            expected = [beta]
+            for tag, with_nu in (("small", True), ("unstable", False), ("large", True)):
+                a = found.get(tag)
+                expected.append(a.u if a else math.nan)
+                if with_nu:
+                    expected.append(a.nu_scaled if a else math.nan)
+            assert row == [repr(v) for v in expected]
+
+    @pytest.mark.parametrize("branch, omega_rel", [("small", "-0.2"), ("large", "0.1"),
+                                                   ("large", "1.5")])
+    def test_teff_rows_match_per_point_library_calls(self, capsys, branch, omega_rel):
+        from duffing_qubit import Branch, resonant_1q_scaled
+        kappa, n_bar, w = 0.3, 0.5, float(omega_rel)
+        info = bifurcation_betas(kappa)
+        # the grid passes through both window edges exactly
+        grid = f"{info.beta_low!r}:{info.beta_high!r}:41"
+        code, out, _ = run_cli(capsys, "teff", "--kappa-scaled", "0.3", "--nbar", "0.5",
+                               "--omega-rel", omega_rel, "--attractor", branch,
+                               "--grid", "0.01:0.25:97")
+        code2, out2, _ = run_cli(capsys, "teff", "--kappa-scaled", "0.3", "--nbar", "0.5",
+                                 "--omega-rel", omega_rel, "--attractor", branch,
+                                 "--grid", grid)
+        assert code == code2 == EXIT_OK
+        _, columns, rows = parse_csv(out)
+        rows += parse_csv(out2)[2]
+        tags = set()
+        for row in rows:
+            beta = float(row[0])
+            cell = dict(zip(columns, row))
+            a = next((a for a in solve_attractors(beta, kappa)
+                      if a.branch is Branch(branch)), None)
+            if a is None or a.marginal:
+                tags.add(cell["flags"])
+                assert cell["flags"] == ("absent" if a is None else "marginal")
+                assert all(math.isnan(float(cell[c])) for c in columns[1:-1])
+                continue
+            ge, gg = resonant_1q_scaled(w, a.u, a.nu_scaled, kappa, n_bar)
+            assert float(cell["u"]) == a.u and float(cell["nu"]) == a.nu_scaled
+            got_e, got_g = float(cell["gamma_e_scaled"]), float(cell["gamma_g_scaled"])
+            assert math.isclose(got_e, ge, rel_tol=1e-13)
+            assert math.isclose(got_g, gg, rel_tol=1e-13)
+            assert float(cell["ln_ratio"]) == math.log(got_e / got_g)
+            assert float(cell["teff_star"]) == 1.0 / math.log(got_e / got_g)
+            assert cell["flags"] == ("WeakDampingViolated" if kappa >= a.nu_scaled else "")
+        assert "marginal" in tags
+
+
+class TestRefusalsLeaveStdoutEmpty:
+    def test_teff_checks_nbar_with_no_stable_row(self, capsys):
+        # every row is absent here, so no rate is ever evaluated
+        code, out, err = run_cli(capsys, "teff", "--kappa-scaled", "0.3", "--nbar", "-3",
+                                 "--omega-rel", "0.1", "--attractor", "large",
+                                 "--grid", "0.01:0.05:3")
+        assert code == EXIT_INPUT and out == ""
+        assert "n_bar" in err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--nbar", "-3", "n_bar"), ("--nbar", "nan", "n_bar"),
+        ("--beta", "-1", "beta"), ("--beta", "inf", "beta"),
+        ("--kappa-scaled", "0", "kappa_scaled"), ("--lambda-s", "0", "lambda_s"),
+        ("--lambda-s", "nan", "lambda_s"),
+    ])
+    def test_validate_refuses_before_the_first_report_line(self, capsys, flag, value, name):
+        code, out, err = run_cli(capsys, "validate", flag, value)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith(f"error: {name} must be finite")
+
+    @pytest.mark.parametrize("kappa", ["0.02", "0.2", "0.4"])
+    def test_validate_finds_both_merging_pairs(self, capsys, kappa):
+        code, out, _ = run_cli(capsys, "validate", "--kappa-scaled", kappa)
+        assert code == EXIT_OK
+        (gap,) = [ln for ln in out.splitlines() if "bifurcation_gap" in ln]
+        assert gap.startswith("ok  ") and "no marginal pair" not in gap
+
+    def test_validate_fails_when_a_merging_pair_is_missing(self, capsys, monkeypatch):
+        import duffing_qubit.cli as cli
+        solve = cli.solve_attractors
+        monkeypatch.setattr(cli, "solve_attractors",
+                            lambda b, k: [a for a in solve(b, k) if not a.marginal])
+        code, out, _ = run_cli(capsys, "validate")
+        assert code == EXIT_SELFCHECK
+        (gap,) = [ln for ln in out.splitlines() if "bifurcation_gap" in ln]
+        assert gap.startswith("FAIL") and "no marginal pair at 2 of 2" in gap
+
+    def test_validate_writes_no_partial_report_on_a_validity_error(self, capsys):
+        # the three attractor checks pass; the huge drift then fails the covariance
+        code, out, err = run_cli(capsys, "validate", "--beta", "1e300")
+        assert code == EXIT_VALIDITY and out == ""
+        assert err.startswith("error:")

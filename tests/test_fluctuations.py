@@ -213,6 +213,23 @@ class TestBatchedOmega:
         assert spectrum_matrix(k, cov, LAMBDA_S, 0.3).shape == (2, 2)
 
 
+class TestBatchedAttractor:
+    """A scalar omega with u and nu_scaled over a drive-intensity sweep."""
+
+    def test_array_attractor_matches_scalar_calls(self):
+        from duffing_qubit import solve_branches
+        s = solve_branches(np.linspace(0.01, 0.3, 59), 0.3)
+        u, nu = s.u_large[~np.isnan(s.u_large)], s.nu_large[~np.isnan(s.u_large)]
+        for spectrum in (emission_spectrum, absorption_spectrum):
+            batched = spectrum(0.4, u, nu, 0.3, LAMBDA_S, NBAR)
+            assert isinstance(batched, np.ndarray) and batched.shape == u.shape
+            scalar = [spectrum(0.4, a, b, 0.3, LAMBDA_S, NBAR)
+                      for a, b in zip(u.tolist(), nu.tolist())]
+            np.testing.assert_allclose(batched, scalar, rtol=CLOSED_FORM_RTOL, atol=0)
+            one = spectrum(0.4, u[:1], nu[:1], 0.3, LAMBDA_S, NBAR)
+            assert isinstance(one, np.ndarray) and one.shape == (1,)
+
+
 class TestClosedForms:
     def test_positive_everywhere(self):
         grid = np.linspace(-6.0, 6.0, 401)

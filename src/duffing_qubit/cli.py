@@ -174,25 +174,77 @@ def _json_safe(value):
     return value
 
 
+_QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+
+
+def _column_text(col: tuple, as_json: bool) -> list[str] | tuple[str, ...]:
+    """The text of each cell of one column: ``_fmt``'s, or with ``as_json``
+    the JSON of ``_json_safe``'s value.
+
+    A value that repeats is formatted once: a constant float column, and the
+    distinct strings of a string column.  Zeros are never shared, since
+    0.0 == -0.0 but their texts differ.
+    """
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        first = col[0]
+        if first != 0.0 and col.count(first) == len(col):
+            text = repr(first)
+            return [_QUOTED.get(text, text) if as_json else text] * len(col)
+        texts = list(map(float.__repr__, col))
+        # a false alarm (a finite sum that overflows) only costs the lookups
+        if as_json and not math.isfinite(sum(col)):
+            texts = [_QUOTED.get(t, t) for t in texts]
+        return texts
+    if kinds == {str}:
+        if not as_json:
+            return col
+        text = {s: json.dumps(s) for s in set(col)}
+        return list(map(text.__getitem__, col))
+    if as_json:
+        return [json.dumps(_json_safe(v)) for v in col]
+    return list(map(_fmt, col))
+
+
 def emit_table(params: dict, columns: list[str], rows: list[list], fmt: str, out) -> None:
-    if fmt == "json":
+    """Write a table with a header: CSV, or JSON with ``fmt == "json"``.
+
+    ``rows`` are row-major, one scalar cell per column.  The cells are
+    formatted a column at a time and joined into lines with ``str.join``.
+    The output is byte-identical to formatting every cell with ``_fmt``
+    (CSV) or to ``json.dumps(doc, indent=2)`` of the ``_json_safe`` cells.
+    """
+    # zip(*rows) would drop the cells of a long row without a word
+    if not columns or set(map(len, rows)) - {len(columns)}:
+        raise ValueError(f"a table needs one cell per column in every row, got {columns}")
+    as_json = fmt == "json"
+    texts = [_column_text(col, as_json) for col in zip(*rows)]
+    if as_json:
         doc = {
             "schema": SCHEMA,
             "version": __version__,
             "params": {k: _json_safe(v) for k, v in params.items()},
             "columns": columns,
-            "rows": [[_json_safe(v) for v in row] for row in rows],
         }
-        out.write(json.dumps(doc, indent=2))
-        out.write("\n")
+        # the indent=2 layout of the "rows" entry, written from the cell texts
+        out.write(json.dumps(doc, indent=2)[:-2])
+        out.write(',\n  "rows": ')
+        if rows:
+            out.write("[\n    [\n      ")
+            out.write("\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*texts))))
+            out.write("\n    ]\n  ]")
+        else:
+            out.write("[]")
+        out.write("\n}\n")
         return
-    out.write(f"# schema={SCHEMA}\n")
-    out.write(f"# version={__version__}\n")
-    for key, value in params.items():
-        out.write(f"# {key}={_fmt(value)}\n")
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    head = [f"# schema={SCHEMA}", f"# version={__version__}"]
+    head += [f"# {key}={_fmt(value)}" for key, value in params.items()]
+    head.append(",".join(columns))
+    out.write("\n".join(head))
+    out.write("\n")
+    if rows:
+        out.write("\n".join(map(",".join, zip(*texts))))
+        out.write("\n")
 
 
 def _pick(attractors: list[Attractor], branch: Branch) -> Attractor | None:
@@ -588,10 +640,10 @@ def cmd_validate(args, config) -> int:
         raise CliInputError(f"lambda_s must be finite and positive, got {lambda_s}")
     # the report is written whole at the end, so an error part way through
     # leaves stdout empty
-    lines: list[str] = []
+    checks: list[tuple[str, bool, str]] = []
 
     def report(name: str, ok: bool, metric: str) -> None:
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {metric}\n")
+        checks.append((name, bool(ok), metric))
 
     # steady-state equation residuals across the sweep
     grid = np.linspace(0.0, 0.25, 101)
@@ -652,8 +704,19 @@ def cmd_validate(args, config) -> int:
     report("dual_route", worst <= DUAL_ROUTE_LIMIT,
            f"max rel dev={worst:.3e} (limit 1e-6)")
 
-    args.out_stream.write("".join(lines))
-    return EXIT_SELFCHECK if any(ln.startswith("FAIL") for ln in lines) else EXIT_OK
+    if args.format == "json":
+        params = {
+            "command": "validate",
+            "beta": beta,
+            "kappa_scaled": kappa,
+            "lambda_s": lambda_s,
+            "nbar": n_bar,
+        }
+        emit_table(params, ["check", "ok", "metric"], checks, "json", args.out_stream)
+    else:
+        args.out_stream.write("".join(
+            f"{'ok  ' if ok else 'FAIL'} {name}: {metric}\n" for name, ok, metric in checks))
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_SELFCHECK
 
 
 # ----------------------------------------------------------------------------

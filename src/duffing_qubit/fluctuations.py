@@ -43,6 +43,9 @@ __all__ = [
 
 LEVI_CIVITA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+# smallest det(K) / |K|_F^2 of a drift that counts as strictly stable
+STABILITY_TOL = 1e-8
+
 
 def _check_n_bar(n_bar: float) -> None:
     if not 0.0 <= n_bar < math.inf:
@@ -73,16 +76,16 @@ def stationary_covariance(
     k = np.asarray(drift, dtype=float)
     if k.shape != (2, 2):
         raise ValueError("drift must be a 2x2 matrix")
-    # a margin relative to the drift scale also rejects marginal attractors,
-    # whose slowest eigenvalue collapses to numerical zero
-    margin = 1e-8 * max(1.0, float(np.linalg.norm(k)))
-    if np.max(np.linalg.eigvals(k).real) >= -margin:
+    # a real 2x2 matrix is stable iff trace < 0 and det > 0; the determinant
+    # is held to a margin relative to |K|^2, its own scale, so marginal
+    # attractors (det at rounding level) are refused at any drive strength
+    a, b = k[0, 0], k[0, 1]
+    c, d = k[1, 0], k[1, 1]
+    if not (a + d < 0.0 and a * d - b * c > STABILITY_TOL * float(np.sum(k * k))):
         raise MarginalAttractorError(
             "drift matrix is not strictly stable; no stationary covariance"
         )
     source = lambda_s * kappa_scaled * (2.0 * n_bar + 1.0)
-    a, b = k[0, 0], k[0, 1]
-    c, d = k[1, 0], k[1, 1]
     # unknowns (C11, C12, C22)
     system = np.array(
         [

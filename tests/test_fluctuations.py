@@ -63,6 +63,40 @@ class TestStationaryCovariance:
         with pytest.raises(MarginalAttractorError):
             covariance_for(marginal, 0.3)
 
+    @pytest.mark.parametrize("beta", [1e12, 1e30, 1e100, 1e300])
+    def test_huge_stable_drift_is_accepted(self, beta):
+        # eigenvalues -kappa +- i nu with nu ~ beta^(1/3) >> kappa; a margin
+        # of 1e-8 |K| on their real parts once refused these from beta ~ 1e27
+        (a,) = solve_attractors(beta, 0.3)
+        k, cov = covariance_for(a, 0.3)
+        assert np.all(np.linalg.eigvals(k).real < 0.0)
+        source = LAMBDA_S * 0.3 * (2 * NBAR + 1)
+        residual = k @ cov + cov @ k.T + source * np.eye(2)
+        assert np.max(np.abs(residual)) < 1e-10 * source
+        assert np.all(np.linalg.eigvalsh(cov) > 0.0)
+
+    def test_every_exact_bifurcation_edge_is_refused(self):
+        # 200 kappa, both edges: each marginal pair stays refused at any scale
+        refused = 0
+        for kappa in np.linspace(0.02, 0.57, 200):
+            info = bifurcation_betas(kappa)
+            for edge in (info.beta_low, info.beta_high):
+                (marginal,) = [a for a in solve_attractors(edge, kappa) if a.marginal]
+                with pytest.raises(MarginalAttractorError):
+                    covariance_for(marginal, kappa)
+                refused += 1
+        assert refused == 400
+
+    @pytest.mark.parametrize("k", [
+        [[0.1, 1.0], [-1.0, -0.05]],   # trace > 0, det > 0: growing spiral
+        [[-0.1, 1.0], [1.0, -0.1]],    # trace < 0, det < 0: saddle
+        [[0.0, 1.0], [-1.0, 0.0]],     # centre
+        [[-0.3, 1e10], [-1e-9, -0.3]],  # det 10.09 against |K|^2 1e20
+    ])
+    def test_unstable_or_marginal_drift_is_refused(self, k):
+        with pytest.raises(MarginalAttractorError, match="not strictly stable"):
+            stationary_covariance(np.array(k), LAMBDA_S, 0.3, NBAR)
+
     def test_euler_maruyama_oracle_compact(self):
         # small copy of the stochastic cross-check; the acceptance suite runs
         # the full-budget version

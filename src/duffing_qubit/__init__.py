@@ -55,6 +55,7 @@ from .rates import (
     gamma_resonant_1q,
     gamma_resonant_2q,
     gamma_total_resonant,
+    log_rate_ratio,
     resonant_1q_scaled,
     validity_flags,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "gamma_resonant_1q",
     "gamma_resonant_2q",
     "gamma_total_resonant",
+    "log_rate_ratio",
     "physical_from_scaled",
     "planck",
     "resonant_1q_scaled",

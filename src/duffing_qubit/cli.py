@@ -47,6 +47,7 @@ from .fluctuations import (
 )
 from .model import PhysicalParams, physical_from_scaled, scale_params
 from .rates import (
+    FLAG_THRESHOLDS,
     FLAG_WEAK_DAMPING,
     NearResonanceError,
     QubitParams,
@@ -57,6 +58,7 @@ from .rates import (
     gamma_resonant_1q,
     gamma_resonant_2q,
     gamma_total_resonant,
+    log_rate_ratio,
     resonant_1q_scaled,
 )
 
@@ -112,11 +114,12 @@ def parse_grid(spec: str) -> np.ndarray:
         raise CliInputError("grid count must be at least 2")
     if not start < stop:
         raise CliInputError("grid start must be below stop")
-    if log:
-        if start <= 0:
-            raise CliInputError("log grid requires positive endpoints")
-        return np.geomspace(start, stop, count)
-    return np.linspace(start, stop, count)
+    if log and start <= 0:
+        raise CliInputError("log grid requires positive endpoints")
+    try:
+        return np.geomspace(start, stop, count) if log else np.linspace(start, stop, count)
+    except MemoryError as exc:  # numpy refuses a count it cannot allocate
+        raise CliInputError(f"bad grid {spec!r}: {exc}") from None
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -247,27 +250,14 @@ def emit_table(params: dict, columns: list[str], rows: list[list], fmt: str, out
         out.write("\n")
 
 
-def _pick(attractors: list[Attractor], branch: Branch) -> Attractor | None:
-    for a in attractors:
+def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> Attractor:
+    for a in solve_attractors(beta, kappa_scaled):
         if a.branch is branch:
             return a
-    return None
-
-
-def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> Attractor:
-    a = _pick(solve_attractors(beta, kappa_scaled), branch)
-    if a is None:
-        raise CliInputError(
-            f"no {branch.value}-amplitude attractor exists at beta={beta:g}, "
-            f"kappa_scaled={kappa_scaled:g}"
-        )
-    return a
-
-
-def _branch_choices(name: str) -> list[Branch]:
-    if name == "both":
-        return [Branch.SMALL, Branch.LARGE]
-    return [Branch(name)]
+    raise CliInputError(
+        f"no {branch.value}-amplitude attractor exists at beta={beta:g}, "
+        f"kappa_scaled={kappa_scaled:g}"
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -330,7 +320,7 @@ def cmd_spectrum(args, config) -> int:
     rows = list(zip(grid.tolist(), *(c.tolist() for c in spectra)))
     params["max_route_deviation"] = worst
     emit_table(params, columns, rows, args.format, args.out_stream)
-    if args.check and worst > DUAL_ROUTE_LIMIT:
+    if args.check and not worst <= DUAL_ROUTE_LIMIT:
         print(
             f"self-check failed: dual-route deviation {worst:g} exceeds "
             f"{DUAL_ROUTE_LIMIT:g}",
@@ -340,30 +330,22 @@ def cmd_spectrum(args, config) -> int:
     return EXIT_OK
 
 
-def _dual_route(
-    a: Attractor,
-    drift: np.ndarray,
-    cov: np.ndarray,
-    kappa: float,
-    lambda_s: float,
-    n_bar: float,
-    omega: np.ndarray,
-) -> tuple[tuple[np.ndarray, ...], float]:
+def _dual_route(a: Attractor, drift: np.ndarray, cov: np.ndarray, kappa: float,
+                lambda_s: float, n_bar: float, omega: np.ndarray) -> tuple[tuple, float]:
     """Both routes to both spectra over ``omega``, and their worst deviation.
 
     Returns (emission_closed, absorption_closed, emission_matrix,
     absorption_matrix) and the largest relative closed-vs-matrix deviation,
-    which the self-checks hold to ``DUAL_ROUTE_LIMIT``.
+    which the self-checks hold to ``DUAL_ROUTE_LIMIT``; NaN if any cell of
+    either route is NaN, so that the check fails closed.
     """
     ec = emission_spectrum(omega, a.u, a.nu_scaled, kappa, lambda_s, n_bar)
     ac = absorption_spectrum(omega, a.u, a.nu_scaled, kappa, lambda_s, n_bar)
     em = emission_from_matrix(drift, cov, lambda_s, omega)
     am = absorption_from_matrix(drift, cov, lambda_s, omega)
-    worst = 0.0
-    for closed, matrix in ((ec, em), (ac, am)):
-        scale = np.maximum(np.maximum(np.abs(closed), np.abs(matrix)), 1e-300)
-        worst = max(worst, float(np.max(np.abs(closed - matrix) / scale)))
-    return (ec, ac, em, am), worst
+    closed, matrix = np.array([ec, ac]), np.array([em, am])
+    scale = np.maximum(np.maximum(np.abs(closed), np.abs(matrix)), 1e-300)
+    return (ec, ac, em, am), float(np.max(np.abs(closed - matrix) / scale))
 
 
 def _flags_str(flags) -> str:
@@ -418,9 +400,7 @@ def _rates_scaled(args, config) -> int:
     n_bar = _resolve(args, config, "nbar", default=0.5)
     which = _resolve(args, config, "attractor", cast=str, default="both")
     grid = parse_grid(_resolve(args, config, "grid", cast=str, default="-5:5:2001"))
-    branches = _branch_choices(which)
-
-    found = {a.branch: a for a in solve_attractors(beta, kappa)}
+    solved = solve_branches(beta, kappa)
     params = {
         "command": "rates",
         "regime": "resonant-1q",
@@ -430,39 +410,53 @@ def _rates_scaled(args, config) -> int:
         "attractor": which,
     }
     columns = ["omega"]
-    chosen: list[Attractor | None] = []
-    for branch in branches:
-        a = found.get(branch)
-        if a is not None and not a.stable:
-            raise MarginalAttractorError(f"{branch.value} attractor is marginal")
-        chosen.append(a)
-        tag = branch.value
-        columns += [
-            f"u_{tag}",
-            f"nu_{tag}",
-            f"gamma_e_scaled_{tag}",
-            f"gamma_g_scaled_{tag}",
-            f"teff_star_{tag}",
-            f"flags_{tag}",
-        ]
-        params[f"u_{tag}"] = a.u if a else float("nan")
-        params[f"nu_{tag}"] = a.nu_scaled if a else float("nan")
-
     # one column list per output column, each branch evaluated on the whole grid
-    n = len(grid)
     cols: list[list] = [grid.tolist()]
-    for a in chosen:
-        if a is None:
-            cols += [[float("nan")] * n] * 5 + [["absent"] * n]
-            continue
-        ge, gg = resonant_1q_scaled(grid, a.u, a.nu_scaled, kappa, n_bar)
-        ge, gg = ge.tolist(), gg.tolist()
-        flags = _flags_str([FLAG_WEAK_DAMPING] if kappa >= a.nu_scaled else [])
-        cols += [[a.u] * n, [a.nu_scaled] * n, ge, gg,
-                 [_teff_star(e, g) for e, g in zip(ge, gg)], [flags] * n]
+    for branch in [Branch.SMALL, Branch.LARGE] if which == "both" else [Branch(which)]:
+        u, nu, marginal = solved.pick(branch)
+        if marginal:
+            raise MarginalAttractorError(f"{branch.value} attractor is marginal")
+        tag = branch.value
+        columns += [f"u_{tag}", f"nu_{tag}", f"gamma_e_scaled_{tag}",
+                    f"gamma_g_scaled_{tag}", f"teff_star_{tag}", f"flags_{tag}"]
+        params[f"u_{tag}"], params[f"nu_{tag}"] = u, nu
+        u, nu, ge, gg, _, teff_star, flags = _resonant_1q_columns(
+            grid, u, nu, marginal, kappa, n_bar)
+        cols += [u, nu, ge, gg, teff_star, flags]
     rows = list(zip(*cols))
     emit_table(params, columns, rows, args.format, args.out_stream)
     return EXIT_OK
+
+
+def _resonant_1q_columns(omega_rel, u, nu, marginal, kappa: float, n_bar: float) -> list[list]:
+    """The u, nu, gamma_e_scaled, gamma_g_scaled, ln_ratio, teff_star and
+    flags columns of the resonant one-quantum channel.
+
+    ``u``, ``nu`` and ``marginal`` are one branch of ``solve_branches``:
+    arrays over a drive sweep, or the scalars of a stable or absent branch
+    over a detuning sweep ``omega_rel``.  A row without a stable attractor
+    has NaN cells and the flag "absent" or "marginal"; teff_star is
+    kB*T_eff/(hbar*omega_q) = 1/ln_ratio.
+    """
+    if np.ndim(u) == 0 and math.isnan(u):  # an absent branch: nothing to evaluate
+        n = len(omega_rel)
+        return [[math.nan] * n] * 6 + [["absent"] * n]
+    absent = np.isnan(u)
+    if np.ndim(u):
+        u, nu = np.where(marginal, np.nan, u), np.where(marginal, np.nan, nu)
+    # one call on every row: a NaN row stays NaN, and a bad n_bar is refused
+    # even when no row is stable
+    ge, gg = resonant_1q_scaled(omega_rel, u, nu, kappa, n_bar)
+    ln_ratio = log_rate_ratio(ge, gg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        teff_star = np.divide(1.0, ln_ratio)
+        weak = kappa / np.asarray(nu) >= FLAG_THRESHOLDS[FLAG_WEAK_DAMPING]
+    flags = np.where(absent, "absent", np.where(
+        marginal, "marginal", np.where(weak, FLAG_WEAK_DAMPING, "")))
+    # a value constant over the sweep (a scalar u, nu or flag) is shared
+    n = np.size(ge)
+    return [c.tolist() if np.ndim(c) else [np.asarray(c).tolist()] * n
+            for c in (u, nu, ge, gg, ln_ratio, teff_star, flags)]
 
 
 # regime -> (needs an attractor, rate call); the rate functions are looked up
@@ -511,16 +505,6 @@ def _rates_si(args, config, regime: str) -> int:
     return EXIT_OK
 
 
-def _teff_star(gamma_e: float, gamma_g: float) -> float:
-    """Scaled effective temperature kB*T_eff/(hbar*omega_q) = 1/ln(Ge/Gg)."""
-    if gamma_e <= 0.0 or gamma_g <= 0.0:
-        return float("nan")
-    log_ratio = math.log(gamma_e / gamma_g)
-    if log_ratio == 0.0:
-        return math.inf
-    return 1.0 / log_ratio
-
-
 def cmd_teff(args, config) -> int:
     kappa = _resolve(args, config, "kappa_scaled", required=True)
     n_bar = _resolve(args, config, "nbar", default=0.5)
@@ -538,19 +522,8 @@ def cmd_teff(args, config) -> int:
     columns = ["beta", "u", "nu", "gamma_e_scaled", "gamma_g_scaled",
                "ln_ratio", "teff_star", "flags"]
     u, nu, marginal = solve_branches(grid, kappa).pick(branch)
-    absent = np.isnan(u)
-    stable = ~absent & ~marginal
-    u, nu = np.where(stable, u, np.nan), np.where(stable, nu, np.nan)
-    ge, gg = np.full(len(grid), np.nan), np.full(len(grid), np.nan)
-    # one call on the stable rows; it also refuses a bad n_bar when none is
-    ge[stable], gg[stable] = resonant_1q_scaled(omega_rel, u[stable], nu[stable], kappa, n_bar)
-    ge, gg = ge.tolist(), gg.tolist()
-    ln_ratio = [math.log(e / g) if e > 0 and g > 0 else math.nan for e, g in zip(ge, gg)]
-    teff = [_teff_star(e, g) for e, g in zip(ge, gg)]
-    flags = np.where(absent, "absent", np.where(
-        marginal, "marginal", np.where(kappa >= nu, FLAG_WEAK_DAMPING, "")))
-    rows = list(zip(grid.tolist(), u.tolist(), nu.tolist(), ge, gg, ln_ratio, teff,
-                    flags.tolist()))
+    cols = _resonant_1q_columns(omega_rel, u, nu, marginal, kappa, n_bar)
+    rows = list(zip(grid.tolist(), *cols))
     emit_table(params, columns, rows, args.format, args.out_stream)
     return EXIT_OK
 
@@ -571,8 +544,8 @@ def match_report(
     both ratios approach 1.
     """
     rows = []
+    a = _pick_required(beta, kappa_scaled, Branch.LARGE)
     for h in hierarchies:
-        a = _pick_required(beta, kappa_scaled, Branch.LARGE)
         omega_rel = h * max(a.nu_scaled, kappa_scaled, 1.0)
         # detuning scale 1 rad/s; the ratio is invariant under the overall scale
         phys = physical_from_scaled(
@@ -677,30 +650,25 @@ def cmd_validate(args, config) -> int:
             metric += f", no marginal pair at {missing} of 2"
         report("bifurcation_gap", not missing and gap < 1e-8, metric)
 
-    # Lyapunov residual and positive definiteness
-    worst = 0.0
-    pd = True
-    for b in (0.0, 0.05, beta, 0.2):
+    # Lyapunov residual and positive definiteness at four drives, and the
+    # dual-route spectrum agreement at beta; a NaN metric fails its check
+    residuals, deviations, pd = [0.0], [0.0], True
+    src = lambda_s * kappa * (2.0 * n_bar + 1.0) * np.eye(2)
+    grid = np.linspace(-5, 5, 201)
+    for i, b in enumerate((0.0, 0.05, beta, 0.2)):
         for a in solve_attractors(float(b), kappa):
             if not a.stable:
                 continue
             k = drift_matrix(a, kappa)
             cov = stationary_covariance(k, lambda_s, kappa, n_bar)
-            src = lambda_s * kappa * (2.0 * n_bar + 1.0) * np.eye(2)
-            worst = max(worst, float(np.linalg.norm(k @ cov + cov @ k.T + src)))
+            residuals.append(float(np.linalg.norm(k @ cov + cov @ k.T + src)))
             pd = pd and np.all(np.linalg.eigvalsh(cov) > 0.0)
+            if i == 2:
+                deviations.append(_dual_route(a, k, cov, kappa, lambda_s, n_bar, grid)[1])
+    worst = float(np.max(residuals))
     report("lyapunov_residual", worst < 1e-10, f"max={worst:.3e} (limit 1e-10)")
     report("covariance_positive", pd, "eigenvalues > 0")
-
-    # dual-route spectrum agreement
-    worst = 0.0
-    grid = np.linspace(-5, 5, 201)
-    for a in solve_attractors(beta, kappa):
-        if not a.stable:
-            continue
-        k = drift_matrix(a, kappa)
-        cov = stationary_covariance(k, lambda_s, kappa, n_bar)
-        worst = max(worst, _dual_route(a, k, cov, kappa, lambda_s, n_bar, grid)[1])
+    worst = float(np.max(deviations))
     report("dual_route", worst <= DUAL_ROUTE_LIMIT,
            f"max rel dev={worst:.3e} (limit 1e-6)")
 
@@ -811,7 +779,11 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(getattr(args, "config", None))
         out_path = getattr(args, "out", None)
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            try:
+                fh = open(out_path, "w", encoding="utf-8")
+            except OSError as exc:
+                raise CliInputError(f"cannot write output file: {exc}") from None
+            with fh:
                 args.out_stream = fh
                 return args.func(args, config)
         args.out_stream = sys.stdout

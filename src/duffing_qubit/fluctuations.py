@@ -172,10 +172,28 @@ def _closed_form(
     weight_quanta: float,
 ) -> float | np.ndarray:
     w = np.asarray(omega, dtype=float)
-    num = weight_bracket * ((w - (2.0 * u - 1.0)) ** 2 + kappa_scaled**2)
-    num = num + weight_quanta * u * u
-    den = (w * w - nu_scaled**2) ** 2 + 4.0 * kappa_scaled**2 * w * w
-    out = 2.0 * lambda_s * kappa_scaled * num / den
+    # nu * nu, not nu**2: a float's ** 2 goes through libm pow, which can be
+    # an ulp off the exact square an array gets, and a detuning sweep (scalar
+    # nu) must give the bits of a drive sweep (array nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = weight_bracket * ((w - (2.0 * u - 1.0)) ** 2 + kappa_scaled**2)
+        num = num + weight_quanta * u * u
+        den = (w * w - nu_scaled * nu_scaled) ** 2 + 4.0 * kappa_scaled**2 * w * w
+        out = 2.0 * lambda_s * kappa_scaled * num / den
+    # where a square overflows (nu or |omega| above ~1e77), evaluate with
+    # every frequency divided by the largest, c: num scales as c^2, den as c^4
+    big = ~(np.isfinite(num) & np.isfinite(den))
+    if big.any():  # a NaN input (an absent branch) stays NaN as it is
+        big &= ~(np.isnan(w) | np.isnan(u) | np.isnan(nu_scaled))
+    if big.any():
+        out = np.array(out)
+        w, u, nu = (np.broadcast_to(x, out.shape)[big] for x in (w, u, nu_scaled))
+        c = np.maximum(np.maximum(np.abs(w), np.abs(u)),
+                       np.maximum(np.abs(nu), max(1.0, abs(kappa_scaled))))
+        w, u, nu, k = w / c, u / c, nu / c, kappa_scaled / c
+        num = weight_bracket * ((w - (2.0 * u - 1.0 / c)) ** 2 + k * k) + weight_quanta * u * u
+        den = (w * w - nu * nu) ** 2 + 4.0 * k * k * w * w
+        out[big] = 2.0 * lambda_s * kappa_scaled * num / den / c / c
     if np.ndim(out) == 0:
         return float(out)
     return out

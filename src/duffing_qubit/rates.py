@@ -78,6 +78,7 @@ __all__ = [
     "gamma_linear_resonant",
     "gamma_linear_nonresonant",
     "effective_temperature",
+    "log_rate_ratio",
     "bloch_redfield",
     "dephasing_g_zero",
     "validity_flags",
@@ -120,6 +121,9 @@ class QubitParams:
 
     ``w: float | ndarray``; an array of splittings is a sweep, which every
     rate function evaluates in one call.  The other fields are scalars.
+    ``omega_q``, the transition frequency sqrt(w^2 + delta^2), is computed
+    once per instance: a float for a scalar ``w``, otherwise an array of
+    its shape.
     """
 
     w: float | np.ndarray  # dominant splitting (rad/s)
@@ -127,6 +131,7 @@ class QubitParams:
     delta_q: float = 0.0   # oscillator frequency shift from the quadratic coupling (rad/s)
     v_x: float = 0.0       # linear coupling energy on sigma_x (J/m)
     v_z: float = 0.0       # linear coupling energy on sigma_z (J/m)
+    omega_q: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if np.ndim(self.w):
@@ -136,15 +141,8 @@ class QubitParams:
         for name in ("delta", "delta_q", "v_x", "v_z"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"qubit {name} must be finite")
-
-    @property
-    def omega_q(self) -> float | np.ndarray:
-        """Transition frequency sqrt(w^2 + delta^2), always recomputed.
-
-        A float for a scalar ``w``, otherwise an array of its shape.
-        """
         delta = self.delta
-        return _per_value(lambda w: math.hypot(w, delta), self.w)
+        object.__setattr__(self, "omega_q", _per_value(lambda w: math.hypot(w, delta), self.w))
 
 
 @dataclass(frozen=True)
@@ -189,6 +187,23 @@ def _channel_t1(gamma_e, gamma_g):
         return np.where(total == 0.0, math.inf, np.divide(1.0, total))[()]
 
 
+def log_rate_ratio(
+    gamma_e: float | np.ndarray, gamma_g: float | np.ndarray
+) -> float | np.ndarray:
+    """ln(gamma_e/gamma_g), NaN where either rate is <= 0 or NaN.
+
+    ``hbar*omega_q / (kB * log_rate_ratio)`` is the effective temperature,
+    and its reciprocal the scaled one, kB*T_eff/(hbar*omega_q).  The log is
+    ``math.log`` per value, so a sweep gives the same bits as one call per
+    point.  Floats or arrays; the result has their broadcast shape, a float
+    when both are scalars.
+    """
+    ge, gg = np.asarray(gamma_e, dtype=float), np.asarray(gamma_g, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratio = np.where((ge > 0.0) & (gg > 0.0), ge / gg, math.nan)
+    return _per_value(math.log, ratio)
+
+
 def effective_temperature(
     gamma_e: float | np.ndarray,
     gamma_g: float | np.ndarray,
@@ -199,18 +214,16 @@ def effective_temperature(
     Infinite when the rates balance; +0 in the ground-state-only limit
     gamma_g = 0; negative under population inversion gamma_g > gamma_e.
     The arguments are floats or arrays; the result has their broadcast
-    shape, a float when all are scalars.
+    shape, a float when all are scalars.  The log is
+    :func:`log_rate_ratio`.
     """
     ge, gg, wq = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (gamma_e, gamma_g, omega_q))
     )
     if np.any(ge < 0.0) or np.any(gg < 0.0):
         raise ValueError("rates must be non-negative")
-    general = (ge != 0.0) & (gg != 0.0) & (ge != gg)
-    log_ratio = np.zeros(ge.shape)
-    log_ratio[general] = _per_value(math.log, ge[general] / gg[general])
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_eff = hbar * wq / (k_B * log_ratio)
+        t_eff = hbar * wq / (k_B * np.asarray(log_rate_ratio(ge, gg)))
     out = np.select(
         [(ge == 0.0) & (gg == 0.0), gg == 0.0, ge == 0.0, ge == gg],
         [math.nan, 0.0, -0.0, math.inf],
@@ -333,9 +346,20 @@ def raised_flags(
     return tuple(map(sets.__getitem__, code.ravel().tolist()))
 
 
-def _rate_result(regime, omega_q, gamma_e, gamma_g, t1, ratios, **extra) -> RateResult:
-    # T_eff and the flags, with every numeric field in the shape of omega_q
-    shape = np.shape(omega_q)
+def _rate_result(regime, q, p, s, a, gamma_e, gamma_g, dephasing=False, ratios=None,
+                 **extra) -> RateResult:
+    """The one assembly of a channel's (gamma_e, gamma_g) into a RateResult.
+
+    T1; T2 when ``dephasing`` is set and delta != 0, from the zero-frequency
+    weight of the attractor ``a``; the ``validity_flags`` ratios followed by
+    the regime's own ``ratios``; T_eff and the raised flags.  Every numeric
+    field takes the shape of ``q.omega_q``.
+    """
+    if dephasing and q.delta != 0.0:
+        t1, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g_zero(a, s))
+    else:
+        t1, t2 = _channel_t1(gamma_e, gamma_g), None
+    shape = np.shape(q.omega_q)
 
     def shaped(x):
         if x is None:
@@ -344,9 +368,10 @@ def _rate_result(regime, omega_q, gamma_e, gamma_g, t1, ratios, **extra) -> Rate
             return float(x)
         return x if np.shape(x) == shape else np.full(shape, x)
 
+    ratios = {**validity_flags(q, p, s, a, t1, t2), **(ratios or {})}
     ratios = {name: shaped(value) for name, value in ratios.items()}
-    t_eff = effective_temperature(gamma_e, gamma_g, omega_q)
-    fields = dict(gamma_e=gamma_e, gamma_g=gamma_g, t1=t1, t_eff=t_eff, **extra)
+    t_eff = effective_temperature(gamma_e, gamma_g, q.omega_q)
+    fields = dict(gamma_e=gamma_e, gamma_g=gamma_g, t1=t1, t2=t2, t_eff=t_eff, **extra)
     return RateResult(
         regime=regime,
         flags=raised_flags(ratios),
@@ -361,6 +386,12 @@ def _require_stable(a: Attractor) -> None:
             f"attractor on branch {a.branch.value!r} (marginal={a.marginal}) "
             "is outside the linearized theory"
         )
+
+
+def _spectra(a: Attractor, s: ScaledParams, omega_rel):
+    # the closed-form emission and absorption spectra about the attractor
+    args = (omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
+    return emission_spectrum(*args), absorption_spectrum(*args)
 
 
 def resonant_1q_scaled(
@@ -384,6 +415,15 @@ def resonant_1q_scaled(
     return ge, gg
 
 
+def _resonant_1q_rates(q: QubitParams, p: PhysicalParams, a: Attractor, s: ScaledParams):
+    # (gamma_e, gamma_g, gamma_0, f_e, f_g) of the one-quantum channel, with
+    # f_e, f_g the spectra at the detuning from 2 omega_f
+    f_e, f_g = _spectra(a, s, (q.omega_q - 2.0 * p.omega_f) / s.scale)
+    pref = (p.m * p.omega_f) ** 2 * s.scale / (9.0 * p.gamma_s**2) * a.u
+    cg = c_gamma(q, p.m, p.omega_0)
+    return cg * pref * f_e, cg * pref * f_g, hbar * cg * a.u / (6.0 * p.gamma_s), f_e, f_g
+
+
 def gamma_resonant_1q(
     q: QubitParams,
     p: PhysicalParams,
@@ -404,39 +444,22 @@ def gamma_resonant_1q(
     _require_stable(a)
     if s is None:
         s = scale_params(p)
-    g0 = dephasing_g_zero(a, s) if q.delta != 0.0 else None
-    return _resonant_1q(q, p, a, s, g0)
-
-
-def _resonant_1q(
-    q: QubitParams,
-    p: PhysicalParams,
-    a: Attractor,
-    s: ScaledParams,
-    dephasing_g0: float | None,
-) -> RateResult:
-    # gamma_resonant_1q given the dephasing weight (None when delta = 0), so
-    # that gamma_total_resonant computes that weight once per call
-    d = s.scale
-    wq = q.omega_q
-    omega_rel = (wq - 2.0 * p.omega_f) / d
-    f_e = emission_spectrum(omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
-    f_g = absorption_spectrum(omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
-    pref = (p.m * p.omega_f) ** 2 * d / (9.0 * p.gamma_s**2) * a.u
-    cg = c_gamma(q, p.m, p.omega_0)
-    gamma_e = cg * pref * f_e
-    gamma_g = cg * pref * f_g
-    t1 = _channel_t1(gamma_e, gamma_g)
-    t2 = None
-    if dephasing_g0 is not None:
-        _, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g0)
+    gamma_e, gamma_g, gamma_0, f_e, f_g = _resonant_1q_rates(q, p, a, s)
     return _rate_result(
-        "resonant-1q", wq, gamma_e, gamma_g, t1, validity_flags(q, p, s, a, t1, t2),
-        t2=t2,
-        gamma_0=hbar * cg * a.u / (6.0 * p.gamma_s),
-        gamma_e_scaled=f_e / s.lambda_s,
-        gamma_g_scaled=f_g / s.lambda_s,
+        "resonant-1q", q, p, s, a, gamma_e, gamma_g, dephasing=True,
+        gamma_0=gamma_0, gamma_e_scaled=f_e / s.lambda_s, gamma_g_scaled=f_g / s.lambda_s,
     )
+
+
+def _resonant_2q_rates(q: QubitParams, p: PhysicalParams, n_bar: float):
+    # (gamma_e, gamma_g) of the two-quantum channel
+    cg = c_gamma(q, p.m, p.omega_0)
+    args = (q.omega_q, p.omega_0, p.kappa, n_bar, p.m)
+    return cg * two_quantum_spectrum(*args), cg * two_quantum_spectrum(*args, ground=True)
+
+
+def _moderate_t(p: PhysicalParams, n_bar: float) -> dict[str, float]:
+    return {FLAG_MODERATE_T: hbar * n_bar * p.gamma_s / (p.m**2 * p.omega_0**2 * p.kappa)}
 
 
 def gamma_resonant_2q(
@@ -449,14 +472,9 @@ def gamma_resonant_2q(
     s = scale_params(p)
     if n_bar is None:
         n_bar = s.n_bar
-    wq = q.omega_q
-    cg = c_gamma(q, p.m, p.omega_0)
-    gamma_e = cg * two_quantum_spectrum(wq, p.omega_0, p.kappa, n_bar, p.m)
-    gamma_g = cg * two_quantum_spectrum(wq, p.omega_0, p.kappa, n_bar, p.m, ground=True)
-    t1 = _channel_t1(gamma_e, gamma_g)
-    ratios = validity_flags(q, p, s, None, t1, None)
-    ratios[FLAG_MODERATE_T] = hbar * n_bar * p.gamma_s / (p.m**2 * p.omega_0**2 * p.kappa)
-    return _rate_result("resonant-2q", wq, gamma_e, gamma_g, t1, ratios)
+    gamma_e, gamma_g = _resonant_2q_rates(q, p, n_bar)
+    return _rate_result("resonant-2q", q, p, s, None, gamma_e, gamma_g,
+                        ratios=_moderate_t(p, n_bar))
 
 
 def gamma_total_resonant(
@@ -476,27 +494,19 @@ def gamma_total_resonant(
     _require_stable(a)
     if s is None:
         s = scale_params(p)
-    g0 = dephasing_g_zero(a, s) if q.delta != 0.0 else None
-    one = _resonant_1q(q, p, a, s, g0)
-    two = gamma_resonant_2q(q, p, n_bar=s.n_bar)
-    gamma_e = one.gamma_e + two.gamma_e
-    gamma_g = one.gamma_g + two.gamma_g
-    t1 = _channel_t1(gamma_e, gamma_g)
-    t2 = None
-    if g0 is not None:
-        _, t2 = bloch_redfield(gamma_e, gamma_g, q, p, g0)
-    ratios = validity_flags(q, p, s, a, t1, t2)
-    ratios[FLAG_MODERATE_T] = two.ratios[FLAG_MODERATE_T]
+    one_e, one_g, gamma_0, _, _ = _resonant_1q_rates(q, p, a, s)
+    two_e, two_g = _resonant_2q_rates(q, p, s.n_bar)
+    gamma_e, gamma_g = one_e + two_e, one_g + two_g
+    ratios = _moderate_t(p, s.n_bar)
     if a.u > 0.0:
         ratios[FLAG_TWO_QUANTUM] = s.fluctuation_area / a.u
-    gamma_0 = one.gamma_0
     scaled = {}
     if np.any(gamma_0 != 0.0):
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = dict(gamma_e_scaled=gamma_e / gamma_0, gamma_g_scaled=gamma_g / gamma_0)
     return _rate_result(
-        "resonant-total", q.omega_q, gamma_e, gamma_g, t1, ratios,
-        t2=t2, gamma_0=gamma_0, **scaled,
+        "resonant-total", q, p, s, a, gamma_e, gamma_g, dephasing=True, ratios=ratios,
+        gamma_0=gamma_0, **scaled,
     )
 
 
@@ -577,14 +587,8 @@ def gamma_nonresonant(
     )
     pref = 2.0 * wf * s.scale / (3.0 * p.m * p.gamma_s) * a.u
     cg = c_gamma(q, p.m, p.omega_0)
-    gamma_e = cg * pref * sum_e
-    gamma_g = cg * pref * sum_g
-    t1 = _channel_t1(gamma_e, gamma_g)
-    t2 = None
-    if q.delta != 0.0:
-        _, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g_zero(a, s))
     return _rate_result(
-        "nonresonant", wq, gamma_e, gamma_g, t1, validity_flags(q, p, s, a, t1, t2), t2=t2
+        "nonresonant", q, p, s, a, cg * pref * sum_e, cg * pref * sum_g, dephasing=True
     )
 
 
@@ -614,11 +618,9 @@ def gamma_nonresonant_2q(
         offsets=((1.0, 0.0), (0.0, 1.0), (1.0, 0.0)),
         factors=((n0 + 1.0, n0), (n0 + 1.0, n0), (n0, n0 + 1.0)),
     )
-    gamma_e = cg * pref * sum_e
-    gamma_g = cg * pref * sum_g
-    t1 = _channel_t1(gamma_e, gamma_g)
-    ratios = validity_flags(q, p, scale_params(p), None, t1, None)
-    return _rate_result("nonresonant-2q", wq, gamma_e, gamma_g, t1, ratios)
+    return _rate_result(
+        "nonresonant-2q", q, p, scale_params(p), None, cg * pref * sum_e, cg * pref * sum_g
+    )
 
 
 def _linear_coupling_sq(q: QubitParams) -> float | np.ndarray:
@@ -648,21 +650,14 @@ def gamma_linear_resonant(
     if s is None:
         s = scale_params(p)
     d = s.scale
-    wq = q.omega_q
-    omega_rel = (wq - p.omega_f) / d
-    f_e = emission_spectrum(omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
-    f_g = absorption_spectrum(omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
+    f_e, f_g = _spectra(a, s, (q.omega_q - p.omega_f) / d)
     pref = (
         _linear_coupling_sq(q)
-        / (hbar * wq) ** 2
+        / (hbar * q.omega_q) ** 2
         * (p.m * p.omega_f * d / (3.0 * p.gamma_s))
         / d
     )
-    gamma_e = pref * f_e
-    gamma_g = pref * f_g
-    t1 = _channel_t1(gamma_e, gamma_g)
-    ratios = validity_flags(q, p, s, a, t1, None)
-    return _rate_result("linear-resonant", wq, gamma_e, gamma_g, t1, ratios)
+    return _rate_result("linear-resonant", q, p, s, a, pref * f_e, pref * f_g)
 
 
 def gamma_linear_nonresonant(
@@ -692,8 +687,6 @@ def gamma_linear_nonresonant(
         * bath_j(b, wq)
     )
     n_q = planck(wq, p.temperature)
-    gamma_e = pref * (n_q + 1.0)
-    gamma_g = pref * n_q
-    t1 = _channel_t1(gamma_e, gamma_g)
-    ratios = validity_flags(q, p, scale_params(p), None, t1, None)
-    return _rate_result("linear-nonresonant", wq, gamma_e, gamma_g, t1, ratios)
+    return _rate_result(
+        "linear-nonresonant", q, p, scale_params(p), None, pref * (n_q + 1.0), pref * n_q
+    )

@@ -680,3 +680,120 @@ class TestRefusalsLeaveStdoutEmpty:
         code, out, err = run_cli(capsys, "validate", "--beta", "1e30")
         assert code == EXIT_OK, out + err
         assert [ln[:4] for ln in out.splitlines()] == ["ok  "] * 6
+
+
+class TestNoTraceback:
+    # each of these once escaped main with a traceback
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "attractors", "--kappa-scaled", "0.3",
+                                 "--out", str(tmp_path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_out_in_a_missing_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "attractors", "--kappa-scaled", "0.3",
+                                 "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_grid_too_large_to_allocate(self, capsys):
+        # 8 PB of float64, refused by numpy before anything is allocated
+        code, out, err = run_cli(capsys, "attractors", "--kappa-scaled", "0.3",
+                                 "--grid", "0:1:1000000000000000")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestDualRouteFailsClosed:
+    @staticmethod
+    def nan_closed_form(monkeypatch):
+        import duffing_qubit.cli as cli
+        monkeypatch.setattr(cli, "emission_spectrum",
+                            lambda omega, *args: np.full(np.shape(omega), np.nan))
+
+    def test_spectrum_check_exits_3_on_a_nan_deviation(self, capsys, monkeypatch):
+        self.nan_closed_form(monkeypatch)
+        code, out, err = run_cli(capsys, "spectrum", "--beta", "0.12", "--kappa-scaled",
+                                 "0.3", "--grid=-1:1:3", "--check")
+        assert code == EXIT_SELFCHECK
+        header, _, _ = parse_csv(out)
+        assert header["max_route_deviation"] == "nan"
+        assert err.startswith("self-check failed")
+
+    def test_validate_fails_dual_route_on_a_nan_deviation(self, capsys, monkeypatch):
+        self.nan_closed_form(monkeypatch)
+        code, out, _ = run_cli(capsys, "validate")
+        assert code == EXIT_SELFCHECK
+        failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        assert failed == ["FAIL dual_route: max rel dev=nan (limit 1e-6)"]
+
+
+class TestSelfChecksSolveOnce:
+    @staticmethod
+    def count(monkeypatch, name):
+        import duffing_qubit.cli as cli
+        calls = []
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or fn(*args))
+        return calls
+
+    def test_match_solves_the_unscaled_attractor_once(self, capsys, monkeypatch):
+        calls = self.count(monkeypatch, "solve_attractors")
+        code, _, _ = run_cli(capsys, "match", "--hierarchies", "10,30,100")
+        assert code == EXIT_OK
+        # once unscaled, then once per hierarchy at its own scaled beta
+        assert len(calls) == 1 + 3
+
+    def test_validate_builds_each_covariance_once(self, capsys, monkeypatch):
+        solves = self.count(monkeypatch, "solve_attractors")
+        covariances = self.count(monkeypatch, "stationary_covariance")
+        code, _, _ = run_cli(capsys, "validate")
+        assert code == EXIT_OK
+        # two window edges and four drives; one stable attractor at beta
+        # 0, 0.05 and 0.2 and two at the bistable beta 0.12
+        assert len(solves) == 2 + 4
+        assert len(covariances) == 1 + 1 + 2 + 1
+
+
+class TestRatesAndTeffAgree:
+    """``rates`` (a detuning sweep) and ``teff`` (a drive sweep) share a point.
+
+    Each grid starts at the shared value, which ``linspace`` returns exactly.
+    """
+
+    @staticmethod
+    def cells(capsys, kappa, nbar, beta, omega_rel, branch):
+        code, out, err = run_cli(capsys, "rates", "--beta", repr(beta), "--kappa-scaled",
+                                 kappa, "--nbar", nbar, "--attractor", branch,
+                                 f"--grid={omega_rel!r}:{omega_rel + 1.0!r}:3")
+        assert (code, err) == (EXIT_OK, "")
+        _, columns, rows = parse_csv(out)
+        rates = {c.removesuffix(f"_{branch}"): v for c, v in zip(columns, rows[0])}
+        code, out, err = run_cli(capsys, "teff", "--kappa-scaled", kappa, "--nbar", nbar,
+                                 "--omega-rel", repr(omega_rel), "--attractor", branch,
+                                 "--grid", f"{beta!r}:{beta + 0.01!r}:3")
+        assert (code, err) == (EXIT_OK, "")
+        _, columns, rows = parse_csv(out)
+        teff = dict(zip(columns, rows[0]))
+        names = ("u", "nu", "gamma_e_scaled", "gamma_g_scaled", "teff_star", "flags")
+        return [rates[n] for n in names], [teff[n] for n in names]
+
+    @pytest.mark.parametrize("kappa,nbar,beta,omega_rel", [
+        ("0.3", "0.5", 0.12, 0.5),
+        ("0.3", "0.5", 0.15, -0.2),
+        ("0.2", "0.0", 0.1, 2.0),
+        ("0.318436", "0.881956", 0.11143, -4.34116),
+        ("0.318436", "0.881956", 0.11143, 0.3),
+        ("0.3", "0.5", 0.05, 0.5),  # large branch absent
+    ])
+    @pytest.mark.parametrize("branch", ["small", "large"])
+    def test_cells_are_identical(self, capsys, kappa, nbar, beta, omega_rel, branch):
+        from_rates, from_teff = self.cells(capsys, kappa, nbar, beta, omega_rel, branch)
+        assert from_rates == from_teff
+
+    def test_weak_damping_flag_is_shared(self, capsys):
+        # just above the lower window edge the large branch has nu < kappa
+        beta = bifurcation_betas(0.3).beta_low * (1.0 + 1e-3)
+        from_rates, from_teff = self.cells(capsys, "0.3", "0.5", beta, 0.5, "large")
+        assert from_rates == from_teff
+        assert from_rates[-1] == "WeakDampingViolated"

@@ -402,3 +402,66 @@ class TestOccupationDomain:
         for w, value in zip(omega_q.tolist(), swept.tolist()):
             assert math.isclose(two_quantum_spectrum(w, 1.5e10, 1e6, NBAR, 1e-12),
                                 value, rel_tol=1e-14)
+
+
+def plain_closed_form(w, u, nu, kappa, lambda_s, weight_bracket, weight_quanta):
+    # the closed form exactly as written, for the rows that do not overflow
+    num = weight_bracket * ((w - (2.0 * u - 1.0)) ** 2 + kappa**2) + weight_quanta * u * u
+    den = (w * w - nu * nu) ** 2 + 4.0 * kappa**2 * w * w
+    return 2.0 * lambda_s * kappa * num / den
+
+
+def mp_emission(w, u, nu, kappa, lambda_s, n_bar):
+    # the emission closed form at 50 digits, where no square overflows
+    import mpmath as mp
+    with mp.workdps(50):
+        w, u, nu, k = (mp.mpf(float(x)) for x in (w, u, nu, kappa))
+        num = (n_bar + 1) * ((w - (2 * u - 1)) ** 2 + k**2) + n_bar * u * u
+        den = (w * w - nu * nu) ** 2 + 4 * k * k * w * w
+        return float(2 * mp.mpf(lambda_s) * k * num / den)
+
+
+class TestClosedFormOverflow:
+    """Squares overflow once nu or |omega| exceeds ~1e77; the closed form is
+    then evaluated rescaled and stays finite wherever the matrix route is."""
+
+    @pytest.mark.parametrize("beta", [1e240, 1e300, 1.7e308])
+    def test_huge_drive(self, beta):
+        (a,) = solve_attractors(beta, 0.3)
+        assert a.nu_scaled > 1e77
+        k = drift_matrix(a, 0.3)
+        cov = stationary_covariance(k, LAMBDA_S, 0.3, NBAR)
+        w = np.array([-1.0, 0.0, 1.0, 1e90, -1e300])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            closed = emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+            matrix = emission_from_matrix(k, cov, LAMBDA_S, w)
+            absorption = absorption_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+        oracle = [mp_emission(x, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR) for x in w]
+        np.testing.assert_allclose(closed, oracle, rtol=1e-14, atol=0.0)
+        # the matrix route loses digits to cancellation at |omega| >> nu
+        np.testing.assert_allclose(closed, matrix, rtol=1e-6, atol=0.0)
+        np.testing.assert_allclose(
+            absorption, absorption_from_matrix(k, cov, LAMBDA_S, w), rtol=1e-6, atol=0.0)
+        assert np.all(closed[:3] > 0.0) and np.all(absorption[:3] > 0.0)
+
+    def test_huge_frequency_with_a_small_drive(self):
+        # the matrix route is no reference here: its real part cancels away
+        # once |omega| >> nu
+        a = stable_attractors(0.12, 0.3)[-1]
+        w = np.array([-1e200, -1e100, 1e80, 1e153, 1e200])
+        closed = emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+        oracle = [mp_emission(x, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR) for x in w]
+        np.testing.assert_allclose(closed, oracle, rtol=1e-14, atol=0.0)
+        assert closed[1] > 0.0 and closed[2] > 0.0 and closed[0] == closed[-1] == 0.0
+
+    def test_scalar_call(self):
+        (a,) = solve_attractors(1e300, 0.3)
+        got = emission_spectrum(0.5, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+        assert isinstance(got, float) and got > 0.0
+
+    def test_rows_that_do_not_overflow_keep_their_bits(self):
+        a = stable_attractors(0.12, 0.3)[-1]
+        w = np.concatenate([np.linspace(-6.0, 6.0, 241), [1e200]])
+        got = emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+        expected = plain_closed_form(w[:-1], a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR + 1.0, NBAR)
+        assert np.array_equal(got[:-1], expected)

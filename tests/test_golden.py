@@ -1,9 +1,10 @@
 """Golden outputs: CLI stdout byte for byte on a fixed set of small commands.
 
 Each command's stdout is stored in ``tests/golden/<name>.txt``.  A change that
-must keep the output (a refactor, a faster emitter) has to pass unchanged.  A
-change meant to alter an output regenerates the files and lists the
-difference in CHANGES.md:
+must keep the output (a refactor, a faster emitter) has to pass unchanged.
+Every command must also leave stderr empty and raise no RuntimeWarning (a
+numpy overflow or invalid operation fails the test).  A change meant to alter
+an output regenerates the files and lists the difference in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py            # rewrite every file
     PYTHONPATH=src python tests/test_golden.py NAME ...   # rewrite some
@@ -14,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -76,21 +78,30 @@ COMMANDS: dict[str, tuple[tuple[str, ...], int]] = {
     "match_json": (("match", "--hierarchies", "10,30,100", "--format", "json"), 0),
     "validate_text": (("validate",), 0),
     "validate_json": (("validate", "--format", "json"), 0),
+    # drives and frequencies at which the closed form's squares overflow
+    "spectrum_huge_beta_csv": (
+        ("spectrum", "--beta", "1e300", "--kappa-scaled", "0.3", "--grid=-1:1:3", "--check"), 0),
+    "spectrum_huge_omega_csv": (
+        ("spectrum", "--beta", "0.12", "--kappa-scaled", "0.3", "--grid=-1e200:1e200:3",
+         "--check"), 0),
+    "validate_huge_beta_text": (("validate", "--beta", "1e300"), 0),
 }
 
 
-def run(argv: tuple[str, ...]) -> tuple[int, str]:
+def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_output(name):
     argv, exit_code = COMMANDS[name]
-    code, out = run(argv)
-    assert code == exit_code
+    code, out, err = run(argv)
+    assert (code, err) == (exit_code, "")
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
@@ -102,8 +113,8 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in sys.argv[1:] or sorted(COMMANDS):
         argv, exit_code = COMMANDS[name]
-        code, out = run(argv)
-        if code != exit_code:
-            sys.exit(f"{name}: exit {code}, expected {exit_code}")
+        code, out, err = run(argv)
+        if (code, err) != (exit_code, ""):
+            sys.exit(f"{name}: exit {code}, expected {exit_code}; stderr {err!r}")
         (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
         print(f"wrote {name}.txt ({len(out)} bytes)")

@@ -26,6 +26,7 @@ from duffing_qubit import (
     gamma_resonant_1q,
     gamma_resonant_2q,
     gamma_total_resonant,
+    log_rate_ratio,
     physical_from_scaled,
     planck,
     resonant_1q_scaled,
@@ -676,3 +677,72 @@ class TestQubitParamsDomain:
             QubitParams(w=np.array([1e10, -1.0]), delta=1e8)
         with pytest.raises(ValueError):
             QubitParams(w=np.array([1e10, math.nan]), delta=1e8)
+
+
+class TestLogRateRatio:
+    def test_scalar_and_array(self):
+        assert log_rate_ratio(math.e, 1.0) == math.log(math.e)
+        assert isinstance(log_rate_ratio(2.0, 1.0), float)
+        ge = np.array([[2.0, 1.0], [3.0, 0.5]])
+        got = log_rate_ratio(ge, 1.5)
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[math.log(e / 1.5) for e in row] for row in ge.tolist()]
+
+    def test_nan_where_a_rate_is_not_positive(self):
+        got = log_rate_ratio(np.array([0.0, -1.0, 1.0, math.nan, 1.0, 2.0]),
+                             np.array([1.0, 1.0, 0.0, 1.0, math.nan, 2.0]))
+        assert np.isnan(got[:5]).all() and got[5] == 0.0
+        assert math.isnan(log_rate_ratio(0.0, 0.0))
+
+    def test_effective_temperature_is_built_on_it(self):
+        ge = np.array([2.0, 1.0, 0.3, 5e-300])
+        gg = np.array([1.0, 2.0, 0.2, 1e-300])
+        wq = 1e10
+        expected = [hbar * wq / (k_B * math.log(e / g)) for e, g in zip(ge, gg)]
+        assert effective_temperature(ge, gg, wq).tolist() == expected
+
+
+class TestQubitOmegaQ:
+    def test_computed_once_with_per_value_hypot(self):
+        w = np.linspace(1e10, 2e10, 7)
+        q = QubitParams(w=w, delta=5e8)
+        assert q.omega_q is q.omega_q
+        assert q.omega_q.tolist() == [math.hypot(x, 5e8) for x in w.tolist()]
+        assert QubitParams(w=3.0, delta=4.0).omega_q == 5.0
+
+    def test_not_an_init_field_and_recomputed_by_replace(self):
+        q = QubitParams(w=3.0, delta=4.0)
+        assert "omega_q" not in repr(q)
+        assert dataclasses.replace(q, delta=0.0).omega_q == 3.0
+        with pytest.raises(TypeError):
+            QubitParams(w=3.0, delta=4.0, omega_q=1.0)
+
+
+class TestOneAssemblyPerResult:
+    """Each rate call builds exactly one result: one validity and one T_eff pass."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import duffing_qubit.rates as rates
+        calls = {"validity_flags": 0, "effective_temperature": 0}
+
+        def counted(name):
+            fn = getattr(rates, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(rates, name, counted(name))
+        return calls
+
+    def test_every_regime(self, counts):
+        phys, s, a = sweep_params()
+        regimes = dict(SWEEPS)
+        regimes["resonant-1q"] = (lambda q, p, a, s: gamma_resonant_1q(q, p, a, s),
+                                  SWEEPS["resonant-total"][1])
+        for n, (rate, grid) in enumerate(regimes.values(), 1):
+            rate(sweep_qubit(grid(phys, s)), phys, a, s)
+            assert counts == {"validity_flags": n, "effective_temperature": n}

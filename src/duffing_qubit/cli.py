@@ -82,6 +82,7 @@ _REGIMES = (
     "linear-nonresonant",
 )
 
+# the SI oscillator parameters, in the field order of PhysicalParams
 _SI_KEYS = ("mass", "omega0", "omega_f", "gamma_s", "f0", "kappa", "temperature", "omega_c")
 
 
@@ -142,18 +143,55 @@ def load_config(path: str | None) -> dict[str, str]:
     return out
 
 
-def _resolve(args, config: dict[str, str], name: str, cast=float, default=None, required=False):
-    value = getattr(args, name, None)
-    if value is None and name in config:
-        try:
-            value = cast(config[name])
-        except ValueError as exc:
-            raise CliInputError(f"config key {name}: {exc}") from None
-    if value is None:
-        value = default
-    if value is None and required:
-        raise CliInputError(f"missing required parameter --{name.replace('_', '-')}")
-    return value
+# Each subcommand's parameters, in the order they are resolved and echoed in
+# the output header: name -> default, REQUIRED, or None for a flag that is
+# accepted but not read.  The flag is the name with "-" for "_"; a flag beats
+# its config key, which beats the default.
+REQUIRED = object()
+
+_ATTRACTORS = {"kappa_scaled": REQUIRED, "grid": "0:0.25:201"}
+_SPECTRUM = {"beta": REQUIRED, "kappa_scaled": REQUIRED, "lambda_s": 0.01, "nbar": 0.5,
+             "attractor": "large", "grid": "-5:5:2001"}
+# rates reads the table of its --regime after the regime itself
+_RATES = {"regime": "resonant-1q"}
+_RATES_1Q = {"beta": REQUIRED, "kappa_scaled": REQUIRED, "nbar": 0.5, "lambda_s": None,
+             "attractor": "both", "grid": "-5:5:2001"}
+_RATES_SI = {**dict.fromkeys(_SI_KEYS, REQUIRED), "grid": REQUIRED, "attractor": "large",
+             "qubit_delta": REQUIRED, "delta_q": 0.0, "v_x": 0.0, "v_z": 0.0}
+_TEFF = {"beta": None, "kappa_scaled": REQUIRED, "nbar": 0.5, "lambda_s": None,
+         "omega_rel": REQUIRED, "attractor": REQUIRED, "grid": "0.01:0.179:170"}
+_MATCH = {"beta": 0.12, "kappa_scaled": 0.3, "nbar": 0.5, "lambda_s": 1e-3,
+          "hierarchies": "10,30,100"}
+_VALIDATE = {"beta": 0.12, "kappa_scaled": 0.3, "lambda_s": 0.01, "nbar": 0.5}
+
+# the parameters read as text; every other one is a float
+_TEXT = ("regime", "attractor", "grid", "hierarchies")
+
+
+def _resolve(args, config: dict[str, str], table: dict) -> dict:
+    """Set each parameter of ``table`` on ``args``, in table order.
+
+    Returns the header echo: every resolved value but the grid and the
+    hierarchies.
+    """
+    echo = {}
+    for name, default in table.items():
+        if default is None:
+            continue
+        value = getattr(args, name)
+        if value is None and name in config:
+            try:
+                value = config[name] if name in _TEXT else float(config[name])
+            except ValueError as exc:
+                raise CliInputError(f"config key {name}: {exc}") from None
+        if value is None:
+            value = default
+        if value is REQUIRED:
+            raise CliInputError(f"missing required parameter --{name.replace('_', '-')}")
+        setattr(args, name, value)
+        if name not in ("grid", "hierarchies"):
+            echo[name] = value
+    return echo
 
 
 def _fmt(value) -> str:
@@ -265,20 +303,14 @@ def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> Attracto
 # ----------------------------------------------------------------------------
 
 def cmd_attractors(args, config) -> int:
-    kappa = _resolve(args, config, "kappa_scaled", required=True)
-    grid = parse_grid(_resolve(args, config, "grid", cast=str, default="0:0.25:201"))
+    params = {"command": "attractors", **_resolve(args, config, _ATTRACTORS)}
+    grid = parse_grid(args.grid)
     if grid[0] < 0:
         raise CliInputError("beta grid must be non-negative")
-    info = bifurcation_betas(kappa)
-    params = {
-        "command": "attractors",
-        "kappa_scaled": kappa,
-        "bistable": info.bistable,
-        "beta_low": info.beta_low,
-        "beta_high": info.beta_high,
-    }
+    info = bifurcation_betas(args.kappa_scaled)
+    params.update(bistable=info.bistable, beta_low=info.beta_low, beta_high=info.beta_high)
     columns = ["beta", "u_small", "nu_small", "u_unstable", "u_large", "nu_large"]
-    s = solve_branches(grid, kappa)
+    s = solve_branches(grid, args.kappa_scaled)
     cols = (grid, s.u_small, s.nu_small, s.u_unstable, s.u_large, s.nu_large)
     rows = list(zip(*(c.tolist() for c in cols)))
     emit_table(params, columns, rows, args.format, args.out_stream)
@@ -286,29 +318,18 @@ def cmd_attractors(args, config) -> int:
 
 
 def cmd_spectrum(args, config) -> int:
-    beta = _resolve(args, config, "beta", required=True)
-    kappa = _resolve(args, config, "kappa_scaled", required=True)
-    lambda_s = _resolve(args, config, "lambda_s", default=0.01)
-    n_bar = _resolve(args, config, "nbar", default=0.5)
-    branch = Branch(_resolve(args, config, "attractor", cast=str, default="large"))
-    grid = parse_grid(_resolve(args, config, "grid", cast=str, default="-5:5:2001"))
+    params = {"command": "spectrum", **_resolve(args, config, _SPECTRUM)}
+    kappa, lambda_s, n_bar = args.kappa_scaled, args.lambda_s, args.nbar
+    branch = Branch(args.attractor)
+    grid = parse_grid(args.grid)
 
-    a = _pick_required(beta, kappa, branch)
+    a = _pick_required(args.beta, kappa, branch)
     if not a.stable:
         raise MarginalAttractorError("requested attractor is marginal")
     k = drift_matrix(a, kappa)
     cov = stationary_covariance(k, lambda_s, kappa, n_bar)
 
-    params = {
-        "command": "spectrum",
-        "beta": beta,
-        "kappa_scaled": kappa,
-        "lambda_s": lambda_s,
-        "nbar": n_bar,
-        "attractor": branch.value,
-        "u": a.u,
-        "nu": a.nu_scaled,
-    }
+    params.update(u=a.u, nu=a.nu_scaled)
     columns = [
         "omega",
         "emission_closed",
@@ -352,63 +373,22 @@ def _flags_str(flags) -> str:
     return "|".join(sorted(flags))
 
 
-def _si_physical(args, config) -> PhysicalParams:
-    vals = {key: _resolve(args, config, key, required=True) for key in _SI_KEYS}
-    try:
-        return PhysicalParams(
-            m=vals["mass"],
-            omega_0=vals["omega0"],
-            omega_f=vals["omega_f"],
-            gamma_s=vals["gamma_s"],
-            f_0=vals["f0"],
-            kappa=vals["kappa"],
-            temperature=vals["temperature"],
-            omega_c=vals["omega_c"],
-        )
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-
-
-def _si_qubit(args, config, omega_q: np.ndarray) -> QubitParams:
-    """The qubit swept over ``omega_q``: one QubitParams with an array splitting."""
-    delta = _resolve(args, config, "qubit_delta", required=True)
-    delta_q = _resolve(args, config, "delta_q", default=0.0)
-    v_x = _resolve(args, config, "v_x", default=0.0)
-    v_z = _resolve(args, config, "v_z", default=0.0)
-    if np.any(omega_q <= abs(delta)):
-        raise CliInputError("swept omega_q must exceed |qubit-delta|")
-    w = np.sqrt(omega_q**2 - delta**2)
-    try:
-        return QubitParams(w=w, delta=delta, delta_q=delta_q, v_x=v_x, v_z=v_z)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-
-
 def cmd_rates(args, config) -> int:
-    regime = _resolve(args, config, "regime", cast=str, default="resonant-1q")
-    if regime not in _REGIMES:
-        raise CliInputError(f"unknown regime {regime!r}")
-    if regime == "resonant-1q":
+    _resolve(args, config, _RATES)
+    if args.regime not in _REGIMES:
+        raise CliInputError(f"unknown regime {args.regime!r}")
+    if args.regime == "resonant-1q":
         return _rates_scaled(args, config)
-    return _rates_si(args, config, regime)
+    return _rates_si(args, config, args.regime)
 
 
 def _rates_scaled(args, config) -> int:
     """Dimensionless resonant one-quantum sweep over the scaled detuning."""
-    beta = _resolve(args, config, "beta", required=True)
-    kappa = _resolve(args, config, "kappa_scaled", required=True)
-    n_bar = _resolve(args, config, "nbar", default=0.5)
-    which = _resolve(args, config, "attractor", cast=str, default="both")
-    grid = parse_grid(_resolve(args, config, "grid", cast=str, default="-5:5:2001"))
-    solved = solve_branches(beta, kappa)
-    params = {
-        "command": "rates",
-        "regime": "resonant-1q",
-        "beta": beta,
-        "kappa_scaled": kappa,
-        "nbar": n_bar,
-        "attractor": which,
-    }
+    params = {"command": "rates", "regime": "resonant-1q",
+              **_resolve(args, config, _RATES_1Q)}
+    kappa, which = args.kappa_scaled, args.attractor
+    grid = parse_grid(args.grid)
+    solved = solve_branches(args.beta, kappa)
     columns = ["omega"]
     # one column list per output column, each branch evaluated on the whole grid
     cols: list[list] = [grid.tolist()]
@@ -421,7 +401,7 @@ def _rates_scaled(args, config) -> int:
                     f"gamma_g_scaled_{tag}", f"teff_star_{tag}", f"flags_{tag}"]
         params[f"u_{tag}"], params[f"nu_{tag}"] = u, nu
         u, nu, ge, gg, _, teff_star, flags = _resonant_1q_columns(
-            grid, u, nu, marginal, kappa, n_bar)
+            grid, u, nu, marginal, kappa, args.nbar)
         cols += [u, nu, ge, gg, teff_star, flags]
     rows = list(zip(*cols))
     emit_table(params, columns, rows, args.format, args.out_stream)
@@ -438,9 +418,6 @@ def _resonant_1q_columns(omega_rel, u, nu, marginal, kappa: float, n_bar: float)
     has NaN cells and the flag "absent" or "marginal"; teff_star is
     kB*T_eff/(hbar*omega_q) = 1/ln_ratio.
     """
-    if np.ndim(u) == 0 and math.isnan(u):  # an absent branch: nothing to evaluate
-        n = len(omega_rel)
-        return [[math.nan] * n] * 6 + [["absent"] * n]
     absent = np.isnan(u)
     if np.ndim(u):
         u, nu = np.where(marginal, np.nan, u), np.where(marginal, np.nan, nu)
@@ -473,15 +450,15 @@ _SI_RATES = {
 
 def _rates_si(args, config, regime: str) -> int:
     """SI sweep over the qubit frequency for the remaining regimes."""
-    phys = _si_physical(args, config)
+    _resolve(args, config, _RATES_SI)
+    phys = PhysicalParams(*(getattr(args, key) for key in _SI_KEYS))
     scaled = scale_params(phys)
-    grid = parse_grid(_resolve(args, config, "grid", cast=str, required=True))
-    which = _resolve(args, config, "attractor", cast=str, default="large")
+    grid = parse_grid(args.grid)
 
     needs_attractor, rate = _SI_RATES[regime]
     attractor = None
     if needs_attractor:
-        attractor = _pick_required(scaled.beta, scaled.kappa_scaled, Branch(which))
+        attractor = _pick_required(scaled.beta, scaled.kappa_scaled, Branch(args.attractor))
 
     params = {
         "command": "rates",
@@ -490,12 +467,17 @@ def _rates_si(args, config, regime: str) -> int:
         "kappa_scaled": scaled.kappa_scaled,
         "lambda_s": scaled.lambda_s,
         "nbar": scaled.n_bar,
-        "attractor": which if needs_attractor else "",
+        "attractor": args.attractor if needs_attractor else "",
+        **{key: getattr(args, key) for key in _SI_KEYS},
     }
-    for key in _SI_KEYS:
-        params[key] = _resolve(args, config, key)
+    # the qubit swept over omega_q: one QubitParams with an array splitting
+    delta = args.qubit_delta
+    if np.any(grid <= abs(delta)):
+        raise CliInputError("swept omega_q must exceed |qubit-delta|")
+    qubit = QubitParams(w=np.sqrt(grid**2 - delta**2), delta=delta, delta_q=args.delta_q,
+                        v_x=args.v_x, v_z=args.v_z)
     columns = ["omega_q", "gamma_e", "gamma_g", "t1", "t_eff", "flags"]
-    res = rate(_si_qubit(args, config, grid), phys, attractor, scaled)
+    res = rate(qubit, phys, attractor, scaled)
     names = {flags: _flags_str(flags) for flags in set(res.flags)}
     rows = list(zip(
         grid.tolist(), res.gamma_e.tolist(), res.gamma_g.tolist(), res.t1.tolist(),
@@ -506,23 +488,15 @@ def _rates_si(args, config, regime: str) -> int:
 
 
 def cmd_teff(args, config) -> int:
-    kappa = _resolve(args, config, "kappa_scaled", required=True)
-    n_bar = _resolve(args, config, "nbar", default=0.5)
-    omega_rel = _resolve(args, config, "omega_rel", required=True)
-    branch = Branch(_resolve(args, config, "attractor", cast=str, required=True))
-    grid = parse_grid(_resolve(args, config, "grid", cast=str, default="0.01:0.179:170"))
+    params = {"command": "teff", **_resolve(args, config, _TEFF)}
+    kappa = args.kappa_scaled
+    branch = Branch(args.attractor)
+    grid = parse_grid(args.grid)
 
-    params = {
-        "command": "teff",
-        "kappa_scaled": kappa,
-        "nbar": n_bar,
-        "omega_rel": omega_rel,
-        "attractor": branch.value,
-    }
     columns = ["beta", "u", "nu", "gamma_e_scaled", "gamma_g_scaled",
                "ln_ratio", "teff_star", "flags"]
     u, nu, marginal = solve_branches(grid, kappa).pick(branch)
-    cols = _resonant_1q_columns(omega_rel, u, nu, marginal, kappa, n_bar)
+    cols = _resonant_1q_columns(args.omega_rel, u, nu, marginal, kappa, args.nbar)
     rows = list(zip(grid.tolist(), *cols))
     emit_table(params, columns, rows, args.format, args.out_stream)
     return EXIT_OK
@@ -566,26 +540,15 @@ def match_report(
 
 
 def cmd_match(args, config) -> int:
-    raw = _resolve(args, config, "hierarchies", cast=str, default="10,30,100")
+    params = {"command": "match", **_resolve(args, config, _MATCH)}
     try:
-        hierarchies = [float(tok) for tok in raw.split(",") if tok.strip()]
+        hierarchies = [float(tok) for tok in args.hierarchies.split(",") if tok.strip()]
     except ValueError as exc:
         raise CliInputError(f"bad --hierarchies: {exc}") from None
     if not hierarchies:
         raise CliInputError("at least one hierarchy factor is required")
-    beta = _resolve(args, config, "beta", default=0.12)
-    kappa = _resolve(args, config, "kappa_scaled", default=0.3)
-    n_bar = _resolve(args, config, "nbar", default=0.5)
-    lambda_s = _resolve(args, config, "lambda_s", default=1e-3)
 
-    rows_raw = match_report(hierarchies, beta, kappa, n_bar, lambda_s)
-    params = {
-        "command": "match",
-        "beta": beta,
-        "kappa_scaled": kappa,
-        "nbar": n_bar,
-        "lambda_s": lambda_s,
-    }
+    rows_raw = match_report(hierarchies, args.beta, args.kappa_scaled, args.nbar, args.lambda_s)
     columns = ["h", "ratio_e", "ratio_g", "dev_e", "dev_g"]
     rows = [
         [h, re, rg, abs(re - 1.0), abs(rg - 1.0)] for h, re, rg in rows_raw
@@ -604,15 +567,10 @@ def cmd_match(args, config) -> int:
 
 
 def cmd_validate(args, config) -> int:
-    beta = _resolve(args, config, "beta", default=0.12)
-    kappa = _resolve(args, config, "kappa_scaled", default=0.3)
-    lambda_s = _resolve(args, config, "lambda_s", default=0.01)
-    n_bar = _resolve(args, config, "nbar", default=0.5)
-    # beta, kappa_scaled and n_bar are refused by the library calls below
-    if not 0.0 < lambda_s < math.inf:
-        raise CliInputError(f"lambda_s must be finite and positive, got {lambda_s}")
-    # the report is written whole at the end, so an error part way through
-    # leaves stdout empty
+    params = {"command": "validate", **_resolve(args, config, _VALIDATE)}
+    beta, kappa, lambda_s, n_bar = args.beta, args.kappa_scaled, args.lambda_s, args.nbar
+    # the library calls below refuse a bad parameter; the report is written
+    # whole at the end, so an error part way through leaves stdout empty
     checks: list[tuple[str, bool, str]] = []
 
     def report(name: str, ok: bool, metric: str) -> None:
@@ -673,13 +631,6 @@ def cmd_validate(args, config) -> int:
            f"max rel dev={worst:.3e} (limit 1e-6)")
 
     if args.format == "json":
-        params = {
-            "command": "validate",
-            "beta": beta,
-            "kappa_scaled": kappa,
-            "lambda_s": lambda_s,
-            "nbar": n_bar,
-        }
         emit_table(params, ["check", "ok", "metric"], checks, "json", args.out_stream)
     else:
         args.out_stream.write("".join(
@@ -691,84 +642,46 @@ def cmd_validate(args, config) -> int:
 # argument wiring
 # ----------------------------------------------------------------------------
 
-def _add_output_flags(sp) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None, help="output file (default stdout)")
-    sp.add_argument("--config", default=None, help="flat key=value parameter file")
+_BRANCHES = ("small", "large")
 
+# subcommand -> (function, help, --attractor choices, the parameters that get
+# a flag); rates takes the flags of all three of its tables
+_COMMANDS = {
+    "attractors": (cmd_attractors, "branch radii and quasienergy gaps vs beta", None,
+                   _ATTRACTORS),
+    "spectrum": (cmd_spectrum, "emission/absorption spectra, both routes", _BRANCHES,
+                 _SPECTRUM),
+    "rates": (cmd_rates, "decay/excitation rates vs detuning", (*_BRANCHES, "both"),
+              {**_RATES, **_RATES_1Q, **_RATES_SI}),
+    "teff": (cmd_teff, "effective temperature vs beta", _BRANCHES, _TEFF),
+    "match": (cmd_match, "resonant vs nonresonant ratio across hierarchies", None, _MATCH),
+    "validate": (cmd_validate, "run internal self-checks", None, _VALIDATE),
+}
 
-def _add_scaled_flags(sp) -> None:
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--kappa-scaled", dest="kappa_scaled", type=float, default=None)
-    sp.add_argument("--nbar", type=float, default=None)
-    sp.add_argument("--lambda-s", dest="lambda_s", type=float, default=None)
-
-
-def _add_si_flags(sp) -> None:
-    sp.add_argument("--mass", type=float, default=None)
-    sp.add_argument("--omega0", type=float, default=None)
-    sp.add_argument("--omega-f", dest="omega_f", type=float, default=None)
-    sp.add_argument("--gamma-s", dest="gamma_s", type=float, default=None)
-    sp.add_argument("--f0", type=float, default=None)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--temperature", type=float, default=None)
-    sp.add_argument("--omega-c", dest="omega_c", type=float, default=None)
-    sp.add_argument("--qubit-delta", dest="qubit_delta", type=float, default=None)
-    sp.add_argument("--delta-q", dest="delta_q", type=float, default=None)
-    sp.add_argument("--v-x", dest="v_x", type=float, default=None)
-    sp.add_argument("--v-z", dest="v_z", type=float, default=None)
+_HELP = {
+    "grid": "sweep grid start:stop:count[:log]",
+    "omega_rel": "fixed scaled detuning (omega_q - 2 omega_f)/|delta_omega|",
+    "hierarchies": "comma-separated factors (10,30,100)",
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="duffing-qubit", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("attractors", help="branch radii and quasienergy gaps vs beta")
-    sp.add_argument("--kappa-scaled", dest="kappa_scaled", type=float, default=None)
-    sp.add_argument("--grid", default=None, help="beta grid start:stop:count[:log]")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_attractors)
-
-    sp = sub.add_parser("spectrum", help="emission/absorption spectra, both routes")
-    _add_scaled_flags(sp)
-    sp.add_argument("--attractor", choices=("small", "large"), default=None)
-    sp.add_argument("--grid", default=None, help="omega grid start:stop:count[:log]")
-    sp.add_argument("--check", action="store_true",
-                    help="exit 3 if the two routes disagree beyond 1e-6")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("rates", help="decay/excitation rates vs detuning")
-    sp.add_argument("--regime", choices=_REGIMES, default=None)
-    _add_scaled_flags(sp)
-    _add_si_flags(sp)
-    sp.add_argument("--attractor", choices=("small", "large", "both"), default=None)
-    sp.add_argument("--grid", default=None,
-                    help="scaled detuning grid (resonant-1q) or omega_q grid (SI regimes)")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_rates)
-
-    sp = sub.add_parser("teff", help="effective temperature vs beta")
-    _add_scaled_flags(sp)
-    sp.add_argument("--omega-rel", dest="omega_rel", type=float, default=None,
-                    help="fixed scaled detuning (omega_q - 2 omega_f)/|delta_omega|")
-    sp.add_argument("--attractor", choices=("small", "large"), default=None)
-    sp.add_argument("--grid", default=None, help="beta grid start:stop:count[:log]")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_teff)
-
-    sp = sub.add_parser("match", help="resonant vs nonresonant ratio across hierarchies")
-    _add_scaled_flags(sp)
-    sp.add_argument("--hierarchies", default=None, help="comma-separated factors (10,30,100)")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_match)
-
-    sp = sub.add_parser("validate", help="run internal self-checks")
-    _add_scaled_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_validate)
-
+    for command, (func, text, branches, params) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        choices = {"regime": _REGIMES, "attractor": branches}
+        for name in params:
+            sp.add_argument("--" + name.replace("_", "-"), choices=choices.get(name),
+                            type=None if name in _TEXT else float, help=_HELP.get(name))
+        if command == "spectrum":
+            sp.add_argument("--check", action="store_true",
+                            help="exit 3 if the two routes disagree beyond 1e-6")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--out", help="output file (default stdout)")
+        sp.add_argument("--config", help="flat key=value parameter file")
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -776,11 +689,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = load_config(getattr(args, "config", None))
-        out_path = getattr(args, "out", None)
-        if out_path:
+        config = load_config(args.config)
+        if args.out:
             try:
-                fh = open(out_path, "w", encoding="utf-8")
+                fh = open(args.out, "w", encoding="utf-8")
             except OSError as exc:
                 raise CliInputError(f"cannot write output file: {exc}") from None
             with fh:

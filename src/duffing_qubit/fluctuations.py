@@ -52,6 +52,11 @@ def _check_n_bar(n_bar: float) -> None:
         raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
 
 
+def _check_lambda_s(lambda_s: float) -> None:
+    if not 0.0 < lambda_s < math.inf:
+        raise ValueError(f"lambda_s must be finite and positive, got {lambda_s}")
+
+
 def stationary_covariance(
     drift: np.ndarray, lambda_s: float, kappa_scaled: float, n_bar: float
 ) -> np.ndarray:
@@ -66,12 +71,14 @@ def stationary_covariance(
     Raises
     ------
     ValueError
-        If ``n_bar`` is negative or not finite.
+        If ``lambda_s`` is not finite and positive, or ``n_bar`` is
+        negative or not finite.
     MarginalAttractorError
         If the drift is not strictly stable (an eigenvalue with
         non-negative real part makes the stationary state ill-defined),
         or if the solution fails to be positive definite.
     """
+    _check_lambda_s(lambda_s)
     _check_n_bar(n_bar)
     k = np.asarray(drift, dtype=float)
     if k.shape != (2, 2):
@@ -172,6 +179,8 @@ def _closed_form(
     weight_quanta: float,
 ) -> float | np.ndarray:
     w = np.asarray(omega, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("omega must be finite")
     # nu * nu, not nu**2: a float's ** 2 goes through libm pow, which can be
     # an ulp off the exact square an array gets, and a detuning sweep (scalar
     # nu) must give the bits of a drive sweep (array nu)
@@ -184,7 +193,7 @@ def _closed_form(
     # every frequency divided by the largest, c: num scales as c^2, den as c^4
     big = ~(np.isfinite(num) & np.isfinite(den))
     if big.any():  # a NaN input (an absent branch) stays NaN as it is
-        big &= ~(np.isnan(w) | np.isnan(u) | np.isnan(nu_scaled))
+        big &= ~(np.isnan(u) | np.isnan(nu_scaled))
     if big.any():
         out = np.array(out)
         w, u, nu = (np.broadcast_to(x, out.shape)[big] for x in (w, u, nu_scaled))
@@ -215,8 +224,10 @@ def emission_spectrum(
     For weak damping this has Lorentzian peaks of halfwidth kappa_scaled at
     omega = +/- nu_scaled.  ``omega``, ``u`` and ``nu_scaled`` may be floats
     or arrays that broadcast; a float comes back only when all are scalars.
-    Raises ValueError for a negative or non-finite ``n_bar``.
+    Raises ValueError for a non-finite ``omega``, a ``lambda_s`` that is not
+    finite and positive, or a negative or non-finite ``n_bar``.
     """
+    _check_lambda_s(lambda_s)
     _check_n_bar(n_bar)
     return _closed_form(
         omega, u, nu_scaled, kappa_scaled, lambda_s, n_bar + 1.0, n_bar
@@ -237,9 +248,10 @@ def absorption_spectrum(
     weights n_bar + 1 and n_bar interchanged.  The argument-negation of the
     underlying one-sided transform is folded in, so callers evaluate it at
     the same frequency offset as the emission spectrum.  Takes floats or
-    broadcasting arrays as :func:`emission_spectrum` does.  Raises
-    ValueError for a negative or non-finite ``n_bar``.
+    broadcasting arrays as :func:`emission_spectrum` does, and raises the
+    same ValueErrors.
     """
+    _check_lambda_s(lambda_s)
     _check_n_bar(n_bar)
     return _closed_form(
         omega, u, nu_scaled, kappa_scaled, lambda_s, n_bar, n_bar + 1.0

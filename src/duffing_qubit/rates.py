@@ -195,13 +195,19 @@ def log_rate_ratio(
     ``hbar*omega_q / (kB * log_rate_ratio)`` is the effective temperature,
     and its reciprocal the scaled one, kB*T_eff/(hbar*omega_q).  The log is
     ``math.log`` per value, so a sweep gives the same bits as one call per
-    point.  Floats or arrays; the result has their broadcast shape, a float
-    when both are scalars.
+    point; where the ratio under- or overflows, ln(gamma_e) - ln(gamma_g).
+    Floats or arrays; the result has their broadcast shape, a float when
+    both are scalars.
     """
     ge, gg = np.asarray(gamma_e, dtype=float), np.asarray(gamma_g, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratio = np.where((ge > 0.0) & (gg > 0.0), ge / gg, math.nan)
-    return _per_value(math.log, ratio)
+    split = (ratio == 0.0) | (ratio == math.inf)
+    if not split.any():
+        return _per_value(math.log, ratio)
+    ln_e, ln_g = (_per_value(math.log, np.where(split, x, 1.0)) for x in (ge, gg))
+    ratio = _per_value(math.log, np.where(split, 1.0, ratio))
+    return _scalar_or_array(np.where(split, ln_e - ln_g, ratio))
 
 
 def effective_temperature(

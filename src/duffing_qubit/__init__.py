@@ -23,10 +23,8 @@ from .attractors import (
     solve_branches,
 )
 from .fluctuations import (
-    absorption_from_matrix,
-    absorption_spectrum,
-    emission_from_matrix,
-    emission_spectrum,
+    spectra,
+    spectra_from_matrix,
     spectrum_matrix,
     stationary_covariance,
     two_quantum_spectrum,
@@ -74,8 +72,6 @@ __all__ = [
     "QubitParams",
     "RateResult",
     "ScaledParams",
-    "absorption_from_matrix",
-    "absorption_spectrum",
     "bath_j",
     "bifurcation_betas",
     "bloch_redfield",
@@ -83,8 +79,6 @@ __all__ = [
     "dephasing_g_zero",
     "drift_matrix",
     "effective_temperature",
-    "emission_from_matrix",
-    "emission_spectrum",
     "gamma_linear_nonresonant",
     "gamma_linear_resonant",
     "gamma_nonresonant",
@@ -99,6 +93,8 @@ __all__ = [
     "scale_params",
     "solve_attractors",
     "solve_branches",
+    "spectra",
+    "spectra_from_matrix",
     "spectrum_matrix",
     "stationary_covariance",
     "two_quantum_spectrum",

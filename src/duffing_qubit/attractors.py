@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import _per_value
+from .model import _check_beta, _check_kappa_scaled, _per_value
 
 __all__ = [
     "Branch",
@@ -261,12 +261,8 @@ def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
     to represent.
     """
     b = np.asarray(beta, dtype=float)
-    flat = b.reshape(-1)
-    ok = (flat >= 0.0) & (flat < math.inf)
-    if np.count_nonzero(ok) < flat.size:
-        raise ValueError(f"beta must be finite and non-negative, got {flat[~ok][0]}")
-    if not 0.0 < kappa_scaled < math.inf:
-        raise ValueError(f"kappa_scaled must be finite and positive, got {kappa_scaled}")
+    flat = _check_beta(b)
+    _check_kappa_scaled(kappa_scaled)
     ks2 = kappa_scaled**2  # OverflowError for a kappa_scaled past ~1e154
 
     with np.errstate(all="ignore"):
@@ -361,8 +357,7 @@ def bifurcation_betas(kappa_scaled: float) -> BifurcationInfo:
     Bistable iff kappa_scaled^2 < 1/3; the turning radii are
     u = [2 -/+ sqrt(1 - 3 kappa_scaled^2)] / 3.
     """
-    if not 0.0 < kappa_scaled < math.inf:
-        raise ValueError(f"kappa_scaled must be finite and positive, got {kappa_scaled}")
+    _check_kappa_scaled(kappa_scaled)
     # the first test keeps the square of a huge kappa_scaled from overflowing
     if kappa_scaled > 1.0 or 3.0 * kappa_scaled**2 >= 1.0:
         nan = float("nan")

@@ -15,8 +15,9 @@ Dimensionless-first: resonant commands take (beta, kappa_scaled, lambda_s,
 n_bar, omega_rel) directly; SI parameters are needed only for the
 nonresonant and two-quantum regimes.
 
-Exit codes: 0 success, 1 input error, 2 validity-fatal (marginal attractor,
-singular denominator), 3 self-check failure.
+Exit codes: 0 success, 1 input error (also an arithmetic fault on an extreme
+input), 2 validity-fatal (marginal attractor, singular denominator), 3
+self-check failure.
 """
 
 from __future__ import annotations
@@ -38,13 +39,7 @@ from .attractors import (
     solve_attractors,
     solve_branches,
 )
-from .fluctuations import (
-    absorption_from_matrix,
-    absorption_spectrum,
-    emission_from_matrix,
-    emission_spectrum,
-    stationary_covariance,
-)
+from .fluctuations import spectra, spectra_from_matrix, stationary_covariance
 from .model import PhysicalParams, physical_from_scaled, scale_params
 from .rates import (
     FLAG_THRESHOLDS,
@@ -148,12 +143,14 @@ def load_config(path: str | None) -> dict[str, str]:
 # accepted but not read.  The flag is the name with "-" for "_"; a flag beats
 # its config key, which beats the default.
 REQUIRED = object()
+_BRANCHES = ("small", "large")
 
 _ATTRACTORS = {"kappa_scaled": REQUIRED, "grid": "0:0.25:201"}
 _SPECTRUM = {"beta": REQUIRED, "kappa_scaled": REQUIRED, "lambda_s": 0.01, "nbar": 0.5,
              "attractor": "large", "grid": "-5:5:2001"}
 # rates reads the table of its --regime after the regime itself
 _RATES = {"regime": "resonant-1q"}
+_RATES_1Q_BRANCHES = (*_BRANCHES, "both")
 _RATES_1Q = {"beta": REQUIRED, "kappa_scaled": REQUIRED, "nbar": 0.5, "lambda_s": None,
              "attractor": "both", "grid": "-5:5:2001"}
 _RATES_SI = {**dict.fromkeys(_SI_KEYS, REQUIRED), "grid": REQUIRED, "attractor": "large",
@@ -168,16 +165,18 @@ _VALIDATE = {"beta": 0.12, "kappa_scaled": 0.3, "lambda_s": 0.01, "nbar": 0.5}
 _TEXT = ("regime", "attractor", "grid", "hierarchies")
 
 
-def _resolve(args, config: dict[str, str], table: dict) -> dict:
+def _resolve(args, config: dict[str, str], table: dict, branches=_BRANCHES) -> dict:
     """Set each parameter of ``table`` on ``args``, in table order.
 
-    Returns the header echo: every resolved value but the grid and the
-    hierarchies.
+    A regime or an attractor, from a flag or a config key, must be one of
+    the choices (``branches`` for the attractor).  Returns the header echo:
+    every resolved value but the grid and the hierarchies.
     """
     echo = {}
     for name, default in table.items():
         if default is None:
             continue
+        flag = "--" + name.replace("_", "-")
         value = getattr(args, name)
         if value is None and name in config:
             try:
@@ -187,7 +186,10 @@ def _resolve(args, config: dict[str, str], table: dict) -> dict:
         if value is None:
             value = default
         if value is REQUIRED:
-            raise CliInputError(f"missing required parameter --{name.replace('_', '-')}")
+            raise CliInputError(f"missing required parameter {flag}")
+        choices = {"regime": _REGIMES, "attractor": branches}.get(name)
+        if choices and value not in choices:
+            raise CliInputError(f"invalid {flag} {value!r}: choose from {', '.join(choices)}")
         setattr(args, name, value)
         if name not in ("grid", "hierarchies"):
             echo[name] = value
@@ -360,10 +362,8 @@ def _dual_route(a: Attractor, drift: np.ndarray, cov: np.ndarray, kappa: float,
     which the self-checks hold to ``DUAL_ROUTE_LIMIT``; NaN if any cell of
     either route is NaN, so that the check fails closed.
     """
-    ec = emission_spectrum(omega, a.u, a.nu_scaled, kappa, lambda_s, n_bar)
-    ac = absorption_spectrum(omega, a.u, a.nu_scaled, kappa, lambda_s, n_bar)
-    em = emission_from_matrix(drift, cov, lambda_s, omega)
-    am = absorption_from_matrix(drift, cov, lambda_s, omega)
+    ec, ac = spectra(omega, a.u, a.nu_scaled, kappa, lambda_s, n_bar)
+    em, am = spectra_from_matrix(drift, cov, lambda_s, omega)
     closed, matrix = np.array([ec, ac]), np.array([em, am])
     scale = np.maximum(np.maximum(np.abs(closed), np.abs(matrix)), 1e-300)
     return (ec, ac, em, am), float(np.max(np.abs(closed - matrix) / scale))
@@ -375,8 +375,6 @@ def _flags_str(flags) -> str:
 
 def cmd_rates(args, config) -> int:
     _resolve(args, config, _RATES)
-    if args.regime not in _REGIMES:
-        raise CliInputError(f"unknown regime {args.regime!r}")
     if args.regime == "resonant-1q":
         return _rates_scaled(args, config)
     return _rates_si(args, config, args.regime)
@@ -385,7 +383,7 @@ def cmd_rates(args, config) -> int:
 def _rates_scaled(args, config) -> int:
     """Dimensionless resonant one-quantum sweep over the scaled detuning."""
     params = {"command": "rates", "regime": "resonant-1q",
-              **_resolve(args, config, _RATES_1Q)}
+              **_resolve(args, config, _RATES_1Q, _RATES_1Q_BRANCHES)}
     kappa, which = args.kappa_scaled, args.attractor
     grid = parse_grid(args.grid)
     solved = solve_branches(args.beta, kappa)
@@ -642,8 +640,6 @@ def cmd_validate(args, config) -> int:
 # argument wiring
 # ----------------------------------------------------------------------------
 
-_BRANCHES = ("small", "large")
-
 # subcommand -> (function, help, --attractor choices, the parameters that get
 # a flag); rates takes the flags of all three of its tables
 _COMMANDS = {
@@ -651,7 +647,7 @@ _COMMANDS = {
                    _ATTRACTORS),
     "spectrum": (cmd_spectrum, "emission/absorption spectra, both routes", _BRANCHES,
                  _SPECTRUM),
-    "rates": (cmd_rates, "decay/excitation rates vs detuning", (*_BRANCHES, "both"),
+    "rates": (cmd_rates, "decay/excitation rates vs detuning", _RATES_1Q_BRANCHES,
               {**_RATES, **_RATES_1Q, **_RATES_SI}),
     "teff": (cmd_teff, "effective temperature vs beta", _BRANCHES, _TEFF),
     "match": (cmd_match, "resonant vs nonresonant ratio across hierarchies", None, _MATCH),
@@ -711,6 +707,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except OverflowError as exc:  # an input too large for float arithmetic
         print(f"error: numerical overflow ({exc}); an input is out of range", file=sys.stderr)
+        return EXIT_INPUT
+    except ArithmeticError as exc:  # e.g. an input so small a scale underflows to 0
+        print(f"error: arithmetic fault ({exc}); an input is out of range", file=sys.stderr)
         return EXIT_INPUT
 
 

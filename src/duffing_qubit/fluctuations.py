@@ -6,10 +6,16 @@ The linearized rotating-frame dynamics of the quadrature deviations
 diffusion ``lambda_s * kappa_scaled * (n_bar + 1/2)``.  Two independent
 routes to the one-sided power spectra are implemented:
 
-- closed forms :func:`emission_spectrum` / :func:`absorption_spectrum`,
-  rational functions of frequency with poles at the quasienergy gap;
-- the matrix (resolvent) route :func:`spectrum_matrix`, built from the
-  stationary covariance and the quantum-regression evolution ``exp(K t)``.
+- the closed form :func:`spectra`, rational functions of frequency with
+  poles at the quasienergy gap;
+- the matrix (resolvent) route :func:`spectra_from_matrix`, built on
+  :func:`spectrum_matrix` from the stationary covariance and the
+  quantum-regression evolution ``exp(K t)``.
+
+Each returns the pair (emission, absorption).  The qubit's decay rate comes
+from the emission spectrum and its excitation rate from the absorption
+spectrum, taken at the same frequency offset with the thermal weights
+n_bar + 1 and n_bar interchanged.
 
 Their agreement over parameter space is the central correctness check of
 this module.  Sign conventions: the stored covariance is the physical
@@ -28,16 +34,14 @@ import math
 import numpy as np
 
 from .attractors import MarginalAttractorError
-from .model import hbar
+from .model import _check_lambda_s, hbar
 
 __all__ = [
     "LEVI_CIVITA",
     "stationary_covariance",
     "spectrum_matrix",
-    "emission_spectrum",
-    "absorption_spectrum",
-    "emission_from_matrix",
-    "absorption_from_matrix",
+    "spectra",
+    "spectra_from_matrix",
     "two_quantum_spectrum",
 ]
 
@@ -50,11 +54,6 @@ STABILITY_TOL = 1e-8
 def _check_n_bar(n_bar: float) -> None:
     if not 0.0 <= n_bar < math.inf:
         raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
-
-
-def _check_lambda_s(lambda_s: float) -> None:
-    if not 0.0 < lambda_s < math.inf:
-        raise ValueError(f"lambda_s must be finite and positive, got {lambda_s}")
 
 
 def stationary_covariance(
@@ -131,131 +130,85 @@ def spectrum_matrix(
     return -np.linalg.solve(1j * np.multiply.outer(omega, np.eye(2)) + drift, m)
 
 
-def _trace_part(n: np.ndarray, sign: float, omega: float | np.ndarray) -> float | np.ndarray:
-    # Re[N11 + N22 + sign * i (N21 - N12)], a float for a scalar omega
-    out = (n[..., 0, 0] + n[..., 1, 1]).real - sign * (n[..., 1, 0] - n[..., 0, 1]).imag
-    return float(out) if np.ndim(omega) == 0 else out
-
-
-def emission_from_matrix(
+def spectra_from_matrix(
     drift: np.ndarray,
     covariance: np.ndarray,
     lambda_s: float,
     omega: float | np.ndarray,
-) -> float | np.ndarray:
-    """Re of the Z+Z- spectrum via the matrix route (Z+- = Z1 +/- i Z2).
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(emission, absorption) via the matrix route, Z+- = Z1 +/- i Z2.
 
-    ``omega: float | ndarray``; a scalar gives a float, an array an array of
-    the same shape.
+    Emission is Re of the Z+Z- spectrum at ``omega``, absorption Re of the
+    Z-Z+ spectrum at ``-omega`` (the convention of :func:`spectra`, so both
+    routes are compared at the same ``omega``): one batched
+    :func:`spectrum_matrix` solve over ``[omega, -omega]``.  ``omega: float
+    | ndarray``; a scalar gives floats, an array arrays of its shape.
     """
-    n = spectrum_matrix(drift, covariance, lambda_s, omega)
-    return _trace_part(n, 1.0, omega)
+    w = np.asarray(omega, dtype=float)
+    n = spectrum_matrix(drift, covariance, lambda_s, np.stack([w, -w]))
+    # Re[N11 + N22 -/+ i (N21 - N12)] at +omega / -omega
+    trace = (n[..., 0, 0] + n[..., 1, 1]).real
+    cross = (n[..., 1, 0] - n[..., 0, 1]).imag
+    pair = trace[0] - cross[0], trace[1] + cross[1]
+    return tuple(map(float, pair)) if w.ndim == 0 else pair
 
 
-def absorption_from_matrix(
-    drift: np.ndarray,
-    covariance: np.ndarray,
-    lambda_s: float,
-    omega: float | np.ndarray,
-) -> float | np.ndarray:
-    """Re of the Z-Z+ spectrum at -omega via the matrix route.
-
-    The sign flip of the argument matches the convention of
-    :func:`absorption_spectrum`, so both routes are compared at the same
-    ``omega``.  ``omega: float | ndarray``; a scalar gives a float, an array
-    an array of the same shape.
-    """
-    n = spectrum_matrix(drift, covariance, lambda_s, np.negative(omega))
-    return _trace_part(n, -1.0, omega)
-
-
-def _closed_form(
+def spectra(
     omega: float | np.ndarray,
     u: float | np.ndarray,
     nu_scaled: float | np.ndarray,
     kappa_scaled: float,
     lambda_s: float,
-    weight_bracket: float,
-    weight_quanta: float,
-) -> float | np.ndarray:
+    n_bar: float,
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Closed-form (emission, absorption): Re of the Z+Z- spectrum, which
+    drives qubit decay, and of the Z-Z+ spectrum, which drives excitation.
+
+    emission = 2 lambda_s kappa { (n+1)[(w - (2u-1))^2 + kappa^2] + n u^2 }
+               / [ (w^2 - nu^2)^2 + 4 kappa^2 w^2 ]
+
+    and absorption the same with the thermal weights n+1 and n interchanged;
+    the argument-negation of its one-sided transform is folded in, so both
+    are taken at the same ``omega``.  For weak damping they have Lorentzian
+    peaks of halfwidth kappa_scaled at omega = +/- nu_scaled.  ``omega``,
+    ``u`` and ``nu_scaled`` may be floats or arrays that broadcast; floats
+    come back only when all are scalars.  Raises ValueError for a
+    non-finite ``omega``, a ``lambda_s`` that is not finite and positive, or
+    a negative or non-finite ``n_bar``.
+    """
+    _check_lambda_s(lambda_s)
+    _check_n_bar(n_bar)
     w = np.asarray(omega, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError("omega must be finite")
+    weights = ((n_bar + 1.0, n_bar), (n_bar, n_bar + 1.0))
     # nu * nu, not nu**2: a float's ** 2 goes through libm pow, which can be
     # an ulp off the exact square an array gets, and a detuning sweep (scalar
     # nu) must give the bits of a drive sweep (array nu)
     with np.errstate(over="ignore", invalid="ignore"):
-        num = weight_bracket * ((w - (2.0 * u - 1.0)) ** 2 + kappa_scaled**2)
-        num = num + weight_quanta * u * u
+        bracket = (w - (2.0 * u - 1.0)) ** 2 + kappa_scaled**2
         den = (w * w - nu_scaled * nu_scaled) ** 2 + 4.0 * kappa_scaled**2 * w * w
-        out = 2.0 * lambda_s * kappa_scaled * num / den
+        nums = [wb * bracket + wq * u * u for wb, wq in weights]
+        pair = [2.0 * lambda_s * kappa_scaled * num / den for num in nums]
     # where a square overflows (nu or |omega| above ~1e77), evaluate with
-    # every frequency divided by the largest, c: num scales as c^2, den as c^4
-    big = ~(np.isfinite(num) & np.isfinite(den))
+    # every frequency divided by the largest, c: num scales as c^2, den as c^4.
+    # Each spectrum is rescaled only where its own numerator or den overflows
+    overs = [np.asarray(~(np.isfinite(num) & np.isfinite(den))) for num in nums]
+    big = overs[0] | overs[1]
     if big.any():  # a NaN input (an absent branch) stays NaN as it is
         big &= ~(np.isnan(u) | np.isnan(nu_scaled))
     if big.any():
-        out = np.array(out)
-        w, u, nu = (np.broadcast_to(x, out.shape)[big] for x in (w, u, nu_scaled))
+        pair = [np.array(out) for out in pair]
+        w, u, nu = (np.broadcast_to(x, big.shape)[big] for x in (w, u, nu_scaled))
         c = np.maximum(np.maximum(np.abs(w), np.abs(u)),
                        np.maximum(np.abs(nu), max(1.0, abs(kappa_scaled))))
         w, u, nu, k = w / c, u / c, nu / c, kappa_scaled / c
-        num = weight_bracket * ((w - (2.0 * u - 1.0 / c)) ** 2 + k * k) + weight_quanta * u * u
+        bracket = (w - (2.0 * u - 1.0 / c)) ** 2 + k * k
         den = (w * w - nu * nu) ** 2 + 4.0 * k * k * w * w
-        out[big] = 2.0 * lambda_s * kappa_scaled * num / den / c / c
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def emission_spectrum(
-    omega: float | np.ndarray,
-    u: float | np.ndarray,
-    nu_scaled: float | np.ndarray,
-    kappa_scaled: float,
-    lambda_s: float,
-    n_bar: float,
-) -> float | np.ndarray:
-    """Closed-form Re of the Z+Z- spectrum (drives qubit decay).
-
-    2 lambda_s kappa { (n+1)[(w - (2u-1))^2 + kappa^2] + n u^2 }
-    / [ (w^2 - nu^2)^2 + 4 kappa^2 w^2 ]
-
-    For weak damping this has Lorentzian peaks of halfwidth kappa_scaled at
-    omega = +/- nu_scaled.  ``omega``, ``u`` and ``nu_scaled`` may be floats
-    or arrays that broadcast; a float comes back only when all are scalars.
-    Raises ValueError for a non-finite ``omega``, a ``lambda_s`` that is not
-    finite and positive, or a negative or non-finite ``n_bar``.
-    """
-    _check_lambda_s(lambda_s)
-    _check_n_bar(n_bar)
-    return _closed_form(
-        omega, u, nu_scaled, kappa_scaled, lambda_s, n_bar + 1.0, n_bar
-    )
-
-
-def absorption_spectrum(
-    omega: float | np.ndarray,
-    u: float | np.ndarray,
-    nu_scaled: float | np.ndarray,
-    kappa_scaled: float,
-    lambda_s: float,
-    n_bar: float,
-) -> float | np.ndarray:
-    """Closed-form Re of the Z-Z+ spectrum (drives qubit excitation).
-
-    Same rational function as :func:`emission_spectrum` with the thermal
-    weights n_bar + 1 and n_bar interchanged.  The argument-negation of the
-    underlying one-sided transform is folded in, so callers evaluate it at
-    the same frequency offset as the emission spectrum.  Takes floats or
-    broadcasting arrays as :func:`emission_spectrum` does, and raises the
-    same ValueErrors.
-    """
-    _check_lambda_s(lambda_s)
-    _check_n_bar(n_bar)
-    return _closed_form(
-        omega, u, nu_scaled, kappa_scaled, lambda_s, n_bar, n_bar + 1.0
-    )
+        for out, over, (wb, wq) in zip(pair, overs, weights):
+            num = wb * bracket + wq * u * u
+            out[big & over] = (2.0 * lambda_s * kappa_scaled * num / den / c / c)[over[big]]
+    return tuple(float(out) if np.ndim(out) == 0 else out for out in pair)
 
 
 def two_quantum_spectrum(
@@ -264,21 +217,22 @@ def two_quantum_spectrum(
     kappa: float,
     n_bar: float,
     m: float,
-    ground: bool = False,
-) -> float | np.ndarray:
-    """Squared-displacement spectrum for two-quantum transitions (SI, m^4 s).
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Squared-displacement spectra for two-quantum transitions (SI, m^4 s),
+    (decay, excitation) of the qubit.
 
     Lorentzian around omega_q = 2*omega_0 with halfwidth 2*kappa:
 
         (hbar / m omega_0)^2 * kappa * W / [(omega_q - 2 omega_0)^2 + 4 kappa^2]
 
     with W = (n_bar + 1)^2 for decay of the qubit excited state and
-    W = n_bar^2 (``ground=True``) for excitation out of the ground state;
-    the thermal swap applies once per emitted or absorbed quantum.
-    ``omega_q: float | ndarray``; the result has its shape.  Raises
-    ValueError for a negative or non-finite ``n_bar``.
+    W = n_bar^2 for excitation out of the ground state; the thermal swap
+    applies once per emitted or absorbed quantum.  ``omega_q: float |
+    ndarray``; both results have its shape.  Raises ValueError for a
+    negative or non-finite ``n_bar``.
     """
     _check_n_bar(n_bar)
-    weight = n_bar**2 if ground else (n_bar + 1.0) ** 2
+    pref = (hbar / (m * omega_0)) ** 2 * kappa
     det = omega_q - 2.0 * omega_0
-    return (hbar / (m * omega_0)) ** 2 * kappa * weight / (det * det + 4.0 * kappa**2)
+    den = det * det + 4.0 * kappa**2
+    return pref * (n_bar + 1.0) ** 2 / den, pref * n_bar**2 / den

@@ -12,6 +12,8 @@ Conventions
 - ``lambda_s`` acts as the effective Planck constant of the scaled rotating
   frame; the semiclassical description assumes ``lambda_s * (2*n_bar + 1)``
   is small.
+- The domain rules of the scaled parameters ``beta``, ``kappa_scaled`` and
+  ``lambda_s`` live here, once, for every module that takes them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,26 @@ def _per_value(fn, x: float | np.ndarray) -> float | np.ndarray:
     if a.ndim == 0:
         return fn(float(a))
     return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _check_lambda_s(lambda_s: float) -> None:
+    if not 0.0 < lambda_s < math.inf:
+        raise ValueError(f"lambda_s must be finite and positive, got {lambda_s}")
+
+
+def _check_kappa_scaled(kappa_scaled: float) -> None:
+    if not 0.0 < kappa_scaled < math.inf:
+        raise ValueError(f"kappa_scaled must be finite and positive, got {kappa_scaled}")
+
+
+def _check_beta(beta: float | np.ndarray) -> np.ndarray:
+    """``beta`` as a flat float array; ValueError for a negative or
+    non-finite value."""
+    flat = np.asarray(beta, dtype=float).reshape(-1)
+    ok = (flat >= 0.0) & (flat < math.inf)
+    if np.count_nonzero(ok) < flat.size:
+        raise ValueError(f"beta must be finite and non-negative, got {flat[~ok][0]}")
+    return flat
 
 
 def _bose(x: float) -> float:
@@ -187,10 +209,16 @@ def physical_from_scaled(
     scale, mass, the drive-to-detuning ratio ``omega_f = omega_f_ratio *
     detuning``, and the bath cutoff ``omega_c = omega_c_ratio * omega_f``.
     The bath temperature is fixed by requiring the Planck occupation at the
-    drive frequency to equal ``n_bar``.
+    drive frequency to equal ``n_bar``.  Raises ValueError for a negative or
+    non-finite ``beta``, a ``kappa_scaled`` or ``lambda_s`` that is not
+    finite and positive, and an ``n_bar`` that is not finite and positive.
     """
-    if n_bar <= 0:
-        raise ValueError("n_bar must be positive to fix a finite temperature")
+    _check_beta(beta)
+    _check_kappa_scaled(kappa_scaled)
+    _check_lambda_s(lambda_s)
+    if not 0.0 < n_bar < math.inf:
+        raise ValueError(f"n_bar must be finite and positive to fix a finite temperature, "
+                         f"got {n_bar}")
     omega_f = omega_f_ratio * detuning
     omega_0 = omega_f + detuning
     gamma_s = 2.0 * lambda_s * m**2 * omega_f**2 * detuning / (3.0 * hbar)

@@ -38,8 +38,7 @@ import numpy as np
 
 from .attractors import Attractor, MarginalAttractorError, drift_matrix
 from .fluctuations import (
-    absorption_spectrum,
-    emission_spectrum,
+    spectra,
     spectrum_matrix,
     stationary_covariance,
     two_quantum_spectrum,
@@ -394,12 +393,6 @@ def _require_stable(a: Attractor) -> None:
         )
 
 
-def _spectra(a: Attractor, s: ScaledParams, omega_rel):
-    # the closed-form emission and absorption spectra about the attractor
-    args = (omega_rel, a.u, a.nu_scaled, s.kappa_scaled, s.lambda_s, s.n_bar)
-    return emission_spectrum(*args), absorption_spectrum(*args)
-
-
 def resonant_1q_scaled(
     omega_rel: float | np.ndarray,
     u: float | np.ndarray,
@@ -412,19 +405,19 @@ def resonant_1q_scaled(
     omega_rel is the scaled detuning (omega_q - 2*omega_f)/|delta_omega|.
     It may be an array over a detuning sweep, or ``u`` and ``nu_scaled``
     arrays over a drive-intensity sweep; floats come back for scalars.
-    Equal to the closed-form spectra with the lambda_s factor stripped:
+    Equal to the closed-form :func:`spectra` with the lambda_s factor
+    stripped:
 
         gamma_e/gamma_0 = 2 k [(n+1)((w-(2u-1))^2 + k^2) + n u^2] / D(w).
     """
-    ge = emission_spectrum(omega_rel, u, nu_scaled, kappa_scaled, 1.0, n_bar)
-    gg = absorption_spectrum(omega_rel, u, nu_scaled, kappa_scaled, 1.0, n_bar)
-    return ge, gg
+    return spectra(omega_rel, u, nu_scaled, kappa_scaled, 1.0, n_bar)
 
 
 def _resonant_1q_rates(q: QubitParams, p: PhysicalParams, a: Attractor, s: ScaledParams):
     # (gamma_e, gamma_g, gamma_0, f_e, f_g) of the one-quantum channel, with
     # f_e, f_g the spectra at the detuning from 2 omega_f
-    f_e, f_g = _spectra(a, s, (q.omega_q - 2.0 * p.omega_f) / s.scale)
+    f_e, f_g = spectra((q.omega_q - 2.0 * p.omega_f) / s.scale, a.u, a.nu_scaled,
+                       s.kappa_scaled, s.lambda_s, s.n_bar)
     pref = (p.m * p.omega_f) ** 2 * s.scale / (9.0 * p.gamma_s**2) * a.u
     cg = c_gamma(q, p.m, p.omega_0)
     return cg * pref * f_e, cg * pref * f_g, hbar * cg * a.u / (6.0 * p.gamma_s), f_e, f_g
@@ -460,8 +453,8 @@ def gamma_resonant_1q(
 def _resonant_2q_rates(q: QubitParams, p: PhysicalParams, n_bar: float):
     # (gamma_e, gamma_g) of the two-quantum channel
     cg = c_gamma(q, p.m, p.omega_0)
-    args = (q.omega_q, p.omega_0, p.kappa, n_bar, p.m)
-    return cg * two_quantum_spectrum(*args), cg * two_quantum_spectrum(*args, ground=True)
+    decay, excitation = two_quantum_spectrum(q.omega_q, p.omega_0, p.kappa, n_bar, p.m)
+    return cg * decay, cg * excitation
 
 
 def _moderate_t(p: PhysicalParams, n_bar: float) -> dict[str, float]:
@@ -535,8 +528,9 @@ def _guard_denominator(p: PhysicalParams, channels) -> None:
         )
 
 
-def _channel_sums(p: PhysicalParams, b: BathSpec, omegas, offsets, factors=None):
-    """Sums of J(w_i) * Phi_i / (w0^2 - w_i^2)^2 over the open channels.
+def _channel_sums(p: PhysicalParams, omegas, offsets, factors=None):
+    """Sums of J(w_i) * Phi_i / (w0^2 - w_i^2)^2 over the open channels,
+    with the Ohmic bath of ``p``.
 
     ``omegas`` holds the channel frequencies (floats or arrays over the
     sweep).  Two sums are returned, for gamma_e and for gamma_g; per
@@ -548,6 +542,7 @@ def _channel_sums(p: PhysicalParams, b: BathSpec, omegas, offsets, factors=None)
     _guard_denominator(p, omegas)
     if factors is None:
         factors = [(1.0, 1.0)] * len(omegas)
+    b = BathSpec.from_physical(p)
     shape = np.broadcast_shapes(*(np.shape(w) for w in omegas))
     sum_e, sum_g = np.zeros(shape), np.zeros(shape)
     for omega_i, (off_e, off_g), (fac_e, fac_g) in zip(omegas, offsets, factors):
@@ -566,7 +561,6 @@ def gamma_nonresonant(
     q: QubitParams,
     p: PhysicalParams,
     a: Attractor,
-    b: BathSpec | None = None,
     s: ScaledParams | None = None,
 ) -> RateResult:
     """One-quantum rates far from resonance (|omega_q - 2 omega_0| not small).
@@ -583,13 +577,11 @@ def gamma_nonresonant(
     array.
     """
     _require_stable(a)
-    if b is None:
-        b = BathSpec.from_physical(p)
     if s is None:
         s = scale_params(p)
     wq, wf = q.omega_q, p.omega_f
     sum_e, sum_g = _channel_sums(
-        p, b, (wq + wf, wq - wf, wf - wq), offsets=((1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        p, (wq + wf, wq - wf, wf - wq), offsets=((1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     )
     pref = 2.0 * wf * s.scale / (3.0 * p.m * p.gamma_s) * a.u
     cg = c_gamma(q, p.m, p.omega_0)
@@ -598,9 +590,7 @@ def gamma_nonresonant(
     )
 
 
-def gamma_nonresonant_2q(
-    q: QubitParams, p: PhysicalParams, b: BathSpec | None = None
-) -> RateResult:
+def gamma_nonresonant_2q(q: QubitParams, p: PhysicalParams) -> RateResult:
     """Two-quantum rates far from resonance, for weak driving.
 
     The oscillator hops between neighboring levels (thermal factor at
@@ -613,14 +603,12 @@ def gamma_nonresonant_2q(
     omega_0 >> |omega_q - 2 omega_0| >> kappa.  ``omega_q`` (through
     ``q.w``) is a float or an array.
     """
-    if b is None:
-        b = BathSpec.from_physical(p)
     wq, w0 = q.omega_q, p.omega_0
     n0 = planck(w0, p.temperature)
     pref = 2.0 * hbar / (p.m**3 * w0)
     cg = c_gamma(q, p.m, w0)
     sum_e, sum_g = _channel_sums(
-        p, b, (wq - w0, w0 - wq, wq + w0),
+        p, (wq - w0, w0 - wq, wq + w0),
         offsets=((1.0, 0.0), (0.0, 1.0), (1.0, 0.0)),
         factors=((n0 + 1.0, n0), (n0 + 1.0, n0), (n0, n0 + 1.0)),
     )
@@ -656,7 +644,8 @@ def gamma_linear_resonant(
     if s is None:
         s = scale_params(p)
     d = s.scale
-    f_e, f_g = _spectra(a, s, (q.omega_q - p.omega_f) / d)
+    f_e, f_g = spectra((q.omega_q - p.omega_f) / d, a.u, a.nu_scaled, s.kappa_scaled,
+                       s.lambda_s, s.n_bar)
     pref = (
         _linear_coupling_sq(q)
         / (hbar * q.omega_q) ** 2
@@ -666,9 +655,7 @@ def gamma_linear_resonant(
     return _rate_result("linear-resonant", q, p, s, a, pref * f_e, pref * f_g)
 
 
-def gamma_linear_nonresonant(
-    q: QubitParams, p: PhysicalParams, b: BathSpec | None = None
-) -> RateResult:
+def gamma_linear_nonresonant(q: QubitParams, p: PhysicalParams) -> RateResult:
     """Linear-coupling rates far from the oscillator resonance.
 
     A single bath frequency omega_q is probed, so detailed balance holds
@@ -681,8 +668,6 @@ def gamma_linear_nonresonant(
     the occupied attractor.  ``omega_q`` (through ``q.w``) is a float or an
     array.
     """
-    if b is None:
-        b = BathSpec.from_physical(p)
     wq = q.omega_q
     _guard_denominator(p, (wq,))
     pref = (
@@ -690,7 +675,7 @@ def gamma_linear_nonresonant(
         * _linear_coupling_sq(q)
         / (hbar * p.m * wq) ** 2
         / (wq**2 - p.omega_0**2) ** 2
-        * bath_j(b, wq)
+        * bath_j(BathSpec.from_physical(p), wq)
     )
     n_q = planck(wq, p.temperature)
     return _rate_result(

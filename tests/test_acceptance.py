@@ -13,12 +13,8 @@ from scipy.optimize import minimize_scalar
 from duffing_qubit import (
     Branch,
     QubitParams,
-    absorption_from_matrix,
-    absorption_spectrum,
     bifurcation_betas,
     drift_matrix,
-    emission_from_matrix,
-    emission_spectrum,
     gamma_linear_nonresonant,
     gamma_nonresonant,
     gamma_nonresonant_2q,
@@ -30,6 +26,8 @@ from duffing_qubit import (
     resonant_1q_scaled,
     scale_params,
     solve_attractors,
+    spectra,
+    spectra_from_matrix,
     stationary_covariance,
     two_quantum_spectrum,
 )
@@ -139,12 +137,12 @@ def test_criterion_2_dual_route_equivalence():
                     for w in np.linspace(-5.0, 5.0, 9):
                         w = float(w)
                         pairs = (
-                            (emission_spectrum(w, a.u, a.nu_scaled, kappa,
-                                               lambda_s, n_bar),
-                             emission_from_matrix(k, cov, lambda_s, w)),
-                            (absorption_spectrum(w, a.u, a.nu_scaled, kappa,
-                                                 lambda_s, n_bar),
-                             absorption_from_matrix(k, cov, lambda_s, w)),
+                            (spectra(w, a.u, a.nu_scaled, kappa,
+                                     lambda_s, n_bar)[0],
+                             spectra_from_matrix(k, cov, lambda_s, w)[0]),
+                            (spectra(w, a.u, a.nu_scaled, kappa,
+                                     lambda_s, n_bar)[1],
+                             spectra_from_matrix(k, cov, lambda_s, w)[1]),
                         )
                         for closed, matrix in pairs:
                             scale = max(abs(closed), abs(matrix))
@@ -363,12 +361,12 @@ def test_criterion_8_property_suite():
                                                 n_bar)
                     assert np.all(ge > 0.0) and np.all(gg >= 0.0)
                     assert np.all(
-                        emission_spectrum(grid, a.u, a.nu_scaled, kappa,
-                                          lambda_s, n_bar) > 0.0
+                        spectra(grid, a.u, a.nu_scaled, kappa,
+                                lambda_s, n_bar)[0] > 0.0
                     )
                     assert np.all(
-                        absorption_spectrum(grid, a.u, a.nu_scaled, kappa,
-                                            lambda_s, n_bar) >= 0.0
+                        spectra(grid, a.u, a.nu_scaled, kappa,
+                                lambda_s, n_bar)[1] >= 0.0
                     )
 
     # thermal swap symmetry in every channel

@@ -193,9 +193,7 @@ class TestBatchedSweepsAgainstPerPoint:
     RTOL = 1e-13
 
     def test_spectrum_columns(self, capsys):
-        from duffing_qubit import (absorption_from_matrix, absorption_spectrum,
-                                   emission_from_matrix, emission_spectrum,
-                                   stationary_covariance)
+        from duffing_qubit import spectra, spectra_from_matrix, stationary_covariance
         beta, kappa, lam, n_bar = 0.12, 0.3, 0.01, 0.5
         code, out, _ = run_cli(capsys, "spectrum", "--beta", "0.12", "--kappa-scaled",
                                "0.3", "--lambda-s", "0.01", "--nbar", "0.5",
@@ -206,12 +204,12 @@ class TestBatchedSweepsAgainstPerPoint:
         k = drift_matrix(a, kappa)
         cov = stationary_covariance(k, lam, kappa, n_bar)
         reference = {
-            "emission_closed": lambda w: emission_spectrum(w, a.u, a.nu_scaled, kappa,
-                                                           lam, n_bar),
-            "absorption_closed": lambda w: absorption_spectrum(w, a.u, a.nu_scaled,
-                                                               kappa, lam, n_bar),
-            "emission_matrix": lambda w: emission_from_matrix(k, cov, lam, w),
-            "absorption_matrix": lambda w: absorption_from_matrix(k, cov, lam, w),
+            "emission_closed": lambda w: spectra(w, a.u, a.nu_scaled, kappa,
+                                                 lam, n_bar)[0],
+            "absorption_closed": lambda w: spectra(w, a.u, a.nu_scaled,
+                                                   kappa, lam, n_bar)[1],
+            "emission_matrix": lambda w: spectra_from_matrix(k, cov, lam, w)[0],
+            "absorption_matrix": lambda w: spectra_from_matrix(k, cov, lam, w)[1],
         }
         assert len(rows) == 161
         for row in rows:
@@ -708,8 +706,9 @@ class TestDualRouteFailsClosed:
     @staticmethod
     def nan_closed_form(monkeypatch):
         import duffing_qubit.cli as cli
-        monkeypatch.setattr(cli, "emission_spectrum",
-                            lambda omega, *args: np.full(np.shape(omega), np.nan))
+        spectra = cli.spectra
+        monkeypatch.setattr(cli, "spectra", lambda omega, *args: (
+            np.full(np.shape(omega), np.nan), spectra(omega, *args)[1]))
 
     def test_spectrum_check_exits_3_on_a_nan_deviation(self, capsys, monkeypatch):
         self.nan_closed_form(monkeypatch)

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from duffing_qubit import (
-    absorption_spectrum,
     drift_matrix,
     effective_temperature,
-    emission_spectrum,
     log_rate_ratio,
+    physical_from_scaled,
     solve_attractors,
+    spectra,
     stationary_covariance,
 )
 from duffing_qubit.cli import EXIT_INPUT, EXIT_OK, build_parser, main
@@ -146,15 +146,19 @@ class TestLambdaS:
         assert code == EXIT_INPUT and out == ""
         assert err == f"error: lambda_s must be finite and positive, got {float(value)}\n"
 
+    def test_one_source_of_the_rule(self):
+        import duffing_qubit.fluctuations as fluctuations
+        import duffing_qubit.model as model
+        assert fluctuations._check_lambda_s is model._check_lambda_s
+
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
     def test_library_refuses(self, value):
         a = [a for a in solve_attractors(0.12, 0.3) if a.stable][0]
         k = drift_matrix(a, 0.3)
         with pytest.raises(ValueError, match="lambda_s must be finite and positive"):
             stationary_covariance(k, value, 0.3, 0.5)
-        for spectrum in (emission_spectrum, absorption_spectrum):
-            with pytest.raises(ValueError, match="lambda_s must be finite and positive"):
-                spectrum(np.linspace(-1, 1, 3), a.u, a.nu_scaled, 0.3, value, 0.5)
+        with pytest.raises(ValueError, match="lambda_s must be finite and positive"):
+            spectra(np.linspace(-1, 1, 3), a.u, a.nu_scaled, 0.3, value, 0.5)
 
 
 class TestNonFiniteOmega:
@@ -165,12 +169,11 @@ class TestNonFiniteOmega:
         assert code == EXIT_INPUT and out == ""
         assert err == "error: omega must be finite\n"
 
-    @pytest.mark.parametrize("spectrum", [emission_spectrum, absorption_spectrum])
-    def test_closed_forms_refuse(self, spectrum):
+    def test_closed_forms_refuse(self):
         with pytest.raises(ValueError, match="omega must be finite"):
-            spectrum(math.nan, 1.1, 0.6, 0.3, 0.01, 0.5)
+            spectra(math.nan, 1.1, 0.6, 0.3, 0.01, 0.5)
         with pytest.raises(ValueError, match="omega must be finite"):
-            spectrum(np.array([0.0, math.inf]), 1.1, 0.6, 0.3, 0.01, 0.5)
+            spectra(np.array([0.0, math.inf]), 1.1, 0.6, 0.3, 0.01, 0.5)
 
 
 class TestLogRateRatioRange:
@@ -196,3 +199,89 @@ class TestLogRateRatioRange:
                 assert math.isnan(value)
         assert got[4] == -math.inf and got[3] == math.inf
         assert type(log_rate_ratio(2.0, 1.0)) is float
+
+
+class TestScaledInputsOfMatch:
+    """physical_from_scaled refuses a bad scaled input before any arithmetic."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--hierarchies", "10", "--lambda-s", "0"), "lambda_s must be finite and positive, got 0.0"),
+        (("--lambda-s", "-1"), "lambda_s must be finite and positive, got -1.0"),
+        (("--lambda-s", "inf"), "lambda_s must be finite and positive, got inf"),
+        (("--nbar", "inf"),
+         "n_bar must be finite and positive to fix a finite temperature, got inf"),
+        (("--nbar", "0"),
+         "n_bar must be finite and positive to fix a finite temperature, got 0.0"),
+    ])
+    def test_match_refuses(self, capsys, argv, message):
+        code, out, err = run(capsys, "match", *argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("beta", -1.0, "beta must be finite and non-negative"),
+        ("beta", math.inf, "beta must be finite and non-negative"),
+        ("beta", math.nan, "beta must be finite and non-negative"),
+        ("kappa_scaled", 0.0, "kappa_scaled must be finite and positive"),
+        ("kappa_scaled", math.nan, "kappa_scaled must be finite and positive"),
+        ("lambda_s", 0.0, "lambda_s must be finite and positive"),
+        ("lambda_s", math.inf, "lambda_s must be finite and positive"),
+        ("n_bar", math.inf, "n_bar must be finite and positive"),
+        ("n_bar", math.nan, "n_bar must be finite and positive"),
+    ])
+    def test_library_refuses(self, name, value, message):
+        scaled = {"beta": 0.12, "kappa_scaled": 0.3, "lambda_s": 1e-3, "n_bar": 0.5}
+        with pytest.raises(ValueError, match=message):
+            physical_from_scaled(**{**scaled, name: value})
+
+
+class TestArithmeticFault:
+    """An arithmetic fault on an extreme input is one error line, exit 1."""
+
+    @pytest.mark.parametrize("regime", ["resonant-2q", "resonant-total", "nonresonant",
+                                        "nonresonant-2q", "linear-resonant",
+                                        "linear-nonresonant"])
+    @pytest.mark.parametrize("name", ["mass", "omega_f"])
+    def test_si_scale_underflows_to_zero(self, capsys, regime, name):
+        params = {**_SI, name: "1e-300", "grid": "2.944e10:4.6e10:3"}
+        code, out, err = run(capsys, "rates", "--regime", regime, *flags(params))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: arithmetic fault") and err.count("\n") == 1
+
+    def test_match_with_a_subnormal_damping(self, capsys):
+        code, out, err = run(capsys, "match", "--kappa-scaled", "5e-324")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: arithmetic fault") and err.count("\n") == 1
+
+
+class TestTextChoices:
+    """A regime or attractor is held to its choices from a flag or a config key."""
+
+    def test_config_attractor_of_spectrum(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("attractor = middle\n")
+        code, out, err = run(capsys, "spectrum", "--beta", "0.12", "--kappa-scaled", "0.3",
+                             "--config", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: invalid --attractor 'middle': choose from small, large\n"
+
+    def test_config_attractor_of_teff(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("attractor = both\n")
+        code, out, err = run(capsys, "teff", "--kappa-scaled", "0.3", "--omega-rel", "0.5",
+                             "--config", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: invalid --attractor 'both': choose from small, large\n"
+
+    def test_config_regime(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("regime = bogus\n")
+        code, out, err = run(capsys, "rates", "--config", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: invalid --regime 'bogus': choose from resonant-1q, ")
+
+    def test_si_rates_take_one_branch(self, capsys):
+        params = {**_SI, "grid": "2.944e10:4.6e10:3", "attractor": "both"}
+        code, out, err = run(capsys, "rates", "--regime", "nonresonant", *flags(params))
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: invalid --attractor 'both': choose from small, large\n"

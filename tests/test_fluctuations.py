@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.constants import hbar
 from scipy.integrate import quad, simpson
 
 from duffing_qubit import (
     Branch,
     MarginalAttractorError,
-    absorption_from_matrix,
-    absorption_spectrum,
     bifurcation_betas,
     drift_matrix,
-    emission_from_matrix,
-    emission_spectrum,
     solve_attractors,
+    spectra,
+    spectra_from_matrix,
     spectrum_matrix,
     stationary_covariance,
     two_quantum_spectrum,
@@ -170,12 +170,12 @@ class TestDualRoute:
                         for w in np.linspace(-5.0, 5.0, 11):
                             w = float(w)
                             pairs = (
-                                (emission_spectrum(w, a.u, a.nu_scaled, kappa,
-                                                   LAMBDA_S, n_bar),
-                                 emission_from_matrix(k, cov, LAMBDA_S, w)),
-                                (absorption_spectrum(w, a.u, a.nu_scaled, kappa,
-                                                     LAMBDA_S, n_bar),
-                                 absorption_from_matrix(k, cov, LAMBDA_S, w)),
+                                (spectra(w, a.u, a.nu_scaled, kappa,
+                                         LAMBDA_S, n_bar)[0],
+                                 spectra_from_matrix(k, cov, LAMBDA_S, w)[0]),
+                                (spectra(w, a.u, a.nu_scaled, kappa,
+                                         LAMBDA_S, n_bar)[1],
+                                 spectra_from_matrix(k, cov, LAMBDA_S, w)[1]),
                             )
                             for closed, matrix in pairs:
                                 scale = max(abs(closed), abs(matrix), 1e-300)
@@ -212,9 +212,9 @@ class TestBatchedOmega:
             k, cov = covariance_for(a, kappa, n_bar=n_bar)
             emission, absorption = per_point_reference(k, cov, LAMBDA_S, self.GRID)
             assert np.array_equal(
-                emission_from_matrix(k, cov, LAMBDA_S, self.GRID), emission)
+                spectra_from_matrix(k, cov, LAMBDA_S, self.GRID)[0], emission)
             assert np.array_equal(
-                absorption_from_matrix(k, cov, LAMBDA_S, self.GRID), absorption)
+                spectra_from_matrix(k, cov, LAMBDA_S, self.GRID)[1], absorption)
 
     def test_spectrum_matrix_stack(self):
         a = stable_attractors(0.12, 0.3)[-1]
@@ -229,9 +229,9 @@ class TestBatchedOmega:
     @pytest.mark.parametrize("beta,kappa,n_bar", CASES)
     def test_closed_form_array_matches_scalar_calls(self, beta, kappa, n_bar):
         for a in stable_attractors(beta, kappa):
-            for spectrum in (emission_spectrum, absorption_spectrum):
-                batched = spectrum(self.GRID, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)
-                scalar = [spectrum(float(w), a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)
+            for half in (0, 1):
+                batched = spectra(self.GRID, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)[half]
+                scalar = [spectra(float(w), a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)[half]
                           for w in self.GRID]
                 np.testing.assert_allclose(batched, scalar, rtol=CLOSED_FORM_RTOL, atol=0)
 
@@ -239,10 +239,10 @@ class TestBatchedOmega:
         a = stable_attractors(0.12, 0.3)[-1]
         k, cov = covariance_for(a, 0.3)
         for w in (0.3, np.float64(-1.5)):
-            for value in (emission_from_matrix(k, cov, LAMBDA_S, w),
-                          absorption_from_matrix(k, cov, LAMBDA_S, w),
-                          emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR),
-                          absorption_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)):
+            for value in (spectra_from_matrix(k, cov, LAMBDA_S, w)[0],
+                          spectra_from_matrix(k, cov, LAMBDA_S, w)[1],
+                          spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0],
+                          spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[1]):
                 assert type(value) is float
         assert spectrum_matrix(k, cov, LAMBDA_S, 0.3).shape == (2, 2)
 
@@ -254,13 +254,13 @@ class TestBatchedAttractor:
         from duffing_qubit import solve_branches
         s = solve_branches(np.linspace(0.01, 0.3, 59), 0.3)
         u, nu = s.u_large[~np.isnan(s.u_large)], s.nu_large[~np.isnan(s.u_large)]
-        for spectrum in (emission_spectrum, absorption_spectrum):
-            batched = spectrum(0.4, u, nu, 0.3, LAMBDA_S, NBAR)
+        for half in (0, 1):
+            batched = spectra(0.4, u, nu, 0.3, LAMBDA_S, NBAR)[half]
             assert isinstance(batched, np.ndarray) and batched.shape == u.shape
-            scalar = [spectrum(0.4, a, b, 0.3, LAMBDA_S, NBAR)
+            scalar = [spectra(0.4, a, b, 0.3, LAMBDA_S, NBAR)[half]
                       for a, b in zip(u.tolist(), nu.tolist())]
             np.testing.assert_allclose(batched, scalar, rtol=CLOSED_FORM_RTOL, atol=0)
-            one = spectrum(0.4, u[:1], nu[:1], 0.3, LAMBDA_S, NBAR)
+            one = spectra(0.4, u[:1], nu[:1], 0.3, LAMBDA_S, NBAR)[half]
             assert isinstance(one, np.ndarray) and one.shape == (1,)
 
 
@@ -271,18 +271,18 @@ class TestClosedForms:
                                    (0.05, 0.1, 2.0), (0.2, 0.5, 0.5)]:
             for a in stable_attractors(beta, kappa):
                 assert np.all(
-                    emission_spectrum(grid, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)
+                    spectra(grid, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)[0]
                     >= 0.0
                 )
                 assert np.all(
-                    absorption_spectrum(grid, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)
+                    spectra(grid, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)[1]
                     >= 0.0
                 )
 
     def test_vacuum_absorption_keeps_only_amplitude_term(self):
         a = stable_attractors(0.12, 0.3)[-1]
         w = np.linspace(-4.0, 4.0, 101)
-        got = absorption_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, 0.0)
+        got = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, 0.0)[1]
         den = (w**2 - a.nu_scaled**2) ** 2 + 4 * 0.3**2 * w**2
         expected = 2 * LAMBDA_S * 0.3 * a.u**2 / den
         assert np.allclose(got, expected, rtol=1e-13)
@@ -290,15 +290,15 @@ class TestClosedForms:
     def test_zero_amplitude_ratio(self):
         (a,) = solve_attractors(0.0, 0.3)
         w = np.linspace(-4.0, 4.0, 101)
-        up = emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
-        down = absorption_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+        up = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0]
+        down = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[1]
         assert np.allclose(up / down, (NBAR + 1) / NBAR, rtol=1e-13)
 
     def test_difference_carries_unit_thermal_weight(self):
         a = stable_attractors(0.14, 0.3)[0]
         w = np.linspace(-4.0, 4.0, 101)
-        diff = emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR) \
-            - absorption_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+        diff = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0] \
+            - spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[1]
         bracket = (w - (2 * a.u - 1)) ** 2 + 0.3**2 - a.u**2
         den = (w**2 - a.nu_scaled**2) ** 2 + 4 * 0.3**2 * w**2
         assert np.allclose(diff, 2 * LAMBDA_S * 0.3 * bracket / den, rtol=1e-11)
@@ -307,15 +307,15 @@ class TestClosedForms:
         n_bar = 1e3
         a = stable_attractors(0.12, 0.3)[-1]
         w = np.linspace(-5.0, 5.0, 201)
-        up = emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, n_bar)
-        down = absorption_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, n_bar)
+        up = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, n_bar)[0]
+        down = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, n_bar)[1]
         assert np.max(np.abs(up - down) / up) < 2.0 / n_bar
 
     def test_weak_damping_peaks_at_gap_frequency(self):
         kappa = 0.03
         for a in stable_attractors(0.12, kappa):
             w = np.linspace(-2.0, 2.0, 8001)
-            f = emission_spectrum(w, a.u, a.nu_scaled, kappa, LAMBDA_S, NBAR)
+            f = spectra(w, a.u, a.nu_scaled, kappa, LAMBDA_S, NBAR)[0]
             for sign in (-1.0, 1.0):
                 window = (sign * w > 0.2)
                 peak = w[window][np.argmax(f[window])]
@@ -327,7 +327,7 @@ class TestClosedForms:
         assert kappa <= 0.05 * a.nu_scaled
 
         def f(w):
-            return emission_spectrum(w, a.u, a.nu_scaled, kappa, LAMBDA_S, NBAR)
+            return spectra(w, a.u, a.nu_scaled, kappa, LAMBDA_S, NBAR)[0]
 
         w = np.linspace(a.nu_scaled - 10 * kappa, a.nu_scaled + 10 * kappa, 20001)
         values = f(w)
@@ -347,9 +347,9 @@ class TestClosedForms:
 
                 def both(w):
                     return (
-                        emission_spectrum(w, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)
-                        + absorption_spectrum(w, a.u, a.nu_scaled, kappa,
-                                              LAMBDA_S, n_bar)
+                        spectra(w, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)[0]
+                        + spectra(w, a.u, a.nu_scaled, kappa,
+                                  LAMBDA_S, n_bar)[1]
                     )
 
                 inner = quad(both, -8, 8,
@@ -366,20 +366,20 @@ class TestTwoQuantum:
 
     def test_peak_value(self):
         got = two_quantum_spectrum(2 * self.OMEGA_0, self.OMEGA_0, self.KAPPA,
-                                   NBAR, self.M)
+                                   NBAR, self.M)[0]
         expected = (hbar / (self.M * self.OMEGA_0)) ** 2 * (NBAR + 1) ** 2 \
             / (4 * self.KAPPA)
         assert math.isclose(got, expected, rel_tol=1e-13)
 
     def test_vacuum_cannot_excite(self):
         assert two_quantum_spectrum(2 * self.OMEGA_0, self.OMEGA_0, self.KAPPA,
-                                    0.0, self.M, ground=True) == 0.0
+                                    0.0, self.M)[1] == 0.0
 
     def test_half_maximum_at_twice_kappa(self):
         peak = two_quantum_spectrum(2 * self.OMEGA_0, self.OMEGA_0, self.KAPPA,
-                                    NBAR, self.M)
+                                    NBAR, self.M)[0]
         at_half = two_quantum_spectrum(2 * self.OMEGA_0 + 2 * self.KAPPA,
-                                       self.OMEGA_0, self.KAPPA, NBAR, self.M)
+                                       self.OMEGA_0, self.KAPPA, NBAR, self.M)[0]
         assert math.isclose(at_half, peak / 2.0, rel_tol=1e-12)
 
 
@@ -390,17 +390,16 @@ class TestOccupationDomain:
         k = drift_matrix(a, 0.3)
         with pytest.raises(ValueError, match="n_bar"):
             stationary_covariance(k, LAMBDA_S, 0.3, n_bar)
-        for closed in (emission_spectrum, absorption_spectrum):
-            with pytest.raises(ValueError, match="n_bar"):
-                closed(0.1, a.u, a.nu_scaled, 0.3, LAMBDA_S, n_bar)
+        with pytest.raises(ValueError, match="n_bar"):
+            spectra(0.1, a.u, a.nu_scaled, 0.3, LAMBDA_S, n_bar)
         with pytest.raises(ValueError, match="n_bar"):
             two_quantum_spectrum(3e10, 1.5e10, 1e6, n_bar, 1e-12)
 
     def test_two_quantum_array(self):
         omega_q = np.linspace(2.9e10, 3.1e10, 21)
-        swept = two_quantum_spectrum(omega_q, 1.5e10, 1e6, NBAR, 1e-12)
+        swept = two_quantum_spectrum(omega_q, 1.5e10, 1e6, NBAR, 1e-12)[0]
         for w, value in zip(omega_q.tolist(), swept.tolist()):
-            assert math.isclose(two_quantum_spectrum(w, 1.5e10, 1e6, NBAR, 1e-12),
+            assert math.isclose(two_quantum_spectrum(w, 1.5e10, 1e6, NBAR, 1e-12)[0],
                                 value, rel_tol=1e-14)
 
 
@@ -433,15 +432,15 @@ class TestClosedFormOverflow:
         cov = stationary_covariance(k, LAMBDA_S, 0.3, NBAR)
         w = np.array([-1.0, 0.0, 1.0, 1e90, -1e300])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            closed = emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
-            matrix = emission_from_matrix(k, cov, LAMBDA_S, w)
-            absorption = absorption_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+            closed = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0]
+            matrix = spectra_from_matrix(k, cov, LAMBDA_S, w)[0]
+            absorption = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[1]
         oracle = [mp_emission(x, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR) for x in w]
         np.testing.assert_allclose(closed, oracle, rtol=1e-14, atol=0.0)
         # the matrix route loses digits to cancellation at |omega| >> nu
         np.testing.assert_allclose(closed, matrix, rtol=1e-6, atol=0.0)
         np.testing.assert_allclose(
-            absorption, absorption_from_matrix(k, cov, LAMBDA_S, w), rtol=1e-6, atol=0.0)
+            absorption, spectra_from_matrix(k, cov, LAMBDA_S, w)[1], rtol=1e-6, atol=0.0)
         assert np.all(closed[:3] > 0.0) and np.all(absorption[:3] > 0.0)
 
     def test_huge_frequency_with_a_small_drive(self):
@@ -449,19 +448,108 @@ class TestClosedFormOverflow:
         # once |omega| >> nu
         a = stable_attractors(0.12, 0.3)[-1]
         w = np.array([-1e200, -1e100, 1e80, 1e153, 1e200])
-        closed = emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+        closed = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0]
         oracle = [mp_emission(x, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR) for x in w]
         np.testing.assert_allclose(closed, oracle, rtol=1e-14, atol=0.0)
         assert closed[1] > 0.0 and closed[2] > 0.0 and closed[0] == closed[-1] == 0.0
 
     def test_scalar_call(self):
         (a,) = solve_attractors(1e300, 0.3)
-        got = emission_spectrum(0.5, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+        got = spectra(0.5, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0]
         assert isinstance(got, float) and got > 0.0
 
     def test_rows_that_do_not_overflow_keep_their_bits(self):
         a = stable_attractors(0.12, 0.3)[-1]
         w = np.concatenate([np.linspace(-6.0, 6.0, 241), [1e200]])
-        got = emission_spectrum(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)
+        got = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0]
         expected = plain_closed_form(w[:-1], a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR + 1.0, NBAR)
         assert np.array_equal(got[:-1], expected)
+
+    def test_each_spectrum_rescales_only_its_own_overflowing_rows(self):
+        # omega = nu = 1.3e154 with u = 0: the emission numerator (weight
+        # n+1) overflows while the absorption numerator (weight n) and the
+        # denominator stay finite, so absorption keeps its direct bits
+        w = np.array([1.3e154])
+        n_bar = 0.1
+        emission, absorption = spectra(w, 0.0, 1.3e154, 0.3, LAMBDA_S, n_bar)
+        expected = plain_closed_form(w, 0.0, 1.3e154, 0.3, LAMBDA_S, n_bar, n_bar + 1.0)
+        assert np.isfinite(expected).all() and np.array_equal(absorption, expected)
+        oracle = mp_emission(w[0], 0.0, 1.3e154, 0.3, LAMBDA_S, n_bar)
+        assert math.isclose(emission[0], oracle, rel_tol=1e-14)
+
+
+class TestSpectraPair:
+    """One call gives (emission, absorption) on each route."""
+
+    def test_public_api_is_pinned(self):
+        import duffing_qubit
+        assert sorted(duffing_qubit.__all__) == [
+            "Attractor", "BathSpec", "BifurcationInfo", "Branch", "Branches",
+            "MarginalAttractorError", "NearResonanceError", "PhysicalParams",
+            "QubitParams", "RateResult", "ScaledParams", "bath_j", "bifurcation_betas",
+            "bloch_redfield", "c_gamma", "dephasing_g_zero", "drift_matrix",
+            "effective_temperature", "gamma_linear_nonresonant", "gamma_linear_resonant",
+            "gamma_nonresonant", "gamma_nonresonant_2q", "gamma_resonant_1q",
+            "gamma_resonant_2q", "gamma_total_resonant", "log_rate_ratio",
+            "physical_from_scaled", "planck", "resonant_1q_scaled", "scale_params",
+            "solve_attractors", "solve_branches", "spectra", "spectra_from_matrix",
+            "spectrum_matrix", "stationary_covariance", "two_quantum_spectrum",
+            "validity_flags",
+        ]
+        assert all(hasattr(duffing_qubit, name) for name in duffing_qubit.__all__)
+
+    def test_two_quantum_pair_swaps_the_thermal_weight(self):
+        import inspect
+        assert "ground" not in inspect.signature(two_quantum_spectrum).parameters
+        omega_q = np.linspace(2.9e10, 3.1e10, 21)
+        decay, excitation = two_quantum_spectrum(omega_q, 1.5e10, 1e6, NBAR, 1e-12)
+        assert decay.shape == excitation.shape == omega_q.shape
+        np.testing.assert_allclose(decay / excitation, ((NBAR + 1) / NBAR) ** 2, rtol=1e-14)
+        assert all(type(x) is float
+                   for x in two_quantum_spectrum(3e10, 1.5e10, 1e6, NBAR, 1e-12))
+
+    def test_one_spectrum_matrix_solve_per_check(self, monkeypatch, capsys):
+        import duffing_qubit.fluctuations as fl
+        from duffing_qubit.cli import main
+        calls = []
+        solve = fl.spectrum_matrix
+
+        def counted(drift, covariance, lambda_s, omega):
+            calls.append(np.shape(omega))
+            return solve(drift, covariance, lambda_s, omega)
+
+        monkeypatch.setattr(fl, "spectrum_matrix", counted)
+        assert main(["spectrum", "--beta", "0.12", "--kappa-scaled", "0.3",
+                     "--grid=-2:2:101", "--check"]) == 0
+        capsys.readouterr()
+        assert calls == [(2, 101)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        beta=st.floats(0.01, 0.3),
+        kappa=st.floats(0.05, 0.55),
+        lambda_s=st.floats(-4.0, -1.0).map(lambda x: 10.0**x),
+        n_bars=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+        omega=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8),
+    )
+    def test_routes_agree_are_positive_and_differ_by_the_commutator(
+            self, beta, kappa, lambda_s, n_bars, omega):
+        w = np.array(omega)
+        # away from bifurcations, where the gap nu closes
+        attractors = [a for a in stable_attractors(beta, kappa) if a.nu_scaled > 0.05]
+        assume(attractors)
+        for a in attractors:
+            k = drift_matrix(a, kappa)
+            diffs = []
+            for n_bar in n_bars:
+                cov = stationary_covariance(k, lambda_s, kappa, n_bar)
+                closed = np.array(spectra(w, a.u, a.nu_scaled, kappa, lambda_s, n_bar))
+                matrix = np.array(spectra_from_matrix(k, cov, lambda_s, w))
+                assert np.all(closed > 0.0) and np.all(matrix > 0.0)
+                assert np.all(np.abs(closed - matrix) <= 1e-6 * np.maximum(closed, matrix))
+                diffs.append((closed[0] - closed[1], matrix[0] - matrix[1],
+                              closed.sum(axis=0), matrix.sum(axis=0)))
+            # emission - absorption is the commutator term alone: no n_bar in it
+            for route in (0, 1):
+                scale = diffs[0][route + 2] + diffs[1][route + 2]
+                assert np.all(np.abs(diffs[0][route] - diffs[1][route]) <= 1e-10 * scale)

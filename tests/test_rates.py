@@ -335,9 +335,9 @@ class TestLinearCoupling:
         results = []
         for a in (small, large):
             res = gamma_linear_resonant(qubit, phys, a, s)
-            from duffing_qubit import emission_spectrum
-            f = emission_spectrum(w, a.u, a.nu_scaled, s.kappa_scaled,
-                                  s.lambda_s, s.n_bar)
+            from duffing_qubit import spectra
+            f = spectra(w, a.u, a.nu_scaled, s.kappa_scaled,
+                        s.lambda_s, s.n_bar)[0]
             results.append(res.gamma_e / f)
         assert math.isclose(results[0], results[1], rel_tol=1e-12)
         # still attractor-dependent through the spectrum itself
@@ -746,3 +746,10 @@ class TestOneAssemblyPerResult:
         for n, (rate, grid) in enumerate(regimes.values(), 1):
             rate(sweep_qubit(grid(phys, s)), phys, a, s)
             assert counts == {"validity_flags": n, "effective_temperature": n}
+
+
+@pytest.mark.parametrize("rate", [gamma_nonresonant, gamma_nonresonant_2q,
+                                  gamma_linear_nonresonant])
+def test_nonresonant_rates_take_the_ohmic_bath_of_the_parameters(rate):
+    import inspect
+    assert "b" not in inspect.signature(rate).parameters

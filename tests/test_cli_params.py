@@ -169,11 +169,13 @@ class TestNonFiniteOmega:
         assert code == EXIT_INPUT and out == ""
         assert err == "error: omega must be finite\n"
 
-    def test_closed_forms_refuse(self):
+    # spectra returns (emission, absorption); each half must be refused
+    @pytest.mark.parametrize("half", [1, 0], ids=["absorption_spectrum", "emission_spectrum"])
+    def test_closed_forms_refuse(self, half):
         with pytest.raises(ValueError, match="omega must be finite"):
-            spectra(math.nan, 1.1, 0.6, 0.3, 0.01, 0.5)
+            spectra(math.nan, 1.1, 0.6, 0.3, 0.01, 0.5)[half]
         with pytest.raises(ValueError, match="omega must be finite"):
-            spectra(np.array([0.0, math.inf]), 1.1, 0.6, 0.3, 0.01, 0.5)
+            spectra(np.array([0.0, math.inf]), 1.1, 0.6, 0.3, 0.01, 0.5)[half]
 
 
 class TestLogRateRatioRange:

@@ -23,6 +23,7 @@ self-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -543,6 +544,10 @@ def cmd_match(args, config) -> int:
         hierarchies = [float(tok) for tok in args.hierarchies.split(",") if tok.strip()]
     except ValueError as exc:
         raise CliInputError(f"bad --hierarchies: {exc}") from None
+    for h in hierarchies:  # |omega_rel| = h * max(nu, kappa, 1) needs h > 0
+        if not (math.isfinite(h) and h > 0):
+            raise CliInputError(f"bad --hierarchies: each factor must be finite and positive, "
+                                f"got {h!r}")
     if not hierarchies:
         raise CliInputError("at least one hierarchy factor is required")
 
@@ -640,18 +645,17 @@ def cmd_validate(args, config) -> int:
 # argument wiring
 # ----------------------------------------------------------------------------
 
-# subcommand -> (function, help, --attractor choices, the parameters that get
-# a flag); rates takes the flags of all three of its tables
+# subcommand -> (help, --attractor choices, the parameters that get a flag);
+# rates takes the flags of all three of its tables.  main runs cmd_<subcommand>,
+# looked up when called, so a rebinding of the module attribute takes effect.
 _COMMANDS = {
-    "attractors": (cmd_attractors, "branch radii and quasienergy gaps vs beta", None,
-                   _ATTRACTORS),
-    "spectrum": (cmd_spectrum, "emission/absorption spectra, both routes", _BRANCHES,
-                 _SPECTRUM),
-    "rates": (cmd_rates, "decay/excitation rates vs detuning", _RATES_1Q_BRANCHES,
+    "attractors": ("branch radii and quasienergy gaps vs beta", None, _ATTRACTORS),
+    "spectrum": ("emission/absorption spectra, both routes", _BRANCHES, _SPECTRUM),
+    "rates": ("decay/excitation rates vs detuning", _RATES_1Q_BRANCHES,
               {**_RATES, **_RATES_1Q, **_RATES_SI}),
-    "teff": (cmd_teff, "effective temperature vs beta", _BRANCHES, _TEFF),
-    "match": (cmd_match, "resonant vs nonresonant ratio across hierarchies", None, _MATCH),
-    "validate": (cmd_validate, "run internal self-checks", None, _VALIDATE),
+    "teff": ("effective temperature vs beta", _BRANCHES, _TEFF),
+    "match": ("resonant vs nonresonant ratio across hierarchies", None, _MATCH),
+    "validate": ("run internal self-checks", None, _VALIDATE),
 }
 
 _HELP = {
@@ -665,7 +669,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="duffing-qubit", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, text, branches, params) in _COMMANDS.items():
+    for command, (text, branches, params) in _COMMANDS.items():
         sp = sub.add_parser(command, help=text)
         choices = {"regime": _REGIMES, "attractor": branches}
         for name in params:
@@ -677,15 +681,20 @@ def build_parser() -> _Parser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="output file (default stdout)")
         sp.add_argument("--config", help="flat key=value parameter file")
-        sp.set_defaults(func=func)
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser every ``main`` call of this process reuses, built at the first."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         config = load_config(args.config)
+        run = globals()["cmd_" + args.command]
         if args.out:
             try:
                 fh = open(args.out, "w", encoding="utf-8")
@@ -693,9 +702,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise CliInputError(f"cannot write output file: {exc}") from None
             with fh:
                 args.out_stream = fh
-                return args.func(args, config)
+                return run(args, config)
         args.out_stream = sys.stdout
-        return args.func(args, config)
+        return run(args, config)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

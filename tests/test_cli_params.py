@@ -287,3 +287,24 @@ class TestTextChoices:
         code, out, err = run(capsys, "rates", "--regime", "nonresonant", *flags(params))
         assert code == EXIT_INPUT and out == ""
         assert err == "error: invalid --attractor 'both': choose from small, large\n"
+
+
+class TestHierarchyFactors:
+    """match holds each --hierarchies factor h to |omega_rel| = h * max(nu, kappa, 1)."""
+
+    @pytest.mark.parametrize("spec,factor", [
+        ("-10,10", "-10.0"), ("10,nan", "nan"), ("0", "0.0"), ("10,inf", "inf"),
+        ("-inf", "-inf"), ("30,-0", "-0.0"),
+    ])
+    def test_factor_must_be_finite_and_positive(self, capsys, spec, factor):
+        code, out, err = run(capsys, "match", f"--hierarchies={spec}")
+        assert code == EXIT_INPUT and out == ""
+        assert err == ("error: bad --hierarchies: each factor must be finite and positive, "
+                       f"got {factor}\n")
+
+    def test_config_factor_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("hierarchies = 10,-30\n")
+        code, out, err = run(capsys, "match", "--config", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: bad --hierarchies: ") and "got -30.0" in err

@@ -23,10 +23,15 @@ self-check failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import json
 import math
+import os
+import pickle
 import sys
+import threading
+import warnings
 
 import numpy as np
 
@@ -250,6 +255,85 @@ def _column_text(col: tuple, as_json: bool) -> list[str] | tuple[str, ...]:
     return list(map(_fmt, col))
 
 
+def _text(rows, as_json: bool) -> str:
+    """The lines of ``rows``: CSV, or the inside of the JSON "rows" list."""
+    texts = [_column_text(col, as_json) for col in zip(*rows)]
+    return _SEPS[as_json][0].join(map(_SEPS[as_json][1].join, zip(*texts)))
+
+
+_SEPS = {False: ("\n", ","), True: ("\n    ],\n    [\n      ", ",\n      ")}  # rows, cells
+
+# A table of at least this many cells is formatted on two cores: the second
+# half of its rows by a helper process, forked at the first such table.  It is
+# the measured break-even of the split; below it the split is slower (CHANGES.md).
+_SPLIT_CELLS = 6000
+_helper: list = []  # [pid, task pipe, result pipe] of the live helper
+_busy = threading.Lock()  # held while a table is with the helper; others go serial
+
+
+def _fork_helper() -> None:
+    """Fork the helper, which sends back the text of each task it is sent."""
+    (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+    with warnings.catch_warnings():  # Python 3.12+ warns of fork() beside BLAS threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(task_w), os.close(result_r)
+            tasks, results = open(task_r, "rb"), open(result_w, "wb")
+            while True:
+                pickle.dump(_text(*pickle.load(tasks)), results)
+                results.flush()
+        finally:  # at EOF or on any error; runs no atexit handler, flushes no stdio
+            os._exit(0)
+    os.close(task_r), os.close(result_w)
+    _helper[:] = [pid, open(task_w, "wb", buffering=0), open(result_r, "rb")]
+
+
+def _stop_helper() -> None:
+    """Forget the helper and reap it: closing its pipes ends it."""
+    if _helper:
+        pid, tasks, results = _helper
+        _helper.clear()
+        results.close(), tasks.close()
+        os.waitpid(pid, 0)
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):  # a forked child never shares the pipes
+    os.register_at_fork(after_in_child=_helper.clear)
+
+
+def _split_text(rows, as_json: bool, cells: int) -> str:
+    """``_text(rows, as_json)``; with ``cells`` at or above ``_SPLIT_CELLS``,
+    fork and at least two usable CPUs, the helper formats the second half of
+    the rows meanwhile.  On any failure the helper is reaped and the serial
+    path runs, so the text and any exception are the serial path's."""
+    half = len(rows) // 2
+    usable = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)
+    first = second = None
+    if (half and cells >= _SPLIT_CELLS and len(usable) > 1 and hasattr(os, "fork")
+            and _busy.acquire(blocking=False)):
+        try:
+            task = pickle.dumps((rows[half:], as_json), pickle.HIGHEST_PROTOCOL)
+            if not _helper:
+                _fork_helper()
+            if _helper[1].write(task) == len(task):
+                try:
+                    first = _text(rows[:half], as_json)
+                finally:  # take the answer even if this half fails
+                    second = pickle.load(_helper[2])
+        except Exception:
+            pass
+        finally:
+            if not isinstance(second, str):
+                _stop_helper()
+            _busy.release()
+    if first is None or second is None:
+        return _text(rows, as_json)
+    return first + _SEPS[as_json][0] + second
+
+
 def emit_table(params: dict, columns: list[str], rows: list[list], fmt: str, out) -> None:
     """Write a table with a header: CSV, or JSON with ``fmt == "json"``.
 
@@ -257,12 +341,16 @@ def emit_table(params: dict, columns: list[str], rows: list[list], fmt: str, out
     formatted a column at a time and joined into lines with ``str.join``.
     The output is byte-identical to formatting every cell with ``_fmt``
     (CSV) or to ``json.dumps(doc, indent=2)`` of the ``_json_safe`` cells.
+    On a POSIX system with at least two usable CPUs, a table of at least
+    ``_SPLIT_CELLS`` cells is formatted half here and half by one forked
+    helper process, which lives until this process exits and never writes
+    to stdout or stderr; the output is the same.
     """
     # zip(*rows) would drop the cells of a long row without a word
     if not columns or set(map(len, rows)) - {len(columns)}:
         raise ValueError(f"a table needs one cell per column in every row, got {columns}")
     as_json = fmt == "json"
-    texts = [_column_text(col, as_json) for col in zip(*rows)]
+    body = _split_text(rows, as_json, len(rows) * len(columns))
     if as_json:
         doc = {
             "schema": SCHEMA,
@@ -271,24 +359,14 @@ def emit_table(params: dict, columns: list[str], rows: list[list], fmt: str, out
             "columns": columns,
         }
         # the indent=2 layout of the "rows" entry, written from the cell texts
-        out.write(json.dumps(doc, indent=2)[:-2])
-        out.write(',\n  "rows": ')
-        if rows:
-            out.write("[\n    [\n      ")
-            out.write("\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*texts))))
-            out.write("\n    ]\n  ]")
-        else:
-            out.write("[]")
-        out.write("\n}\n")
+        body = f"[\n    [\n      {body}\n    ]\n  ]" if rows else "[]"
+        out.write(f'{json.dumps(doc, indent=2)[:-2]},\n  "rows": {body}\n}}\n')
         return
     head = [f"# schema={SCHEMA}", f"# version={__version__}"]
     head += [f"# {key}={_fmt(value)}" for key, value in params.items()]
     head.append(",".join(columns))
-    out.write("\n".join(head))
+    out.write("\n".join(head + [body] * bool(rows)))
     out.write("\n")
-    if rows:
-        out.write("\n".join(map(",".join, zip(*texts))))
-        out.write("\n")
 
 
 def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> Attractor:
@@ -514,26 +592,31 @@ def match_report(
     |omega_rel| = h * max(nu, kappa_scaled, 1) and omega_f/|delta_omega| =
     h * |omega_rel|, so the overlap condition nu, kappa << |omega_q - 2
     omega_f| << omega_f deepens with h.  Returns (h, ratio_e, ratio_g) rows;
-    both ratios approach 1.
+    both ratios approach 1.  Raises ValueError when a factor gives a
+    parameter set beyond float arithmetic, or a nonresonant rate underflows
+    to 0.
     """
     rows = []
     a = _pick_required(beta, kappa_scaled, Branch.LARGE)
+    physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar)  # a bad input is not a bad factor
     for h in hierarchies:
         omega_rel = h * max(a.nu_scaled, kappa_scaled, 1.0)
-        # detuning scale 1 rad/s; the ratio is invariant under the overall scale
-        phys = physical_from_scaled(
-            beta, kappa_scaled, lambda_s, n_bar,
-            detuning=1.0, omega_f_ratio=h * omega_rel,
-        )
-        scaled = scale_params(phys)
-        omega_q = 2.0 * phys.omega_f + omega_rel
-        delta = 1e-3 * omega_q
-        qubit = QubitParams(
-            w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1.0
-        )
-        attractor = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
-        res = gamma_resonant_1q(qubit, phys, attractor, scaled)
-        non = gamma_nonresonant(qubit, phys, attractor, s=scaled)
+        try:  # detuning scale 1 rad/s; the ratio is invariant under the overall scale
+            phys = physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar,
+                                        detuning=1.0, omega_f_ratio=h * omega_rel)
+            scaled = scale_params(phys)
+            omega_q = 2.0 * phys.omega_f + omega_rel
+            delta = 1e-3 * omega_q
+            qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1.0)
+            attractor = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
+            res = gamma_resonant_1q(qubit, phys, attractor, scaled)
+            non = gamma_nonresonant(qubit, phys, attractor, s=scaled)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"bad --hierarchies: factor {h!r} gives omega_f/|delta_omega| = "
+                             f"{h * omega_rel!r}, beyond float arithmetic ({exc})") from None
+        if not (non.gamma_e > 0.0 and non.gamma_g > 0.0):
+            raise ValueError(f"arithmetic fault: at --hierarchies factor {h!r} the nonresonant "
+                             f"rate underflows to 0, so the rate ratio is undefined")
         rows.append((h, res.gamma_e / non.gamma_e, res.gamma_g / non.gamma_g))
     return rows
 

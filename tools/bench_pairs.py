@@ -13,8 +13,11 @@ in ``perfbench/results/``.
 For every workload and end-to-end metric of ``BENCHMARK.json`` the script
 prints each side's median and quartiles, the parent's interquartile range,
 the change's number of wins (ties count for neither side), the relative move
-of the median and whether that move is worse than the metric's bound.  With
-``--out`` it writes the same summary and every run as JSON.
+of the median and whether that move is worse than the metric's bound.  A
+move whose change median lies within the parent's [q1, q3] is marked
+``(inside parent quartiles)``: the parent's own runs spread that far, so the
+move may be noise.  With ``--out`` it writes the same summary and every run
+as JSON, with that mark as the boolean ``inside_parent_quartiles``.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ def summarize(runs: list[dict], metric: dict) -> dict:
     move = (after - before) / abs(before) if before else 0.0
     out["median_move"] = move
     out["worse_than_bound"] = (-move if higher else move) > metric["bound"]
+    out["inside_parent_quartiles"] = out["parent"]["q1"] <= after <= out["parent"]["q3"]
     return out
 
 
@@ -117,6 +121,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
                   f"  parent IQR {s['parent_iqr']:.3g}  wins {s['change_wins']}/{s['pairs']}"
                   f"  move {s['median_move']:+.1%}"
+                  + ("  (inside parent quartiles)" if s["inside_parent_quartiles"] else "")
                   + ("  WORSE THAN BOUND" if s["worse_than_bound"] else ""))
     if args.out:
         doc = {

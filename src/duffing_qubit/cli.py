@@ -279,7 +279,11 @@ def _fork_helper() -> None:
         pid = os.fork()
     if pid == 0:
         try:
-            os.close(task_w), os.close(result_r)
+            # keep no other descriptor: a pipe, socket or file the parent
+            # closes must not stay open here
+            keep = sorted((task_r, result_w))
+            for lo, hi in zip([-1, *keep], [*keep, os.sysconf("SC_OPEN_MAX")]):
+                os.closerange(lo + 1, hi)
             tasks, results = open(task_r, "rb"), open(result_w, "wb")
             while True:
                 pickle.dump(_text(*pickle.load(tasks)), results)
@@ -296,11 +300,15 @@ def _stop_helper() -> None:
         pid, tasks, results = _helper
         _helper.clear()
         results.close(), tasks.close()
-        os.waitpid(pid, 0)
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped already by whoever reaps all children
+            pass
 
 
 atexit.register(_stop_helper)
-if hasattr(os, "register_at_fork"):  # a forked child never shares the pipes
+if hasattr(os, "register_at_fork"):  # a forked child forgets the helper, and
+    # dropping the last reference closes its copies of the pipes
     os.register_at_fork(after_in_child=_helper.clear)
 
 
@@ -310,9 +318,10 @@ def _split_text(rows, as_json: bool, cells: int) -> str:
     the rows meanwhile.  On any failure the helper is reaped and the serial
     path runs, so the text and any exception are the serial path's."""
     half = len(rows) // 2
-    usable = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)
     first = second = None
-    if (half and cells >= _SPLIT_CELLS and len(usable) > 1 and hasattr(os, "fork")
+    if (half and cells >= _SPLIT_CELLS and hasattr(os, "fork")  # the cheap tests first
+            and len(getattr(os, "sched_getaffinity",
+                            lambda _: range(os.cpu_count() or 1))(0)) > 1
             and _busy.acquire(blocking=False)):
         try:
             task = pickle.dumps((rows[half:], as_json), pickle.HIGHEST_PROTOCOL)

@@ -179,28 +179,23 @@ def scale_params(p: PhysicalParams) -> ScaledParams:
     lambda_s = 3 hbar gamma_s / (2 m^2 omega_f^2 |delta_omega|)
     c_res    = sqrt(2 m omega_f |delta_omega| / (3 gamma_s))
 
-    Raises ValueError, naming the scale and the inputs it is built from,
-    when one of the three underflows to 0 or overflows (beta is 0 only for
-    f_0 = 0).
+    Raises ValueError, naming the scale and the SI inputs, when lambda_s or
+    c_res underflows to 0 or any of the three overflows.  beta = 0 is kept:
+    it is the f_0 -> 0 limit, also when f_0**2 underflows.
     """
     d = p.detuning
-    formulas = {  # name -> (the PhysicalParams fields it is built from, formula)
-        "beta": (("gamma_s", "f_0", "m", "omega_f", "omega_0"),
-                 lambda: 3.0 * p.gamma_s * p.f_0**2 / (2.0 * (p.m * p.omega_f * d) ** 3)),
-        "lambda_s": (("gamma_s", "m", "omega_f", "omega_0"),
-                     lambda: 3.0 * hbar * p.gamma_s / (2.0 * p.m**2 * p.omega_f**2 * d)),
-        "c_res": (("m", "omega_f", "omega_0", "gamma_s"),
-                  lambda: math.sqrt(2.0 * p.m * p.omega_f * d / (3.0 * p.gamma_s))),
-    }
     scales = {}
-    for name, (fields, formula) in formulas.items():
-        try:
-            scales[name] = formula()
-        except ArithmeticError:  # a denominator underflowed to 0, or a power overflowed
-            scales[name] = math.inf
-        if not (0.0 < scales[name] < math.inf or name == "beta" and scales[name] == p.f_0 == 0.0):
-            shown = ", ".join(f"{field}={getattr(p, field)!r}" for field in fields)
-            raise ValueError(f"arithmetic fault: {name} underflows to 0 or overflows for {shown}")
+    try:  # a denominator that underflows to 0 or a power that overflows raises
+        scales["beta"] = 3.0 * p.gamma_s * p.f_0**2 / (2.0 * (p.m * p.omega_f * d) ** 3)
+        scales["lambda_s"] = 3.0 * hbar * p.gamma_s / (2.0 * p.m**2 * p.omega_f**2 * d)
+        scales["c_res"] = math.sqrt(2.0 * p.m * p.omega_f * d / (3.0 * p.gamma_s))
+    except ArithmeticError:  # the scale being computed is out of range
+        scales[("beta", "lambda_s", "c_res")[len(scales)]] = math.inf
+    for name, value in scales.items():
+        if not (0.0 < value < math.inf or name == "beta" and value == 0.0):
+            raise ValueError(f"arithmetic fault: {name} underflows to 0 or overflows for "
+                             f"m={p.m!r}, omega_f={p.omega_f!r}, omega_0={p.omega_0!r}, "
+                             f"gamma_s={p.gamma_s!r}, f_0={p.f_0!r}")
     return ScaledParams(kappa_scaled=p.kappa / d, n_bar=planck(p.omega_f, p.temperature),
                         scale=d, **scales)
 

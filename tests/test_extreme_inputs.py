@@ -30,21 +30,20 @@ def test_si_rates_name_the_scale_that_underflows(capsys, mass, omega_f, shown):
                          "--omega-f", omega_f, *SI)
     assert code == EXIT_INPUT and out == ""
     assert err == ("error: arithmetic fault: beta underflows to 0 or overflows for "
-                   f"gamma_s=100000.0, f_0=1e-10, {shown}, omega_0=10500000000.0\n")
+                   f"{shown}, omega_0=10500000000.0, gamma_s=100000.0, f_0=1e-10\n")
 
 
 def test_scale_params_names_lambda_s():
     # beta about 1e-36 and c_res about 2e149 are fine; 3 hbar gamma_s underflows
     p = dataclasses.replace(BASE, gamma_s=1e-280, f_0=1e150)
     with pytest.raises(ValueError, match=r"^arithmetic fault: lambda_s underflows to 0 or "
-                                         r"overflows for gamma_s=1e-280, m=1\.0, "):
+                                         r"overflows for m=1\.0, .*, gamma_s=1e-280, "):
         scale_params(p)
 
 
-def test_scale_params_takes_no_drive():
-    assert scale_params(dataclasses.replace(BASE, f_0=0.0)).beta == 0.0
-    with pytest.raises(ValueError, match="^arithmetic fault: beta underflows"):
-        scale_params(dataclasses.replace(BASE, f_0=1e-200))  # f_0**2 underflows
+@pytest.mark.parametrize("f_0", [0.0, 1e-200])  # 1e-200**2 underflows: the f_0 -> 0 limit
+def test_scale_params_takes_a_vanishing_drive(f_0):
+    assert scale_params(dataclasses.replace(BASE, f_0=f_0)).beta == 0.0
 
 
 @pytest.mark.parametrize("factor, ratio, cause", [

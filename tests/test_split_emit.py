@@ -151,6 +151,55 @@ def test_a_forked_child_starts_its_own_helper():
     assert run(LARGE) == expected and cli._helper[0] == pid
 
 
+@pytest.mark.skipif(not TWO_CPUS, reason="the split needs fork and two usable CPUs")
+def test_the_helper_holds_no_descriptor_of_its_parent(tmp_path):
+    cli._stop_helper()
+    cat = subprocess.Popen(["cat"], stdin=subprocess.PIPE, stdout=subprocess.DEVNULL)
+    try:
+        assert run([*LARGE, "--out", str(tmp_path / "t.csv")])[0] == EXIT_OK
+        if Path("/proc/self/fd").exists():  # its two pipe ends and nothing else
+            assert len(os.listdir(f"/proc/{cli._helper[0]}/fd")) == 2
+        cat.stdin.close()
+        assert cat.wait(timeout=10) == 0  # the helper holds no write end of cat's stdin
+    finally:
+        cli._stop_helper()
+        cat.kill()
+        cat.wait()
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="the split needs fork and two usable CPUs")
+def test_a_forked_child_does_not_keep_the_helper_alive():
+    run(LARGE)
+    hold_r, hold_w = os.pipe()
+    child = os.fork()
+    if child == 0:
+        try:
+            os.close(hold_w)
+            os.read(hold_r, 1)  # outlive the parent's helper
+        finally:
+            os._exit(0)
+    os.close(hold_r)
+    stopper = threading.Thread(target=cli._stop_helper, daemon=True)
+    try:
+        stopper.start()
+        stopper.join(10)  # the helper sees EOF though the child is still running
+        assert not stopper.is_alive()
+    finally:
+        os.close(hold_w)
+        os.waitpid(child, 0)
+        stopper.join()
+
+
+def test_a_helper_reaped_elsewhere_changes_nothing(monkeypatch):
+    expected = run(LARGE)
+    if cli._helper:
+        os.waitpid(cli._helper[0], os.WNOHANG)  # the helper still runs: nothing reaped
+        monkeypatch.setattr(cli.pickle, "load", mock.Mock(side_effect=EOFError))
+        reaped = mock.Mock(side_effect=ChildProcessError)
+        monkeypatch.setattr(os, "waitpid", reaped)
+        assert run(LARGE) == expected and reaped.called and cli._helper == []
+
+
 def test_out_file_of_a_large_table(tmp_path):
     path = tmp_path / "t.json"
     code, out, err = run([*LARGE, "--format", "json", "--out", str(path)])

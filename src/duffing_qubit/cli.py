@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import functools
 import json
 import math
@@ -263,9 +264,10 @@ def _text(rows, as_json: bool) -> str:
 
 _SEPS = {False: ("\n", ","), True: ("\n    ],\n    [\n      ", ",\n      ")}  # rows, cells
 
-# A table of at least this many cells is formatted on two cores: the second
-# half of its rows by a helper process, forked at the first such table.  It is
-# the measured break-even of the split; below it the split is slower (CHANGES.md).
+# A table of at least this many cells is formatted on two cores: its last
+# third of rows by a helper process, forked at the first such table.  Smaller
+# tables stay serial: the split would save them under 2 ms, no more than the
+# spread of a cross-CPU wake-up (CHANGES.md).
 _SPLIT_CELLS = 6000
 _helper: list = []  # [pid, task pipe, result pipe] of the live helper
 _busy = threading.Lock()  # held while a table is with the helper; others go serial
@@ -274,6 +276,10 @@ _busy = threading.Lock()  # held while a table is with the helper; others go ser
 def _fork_helper() -> None:
     """Fork the helper, which sends back the text of each task it is sent."""
     (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+    import fcntl  # here, not at import: only a process that forks a helper needs it
+    for end in (task_w, result_w):  # room for a whole task or text, so that
+        with contextlib.suppress(AttributeError, OSError):  # no writer waits on its reader
+            fcntl.fcntl(end, fcntl.F_SETPIPE_SZ, 1 << 20)
     with warnings.catch_warnings():  # Python 3.12+ warns of fork() beside BLAS threads
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
@@ -285,8 +291,19 @@ def _fork_helper() -> None:
             for lo, hi in zip([-1, *keep], [*keep, os.sysconf("SC_OPEN_MAX")]):
                 os.closerange(lo + 1, hi)
             tasks, results = open(task_r, "rb"), open(result_w, "wb")
+            parent = os.getppid()
+            cpus = set(getattr(os, "sched_getaffinity", lambda _: ())(0))
             while True:
-                pickle.dump(_text(*pickle.load(tasks)), results)
+                rows, as_json, thread = pickle.load(tasks)
+                # Linux wakes a pipe's reader on the writer's CPU, where the two
+                # parts would take turns: step off it, then allow every CPU again
+                if len(cpus) > 1:
+                    with contextlib.suppress(OSError, ValueError, IndexError):
+                        with open(f"/proc/{parent}/task/{thread}/stat", "rb") as stat:
+                            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+                        os.sched_setaffinity(0, cpus - {cpu})
+                        os.sched_setaffinity(0, cpus)
+                pickle.dump(_text(rows, as_json), results)
                 results.flush()
         finally:  # at EOF or on any error; runs no atexit handler, flushes no stdio
             os._exit(0)
@@ -312,24 +329,32 @@ if hasattr(os, "register_at_fork"):  # a forked child forgets the helper, and
     os.register_at_fork(after_in_child=_helper.clear)
 
 
+def _split_row(n_rows: int) -> int:
+    """The first row the helper formats.  The helper takes the last third, as
+    it also waits to wake and unpickles its rows: this process then finishes
+    last, and a table's time follows this CPU's speed, not the other's."""
+    return n_rows * 2 // 3
+
+
 def _split_text(rows, as_json: bool, cells: int) -> str:
     """``_text(rows, as_json)``; with ``cells`` at or above ``_SPLIT_CELLS``,
-    fork and at least two usable CPUs, the helper formats the second half of
+    fork and at least two usable CPUs, the helper formats the last third of
     the rows meanwhile.  On any failure the helper is reaped and the serial
     path runs, so the text and any exception are the serial path's."""
-    half = len(rows) // 2
+    cut = _split_row(len(rows))
     first = second = None
-    if (half and cells >= _SPLIT_CELLS and hasattr(os, "fork")  # the cheap tests first
+    if (cut and cells >= _SPLIT_CELLS and hasattr(os, "fork")  # the cheap tests first
             and len(getattr(os, "sched_getaffinity",
                             lambda _: range(os.cpu_count() or 1))(0)) > 1
             and _busy.acquire(blocking=False)):
         try:
-            task = pickle.dumps((rows[half:], as_json), pickle.HIGHEST_PROTOCOL)
+            task = pickle.dumps((rows[cut:], as_json, threading.get_native_id()),
+                                pickle.HIGHEST_PROTOCOL)
             if not _helper:
                 _fork_helper()
             if _helper[1].write(task) == len(task):
                 try:
-                    first = _text(rows[:half], as_json)
+                    first = _text(rows[:cut], as_json)
                 finally:  # take the answer even if this half fails
                     second = pickle.load(_helper[2])
         except Exception:
@@ -351,7 +376,7 @@ def emit_table(params: dict, columns: list[str], rows: list[list], fmt: str, out
     The output is byte-identical to formatting every cell with ``_fmt``
     (CSV) or to ``json.dumps(doc, indent=2)`` of the ``_json_safe`` cells.
     On a POSIX system with at least two usable CPUs, a table of at least
-    ``_SPLIT_CELLS`` cells is formatted half here and half by one forked
+    ``_SPLIT_CELLS`` cells is formatted partly here and partly by one forked
     helper process, which lives until this process exits and never writes
     to stdout or stderr; the output is the same.
     """

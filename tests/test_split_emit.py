@@ -1,6 +1,6 @@
 """Large tables formatted on two cores: the main process writes the first
-half of the rows and a forked helper the second.  The output and any
-exception must be those of the serial path."""
+two thirds of the rows and a forked helper the last third.  The output and
+any exception must be those of the serial path."""
 
 from __future__ import annotations
 
@@ -60,26 +60,26 @@ def large_tables(draw):
 
     Each column repeats a short drawn pattern; a float column gets drawn
     zeros and non-finite values on the rows beside the split row, and a
-    "halves" column is constant in each half but not over the table.
+    "parts" column is constant in each part but not over the table.
     """
     n_cols = draw(st.integers(1, 6))  # each divides the 6000-cell threshold
     size = draw(st.sampled_from(["below", "at", "above"]))
     per_col = cli._SPLIT_CELLS // n_cols
     n_rows = {"below": per_col - 1, "at": per_col, "above": 3 * per_col}[size]
-    half = n_rows // 2
+    cut = cli._split_row(n_rows)
     cols = []
     for _ in range(n_cols):
-        kind = draw(st.sampled_from(["float", "halves", "text", "mixed"]))
-        if kind == "halves":
+        kind = draw(st.sampled_from(["float", "parts", "text", "mixed"]))
+        if kind == "parts":
             first, second = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)])
                                  | st.tuples(floats | texts, floats | texts))
-            cols.append([first] * half + [second] * (n_rows - half))
+            cols.append([first] * cut + [second] * (n_rows - cut))
             continue
         pattern = draw(st.lists({"float": floats, "text": texts, "mixed": scalars}[kind],
                                 min_size=1, max_size=7))
         col = [pattern[i % len(pattern)] for i in range(n_rows)]
         if kind == "float":
-            col[half - 1:half + 2] = draw(st.lists(SPECIAL, min_size=3, max_size=3))
+            col[cut - 1:cut + 2] = draw(st.lists(SPECIAL, min_size=3, max_size=3))
         cols.append(col)
     rows = [list(cells) for cells in zip(*cols)]
     return size, [f"c{j}" for j in range(n_cols)], rows
@@ -94,7 +94,7 @@ def test_split_matches_serial_and_per_cell_reference(table, fmt):
     assert got == serial_emit(params, columns, rows, fmt)
     assert got == reference_emit(params, columns, rows, fmt)
     if TWO_CPUS and size != "below":
-        assert cli._helper, "the helper did not format the table's second half"
+        assert cli._helper, "the helper did not format the table's last third"
 
 
 def test_import_and_build_parser_fork_nothing():
@@ -149,6 +149,42 @@ def test_a_forked_child_starts_its_own_helper():
     os.waitpid(child, 0)
     assert answer == b"ok"
     assert run(LARGE) == expected and cli._helper[0] == pid
+
+
+@pytest.mark.skipif(not (TWO_CPUS and Path("/proc/self/task").exists()),
+                    reason="the helper steps off the sender's CPU on Linux")
+def test_the_helper_steps_off_the_senders_cpu_and_keeps_every_cpu(tmp_path):
+    cli._stop_helper()
+    log, set_affinity = tmp_path / "affinity", os.sched_setaffinity
+
+    def logged(pid, cpus):  # runs in the helper: it inherits the patch
+        with open(log, "a") as f:
+            f.write(" ".join(map(str, sorted(cpus))) + "\n")
+        set_affinity(pid, cpus)
+
+    usable = os.sched_getaffinity(0)
+    with mock.patch.object(cli, "_SPLIT_CELLS", math.inf):
+        expected = run(LARGE)
+    try:
+        with mock.patch.object(os, "sched_setaffinity", logged):
+            assert run(LARGE) == expected
+        assert os.sched_getaffinity(cli._helper[0]) == usable
+    finally:
+        cli._stop_helper()
+    stepped, restored = ({int(c) for c in line.split()}
+                         for line in log.read_text().splitlines())
+    assert stepped < usable and restored == usable
+
+
+@pytest.mark.skipif(not (TWO_CPUS and Path("/proc/sys/fs/pipe-max-size").exists()),
+                    reason="pipe sizes are set on Linux")
+def test_the_helper_pipes_hold_a_whole_task():
+    import fcntl
+
+    run(LARGE)
+    if int(Path("/proc/sys/fs/pipe-max-size").read_text()) >= 1 << 20:
+        for pipe in cli._helper[1:]:
+            assert fcntl.fcntl(pipe, fcntl.F_GETPIPE_SZ) == 1 << 20
 
 
 @pytest.mark.skipif(not TWO_CPUS, reason="the split needs fork and two usable CPUs")

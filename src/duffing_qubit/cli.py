@@ -355,7 +355,7 @@ def _split_text(rows, as_json: bool, cells: int) -> str:
             if _helper[1].write(task) == len(task):
                 try:
                     first = _text(rows[:cut], as_json)
-                finally:  # take the answer even if this half fails
+                finally:  # take the answer even if this part fails
                     second = pickle.load(_helper[2])
         except Exception:
             pass

@@ -227,9 +227,9 @@ def _json_safe(value):
 _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
-def _column_text(col: tuple, as_json: bool) -> list[str] | tuple[str, ...]:
-    """The text of each cell of one column: ``_fmt``'s, or with ``as_json``
-    the JSON of ``_json_safe``'s value.
+def _column_text(col: list | tuple, as_json: bool) -> list[str] | tuple[str, ...]:
+    """The text of each cell of one column of scalars: ``_fmt``'s, or with
+    ``as_json`` the JSON of ``_json_safe``'s value.
 
     A value that repeats is formatted once: a constant float column, and the
     distinct strings of a string column.  Zeros are never shared, since
@@ -256,19 +256,24 @@ def _column_text(col: tuple, as_json: bool) -> list[str] | tuple[str, ...]:
     return list(map(_fmt, col))
 
 
-def _text(rows, as_json: bool) -> str:
-    """The lines of ``rows``: CSV, or the inside of the JSON "rows" list."""
-    texts = [_column_text(col, as_json) for col in zip(*rows)]
+def _text(cols, as_json: bool) -> str:
+    """The lines of the table ``cols`` (one sequence per column): CSV, or the
+    inside of the JSON "rows" list.  An array column becomes Python scalars
+    here, in the process that formats it."""
+    texts = [_column_text(col.tolist() if isinstance(col, np.ndarray) else col, as_json)
+             for col in cols]
     return _SEPS[as_json][0].join(map(_SEPS[as_json][1].join, zip(*texts)))
 
 
 _SEPS = {False: ("\n", ","), True: ("\n    ],\n    [\n      ", ",\n      ")}  # rows, cells
 
 # A table of at least this many cells is formatted on two cores: its last
-# third of rows by a helper process, forked at the first such table.  Smaller
-# tables stay serial: the split would save them under 2 ms, no more than the
-# spread of a cross-CPU wake-up (CHANGES.md).
+# rows by a helper process, forked at the first such table.  Smaller tables
+# stay serial: the split would save them under 2 ms, no more than the spread
+# of a cross-CPU wake-up (CHANGES.md).
 _SPLIT_CELLS = 6000
+# the share of a split table's formatting cost that stays in this process
+_MAIN_SHARE = 0.6
 _helper: list = []  # [pid, task pipe, result pipe] of the live helper
 _busy = threading.Lock()  # held while a table is with the helper; others go serial
 
@@ -294,7 +299,7 @@ def _fork_helper() -> None:
             parent = os.getppid()
             cpus = set(getattr(os, "sched_getaffinity", lambda _: ())(0))
             while True:
-                rows, as_json, thread = pickle.load(tasks)
+                cols, as_json, thread = pickle.load(tasks)
                 # Linux wakes a pipe's reader on the writer's CPU, where the two
                 # parts would take turns: step off it, then allow every CPU again
                 if len(cpus) > 1:
@@ -303,7 +308,7 @@ def _fork_helper() -> None:
                             cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
                         os.sched_setaffinity(0, cpus - {cpu})
                         os.sched_setaffinity(0, cpus)
-                pickle.dump(_text(rows, as_json), results)
+                pickle.dump(_text(cols, as_json), results)
                 results.flush()
         finally:  # at EOF or on any error; runs no atexit handler, flushes no stdio
             os._exit(0)
@@ -329,32 +334,41 @@ if hasattr(os, "register_at_fork"):  # a forked child forgets the helper, and
     os.register_at_fork(after_in_child=_helper.clear)
 
 
-def _split_row(n_rows: int) -> int:
-    """The first row the helper formats.  The helper takes the last third, as
-    it also waits to wake and unpickles its rows: this process then finishes
-    last, and a table's time follows this CPU's speed, not the other's."""
-    return n_rows * 2 // 3
+def _split_row(cols) -> int:
+    """The first row the helper formats: where ``_MAIN_SHARE`` of the table's
+    formatting cost lies, with a row costing 1 plus its finite cells of float
+    array columns (a NaN or inf formats almost for free, and so does a list
+    column, which holds text or repeats one value).  The helper's share is
+    the smaller, as it also waits to wake and unpickles its part: this
+    process then finishes last, and a table's time follows this CPU's speed,
+    not the other's.  0 if the first row alone passes the share."""
+    cost = np.ones(len(cols[0]))
+    for col in cols:
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            cost += np.isfinite(col)
+    cost = np.cumsum(cost)
+    return int(np.searchsorted(cost, _MAIN_SHARE * cost[-1]))
 
 
-def _split_text(rows, as_json: bool, cells: int) -> str:
-    """``_text(rows, as_json)``; with ``cells`` at or above ``_SPLIT_CELLS``,
-    fork and at least two usable CPUs, the helper formats the last third of
-    the rows meanwhile.  On any failure the helper is reaped and the serial
-    path runs, so the text and any exception are the serial path's."""
-    cut = _split_row(len(rows))
+def _split_text(cols, as_json: bool) -> str:
+    """``_text(cols, as_json)``; with at least ``_SPLIT_CELLS`` cells, fork
+    and at least two usable CPUs, the helper formats the rows from
+    ``_split_row`` on meanwhile.  On any failure the helper is reaped and
+    the serial path runs, so the text and any exception are the serial
+    path's."""
     first = second = None
-    if (cut and cells >= _SPLIT_CELLS and hasattr(os, "fork")  # the cheap tests first
+    if (len(cols) * len(cols[0]) >= _SPLIT_CELLS and hasattr(os, "fork")  # cheap tests first
             and len(getattr(os, "sched_getaffinity",
                             lambda _: range(os.cpu_count() or 1))(0)) > 1
-            and _busy.acquire(blocking=False)):
+            and (cut := _split_row(cols)) and _busy.acquire(blocking=False)):
         try:
-            task = pickle.dumps((rows[cut:], as_json, threading.get_native_id()),
-                                pickle.HIGHEST_PROTOCOL)
+            task = pickle.dumps(([col[cut:] for col in cols], as_json,
+                                 threading.get_native_id()), pickle.HIGHEST_PROTOCOL)
             if not _helper:
                 _fork_helper()
             if _helper[1].write(task) == len(task):
                 try:
-                    first = _text(rows[:cut], as_json)
+                    first = _text([col[:cut] for col in cols], as_json)
                 finally:  # take the answer even if this part fails
                     second = pickle.load(_helper[2])
         except Exception:
@@ -364,27 +378,30 @@ def _split_text(rows, as_json: bool, cells: int) -> str:
                 _stop_helper()
             _busy.release()
     if first is None or second is None:
-        return _text(rows, as_json)
+        return _text(cols, as_json)
     return first + _SEPS[as_json][0] + second
 
 
-def emit_table(params: dict, columns: list[str], rows: list[list], fmt: str, out) -> None:
+def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
     """Write a table with a header: CSV, or JSON with ``fmt == "json"``.
 
-    ``rows`` are row-major, one scalar cell per column.  The cells are
+    ``cols`` holds one sequence of scalar cells per name of ``columns``, all
+    of one length: a list, a tuple or a numpy array.  The cells are
     formatted a column at a time and joined into lines with ``str.join``.
     The output is byte-identical to formatting every cell with ``_fmt``
     (CSV) or to ``json.dumps(doc, indent=2)`` of the ``_json_safe`` cells.
     On a POSIX system with at least two usable CPUs, a table of at least
     ``_SPLIT_CELLS`` cells is formatted partly here and partly by one forked
-    helper process, which lives until this process exits and never writes
-    to stdout or stderr; the output is the same.
+    helper process, which gets the rows past ``_MAIN_SHARE`` of the table's
+    formatting cost, lives until this process exits and never writes to
+    stdout or stderr; the output is the same.
     """
-    # zip(*rows) would drop the cells of a long row without a word
-    if not columns or set(map(len, rows)) - {len(columns)}:
+    # zip(*texts) would drop the cells of a long column without a word
+    if not columns or len(cols) != len(columns) or len(set(map(len, cols))) > 1:
         raise ValueError(f"a table needs one cell per column in every row, got {columns}")
     as_json = fmt == "json"
-    body = _split_text(rows, as_json, len(rows) * len(columns))
+    n_rows = len(cols[0])
+    body = _split_text(cols, as_json)
     if as_json:
         doc = {
             "schema": SCHEMA,
@@ -393,13 +410,13 @@ def emit_table(params: dict, columns: list[str], rows: list[list], fmt: str, out
             "columns": columns,
         }
         # the indent=2 layout of the "rows" entry, written from the cell texts
-        body = f"[\n    [\n      {body}\n    ]\n  ]" if rows else "[]"
+        body = f"[\n    [\n      {body}\n    ]\n  ]" if n_rows else "[]"
         out.write(f'{json.dumps(doc, indent=2)[:-2]},\n  "rows": {body}\n}}\n')
         return
     head = [f"# schema={SCHEMA}", f"# version={__version__}"]
     head += [f"# {key}={_fmt(value)}" for key, value in params.items()]
     head.append(",".join(columns))
-    out.write("\n".join(head + [body] * bool(rows)))
+    out.write("\n".join(head + [body] * bool(n_rows)))
     out.write("\n")
 
 
@@ -427,8 +444,7 @@ def cmd_attractors(args, config) -> int:
     columns = ["beta", "u_small", "nu_small", "u_unstable", "u_large", "nu_large"]
     s = solve_branches(grid, args.kappa_scaled)
     cols = (grid, s.u_small, s.nu_small, s.u_unstable, s.u_large, s.nu_large)
-    rows = list(zip(*(c.tolist() for c in cols)))
-    emit_table(params, columns, rows, args.format, args.out_stream)
+    emit_table(params, columns, cols, args.format, args.out_stream)
     return EXIT_OK
 
 
@@ -453,9 +469,8 @@ def cmd_spectrum(args, config) -> int:
         "absorption_matrix",
     ]
     spectra, worst = _dual_route(a, k, cov, kappa, lambda_s, n_bar, grid)
-    rows = list(zip(grid.tolist(), *(c.tolist() for c in spectra)))
     params["max_route_deviation"] = worst
-    emit_table(params, columns, rows, args.format, args.out_stream)
+    emit_table(params, columns, (grid, *spectra), args.format, args.out_stream)
     if args.check and not worst <= DUAL_ROUTE_LIMIT:
         print(
             f"self-check failed: dual-route deviation {worst:g} exceeds "
@@ -501,8 +516,8 @@ def _rates_scaled(args, config) -> int:
     grid = parse_grid(args.grid)
     solved = solve_branches(args.beta, kappa)
     columns = ["omega"]
-    # one column list per output column, each branch evaluated on the whole grid
-    cols: list[list] = [grid.tolist()]
+    # one column per output column, each branch evaluated on the whole grid
+    cols: list = [grid]
     for branch in [Branch.SMALL, Branch.LARGE] if which == "both" else [Branch(which)]:
         u, nu, marginal = solved.pick(branch)
         if marginal:
@@ -514,12 +529,11 @@ def _rates_scaled(args, config) -> int:
         u, nu, ge, gg, _, teff_star, flags = _resonant_1q_columns(
             grid, u, nu, marginal, kappa, args.nbar)
         cols += [u, nu, ge, gg, teff_star, flags]
-    rows = list(zip(*cols))
-    emit_table(params, columns, rows, args.format, args.out_stream)
+    emit_table(params, columns, cols, args.format, args.out_stream)
     return EXIT_OK
 
 
-def _resonant_1q_columns(omega_rel, u, nu, marginal, kappa: float, n_bar: float) -> list[list]:
+def _resonant_1q_columns(omega_rel, u, nu, marginal, kappa: float, n_bar: float) -> list:
     """The u, nu, gamma_e_scaled, gamma_g_scaled, ln_ratio, teff_star and
     flags columns of the resonant one-quantum channel.
 
@@ -541,9 +555,10 @@ def _resonant_1q_columns(omega_rel, u, nu, marginal, kappa: float, n_bar: float)
         weak = kappa / np.asarray(nu) >= FLAG_THRESHOLDS[FLAG_WEAK_DAMPING]
     flags = np.where(absent, "absent", np.where(
         marginal, "marginal", np.where(weak, FLAG_WEAK_DAMPING, "")))
-    # a value constant over the sweep (a scalar u, nu or flag) is shared
+    # an array stays one; a value constant over the sweep (a scalar u, nu or
+    # flag) becomes a list of one shared cell
     n = np.size(ge)
-    return [c.tolist() if np.ndim(c) else [np.asarray(c).tolist()] * n
+    return [c if np.ndim(c) else [np.asarray(c).tolist()] * n
             for c in (u, nu, ge, gg, ln_ratio, teff_star, flags)]
 
 
@@ -590,11 +605,9 @@ def _rates_si(args, config, regime: str) -> int:
     columns = ["omega_q", "gamma_e", "gamma_g", "t1", "t_eff", "flags"]
     res = rate(qubit, phys, attractor, scaled)
     names = {flags: _flags_str(flags) for flags in set(res.flags)}
-    rows = list(zip(
-        grid.tolist(), res.gamma_e.tolist(), res.gamma_g.tolist(), res.t1.tolist(),
-        res.t_eff.tolist(), [names[flags] for flags in res.flags],
-    ))
-    emit_table(params, columns, rows, args.format, args.out_stream)
+    cols = (grid, res.gamma_e, res.gamma_g, res.t1, res.t_eff,
+            [names[flags] for flags in res.flags])
+    emit_table(params, columns, cols, args.format, args.out_stream)
     return EXIT_OK
 
 
@@ -608,8 +621,7 @@ def cmd_teff(args, config) -> int:
                "ln_ratio", "teff_star", "flags"]
     u, nu, marginal = solve_branches(grid, kappa).pick(branch)
     cols = _resonant_1q_columns(args.omega_rel, u, nu, marginal, kappa, args.nbar)
-    rows = list(zip(grid.tolist(), *cols))
-    emit_table(params, columns, rows, args.format, args.out_stream)
+    emit_table(params, columns, [grid, *cols], args.format, args.out_stream)
     return EXIT_OK
 
 
@@ -673,10 +685,10 @@ def cmd_match(args, config) -> int:
     rows = [
         [h, re, rg, abs(re - 1.0), abs(rg - 1.0)] for h, re, rg in rows_raw
     ]
-    emit_table(params, columns, rows, args.format, args.out_stream)
+    cols = list(zip(*rows))
+    emit_table(params, columns, cols, args.format, args.out_stream)
 
-    devs_e = [row[3] for row in rows]
-    devs_g = [row[4] for row in rows]
+    devs_e, devs_g = cols[3], cols[4]
     converges = all(b < a for a, b in zip(devs_e, devs_e[1:])) and all(
         b < a for a, b in zip(devs_g, devs_g[1:])
     )
@@ -696,21 +708,24 @@ def cmd_validate(args, config) -> int:
     def report(name: str, ok: bool, metric: str) -> None:
         checks.append((name, bool(ok), metric))
 
+    # the residual sweep and the count sweep in one root solve; it works per
+    # element, so each part is what a solve of its own gives
+    grid, counted = np.linspace(0.0, 0.25, 101), np.linspace(1e-3, 0.25, 97)
+    s = solve_branches(np.concatenate([grid, counted]), kappa)
+    us = (s.u_small, s.u_unstable, s.u_large)
+
     # steady-state equation residuals across the sweep
-    grid = np.linspace(0.0, 0.25, 101)
-    s = solve_branches(grid, kappa)
     worst = 0.0
-    for u in (s.u_small, s.u_unstable, s.u_large):
+    for u in us:
+        u = u[:grid.size]
         res = np.abs(u * ((u - 1.0) ** 2 + kappa**2) - grid) / np.maximum(grid, 1.0)
         worst = max(worst, float(np.nanmax(res, initial=0.0)))
     report("attractor_residual", worst < 1e-10, f"max={worst:.3e} (limit 1e-10)")
 
     # attractor count matches the bistability window
     info = bifurcation_betas(kappa)
-    grid = np.linspace(1e-3, 0.25, 97)
-    s = solve_branches(grid, kappa)
-    n = sum(~np.isnan(u) for u in (s.u_small, s.u_unstable, s.u_large))
-    inside = info.bistable & (info.beta_low < grid) & (grid < info.beta_high)
+    n = sum(~np.isnan(u[grid.size:]) for u in us)
+    inside = info.bistable & (info.beta_low < counted) & (counted < info.beta_high)
     ok = bool(np.all(n == np.where(inside, 3, 1)))
     report("attractor_count", ok, "1 outside / 3 inside the bistable window")
 
@@ -751,7 +766,8 @@ def cmd_validate(args, config) -> int:
            f"max rel dev={worst:.3e} (limit 1e-6)")
 
     if args.format == "json":
-        emit_table(params, ["check", "ok", "metric"], checks, "json", args.out_stream)
+        emit_table(params, ["check", "ok", "metric"], list(zip(*checks)), "json",
+                   args.out_stream)
     else:
         args.out_stream.write("".join(
             f"{'ok  ' if ok else 'FAIL'} {name}: {metric}\n" for name, ok, metric in checks))

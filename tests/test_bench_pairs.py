@@ -1,0 +1,43 @@
+"""The claim verdict of ``tools/bench_pairs.py`` on synthetic pairs of runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+RATE = {"name": "points_per_s", "unit": "rows/s", "better": "higher", "bound": 0.2}
+LATENCY = {"name": "call_ms_p90", "unit": "ms", "better": "lower", "bound": 0.25}
+PARENT = [100.0 + k for k in range(10)]  # quartiles 102.25 and 106.75: IQR 4.5
+
+
+def runs(metric, parent, change):
+    name = metric["name"]
+    return [{"parent": {"metrics": {name: p}}, "change": {"metrics": {name: c}}}
+            for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize("losses, claimed", [(0, True), (1, True), (2, False)])
+def test_a_claim_needs_nine_wins_of_ten(losses, claimed):
+    change = [p + 20.0 for p in PARENT]
+    for k in range(losses):
+        change[k] = PARENT[k] - 1.0
+    s = bench_pairs.summarize(runs(RATE, PARENT, change), RATE)
+    assert s["change_wins"] == 10 - losses
+    assert s["parent_iqr"] == pytest.approx(4.5)
+    assert s["claim_met"] is claimed
+
+
+def test_a_claim_needs_a_move_beyond_the_parent_iqr():
+    s = bench_pairs.summarize(runs(RATE, PARENT, [p + 1.0 for p in PARENT]), RATE)
+    assert s["change_wins"] == 10 and s["claim_met"] is False
+
+
+@pytest.mark.parametrize("step, claimed", [(-20.0, True), (20.0, False)])
+def test_a_lower_is_better_claim_needs_a_fall(step, claimed):
+    s = bench_pairs.summarize(runs(LATENCY, PARENT, [p + step for p in PARENT]), LATENCY)
+    assert s["claim_met"] is claimed

@@ -553,3 +553,27 @@ class TestSpectraPair:
             for route in (0, 1):
                 scale = diffs[0][route + 2] + diffs[1][route + 2]
                 assert np.all(np.abs(diffs[0][route] - diffs[1][route]) <= 1e-10 * scale)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        beta=st.floats(0.01, 0.3),
+        kappa=st.floats(0.05, 0.55),
+        lambda_s=st.floats(-4.0, -1.0).map(lambda x: 10.0**x),
+        omega=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8),
+    )
+    def test_zero_temperature_keeps_absorption_and_a_finite_teff(
+            self, beta, kappa, lambda_s, omega):
+        # at n_bar = 0 the fluctuations about the attractor still excite the
+        # qubit: the matrix-route gamma_g/gamma_e is the closed-form
+        # u^2/((omega - (2u - 1))^2 + kappa^2), so T_eff stays finite
+        w = np.array(omega)
+        attractors = [a for a in stable_attractors(beta, kappa) if a.nu_scaled > 0.05]
+        assume(attractors)
+        for a in attractors:
+            k = drift_matrix(a, kappa)
+            cov = stationary_covariance(k, lambda_s, kappa, 0.0)
+            emission, absorption = spectra_from_matrix(k, cov, lambda_s, w)
+            expected = a.u**2 / ((w - (2.0 * a.u - 1.0)) ** 2 + kappa**2)
+            assert np.all(absorption > 0.0) and np.all(emission > 0.0)
+            np.testing.assert_allclose(absorption / emission, expected, rtol=1e-6)
+            assert np.all(np.isfinite(1.0 / np.log(emission / absorption)))

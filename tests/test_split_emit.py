@@ -1,6 +1,6 @@
-"""Large tables formatted on two cores: the main process writes the first
-two thirds of the rows and a forked helper the last third.  The output and
-any exception must be those of the serial path."""
+"""Large tables formatted on two cores: the main process writes the rows up
+to ``cli._MAIN_SHARE`` of the table's formatting cost and a forked helper the
+rest.  The output and any exception must be those of the serial path."""
 
 from __future__ import annotations
 
@@ -12,9 +12,11 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,15 +31,15 @@ SRC = str(Path(cli.__file__).resolve().parents[1])
 LARGE = ["attractors", "--kappa-scaled", "0.3", "--grid", "0:0.25:2001"]
 
 
-def emit(params, columns, rows, fmt):
+def emit(params, columns, cols, fmt):
     out = io.StringIO()
-    emit_table(params, columns, rows, fmt, out)
+    emit_table(params, columns, cols, fmt, out)
     return out.getvalue()
 
 
-def serial_emit(params, columns, rows, fmt):
+def serial_emit(params, columns, cols, fmt):
     with mock.patch.object(cli, "_SPLIT_CELLS", math.inf):
-        return emit(params, columns, rows, fmt)
+        return emit(params, columns, cols, fmt)
 
 
 def run(argv):
@@ -58,43 +60,65 @@ SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
 def large_tables(draw):
     """A table just below, at or well above ``_SPLIT_CELLS`` cells.
 
-    Each column repeats a short drawn pattern; a float column gets drawn
-    zeros and non-finite values on the rows beside the split row, and a
-    "parts" column is constant in each part but not over the table.
+    Each column repeats a short drawn pattern.  A float column is an array,
+    whose finite cells weigh on the split row, or a list; it gets drawn zeros
+    and non-finite values on the rows around the split row.  A "parts"
+    column is a list that is constant on each side of the final split row,
+    but not over the table.
     """
     n_cols = draw(st.integers(1, 6))  # each divides the 6000-cell threshold
     size = draw(st.sampled_from(["below", "at", "above"]))
     per_col = cli._SPLIT_CELLS // n_cols
     n_rows = {"below": per_col - 1, "at": per_col, "above": 3 * per_col}[size]
-    cut = cli._split_row(n_rows)
+    kinds = draw(st.lists(st.sampled_from(["float", "array", "parts", "text", "mixed"]),
+                          min_size=n_cols, max_size=n_cols))
     cols = []
-    for _ in range(n_cols):
-        kind = draw(st.sampled_from(["float", "parts", "text", "mixed"]))
+    for kind in kinds:
+        if kind == "parts":  # filled in once the split row is known
+            cols.append([None] * n_rows)
+            continue
+        pattern = draw(st.lists({"float": floats, "array": floats, "text": texts,
+                                 "mixed": scalars}[kind], min_size=1, max_size=7))
+        col = [pattern[i % len(pattern)] for i in range(n_rows)]
+        cols.append(np.array(col) if kind == "array" else col)
+    cut = cli._split_row(cols)
+    for col, kind in zip(cols, kinds):
+        if kind in ("float", "array"):
+            col[cut - 2:cut + 3] = draw(st.lists(SPECIAL, min_size=5, max_size=5))
+    cut = cli._split_row(cols)
+    for j, kind in enumerate(kinds):
         if kind == "parts":
             first, second = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)])
                                  | st.tuples(floats | texts, floats | texts))
-            cols.append([first] * cut + [second] * (n_rows - cut))
-            continue
-        pattern = draw(st.lists({"float": floats, "text": texts, "mixed": scalars}[kind],
-                                min_size=1, max_size=7))
-        col = [pattern[i % len(pattern)] for i in range(n_rows)]
-        if kind == "float":
-            col[cut - 1:cut + 2] = draw(st.lists(SPECIAL, min_size=3, max_size=3))
-        cols.append(col)
-    rows = [list(cells) for cells in zip(*cols)]
-    return size, [f"c{j}" for j in range(n_cols)], rows
+            cols[j] = [first] * cut + [second] * (n_rows - cut)
+    return size, [f"c{j}" for j in range(n_cols)], cols
 
 
 @settings(max_examples=45, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(large_tables(), st.sampled_from(["csv", "json"]))
 def test_split_matches_serial_and_per_cell_reference(table, fmt):
-    size, columns, rows = table
+    size, columns, cols = table
     params = {"beta": 0.12, "flag": 'a"b'}
-    got = emit(params, columns, rows, fmt)
-    assert got == serial_emit(params, columns, rows, fmt)
-    assert got == reference_emit(params, columns, rows, fmt)
+    got = emit(params, columns, cols, fmt)
+    assert got == serial_emit(params, columns, cols, fmt)
+    assert got == reference_emit(params, columns, cols, fmt)
     if TWO_CPUS and size != "below":
-        assert cli._helper, "the helper did not format the table's last third"
+        assert cli._helper, "the helper did not format the table's last rows"
+
+
+@pytest.mark.parametrize("cols, cost", [
+    # a row costs 1 plus its finite float-array cells: 1 for each NaN row of
+    # the first half, 3 for each row of the second
+    ([np.r_[np.full(2000, math.nan), np.arange(2000.0)],
+      np.r_[np.full(2000, -math.inf), np.ones(2000)], ["a"] * 4000],
+     np.r_[np.ones(2000), np.full(2000, 3.0)]),
+    # a list column adds nothing, whatever it holds
+    ([[1.5] * 4000, ["a"] * 4000], np.ones(4000)),
+])
+def test_the_split_row_follows_the_cost_of_each_row(cols, cost):
+    cost = np.cumsum(cost)
+    cut = cli._split_row(cols)
+    assert cost[cut - 1] < cli._MAIN_SHARE * cost[-1] <= cost[cut]
 
 
 def test_import_and_build_parser_fork_nothing():
@@ -236,6 +260,29 @@ def test_a_helper_reaped_elsewhere_changes_nothing(monkeypatch):
         assert run(LARGE) == expected and reaped.called and cli._helper == []
 
 
+@pytest.mark.skipif(not TWO_CPUS, reason="the split needs fork and two usable CPUs")
+def test_the_fork_warning_does_not_reach_the_caller(monkeypatch):
+    cli._stop_helper()
+    with mock.patch.object(cli, "_SPLIT_CELLS", math.inf):
+        expected = run(LARGE)
+    fork = os.fork
+
+    def warning_fork():  # as Python 3.12+ does in a process with other threads
+        warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                      "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            got = run(LARGE)
+        assert cli._helper, "the helper was not forked"
+        assert got == expected and caught == []
+    finally:
+        cli._stop_helper()
+
+
 def test_out_file_of_a_large_table(tmp_path):
     path = tmp_path / "t.json"
     code, out, err = run([*LARGE, "--format", "json", "--out", str(path)])
@@ -256,20 +303,20 @@ def test_one_usable_cpu_runs_the_serial_path(monkeypatch):
 @pytest.mark.skipif(not TWO_CPUS, reason="the split needs fork and two usable CPUs")
 @pytest.mark.parametrize("where", ["first half", "second half"])
 def test_a_cell_that_cannot_be_formatted_raises_as_the_serial_path(where):
-    rows = [[float(i), "x"] for i in range(6000)]
-    rows[10 if where == "first half" else 5000][1] = {1, 2}  # no JSON for a set
+    cols = [np.arange(6000.0), ["x"] * 6000]
+    cols[1][10 if where == "first half" else 5000] = {1, 2}  # no JSON for a set
     with pytest.raises(TypeError) as serial:
-        serial_emit({}, ["x", "y"], rows, "json")
+        serial_emit({}, ["x", "y"], cols, "json")
     with pytest.raises(TypeError) as split:
-        emit({}, ["x", "y"], rows, "json")
+        emit({}, ["x", "y"], cols, "json")
     assert str(split.value) == str(serial.value)
     assert run(LARGE)[0] == EXIT_OK
 
 
 @pytest.mark.skipif(not TWO_CPUS, reason="the split needs fork and two usable CPUs")
 def test_a_cell_that_cannot_be_pickled_gives_the_serial_text():
-    rows = [[float(i), lambda: None] for i in range(6000)]
-    assert emit({}, ["x", "f"], rows, "csv") == serial_emit({}, ["x", "f"], rows, "csv")
+    cols = [np.arange(6000.0), [lambda: None for _ in range(6000)]]
+    assert emit({}, ["x", "f"], cols, "csv") == serial_emit({}, ["x", "f"], cols, "csv")
     assert cli._helper == []
 
 
@@ -286,8 +333,8 @@ def test_no_helper_outlives_its_process():
 
 
 def test_tables_from_two_threads_stay_whole():
-    tables = [[[float(i + k), f"r{k}"] for i in range(4000)] for k in range(2)]
-    expected = [serial_emit({}, ["x", "y"], rows, "csv") for rows in tables]
+    tables = [[np.arange(4000.0) + k, [f"r{k}"] * 4000] for k in range(2)]
+    expected = [serial_emit({}, ["x", "y"], cols, "csv") for cols in tables]
     got = [[], []]
 
     def worker(k):

@@ -16,8 +16,11 @@ the change's number of wins (ties count for neither side), the relative move
 of the median and whether that move is worse than the metric's bound.  A
 move whose change median lies within the parent's [q1, q3] is marked
 ``(inside parent quartiles)``: the parent's own runs spread that far, so the
-move may be noise.  With ``--out`` it writes the same summary and every run
-as JSON, with that mark as the boolean ``inside_parent_quartiles``.
+move may be noise.  A move marked ``CLAIM MET`` (``claim_met``) is a gain
+that can be claimed: the change wins at least 9 of 10 pairs, and its median
+is better than the parent's by more than the parent's interquartile range.
+With ``--out`` it writes the same summary and every run as JSON, with those
+marks as the booleans ``inside_parent_quartiles`` and ``claim_met``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+CLAIM_WINS = 0.9  # the share of pairs a claimed gain must win
 
 
 def seed_range(spec: str) -> list[int]:
@@ -76,6 +80,9 @@ def summarize(runs: list[dict], metric: dict) -> dict:
     out["median_move"] = move
     out["worse_than_bound"] = (-move if higher else move) > metric["bound"]
     out["inside_parent_quartiles"] = out["parent"]["q1"] <= after <= out["parent"]["q3"]
+    gain = (after - before) if higher else (before - after)
+    out["claim_met"] = (out["change_wins"] >= CLAIM_WINS * len(runs)
+                        and gain > out["parent_iqr"])
     return out
 
 
@@ -122,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"  parent IQR {s['parent_iqr']:.3g}  wins {s['change_wins']}/{s['pairs']}"
                   f"  move {s['median_move']:+.1%}"
                   + ("  (inside parent quartiles)" if s["inside_parent_quartiles"] else "")
+                  + ("  CLAIM MET" if s["claim_met"] else "")
                   + ("  WORSE THAN BOUND" if s["worse_than_bound"] else ""))
     if args.out:
         doc = {

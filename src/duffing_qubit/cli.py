@@ -337,11 +337,12 @@ if hasattr(os, "register_at_fork"):  # a forked child forgets the helper, and
 def _split_row(cols) -> int:
     """The first row the helper formats: where ``_MAIN_SHARE`` of the table's
     formatting cost lies, with a row costing 1 plus its finite cells of float
-    array columns (a NaN or inf formats almost for free, and so does a list
-    column, which holds text or repeats one value).  The helper's share is
-    the smaller, as it also waits to wake and unpickles its part: this
-    process then finishes last, and a table's time follows this CPU's speed,
-    not the other's.  0 if the first row alone passes the share."""
+    array columns.  A NaN or inf formats almost for free, and so do the list
+    columns the commands pass: text, or one value repeated over the sweep.
+    The helper's share is the smaller, as it also waits to wake and unpickles
+    its part: this process then finishes last, and a table's time follows
+    this CPU's speed, not the other's.  0 if the first row alone passes the
+    share."""
     cost = np.ones(len(cols[0]))
     for col in cols:
         if isinstance(col, np.ndarray) and col.dtype.kind == "f":

@@ -8,9 +8,10 @@ routes to the one-sided power spectra are implemented:
 
 - the closed form :func:`spectra`, rational functions of frequency with
   poles at the quasienergy gap;
-- the matrix (resolvent) route :func:`spectra_from_matrix`, built on
-  :func:`spectrum_matrix` from the stationary covariance and the
-  quantum-regression evolution ``exp(K t)``.
+- the matrix (resolvent) route :func:`spectra_from_matrix`, from the
+  drift's resolvent acting on the stationary covariance (quantum regression
+  with ``exp(K t)``; :func:`spectrum_matrix` is the full matrix), taken
+  through the 2x2 adjugate from K and C alone.
 
 Each returns the pair (emission, absorption).  The qubit's decay rate comes
 from the emission spectrum and its excitation rate from the absorption
@@ -138,19 +139,53 @@ def spectra_from_matrix(
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(emission, absorption) via the matrix route, Z+- = Z1 +/- i Z2.
 
-    Emission is Re of the Z+Z- spectrum at ``omega``, absorption Re of the
-    Z-Z+ spectrum at ``-omega`` (the convention of :func:`spectra`, so both
-    routes are compared at the same ``omega``): one batched
-    :func:`spectrum_matrix` solve over ``[omega, -omega]``.  ``omega: float
-    | ndarray``; a scalar gives floats, an array arrays of its shape.
+    Emission is Re[tr N + i (N21 - N12)], the Z+Z- spectrum, at ``omega``;
+    absorption is Re[tr N - i (N21 - N12)], the Z-Z+ spectrum, at ``-omega``
+    (the convention of :func:`spectra`, so both routes are compared at the
+    same ``omega``); N is the :func:`spectrum_matrix` resolvent.  No solve is
+    made: (i omega I + K)^{-1} = (i omega I + adj K) / [(det K - omega^2) +
+    i omega tr K], and both combinations are formed from K and the symmetric
+    C before the division, so each real part is a quadratic in omega over
+    |det|^2 with no term that cancels at |omega| >> nu.  ``omega: float |
+    ndarray``; a scalar gives floats, an array arrays of its shape.
     """
     w = np.asarray(omega, dtype=float)
-    n = spectrum_matrix(drift, covariance, lambda_s, np.stack([w, -w]))
-    # Re[N11 + N22 -/+ i (N21 - N12)] at +omega / -omega
-    trace = (n[..., 0, 0] + n[..., 1, 1]).real
-    cross = (n[..., 1, 0] - n[..., 0, 1]).imag
-    pair = trace[0] - cross[0], trace[1] + cross[1]
-    return tuple(map(float, pair)) if w.ndim == 0 else pair
+    flat, k = w.reshape(-1), np.asarray(drift, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        *pair, den = _resolvent_spectra(k, covariance, lambda_s, flat)
+        # where a square overflows (|omega| or a drift entry above ~1e77),
+        # divide omega and K by a power of two 2^e: the spectra scale as 2^-e
+        big = ~(np.isfinite(pair[0]) & np.isfinite(pair[1]) & np.isfinite(den))
+        if big.any():
+            e = np.frexp(np.maximum(np.abs(flat[big]), np.abs(k).max()))[1]
+            low = _resolvent_spectra(np.ldexp(k, -e[:, None, None]), covariance,
+                                     lambda_s, np.ldexp(flat[big], -e))
+            for out, part in zip(pair, low[:2]):
+                out[big] = np.ldexp(part, -e)
+    pair = [out.reshape(w.shape) for out in pair]
+    return tuple(map(float, pair)) if w.ndim == 0 else tuple(pair)
+
+
+def _resolvent_spectra(k, covariance, lambda_s, w):
+    # Re[-(tr X +/- i (X21 - X12)) / det] with X = adj(i w I + K) (C + i
+    # lambda_s eps / 2) and det = (det K - w^2) + i w tr K, at +w for emission
+    # and -w for absorption: c0 - w^2 m2 -/+ beta w tr K over |det|^2
+    a, b, c, d = k[..., 0, 0], k[..., 0, 1], k[..., 1, 0], k[..., 1, 1]
+    (p, r), (_, q) = covariance
+    tr_k, det_k = a + d, a * d - b * c
+    tr_kc = a * p + (b + c) * r + d * q
+    tr_adj_kc = tr_k * (p + q) - tr_kc  # adj K = tr K I - K
+    cross = b * q + (a - d) * r - c * p  # (adj K C)_21 - (adj K C)_12
+    half = 0.5 * lambda_s
+    gap, wt = det_k - w * w, w * tr_k
+    den = gap * gap + wt * wt
+    pair = []
+    for sign in (1.0, -1.0):
+        c0 = -(tr_adj_kc + sign * half * tr_k) * det_k
+        m2 = tr_kc + sign * half * tr_k
+        beta = half * (b - c) + sign * cross
+        pair.append((c0 - w * w * m2 - sign * beta * wt) / den)
+    return *pair, den
 
 
 def spectra(

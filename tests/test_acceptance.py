@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from duffing_qubit import (
@@ -162,25 +163,42 @@ def test_criterion_3_stochastic_oracle():
     k = drift_matrix(a, KAPPA)
     cov = stationary_covariance(k, lambda_s, KAPPA, NBAR)
 
+    # exact Ornstein-Uhlenbeck step z -> F z + noise with F = exp(K dt) and
+    # noise covariance Q = int_0^dt exp(K s) D exp(K^T s) ds, D the diffusion
+    # lambda_s kappa (2 n_bar + 1) I; Van Loan's block exponential gives both:
+    # exp([[-K, D], [0, K^T]] dt) = [[., G], [0, F^T]] and Q = F G
     rng = np.random.default_rng(20260809)
-    dt, n_traj = 0.002, 4096
-    n_burn, n_keep = 30_000, 50_000
-    step = np.eye(2) + dt * k
-    amp = math.sqrt(2.0 * lambda_s * KAPPA * (NBAR + 0.5) * dt)
+    dt, n_traj = 0.25, 4096
+    n_burn, n_keep = 240, 1600
+    diffusion = lambda_s * KAPPA * (2.0 * NBAR + 1.0) * np.eye(2)
+    block = expm(np.block([[-k, diffusion], [np.zeros((2, 2)), k.T]]) * dt)
+    step = block[2:, 2:].T
+    noise = np.linalg.cholesky(step @ block[:2, 2:])
     z = np.zeros((n_traj, 2))
     acc = np.zeros((2, 2))
     for i in range(n_burn + n_keep):
-        z = z @ step.T + amp * rng.standard_normal((n_traj, 2))
+        z = z @ step.T + rng.standard_normal((n_traj, 2)) @ noise.T
         if i >= n_burn:
             acc += z.T @ z
     estimate = acc / (n_keep * n_traj)
 
+    # the estimator's expected relative error, from the estimate's own lag
+    # covariances R(l) = F^l S: E|S - C|^2 = sum_l (N - |l|) [(tr R)^2 +
+    # tr(R R)] / (N^2 paths); the step count keeps it below a third of the bound
+    lag, spread = estimate.copy(), 0.0
+    for lag_steps in range(n_keep):
+        weight = (n_keep - lag_steps) * (1 if lag_steps == 0 else 2)
+        spread += weight * (np.trace(lag) ** 2 + np.trace(lag @ lag))
+        lag = step @ lag
+    expected = math.sqrt(spread / (n_traj * n_keep**2)) / np.linalg.norm(estimate)
+
     error = np.linalg.norm(estimate - cov) / np.linalg.norm(cov)
     elapsed = time.perf_counter() - start
+    assert expected <= 0.01 / 3
     assert error < 0.01
     assert elapsed < 60.0
-    report(3, f"Euler-Maruyama covariance error {error:.3%} "
-              f"({n_traj} paths x {n_burn + n_keep} steps)", elapsed)
+    report(3, f"exact-step (Van Loan) covariance error {error:.3%}, expected "
+              f"{expected:.3%} ({n_traj} paths x {n_burn + n_keep} steps)", elapsed)
 
 
 def test_criterion_4_quasienergy_resonances():

@@ -1,6 +1,7 @@
 """The claim verdict of ``tools/bench_pairs.py`` on synthetic pairs of runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,37 @@ def test_a_claim_needs_a_move_beyond_the_parent_iqr():
 def test_a_lower_is_better_claim_needs_a_fall(step, claimed):
     s = bench_pairs.summarize(runs(LATENCY, PARENT, [p + step for p in PARENT]), LATENCY)
     assert s["claim_met"] is claimed
+
+
+def fake_main(tmp_path, monkeypatch, capsys, change_rate, correct=True):
+    """main over 10 pairs of synthetic runs: (exit status, stdout)."""
+    calls = iter(range(20))
+
+    def run_once(checkout, workload, seed, seconds):
+        k = next(calls) // 2  # both sides of pair k
+        change = checkout == tmp_path / "change"
+        rate = change_rate(PARENT[k]) if change else PARENT[k]
+        return {"correct": correct or not change, "metrics": {"points_per_s": rate},
+                "environment": {}}
+
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [RATE]}))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    code = bench_pairs.main([str(tmp_path), str(tmp_path / "change"), "--workloads",
+                             "omega-sweep", "--seeds", "1-10", "--pairs", "10"])
+    return code, capsys.readouterr().out
+
+
+def test_a_gain_on_correct_runs_exits_zero(tmp_path, monkeypatch, capsys):
+    code, out = fake_main(tmp_path, monkeypatch, capsys, lambda p: p + 20.0)
+    assert code == 0 and "CLAIM MET" in out and "all_correct True" in out
+
+
+def test_an_incorrect_run_exits_one(tmp_path, monkeypatch, capsys):
+    code, out = fake_main(tmp_path, monkeypatch, capsys, lambda p: p + 20.0, correct=False)
+    assert code == 1 and "all_correct False" in out
+
+
+def test_a_metric_worse_than_its_bound_exits_one(tmp_path, monkeypatch, capsys):
+    code, out = fake_main(tmp_path, monkeypatch, capsys, lambda p: 0.7 * p)
+    assert code == 1 and "WORSE THAN BOUND" in out and "all_correct True" in out

@@ -186,15 +186,31 @@ class TestDualRoute:
 
 
 def per_point_reference(k, cov, lambda_s, omega):
-    """Emission/absorption by one 2x2 solve per grid point."""
-    m = cov + 0.5j * lambda_s * LEVI_CIVITA
-    emission, absorption = [], []
+    """Emission/absorption by one spectrum_matrix (LAPACK) solve per point,
+    as shape (2, len(omega))."""
+    pair = []
     for w in omega:
-        n = -np.linalg.solve(1j * w * np.eye(2) + k, m)
-        emission.append((n[0, 0] + n[1, 1] + 1j * (n[1, 0] - n[0, 1])).real)
-        n = -np.linalg.solve(1j * -w * np.eye(2) + k, m)
-        absorption.append((n[0, 0] + n[1, 1] - 1j * (n[1, 0] - n[0, 1])).real)
-    return np.array(emission), np.array(absorption)
+        n = spectrum_matrix(k, cov, lambda_s, w)
+        emission = (n[0, 0] + n[1, 1] + 1j * (n[1, 0] - n[0, 1])).real
+        n = spectrum_matrix(k, cov, lambda_s, -w)
+        pair.append((emission, (n[0, 0] + n[1, 1] - 1j * (n[1, 0] - n[0, 1])).real))
+    return np.array(pair).T
+
+
+def mp_resolvent_spectra(k, cov, lambda_s, w):
+    """(emission, absorption) of the resolvent -(i w I + K)^{-1} (C + i
+    lambda_s eps / 2) at 50 digits, from the float entries of K and C."""
+    import mpmath as mp
+    with mp.workdps(50):
+        kk = mp.matrix([[mp.mpf(float(x)) for x in row] for row in k])
+        m = mp.matrix([[mp.mpf(float(x)) for x in row] for row in cov])
+        m[0, 1] += 1j * mp.mpf(lambda_s) / 2
+        m[1, 0] -= 1j * mp.mpf(lambda_s) / 2
+        pair = []
+        for sign in (1, -1):
+            n = -(mp.inverse(1j * sign * mp.mpf(float(w)) * mp.eye(2) + kk) * m)
+            pair.append(float(mp.re(n[0, 0] + n[1, 1] + sign * 1j * (n[1, 0] - n[0, 1]))))
+        return pair
 
 
 # the closed form's arithmetic is the same per point and on an array, except
@@ -208,13 +224,22 @@ class TestBatchedOmega:
 
     @pytest.mark.parametrize("beta,kappa,n_bar", CASES)
     def test_matrix_route_equals_per_point_solve(self, beta, kappa, n_bar):
+        # an array call has the bits of one scalar call per point.  Against a
+        # per-point LAPACK solve of spectrum_matrix it agrees to 1e-13 of the
+        # row's larger spectrum for |omega| <= 6; at |omega| = 1e3 that solve
+        # loses ~|omega| eps to cancellation, so a 50-digit resolvent is used
+        near = np.abs(self.GRID) <= 6.0
         for a in stable_attractors(beta, kappa):
             k, cov = covariance_for(a, kappa, n_bar=n_bar)
-            emission, absorption = per_point_reference(k, cov, LAMBDA_S, self.GRID)
-            assert np.array_equal(
-                spectra_from_matrix(k, cov, LAMBDA_S, self.GRID)[0], emission)
-            assert np.array_equal(
-                spectra_from_matrix(k, cov, LAMBDA_S, self.GRID)[1], absorption)
+            batched = np.array(spectra_from_matrix(k, cov, LAMBDA_S, self.GRID))
+            scalar = [spectra_from_matrix(k, cov, LAMBDA_S, float(w)) for w in self.GRID]
+            assert np.array_equal(batched, np.transpose(scalar))
+            reference = np.empty_like(batched)
+            reference[:, near] = per_point_reference(k, cov, LAMBDA_S, self.GRID[near])
+            reference[:, ~near] = np.transpose(
+                [mp_resolvent_spectra(k, cov, LAMBDA_S, w) for w in self.GRID[~near]])
+            scale = np.max(np.abs(reference), axis=0)
+            assert np.all(np.abs(batched - reference) <= 1e-13 * scale)
 
     def test_spectrum_matrix_stack(self):
         a = stable_attractors(0.12, 0.3)[-1]
@@ -437,21 +462,23 @@ class TestClosedFormOverflow:
             absorption = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[1]
         oracle = [mp_emission(x, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR) for x in w]
         np.testing.assert_allclose(closed, oracle, rtol=1e-14, atol=0.0)
-        # the matrix route loses digits to cancellation at |omega| >> nu
-        np.testing.assert_allclose(closed, matrix, rtol=1e-6, atol=0.0)
+        np.testing.assert_allclose(closed, matrix, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
-            absorption, spectra_from_matrix(k, cov, LAMBDA_S, w)[1], rtol=1e-6, atol=0.0)
+            absorption, spectra_from_matrix(k, cov, LAMBDA_S, w)[1], rtol=1e-12, atol=0.0)
         assert np.all(closed[:3] > 0.0) and np.all(absorption[:3] > 0.0)
 
     def test_huge_frequency_with_a_small_drive(self):
-        # the matrix route is no reference here: its real part cancels away
-        # once |omega| >> nu
         a = stable_attractors(0.12, 0.3)[-1]
+        k, cov = covariance_for(a, 0.3)
         w = np.array([-1e200, -1e100, 1e80, 1e153, 1e200])
-        closed = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0]
+        pair = np.array(spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR))
+        closed = pair[0]
         oracle = [mp_emission(x, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR) for x in w]
         np.testing.assert_allclose(closed, oracle, rtol=1e-14, atol=0.0)
         assert closed[1] > 0.0 and closed[2] > 0.0 and closed[0] == closed[-1] == 0.0
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            matrix = np.array(spectra_from_matrix(k, cov, LAMBDA_S, w))
+        np.testing.assert_allclose(matrix, pair, rtol=1e-12, atol=0.0)
 
     def test_scalar_call(self):
         (a,) = solve_attractors(1e300, 0.3)
@@ -476,6 +503,52 @@ class TestClosedFormOverflow:
         assert np.isfinite(expected).all() and np.array_equal(absorption, expected)
         oracle = mp_emission(w[0], 0.0, 1.3e154, 0.3, LAMBDA_S, n_bar)
         assert math.isclose(emission[0], oracle, rel_tol=1e-14)
+
+
+class TestMatrixRouteCancellation:
+    """The matrix route at |omega| >> nu, where a complex solve's real part
+    is a difference of O(1/omega) terms."""
+
+    def test_spectrum_check_passes_at_huge_frequency(self, capsys):
+        from duffing_qubit.cli import main
+        assert main(["spectrum", "--beta", "0.12", "--kappa-scaled", "0.3", "--nbar", "0.5",
+                     "--lambda-s", "1e-3", "--attractor", "large", "--check",
+                     "--grid=1e6:1e20:3"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("branch", [Branch.SMALL, Branch.LARGE])
+    def test_matches_a_50_digit_resolvent(self, branch):
+        (a,) = [x for x in stable_attractors(0.12, 0.3) if x.branch is branch]
+        k, cov = covariance_for(a, 0.3, lambda_s=1e-3)
+        w = np.array([1e3, -1e3, 1e6, -1e6, 1e20, -1e20])
+        matrix = np.array(spectra_from_matrix(k, cov, 1e-3, w))
+        oracle = np.transpose([mp_resolvent_spectra(k, cov, 1e-3, x) for x in w])
+        np.testing.assert_allclose(matrix, oracle, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        beta=st.floats(0.01, 0.3),
+        kappa=st.floats(0.05, 0.55),
+        lambda_s=st.floats(-4.0, -1.0).map(lambda x: 10.0**x),
+        # at n_bar = 0 the absorption falls as omega^-4 at |omega| >> nu, below
+        # its omega^-2 coefficient 2 lambda_s kappa n_bar, which the matrix
+        # route forms as tr(K C) + lambda_s kappa from a rounded C
+        n_bar=st.floats(-3.0, math.log10(5.0)).map(lambda x: 10.0**x),
+        log_omega=st.lists(st.floats(-3.0, 150.0), min_size=1, max_size=8),
+        negate=st.booleans(),
+    )
+    def test_routes_agree_over_log_frequency(self, beta, kappa, lambda_s, n_bar,
+                                             log_omega, negate):
+        w = (-1.0 if negate else 1.0) * 10.0 ** np.array(log_omega)
+        attractors = [a for a in stable_attractors(beta, kappa) if a.nu_scaled > 0.05]
+        assume(attractors)
+        for a in attractors:
+            k, cov = covariance_for(a, kappa, lambda_s=lambda_s, n_bar=n_bar)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                closed = np.array(spectra(w, a.u, a.nu_scaled, kappa, lambda_s, n_bar))
+                matrix = np.array(spectra_from_matrix(k, cov, lambda_s, w))
+            assert np.all(closed > 0.0) and np.all(matrix > 0.0)
+            assert np.all(np.abs(closed - matrix) <= 1e-10 * np.maximum(closed, matrix))
 
 
 class TestSpectraPair:
@@ -509,6 +582,7 @@ class TestSpectraPair:
                    for x in two_quantum_spectrum(3e10, 1.5e10, 1e6, NBAR, 1e-12))
 
     def test_one_spectrum_matrix_solve_per_check(self, monkeypatch, capsys):
+        # the matrix route takes the adjugate: spectrum --check solves nothing
         import duffing_qubit.fluctuations as fl
         from duffing_qubit.cli import main
         calls = []
@@ -522,7 +596,7 @@ class TestSpectraPair:
         assert main(["spectrum", "--beta", "0.12", "--kappa-scaled", "0.3",
                      "--grid=-2:2:101", "--check"]) == 0
         capsys.readouterr()
-        assert calls == [(2, 101)]
+        assert calls == []
 
     @settings(max_examples=120, deadline=None)
     @given(

@@ -19,8 +19,11 @@ move whose change median lies within the parent's [q1, q3] is marked
 move may be noise.  A move marked ``CLAIM MET`` (``claim_met``) is a gain
 that can be claimed: the change wins at least 9 of 10 pairs, and its median
 is better than the parent's by more than the parent's interquartile range.
-With ``--out`` it writes the same summary and every run as JSON, with those
-marks as the booleans ``inside_parent_quartiles`` and ``claim_met``.
+It then prints ``all_correct``, whether every run's output passed perfbench's
+checks.  With ``--out`` it writes the same summary and every run as JSON, with
+those marks as the booleans ``inside_parent_quartiles``, ``claim_met`` and
+``worse_than_bound``.  The exit status is 1 when a run was incorrect or a
+metric is worse than its bound, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -120,6 +123,7 @@ def main(argv: list[str] | None = None) -> int:
 
     results = {w: {m["name"]: summarize(runs[w], m) for m in bench["end_to_end"]}
                for w in workloads}
+    all_correct = all(p[side]["correct"] for w in workloads for p in runs[w] for side in SIDES)
     for workload, metrics in results.items():
         print(f"{workload} ({args.pairs} pairs)")
         for name, s in metrics.items():
@@ -131,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
                   + ("  (inside parent quartiles)" if s["inside_parent_quartiles"] else "")
                   + ("  CLAIM MET" if s["claim_met"] else "")
                   + ("  WORSE THAN BOUND" if s["worse_than_bound"] else ""))
+    print(f"all_correct {all_correct}")
     if args.out:
         doc = {
             "workloads": workloads,
@@ -138,12 +143,12 @@ def main(argv: list[str] | None = None) -> int:
             "first": [pair["first"] for pair in runs[workloads[0]]],
             "seconds": args.seconds,
             "environment": environment,  # of each side's first run
-            "all_correct": all(p[side]["correct"] for w in workloads for p in runs[w]
-                               for side in SIDES),
+            "all_correct": all_correct,
             "results": results,
         }
         args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return 0
+    worse = any(s["worse_than_bound"] for metrics in results.values() for s in metrics.values())
+    return 1 if worse or not all_correct else 0
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ import json
 import math
 import os
 import pickle
+import re
 import sys
 import threading
 import warnings
@@ -229,7 +230,10 @@ _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 def _column_text(col: list | tuple, as_json: bool) -> list[str] | tuple[str, ...]:
     """The text of each cell of one column of scalars: ``_fmt``'s, or with
-    ``as_json`` the JSON of ``_json_safe``'s value.
+    ``as_json`` the JSON of ``_json_safe``'s value.  This formats list and
+    tuple columns, arrays of any dtype but float64, and the infinities and
+    1e-5 <= |x| < 1e-4 cells of float64 arrays; ``_float_texts`` formats the
+    rest of those.
 
     A value that repeats is formatted once: a constant float column, and the
     distinct strings of a string column.  Zeros are never shared, since
@@ -256,13 +260,50 @@ def _column_text(col: list | tuple, as_json: bool) -> list[str] | tuple[str, ...
     return list(map(_fmt, col))
 
 
+def _float_kinds(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the cells of a float64 column that orjson lays out unlike
+    ``repr``, NaN (null) aside: those it writes with an exponent
+    (0 < |x| < 1e-5 and 1e16 <= |x| < inf), and the rest (1e-5 <= |x| < 1e-4
+    as 0.0000ddd where ``repr`` writes d.ddde-05; +-inf as null)."""
+    mag = np.abs(col)
+    return ((mag < 1e-5) & (col != 0) | (mag >= 1e16) & (mag < np.inf),
+            (mag == np.inf) | (mag >= 1e-5) & (mag < 1e-4))
+
+
+def _float_texts(col: np.ndarray, as_json: bool) -> list[str]:
+    """``_column_text(col.tolist(), as_json)`` of a float64 array, from the
+    digits orjson writes (Ryu's shortest round-trip digits, which are
+    ``repr``'s) for the whole column.  Its null becomes nan, its exponents
+    e16 and e-7 become ``repr``'s e+16 and e-07, and the other cells of
+    ``_float_kinds`` are formatted by ``_column_text``."""
+    import orjson  # here, not at import: that would add ~6 ms to every start-up
+    if not len(col):
+        return []
+    text = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = text[1:-1].decode().replace("null", _QUOTED["nan"] if as_json else "nan")
+    exponent, other = _float_kinds(col)
+    if exponent.any():
+        text = re.sub(r"e(?=\d)", "e+", re.sub(r"e-(\d)\b", r"e-0\1", text))
+    texts = text.split(",")
+    other = np.flatnonzero(other)
+    for i, cell in zip(other.tolist(), _column_text(col[other].tolist(), as_json)):
+        texts[i] = cell
+    return texts
+
+
 def _text(cols, as_json: bool) -> str:
     """The lines of the table ``cols`` (one sequence per column): CSV, or the
-    inside of the JSON "rows" list.  An array column becomes Python scalars
-    here, in the process that formats it."""
-    texts = [_column_text(col.tolist() if isinstance(col, np.ndarray) else col, as_json)
+    inside of the JSON "rows" list.  A float64 array column is formatted by
+    ``_float_texts``; any other array becomes Python scalars here, in the
+    process that formats it."""
+    texts = [_float_texts(col, as_json) if _is_float64(col) else
+             _column_text(col.tolist() if isinstance(col, np.ndarray) else col, as_json)
              for col in cols]
     return _SEPS[as_json][0].join(map(_SEPS[as_json][1].join, zip(*texts)))
+
+
+def _is_float64(col) -> bool:
+    return isinstance(col, np.ndarray) and col.dtype == np.float64
 
 
 _SEPS = {False: ("\n", ","), True: ("\n    ],\n    [\n      ", ",\n      ")}  # rows, cells
@@ -271,7 +312,7 @@ _SEPS = {False: ("\n", ","), True: ("\n    ],\n    [\n      ", ",\n      ")}  # 
 # rows by a helper process, forked at the first such table.  Smaller tables
 # stay serial: the split would save them under 2 ms, no more than the spread
 # of a cross-CPU wake-up (CHANGES.md).
-_SPLIT_CELLS = 6000
+_SPLIT_CELLS = 30000
 # the share of a split table's formatting cost that stays in this process
 _MAIN_SHARE = 0.6
 _helper: list = []  # [pid, task pipe, result pipe] of the live helper
@@ -336,17 +377,21 @@ if hasattr(os, "register_at_fork"):  # a forked child forgets the helper, and
 
 def _split_row(cols) -> int:
     """The first row the helper formats: where ``_MAIN_SHARE`` of the table's
-    formatting cost lies, with a row costing 1 plus its finite cells of float
-    array columns.  A NaN or inf formats almost for free, and so do the list
-    columns the commands pass: text, or one value repeated over the sweep.
+    formatting cost lies.  The cost is counted in plain cells of float64
+    array columns, as ``_float_texts`` formats them (about 0.25 us each,
+    CHANGES.md).  Joining a row costs a quarter per cell; a cell of a float64
+    array costs 1, a NaN half that, a cell with an exponent 4 and one
+    formatted by ``_column_text`` 9.  Other columns add only their share of
+    the join: the commands pass text, or one value repeated over the sweep.
     The helper's share is the smaller, as it also waits to wake and unpickles
     its part: this process then finishes last, and a table's time follows
     this CPU's speed, not the other's.  0 if the first row alone passes the
     share."""
-    cost = np.ones(len(cols[0]))
+    cost = np.full(len(cols[0]), 0.25 * len(cols))
     for col in cols:
-        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-            cost += np.isfinite(col)
+        if _is_float64(col):
+            exponent, other = _float_kinds(col)
+            cost += 1 - 0.5 * np.isnan(col) + 3 * exponent + 8 * other
     cost = np.cumsum(cost)
     return int(np.searchsorted(cost, _MAIN_SHARE * cost[-1]))
 
@@ -388,7 +433,9 @@ def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
 
     ``cols`` holds one sequence of scalar cells per name of ``columns``, all
     of one length: a list, a tuple or a numpy array.  The cells are
-    formatted a column at a time and joined into lines with ``str.join``.
+    formatted a column at a time and joined into lines with ``str.join``; a
+    float64 array column takes its digits from one ``orjson.dumps`` call
+    (``_float_texts``), which writes ``repr``'s shortest round-trip digits.
     The output is byte-identical to formatting every cell with ``_fmt``
     (CSV) or to ``json.dumps(doc, indent=2)`` of the ``_json_safe`` cells.
     On a POSIX system with at least two usable CPUs, a table of at least

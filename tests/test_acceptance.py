@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from duffing_qubit import (
@@ -33,6 +32,7 @@ from duffing_qubit import (
     two_quantum_spectrum,
 )
 from duffing_qubit.cli import match_report
+from test_fluctuations import exact_step_oracle
 
 KAPPA = 0.3
 NBAR = 0.5
@@ -163,34 +163,14 @@ def test_criterion_3_stochastic_oracle():
     k = drift_matrix(a, KAPPA)
     cov = stationary_covariance(k, lambda_s, KAPPA, NBAR)
 
-    # exact Ornstein-Uhlenbeck step z -> F z + noise with F = exp(K dt) and
-    # noise covariance Q = int_0^dt exp(K s) D exp(K^T s) ds, D the diffusion
-    # lambda_s kappa (2 n_bar + 1) I; Van Loan's block exponential gives both:
-    # exp([[-K, D], [0, K^T]] dt) = [[., G], [0, F^T]] and Q = F G
-    rng = np.random.default_rng(20260809)
+    # exact Ornstein-Uhlenbeck steps (Van Loan's block exponential) over
+    # 4096 paths; the step count keeps the expected sampling error below a
+    # third of the bound
     dt, n_traj = 0.25, 4096
     n_burn, n_keep = 240, 1600
     diffusion = lambda_s * KAPPA * (2.0 * NBAR + 1.0) * np.eye(2)
-    block = expm(np.block([[-k, diffusion], [np.zeros((2, 2)), k.T]]) * dt)
-    step = block[2:, 2:].T
-    noise = np.linalg.cholesky(step @ block[:2, 2:])
-    z = np.zeros((n_traj, 2))
-    acc = np.zeros((2, 2))
-    for i in range(n_burn + n_keep):
-        z = z @ step.T + rng.standard_normal((n_traj, 2)) @ noise.T
-        if i >= n_burn:
-            acc += z.T @ z
-    estimate = acc / (n_keep * n_traj)
-
-    # the estimator's expected relative error, from the estimate's own lag
-    # covariances R(l) = F^l S: E|S - C|^2 = sum_l (N - |l|) [(tr R)^2 +
-    # tr(R R)] / (N^2 paths); the step count keeps it below a third of the bound
-    lag, spread = estimate.copy(), 0.0
-    for lag_steps in range(n_keep):
-        weight = (n_keep - lag_steps) * (1 if lag_steps == 0 else 2)
-        spread += weight * (np.trace(lag) ** 2 + np.trace(lag @ lag))
-        lag = step @ lag
-    expected = math.sqrt(spread / (n_traj * n_keep**2)) / np.linalg.norm(estimate)
+    estimate, expected = exact_step_oracle(k, diffusion, dt, n_traj, n_burn, n_keep,
+                                           np.random.default_rng(20260809))
 
     error = np.linalg.norm(estimate - cov) / np.linalg.norm(cov)
     elapsed = time.perf_counter() - start

@@ -128,3 +128,58 @@ def test_ragged_rows_and_no_columns_are_refused(columns, rows):
     cols = [[row[j] for row in rows if j < len(row)] for j in range(max(map(len, rows)))]
     with pytest.raises(ValueError, match="one cell per column"):
         emit({}, columns, cols, "csv")
+
+
+# float64 cells where orjson's layout and repr's part: the neighbours of 0 and
+# of the thresholds 1e-5, 1e-4 and 1e16, subnormals, +-max, NaN and +-inf
+EDGES = np.array([
+    *(np.nextafter(edge, toward) * sign for edge in (0.0, 1e-5, 1e-4, 1e16)
+      for toward in (-np.inf, np.inf) for sign in (1.0, -1.0)),
+    0.0, -0.0, 1e-5, 1e-4, 1e16, -1e16, 5e-324, -5e-324, 2.225073858507201e-308,
+    np.finfo(float).tiny, np.finfo(float).max, -np.finfo(float).max,
+    np.nan, np.inf, -np.inf, 1e-7, 1.5e-10, 1e100, 1e-100, 123456.789,
+])
+
+
+def laid_out(values: np.ndarray, layout: str) -> np.ndarray:
+    """``values`` as a contiguous array, or as a strided view of a larger one."""
+    if layout == "every other":
+        a = np.full(2 * len(values), 1.25)
+        a[::2] = values
+        return a[::2]
+    if layout == "matrix column":
+        m = np.full((len(values), 3), 1.25)
+        m[:, 0] = values
+        return m[:, 0]
+    return values.copy()
+
+
+@st.composite
+def float64_tables(draw):
+    """One to three float64 columns of raw bit patterns, some cells replaced
+    by edges, each laid out as contiguous or strided."""
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 40))
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        bits = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)):
+            values[i] = draw(st.sampled_from(EDGES))
+        cols.append(laid_out(values, draw(st.sampled_from(
+            ["contiguous", "every other", "matrix column"]))))
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(float64_tables(), st.sampled_from(["csv", "json"]))
+def test_float64_arrays_match_the_per_cell_reference(cols, fmt):
+    columns = [f"c{j}" for j in range(len(cols))]
+    assert emit({}, columns, cols, fmt) == reference_emit({}, columns, cols, fmt)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "every other", "matrix column"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_float64_edges_match_the_per_cell_reference(layout, fmt):
+    for values in (EDGES, EDGES[:1], EDGES[:0], np.repeat(EDGES, 50)):
+        cols = [laid_out(values, layout), laid_out(values[::-1], layout)]
+        assert emit({}, ["x", "y"], cols, fmt) == reference_emit({}, ["x", "y"], cols, fmt)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
 from scipy.integrate import quad, simpson
+from scipy.linalg import expm
 
 from duffing_qubit import (
     Branch,
@@ -97,24 +98,48 @@ class TestStationaryCovariance:
         with pytest.raises(MarginalAttractorError, match="not strictly stable"):
             stationary_covariance(np.array(k), LAMBDA_S, 0.3, NBAR)
 
-    def test_euler_maruyama_oracle_compact(self):
+    def test_exact_step_oracle_compact_matches_lyapunov_covariance(self):
         # small copy of the stochastic cross-check; the acceptance suite runs
         # the full-budget version
         a = stable_attractors(0.12, 0.3)[-1]
         k, cov = covariance_for(a, 0.3)
-        rng = np.random.default_rng(7)
-        dt, n_traj = 0.004, 2048
-        step = np.eye(2) + dt * k
-        amp = math.sqrt(2 * LAMBDA_S * 0.3 * (NBAR + 0.5) * dt)
-        z = np.zeros((n_traj, 2))
-        acc = np.zeros((2, 2))
-        n_burn, n_keep = 5000, 12000
-        for i in range(n_burn + n_keep):
-            z = z @ step.T + amp * rng.standard_normal((n_traj, 2))
-            if i >= n_burn:
-                acc += z.T @ z
-        estimate = acc / (n_keep * n_traj)
+        diffusion = LAMBDA_S * 0.3 * (2 * NBAR + 1) * np.eye(2)
+        estimate, expected = exact_step_oracle(k, diffusion, dt=0.5, n_traj=1024, n_burn=120,
+                                               n_keep=400, rng=np.random.default_rng(7))
+        assert expected <= 0.03 / 3
         assert np.linalg.norm(estimate - cov) / np.linalg.norm(cov) < 0.03
+
+
+def exact_step_oracle(k, diffusion, dt, n_traj, n_burn, n_keep, rng):
+    """The stationary covariance of dz = K z dt + dW, <dW dW^T> = D dt,
+    sampled from ``n_traj`` paths that start at 0, run ``n_burn`` steps of
+    ``dt`` and are then averaged over ``n_keep`` steps; and the estimate's
+    expected relative sampling error.  It never calls ``stationary_covariance``.
+
+    The step is exact: z -> F z + noise with F = exp(K dt) and noise
+    covariance Q = int_0^dt exp(K s) D exp(K^T s) ds.  Van Loan's block
+    exponential gives both (C. F. Van Loan, IEEE Trans. Autom. Control 23:395,
+    1978): exp([[-K, D], [0, K^T]] dt) = [[., G], [0, F^T]] and Q = F G.
+    The expected error comes from the estimate's own lag covariances
+    R(l) = F^l S: E|S - C|^2 = sum_l (N - |l|) [(tr R)^2 + tr(R R)] / (N^2 paths).
+    """
+    block = expm(np.block([[-k, diffusion], [np.zeros((2, 2)), k.T]]) * dt)
+    step = block[2:, 2:].T
+    noise = np.linalg.cholesky(step @ block[:2, 2:])
+    z = np.zeros((n_traj, 2))
+    acc = np.zeros((2, 2))
+    for i in range(n_burn + n_keep):
+        z = z @ step.T + rng.standard_normal((n_traj, 2)) @ noise.T
+        if i >= n_burn:
+            acc += z.T @ z
+    estimate = acc / (n_keep * n_traj)
+
+    lag, spread = estimate.copy(), 0.0
+    for lag_steps in range(n_keep):
+        weight = (n_keep - lag_steps) * (1 if lag_steps == 0 else 2)
+        spread += weight * (np.trace(lag) ** 2 + np.trace(lag @ lag))
+        lag = step @ lag
+    return estimate, math.sqrt(spread / (n_traj * n_keep**2)) / np.linalg.norm(estimate)
 
 
 class TestSpectrumMatrix:

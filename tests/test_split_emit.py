@@ -27,8 +27,8 @@ from duffing_qubit.cli import EXIT_OK, emit_table, main
 
 TWO_CPUS = hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1
 SRC = str(Path(cli.__file__).resolve().parents[1])
-# 2001 rows of 6 columns: 12 006 cells, past the threshold
-LARGE = ["attractors", "--kappa-scaled", "0.3", "--grid", "0:0.25:2001"]
+# 5001 rows of 6 columns: 30 006 cells, past the threshold
+LARGE = ["attractors", "--kappa-scaled", "0.3", "--grid", "0:0.25:5001"]
 
 
 def emit(params, columns, cols, fmt):
@@ -66,7 +66,7 @@ def large_tables(draw):
     column is a list that is constant on each side of the final split row,
     but not over the table.
     """
-    n_cols = draw(st.integers(1, 6))  # each divides the 6000-cell threshold
+    n_cols = draw(st.integers(1, 6))  # each divides the 30 000-cell threshold
     size = draw(st.sampled_from(["below", "at", "above"]))
     per_col = cli._SPLIT_CELLS // n_cols
     n_rows = {"below": per_col - 1, "at": per_col, "above": 3 * per_col}[size]
@@ -106,14 +106,23 @@ def test_split_matches_serial_and_per_cell_reference(table, fmt):
         assert cli._helper, "the helper did not format the table's last rows"
 
 
+QUARTERS = np.repeat([0.0, 1.0, 2.0, 3.0], 1000)
+
+
 @pytest.mark.parametrize("cols, cost", [
-    # a row costs 1 plus its finite float-array cells: 1 for each NaN row of
-    # the first half, 3 for each row of the second
-    ([np.r_[np.full(2000, math.nan), np.arange(2000.0)],
-      np.r_[np.full(2000, -math.inf), np.ones(2000)], ["a"] * 4000],
-     np.r_[np.ones(2000), np.full(2000, 3.0)]),
-    # a list column adds nothing, whatever it holds
-    ([[1.5] * 4000, ["a"] * 4000], np.ones(4000)),
+    # in plain float cells: a quarter per cell of the row for the join, and
+    # per float64 array cell 1/2 for a NaN, 1 for a plain cell, 4 for one
+    # with an exponent and 9 for one formatted by _column_text; quarters of
+    # NaN, plain, exponent and 1e-5 <= |x| < 1e-4 cells, beside a text column
+    ([np.choose(QUARTERS.astype(int), [math.nan, -1.5, 1e-7, -3e-5]), ["a"] * 4000],
+     0.5 + np.choose(QUARTERS.astype(int), [0.5, 1.0, 4.0, 9.0])),
+    # 0.0 is plain, +-inf take _column_text's path and huge cells an exponent;
+    # a strided view counts as its values
+    ([np.r_[np.zeros(2000), np.full(1000, -math.inf), np.full(1000, 2e16)],
+      np.c_[np.ones(4000), np.zeros(4000)][:, 0]],
+     0.5 + np.r_[np.full(2000, 2.0), np.full(1000, 10.0), np.full(1000, 5.0)]),
+    # a list column adds only its share of the join, whatever it holds
+    ([[1.5] * 4000, ["a"] * 4000, [math.nan] * 4000], np.full(4000, 0.75)),
 ])
 def test_the_split_row_follows_the_cost_of_each_row(cols, cost):
     cost = np.cumsum(cost)
@@ -147,7 +156,7 @@ def test_a_killed_helper_costs_nothing_but_time():
     pid = cli._helper[0]
     os.kill(pid, signal.SIGKILL)
     assert run(LARGE) == first
-    assert first[0] == EXIT_OK and first[1].count("\n") == 8 + 2001
+    assert first[0] == EXIT_OK and first[1].count("\n") == 8 + 5001
     with pytest.raises(ChildProcessError):  # reaped, not left a zombie
         os.waitpid(pid, os.WNOHANG)
     with mock.patch.object(cli, "_SPLIT_CELLS", math.inf):
@@ -296,15 +305,16 @@ def test_one_usable_cpu_runs_the_serial_path(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
     code, out, err = run(LARGE)
-    assert (code, err) == (EXIT_OK, "") and out.count("\n") == 8 + 2001
+    assert (code, err) == (EXIT_OK, "") and out.count("\n") == 8 + 5001
     assert not os.fork.called and cli._helper == []
 
 
 @pytest.mark.skipif(not TWO_CPUS, reason="the split needs fork and two usable CPUs")
 @pytest.mark.parametrize("where", ["first half", "second half"])
 def test_a_cell_that_cannot_be_formatted_raises_as_the_serial_path(where):
-    cols = [np.arange(6000.0), ["x"] * 6000]
-    cols[1][10 if where == "first half" else 5000] = {1, 2}  # no JSON for a set
+    n = cli._SPLIT_CELLS // 2
+    cols = [np.arange(float(n)), ["x"] * n]
+    cols[1][10 if where == "first half" else n - 10] = {1, 2}  # no JSON for a set
     with pytest.raises(TypeError) as serial:
         serial_emit({}, ["x", "y"], cols, "json")
     with pytest.raises(TypeError) as split:
@@ -315,7 +325,8 @@ def test_a_cell_that_cannot_be_formatted_raises_as_the_serial_path(where):
 
 @pytest.mark.skipif(not TWO_CPUS, reason="the split needs fork and two usable CPUs")
 def test_a_cell_that_cannot_be_pickled_gives_the_serial_text():
-    cols = [np.arange(6000.0), [lambda: None for _ in range(6000)]]
+    n = cli._SPLIT_CELLS // 2
+    cols = [np.arange(float(n)), [lambda: None for _ in range(n)]]
     assert emit({}, ["x", "f"], cols, "csv") == serial_emit({}, ["x", "f"], cols, "csv")
     assert cli._helper == []
 
@@ -333,7 +344,8 @@ def test_no_helper_outlives_its_process():
 
 
 def test_tables_from_two_threads_stay_whole():
-    tables = [[np.arange(4000.0) + k, [f"r{k}"] * 4000] for k in range(2)]
+    n = cli._SPLIT_CELLS // 2
+    tables = [[np.arange(float(n)) + k, [f"r{k}"] * n] for k in range(2)]
     expected = [serial_emit({}, ["x", "y"], cols, "csv") for cols in tables]
     got = [[], []]
 

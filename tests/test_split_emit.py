@@ -106,7 +106,7 @@ def test_split_matches_serial_and_per_cell_reference(table, fmt):
         assert cli._helper, "the helper did not format the table's last rows"
 
 
-QUARTERS = np.repeat([0.0, 1.0, 2.0, 3.0], 1000)
+QUARTERS = np.repeat([0, 1, 2, 3], 1000)
 
 
 @pytest.mark.parametrize("cols, cost", [
@@ -114,8 +114,8 @@ QUARTERS = np.repeat([0.0, 1.0, 2.0, 3.0], 1000)
     # per float64 array cell 1/2 for a NaN, 1 for a plain cell, 4 for one
     # with an exponent and 9 for one formatted by _column_text; quarters of
     # NaN, plain, exponent and 1e-5 <= |x| < 1e-4 cells, beside a text column
-    ([np.choose(QUARTERS.astype(int), [math.nan, -1.5, 1e-7, -3e-5]), ["a"] * 4000],
-     0.5 + np.choose(QUARTERS.astype(int), [0.5, 1.0, 4.0, 9.0])),
+    ([np.choose(QUARTERS, [math.nan, -1.5, 1e-7, -3e-5]), ["a"] * 4000],
+     0.5 + np.choose(QUARTERS, [0.5, 1.0, 4.0, 9.0])),
     # 0.0 is plain, +-inf take _column_text's path and huge cells an exponent;
     # a strided view counts as its values
     ([np.r_[np.zeros(2000), np.full(1000, -math.inf), np.full(1000, 2e16)],

@@ -114,14 +114,6 @@ def _beta_of_u(u: float, kappa_scaled: float) -> float:
     return u * ((u - 1.0) ** 2 + kappa_scaled**2)
 
 
-def _cbrt(x: float) -> float:
-    return x ** (1.0 / 3.0)
-
-
-def _trig_angle(x: float) -> float:
-    return math.acos(min(1.0, max(-1.0, x))) / 3.0
-
-
 # phases of the three trigonometric roots
 _SHIFTS = np.array([2.0 * math.pi * kk / 3.0 for kk in range(3)])
 
@@ -132,9 +124,9 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
     Returns an (n, 3) array, NaN-padded, and the mask of the rows with
     three real roots: trigonometric form where the discriminant is
     positive, cancellation-safe Cardano for the one real root otherwise.
-    ``acos``, ``cos`` and the cube root run per value through ``math``;
-    numpy's vectorized versions round differently, and these values seed
-    Newton.
+    ``math.acos``, ``math.cos`` and the cube root ``x ** (1/3)`` run per
+    value, with no Python callback; numpy's vectorized versions round
+    differently, and these values seed Newton.
     """
     k2 = kappa_scaled * kappa_scaled
     roots = np.full((beta.size, 3), np.nan)
@@ -153,7 +145,7 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
     n_three = np.count_nonzero(three)
     if n_three:
         m = 2.0 * math.sqrt(-p / 3.0)
-        theta = _per_value(_trig_angle, 3.0 * q[three] / (p * m))
+        theta = _per_value(math.acos, np.clip(3.0 * q[three] / (p * m), -1.0, 1.0)) / 3.0
         roots[three] = m * _per_value(math.cos, theta[:, None] - _SHIFTS) + 2.0 / 3.0
     if n_three < beta.size:
         # single real root; avoid cancellation between the two cube roots.
@@ -168,7 +160,7 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
             hh = h[huge]
             rad[huge] = hh * np.sqrt(np.maximum(1.0 + p3 / 27.0 / hh / hh, 0.0))
         a = -np.copysign(h + rad, q1)
-        a = np.copysign(_per_value(_cbrt, np.abs(a)), a)
+        a = np.copysign(_per_value(pow, np.abs(a), 1.0 / 3.0), a)
         b = np.where(a == 0.0, 0.0, -p / (3.0 * a))
         roots[one, 0] = np.where(beta[one] == 0.0, 0.0, a + b + 2.0 / 3.0)
     return roots, three

@@ -23,17 +23,11 @@ self-check failure.
 from __future__ import annotations
 
 import argparse
-import atexit
-import contextlib
 import functools
 import json
 import math
-import os
-import pickle
 import re
 import sys
-import threading
-import warnings
 
 import numpy as np
 
@@ -231,9 +225,8 @@ _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 def _column_text(col: list | tuple, as_json: bool) -> list[str] | tuple[str, ...]:
     """The text of each cell of one column of scalars: ``_fmt``'s, or with
     ``as_json`` the JSON of ``_json_safe``'s value.  This formats list and
-    tuple columns, arrays of any dtype but float64, and the infinities and
-    1e-5 <= |x| < 1e-4 cells of float64 arrays; ``_float_texts`` formats the
-    rest of those.
+    tuple columns, arrays of any dtype but float64, and the infinities of
+    float64 arrays; ``_float_texts`` formats the other cells of those.
 
     A value that repeats is formatted once: a constant float column, and the
     distinct strings of a string column.  Zeros are never shared, since
@@ -260,42 +253,56 @@ def _column_text(col: list | tuple, as_json: bool) -> list[str] | tuple[str, ...
     return list(map(_fmt, col))
 
 
-def _float_kinds(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _float_kinds(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Masks of the cells of a float64 column that orjson lays out unlike
-    ``repr``, NaN (null) aside: those it writes with an exponent
-    (0 < |x| < 1e-5 and 1e16 <= |x| < inf), and the rest (1e-5 <= |x| < 1e-4
-    as 0.0000ddd where ``repr`` writes d.ddde-05; +-inf as null)."""
+    ``repr``: those it writes with an exponent (0 < |x| < 1e-5 and
+    1e16 <= |x| < inf), the others (1e-5 <= |x| < 1e-4 as 0.0000ddd where
+    ``repr`` writes d.ddde-05; +-inf as null), and the finite cells (NaN is
+    null as well)."""
     mag = np.abs(col)
-    return ((mag < 1e-5) & (col != 0) | (mag >= 1e16) & (mag < np.inf),
-            (mag == np.inf) | (mag >= 1e-5) & (mag < 1e-4))
+    finite = mag < np.inf
+    return ((mag < 1e-5) & (col != 0) | (mag >= 1e16) & finite,
+            (mag >= 1e-5) & (mag < 1e-4) | (mag == np.inf), finite)
 
 
 def _float_texts(col: np.ndarray, as_json: bool) -> list[str]:
     """``_column_text(col.tolist(), as_json)`` of a float64 array, from the
     digits orjson writes (Ryu's shortest round-trip digits, which are
-    ``repr``'s) for the whole column.  Its null becomes nan, its exponents
-    e16 and e-7 become ``repr``'s e+16 and e-07, and the other cells of
-    ``_float_kinds`` are formatted by ``_column_text``."""
+    ``repr``'s) for the whole column.  The layout is mended in bulk on the
+    column's text: two regexes with literal replacements turn its exponents
+    e16 and e-7 into ``repr``'s e+16 and e-07, and its null becomes nan.
+    Then each 0.0000ddd cell is rewritten in place as d.ddde-05, and only
+    the +-inf cells go through ``_column_text``."""
     import orjson  # here, not at import: that would add ~6 ms to every start-up
     if not len(col):
         return []
     text = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)
-    text = text[1:-1].decode().replace("null", _QUOTED["nan"] if as_json else "nan")
-    exponent, other = _float_kinds(col)
-    if exponent.any():
-        text = re.sub(r"e(?=\d)", "e+", re.sub(r"e-(\d)\b", r"e-0\1", text))
+    exponent, other, finite = _float_kinds(col)
+    if exponent.any():  # e-7 before , or ] becomes e-07 (not e-70); then e16 becomes e+16
+        text = re.sub(rb"e(?=\d)", b"e+", re.sub(rb"e-(?=\d[,\]])", b"e-0", text))
+    text = text[1:-1].decode()
+    if not finite.all():
+        text = text.replace("null", _QUOTED["nan"] if as_json else "nan")
     texts = text.split(",")
-    other = np.flatnonzero(other)
-    for i, cell in zip(other.tolist(), _column_text(col[other].tolist(), as_json)):
-        texts[i] = cell
+    infs = []
+    for i in np.flatnonzero(other).tolist():
+        sign, zeros, digits = texts[i].partition("0.0000")
+        if not zeros:  # +-inf
+            infs.append(i)
+        elif digits[1:]:
+            texts[i] = f"{sign}{digits[0]}.{digits[1:]}e-05"
+        else:
+            texts[i] = f"{sign}{digits}e-05"
+    if infs:
+        for i, cell in zip(infs, _column_text(col[infs].tolist(), as_json)):
+            texts[i] = cell
     return texts
 
 
 def _text(cols, as_json: bool) -> str:
     """The lines of the table ``cols`` (one sequence per column): CSV, or the
     inside of the JSON "rows" list.  A float64 array column is formatted by
-    ``_float_texts``; any other array becomes Python scalars here, in the
-    process that formats it."""
+    ``_float_texts``; any other array becomes Python scalars here."""
     texts = [_float_texts(col, as_json) if _is_float64(col) else
              _column_text(col.tolist() if isinstance(col, np.ndarray) else col, as_json)
              for col in cols]
@@ -308,125 +315,6 @@ def _is_float64(col) -> bool:
 
 _SEPS = {False: ("\n", ","), True: ("\n    ],\n    [\n      ", ",\n      ")}  # rows, cells
 
-# A table of at least this many cells is formatted on two cores: its last
-# rows by a helper process, forked at the first such table.  Smaller tables
-# stay serial: the split would save them under 2 ms, no more than the spread
-# of a cross-CPU wake-up (CHANGES.md).
-_SPLIT_CELLS = 30000
-# the share of a split table's formatting cost that stays in this process
-_MAIN_SHARE = 0.6
-_helper: list = []  # [pid, task pipe, result pipe] of the live helper
-_busy = threading.Lock()  # held while a table is with the helper; others go serial
-
-
-def _fork_helper() -> None:
-    """Fork the helper, which sends back the text of each task it is sent."""
-    (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
-    import fcntl  # here, not at import: only a process that forks a helper needs it
-    for end in (task_w, result_w):  # room for a whole task or text, so that
-        with contextlib.suppress(AttributeError, OSError):  # no writer waits on its reader
-            fcntl.fcntl(end, fcntl.F_SETPIPE_SZ, 1 << 20)
-    with warnings.catch_warnings():  # Python 3.12+ warns of fork() beside BLAS threads
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        try:
-            # keep no other descriptor: a pipe, socket or file the parent
-            # closes must not stay open here
-            keep = sorted((task_r, result_w))
-            for lo, hi in zip([-1, *keep], [*keep, os.sysconf("SC_OPEN_MAX")]):
-                os.closerange(lo + 1, hi)
-            tasks, results = open(task_r, "rb"), open(result_w, "wb")
-            parent = os.getppid()
-            cpus = set(getattr(os, "sched_getaffinity", lambda _: ())(0))
-            while True:
-                cols, as_json, thread = pickle.load(tasks)
-                # Linux wakes a pipe's reader on the writer's CPU, where the two
-                # parts would take turns: step off it, then allow every CPU again
-                if len(cpus) > 1:
-                    with contextlib.suppress(OSError, ValueError, IndexError):
-                        with open(f"/proc/{parent}/task/{thread}/stat", "rb") as stat:
-                            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
-                        os.sched_setaffinity(0, cpus - {cpu})
-                        os.sched_setaffinity(0, cpus)
-                pickle.dump(_text(cols, as_json), results)
-                results.flush()
-        finally:  # at EOF or on any error; runs no atexit handler, flushes no stdio
-            os._exit(0)
-    os.close(task_r), os.close(result_w)
-    _helper[:] = [pid, open(task_w, "wb", buffering=0), open(result_r, "rb")]
-
-
-def _stop_helper() -> None:
-    """Forget the helper and reap it: closing its pipes ends it."""
-    if _helper:
-        pid, tasks, results = _helper
-        _helper.clear()
-        results.close(), tasks.close()
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped already by whoever reaps all children
-            pass
-
-
-atexit.register(_stop_helper)
-if hasattr(os, "register_at_fork"):  # a forked child forgets the helper, and
-    # dropping the last reference closes its copies of the pipes
-    os.register_at_fork(after_in_child=_helper.clear)
-
-
-def _split_row(cols) -> int:
-    """The first row the helper formats: where ``_MAIN_SHARE`` of the table's
-    formatting cost lies.  The cost is counted in plain cells of float64
-    array columns, as ``_float_texts`` formats them (about 0.25 us each,
-    CHANGES.md).  Joining a row costs a quarter per cell; a cell of a float64
-    array costs 1, a NaN half that, a cell with an exponent 4 and one
-    formatted by ``_column_text`` 9.  Other columns add only their share of
-    the join: the commands pass text, or one value repeated over the sweep.
-    The helper's share is the smaller, as it also waits to wake and unpickles
-    its part: this process then finishes last, and a table's time follows
-    this CPU's speed, not the other's.  0 if the first row alone passes the
-    share."""
-    cost = np.full(len(cols[0]), 0.25 * len(cols))
-    for col in cols:
-        if _is_float64(col):
-            exponent, other = _float_kinds(col)
-            cost += 1 - 0.5 * np.isnan(col) + 3 * exponent + 8 * other
-    cost = np.cumsum(cost)
-    return int(np.searchsorted(cost, _MAIN_SHARE * cost[-1]))
-
-
-def _split_text(cols, as_json: bool) -> str:
-    """``_text(cols, as_json)``; with at least ``_SPLIT_CELLS`` cells, fork
-    and at least two usable CPUs, the helper formats the rows from
-    ``_split_row`` on meanwhile.  On any failure the helper is reaped and
-    the serial path runs, so the text and any exception are the serial
-    path's."""
-    first = second = None
-    if (len(cols) * len(cols[0]) >= _SPLIT_CELLS and hasattr(os, "fork")  # cheap tests first
-            and len(getattr(os, "sched_getaffinity",
-                            lambda _: range(os.cpu_count() or 1))(0)) > 1
-            and (cut := _split_row(cols)) and _busy.acquire(blocking=False)):
-        try:
-            task = pickle.dumps(([col[cut:] for col in cols], as_json,
-                                 threading.get_native_id()), pickle.HIGHEST_PROTOCOL)
-            if not _helper:
-                _fork_helper()
-            if _helper[1].write(task) == len(task):
-                try:
-                    first = _text([col[:cut] for col in cols], as_json)
-                finally:  # take the answer even if this part fails
-                    second = pickle.load(_helper[2])
-        except Exception:
-            pass
-        finally:
-            if not isinstance(second, str):
-                _stop_helper()
-            _busy.release()
-    if first is None or second is None:
-        return _text(cols, as_json)
-    return first + _SEPS[as_json][0] + second
-
 
 def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
     """Write a table with a header: CSV, or JSON with ``fmt == "json"``.
@@ -435,21 +323,17 @@ def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
     of one length: a list, a tuple or a numpy array.  The cells are
     formatted a column at a time and joined into lines with ``str.join``; a
     float64 array column takes its digits from one ``orjson.dumps`` call
-    (``_float_texts``), which writes ``repr``'s shortest round-trip digits.
-    The output is byte-identical to formatting every cell with ``_fmt``
-    (CSV) or to ``json.dumps(doc, indent=2)`` of the ``_json_safe`` cells.
-    On a POSIX system with at least two usable CPUs, a table of at least
-    ``_SPLIT_CELLS`` cells is formatted partly here and partly by one forked
-    helper process, which gets the rows past ``_MAIN_SHARE`` of the table's
-    formatting cost, lives until this process exits and never writes to
-    stdout or stderr; the output is the same.
+    (``_float_texts``), which writes ``repr``'s shortest round-trip digits,
+    and mends orjson's layout on the column's text.  The output is
+    byte-identical to formatting every cell with ``_fmt`` (CSV) or to
+    ``json.dumps(doc, indent=2)`` of the ``_json_safe`` cells.
     """
     # zip(*texts) would drop the cells of a long column without a word
     if not columns or len(cols) != len(columns) or len(set(map(len, cols))) > 1:
         raise ValueError(f"a table needs one cell per column in every row, got {columns}")
     as_json = fmt == "json"
     n_rows = len(cols[0])
-    body = _split_text(cols, as_json)
+    body = _text(cols, as_json)
     if as_json:
         doc = {
             "schema": SCHEMA,

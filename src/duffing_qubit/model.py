@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,18 +41,20 @@ hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s
 k_B = 1.380649e-23                       # J/K
 
 
-def _per_value(fn, x: float | np.ndarray) -> float | np.ndarray:
-    """``fn`` applied to each value of ``x``: a float for a scalar ``x``,
-    otherwise an array of its shape.
+def _per_value(fn, x: float | np.ndarray, *args: float) -> float | np.ndarray:
+    """``fn(v, *args)`` for each value ``v`` of ``x``: a float for a scalar
+    ``x``, otherwise an array of its shape.
 
     For the ``math`` functions whose numpy counterparts round differently
-    on some values (``expm1``, ``log``, ``hypot``), so that a sweep gives
-    the same bits as one call per point.
+    on some values (``expm1``, ``log``, ``hypot``, ``acos``, ``pow``), so
+    that a sweep gives the same bits as one call per point.  A builtin
+    ``fn`` with constant ``args`` runs with no Python frame per value.
     """
     a = np.asarray(x, dtype=float)
     if a.ndim == 0:
-        return fn(float(a))
-    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+        return fn(float(a), *args)
+    values = map(fn, a.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, float, a.size).reshape(a.shape)
 
 
 def _check_lambda_s(lambda_s: float) -> None:

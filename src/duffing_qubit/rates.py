@@ -140,8 +140,7 @@ class QubitParams:
         for name in ("delta", "delta_q", "v_x", "v_z"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"qubit {name} must be finite")
-        delta = self.delta
-        object.__setattr__(self, "omega_q", _per_value(lambda w: math.hypot(w, delta), self.w))
+        object.__setattr__(self, "omega_q", _per_value(math.hypot, self.w, self.delta))
 
 
 @dataclass(frozen=True)

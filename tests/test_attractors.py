@@ -436,3 +436,46 @@ class TestSolveBranchesProperties:
                 assert len(present) == 1
         for name, expected in _per_beta_columns(grid, kappa).items():
             assert np.array_equal(getattr(s, name), expected, equal_nan=True), name
+
+
+def reference_seeds(beta: float, kappa: float) -> tuple[list[float], bool]:
+    """The closed-form seeds of one beta, one Python float operation at a
+    time: ``math.acos(min(1, max(-1, x))) / 3`` and ``x ** (1/3)``."""
+    k2 = kappa * kappa
+    p = k2 - 1.0 / 3.0
+    p3 = p**3
+    q = (2.0 + 18.0 * k2) / 27.0 - beta
+    if -4.0 * p3 - 27.0 * q * q > 0.0 and beta != 0.0:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m)))) / 3.0
+        return [m * math.cos(theta - 2.0 * math.pi * kk / 3.0) + 2.0 / 3.0
+                for kk in range(3)], True
+    h = abs(q) / 2.0
+    if h >= 1e150:
+        rad = h * math.sqrt(max(1.0 + p3 / 27.0 / h / h, 0.0))
+    else:
+        rad = math.sqrt(max(q * q / 4.0 + p3 / 27.0, 0.0))
+    a = -math.copysign(h + rad, q)
+    a = math.copysign(abs(a) ** (1.0 / 3.0), a)
+    b = 0.0 if a == 0.0 else -p / (3.0 * a)
+    return [0.0 if beta == 0.0 else a + b + 2.0 / 3.0, math.nan, math.nan], False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 0.6), st.floats(0.0, 1e300),
+                          st.sampled_from([0.0, 5e-324, 1.0, 1e150, 1.7e308])),
+                min_size=1, max_size=10),
+       st.lists(st.floats(0.0, 1.0), max_size=20),
+       st.one_of(st.floats(0.01, 0.56), st.floats(0.56, 0.6), st.floats(0.6, 1e3)))
+def test_seeds_have_the_bits_of_one_math_call_per_value(betas, shares, kappa):
+    # shares of the bistability window give rows with three real roots
+    info = bifurcation_betas(kappa)
+    if info.bistable:
+        betas += [info.beta_low + t * (info.beta_high - info.beta_low) for t in shares]
+    from duffing_qubit.attractors import _seeds
+
+    with np.errstate(all="ignore"):
+        roots, three = _seeds(np.array(betas), kappa)
+    for beta, row, is_three in zip(betas, roots.tolist(), three.tolist()):
+        ref, ref_three = reference_seeds(beta, kappa)
+        assert (list(map(repr, row)), is_three) == (list(map(repr, ref)), ref_three), beta

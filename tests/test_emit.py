@@ -1,16 +1,20 @@
 """The column-wise table emitter against the per-cell one it replaced.  Tables
 are given column by column, as the commands hand them over."""
 
+import contextlib
 import io
 import json
+import math
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import duffing_qubit.cli as cli
 from duffing_qubit import __version__
-from duffing_qubit.cli import SCHEMA, _fmt, _json_safe, emit_table
+from duffing_qubit.cli import EXIT_OK, SCHEMA, _fmt, _json_safe, emit_table, main
 
 
 def reference_emit(params, columns, cols, fmt):
@@ -183,3 +187,142 @@ def test_float64_edges_match_the_per_cell_reference(layout, fmt):
     for values in (EDGES, EDGES[:1], EDGES[:0], np.repeat(EDGES, 50)):
         cols = [laid_out(values, layout), laid_out(values[::-1], layout)]
         assert emit({}, ["x", "y"], cols, fmt) == reference_emit({}, ["x", "y"], cols, fmt)
+
+
+# one-digit mantissas, two- and three-digit exponents, and the neighbours of
+# the thresholds of the mended classes
+MENDED_EDGES = [1e-5, 2e-5, 1e-7, 5e16, 9e-5, 1.5e-5, 1e-10, 1e-100, 1e-300, 1e16, 1e100,
+                1e300, 5e-324, 9.999999999999999e-05, 1.0000000000000002e-05,
+                9.999999999999999e-06, 9999999999999998.0]
+
+
+@st.composite
+def mended_tables(draw):
+    """One to three float64 columns of 1 to 2 000 cells in the classes whose
+    layout ``_float_texts`` mends: log-uniform over [1e-12, 1e-3] and
+    [1e15, 1.8e308] with both signs (so 1e-5 <= |x| < 1e-4 and exponents of
+    one, two and three digits), with drawn edges, NaN and +-inf on drawn
+    rows, each laid out as contiguous or strided."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        exponent = np.where(rng.random(n) < 0.5, rng.uniform(-12.0, -3.0, n),
+                            rng.uniform(15.0, 308.25, n))
+        values = 10.0**exponent * rng.choice([-1.0, 1.0], n)
+        picks = draw(st.lists(st.sampled_from([*MENDED_EDGES, math.nan, math.inf]),
+                              max_size=12))
+        for value, sign, row in zip(picks, rng.choice([-1.0, 1.0], len(picks)),
+                                    rng.integers(0, n, len(picks))):
+            values[row] = sign * value
+        cols.append(laid_out(values, draw(st.sampled_from(
+            ["contiguous", "every other", "matrix column"]))))
+    return cols
+
+
+@settings(max_examples=120, deadline=None)
+@given(mended_tables(), st.sampled_from(["csv", "json"]))
+def test_mended_float64_classes_match_the_per_cell_reference(cols, fmt):
+    columns = [f"c{j}" for j in range(len(cols))]
+    assert emit({}, columns, cols, fmt) == reference_emit({}, columns, cols, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_only_the_infinities_of_a_float64_column_go_through_column_text(fmt, monkeypatch):
+    cells, column_text = [], cli._column_text
+
+    def counted(col, as_json):
+        cells.extend(col)
+        return column_text(col, as_json)
+
+    monkeypatch.setattr(cli, "_column_text", counted)
+    col = np.array([1e-7, -2e-5, 5e16, 1.5e-5, -1e-300, 9.99e-5, 1e300, np.nan, 1.0] * 50)
+    assert emit({}, ["x"], [col], fmt) == reference_emit({}, ["x"], [col], fmt)
+    assert cells == []
+    col[[3, 7]] = np.inf, -np.inf
+    assert emit({}, ["x"], [col], fmt) == reference_emit({}, ["x"], [col], fmt)
+    assert cells == [math.inf, -math.inf]
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def large_tables(draw):
+    """A table of tens of thousands of rows.  Each column repeats a short
+    drawn pattern.  A float column is an array or a list, with drawn zeros
+    and non-finite values on a few drawn rows.  A "parts" column is a list
+    that is constant on each side of a drawn row, but not over the table."""
+    n_rows = draw(st.integers(10_000, 30_000))
+    n_cols = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["float", "array", "parts", "text", "mixed"]),
+                          min_size=n_cols, max_size=n_cols))
+    cols = []
+    for kind in kinds:
+        if kind == "parts":
+            cut = draw(st.integers(1, n_rows - 1))
+            first, second = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)])
+                                 | st.tuples(floats | texts, floats | texts))
+            cols.append([first] * cut + [second] * (n_rows - cut))
+            continue
+        numbers = floats | st.sampled_from(MENDED_EDGES)
+        cells = {"float": numbers, "array": numbers, "text": texts, "mixed": scalars}[kind]
+        pattern = draw(st.lists(cells, min_size=1, max_size=7))
+        col = [pattern[i % len(pattern)] for i in range(n_rows)]
+        if kind in ("float", "array"):
+            for row in draw(st.lists(st.integers(0, n_rows - 1), max_size=5)):
+                col[row] = draw(SPECIAL)
+        cols.append(np.array(col) if kind == "array" else col)
+    return [f"c{j}" for j in range(n_cols)], cols
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(large_tables(), st.sampled_from(["csv", "json"]))
+def test_large_tables_match_the_per_cell_reference(table, fmt):
+    columns, cols = table
+    params = {"beta": 0.12, "flag": 'a"b'}
+    assert emit(params, columns, cols, fmt) == reference_emit(params, columns, cols, fmt)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_out_file_of_a_large_table(tmp_path):
+    path = tmp_path / "t.json"
+    large = ["attractors", "--kappa-scaled", "0.3", "--grid", "0:0.25:20001", "--format", "json"]
+    code, out, err = run([*large, "--out", str(path)])
+    assert (code, out, err) == (EXIT_OK, "", "")
+    assert run(large) == (EXIT_OK, path.read_text(), "")
+    assert path.read_text().count("\n    [\n") == 20001
+
+
+@pytest.mark.parametrize("row", [10, -10], ids=["first rows", "last rows"])
+def test_a_cell_that_cannot_be_formatted_raises(row):
+    n = 20_000
+    cols = [np.arange(float(n)), ["x"] * n]
+    cols[1][row] = {1, 2}  # no JSON for a set
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        emit({}, ["x", "y"], cols, "json")
+    assert emit({}, ["x"], cols[:1], "json") == reference_emit({}, ["x"], cols[:1], "json")
+
+
+def test_tables_from_two_threads_stay_whole():
+    n = 20_000
+    tables = [[np.arange(float(n)) + k, [f"r{k}"] * n] for k in range(2)]
+    expected = [reference_emit({}, ["x", "y"], cols, "csv") for cols in tables]
+    got = [[], []]
+
+    def worker(k):
+        for _ in range(8):
+            got[k].append(emit({}, ["x", "y"], tables[k], "csv"))
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == [[expected[0]] * 8, [expected[1]] * 8]

@@ -1,20 +1,18 @@
 """The column-wise table emitter against the per-cell one it replaced.  Tables
 are given column by column, as the commands hand them over."""
 
-import contextlib
 import io
 import json
 import math
-import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duffing_qubit.cli as cli
 from duffing_qubit import __version__
-from duffing_qubit.cli import EXIT_OK, SCHEMA, _fmt, _json_safe, emit_table, main
+from duffing_qubit.cli import SCHEMA, _fmt, _json_safe, emit_table
 
 
 def reference_emit(params, columns, cols, fmt):
@@ -243,86 +241,3 @@ def test_only_the_infinities_of_a_float64_column_go_through_column_text(fmt, mon
     assert emit({}, ["x"], [col], fmt) == reference_emit({}, ["x"], [col], fmt)
     assert cells == [math.inf, -math.inf]
 
-
-SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
-
-
-@st.composite
-def large_tables(draw):
-    """A table of tens of thousands of rows.  Each column repeats a short
-    drawn pattern.  A float column is an array or a list, with drawn zeros
-    and non-finite values on a few drawn rows.  A "parts" column is a list
-    that is constant on each side of a drawn row, but not over the table."""
-    n_rows = draw(st.integers(10_000, 30_000))
-    n_cols = draw(st.integers(1, 4))
-    kinds = draw(st.lists(st.sampled_from(["float", "array", "parts", "text", "mixed"]),
-                          min_size=n_cols, max_size=n_cols))
-    cols = []
-    for kind in kinds:
-        if kind == "parts":
-            cut = draw(st.integers(1, n_rows - 1))
-            first, second = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)])
-                                 | st.tuples(floats | texts, floats | texts))
-            cols.append([first] * cut + [second] * (n_rows - cut))
-            continue
-        numbers = floats | st.sampled_from(MENDED_EDGES)
-        cells = {"float": numbers, "array": numbers, "text": texts, "mixed": scalars}[kind]
-        pattern = draw(st.lists(cells, min_size=1, max_size=7))
-        col = [pattern[i % len(pattern)] for i in range(n_rows)]
-        if kind in ("float", "array"):
-            for row in draw(st.lists(st.integers(0, n_rows - 1), max_size=5)):
-                col[row] = draw(SPECIAL)
-        cols.append(np.array(col) if kind == "array" else col)
-    return [f"c{j}" for j in range(n_cols)], cols
-
-
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(large_tables(), st.sampled_from(["csv", "json"]))
-def test_large_tables_match_the_per_cell_reference(table, fmt):
-    columns, cols = table
-    params = {"beta": 0.12, "flag": 'a"b'}
-    assert emit(params, columns, cols, fmt) == reference_emit(params, columns, cols, fmt)
-
-
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
-def test_out_file_of_a_large_table(tmp_path):
-    path = tmp_path / "t.json"
-    large = ["attractors", "--kappa-scaled", "0.3", "--grid", "0:0.25:20001", "--format", "json"]
-    code, out, err = run([*large, "--out", str(path)])
-    assert (code, out, err) == (EXIT_OK, "", "")
-    assert run(large) == (EXIT_OK, path.read_text(), "")
-    assert path.read_text().count("\n    [\n") == 20001
-
-
-@pytest.mark.parametrize("row", [10, -10], ids=["first rows", "last rows"])
-def test_a_cell_that_cannot_be_formatted_raises(row):
-    n = 20_000
-    cols = [np.arange(float(n)), ["x"] * n]
-    cols[1][row] = {1, 2}  # no JSON for a set
-    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
-        emit({}, ["x", "y"], cols, "json")
-    assert emit({}, ["x"], cols[:1], "json") == reference_emit({}, ["x"], cols[:1], "json")
-
-
-def test_tables_from_two_threads_stay_whole():
-    n = 20_000
-    tables = [[np.arange(float(n)) + k, [f"r{k}"] * n] for k in range(2)]
-    expected = [reference_emit({}, ["x", "y"], cols, "csv") for cols in tables]
-    got = [[], []]
-
-    def worker(k):
-        for _ in range(8):
-            got[k].append(emit({}, ["x", "y"], tables[k], "csv"))
-
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert got == [[expected[0]] * 8, [expected[1]] * 8]

@@ -12,9 +12,12 @@ large-amplitude attractors.  The linearized drift about a root has trace
 ``-2*kappa_scaled`` and determinant ``nu^2 = kappa_scaled^2 + 3u^2 - 4u + 1``;
 ``nu`` is the quasienergy gap frequency, vanishing at bifurcations.
 
-:func:`solve_branches` solves a whole drive-intensity grid in one array
-call; :func:`solve_attractors` is its one-element form, with the quadratures
-and drift eigenvalues of each steady state.
+The module is array-first.  :func:`solve_branches` solves a whole
+drive-intensity grid in one call, one column per branch, and
+:func:`drift_matrix` takes such columns (``u`` and ``beta``, any shapes that
+broadcast) and returns a stack of 2x2 drifts, one per steady state.
+:func:`solve_attractors` is the one-element form of the root solve, an
+:class:`Attractor` per steady state.
 """
 
 from __future__ import annotations
@@ -59,11 +62,9 @@ class Attractor:
     """One steady state of forced vibration (dimensionless units)."""
 
     u: float                          # squared scaled radius r^2
-    q: float                          # rotating-frame quadrature Q
-    p: float                          # rotating-frame quadrature P
+    beta: float                       # drive intensity it was solved at
     nu_scaled: float                  # quasienergy gap / |delta_omega| (nan if unstable)
     branch: Branch
-    eigenvalues: tuple[complex, complex]  # drift eigenvalues in units of |delta_omega|
     marginal: bool = False            # True for a degenerate pair at a bifurcation
 
     @property
@@ -108,6 +109,18 @@ class Branches:
         if branch is Branch.LARGE:
             return self.u_large, self.nu_large, self.marginal_large
         raise ValueError("only the small and large branches carry (u, nu, marginal)")
+
+    def attractor(self, branch: Branch, beta: float) -> Attractor | None:
+        """The steady state on ``branch`` of a scalar solve at ``beta``, or
+        None where that branch is absent."""
+        if branch is Branch.UNSTABLE:
+            u, nu, marginal = self.u_unstable, math.nan, False
+        else:
+            u, nu, marginal = self.pick(branch)
+        if math.isnan(u):
+            return None
+        return Attractor(u=u, beta=float(beta), nu_scaled=nu, branch=branch,
+                         marginal=marginal)
 
 
 def _beta_of_u(u: float, kappa_scaled: float) -> float:
@@ -170,8 +183,11 @@ def _polish(roots: np.ndarray, beta: np.ndarray, c1: float) -> None:
     """Newton on the original cubic, in place on the (n, 3) roots.
 
     Near bifurcations the closed forms alone lose digits as roots collide.
-    Each value stops on its own rule: a step below 1e-15 relative, a zero
-    derivative, or 50 iterations.  NaN padding is left alone.
+    Each value stops on its own rule: a step below 1e-15 relative, a step
+    above 1e-6 relative, or 50 iterations.  The seeds are good to ~1e-8 even
+    at a double root, so a longer step divides by a slope at rounding level
+    (a seed on a turning radius) and could carry the value to another root:
+    the value ends where it is.  NaN padding is left alone.
     """
     u = roots.reshape(-1)
     np.maximum(u, 0.0, out=u)
@@ -181,9 +197,10 @@ def _polish(roots: np.ndarray, beta: np.ndarray, c1: float) -> None:
         df = (3.0 * x - 4.0) * x + c1
         step = (((x - 2.0) * x + c1) * x - b) / df
         new = x - step
-        go = ~(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(new)))
-        stuck = df == 0.0
-        if np.count_nonzero(stuck):  # a zero slope ends the value where it is
+        size = np.abs(step)
+        go = ~(size <= 1e-15 * np.maximum(1.0, np.abs(new)))
+        stuck = ~(size <= 1e-6 * np.maximum(1.0, np.abs(x)))
+        if np.count_nonzero(stuck):
             new[stuck] = x[stuck]
             go &= ~stuck
         u[idx] = new
@@ -214,7 +231,8 @@ def _graze(roots: np.ndarray, three: np.ndarray, kappa_scaled: float) -> np.ndar
     return three | graze
 
 
-def _merge(roots: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarray]:
+def _merge(roots: np.ndarray, beta: np.ndarray,
+           kappa_scaled: float) -> tuple[np.ndarray, np.ndarray]:
     """Collapse a numerically degenerate pair (bifurcation point) in place.
 
     On the sorted, NaN-padded (n, 3) roots, a pair closer than
@@ -225,13 +243,25 @@ def _merge(roots: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarr
     root the polished pair is only good to ~sqrt(eps) (Newton converges
     there linearly), enough to leave |det K| above 1e-8; the analytic
     turning radius is exact.  Returns the masks of the two merged columns.
+
+    Where the slope of the cubic is at rounding level, Newton's steps are
+    rounding noise over that slope, and the polished pair can end up to
+    ~1e-6 apart.  So a pair also merges where ``beta`` lies as close to the
+    edge beta(u_t) as a pair ``_MERGE_TOL`` apart would:
+    |beta - beta(u_t)| <= |beta''(u_t)| / 2 * (_MERGE_TOL / 2)^2, with
+    |beta''(u_t)| = 2 sqrt(1 - 3 kappa_scaled^2) at both turning radii u_t.
     """
     # (r1 - r0, r2 - r1) against the tolerance at the upper root of each pair
     close = roots[:, 1:] - roots[:, :-1] < _MERGE_TOL * np.maximum(1.0, roots[:, 1:])
+    u_minus, u_plus = _turning_radii(kappa_scaled)
+    edge_tol = (u_plus - u_minus) * 1.5 * (0.5 * _MERGE_TOL) ** 2
+    three = ~np.isnan(roots[:, 1])
+    # the lower pair merges at beta_high = beta(u_minus), the upper at beta_low
+    close[:, 0] |= three & (abs(beta - _beta_of_u(u_minus, kappa_scaled)) <= edge_tol)
+    close[:, 1] |= three & (abs(beta - _beta_of_u(u_plus, kappa_scaled)) <= edge_tol)
     low = close[:, 0]
     high = close[:, 1] & ~low
     if np.count_nonzero(close):
-        u_minus, u_plus = _turning_radii(kappa_scaled)
         roots[low, 0] = np.where(roots[low, 0] < 2.0 / 3.0, u_minus, u_plus)
         roots[high, 2] = np.where(roots[high, 1] < 2.0 / 3.0, u_minus, u_plus)
         roots[low | high, 1] = math.nan
@@ -274,7 +304,7 @@ def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
                 f"kappa_scaled={kappa_scaled:g}"
             )
         if n_three:
-            low, high = _merge(roots, kappa_scaled)
+            low, high = _merge(roots, flat, kappa_scaled)
         else:
             low, high = np.zeros(flat.size, dtype=bool), np.zeros(flat.size, dtype=bool)
         if n_three < flat.size:
@@ -310,31 +340,8 @@ def solve_attractors(beta: float, kappa_scaled: float) -> list[Attractor]:
     :func:`solve_branches`, with its errors.
     """
     s = solve_branches(beta, kappa_scaled)
-    entries = (
-        (s.u_small, s.nu_small, s.marginal_small, Branch.SMALL),
-        (s.u_unstable, math.nan, False, Branch.UNSTABLE),
-        (s.u_large, s.nu_large, s.marginal_large, Branch.LARGE),
-    )
-    sqrt_beta = math.sqrt(beta)
-    out = []
-    for u, nu, marginal, branch in entries:
-        if math.isnan(u):
-            continue
-        if beta > 0.0:
-            q = u * (u - 1.0) / sqrt_beta
-            p = -kappa_scaled * u / sqrt_beta
-        else:
-            q = p = 0.0
-        det = kappa_scaled**2 + (3.0 * u - 4.0) * u + 1.0
-        root = complex(kappa_scaled**2 - det) ** 0.5
-        eigs = (-kappa_scaled + root, -kappa_scaled - root)
-        out.append(
-            Attractor(
-                u=u, q=q, p=p, nu_scaled=nu, branch=branch,
-                eigenvalues=eigs, marginal=marginal,
-            )
-        )
-    return out
+    found = (s.attractor(b, beta) for b in (Branch.SMALL, Branch.UNSTABLE, Branch.LARGE))
+    return [a for a in found if a is not None]
 
 
 def _turning_radii(kappa_scaled: float) -> tuple[float, float]:
@@ -366,17 +373,33 @@ def bifurcation_betas(kappa_scaled: float) -> BifurcationInfo:
     )
 
 
-def drift_matrix(a: Attractor, kappa_scaled: float) -> np.ndarray:
-    """Jacobian of the rotating-frame drift at the attractor (units of |dw|).
+def _quadratures(u, beta, kappa_scaled: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rotating-frame quadratures (Q, P) of steady states ``u`` at drive ``beta``.
 
-    Rows/columns 1 and 2 correspond to the Q and P quadratures.  The trace is
-    exactly -2*kappa_scaled and the determinant equals nu_scaled^2 on stable
-    branches.
+    Q = u (u - 1) / sqrt(beta) and P = -kappa_scaled u / sqrt(beta), so that
+    Q^2 + P^2 = u on the cubic; both are zero at beta = 0.  Of the broadcast
+    shape of ``u`` and ``beta``.
     """
-    u, q, p = a.u, a.q, a.p
-    return np.array(
-        [
-            [-2.0 * p * q - kappa_scaled, -(u - 1.0 + 2.0 * p * p)],
-            [u - 1.0 + 2.0 * q * q, 2.0 * q * p - kappa_scaled],
-        ]
-    )
+    # beta = 0 has the one root u = 0; a divisor of 1 there keeps 0/0 out
+    root = np.sqrt(beta)
+    safe = np.where(root > 0.0, root, 1.0)
+    return u * (u - 1.0) / safe, -kappa_scaled * u / safe
+
+
+def drift_matrix(u, beta, kappa_scaled: float) -> np.ndarray:
+    """Jacobians of the rotating-frame drift at steady states (units of |dw|).
+
+    ``u`` and ``beta`` are floats or arrays that broadcast, for instance the
+    columns of :func:`solve_branches` and its grid; the result has shape
+    ``broadcast(u, beta).shape + (2, 2)``, NaN where ``u`` is.  Rows/columns
+    1 and 2 of each matrix correspond to the Q and P quadratures.  The trace
+    is exactly -2*kappa_scaled and the determinant equals nu_scaled^2, so the
+    eigenvalues are -kappa_scaled +/- sqrt(kappa_scaled^2 - nu_scaled^2).
+    """
+    q, p = _quadratures(u, beta, kappa_scaled)
+    k = np.empty(np.shape(q) + (2, 2))
+    k[..., 0, 0] = -2.0 * p * q - kappa_scaled
+    k[..., 0, 1] = -(u - 1.0 + 2.0 * p * p)
+    k[..., 1, 0] = u - 1.0 + 2.0 * q * q
+    k[..., 1, 1] = 2.0 * q * p - kappa_scaled
+    return k

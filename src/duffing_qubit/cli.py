@@ -38,7 +38,6 @@ from .attractors import (
     MarginalAttractorError,
     bifurcation_betas,
     drift_matrix,
-    solve_attractors,
     solve_branches,
 )
 from .fluctuations import spectra, spectra_from_matrix, stationary_covariance
@@ -353,9 +352,9 @@ def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
 
 
 def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> Attractor:
-    for a in solve_attractors(beta, kappa_scaled):
-        if a.branch is branch:
-            return a
+    a = solve_branches(beta, kappa_scaled).attractor(branch, beta)
+    if a is not None:
+        return a
     raise CliInputError(
         f"no {branch.value}-amplitude attractor exists at beta={beta:g}, "
         f"kappa_scaled={kappa_scaled:g}"
@@ -389,7 +388,7 @@ def cmd_spectrum(args, config) -> int:
     a = _pick_required(args.beta, kappa, branch)
     if not a.stable:
         raise MarginalAttractorError("requested attractor is marginal")
-    k = drift_matrix(a, kappa)
+    k = drift_matrix(a.u, a.beta, kappa)
     cov = stationary_covariance(k, lambda_s, kappa, n_bar)
 
     params.update(u=a.u, nu=a.nu_scaled)
@@ -400,7 +399,7 @@ def cmd_spectrum(args, config) -> int:
         "emission_matrix",
         "absorption_matrix",
     ]
-    spectra, worst = _dual_route(a, k, cov, kappa, lambda_s, n_bar, grid)
+    spectra, worst = _dual_route(a.u, a.nu_scaled, k, cov, kappa, lambda_s, n_bar, grid)
     params["max_route_deviation"] = worst
     emit_table(params, columns, (grid, *spectra), args.format, args.out_stream)
     if args.check and not worst <= DUAL_ROUTE_LIMIT:
@@ -413,16 +412,18 @@ def cmd_spectrum(args, config) -> int:
     return EXIT_OK
 
 
-def _dual_route(a: Attractor, drift: np.ndarray, cov: np.ndarray, kappa: float,
+def _dual_route(u: float, nu: float, drift: np.ndarray, cov: np.ndarray, kappa: float,
                 lambda_s: float, n_bar: float, omega: np.ndarray) -> tuple[tuple, float]:
-    """Both routes to both spectra over ``omega``, and their worst deviation.
+    """Both routes to both spectra over ``omega`` about the steady state ``u``
+    with gap ``nu``, drift ``drift`` and covariance ``cov``, and their worst
+    deviation.
 
     Returns (emission_closed, absorption_closed, emission_matrix,
     absorption_matrix) and the largest relative closed-vs-matrix deviation,
     which the self-checks hold to ``DUAL_ROUTE_LIMIT``; NaN if any cell of
     either route is NaN, so that the check fails closed.
     """
-    ec, ac = spectra(omega, a.u, a.nu_scaled, kappa, lambda_s, n_bar)
+    ec, ac = spectra(omega, u, nu, kappa, lambda_s, n_bar)
     em, am = spectra_from_matrix(drift, cov, lambda_s, omega)
     closed, matrix = np.array([ec, ac]), np.array([em, am])
     scale = np.maximum(np.maximum(np.abs(closed), np.abs(matrix)), 1e-300)
@@ -640,10 +641,15 @@ def cmd_validate(args, config) -> int:
     def report(name: str, ok: bool, metric: str) -> None:
         checks.append((name, bool(ok), metric))
 
-    # the residual sweep and the count sweep in one root solve; it works per
-    # element, so each part is what a solve of its own gives
+    # one root solve over the residual sweep, the count sweep, the window
+    # edges and the four drives; it works per element, so each part is what
+    # a solve of its own gives
+    info = bifurcation_betas(kappa)
     grid, counted = np.linspace(0.0, 0.25, 101), np.linspace(1e-3, 0.25, 97)
-    s = solve_branches(np.concatenate([grid, counted]), kappa)
+    edges = [info.beta_low, info.beta_high] if info.bistable else []
+    drives = [0.0, 0.05, beta, 0.2]
+    betas = np.concatenate([grid, counted, edges, drives])
+    s = solve_branches(betas, kappa)
     us = (s.u_small, s.u_unstable, s.u_large)
 
     # steady-state equation residuals across the sweep
@@ -654,45 +660,51 @@ def cmd_validate(args, config) -> int:
         worst = max(worst, float(np.nanmax(res, initial=0.0)))
     report("attractor_residual", worst < 1e-10, f"max={worst:.3e} (limit 1e-10)")
 
-    # attractor count matches the bistability window
-    info = bifurcation_betas(kappa)
-    n = sum(~np.isnan(u[grid.size:]) for u in us)
+    # attractor count matches the bistability window: 3 inside, 1 outside,
+    # and 2 on an edge, where the merging pair is one marginal entry (the
+    # solver merges a pair only where beta is within ~1e-14 of an edge)
+    rows = slice(grid.size, grid.size + counted.size)
+    n = sum(~np.isnan(u[rows]) for u in us)
     inside = info.bistable & (info.beta_low < counted) & (counted < info.beta_high)
-    ok = bool(np.all(n == np.where(inside, 3, 1)))
+    off_edge = np.minimum(abs(counted - info.beta_low), abs(counted - info.beta_high))
+    on_edge = (s.marginal_small[rows] | s.marginal_large[rows]) & (off_edge < 1e-14)
+    ok = bool(np.all(n == np.where(on_edge, 2, np.where(inside, 3, 1))))
     report("attractor_count", ok, "1 outside / 3 inside the bistable window")
+
+    # the small and large columns of the edges and drives as (2, n) stacks,
+    # with one drift per steady state
+    tail = slice(grid.size + counted.size, None)
+    u = np.stack([s.u_small[tail], s.u_large[tail]])
+    nu = np.stack([s.nu_small[tail], s.nu_large[tail]])
+    marginal = np.stack([s.marginal_small[tail], s.marginal_large[tail]])
+    k = drift_matrix(u, betas[tail], kappa)
 
     # quasienergy gap closes at the boundaries, each with its merging pair
     if info.bistable:
-        gap = 0.0
-        missing = 0
-        for b_edge in (info.beta_low, info.beta_high):
-            marginal = [a for a in solve_attractors(b_edge, kappa) if a.marginal]
-            missing += len(marginal) != 1
-            for a in marginal:
-                gap = max(gap, abs(float(np.linalg.det(drift_matrix(a, kappa)))))
+        at_edge = marginal[:, :len(edges)]
+        missing = int(np.count_nonzero(at_edge.sum(axis=0) != 1))
+        gap = float(np.max(np.abs(np.linalg.det(k[:, :len(edges)][at_edge])), initial=0.0))
         metric = f"|det K|={gap:.3e} at boundaries"
         if missing:
             metric += f", no marginal pair at {missing} of 2"
         report("bifurcation_gap", not missing and gap < 1e-8, metric)
 
-    # Lyapunov residual and positive definiteness at four drives, and the
-    # dual-route spectrum agreement at beta; a NaN metric fails its check
-    residuals, deviations, pd = [0.0], [0.0], True
+    # Lyapunov residual and positive definiteness from one covariance stack
+    # over the stable attractors of the four drives, and the dual-route
+    # spectrum agreement at beta; a NaN metric fails its check
+    stable = ~np.isnan(u) & ~marginal
+    stable[:, :len(edges)] = False
+    k, u, nu = k[stable], u[stable], nu[stable]
+    cov = stationary_covariance(k, lambda_s, kappa, n_bar)
     src = lambda_s * kappa * (2.0 * n_bar + 1.0) * np.eye(2)
-    grid = np.linspace(-5, 5, 201)
-    for i, b in enumerate((0.0, 0.05, beta, 0.2)):
-        for a in solve_attractors(float(b), kappa):
-            if not a.stable:
-                continue
-            k = drift_matrix(a, kappa)
-            cov = stationary_covariance(k, lambda_s, kappa, n_bar)
-            residuals.append(float(np.linalg.norm(k @ cov + cov @ k.T + src)))
-            pd = pd and np.all(np.linalg.eigvalsh(cov) > 0.0)
-            if i == 2:
-                deviations.append(_dual_route(a, k, cov, kappa, lambda_s, n_bar, grid)[1])
-    worst = float(np.max(residuals))
+    lyapunov = k @ cov + cov @ k.swapaxes(-1, -2) + src
+    worst = float(np.max(np.linalg.norm(lyapunov, axis=(-2, -1)), initial=0.0))
     report("lyapunov_residual", worst < 1e-10, f"max={worst:.3e} (limit 1e-10)")
-    report("covariance_positive", pd, "eigenvalues > 0")
+    report("covariance_positive", np.all(np.linalg.eigvalsh(cov) > 0.0), "eigenvalues > 0")
+    omega = np.linspace(-5, 5, 201)
+    at_beta = np.nonzero(stable)[1] == len(edges) + 2  # beta is drives[2]
+    deviations = [0.0] + [_dual_route(*row, kappa, lambda_s, n_bar, omega)[1]
+                          for row in zip(u[at_beta], nu[at_beta], k[at_beta], cov[at_beta])]
     worst = float(np.max(deviations))
     report("dual_route", worst <= DUAL_ROUTE_LIMIT,
            f"max rel dev={worst:.3e} (limit 1e-6)")

@@ -3,8 +3,11 @@
 The linearized rotating-frame dynamics of the quadrature deviations
 ``Z = (Q - Q_a, P - P_a)`` is an Ornstein-Uhlenbeck process: drift matrix
 ``K`` (see :func:`duffing_qubit.attractors.drift_matrix`) and isotropic
-diffusion ``lambda_s * kappa_scaled * (n_bar + 1/2)``.  Two independent
-routes to the one-sided power spectra are implemented:
+diffusion ``lambda_s * kappa_scaled * (n_bar + 1/2)``.  Drifts come as
+``(..., 2, 2)`` stacks, one per steady state of the branch columns, and
+:func:`stationary_covariance` turns a stack into covariances of the same
+shape in one stacked solve.  Two independent routes to the one-sided power
+spectra are implemented:
 
 - the closed form :func:`spectra`, rational functions of frequency with
   poles at the quasienergy gap;
@@ -67,6 +70,9 @@ def stationary_covariance(
         K C + C K^T + lambda_s * kappa_scaled * (2 n_bar + 1) * I = 0
 
     as a linear system in the three independent entries of symmetric C.
+    ``drift`` is one 2x2 K or a ``(..., 2, 2)`` stack of them, such as
+    :func:`duffing_qubit.attractors.drift_matrix` returns; the covariances
+    come from one stacked 3x3 solve and have the shape of ``drift``.
 
     Raises
     ------
@@ -74,38 +80,42 @@ def stationary_covariance(
         If ``lambda_s`` is not finite and positive, or ``n_bar`` is
         negative or not finite.
     MarginalAttractorError
-        If the drift is not strictly stable (an eigenvalue with
-        non-negative real part makes the stationary state ill-defined),
-        or if the solution fails to be positive definite.
+        If a drift is not strictly stable (an eigenvalue with non-negative
+        real part makes the stationary state ill-defined), or if a solution
+        fails to be positive definite.  The message names the first such
+        row of the flattened stack.
     """
     _check_lambda_s(lambda_s)
     _check_n_bar(n_bar)
     k = np.asarray(drift, dtype=float)
-    if k.shape != (2, 2):
-        raise ValueError("drift must be a 2x2 matrix")
+    if k.shape[-2:] != (2, 2):
+        raise ValueError("drift must be a 2x2 matrix or a stack of them")
+    flat = k.reshape(-1, 4)
+    a, b, c, d = flat.T
     # a real 2x2 matrix is stable iff trace < 0 and det > 0; the determinant
     # is held to a margin relative to |K|^2, its own scale, so marginal
     # attractors (det at rounding level) are refused at any drive strength
-    a, b = k[0, 0], k[0, 1]
-    c, d = k[1, 0], k[1, 1]
-    if not (a + d < 0.0 and a * d - b * c > STABILITY_TOL * float(np.sum(k * k))):
-        raise MarginalAttractorError(
-            "drift matrix is not strictly stable; no stationary covariance"
-        )
+    trace = a + d
+    _refuse_rows((trace < 0.0) & (a * d - b * c > STABILITY_TOL * (flat * flat).sum(axis=1)),
+                 "drift matrix is not strictly stable; no stationary covariance")
     source = lambda_s * kappa_scaled * (2.0 * n_bar + 1.0)
-    # unknowns (C11, C12, C22)
-    system = np.array(
-        [
-            [2.0 * a, 2.0 * b, 0.0],
-            [c, a + d, b],
-            [0.0, 2.0 * c, 2.0 * d],
-        ]
-    )
-    x = np.linalg.solve(system, np.array([-source, 0.0, -source]))
-    cov = np.array([[x[0], x[1]], [x[1], x[2]]])
-    if source > 0.0 and (cov[0, 0] <= 0.0 or np.linalg.det(cov) <= 0.0):
-        raise MarginalAttractorError("covariance is not positive definite")
-    return cov
+    # unknowns (C11, C12, C22): rows (2a, 2b, 0), (c, a + d, b), (0, 2c, 2d)
+    system = np.zeros((len(flat), 3, 3))
+    system[:, 0, :2] = 2.0 * flat[:, :2]
+    system[:, 1, 0], system[:, 1, 1], system[:, 1, 2] = c, trace, b
+    system[:, 2, 1:] = 2.0 * flat[:, 2:]
+    x = np.linalg.solve(system, np.array([[-source], [0.0], [-source]]))
+    cov = x[:, (0, 1, 1, 2), 0]
+    if source > 0.0:
+        _refuse_rows((cov[:, 0] > 0.0) & (np.linalg.det(cov.reshape(-1, 2, 2)) > 0.0),
+                     "covariance is not positive definite")
+    return cov.reshape(k.shape)
+
+
+def _refuse_rows(ok: np.ndarray, message: str) -> None:
+    """MarginalAttractorError with ``message`` and the first row not ``ok``."""
+    if not ok.all():
+        raise MarginalAttractorError(f"{message} (row {np.flatnonzero(~ok)[0]})")
 
 
 def spectrum_matrix(

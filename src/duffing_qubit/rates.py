@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attractors import Attractor, MarginalAttractorError, drift_matrix
+from .attractors import Attractor, MarginalAttractorError, _quadratures, drift_matrix
 from .fluctuations import (
     spectra,
     spectrum_matrix,
@@ -275,10 +275,10 @@ def dephasing_g_zero(a: Attractor, s: ScaledParams) -> float:
     """
     if not a.stable:
         raise MarginalAttractorError("dephasing weight needs a stable attractor")
-    k = drift_matrix(a, s.kappa_scaled)
+    k = drift_matrix(a.u, a.beta, s.kappa_scaled)
     cov = stationary_covariance(k, s.lambda_s, s.kappa_scaled, s.n_bar)
     n0 = spectrum_matrix(k, cov, s.lambda_s, 0.0)
-    v = np.array([a.q, a.p])
+    v = np.array(_quadratures(a.u, a.beta, s.kappa_scaled))
     weight = float(v @ n0.real @ v)
     return s.c_res**4 * max(weight, 0.0) / s.scale
 

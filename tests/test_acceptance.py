@@ -133,7 +133,7 @@ def test_criterion_2_dual_route_equivalence():
                 for a in solve_attractors(beta, kappa):
                     if not a.stable:
                         continue
-                    k = drift_matrix(a, kappa)
+                    k = drift_matrix(a.u, a.beta, kappa)
                     cov = stationary_covariance(k, lambda_s, kappa, n_bar)
                     for w in np.linspace(-5.0, 5.0, 9):
                         w = float(w)
@@ -160,7 +160,7 @@ def test_criterion_3_stochastic_oracle():
     start = time.perf_counter()
     lambda_s = 0.01
     a = stable(0.12, KAPPA, Branch.LARGE)
-    k = drift_matrix(a, KAPPA)
+    k = drift_matrix(a.u, a.beta, KAPPA)
     cov = stationary_covariance(k, lambda_s, KAPPA, NBAR)
 
     # exact Ornstein-Uhlenbeck steps (Van Loan's block exponential) over
@@ -471,7 +471,7 @@ def test_criterion_8_property_suite():
                     for a_res in solve_attractors(beta, kappa):
                         if not a_res.stable:
                             continue
-                        k = drift_matrix(a_res, kappa)
+                        k = drift_matrix(a_res.u, a_res.beta, kappa)
                         cov = stationary_covariance(k, lam, kappa, n_bar)
                         src = lam * kappa * (2 * n_bar + 1) * np.eye(2)
                         worst = max(worst, float(np.linalg.norm(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -13,6 +13,7 @@ from duffing_qubit import (
     solve_attractors,
     solve_branches,
 )
+from duffing_qubit.attractors import _quadratures
 
 
 def beta_of_u(u, kappa):
@@ -48,7 +49,8 @@ def extremization_oracle(kappa):
 class TestSolveAttractors:
     def test_undriven_fixed_point(self):
         (a,) = solve_attractors(0.0, 0.3)
-        assert a.u == 0.0 and a.q == 0.0 and a.p == 0.0
+        assert a.u == 0.0 and a.beta == 0.0
+        assert _quadratures(a.u, a.beta, 0.3) == (0.0, 0.0)
         assert math.isclose(a.nu_scaled**2, 0.3**2 + 1.0, rel_tol=1e-12)
         assert a.branch is Branch.SMALL
 
@@ -74,7 +76,8 @@ class TestSolveAttractors:
                     continue
                 res = abs(beta_of_u(a.u, kappa) - beta)
                 assert res <= 1e-10 * max(beta, 1.0)
-                assert math.isclose(a.q**2 + a.p**2, a.u, rel_tol=1e-9, abs_tol=1e-12)
+                q, p = _quadratures(a.u, a.beta, kappa)
+                assert math.isclose(q**2 + p**2, a.u, rel_tol=1e-9, abs_tol=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.57])
     def test_count_matches_window(self, kappa):
@@ -134,7 +137,7 @@ class TestBifurcation:
         for beta_edge in (info.beta_low, info.beta_high):
             for a in solve_attractors(beta_edge, 0.3):
                 if a.marginal:
-                    det = float(np.linalg.det(drift_matrix(a, 0.3)))
+                    det = float(np.linalg.det(drift_matrix(a.u, a.beta, 0.3)))
                     assert abs(det) < 1e-8
 
     @pytest.mark.parametrize("kappa", [0.02, 0.053166, 0.06, 0.1, 0.105678,
@@ -149,7 +152,7 @@ class TestBifurcation:
                 assert abs(a.u * ((a.u - 1) ** 2 + kappa**2) - beta_edge) < 1e-10
                 if a.marginal:
                     assert a.u in turning
-                    det = float(np.linalg.det(drift_matrix(a, kappa)))
+                    det = float(np.linalg.det(drift_matrix(a.u, a.beta, kappa)))
                     assert abs(det) < 1e-8
 
     def test_gap_continuous_to_zero(self):
@@ -167,7 +170,7 @@ class TestBifurcation:
 class TestDriftMatrix:
     def test_undriven_rotating_frame(self):
         (a,) = solve_attractors(0.0, 0.3)
-        k = drift_matrix(a, 0.3)
+        k = drift_matrix(a.u, a.beta, 0.3)
         assert np.allclose(k, [[-0.3, 1.0], [-1.0, -0.3]], atol=1e-15)
 
     @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5])
@@ -176,7 +179,7 @@ class TestDriftMatrix:
             for a in solve_attractors(float(beta), kappa):
                 if a.marginal:
                     continue
-                k = drift_matrix(a, kappa)
+                k = drift_matrix(a.u, a.beta, kappa)
                 assert math.isclose(np.trace(k), -2.0 * kappa, rel_tol=1e-13)
                 det = float(np.linalg.det(k))
                 expected = kappa**2 + 3.0 * a.u**2 - 4.0 * a.u + 1.0
@@ -189,7 +192,7 @@ class TestDriftMatrix:
 
     def test_eigenvalue_structure(self):
         for a in solve_attractors(0.12, 0.3):
-            eigs = np.linalg.eigvals(drift_matrix(a, 0.3))
+            eigs = np.linalg.eigvals(drift_matrix(a.u, a.beta, 0.3))
             if a.branch is Branch.UNSTABLE:
                 assert max(e.real for e in eigs) > 0.0
             else:
@@ -197,14 +200,33 @@ class TestDriftMatrix:
                 assert np.allclose([e.real for e in eigs], -0.3, atol=1e-12)
                 expected = math.sqrt(a.nu_scaled**2 - 0.09)
                 assert math.isclose(max(e.imag for e in eigs), expected, rel_tol=1e-9)
-            assert np.allclose(sorted(e.real for e in eigs),
-                               sorted(e.real for e in a.eigenvalues), atol=1e-9)
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5])
+    def test_eigenvalues_of_the_drift_stack(self, kappa):
+        # -kappa +/- sqrt(kappa^2 - nu^2), with nu^2 the determinant
+        # kappa^2 + 3u^2 - 4u + 1 on the unstable branch
+        beta = np.linspace(0.0, 0.3, 61)
+        s = solve_branches(beta, kappa)
+        u = np.stack([s.u_small, s.u_unstable, s.u_large])
+        det = kappa**2 + (3.0 * s.u_unstable - 4.0) * s.u_unstable + 1.0
+        nu2 = np.stack([s.nu_small**2, det, s.nu_large**2])
+        k = drift_matrix(u, beta, kappa)
+        assert k.shape == (3, beta.size, 2, 2)
+        rows = ~np.isnan(u) & ~np.stack([s.marginal_small, np.zeros(beta.size, bool),
+                                         s.marginal_large])
+        eigs = np.linalg.eigvals(k[rows])
+        root = np.sqrt((kappa**2 - nu2[rows]).astype(complex))
+        expected = np.stack([-kappa + root, -kappa - root], axis=1)
+        # each eigenvalue against the nearer of the pair, and the pair's sum
+        gap = np.abs(eigs[:, :, None] - expected[:, None, :]).min(axis=2)
+        assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(expected)))
+        assert np.allclose(eigs.sum(axis=1), -2.0 * kappa, atol=1e-12)
 
     def test_weak_drive_is_stable(self):
         # pins the global sign convention of the drift field
         for beta in (1e-6, 1e-3, 0.01):
             (a,) = solve_attractors(beta, 0.3)
-            eigs = np.linalg.eigvals(drift_matrix(a, 0.3))
+            eigs = np.linalg.eigvals(drift_matrix(a.u, a.beta, 0.3))
             assert max(e.real for e in eigs) < 0.0
 
 
@@ -371,6 +393,20 @@ class TestBifurcationEdges:
                 assert len(ats) == 2 and len(marginal) == 1, (kappa, beta)
                 assert marginal[0].branch is branch and marginal[0].u == u_edge
                 assert marginal[0].nu_scaled == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappa=st.floats(0.02, 0.57))
+    # the polished pair once ended 1.2e-7 and 4.2e-6 apart at beta_low here,
+    # above _MERGE_TOL, and was reported as two steady states
+    @example(kappa=0.16253562355777557)
+    @example(kappa=0.1461085727743926)
+    def test_merging_pair_is_marginal_at_every_edge(self, kappa):
+        info = bifurcation_betas(kappa)
+        s = solve_branches(np.array([info.beta_low, info.beta_high]), kappa)
+        assert s.marginal_large.tolist() == [True, False]
+        assert s.marginal_small.tolist() == [False, True]
+        assert np.isnan(s.u_unstable).all()
+        assert s.u_large[0] == info.u_at_beta_low and s.u_small[1] == info.u_at_beta_high
 
     def test_edges_in_one_array_call(self):
         for kappa in self.KAPPAS[::20].tolist():

@@ -1,8 +1,14 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duffing_qubit import bifurcation_betas, drift_matrix, solve_attractors
 from duffing_qubit.cli import (
@@ -19,6 +25,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def clear_marginal_flags(monkeypatch):
+    """Make ``cli.solve_branches`` report no marginal entry, as if no merging
+    pair were found at a window edge."""
+    import duffing_qubit.cli as cli
+    solve = cli.solve_branches
+
+    def cleared(beta, kappa):
+        s = solve(beta, kappa)
+        none = np.zeros(np.shape(beta), dtype=bool)
+        return dataclasses.replace(s, marginal_small=none, marginal_large=none)
+
+    monkeypatch.setattr(cli, "solve_branches", cleared)
 
 
 def parse_csv(text):
@@ -137,7 +157,7 @@ class TestSpectrumCommand:
         from duffing_qubit import stationary_covariance
         from duffing_qubit.fluctuations import LEVI_CIVITA
         a = solve_attractors(0.12, 0.3)[-1]
-        k = drift_matrix(a, 0.3)
+        k = drift_matrix(a.u, a.beta, 0.3)
         cov = stationary_covariance(k, 0.01, 0.3, 0.5)
         n0 = -np.linalg.inv(k) @ (cov + 0.5j * 0.01 * LEVI_CIVITA)
         expected = (n0[0, 0] + n0[1, 1] + 1j * (n0[1, 0] - n0[0, 1])).real
@@ -201,7 +221,7 @@ class TestBatchedSweepsAgainstPerPoint:
         assert code == EXIT_OK
         _, columns, rows = parse_csv(out)
         a = solve_attractors(beta, kappa)[0]
-        k = drift_matrix(a, kappa)
+        k = drift_matrix(a.u, a.beta, kappa)
         cov = stationary_covariance(k, lam, kappa, n_bar)
         reference = {
             "emission_closed": lambda w: spectra(w, a.u, a.nu_scaled, kappa,
@@ -390,10 +410,7 @@ class TestValidateCommand:
         assert len(report) == 6 and all(ok for _, ok, _ in report)
 
     def test_json_reports_a_failed_check(self, capsys, monkeypatch):
-        import duffing_qubit.cli as cli
-        solve = cli.solve_attractors
-        monkeypatch.setattr(cli, "solve_attractors",
-                            lambda b, k: [a for a in solve(b, k) if not a.marginal])
+        clear_marginal_flags(monkeypatch)
         code, report, doc = self.text_and_json(capsys)
         assert code == EXIT_SELFCHECK
         assert [tuple(row) for row in doc["rows"]] == report
@@ -410,6 +427,18 @@ class TestValidateAcrossKappa:
         assert code == EXIT_OK, out + err
         lines = [ln for ln in out.splitlines() if ln]
         assert len(lines) == 6 and all(ln.startswith("ok  ") for ln in lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappa=st.floats(0.02, 0.57), beta=st.floats(0.0, 0.3))
+    def test_all_checks_green_over_kappa_and_beta(self, kappa, beta):
+        # the edges, the drives and both sweeps share one root solve
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["validate", "--kappa-scaled", repr(kappa), "--beta", repr(beta)])
+        assert (code, err.getvalue()) == (EXIT_OK, ""), out.getvalue()
+        assert [ln[:4] for ln in out.getvalue().splitlines()].count("ok  ") >= 5
 
 
 class TestOutputModes:
@@ -639,10 +668,7 @@ class TestRefusalsLeaveStdoutEmpty:
         assert gap.startswith("ok  ") and "no marginal pair" not in gap
 
     def test_validate_fails_when_a_merging_pair_is_missing(self, capsys, monkeypatch):
-        import duffing_qubit.cli as cli
-        solve = cli.solve_attractors
-        monkeypatch.setattr(cli, "solve_attractors",
-                            lambda b, k: [a for a in solve(b, k) if not a.marginal])
+        clear_marginal_flags(monkeypatch)
         code, out, _ = run_cli(capsys, "validate")
         assert code == EXIT_SELFCHECK
         (gap,) = [ln for ln in out.splitlines() if "bifurcation_gap" in ln]
@@ -737,21 +763,25 @@ class TestSelfChecksSolveOnce:
         return calls
 
     def test_match_solves_the_unscaled_attractor_once(self, capsys, monkeypatch):
-        calls = self.count(monkeypatch, "solve_attractors")
+        calls = self.count(monkeypatch, "solve_branches")
         code, _, _ = run_cli(capsys, "match", "--hierarchies", "10,30,100")
         assert code == EXIT_OK
         # once unscaled, then once per hierarchy at its own scaled beta
         assert len(calls) == 1 + 3
 
     def test_validate_builds_each_covariance_once(self, capsys, monkeypatch):
-        solves = self.count(monkeypatch, "solve_attractors")
+        solves = self.count(monkeypatch, "solve_branches")
         covariances = self.count(monkeypatch, "stationary_covariance")
         code, _, _ = run_cli(capsys, "validate")
         assert code == EXIT_OK
-        # two window edges and four drives; one stable attractor at beta
-        # 0, 0.05 and 0.2 and two at the bistable beta 0.12
-        assert len(solves) == 2 + 4
-        assert len(covariances) == 1 + 1 + 2 + 1
+        # one root solve for the sweeps, the two window edges and the four
+        # drives, and one covariance stack: one stable attractor at beta 0,
+        # 0.05 and 0.2 and two at the bistable beta 0.12
+        assert len(solves) == 1
+        (betas, _), = solves
+        assert betas.shape == (101 + 97 + 2 + 4,)
+        (drift, *_), = covariances
+        assert drift.shape == (1 + 1 + 2 + 1, 2, 2)
 
 
 class TestRatesAndTeffAgree:

@@ -154,7 +154,7 @@ class TestLambdaS:
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
     def test_library_refuses(self, value):
         a = [a for a in solve_attractors(0.12, 0.3) if a.stable][0]
-        k = drift_matrix(a, 0.3)
+        k = drift_matrix(a.u, a.beta, 0.3)
         with pytest.raises(ValueError, match="lambda_s must be finite and positive"):
             stationary_covariance(k, value, 0.3, 0.5)
         with pytest.raises(ValueError, match="lambda_s must be finite and positive"):

@@ -14,6 +14,7 @@ from duffing_qubit import (
     bifurcation_betas,
     drift_matrix,
     solve_attractors,
+    solve_branches,
     spectra,
     spectra_from_matrix,
     spectrum_matrix,
@@ -31,7 +32,7 @@ def stable_attractors(beta, kappa):
 
 
 def covariance_for(a, kappa, lambda_s=LAMBDA_S, n_bar=NBAR):
-    k = drift_matrix(a, kappa)
+    k = drift_matrix(a.u, a.beta, kappa)
     return k, stationary_covariance(k, lambda_s, kappa, n_bar)
 
 
@@ -47,7 +48,7 @@ class TestStationaryCovariance:
     def test_lyapunov_residual(self, kappa, n_bar):
         for beta in (0.0, 0.05, 0.12, 0.2):
             for a in stable_attractors(beta, kappa):
-                k = drift_matrix(a, kappa)
+                k = drift_matrix(a.u, a.beta, kappa)
                 cov = stationary_covariance(k, LAMBDA_S, kappa, n_bar)
                 source = LAMBDA_S * kappa * (2 * n_bar + 1) * np.eye(2)
                 residual = np.linalg.norm(k @ cov + cov @ k.T + source)
@@ -142,6 +143,73 @@ def exact_step_oracle(k, diffusion, dt, n_traj, n_burn, n_keep, rng):
     return estimate, math.sqrt(spread / (n_traj * n_keep**2)) / np.linalg.norm(estimate)
 
 
+def reference_drift(u, beta, kappa):
+    """The drift of one steady state in Python floats, term by term."""
+    root = math.sqrt(beta)
+    q, p = (u * (u - 1.0) / root, -kappa * u / root) if beta > 0.0 else (0.0, 0.0)
+    return [[-2.0 * p * q - kappa, -(u - 1.0 + 2.0 * p * p)],
+            [u - 1.0 + 2.0 * q * q, 2.0 * q * p - kappa]]
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+class TestSteadyStateStacks:
+    """Drifts and covariances over branch columns are the one-row results."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        betas=st.lists(st.one_of(st.floats(0.0, 0.3), st.just(1e300)),
+                       min_size=1, max_size=12),
+        kappa=st.floats(0.02, 0.57),
+        lambda_s=st.floats(-4.0, -1.0).map(lambda x: 10.0**x),
+        n_bar=st.floats(0.0, 5.0),
+    )
+    def test_stacks_equal_one_row_calls_bit_for_bit(self, betas, kappa, lambda_s, n_bar):
+        beta = np.array(betas)
+        s = solve_branches(beta, kappa)
+        u = np.stack([s.u_small, s.u_large])
+        k = drift_matrix(u, beta, kappa)
+        assert k.shape == (2, beta.size, 2, 2)
+        present = ~np.isnan(u)
+        rows = list(zip(u[present].tolist(), np.broadcast_to(beta, u.shape)[present].tolist()))
+        one = np.array([drift_matrix(ur, br, kappa) for ur, br in rows])
+        np.testing.assert_array_equal(bits(k[present]), bits(one))
+        np.testing.assert_array_equal(bits(one), bits([reference_drift(*r, kappa) for r in rows]))
+        assert np.isnan(k[~present]).all()
+
+        stable = present & ~np.stack([s.marginal_small, s.marginal_large])
+        cov = stationary_covariance(k[stable], lambda_s, kappa, n_bar)
+        one = [stationary_covariance(x, lambda_s, kappa, n_bar) for x in k[stable]]
+        assert cov.shape == (np.count_nonzero(stable), 2, 2)
+        np.testing.assert_array_equal(bits(cov), bits(np.reshape(one, cov.shape)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kappa=st.floats(0.02, 0.57),
+        n_rows=st.integers(0, 8),
+        at=st.floats(0.0, 1.0),
+        high=st.booleans(),
+    )
+    def test_a_marginal_row_is_refused_by_its_index(self, kappa, n_rows, at, high):
+        info = bifurcation_betas(kappa)
+        # small-branch drifts below the upper edge, all strictly stable
+        beta = np.linspace(0.0, 0.9, n_rows) * info.beta_high
+        stack = drift_matrix(solve_branches(beta, kappa).u_small, beta, kappa)
+        edge = info.beta_high if high else info.beta_low
+        u_edge = info.u_at_beta_high if high else info.u_at_beta_low
+        marginal = drift_matrix(u_edge, edge, kappa)
+        row = round(at * n_rows)
+        stack = np.insert(stack, row, marginal, axis=0)
+        with pytest.raises(MarginalAttractorError, match=rf"not strictly stable.*\(row {row}\)"):
+            stationary_covariance(stack, LAMBDA_S, kappa, NBAR)
+        # a second bad row after it leaves the first named
+        with pytest.raises(MarginalAttractorError, match=rf"\(row {row}\)"):
+            stationary_covariance(np.vstack([stack, marginal[None]]), LAMBDA_S, kappa, NBAR)
+        stationary_covariance(np.delete(stack, row, axis=0), LAMBDA_S, kappa, NBAR)
+
+
 class TestSpectrumMatrix:
     def test_zero_frequency_direct_inverse(self):
         a = stable_attractors(0.12, 0.3)[-1]
@@ -190,7 +258,7 @@ class TestDualRoute:
             for beta in (0.05, 0.12, 0.14, 0.2):
                 for n_bar in (0.0, 0.5, 3.0):
                     for a in stable_attractors(beta, kappa):
-                        k = drift_matrix(a, kappa)
+                        k = drift_matrix(a.u, a.beta, kappa)
                         cov = stationary_covariance(k, LAMBDA_S, kappa, n_bar)
                         for w in np.linspace(-5.0, 5.0, 11):
                             w = float(w)
@@ -437,7 +505,7 @@ class TestOccupationDomain:
     @pytest.mark.parametrize("n_bar", [-3.0, -1e-12, math.nan, math.inf])
     def test_negative_or_nonfinite_occupation_is_refused(self, n_bar):
         a = stable_attractors(0.12, 0.3)[0]
-        k = drift_matrix(a, 0.3)
+        k = drift_matrix(a.u, a.beta, 0.3)
         with pytest.raises(ValueError, match="n_bar"):
             stationary_covariance(k, LAMBDA_S, 0.3, n_bar)
         with pytest.raises(ValueError, match="n_bar"):
@@ -478,7 +546,7 @@ class TestClosedFormOverflow:
     def test_huge_drive(self, beta):
         (a,) = solve_attractors(beta, 0.3)
         assert a.nu_scaled > 1e77
-        k = drift_matrix(a, 0.3)
+        k = drift_matrix(a.u, a.beta, 0.3)
         cov = stationary_covariance(k, LAMBDA_S, 0.3, NBAR)
         w = np.array([-1.0, 0.0, 1.0, 1e90, -1e300])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -638,7 +706,7 @@ class TestSpectraPair:
         attractors = [a for a in stable_attractors(beta, kappa) if a.nu_scaled > 0.05]
         assume(attractors)
         for a in attractors:
-            k = drift_matrix(a, kappa)
+            k = drift_matrix(a.u, a.beta, kappa)
             diffs = []
             for n_bar in n_bars:
                 cov = stationary_covariance(k, lambda_s, kappa, n_bar)
@@ -669,10 +737,40 @@ class TestSpectraPair:
         attractors = [a for a in stable_attractors(beta, kappa) if a.nu_scaled > 0.05]
         assume(attractors)
         for a in attractors:
-            k = drift_matrix(a, kappa)
+            k = drift_matrix(a.u, a.beta, kappa)
             cov = stationary_covariance(k, lambda_s, kappa, 0.0)
             emission, absorption = spectra_from_matrix(k, cov, lambda_s, w)
             expected = a.u**2 / ((w - (2.0 * a.u - 1.0)) ** 2 + kappa**2)
             assert np.all(absorption > 0.0) and np.all(emission > 0.0)
             np.testing.assert_allclose(absorption / emission, expected, rtol=1e-6)
             assert np.all(np.isfinite(1.0 / np.log(emission / absorption)))
+
+    def test_emission_peaks_within_kappa_of_the_gap(self):
+        # the paper's resonant enhancement: on each stable branch inside the
+        # bistability window the matrix-route emission peaks at +sqrt(det K)
+        # (small branch) or -sqrt(det K) (large branch), within the halfwidth
+        # kappa, and closer in units of kappa as kappa -> 0
+        def peak(k, cov):
+            w = np.linspace(-3.0, 3.0, 6001)
+            for _ in range(4):  # each pass spans 8 steps of the last around its peak
+                w0 = w[np.argmax(spectra_from_matrix(k, cov, 1e-3, w)[0])]
+                step = w[1] - w[0]
+                w = np.linspace(w0 - 4.0 * step, w0 + 4.0 * step, 801)
+            return w0
+
+        worst = []
+        for kappa in (0.3, 0.2, 0.1, 0.05, 0.02):
+            info = bifurcation_betas(kappa)
+            beta = info.beta_low + np.linspace(0.1, 0.9, 9) * (info.beta_high - info.beta_low)
+            s = solve_branches(beta, kappa)
+            offsets = []
+            for u, sign in ((s.u_small, 1.0), (s.u_large, -1.0)):
+                k = drift_matrix(u, beta, kappa)
+                gap = sign * np.sqrt(np.linalg.det(k))
+                for n_bar in (0.0, 0.5, 3.0):
+                    cov = stationary_covariance(k, 1e-3, kappa, n_bar)
+                    offsets += [abs(peak(*row) - g) for *row, g in zip(k, cov, gap)]
+            worst.append(max(offsets) / kappa)
+        assert all(w < 1.0 for w in worst), worst
+        assert all(b < a for a, b in zip(worst, worst[1:])), worst
+        assert worst[-1] < 0.05, worst

@@ -12,20 +12,17 @@ nonlinear oscillator latched in one of its forced-vibration states:
 """
 
 from .attractors import (
-    Attractor,
     BifurcationInfo,
     Branch,
     Branches,
     MarginalAttractorError,
     bifurcation_betas,
     drift_matrix,
-    solve_attractors,
     solve_branches,
 )
 from .fluctuations import (
     spectra,
     spectra_from_matrix,
-    spectrum_matrix,
     stationary_covariance,
     two_quantum_spectrum,
 )
@@ -61,7 +58,6 @@ from .rates import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Attractor",
     "BathSpec",
     "BifurcationInfo",
     "Branch",
@@ -91,11 +87,9 @@ __all__ = [
     "planck",
     "resonant_1q_scaled",
     "scale_params",
-    "solve_attractors",
     "solve_branches",
     "spectra",
     "spectra_from_matrix",
-    "spectrum_matrix",
     "stationary_covariance",
     "two_quantum_spectrum",
     "validity_flags",

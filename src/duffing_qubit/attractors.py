@@ -15,9 +15,9 @@ large-amplitude attractors.  The linearized drift about a root has trace
 The module is array-first.  :func:`solve_branches` solves a whole
 drive-intensity grid in one call, one column per branch, and
 :func:`drift_matrix` takes such columns (``u`` and ``beta``, any shapes that
-broadcast) and returns a stack of 2x2 drifts, one per steady state.
-:func:`solve_attractors` is the one-element form of the root solve, an
-:class:`Attractor` per steady state.
+broadcast) and returns a stack of 2x2 drifts, one per steady state.  A
+steady state is the pair (u, nu) that :meth:`Branches.pick` gives for a
+branch; a scalar ``beta`` gives float columns.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ from .model import _check_beta, _check_kappa_scaled, _per_value
 
 __all__ = [
     "Branch",
-    "Attractor",
     "BifurcationInfo",
     "MarginalAttractorError",
     "Branches",
     "solve_branches",
-    "solve_attractors",
     "bifurcation_betas",
     "drift_matrix",
 ]
@@ -55,21 +53,6 @@ class Branch(str, Enum):
     SMALL = "small"
     LARGE = "large"
     UNSTABLE = "unstable"
-
-
-@dataclass(frozen=True)
-class Attractor:
-    """One steady state of forced vibration (dimensionless units)."""
-
-    u: float                          # squared scaled radius r^2
-    beta: float                       # drive intensity it was solved at
-    nu_scaled: float                  # quasienergy gap / |delta_omega| (nan if unstable)
-    branch: Branch
-    marginal: bool = False            # True for a degenerate pair at a bifurcation
-
-    @property
-    def stable(self) -> bool:
-        return self.branch is not Branch.UNSTABLE and not self.marginal
 
 
 @dataclass(frozen=True)
@@ -109,18 +92,6 @@ class Branches:
         if branch is Branch.LARGE:
             return self.u_large, self.nu_large, self.marginal_large
         raise ValueError("only the small and large branches carry (u, nu, marginal)")
-
-    def attractor(self, branch: Branch, beta: float) -> Attractor | None:
-        """The steady state on ``branch`` of a scalar solve at ``beta``, or
-        None where that branch is absent."""
-        if branch is Branch.UNSTABLE:
-            u, nu, marginal = self.u_unstable, math.nan, False
-        else:
-            u, nu, marginal = self.pick(branch)
-        if math.isnan(u):
-            return None
-        return Attractor(u=u, beta=float(beta), nu_scaled=nu, branch=branch,
-                         marginal=marginal)
 
 
 def _beta_of_u(u: float, kappa_scaled: float) -> float:
@@ -330,20 +301,6 @@ def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
     )
 
 
-def solve_attractors(beta: float, kappa_scaled: float) -> list[Attractor]:
-    """All steady states at drive intensity ``beta``, sorted by ``u``.
-
-    Returns one attractor outside the bistable window and three (small,
-    unstable, large) inside it.  Exactly at a bifurcation the merging pair
-    is reported as a single entry with ``marginal=True`` and ``nu_scaled=0``;
-    downstream spectral formulas refuse such entries.  A one-element
-    :func:`solve_branches`, with its errors.
-    """
-    s = solve_branches(beta, kappa_scaled)
-    found = (s.attractor(b, beta) for b in (Branch.SMALL, Branch.UNSTABLE, Branch.LARGE))
-    return [a for a in found if a is not None]
-
-
 def _turning_radii(kappa_scaled: float) -> tuple[float, float]:
     """Radii where d beta/d u = 0: u = [2 -/+ sqrt(1 - 3 kappa_scaled^2)] / 3."""
     root = math.sqrt(max(1.0 - 3.0 * kappa_scaled**2, 0.0))
@@ -396,7 +353,11 @@ def drift_matrix(u, beta, kappa_scaled: float) -> np.ndarray:
     is exactly -2*kappa_scaled and the determinant equals nu_scaled^2, so the
     eigenvalues are -kappa_scaled +/- sqrt(kappa_scaled^2 - nu_scaled^2).
     """
-    q, p = _quadratures(u, beta, kappa_scaled)
+    return _drift(u, *_quadratures(u, beta, kappa_scaled), kappa_scaled)
+
+
+def _drift(u, q, p, kappa_scaled: float) -> np.ndarray:
+    # drift_matrix from the quadratures (q, p) of the steady states u
     k = np.empty(np.shape(q) + (2, 2))
     k[..., 0, 0] = -2.0 * p * q - kappa_scaled
     k[..., 0, 1] = -(u - 1.0 + 2.0 * p * p)

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .attractors import (
-    Attractor,
     Branch,
     MarginalAttractorError,
     bifurcation_betas,
@@ -351,14 +350,18 @@ def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
     out.write("\n")
 
 
-def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> Attractor:
-    a = solve_branches(beta, kappa_scaled).attractor(branch, beta)
-    if a is not None:
-        return a
-    raise CliInputError(
-        f"no {branch.value}-amplitude attractor exists at beta={beta:g}, "
-        f"kappa_scaled={kappa_scaled:g}"
-    )
+def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> tuple[float, float]:
+    """(u, nu) of ``branch`` at the scalar ``beta``: CliInputError where the
+    branch is absent, MarginalAttractorError where it is marginal."""
+    u, nu, marginal = solve_branches(beta, kappa_scaled).pick(branch)
+    if math.isnan(u):
+        raise CliInputError(
+            f"no {branch.value}-amplitude attractor exists at beta={beta:g}, "
+            f"kappa_scaled={kappa_scaled:g}"
+        )
+    if marginal:
+        raise MarginalAttractorError(f"{branch.value} attractor is marginal")
+    return u, nu
 
 
 # ----------------------------------------------------------------------------
@@ -385,13 +388,11 @@ def cmd_spectrum(args, config) -> int:
     branch = Branch(args.attractor)
     grid = parse_grid(args.grid)
 
-    a = _pick_required(args.beta, kappa, branch)
-    if not a.stable:
-        raise MarginalAttractorError("requested attractor is marginal")
-    k = drift_matrix(a.u, a.beta, kappa)
+    u, nu = _pick_required(args.beta, kappa, branch)
+    k = drift_matrix(u, args.beta, kappa)
     cov = stationary_covariance(k, lambda_s, kappa, n_bar)
 
-    params.update(u=a.u, nu=a.nu_scaled)
+    params.update(u=u, nu=nu)
     columns = [
         "omega",
         "emission_closed",
@@ -399,7 +400,7 @@ def cmd_spectrum(args, config) -> int:
         "emission_matrix",
         "absorption_matrix",
     ]
-    spectra, worst = _dual_route(a.u, a.nu_scaled, k, cov, kappa, lambda_s, n_bar, grid)
+    spectra, worst = _dual_route(u, nu, k, cov, kappa, lambda_s, n_bar, grid)
     params["max_route_deviation"] = worst
     emit_table(params, columns, (grid, *spectra), args.format, args.out_stream)
     if args.check and not worst <= DUAL_ROUTE_LIMIT:
@@ -495,15 +496,16 @@ def _resonant_1q_columns(omega_rel, u, nu, marginal, kappa: float, n_bar: float)
             for c in (u, nu, ge, gg, ln_ratio, teff_star, flags)]
 
 
-# regime -> (needs an attractor, rate call); the rate functions are looked up
-# when called, so a rebinding of the module attributes takes effect
+# regime -> (needs an attractor, rate call of the steady state (u, nu)); the
+# rate functions are looked up when called, so a rebinding of the module
+# attributes takes effect
 _SI_RATES = {
-    "resonant-2q": (False, lambda q, p, a, s: gamma_resonant_2q(q, p)),
-    "resonant-total": (True, lambda q, p, a, s: gamma_total_resonant(q, p, a, s)),
-    "nonresonant": (True, lambda q, p, a, s: gamma_nonresonant(q, p, a, s=s)),
-    "nonresonant-2q": (False, lambda q, p, a, s: gamma_nonresonant_2q(q, p)),
-    "linear-resonant": (True, lambda q, p, a, s: gamma_linear_resonant(q, p, a, s)),
-    "linear-nonresonant": (False, lambda q, p, a, s: gamma_linear_nonresonant(q, p)),
+    "resonant-2q": (False, lambda q, p, u, nu, s: gamma_resonant_2q(q, p)),
+    "resonant-total": (True, lambda q, p, u, nu, s: gamma_total_resonant(q, p, u, nu, s)),
+    "nonresonant": (True, lambda q, p, u, nu, s: gamma_nonresonant(q, p, u, nu, s=s)),
+    "nonresonant-2q": (False, lambda q, p, u, nu, s: gamma_nonresonant_2q(q, p)),
+    "linear-resonant": (True, lambda q, p, u, nu, s: gamma_linear_resonant(q, p, u, nu, s)),
+    "linear-nonresonant": (False, lambda q, p, u, nu, s: gamma_linear_nonresonant(q, p)),
 }
 
 
@@ -515,9 +517,9 @@ def _rates_si(args, config, regime: str) -> int:
     grid = parse_grid(args.grid)
 
     needs_attractor, rate = _SI_RATES[regime]
-    attractor = None
+    u = nu = None
     if needs_attractor:
-        attractor = _pick_required(scaled.beta, scaled.kappa_scaled, Branch(args.attractor))
+        u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch(args.attractor))
 
     params = {
         "command": "rates",
@@ -536,7 +538,7 @@ def _rates_si(args, config, regime: str) -> int:
     qubit = QubitParams(w=np.sqrt(grid**2 - delta**2), delta=delta, delta_q=args.delta_q,
                         v_x=args.v_x, v_z=args.v_z)
     columns = ["omega_q", "gamma_e", "gamma_g", "t1", "t_eff", "flags"]
-    res = rate(qubit, phys, attractor, scaled)
+    res = rate(qubit, phys, u, nu, scaled)
     names = {flags: _flags_str(flags) for flags in set(res.flags)}
     cols = (grid, res.gamma_e, res.gamma_g, res.t1, res.t_eff,
             [names[flags] for flags in res.flags])
@@ -576,10 +578,11 @@ def match_report(
     to 0.
     """
     rows = []
-    a = _pick_required(beta, kappa_scaled, Branch.LARGE)
+    _, nu = _pick_required(beta, kappa_scaled, Branch.LARGE)
+    width = max(nu, kappa_scaled, 1.0)
     physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar)  # a bad input is not a bad factor
     for h in hierarchies:
-        omega_rel = h * max(a.nu_scaled, kappa_scaled, 1.0)
+        omega_rel = h * width
         try:  # detuning scale 1 rad/s; the ratio is invariant under the overall scale
             phys = physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar,
                                         detuning=1.0, omega_f_ratio=h * omega_rel)
@@ -587,9 +590,9 @@ def match_report(
             omega_q = 2.0 * phys.omega_f + omega_rel
             delta = 1e-3 * omega_q
             qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1.0)
-            attractor = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
-            res = gamma_resonant_1q(qubit, phys, attractor, scaled)
-            non = gamma_nonresonant(qubit, phys, attractor, s=scaled)
+            u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
+            res = gamma_resonant_1q(qubit, phys, u, nu, scaled)
+            non = gamma_nonresonant(qubit, phys, u, nu, s=scaled)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad --hierarchies: factor {h!r} gives omega_f/|delta_omega| = "
                              f"{h * omega_rel!r}, beyond float arithmetic ({exc})") from None

@@ -13,8 +13,11 @@ spectra are implemented:
   poles at the quasienergy gap;
 - the matrix (resolvent) route :func:`spectra_from_matrix`, from the
   drift's resolvent acting on the stationary covariance (quantum regression
-  with ``exp(K t)``; :func:`spectrum_matrix` is the full matrix), taken
-  through the 2x2 adjugate from K and C alone.
+  with ``exp(K t)``), the one-sided spectrum matrix
+
+      N(omega) = -(i omega I + K)^{-1} (C + i lambda_s eps / 2),
+
+  taken through the 2x2 adjugate from K and C alone.
 
 Each returns the pair (emission, absorption).  The qubit's decay rate comes
 from the emission spectrum and its excitation rate from the absorption
@@ -25,7 +28,8 @@ Their agreement over parameter space is the central correctness check of
 this module.  Sign conventions: the stored covariance is the physical
 (positive definite) one, the equal-time commutator contributes
 ``+i*lambda_s/2`` times the antisymmetric unit tensor with ``eps_12 = +1``,
-and one-sided (t >= 0) Fourier transforms are used throughout.
+and one-sided (t >= 0) Fourier transforms are used throughout:
+N_nm(omega) = int_0^inf dt exp(i omega t) <Z_n(t) Z_m(0)>.
 
 All quantities are dimensionless; spectra carry one factor of ``lambda_s``
 and convert to SI seconds after division by ``|delta_omega|``.
@@ -41,15 +45,11 @@ from .attractors import MarginalAttractorError
 from .model import _check_lambda_s, hbar
 
 __all__ = [
-    "LEVI_CIVITA",
     "stationary_covariance",
-    "spectrum_matrix",
     "spectra",
     "spectra_from_matrix",
     "two_quantum_spectrum",
 ]
-
-LEVI_CIVITA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # smallest det(K) / |K|_F^2 of a drift that counts as strictly stable
 STABILITY_TOL = 1e-8
@@ -118,29 +118,6 @@ def _refuse_rows(ok: np.ndarray, message: str) -> None:
         raise MarginalAttractorError(f"{message} (row {np.flatnonzero(~ok)[0]})")
 
 
-def spectrum_matrix(
-    drift: np.ndarray,
-    covariance: np.ndarray,
-    lambda_s: float,
-    omega: float | np.ndarray,
-) -> np.ndarray:
-    """One-sided spectrum matrix N(omega) of the quadrature deviations.
-
-    N_nm(omega) = int_0^inf dt exp(i omega t) <Z_n(t) Z_m(0)>, evaluated via
-    the resolvent of the drift:
-
-        N(omega) = -(i omega I + K)^{-1} (C + i lambda_s eps / 2)
-
-    where C is the stationary covariance and eps the rank-2 antisymmetric
-    tensor carrying the equal-time commutator of the quadratures.
-
-    ``omega: float | ndarray``; the result has shape ``omega.shape + (2, 2)``,
-    one batched solve over the whole grid.
-    """
-    m = covariance + 0.5j * lambda_s * LEVI_CIVITA
-    return -np.linalg.solve(1j * np.multiply.outer(omega, np.eye(2)) + drift, m)
-
-
 def spectra_from_matrix(
     drift: np.ndarray,
     covariance: np.ndarray,
@@ -152,7 +129,7 @@ def spectra_from_matrix(
     Emission is Re[tr N + i (N21 - N12)], the Z+Z- spectrum, at ``omega``;
     absorption is Re[tr N - i (N21 - N12)], the Z-Z+ spectrum, at ``-omega``
     (the convention of :func:`spectra`, so both routes are compared at the
-    same ``omega``); N is the :func:`spectrum_matrix` resolvent.  No solve is
+    same ``omega``); N is the resolvent of the module docstring.  No solve is
     made: (i omega I + K)^{-1} = (i omega I + adj K) / [(det K - omega^2) +
     i omega tr K], and both combinations are formed from K and the symmetric
     C before the division, so each real part is a quadratic in omega over

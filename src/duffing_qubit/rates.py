@@ -24,8 +24,12 @@ reported as flags, never auto-switched):
 
 Every rate function takes the qubit splitting ``QubitParams.w`` as a float
 or an array: a sweep over the qubit frequency is one call, whose results
-have the shape of ``omega_q``.  The terms that depend only on the attractor
-and the oscillator (the dephasing weight, the scaled parameters, the Bose
+have the shape of ``omega_q``.  A regime that needs the oscillator's steady
+state takes it as two numbers, ``u`` and ``nu_scaled``: one branch of
+:func:`duffing_qubit.attractors.solve_branches` at ``ScaledParams.beta``.
+A marginal (``nu_scaled`` = 0) or absent (NaN) steady state raises
+MarginalAttractorError.  The terms that depend only on the steady state and
+the oscillator (the dephasing weight, the scaled parameters, the Bose
 factors at omega_f and omega_0) are computed once per call.
 """
 
@@ -36,10 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attractors import Attractor, MarginalAttractorError, _quadratures, drift_matrix
+from .attractors import MarginalAttractorError, _drift, _quadratures
 from .fluctuations import (
     spectra,
-    spectrum_matrix,
     stationary_covariance,
     two_quantum_spectrum,
 )
@@ -264,22 +267,24 @@ def bloch_redfield(
     return _scalar_or_array(t1), _scalar_or_array(t2)
 
 
-def dephasing_g_zero(a: Attractor, s: ScaledParams) -> float:
+def dephasing_g_zero(u: float, s: ScaledParams) -> float:
     """Zero-frequency weight of the squared-displacement noise (m^4 s).
 
-    Leading (one-quantum) dc channel: the slow part of 2*x_a*dx projects the
-    quadrature noise onto v = (Q_a, P_a), so the weight is
-    c_res^4 * v.Re N(0).v / |delta_omega|.  Two-quantum dc contributions are
-    smaller by a factor lambda_s and neglected.  It does not depend on the
-    qubit, so a sweep over the qubit frequency computes it once.
+    Leading (one-quantum) dc channel of the steady state ``u`` at the drive
+    ``s.beta``: the slow part of 2*x_a*dx projects the quadrature noise onto
+    v = (Q_a, P_a), so the weight is c_res^4 * v.Re N(0).v / |delta_omega|.
+    K and C are real, so Re N(0) = -K^-1 C = -adj K C / det K and no solve
+    is made.  Two-quantum dc contributions are smaller by a factor lambda_s
+    and neglected.  It does not depend on the qubit, so a sweep over the
+    qubit frequency computes it once.  Raises MarginalAttractorError where
+    ``u`` has no strictly stable drift (a marginal or absent steady state).
     """
-    if not a.stable:
-        raise MarginalAttractorError("dephasing weight needs a stable attractor")
-    k = drift_matrix(a.u, a.beta, s.kappa_scaled)
+    v = np.array(_quadratures(u, s.beta, s.kappa_scaled))
+    k = _drift(u, *v, s.kappa_scaled)
     cov = stationary_covariance(k, s.lambda_s, s.kappa_scaled, s.n_bar)
-    n0 = spectrum_matrix(k, cov, s.lambda_s, 0.0)
-    v = np.array(_quadratures(a.u, a.beta, s.kappa_scaled))
-    weight = float(v @ n0.real @ v)
+    (a, b), (c, d) = k
+    adj = np.array([[d, -b], [-c, a]])
+    weight = -float(v @ adj @ cov @ v) / (a * d - b * c)
     return s.c_res**4 * max(weight, 0.0) / s.scale
 
 
@@ -287,7 +292,8 @@ def validity_flags(
     q: QubitParams,
     p: PhysicalParams,
     s: ScaledParams,
-    a: Attractor | None,
+    u: float | None,
+    nu_scaled: float | None,
     t1: float | np.ndarray,
     t2: float | np.ndarray | None,
 ) -> dict[str, float | np.ndarray]:
@@ -301,15 +307,16 @@ def validity_flags(
     - RWAViolated: max(|delta_omega|, kappa) / omega_0;
     - QubitFasterThanOscillator: (1/T1) / kappa.
 
-    ``t1`` and ``t2`` are floats or arrays of the shape of ``q.omega_q``.
-    ResonantPumping is NaN where T1 or T2 is infinite, and
+    ``u`` and ``nu_scaled`` are the steady state, None in a regime that has
+    none; ``t1`` and ``t2`` are floats or arrays of the shape of
+    ``q.omega_q``.  ResonantPumping is NaN where T1 or T2 is infinite, and
     QubitFasterThanOscillator where T1 is infinite or zero.
     """
     ratios: dict[str, float | np.ndarray] = {}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if a is not None and t2 is not None:
+        if u is not None and t2 is not None:
             omega_rabi = (
-                p.m * p.omega_0 * q.delta_q * q.delta * s.c_res**2 * a.u
+                p.m * p.omega_0 * q.delta_q * q.delta * s.c_res**2 * u
                 / (hbar * q.omega_q)
             )
             det = q.omega_q - 2.0 * p.omega_f
@@ -317,8 +324,8 @@ def validity_flags(
             ratios[FLAG_RESONANT_PUMPING] = np.where(
                 np.isfinite(t1) & np.isfinite(t2), pumping, math.nan)
         ratios[FLAG_SEMICLASSICAL] = s.fluctuation_area
-        if a is not None and a.nu_scaled > 0.0:
-            ratios[FLAG_WEAK_DAMPING] = s.kappa_scaled / a.nu_scaled
+        if nu_scaled is not None and nu_scaled > 0.0:
+            ratios[FLAG_WEAK_DAMPING] = s.kappa_scaled / nu_scaled
         ratios[FLAG_RWA] = max(s.scale, p.kappa) / p.omega_0
         faster = np.divide(1.0, np.multiply(t1, p.kappa))
         ratios[FLAG_QUBIT_FASTER] = np.where(
@@ -350,17 +357,17 @@ def raised_flags(
     return tuple(map(sets.__getitem__, code.ravel().tolist()))
 
 
-def _rate_result(regime, q, p, s, a, gamma_e, gamma_g, dephasing=False, ratios=None,
+def _rate_result(regime, q, p, s, u, nu, gamma_e, gamma_g, dephasing=False, ratios=None,
                  **extra) -> RateResult:
     """The one assembly of a channel's (gamma_e, gamma_g) into a RateResult.
 
     T1; T2 when ``dephasing`` is set and delta != 0, from the zero-frequency
-    weight of the attractor ``a``; the ``validity_flags`` ratios followed by
+    weight of the steady state ``u``; the ``validity_flags`` ratios followed by
     the regime's own ``ratios``; T_eff and the raised flags.  Every numeric
     field takes the shape of ``q.omega_q``.
     """
     if dephasing and q.delta != 0.0:
-        t1, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g_zero(a, s))
+        t1, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g_zero(u, s))
     else:
         t1, t2 = _channel_t1(gamma_e, gamma_g), None
     shape = np.shape(q.omega_q)
@@ -372,7 +379,7 @@ def _rate_result(regime, q, p, s, a, gamma_e, gamma_g, dephasing=False, ratios=N
             return float(x)
         return x if np.shape(x) == shape else np.full(shape, x)
 
-    ratios = {**validity_flags(q, p, s, a, t1, t2), **(ratios or {})}
+    ratios = {**validity_flags(q, p, s, u, nu, t1, t2), **(ratios or {})}
     ratios = {name: shaped(value) for name, value in ratios.items()}
     t_eff = effective_temperature(gamma_e, gamma_g, q.omega_q)
     fields = dict(gamma_e=gamma_e, gamma_g=gamma_g, t1=t1, t2=t2, t_eff=t_eff, **extra)
@@ -384,12 +391,11 @@ def _rate_result(regime, q, p, s, a, gamma_e, gamma_g, dephasing=False, ratios=N
     )
 
 
-def _require_stable(a: Attractor) -> None:
-    if not a.stable:
+def _require_stable(nu_scaled: float) -> None:
+    # nu = 0 is a marginal steady state and NaN an absent one
+    if not nu_scaled > 0.0:
         raise MarginalAttractorError(
-            f"attractor on branch {a.branch.value!r} (marginal={a.marginal}) "
-            "is outside the linearized theory"
-        )
+            f"steady state with nu_scaled={nu_scaled!r} is outside the linearized theory")
 
 
 def resonant_1q_scaled(
@@ -412,20 +418,21 @@ def resonant_1q_scaled(
     return spectra(omega_rel, u, nu_scaled, kappa_scaled, 1.0, n_bar)
 
 
-def _resonant_1q_rates(q: QubitParams, p: PhysicalParams, a: Attractor, s: ScaledParams):
+def _resonant_1q_rates(q: QubitParams, p: PhysicalParams, u, nu_scaled, s: ScaledParams):
     # (gamma_e, gamma_g, gamma_0, f_e, f_g) of the one-quantum channel, with
     # f_e, f_g the spectra at the detuning from 2 omega_f
-    f_e, f_g = spectra((q.omega_q - 2.0 * p.omega_f) / s.scale, a.u, a.nu_scaled,
+    f_e, f_g = spectra((q.omega_q - 2.0 * p.omega_f) / s.scale, u, nu_scaled,
                        s.kappa_scaled, s.lambda_s, s.n_bar)
-    pref = (p.m * p.omega_f) ** 2 * s.scale / (9.0 * p.gamma_s**2) * a.u
+    pref = (p.m * p.omega_f) ** 2 * s.scale / (9.0 * p.gamma_s**2) * u
     cg = c_gamma(q, p.m, p.omega_0)
-    return cg * pref * f_e, cg * pref * f_g, hbar * cg * a.u / (6.0 * p.gamma_s), f_e, f_g
+    return cg * pref * f_e, cg * pref * f_g, hbar * cg * u / (6.0 * p.gamma_s), f_e, f_g
 
 
 def gamma_resonant_1q(
     q: QubitParams,
     p: PhysicalParams,
-    a: Attractor,
+    u: float,
+    nu_scaled: float,
     s: ScaledParams | None = None,
 ) -> RateResult:
     """One-quantum rates near resonance, |omega_q - 2 omega_f| << omega_f.
@@ -439,12 +446,12 @@ def gamma_resonant_1q(
     absorption spectra supplying gamma_e / gamma_g.  ``omega_q`` (through
     ``q.w``) is a float or an array.
     """
-    _require_stable(a)
+    _require_stable(nu_scaled)
     if s is None:
         s = scale_params(p)
-    gamma_e, gamma_g, gamma_0, f_e, f_g = _resonant_1q_rates(q, p, a, s)
+    gamma_e, gamma_g, gamma_0, f_e, f_g = _resonant_1q_rates(q, p, u, nu_scaled, s)
     return _rate_result(
-        "resonant-1q", q, p, s, a, gamma_e, gamma_g, dephasing=True,
+        "resonant-1q", q, p, s, u, nu_scaled, gamma_e, gamma_g, dephasing=True,
         gamma_0=gamma_0, gamma_e_scaled=f_e / s.lambda_s, gamma_g_scaled=f_g / s.lambda_s,
     )
 
@@ -471,14 +478,15 @@ def gamma_resonant_2q(
     if n_bar is None:
         n_bar = s.n_bar
     gamma_e, gamma_g = _resonant_2q_rates(q, p, n_bar)
-    return _rate_result("resonant-2q", q, p, s, None, gamma_e, gamma_g,
+    return _rate_result("resonant-2q", q, p, s, None, None, gamma_e, gamma_g,
                         ratios=_moderate_t(p, n_bar))
 
 
 def gamma_total_resonant(
     q: QubitParams,
     p: PhysicalParams,
-    a: Attractor,
+    u: float,
+    nu_scaled: float,
     s: ScaledParams | None = None,
 ) -> RateResult:
     """Sum of the one- and two-quantum resonant channels.
@@ -489,22 +497,22 @@ def gamma_total_resonant(
     ratios are those of the total rates.  ``omega_q`` (through ``q.w``) is a
     float or an array.
     """
-    _require_stable(a)
+    _require_stable(nu_scaled)
     if s is None:
         s = scale_params(p)
-    one_e, one_g, gamma_0, _, _ = _resonant_1q_rates(q, p, a, s)
+    one_e, one_g, gamma_0, _, _ = _resonant_1q_rates(q, p, u, nu_scaled, s)
     two_e, two_g = _resonant_2q_rates(q, p, s.n_bar)
     gamma_e, gamma_g = one_e + two_e, one_g + two_g
     ratios = _moderate_t(p, s.n_bar)
-    if a.u > 0.0:
-        ratios[FLAG_TWO_QUANTUM] = s.fluctuation_area / a.u
+    if u > 0.0:
+        ratios[FLAG_TWO_QUANTUM] = s.fluctuation_area / u
     scaled = {}
     if np.any(gamma_0 != 0.0):
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = dict(gamma_e_scaled=gamma_e / gamma_0, gamma_g_scaled=gamma_g / gamma_0)
     return _rate_result(
-        "resonant-total", q, p, s, a, gamma_e, gamma_g, dephasing=True, ratios=ratios,
-        gamma_0=gamma_0, **scaled,
+        "resonant-total", q, p, s, u, nu_scaled, gamma_e, gamma_g, dephasing=True,
+        ratios=ratios, gamma_0=gamma_0, **scaled,
     )
 
 
@@ -559,7 +567,8 @@ def _channel_sums(p: PhysicalParams, omegas, offsets, factors=None):
 def gamma_nonresonant(
     q: QubitParams,
     p: PhysicalParams,
-    a: Attractor,
+    u: float,
+    nu_scaled: float,
     s: ScaledParams | None = None,
 ) -> RateResult:
     """One-quantum rates far from resonance (|omega_q - 2 omega_0| not small).
@@ -575,17 +584,18 @@ def gamma_nonresonant(
     oscillator resonance.  ``omega_q`` (through ``q.w``) is a float or an
     array.
     """
-    _require_stable(a)
+    _require_stable(nu_scaled)
     if s is None:
         s = scale_params(p)
     wq, wf = q.omega_q, p.omega_f
     sum_e, sum_g = _channel_sums(
         p, (wq + wf, wq - wf, wf - wq), offsets=((1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     )
-    pref = 2.0 * wf * s.scale / (3.0 * p.m * p.gamma_s) * a.u
+    pref = 2.0 * wf * s.scale / (3.0 * p.m * p.gamma_s) * u
     cg = c_gamma(q, p.m, p.omega_0)
     return _rate_result(
-        "nonresonant", q, p, s, a, cg * pref * sum_e, cg * pref * sum_g, dephasing=True
+        "nonresonant", q, p, s, u, nu_scaled, cg * pref * sum_e, cg * pref * sum_g,
+        dephasing=True,
     )
 
 
@@ -612,7 +622,7 @@ def gamma_nonresonant_2q(q: QubitParams, p: PhysicalParams) -> RateResult:
         factors=((n0 + 1.0, n0), (n0 + 1.0, n0), (n0, n0 + 1.0)),
     )
     return _rate_result(
-        "nonresonant-2q", q, p, scale_params(p), None, cg * pref * sum_e, cg * pref * sum_g
+        "nonresonant-2q", q, p, scale_params(p), None, None, cg * pref * sum_e, cg * pref * sum_g
     )
 
 
@@ -626,7 +636,8 @@ def _linear_coupling_sq(q: QubitParams) -> float | np.ndarray:
 def gamma_linear_resonant(
     q: QubitParams,
     p: PhysicalParams,
-    a: Attractor,
+    u: float,
+    nu_scaled: float,
     s: ScaledParams | None = None,
 ) -> RateResult:
     """Linear-coupling rates near omega_q = omega_f.
@@ -639,11 +650,11 @@ def gamma_linear_resonant(
     and the quasienergy gap.  ``omega_q`` (through ``q.w``) is a float or an
     array.
     """
-    _require_stable(a)
+    _require_stable(nu_scaled)
     if s is None:
         s = scale_params(p)
     d = s.scale
-    f_e, f_g = spectra((q.omega_q - p.omega_f) / d, a.u, a.nu_scaled, s.kappa_scaled,
+    f_e, f_g = spectra((q.omega_q - p.omega_f) / d, u, nu_scaled, s.kappa_scaled,
                        s.lambda_s, s.n_bar)
     pref = (
         _linear_coupling_sq(q)
@@ -651,7 +662,7 @@ def gamma_linear_resonant(
         * (p.m * p.omega_f * d / (3.0 * p.gamma_s))
         / d
     )
-    return _rate_result("linear-resonant", q, p, s, a, pref * f_e, pref * f_g)
+    return _rate_result("linear-resonant", q, p, s, u, nu_scaled, pref * f_e, pref * f_g)
 
 
 def gamma_linear_nonresonant(q: QubitParams, p: PhysicalParams) -> RateResult:
@@ -678,5 +689,5 @@ def gamma_linear_nonresonant(q: QubitParams, p: PhysicalParams) -> RateResult:
     )
     n_q = planck(wq, p.temperature)
     return _rate_result(
-        "linear-nonresonant", q, p, scale_params(p), None, pref * (n_q + 1.0), pref * n_q
+        "linear-nonresonant", q, p, scale_params(p), None, None, pref * (n_q + 1.0), pref * n_q
     )

@@ -25,14 +25,14 @@ from duffing_qubit import (
     planck,
     resonant_1q_scaled,
     scale_params,
-    solve_attractors,
+    solve_branches,
     spectra,
     spectra_from_matrix,
     stationary_covariance,
     two_quantum_spectrum,
 )
 from duffing_qubit.cli import match_report
-from test_fluctuations import exact_step_oracle
+from test_fluctuations import exact_step_oracle, stable_states
 
 KAPPA = 0.3
 NBAR = 0.5
@@ -44,7 +44,10 @@ def report(number: int, detail: str, elapsed: float | None = None) -> None:
 
 
 def stable(beta, kappa, branch):
-    return next(a for a in solve_attractors(beta, kappa) if a.branch is branch)
+    """(u, nu) of the strictly stable steady state on ``branch``."""
+    u, nu, _ = solve_branches(beta, kappa).pick(branch)
+    assert nu > 0.0  # 0 where marginal, NaN where absent
+    return u, nu
 
 
 def test_criterion_1_bifurcation_diagram():
@@ -60,9 +63,10 @@ def test_criterion_1_bifurcation_diagram():
                              method="bounded", options={"xatol": 1e-14})
     oracle_low, oracle_high = bottom.fun, -top.fun
 
-    # boundaries located from solve_attractors alone by bisecting root count
+    # boundaries located from solve_branches alone by bisecting root count
     def count(beta):
-        return len(solve_attractors(beta, KAPPA))
+        s = solve_branches(beta, KAPPA)
+        return sum(not math.isnan(u) for u in (s.u_small, s.u_unstable, s.u_large))
 
     def bisect_transition(lo, hi):
         # root count differs at lo and hi
@@ -86,32 +90,24 @@ def test_criterion_1_bifurcation_diagram():
 
     # gap frequency closes at both boundaries
     for edge in (info.beta_low, info.beta_high):
-        marginal = [a for a in solve_attractors(edge, KAPPA) if a.marginal]
-        assert len(marginal) == 1 and marginal[0].nu_scaled == 0.0
+        s = solve_branches(edge, KAPPA)
+        marginal = [nu for nu, m in ((s.nu_small, s.marginal_small),
+                                     (s.nu_large, s.marginal_large)) if m]
+        assert marginal == [0.0]
     for eps, branch in ((1e-10, Branch.SMALL), (-1e-10, Branch.LARGE)):
-        near = solve_attractors(info.beta_high * (1 - eps) if eps > 0
-                                else info.beta_low * (1 - eps), KAPPA)
-        merging = next(a for a in near if a.branch is branch)
-        assert merging.nu_scaled < 1e-2  # gap opens as the quarter power
+        near = solve_branches(info.beta_high * (1 - eps) if eps > 0
+                              else info.beta_low * (1 - eps), KAPPA)
+        assert near.pick(branch)[1] < 1e-2  # gap opens as the quarter power
 
-    # Fig. 1 branch shapes over beta in [0, 0.25]
+    # Fig. 1 branch shapes over beta in [0, 0.25], one scalar solve per beta
     betas = np.linspace(0.0, 0.25, 201)
-    u_small, u_large, u_unstable = [], [], []
-    for b in betas:
-        found = {a.branch: a.u for a in solve_attractors(float(b), KAPPA)}
-        u_small.append(found.get(Branch.SMALL))
-        u_large.append(found.get(Branch.LARGE))
-        u_unstable.append(found.get(Branch.UNSTABLE))
-    inside = [
-        (b, us is not None and ul is not None)
-        for b, us, ul in zip(betas, u_small, u_large)
-    ]
-    for b, bistable_here in inside:
-        expected = info.beta_low < b < info.beta_high
-        assert bistable_here == expected
-    small_seq = [u for u in u_small if u is not None]
-    large_seq = [u for u in u_large if u is not None]
-    unstable_seq = [u for u in u_unstable if u is not None]
+    solves = [solve_branches(float(b), KAPPA) for b in betas]
+    for b, s in zip(betas, solves):
+        bistable_here = not (math.isnan(s.u_small) or math.isnan(s.u_large))
+        assert bistable_here == (info.beta_low < b < info.beta_high)
+    small_seq = [s.u_small for s in solves if not math.isnan(s.u_small)]
+    large_seq = [s.u_large for s in solves if not math.isnan(s.u_large)]
+    unstable_seq = [s.u_unstable for s in solves if not math.isnan(s.u_unstable)]
     assert small_seq[0] == 0.0
     assert all(a <= b for a, b in zip(small_seq, small_seq[1:]))   # rises from 0
     assert all(a <= b for a, b in zip(large_seq, large_seq[1:]))   # shrinks toward window
@@ -130,18 +126,16 @@ def test_criterion_2_dual_route_equivalence():
     for kappa in (0.1, 0.3, 0.5):
         for beta in (0.02, 0.05, 0.12, 0.14, 0.2):
             for n_bar in (0.0, 0.5, 2.0):
-                for a in solve_attractors(beta, kappa):
-                    if not a.stable:
-                        continue
-                    k = drift_matrix(a.u, a.beta, kappa)
+                for u, nu in stable_states(beta, kappa):
+                    k = drift_matrix(u, beta, kappa)
                     cov = stationary_covariance(k, lambda_s, kappa, n_bar)
                     for w in np.linspace(-5.0, 5.0, 9):
                         w = float(w)
                         pairs = (
-                            (spectra(w, a.u, a.nu_scaled, kappa,
+                            (spectra(w, u, nu, kappa,
                                      lambda_s, n_bar)[0],
                              spectra_from_matrix(k, cov, lambda_s, w)[0]),
-                            (spectra(w, a.u, a.nu_scaled, kappa,
+                            (spectra(w, u, nu, kappa,
                                      lambda_s, n_bar)[1],
                              spectra_from_matrix(k, cov, lambda_s, w)[1]),
                         )
@@ -159,8 +153,8 @@ def test_criterion_2_dual_route_equivalence():
 def test_criterion_3_stochastic_oracle():
     start = time.perf_counter()
     lambda_s = 0.01
-    a = stable(0.12, KAPPA, Branch.LARGE)
-    k = drift_matrix(a.u, a.beta, KAPPA)
+    u, _ = stable(0.12, KAPPA, Branch.LARGE)
+    k = drift_matrix(u, 0.12, KAPPA)
     cov = stationary_covariance(k, lambda_s, KAPPA, NBAR)
 
     # exact Ornstein-Uhlenbeck steps (Van Loan's block exponential) over
@@ -186,22 +180,22 @@ def test_criterion_4_quasienergy_resonances():
     grid = np.linspace(-5.0, 5.0, 2001)
     curves = {}
     for beta, branch in ((0.14, Branch.SMALL), (0.12, Branch.LARGE)):
-        a = stable(beta, KAPPA, branch)
-        ge, gg = resonant_1q_scaled(grid, a.u, a.nu_scaled, KAPPA, NBAR)
-        curves[(beta, branch)] = (a, ge, gg)
+        u, nu = stable(beta, KAPPA, branch)
+        ge, gg = resonant_1q_scaled(grid, u, nu, KAPPA, NBAR)
+        curves[(beta, branch)] = (ge, gg)
         # dominant maximum of each curve sits on a quasienergy resonance
         for curve in (ge, gg):
             peak = grid[int(np.argmax(curve))]
-            assert abs(abs(peak) - a.nu_scaled) <= KAPPA / 2.0
+            assert abs(abs(peak) - nu) <= KAPPA / 2.0
 
     # excited-state decay exceeds ground-state excitation: globally for the
     # small-amplitude curve; on the negative-detuning side (including both
     # dominant peaks) for the large-amplitude one, whose positive side
     # carries the population-inversion window of the effective-temperature
     # analysis
-    a, ge, gg = curves[(0.14, Branch.SMALL)]
+    ge, gg = curves[(0.14, Branch.SMALL)]
     assert np.all(ge > gg)
-    a, ge, gg = curves[(0.12, Branch.LARGE)]
+    ge, gg = curves[(0.12, Branch.LARGE)]
     negative = grid <= 0.0
     assert np.all(ge[negative] > gg[negative])
     for curve in (ge, gg):
@@ -211,7 +205,7 @@ def test_criterion_4_quasienergy_resonances():
     elapsed = time.perf_counter() - start
     peaks = {
         f"{branch.value}@{beta}": round(float(grid[int(np.argmax(ge))]), 3)
-        for (beta, branch), (a, ge, gg) in curves.items()
+        for (beta, branch), (ge, gg) in curves.items()
     }
     report(4, f"dominant peaks {peaks} within kappa/2 of +/-nu", elapsed)
 
@@ -226,9 +220,8 @@ def test_criterion_5_effective_temperature():
     betas = np.linspace(0.01, 0.9995 * info.beta_high, 400)
     log_ratio = []
     for b in betas:
-        a = solve_attractors(float(b), KAPPA)[0]
-        assert a.branch is Branch.SMALL
-        ge, gg = resonant_1q_scaled(omega_rel, a.u, a.nu_scaled, KAPPA, NBAR)
+        u, nu = stable(float(b), KAPPA, Branch.SMALL)
+        ge, gg = resonant_1q_scaled(omega_rel, u, nu, KAPPA, NBAR)
         log_ratio.append(math.log(ge / gg))
     log_ratio = np.array(log_ratio)
     signs = np.sign(log_ratio)
@@ -243,19 +236,19 @@ def test_criterion_5_effective_temperature():
     # dominance-regime asymptotes: T_eff -> +/- 2T for omega_q = 2 omega_f
     t_star_bath = 1.0 / math.log(1.0 + 1.0 / NBAR)  # kB*T/(hbar*omega_f)
 
-    a = solve_attractors(0.01, KAPPA)[0]
-    bracket = (omega_rel - (2 * a.u - 1)) ** 2 + KAPPA**2
-    assert bracket / a.u**2 >= 100.0
-    ge, gg = resonant_1q_scaled(omega_rel, a.u, a.nu_scaled, KAPPA, NBAR)
+    u, nu = stable(0.01, KAPPA, Branch.SMALL)
+    bracket = (omega_rel - (2 * u - 1)) ** 2 + KAPPA**2
+    assert bracket / u**2 >= 100.0
+    ge, gg = resonant_1q_scaled(omega_rel, u, nu, KAPPA, NBAR)
     hot = 1.0 / math.log(ge / gg)
     assert abs(hot / t_star_bath - 1.0) <= 0.05
 
     u_inv = 3.0
     beta_inv = u_inv * ((u_inv - 1.0) ** 2 + KAPPA**2)
-    a = solve_attractors(beta_inv, KAPPA)[-1]
-    w_inv = 2.0 * a.u - 1.0  # bracket minimal: amplitude term dominates
-    assert a.u**2 / KAPPA**2 >= 100.0
-    ge, gg = resonant_1q_scaled(w_inv, a.u, a.nu_scaled, KAPPA, NBAR)
+    u, nu = stable(beta_inv, KAPPA, Branch.LARGE)
+    w_inv = 2.0 * u - 1.0  # bracket minimal: amplitude term dominates
+    assert u**2 / KAPPA**2 >= 100.0
+    ge, gg = resonant_1q_scaled(w_inv, u, nu, KAPPA, NBAR)
     cold = 1.0 / math.log(ge / gg)
     assert abs(cold / (-t_star_bath) - 1.0) <= 0.05
 
@@ -273,7 +266,7 @@ def test_criterion_5_effective_temperature():
     qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                         delta_q=1e6)
     s = scale_params(phys)
-    res = gamma_nonresonant(qubit, phys, solve_attractors(s.beta, s.kappa_scaled)[0], s=s)
+    res = gamma_nonresonant(qubit, phys, *stable(s.beta, s.kappa_scaled, Branch.SMALL), s=s)
     expected = phys.temperature * omega_q / (omega_q - phys.omega_f)
     assert abs(res.t_eff / expected - 1.0) < 1e-3
 
@@ -287,7 +280,7 @@ def test_criterion_5_effective_temperature():
     qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                         delta_q=1e6)
     s = scale_params(phys)
-    res = gamma_nonresonant(qubit, phys, solve_attractors(s.beta, s.kappa_scaled)[0], s=s)
+    res = gamma_nonresonant(qubit, phys, *stable(s.beta, s.kappa_scaled, Branch.SMALL), s=s)
     expected = -phys.temperature * omega_q / (phys.omega_f - omega_q)
     assert abs(res.t_eff / expected - 1.0) < 1e-3
     assert res.t_eff < 0.0
@@ -352,44 +345,34 @@ def test_criterion_8_property_suite():
     for kappa in (0.1, 0.3, 0.5):
         for beta in (0.0, 0.05, 0.12, 0.2):
             for n_bar in (0.0, 0.5, 2.0):
-                for a in solve_attractors(beta, kappa):
-                    if not a.stable:
-                        continue
-                    ge, gg = resonant_1q_scaled(grid, a.u, a.nu_scaled, kappa,
-                                                n_bar)
+                for u, nu in stable_states(beta, kappa):
+                    ge, gg = resonant_1q_scaled(grid, u, nu, kappa, n_bar)
                     assert np.all(ge > 0.0) and np.all(gg >= 0.0)
-                    assert np.all(
-                        spectra(grid, a.u, a.nu_scaled, kappa,
-                                lambda_s, n_bar)[0] > 0.0
-                    )
-                    assert np.all(
-                        spectra(grid, a.u, a.nu_scaled, kappa,
-                                lambda_s, n_bar)[1] >= 0.0
-                    )
+                    assert np.all(spectra(grid, u, nu, kappa, lambda_s, n_bar)[0] > 0.0)
+                    assert np.all(spectra(grid, u, nu, kappa, lambda_s, n_bar)[1] >= 0.0)
 
     # thermal swap symmetry in every channel
     phys = physical_from_scaled(0.12, KAPPA, 1e-4, NBAR, detuning=1.0,
                                 omega_f_ratio=50.0)
     s = scale_params(phys)
-    a = stable(s.beta, s.kappa_scaled, Branch.LARGE)
+    u, nu = stable(s.beta, s.kappa_scaled, Branch.LARGE)
     omega_q = 2.0 * phys.omega_f + 0.7
     delta = 0.02 * omega_q
     qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                         delta_q=0.01, v_x=1e-30)
 
     w = (omega_q - 2.0 * phys.omega_f) / s.scale
-    res = gamma_resonant_1q(qubit, phys, a, s)
-    den = (w**2 - a.nu_scaled**2) ** 2 + 4 * s.kappa_scaled**2 * w**2
-    bracket = (w - (2 * a.u - 1)) ** 2 + s.kappa_scaled**2
-    swap = res.gamma_e * (NBAR * bracket + (NBAR + 1) * a.u**2) \
-        / ((NBAR + 1) * bracket + NBAR * a.u**2)
+    res = gamma_resonant_1q(qubit, phys, u, nu, s)
+    bracket = (w - (2 * u - 1)) ** 2 + s.kappa_scaled**2
+    swap = res.gamma_e * (NBAR * bracket + (NBAR + 1) * u**2) \
+        / ((NBAR + 1) * bracket + NBAR * u**2)
     assert math.isclose(res.gamma_g, swap, rel_tol=1e-12)
 
     two = gamma_resonant_2q(qubit, phys, n_bar=NBAR)
     assert math.isclose(two.gamma_g / two.gamma_e, (NBAR / (NBAR + 1)) ** 2,
                         rel_tol=1e-12)
 
-    tot = gamma_total_resonant(qubit, phys, a, s)
+    tot = gamma_total_resonant(qubit, phys, u, nu, s)
     assert tot.gamma_g == res.gamma_g + two.gamma_g
 
     # detailed balance at the open bath frequency, not at omega_q
@@ -407,8 +390,8 @@ def test_criterion_8_property_suite():
     q_cut = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                         delta_q=1e6, v_x=1e-30)
     s_cut = scale_params(phys_cut)
-    a_cut = solve_attractors(s_cut.beta, s_cut.kappa_scaled)[0]
-    res1 = gamma_nonresonant(q_cut, phys_cut, a_cut, s=s_cut)
+    res1 = gamma_nonresonant(q_cut, phys_cut, *stable(s_cut.beta, s_cut.kappa_scaled,
+                                                      Branch.SMALL), s=s_cut)
     channel = omega_q - phys_cut.omega_f
     n_ch = planck(channel, phys_cut.temperature)
     assert math.isclose(res1.gamma_e / res1.gamma_g, (n_ch + 1) / n_ch,
@@ -432,8 +415,8 @@ def test_criterion_8_property_suite():
     # exact quadratic/linear coupling scaling
     import dataclasses
 
-    r1 = gamma_resonant_1q(qubit, phys, a, s)
-    r4 = gamma_resonant_1q(dataclasses.replace(qubit, delta_q=0.02), phys, a, s)
+    r1 = gamma_resonant_1q(qubit, phys, u, nu, s)
+    r4 = gamma_resonant_1q(dataclasses.replace(qubit, delta_q=0.02), phys, u, nu, s)
     assert r4.gamma_e == 4.0 * r1.gamma_e and r4.gamma_g == 4.0 * r1.gamma_g
     l1 = gamma_linear_nonresonant(q_cut, phys_cut)
     l4 = gamma_linear_nonresonant(
@@ -446,17 +429,17 @@ def test_criterion_8_property_suite():
     # itself as the square root of the amplitude distance |u - u_bif|
     info = bifurcation_betas(KAPPA)
     eps = np.geomspace(1e-7, 1e-3, 9)
-    for edge, u_edge, pick, side in (
-        (info.beta_high, info.u_at_beta_high, 0, -1.0),
-        (info.beta_low, info.u_at_beta_low, -1, +1.0),
+    for edge, u_edge, branch, side in (
+        (info.beta_high, info.u_at_beta_high, Branch.SMALL, -1.0),
+        (info.beta_low, info.u_at_beta_low, Branch.LARGE, +1.0),
     ):
         dbs, dus, nus = [], [], []
         for e in eps:
             beta = edge * (1.0 + side * float(e))
-            a_edge = solve_attractors(beta, KAPPA)[pick]
+            u_edge_side, nu_edge_side = stable(beta, KAPPA, branch)
             dbs.append(abs(beta - edge))
-            dus.append(abs(a_edge.u - u_edge))
-            nus.append(a_edge.nu_scaled)
+            dus.append(abs(u_edge_side - u_edge))
+            nus.append(nu_edge_side)
         slope_b = np.polyfit(np.log(dbs), np.log(np.array(nus) ** 2), 1)[0]
         slope_u = np.polyfit(np.log(dus), np.log(nus), 1)[0]
         assert abs(slope_b - 0.5) <= 0.05
@@ -468,10 +451,8 @@ def test_criterion_8_property_suite():
         for beta in (0.0, 0.05, 0.12, 0.2):
             for n_bar in (0.0, 0.5, 2.0):
                 for lam in (1e-4, 0.01):
-                    for a_res in solve_attractors(beta, kappa):
-                        if not a_res.stable:
-                            continue
-                        k = drift_matrix(a_res.u, a_res.beta, kappa)
+                    for u_res, _ in stable_states(beta, kappa):
+                        k = drift_matrix(u_res, beta, kappa)
                         cov = stationary_covariance(k, lam, kappa, n_bar)
                         src = lam * kappa * (2 * n_bar + 1) * np.eye(2)
                         worst = max(worst, float(np.linalg.norm(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from scipy.optimize import minimize_scalar
 
 from duffing_qubit import (
     Branch,
+    Branches,
     bifurcation_betas,
     drift_matrix,
-    solve_attractors,
     solve_branches,
 )
 from duffing_qubit.attractors import _quadratures
@@ -33,6 +34,16 @@ def bisect_cubic_root(beta, kappa, lo=0.0, hi=2.0):
     return 0.5 * (lo + hi)
 
 
+def steady_states(beta, kappa):
+    """(branch, u, nu, marginal) of each steady state of a scalar solve, by u;
+    the unstable branch has no nu (NaN)."""
+    s = solve_branches(beta, kappa)
+    rows = [(Branch.SMALL, *s.pick(Branch.SMALL)),
+            (Branch.UNSTABLE, s.u_unstable, math.nan, False),
+            (Branch.LARGE, *s.pick(Branch.LARGE))]
+    return [row for row in rows if not math.isnan(row[1])]
+
+
 def extremization_oracle(kappa):
     """Bistability boundaries by direct numeric extremization of beta(u)."""
     top = minimize_scalar(
@@ -47,43 +58,45 @@ def extremization_oracle(kappa):
 
 
 class TestSolveAttractors:
+    """A scalar beta: each branch's steady state as Python floats."""
+
     def test_undriven_fixed_point(self):
-        (a,) = solve_attractors(0.0, 0.3)
-        assert a.u == 0.0 and a.beta == 0.0
-        assert _quadratures(a.u, a.beta, 0.3) == (0.0, 0.0)
-        assert math.isclose(a.nu_scaled**2, 0.3**2 + 1.0, rel_tol=1e-12)
-        assert a.branch is Branch.SMALL
+        ((branch, u, nu, marginal),) = steady_states(0.0, 0.3)
+        assert branch is Branch.SMALL and u == 0.0 and not marginal
+        assert _quadratures(u, 0.0, 0.3) == (0.0, 0.0)
+        assert math.isclose(nu**2, 0.3**2 + 1.0, rel_tol=1e-12)
 
     def test_bistable_point_has_three_roots(self):
-        ats = solve_attractors(0.12, 0.3)
-        assert [a.branch for a in ats] == [Branch.SMALL, Branch.UNSTABLE, Branch.LARGE]
-        assert ats[0].u < ats[1].u < ats[2].u
+        states = steady_states(0.12, 0.3)
+        assert [row[0] for row in states] == [Branch.SMALL, Branch.UNSTABLE, Branch.LARGE]
+        assert states[0][1] < states[1][1] < states[2][1]
+        assert not any(row[3] for row in states)
 
     def test_single_root_against_bisection_oracle(self):
         kappa, beta = 0.3, 0.05
-        ats = solve_attractors(beta, kappa)
-        assert len(ats) == 1
+        ((branch, u, _, _),) = steady_states(beta, kappa)
+        assert branch is Branch.SMALL
         oracle = bisect_cubic_root(beta, kappa)
-        assert math.isclose(ats[0].u, oracle, rel_tol=1e-11)
+        assert math.isclose(u, oracle, rel_tol=1e-11)
         # weak drive: u ~ beta/(1 + kappa^2) with an O(beta^2) correction
-        assert abs(ats[0].u - beta / (1 + kappa**2)) < 3.0 * beta**2
+        assert abs(u - beta / (1 + kappa**2)) < 3.0 * beta**2
 
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.5, 1.0])
     def test_residual_and_coordinates(self, kappa):
-        for beta in np.linspace(0.0, 0.5, 81):
-            for a in solve_attractors(float(beta), kappa):
-                if a.marginal:
+        for beta in np.linspace(0.0, 0.5, 81).tolist():
+            for _, u, _, marginal in steady_states(beta, kappa):
+                if marginal:
                     continue
-                res = abs(beta_of_u(a.u, kappa) - beta)
+                res = abs(beta_of_u(u, kappa) - beta)
                 assert res <= 1e-10 * max(beta, 1.0)
-                q, p = _quadratures(a.u, a.beta, kappa)
-                assert math.isclose(q**2 + p**2, a.u, rel_tol=1e-9, abs_tol=1e-12)
+                q, p = _quadratures(u, beta, kappa)
+                assert math.isclose(q**2 + p**2, u, rel_tol=1e-9, abs_tol=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.57])
     def test_count_matches_window(self, kappa):
         info = bifurcation_betas(kappa)
         for beta in np.linspace(1e-4, 0.4, 173):
-            n = len(solve_attractors(float(beta), kappa))
+            n = len(steady_states(float(beta), kappa))
             if info.bistable and info.beta_low < beta < info.beta_high:
                 assert n == 3
             else:
@@ -91,29 +104,28 @@ class TestSolveAttractors:
 
     def test_single_root_branch_label_continuity(self):
         info = bifurcation_betas(0.3)
-        (low,) = solve_attractors(0.99 * info.beta_low, 0.3)
-        assert low.branch is Branch.SMALL
-        (high,) = solve_attractors(1.01 * info.beta_high, 0.3)
-        assert high.branch is Branch.LARGE
+        ((low, *_),) = steady_states(0.99 * info.beta_low, 0.3)
+        assert low is Branch.SMALL
+        ((high, *_),) = steady_states(1.01 * info.beta_high, 0.3)
+        assert high is Branch.LARGE
 
     def test_marginal_pair_at_exact_boundary(self):
         info = bifurcation_betas(0.3)
-        ats = solve_attractors(info.beta_high, 0.3)
-        assert len(ats) == 2
-        marginal = [a for a in ats if a.marginal]
+        states = steady_states(info.beta_high, 0.3)
+        assert len(states) == 2
+        marginal = [row for row in states if row[3]]
         assert len(marginal) == 1
-        assert marginal[0].nu_scaled == 0.0
-        assert marginal[0].branch is Branch.SMALL
-        assert not marginal[0].stable
-        ats = solve_attractors(info.beta_low, 0.3)
-        marginal = [a for a in ats if a.marginal]
-        assert len(marginal) == 1 and marginal[0].branch is Branch.LARGE
+        branch, _, nu, _ = marginal[0]
+        assert nu == 0.0 and branch is Branch.SMALL
+        states = steady_states(info.beta_low, 0.3)
+        marginal = [row for row in states if row[3]]
+        assert len(marginal) == 1 and marginal[0][0] is Branch.LARGE
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            solve_attractors(-0.1, 0.3)
+            solve_branches(-0.1, 0.3)
         with pytest.raises(ValueError):
-            solve_attractors(0.1, 0.0)
+            solve_branches(0.1, 0.0)
 
 
 class TestBifurcation:
@@ -135,9 +147,9 @@ class TestBifurcation:
     def test_gap_closes_at_boundaries(self):
         info = bifurcation_betas(0.3)
         for beta_edge in (info.beta_low, info.beta_high):
-            for a in solve_attractors(beta_edge, 0.3):
-                if a.marginal:
-                    det = float(np.linalg.det(drift_matrix(a.u, a.beta, 0.3)))
+            for _, u, _, marginal in steady_states(beta_edge, 0.3):
+                if marginal:
+                    det = float(np.linalg.det(drift_matrix(u, beta_edge, 0.3)))
                     assert abs(det) < 1e-8
 
     @pytest.mark.parametrize("kappa", [0.02, 0.053166, 0.06, 0.1, 0.105678,
@@ -148,11 +160,11 @@ class TestBifurcation:
         info = bifurcation_betas(kappa)
         turning = (info.u_at_beta_low, info.u_at_beta_high)
         for beta_edge in (info.beta_low, info.beta_high):
-            for a in solve_attractors(beta_edge, kappa):
-                assert abs(a.u * ((a.u - 1) ** 2 + kappa**2) - beta_edge) < 1e-10
-                if a.marginal:
-                    assert a.u in turning
-                    det = float(np.linalg.det(drift_matrix(a.u, a.beta, kappa)))
+            for _, u, _, marginal in steady_states(beta_edge, kappa):
+                assert abs(u * ((u - 1) ** 2 + kappa**2) - beta_edge) < 1e-10
+                if marginal:
+                    assert u in turning
+                    det = float(np.linalg.det(drift_matrix(u, beta_edge, kappa)))
                     assert abs(det) < 1e-8
 
     def test_gap_continuous_to_zero(self):
@@ -160,45 +172,43 @@ class TestBifurcation:
         nus = []
         for eps in np.geomspace(1e-2, 1e-10, 9):
             beta = info.beta_high * (1.0 - float(eps))
-            small = solve_attractors(beta, 0.3)[0]
-            assert small.branch is Branch.SMALL
-            nus.append(small.nu_scaled)
+            _, nu, marginal = solve_branches(beta, 0.3).pick(Branch.SMALL)
+            assert not marginal
+            nus.append(nu)
         assert all(a > b for a, b in zip(nus, nus[1:]))
         assert nus[-1] < 1e-2
 
 
 class TestDriftMatrix:
     def test_undriven_rotating_frame(self):
-        (a,) = solve_attractors(0.0, 0.3)
-        k = drift_matrix(a.u, a.beta, 0.3)
+        k = drift_matrix(solve_branches(0.0, 0.3).u_small, 0.0, 0.3)
         assert np.allclose(k, [[-0.3, 1.0], [-1.0, -0.3]], atol=1e-15)
 
     @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5])
     def test_trace_and_determinant_identities(self, kappa):
-        for beta in np.linspace(0.0, 0.4, 41):
-            for a in solve_attractors(float(beta), kappa):
-                if a.marginal:
+        for beta in np.linspace(0.0, 0.4, 41).tolist():
+            for branch, u, nu, marginal in steady_states(beta, kappa):
+                if marginal:
                     continue
-                k = drift_matrix(a.u, a.beta, kappa)
+                k = drift_matrix(u, beta, kappa)
                 assert math.isclose(np.trace(k), -2.0 * kappa, rel_tol=1e-13)
                 det = float(np.linalg.det(k))
-                expected = kappa**2 + 3.0 * a.u**2 - 4.0 * a.u + 1.0
+                expected = kappa**2 + 3.0 * u**2 - 4.0 * u + 1.0
                 assert math.isclose(det, expected, rel_tol=1e-9, abs_tol=1e-12)
-                if a.branch is Branch.UNSTABLE:
+                if branch is Branch.UNSTABLE:
                     assert det < 0.0
                 else:
-                    assert math.isclose(det, a.nu_scaled**2, rel_tol=1e-9,
-                                        abs_tol=1e-12)
+                    assert math.isclose(det, nu**2, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_eigenvalue_structure(self):
-        for a in solve_attractors(0.12, 0.3):
-            eigs = np.linalg.eigvals(drift_matrix(a.u, a.beta, 0.3))
-            if a.branch is Branch.UNSTABLE:
+        for branch, u, nu, _ in steady_states(0.12, 0.3):
+            eigs = np.linalg.eigvals(drift_matrix(u, 0.12, 0.3))
+            if branch is Branch.UNSTABLE:
                 assert max(e.real for e in eigs) > 0.0
             else:
                 # underdamped here: real parts exactly -kappa
                 assert np.allclose([e.real for e in eigs], -0.3, atol=1e-12)
-                expected = math.sqrt(a.nu_scaled**2 - 0.09)
+                expected = math.sqrt(nu**2 - 0.09)
                 assert math.isclose(max(e.imag for e in eigs), expected, rel_tol=1e-9)
 
     @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5])
@@ -225,8 +235,8 @@ class TestDriftMatrix:
     def test_weak_drive_is_stable(self):
         # pins the global sign convention of the drift field
         for beta in (1e-6, 1e-3, 0.01):
-            (a,) = solve_attractors(beta, 0.3)
-            eigs = np.linalg.eigvals(drift_matrix(a.u, a.beta, 0.3))
+            ((_, u, _, _),) = steady_states(beta, 0.3)
+            eigs = np.linalg.eigvals(drift_matrix(u, beta, 0.3))
             assert max(e.real for e in eigs) < 0.0
 
 
@@ -236,14 +246,14 @@ class TestGapScaling:
         eps = np.geomspace(1e-7, 1e-3, 9)
         dus, nus = [], []
         for e in eps:
-            small = solve_attractors(info.beta_high * (1.0 - float(e)), 0.3)[0]
-            dus.append(info.u_at_beta_high - small.u)
-            nus.append(small.nu_scaled)
+            u, nu, _ = solve_branches(info.beta_high * (1.0 - float(e)), 0.3).pick(Branch.SMALL)
+            dus.append(info.u_at_beta_high - u)
+            nus.append(nu)
         slope = np.polyfit(np.log(dus), np.log(nus), 1)[0]
         assert abs(slope - 0.5) <= 0.05
 
     def test_squared_gap_square_root_in_beta_distance(self):
-        for edge, branch_idx in (("beta_high", 0), ("beta_low", -1)):
+        for edge, branch in (("beta_high", Branch.SMALL), ("beta_low", Branch.LARGE)):
             info = bifurcation_betas(0.3)
             beta_edge = getattr(info, edge)
             eps = np.geomspace(1e-7, 1e-3, 9)
@@ -251,9 +261,9 @@ class TestGapScaling:
             for e in eps:
                 beta = beta_edge * (1.0 - float(e)) if edge == "beta_high" \
                     else beta_edge * (1.0 + float(e))
-                a = solve_attractors(beta, 0.3)[branch_idx]
+                _, nu, _ = solve_branches(beta, 0.3).pick(branch)
                 dbs.append(abs(beta - beta_edge))
-                nus.append(a.nu_scaled)
+                nus.append(nu)
             slope = np.polyfit(np.log(dbs), np.log(np.array(nus) ** 2), 1)[0]
             assert abs(slope - 0.5) <= 0.05
 
@@ -264,9 +274,9 @@ class TestGapScaling:
         eps = np.geomspace(1e-7, 1e-3, 9)
         dbs, nus = [], []
         for e in eps:
-            small = solve_attractors(info.beta_high * (1.0 - float(e)), 0.3)[0]
+            _, nu, _ = solve_branches(info.beta_high * (1.0 - float(e)), 0.3).pick(Branch.SMALL)
             dbs.append(info.beta_high * float(e))
-            nus.append(small.nu_scaled)
+            nus.append(nu)
         slope = np.polyfit(np.log(dbs), np.log(nus), 1)[0]
         assert abs(slope - 0.25) <= 0.03
 
@@ -278,14 +288,15 @@ class TestInputDomain:
     ])
     def test_nonfinite_inputs_are_refused(self, beta, kappa):
         with pytest.raises(ValueError, match="finite"):
-            solve_attractors(beta, kappa)
+            solve_branches(beta, kappa)
 
     @pytest.mark.parametrize("beta", [1e150, 1e200, 1e300, 1e308, 1.7e308])
     def test_huge_beta_solves_the_cubic(self, beta):
-        (a,) = solve_attractors(beta, 0.3)
-        assert math.isfinite(a.u) and math.isfinite(a.nu_scaled)
-        assert math.isclose(a.u * ((a.u - 1.0) ** 2 + 0.09), beta, rel_tol=1e-12)
-        assert math.isclose(a.u, beta ** (1.0 / 3.0), rel_tol=1e-10)
+        ((branch, u, nu, _),) = steady_states(beta, 0.3)
+        assert branch is Branch.LARGE
+        assert math.isfinite(u) and math.isfinite(nu)
+        assert math.isclose(u * ((u - 1.0) ** 2 + 0.09), beta, rel_tol=1e-12)
+        assert math.isclose(u, beta ** (1.0 / 3.0), rel_tol=1e-10)
 
     def test_window_of_nonfinite_or_huge_damping(self):
         for kappa in (math.nan, math.inf, -1.0):
@@ -296,18 +307,9 @@ class TestInputDomain:
 
 def _per_beta_columns(betas, kappa):
     """The seven solve_branches columns, built from one scalar solve per beta."""
-    cols = {name: [] for name in ("u_small", "nu_small", "marginal_small", "u_unstable",
-                                  "u_large", "nu_large", "marginal_large")}
-    for beta in np.asarray(betas, dtype=float).tolist():
-        found = {a.branch: a for a in solve_attractors(beta, kappa)}
-        for tag, branch in (("small", Branch.SMALL), ("large", Branch.LARGE)):
-            a = found.get(branch)
-            cols[f"u_{tag}"].append(a.u if a else math.nan)
-            cols[f"nu_{tag}"].append(a.nu_scaled if a else math.nan)
-            cols[f"marginal_{tag}"].append(a.marginal if a else False)
-        a = found.get(Branch.UNSTABLE)
-        cols["u_unstable"].append(a.u if a else math.nan)
-    return {name: np.array(values) for name, values in cols.items()}
+    solves = [solve_branches(beta, kappa) for beta in np.asarray(betas, dtype=float).tolist()]
+    return {field.name: np.array([getattr(s, field.name) for s in solves])
+            for field in dataclasses.fields(Branches)}
 
 
 def _grid_through_window(kappa, n=401):
@@ -388,11 +390,10 @@ class TestBifurcationEdges:
                 (info.beta_low, Branch.LARGE, info.u_at_beta_low),
                 (info.beta_high, Branch.SMALL, info.u_at_beta_high),
             ):
-                ats = solve_attractors(beta, kappa)
-                marginal = [a for a in ats if a.marginal]
-                assert len(ats) == 2 and len(marginal) == 1, (kappa, beta)
-                assert marginal[0].branch is branch and marginal[0].u == u_edge
-                assert marginal[0].nu_scaled == 0.0
+                states = steady_states(beta, kappa)
+                marginal = [row for row in states if row[3]]
+                assert len(states) == 2 and len(marginal) == 1, (kappa, beta)
+                assert marginal[0][:3] == (branch, u_edge, 0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(kappa=st.floats(0.02, 0.57))

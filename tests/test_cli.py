@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duffing_qubit import bifurcation_betas, drift_matrix, solve_attractors
+from duffing_qubit import Branch, bifurcation_betas, drift_matrix, solve_branches
 from duffing_qubit.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -155,9 +155,8 @@ class TestSpectrumCommand:
         row = rows[1]
         assert float(row[columns.index("omega")]) == 0.0
         from duffing_qubit import stationary_covariance
-        from duffing_qubit.fluctuations import LEVI_CIVITA
-        a = solve_attractors(0.12, 0.3)[-1]
-        k = drift_matrix(a.u, a.beta, 0.3)
+        from test_fluctuations import LEVI_CIVITA
+        k = drift_matrix(solve_branches(0.12, 0.3).u_large, 0.12, 0.3)
         cov = stationary_covariance(k, 0.01, 0.3, 0.5)
         n0 = -np.linalg.inv(k) @ (cov + 0.5j * 0.01 * LEVI_CIVITA)
         expected = (n0[0, 0] + n0[1, 1] + 1j * (n0[1, 0] - n0[0, 1])).real
@@ -182,7 +181,7 @@ class TestSpectrumCommand:
         emission = np.array(
             [float(r[columns.index("emission_closed")]) for r in rows]
         )
-        nu = solve_attractors(0.12, 0.3)[-1].nu_scaled
+        nu = solve_branches(0.12, 0.3).nu_large
         assert abs(abs(omega[int(np.argmax(emission))]) - nu) < 0.15
 
     def test_marginal_attractor_is_validity_fatal(self, capsys):
@@ -220,14 +219,12 @@ class TestBatchedSweepsAgainstPerPoint:
                                "--attractor", "small", "--grid=-4:4:161", "--check")
         assert code == EXIT_OK
         _, columns, rows = parse_csv(out)
-        a = solve_attractors(beta, kappa)[0]
-        k = drift_matrix(a.u, a.beta, kappa)
+        u, nu, _ = solve_branches(beta, kappa).pick(Branch.SMALL)
+        k = drift_matrix(u, beta, kappa)
         cov = stationary_covariance(k, lam, kappa, n_bar)
         reference = {
-            "emission_closed": lambda w: spectra(w, a.u, a.nu_scaled, kappa,
-                                                 lam, n_bar)[0],
-            "absorption_closed": lambda w: spectra(w, a.u, a.nu_scaled,
-                                                   kappa, lam, n_bar)[1],
+            "emission_closed": lambda w: spectra(w, u, nu, kappa, lam, n_bar)[0],
+            "absorption_closed": lambda w: spectra(w, u, nu, kappa, lam, n_bar)[1],
             "emission_matrix": lambda w: spectra_from_matrix(k, cov, lam, w)[0],
             "absorption_matrix": lambda w: spectra_from_matrix(k, cov, lam, w)[1],
         }
@@ -246,12 +243,13 @@ class TestBatchedSweepsAgainstPerPoint:
                                "--grid=-3:3:121")
         assert code == EXIT_OK
         _, columns, rows = parse_csv(out)
-        small, _, large = solve_attractors(beta, kappa)
+        solved = solve_branches(beta, kappa)
         assert len(rows) == 121
         for row in rows:
             w = float(row[columns.index("omega")])
-            for tag, a in (("small", small), ("large", large)):
-                ge, gg = resonant_1q_scaled(w, a.u, a.nu_scaled, kappa, n_bar)
+            for tag in ("small", "large"):
+                u, nu, _ = solved.pick(Branch(tag))
+                ge, gg = resonant_1q_scaled(w, u, nu, kappa, n_bar)
                 got_e = float(row[columns.index(f"gamma_e_scaled_{tag}")])
                 got_g = float(row[columns.index(f"gamma_g_scaled_{tag}")])
                 assert math.isclose(got_e, ge, rel_tol=self.RTOL)
@@ -260,7 +258,7 @@ class TestBatchedSweepsAgainstPerPoint:
                 # pole, so the column is held to the printed rates exactly
                 teff = float(row[columns.index(f"teff_star_{tag}")])
                 assert teff == 1.0 / math.log(got_e / got_g)
-                assert float(row[columns.index(f"u_{tag}")]) == a.u
+                assert float(row[columns.index(f"u_{tag}")]) == u
 
 
 class TestRatesCommand:
@@ -285,13 +283,13 @@ class TestRatesCommand:
         )
         assert code == EXIT_OK
         _, columns, rows = parse_csv(out)
-        a = solve_attractors(0.14, 0.3)[0]
+        u, nu, _ = solve_branches(0.14, 0.3).pick(Branch.SMALL)
         for row in rows:
             w = float(row[columns.index("omega")])
             gg = float(row[columns.index("gamma_g_scaled_small")])
-            den = (w**2 - a.nu_scaled**2) ** 2 + 4 * 0.09 * w**2
-            bracket = (w - (2 * a.u - 1)) ** 2 + 0.09
-            oracle = 2 * 0.3 * (0.5 * bracket + 1.5 * a.u**2) / den
+            den = (w**2 - nu**2) ** 2 + 4 * 0.09 * w**2
+            bracket = (w - (2 * u - 1)) ** 2 + 0.09
+            oracle = 2 * 0.3 * (0.5 * bracket + 1.5 * u**2) / den
             assert math.isclose(gg, oracle, rel_tol=1e-10)
 
     @staticmethod
@@ -489,16 +487,16 @@ class TestSiSweepAgainstPerPoint:
         }
 
     @staticmethod
-    def reference(regime, q, p, a, s):
+    def reference(regime, q, p, u, nu, s):
         from duffing_qubit import (gamma_linear_nonresonant, gamma_linear_resonant,
                                    gamma_nonresonant, gamma_nonresonant_2q,
                                    gamma_resonant_2q, gamma_total_resonant)
         return {
             "resonant-2q": lambda: gamma_resonant_2q(q, p),
-            "resonant-total": lambda: gamma_total_resonant(q, p, a, s),
-            "nonresonant": lambda: gamma_nonresonant(q, p, a, s=s),
+            "resonant-total": lambda: gamma_total_resonant(q, p, u, nu, s),
+            "nonresonant": lambda: gamma_nonresonant(q, p, u, nu, s=s),
             "nonresonant-2q": lambda: gamma_nonresonant_2q(q, p),
-            "linear-resonant": lambda: gamma_linear_resonant(q, p, a, s),
+            "linear-resonant": lambda: gamma_linear_resonant(q, p, u, nu, s),
             "linear-nonresonant": lambda: gamma_linear_nonresonant(q, p),
         }[regime]()
 
@@ -517,12 +515,12 @@ class TestSiSweepAgainstPerPoint:
         _, columns, rows = parse_csv(out)
         assert len(rows) == 31
         s = scale_params(p)
-        a = solve_attractors(s.beta, s.kappa_scaled)[-1]
+        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.LARGE)
         for row in rows:
             omega_q = float(row[0])
             q = QubitParams(w=math.sqrt(omega_q**2 - self.DELTA**2), delta=self.DELTA,
                             delta_q=1e8, v_x=1e-15, v_z=1e-15)
-            res = self.reference(regime, q, p, a, s)
+            res = self.reference(regime, q, p, u, nu, s)
             for name in ("gamma_e", "gamma_g", "t1", "t_eff"):
                 assert math.isclose(float(row[columns.index(name)]), getattr(res, name),
                                     rel_tol=self.RTOL), name
@@ -592,19 +590,15 @@ class TestBetaSweepsAgainstPerPoint:
         _, columns, rows = parse_csv(out)
         for row in rows:
             beta = float(row[0])
-            found = {a.branch.value: a for a in solve_attractors(beta, float(kappa))}
-            expected = [beta]
-            for tag, with_nu in (("small", True), ("unstable", False), ("large", True)):
-                a = found.get(tag)
-                expected.append(a.u if a else math.nan)
-                if with_nu:
-                    expected.append(a.nu_scaled if a else math.nan)
+            one = solve_branches(beta, float(kappa))
+            expected = [beta, one.u_small, one.nu_small, one.u_unstable, one.u_large,
+                        one.nu_large]
             assert row == [repr(v) for v in expected]
 
     @pytest.mark.parametrize("branch, omega_rel", [("small", "-0.2"), ("large", "0.1"),
                                                    ("large", "1.5")])
     def test_teff_rows_match_per_point_library_calls(self, capsys, branch, omega_rel):
-        from duffing_qubit import Branch, resonant_1q_scaled
+        from duffing_qubit import resonant_1q_scaled
         kappa, n_bar, w = 0.3, 0.5, float(omega_rel)
         info = bifurcation_betas(kappa)
         # the grid passes through both window edges exactly
@@ -622,21 +616,20 @@ class TestBetaSweepsAgainstPerPoint:
         for row in rows:
             beta = float(row[0])
             cell = dict(zip(columns, row))
-            a = next((a for a in solve_attractors(beta, kappa)
-                      if a.branch is Branch(branch)), None)
-            if a is None or a.marginal:
+            u, nu, marginal = solve_branches(beta, kappa).pick(Branch(branch))
+            if math.isnan(u) or marginal:
                 tags.add(cell["flags"])
-                assert cell["flags"] == ("absent" if a is None else "marginal")
+                assert cell["flags"] == ("marginal" if marginal else "absent")
                 assert all(math.isnan(float(cell[c])) for c in columns[1:-1])
                 continue
-            ge, gg = resonant_1q_scaled(w, a.u, a.nu_scaled, kappa, n_bar)
-            assert float(cell["u"]) == a.u and float(cell["nu"]) == a.nu_scaled
+            ge, gg = resonant_1q_scaled(w, u, nu, kappa, n_bar)
+            assert float(cell["u"]) == u and float(cell["nu"]) == nu
             got_e, got_g = float(cell["gamma_e_scaled"]), float(cell["gamma_g_scaled"])
             assert math.isclose(got_e, ge, rel_tol=1e-13)
             assert math.isclose(got_g, gg, rel_tol=1e-13)
             assert float(cell["ln_ratio"]) == math.log(got_e / got_g)
             assert float(cell["teff_star"]) == 1.0 / math.log(got_e / got_g)
-            assert cell["flags"] == ("WeakDampingViolated" if kappa >= a.nu_scaled else "")
+            assert cell["flags"] == ("WeakDampingViolated" if kappa >= nu else "")
         assert "marginal" in tags
 
 
@@ -704,6 +697,67 @@ class TestRefusalsLeaveStdoutEmpty:
         code, out, err = run_cli(capsys, "validate", "--beta", "1e30")
         assert code == EXIT_OK, out + err
         assert [ln[:4] for ln in out.splitlines()] == ["ok  "] * 6
+
+
+class TestBranchRefusals:
+    """Every command that needs one branch refuses an absent one as an input
+    error and a marginal one as validity-fatal, naming the branch and
+    writing nothing to stdout."""
+
+    # spectrum, the three SI regimes that need a steady state, and match,
+    # which reads the large branch
+    COMMANDS = ["spectrum", "resonant-total", "nonresonant", "linear-resonant", "match"]
+    CASES = [(c, b) for c in COMMANDS for b in ("small", "large") if (c, b) != ("match", "small")]
+
+    @staticmethod
+    def argv(command, beta, branch):
+        """``command`` on ``branch`` at the scaled drive ``beta``, kappa_scaled 0.3."""
+        from duffing_qubit import physical_from_scaled
+        if command == "spectrum":
+            return ["spectrum", "--beta", repr(beta), "--kappa-scaled", "0.3",
+                    "--attractor", branch, "--grid=-1:1:3"]
+        if command == "match":
+            return ["match", "--beta", repr(beta)]
+        # the SI flags of TestRatesCommand.si_flags with beta in place of 0.12
+        p = physical_from_scaled(beta, 0.3, 1e-4, 0.5, detuning=2e8, omega_f_ratio=46.0,
+                                 m=3e-13)
+        flags = ["--mass", repr(p.m), "--omega0", repr(p.omega_0), "--omega-f",
+                 repr(p.omega_f), "--gamma-s", repr(p.gamma_s), "--f0", repr(p.f_0),
+                 "--kappa", repr(p.kappa), "--temperature", repr(p.temperature),
+                 "--omega-c", repr(p.omega_c)]
+        centre = {"resonant-total": 2 * p.omega_f, "nonresonant": 4 * p.omega_f,
+                  "linear-resonant": p.omega_f}[command]
+        return ["rates", "--regime", command, *flags, "--attractor", branch,
+                "--qubit-delta", "5e8", "--delta-q", "1e8", "--v-x", "1e-15",
+                "--grid", f"{centre - 1e8!r}:{centre + 1e8!r}:5"]
+
+    @pytest.mark.parametrize("command, branch", CASES)
+    def test_absent_branch_is_an_input_error(self, capsys, command, branch):
+        # the large branch exists only above beta_low (0.088), the small one
+        # only below beta_high (0.180)
+        beta = 0.05 if branch == "large" else 0.2
+        code, out, err = run_cli(capsys, *self.argv(command, beta, branch))
+        assert code == EXIT_INPUT and out == ""
+        assert f"no {branch}-amplitude attractor" in err
+
+    def test_absent_branch_of_the_golden_si_flags(self, capsys):
+        # f0 = 1e-9 puts beta near 0.0086, below the window
+        flags, _ = TestRatesCommand.si_flags()
+        flags[flags.index("--f0") + 1] = "1e-9"
+        code, out, err = run_cli(capsys, "rates", "--regime", "nonresonant", *flags,
+                                 "--attractor", "large", "--qubit-delta", "5e8",
+                                 "--delta-q", "1e8", "--grid", "3e10:5e10:5")
+        assert code == EXIT_INPUT and out == ""
+        assert "no large-amplitude attractor" in err
+
+    @pytest.mark.parametrize("command, branch", CASES)
+    def test_marginal_branch_is_validity_fatal(self, capsys, command, branch):
+        # each branch ends in a marginal entry at its window edge
+        info = bifurcation_betas(0.3)
+        beta = info.beta_low if branch == "large" else info.beta_high
+        code, out, err = run_cli(capsys, *self.argv(command, beta, branch))
+        assert code == EXIT_VALIDITY and out == ""
+        assert f"{branch} attractor is marginal" in err
 
 
 class TestNoTraceback:

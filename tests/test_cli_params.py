@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from duffing_qubit import (
+    Branch,
     drift_matrix,
     effective_temperature,
     log_rate_ratio,
     physical_from_scaled,
-    solve_attractors,
+    solve_branches,
     spectra,
     stationary_covariance,
 )
@@ -153,12 +154,12 @@ class TestLambdaS:
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
     def test_library_refuses(self, value):
-        a = [a for a in solve_attractors(0.12, 0.3) if a.stable][0]
-        k = drift_matrix(a.u, a.beta, 0.3)
+        u, nu, _ = solve_branches(0.12, 0.3).pick(Branch.SMALL)
+        k = drift_matrix(u, 0.12, 0.3)
         with pytest.raises(ValueError, match="lambda_s must be finite and positive"):
             stationary_covariance(k, value, 0.3, 0.5)
         with pytest.raises(ValueError, match="lambda_s must be finite and positive"):
-            spectra(np.linspace(-1, 1, 3), a.u, a.nu_scaled, 0.3, value, 0.5)
+            spectra(np.linspace(-1, 1, 3), u, nu, 0.3, value, 0.5)
 
 
 class TestNonFiniteOmega:

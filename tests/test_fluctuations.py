@@ -13,33 +13,45 @@ from duffing_qubit import (
     MarginalAttractorError,
     bifurcation_betas,
     drift_matrix,
-    solve_attractors,
     solve_branches,
     spectra,
     spectra_from_matrix,
-    spectrum_matrix,
     stationary_covariance,
     two_quantum_spectrum,
 )
-from duffing_qubit.fluctuations import LEVI_CIVITA
 
 LAMBDA_S = 0.01
 NBAR = 0.5
 
+# the antisymmetric unit tensor of the equal-time commutator, eps_12 = +1
+LEVI_CIVITA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-def stable_attractors(beta, kappa):
-    return [a for a in solve_attractors(beta, kappa) if a.stable]
+
+def spectrum_matrix(drift, covariance, lambda_s, omega):
+    """The one-sided spectrum matrix N(omega) = -(i omega I + K)^{-1} (C + i
+    lambda_s eps / 2) by one batched LAPACK solve, of shape omega.shape +
+    (2, 2): the reference for the adjugate route and the dc weight."""
+    m = covariance + 0.5j * lambda_s * LEVI_CIVITA
+    return -np.linalg.solve(1j * np.multiply.outer(omega, np.eye(2)) + drift, m)
 
 
-def covariance_for(a, kappa, lambda_s=LAMBDA_S, n_bar=NBAR):
-    k = drift_matrix(a.u, a.beta, kappa)
+def stable_states(beta, kappa):
+    """(u, nu) of each strictly stable steady state at a scalar ``beta``,
+    small branch first; a marginal one has nu = 0 and an absent one NaN."""
+    s = solve_branches(beta, kappa)
+    return [(u, nu) for u, nu, _ in (s.pick(Branch.SMALL), s.pick(Branch.LARGE))
+            if nu > 0.0]
+
+
+def covariance_for(u, beta, kappa, lambda_s=LAMBDA_S, n_bar=NBAR):
+    k = drift_matrix(u, beta, kappa)
     return k, stationary_covariance(k, lambda_s, kappa, n_bar)
 
 
 class TestStationaryCovariance:
     def test_undriven_isotropic_cloud(self):
-        (a,) = solve_attractors(0.0, 0.3)
-        _, cov = covariance_for(a, 0.3)
+        ((u, _),) = stable_states(0.0, 0.3)
+        _, cov = covariance_for(u, 0.0, 0.3)
         expected = 0.5 * LAMBDA_S * (2 * NBAR + 1) * np.eye(2)
         assert np.allclose(cov, expected, rtol=1e-12)
 
@@ -47,8 +59,8 @@ class TestStationaryCovariance:
     @pytest.mark.parametrize("n_bar", [0.0, 0.5, 4.0])
     def test_lyapunov_residual(self, kappa, n_bar):
         for beta in (0.0, 0.05, 0.12, 0.2):
-            for a in stable_attractors(beta, kappa):
-                k = drift_matrix(a.u, a.beta, kappa)
+            for u, _ in stable_states(beta, kappa):
+                k = drift_matrix(u, beta, kappa)
                 cov = stationary_covariance(k, LAMBDA_S, kappa, n_bar)
                 source = LAMBDA_S * kappa * (2 * n_bar + 1) * np.eye(2)
                 residual = np.linalg.norm(k @ cov + cov @ k.T + source)
@@ -56,21 +68,21 @@ class TestStationaryCovariance:
                 assert np.all(np.linalg.eigvalsh(cov) > 0.0)
 
     def test_rejects_unstable_and_marginal(self):
-        ats = solve_attractors(0.12, 0.3)
-        saddle = next(a for a in ats if a.branch is Branch.UNSTABLE)
+        saddle = solve_branches(0.12, 0.3).u_unstable
         with pytest.raises(MarginalAttractorError):
-            covariance_for(saddle, 0.3)
+            covariance_for(saddle, 0.12, 0.3)
         info = bifurcation_betas(0.3)
-        marginal = next(a for a in solve_attractors(info.beta_high, 0.3) if a.marginal)
+        marginal, _, is_marginal = solve_branches(info.beta_high, 0.3).pick(Branch.SMALL)
+        assert is_marginal
         with pytest.raises(MarginalAttractorError):
-            covariance_for(marginal, 0.3)
+            covariance_for(marginal, info.beta_high, 0.3)
 
     @pytest.mark.parametrize("beta", [1e12, 1e30, 1e100, 1e300])
     def test_huge_stable_drift_is_accepted(self, beta):
         # eigenvalues -kappa +- i nu with nu ~ beta^(1/3) >> kappa; a margin
         # of 1e-8 |K| on their real parts once refused these from beta ~ 1e27
-        (a,) = solve_attractors(beta, 0.3)
-        k, cov = covariance_for(a, 0.3)
+        ((u, _),) = stable_states(beta, 0.3)
+        k, cov = covariance_for(u, beta, 0.3)
         assert np.all(np.linalg.eigvals(k).real < 0.0)
         source = LAMBDA_S * 0.3 * (2 * NBAR + 1)
         residual = k @ cov + cov @ k.T + source * np.eye(2)
@@ -82,10 +94,11 @@ class TestStationaryCovariance:
         refused = 0
         for kappa in np.linspace(0.02, 0.57, 200):
             info = bifurcation_betas(kappa)
-            for edge in (info.beta_low, info.beta_high):
-                (marginal,) = [a for a in solve_attractors(edge, kappa) if a.marginal]
+            for edge, branch in ((info.beta_low, Branch.LARGE), (info.beta_high, Branch.SMALL)):
+                marginal, _, is_marginal = solve_branches(edge, kappa).pick(branch)
+                assert is_marginal
                 with pytest.raises(MarginalAttractorError):
-                    covariance_for(marginal, kappa)
+                    covariance_for(marginal, edge, kappa)
                 refused += 1
         assert refused == 400
 
@@ -102,8 +115,8 @@ class TestStationaryCovariance:
     def test_exact_step_oracle_compact_matches_lyapunov_covariance(self):
         # small copy of the stochastic cross-check; the acceptance suite runs
         # the full-budget version
-        a = stable_attractors(0.12, 0.3)[-1]
-        k, cov = covariance_for(a, 0.3)
+        u, _ = stable_states(0.12, 0.3)[-1]
+        k, cov = covariance_for(u, 0.12, 0.3)
         diffusion = LAMBDA_S * 0.3 * (2 * NBAR + 1) * np.eye(2)
         estimate, expected = exact_step_oracle(k, diffusion, dt=0.5, n_traj=1024, n_burn=120,
                                                n_keep=400, rng=np.random.default_rng(7))
@@ -212,15 +225,15 @@ class TestSteadyStateStacks:
 
 class TestSpectrumMatrix:
     def test_zero_frequency_direct_inverse(self):
-        a = stable_attractors(0.12, 0.3)[-1]
-        k, cov = covariance_for(a, 0.3)
+        u, nu = stable_states(0.12, 0.3)[-1]
+        k, cov = covariance_for(u, 0.12, 0.3)
         n0 = spectrum_matrix(k, cov, LAMBDA_S, 0.0)
         direct = -np.linalg.inv(k) @ (cov + 0.5j * LAMBDA_S * LEVI_CIVITA)
         assert np.allclose(n0, direct, rtol=1e-12)
 
     def test_resolvent_decay(self):
-        a = stable_attractors(0.12, 0.3)[-1]
-        k, cov = covariance_for(a, 0.3)
+        u, nu = stable_states(0.12, 0.3)[-1]
+        k, cov = covariance_for(u, 0.12, 0.3)
         m = cov + 0.5j * LAMBDA_S * LEVI_CIVITA
         omega = 1000.0
         n = spectrum_matrix(k, cov, LAMBDA_S, omega)
@@ -231,10 +244,10 @@ class TestSpectrumMatrix:
         # quadrature of exp(i w t) exp(K t) M over t >= 0, using the closed
         # 2x2 form of exp(K t) for the underdamped drift
         kappa = 0.3
-        a = stable_attractors(0.12, kappa)[-1]
-        k, cov = covariance_for(a, kappa)
+        u, nu = stable_states(0.12, kappa)[-1]
+        k, cov = covariance_for(u, 0.12, kappa)
         m = cov + 0.5j * LAMBDA_S * LEVI_CIVITA
-        nu_rot = math.sqrt(a.nu_scaled**2 - kappa**2)
+        nu_rot = math.sqrt(nu**2 - kappa**2)
         b = k + kappa * np.eye(2)  # traceless part, b @ b = -nu_rot^2 I
 
         t = np.linspace(0.0, 50.0 / kappa, 200_001)
@@ -257,16 +270,16 @@ class TestDualRoute:
         for kappa in (0.1, 0.3):
             for beta in (0.05, 0.12, 0.14, 0.2):
                 for n_bar in (0.0, 0.5, 3.0):
-                    for a in stable_attractors(beta, kappa):
-                        k = drift_matrix(a.u, a.beta, kappa)
+                    for u, nu in stable_states(beta, kappa):
+                        k = drift_matrix(u, beta, kappa)
                         cov = stationary_covariance(k, LAMBDA_S, kappa, n_bar)
                         for w in np.linspace(-5.0, 5.0, 11):
                             w = float(w)
                             pairs = (
-                                (spectra(w, a.u, a.nu_scaled, kappa,
+                                (spectra(w, u, nu, kappa,
                                          LAMBDA_S, n_bar)[0],
                                  spectra_from_matrix(k, cov, LAMBDA_S, w)[0]),
-                                (spectra(w, a.u, a.nu_scaled, kappa,
+                                (spectra(w, u, nu, kappa,
                                          LAMBDA_S, n_bar)[1],
                                  spectra_from_matrix(k, cov, LAMBDA_S, w)[1]),
                             )
@@ -322,8 +335,8 @@ class TestBatchedOmega:
         # row's larger spectrum for |omega| <= 6; at |omega| = 1e3 that solve
         # loses ~|omega| eps to cancellation, so a 50-digit resolvent is used
         near = np.abs(self.GRID) <= 6.0
-        for a in stable_attractors(beta, kappa):
-            k, cov = covariance_for(a, kappa, n_bar=n_bar)
+        for u, nu in stable_states(beta, kappa):
+            k, cov = covariance_for(u, beta, kappa, n_bar=n_bar)
             batched = np.array(spectra_from_matrix(k, cov, LAMBDA_S, self.GRID))
             scalar = [spectra_from_matrix(k, cov, LAMBDA_S, float(w)) for w in self.GRID]
             assert np.array_equal(batched, np.transpose(scalar))
@@ -335,8 +348,8 @@ class TestBatchedOmega:
             assert np.all(np.abs(batched - reference) <= 1e-13 * scale)
 
     def test_spectrum_matrix_stack(self):
-        a = stable_attractors(0.12, 0.3)[-1]
-        k, cov = covariance_for(a, 0.3)
+        u, nu = stable_states(0.12, 0.3)[-1]
+        k, cov = covariance_for(u, 0.12, 0.3)
         grid = self.GRID.reshape(5, -1)
         stack = spectrum_matrix(k, cov, LAMBDA_S, grid)
         assert stack.shape == grid.shape + (2, 2)
@@ -346,21 +359,21 @@ class TestBatchedOmega:
 
     @pytest.mark.parametrize("beta,kappa,n_bar", CASES)
     def test_closed_form_array_matches_scalar_calls(self, beta, kappa, n_bar):
-        for a in stable_attractors(beta, kappa):
+        for u, nu in stable_states(beta, kappa):
             for half in (0, 1):
-                batched = spectra(self.GRID, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)[half]
-                scalar = [spectra(float(w), a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)[half]
+                batched = spectra(self.GRID, u, nu, kappa, LAMBDA_S, n_bar)[half]
+                scalar = [spectra(float(w), u, nu, kappa, LAMBDA_S, n_bar)[half]
                           for w in self.GRID]
                 np.testing.assert_allclose(batched, scalar, rtol=CLOSED_FORM_RTOL, atol=0)
 
     def test_scalar_inputs_return_float(self):
-        a = stable_attractors(0.12, 0.3)[-1]
-        k, cov = covariance_for(a, 0.3)
+        u, nu = stable_states(0.12, 0.3)[-1]
+        k, cov = covariance_for(u, 0.12, 0.3)
         for w in (0.3, np.float64(-1.5)):
             for value in (spectra_from_matrix(k, cov, LAMBDA_S, w)[0],
                           spectra_from_matrix(k, cov, LAMBDA_S, w)[1],
-                          spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0],
-                          spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[1]):
+                          spectra(w, u, nu, 0.3, LAMBDA_S, NBAR)[0],
+                          spectra(w, u, nu, 0.3, LAMBDA_S, NBAR)[1]):
                 assert type(value) is float
         assert spectrum_matrix(k, cov, LAMBDA_S, 0.3).shape == (2, 2)
 
@@ -387,67 +400,67 @@ class TestClosedForms:
         grid = np.linspace(-6.0, 6.0, 401)
         for beta, kappa, n_bar in [(0.12, 0.3, 0.0), (0.14, 0.3, 0.5),
                                    (0.05, 0.1, 2.0), (0.2, 0.5, 0.5)]:
-            for a in stable_attractors(beta, kappa):
+            for u, nu in stable_states(beta, kappa):
                 assert np.all(
-                    spectra(grid, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)[0]
+                    spectra(grid, u, nu, kappa, LAMBDA_S, n_bar)[0]
                     >= 0.0
                 )
                 assert np.all(
-                    spectra(grid, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)[1]
+                    spectra(grid, u, nu, kappa, LAMBDA_S, n_bar)[1]
                     >= 0.0
                 )
 
     def test_vacuum_absorption_keeps_only_amplitude_term(self):
-        a = stable_attractors(0.12, 0.3)[-1]
+        u, nu = stable_states(0.12, 0.3)[-1]
         w = np.linspace(-4.0, 4.0, 101)
-        got = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, 0.0)[1]
-        den = (w**2 - a.nu_scaled**2) ** 2 + 4 * 0.3**2 * w**2
-        expected = 2 * LAMBDA_S * 0.3 * a.u**2 / den
+        got = spectra(w, u, nu, 0.3, LAMBDA_S, 0.0)[1]
+        den = (w**2 - nu**2) ** 2 + 4 * 0.3**2 * w**2
+        expected = 2 * LAMBDA_S * 0.3 * u**2 / den
         assert np.allclose(got, expected, rtol=1e-13)
 
     def test_zero_amplitude_ratio(self):
-        (a,) = solve_attractors(0.0, 0.3)
+        ((u, nu),) = stable_states(0.0, 0.3)
         w = np.linspace(-4.0, 4.0, 101)
-        up = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0]
-        down = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[1]
+        up = spectra(w, u, nu, 0.3, LAMBDA_S, NBAR)[0]
+        down = spectra(w, u, nu, 0.3, LAMBDA_S, NBAR)[1]
         assert np.allclose(up / down, (NBAR + 1) / NBAR, rtol=1e-13)
 
     def test_difference_carries_unit_thermal_weight(self):
-        a = stable_attractors(0.14, 0.3)[0]
+        u, nu = stable_states(0.14, 0.3)[0]
         w = np.linspace(-4.0, 4.0, 101)
-        diff = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0] \
-            - spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[1]
-        bracket = (w - (2 * a.u - 1)) ** 2 + 0.3**2 - a.u**2
-        den = (w**2 - a.nu_scaled**2) ** 2 + 4 * 0.3**2 * w**2
+        diff = spectra(w, u, nu, 0.3, LAMBDA_S, NBAR)[0] \
+            - spectra(w, u, nu, 0.3, LAMBDA_S, NBAR)[1]
+        bracket = (w - (2 * u - 1)) ** 2 + 0.3**2 - u**2
+        den = (w**2 - nu**2) ** 2 + 4 * 0.3**2 * w**2
         assert np.allclose(diff, 2 * LAMBDA_S * 0.3 * bracket / den, rtol=1e-11)
 
     def test_classical_limit_spectra_coincide(self):
         n_bar = 1e3
-        a = stable_attractors(0.12, 0.3)[-1]
+        u, nu = stable_states(0.12, 0.3)[-1]
         w = np.linspace(-5.0, 5.0, 201)
-        up = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, n_bar)[0]
-        down = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, n_bar)[1]
+        up = spectra(w, u, nu, 0.3, LAMBDA_S, n_bar)[0]
+        down = spectra(w, u, nu, 0.3, LAMBDA_S, n_bar)[1]
         assert np.max(np.abs(up - down) / up) < 2.0 / n_bar
 
     def test_weak_damping_peaks_at_gap_frequency(self):
         kappa = 0.03
-        for a in stable_attractors(0.12, kappa):
+        for u, nu in stable_states(0.12, kappa):
             w = np.linspace(-2.0, 2.0, 8001)
-            f = spectra(w, a.u, a.nu_scaled, kappa, LAMBDA_S, NBAR)[0]
+            f = spectra(w, u, nu, kappa, LAMBDA_S, NBAR)[0]
             for sign in (-1.0, 1.0):
                 window = (sign * w > 0.2)
                 peak = w[window][np.argmax(f[window])]
-                assert abs(abs(peak) - a.nu_scaled) < kappa
+                assert abs(abs(peak) - nu) < kappa
 
     def test_lorentzian_halfwidth(self):
         kappa = 0.01
-        a = stable_attractors(0.12, kappa)[-1]
-        assert kappa <= 0.05 * a.nu_scaled
+        u, nu = stable_states(0.12, kappa)[-1]
+        assert kappa <= 0.05 * nu
 
         def f(w):
-            return spectra(w, a.u, a.nu_scaled, kappa, LAMBDA_S, NBAR)[0]
+            return spectra(w, u, nu, kappa, LAMBDA_S, NBAR)[0]
 
-        w = np.linspace(a.nu_scaled - 10 * kappa, a.nu_scaled + 10 * kappa, 20001)
+        w = np.linspace(nu - 10 * kappa, nu + 10 * kappa, 20001)
         values = f(w)
         peak_idx = int(np.argmax(values))
         w_peak, f_peak = w[peak_idx], values[peak_idx]
@@ -456,22 +469,22 @@ class TestClosedForms:
         right = w[peak_idx:][np.argmin(np.abs(values[peak_idx:] - half))]
         halfwidth = 0.5 * (right - left)
         assert abs(halfwidth - kappa) < 0.05 * kappa
-        assert abs(w_peak - a.nu_scaled) < kappa
+        assert abs(w_peak - nu) < kappa
 
     def test_sum_rule(self):
         for beta, kappa, n_bar in [(0.12, 0.3, 0.5), (0.05, 0.2, 1.5)]:
-            for a in stable_attractors(beta, kappa):
-                k, cov = covariance_for(a, kappa, n_bar=n_bar)
+            for u, nu in stable_states(beta, kappa):
+                k, cov = covariance_for(u, beta, kappa, n_bar=n_bar)
 
-                def both(w):
+                def both(w, u=u, nu=nu):
                     return (
-                        spectra(w, a.u, a.nu_scaled, kappa, LAMBDA_S, n_bar)[0]
-                        + spectra(w, a.u, a.nu_scaled, kappa,
+                        spectra(w, u, nu, kappa, LAMBDA_S, n_bar)[0]
+                        + spectra(w, u, nu, kappa,
                                   LAMBDA_S, n_bar)[1]
                     )
 
                 inner = quad(both, -8, 8,
-                             points=[-a.nu_scaled, a.nu_scaled], limit=300)[0]
+                             points=[-nu, nu], limit=300)[0]
                 tails = quad(both, 8, np.inf, limit=300)[0] \
                     + quad(both, -np.inf, -8, limit=300)[0]
                 total = (inner + tails) / (2 * np.pi)
@@ -504,12 +517,12 @@ class TestTwoQuantum:
 class TestOccupationDomain:
     @pytest.mark.parametrize("n_bar", [-3.0, -1e-12, math.nan, math.inf])
     def test_negative_or_nonfinite_occupation_is_refused(self, n_bar):
-        a = stable_attractors(0.12, 0.3)[0]
-        k = drift_matrix(a.u, a.beta, 0.3)
+        u, nu = stable_states(0.12, 0.3)[0]
+        k = drift_matrix(u, 0.12, 0.3)
         with pytest.raises(ValueError, match="n_bar"):
             stationary_covariance(k, LAMBDA_S, 0.3, n_bar)
         with pytest.raises(ValueError, match="n_bar"):
-            spectra(0.1, a.u, a.nu_scaled, 0.3, LAMBDA_S, n_bar)
+            spectra(0.1, u, nu, 0.3, LAMBDA_S, n_bar)
         with pytest.raises(ValueError, match="n_bar"):
             two_quantum_spectrum(3e10, 1.5e10, 1e6, n_bar, 1e-12)
 
@@ -544,16 +557,16 @@ class TestClosedFormOverflow:
 
     @pytest.mark.parametrize("beta", [1e240, 1e300, 1.7e308])
     def test_huge_drive(self, beta):
-        (a,) = solve_attractors(beta, 0.3)
-        assert a.nu_scaled > 1e77
-        k = drift_matrix(a.u, a.beta, 0.3)
+        ((u, nu),) = stable_states(beta, 0.3)
+        assert nu > 1e77
+        k = drift_matrix(u, beta, 0.3)
         cov = stationary_covariance(k, LAMBDA_S, 0.3, NBAR)
         w = np.array([-1.0, 0.0, 1.0, 1e90, -1e300])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            closed = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0]
+            closed = spectra(w, u, nu, 0.3, LAMBDA_S, NBAR)[0]
             matrix = spectra_from_matrix(k, cov, LAMBDA_S, w)[0]
-            absorption = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[1]
-        oracle = [mp_emission(x, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR) for x in w]
+            absorption = spectra(w, u, nu, 0.3, LAMBDA_S, NBAR)[1]
+        oracle = [mp_emission(x, u, nu, 0.3, LAMBDA_S, NBAR) for x in w]
         np.testing.assert_allclose(closed, oracle, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(closed, matrix, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
@@ -561,12 +574,12 @@ class TestClosedFormOverflow:
         assert np.all(closed[:3] > 0.0) and np.all(absorption[:3] > 0.0)
 
     def test_huge_frequency_with_a_small_drive(self):
-        a = stable_attractors(0.12, 0.3)[-1]
-        k, cov = covariance_for(a, 0.3)
+        u, nu = stable_states(0.12, 0.3)[-1]
+        k, cov = covariance_for(u, 0.12, 0.3)
         w = np.array([-1e200, -1e100, 1e80, 1e153, 1e200])
-        pair = np.array(spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR))
+        pair = np.array(spectra(w, u, nu, 0.3, LAMBDA_S, NBAR))
         closed = pair[0]
-        oracle = [mp_emission(x, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR) for x in w]
+        oracle = [mp_emission(x, u, nu, 0.3, LAMBDA_S, NBAR) for x in w]
         np.testing.assert_allclose(closed, oracle, rtol=1e-14, atol=0.0)
         assert closed[1] > 0.0 and closed[2] > 0.0 and closed[0] == closed[-1] == 0.0
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -574,15 +587,15 @@ class TestClosedFormOverflow:
         np.testing.assert_allclose(matrix, pair, rtol=1e-12, atol=0.0)
 
     def test_scalar_call(self):
-        (a,) = solve_attractors(1e300, 0.3)
-        got = spectra(0.5, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0]
+        ((u, nu),) = stable_states(1e300, 0.3)
+        got = spectra(0.5, u, nu, 0.3, LAMBDA_S, NBAR)[0]
         assert isinstance(got, float) and got > 0.0
 
     def test_rows_that_do_not_overflow_keep_their_bits(self):
-        a = stable_attractors(0.12, 0.3)[-1]
+        u, nu = stable_states(0.12, 0.3)[-1]
         w = np.concatenate([np.linspace(-6.0, 6.0, 241), [1e200]])
-        got = spectra(w, a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR)[0]
-        expected = plain_closed_form(w[:-1], a.u, a.nu_scaled, 0.3, LAMBDA_S, NBAR + 1.0, NBAR)
+        got = spectra(w, u, nu, 0.3, LAMBDA_S, NBAR)[0]
+        expected = plain_closed_form(w[:-1], u, nu, 0.3, LAMBDA_S, NBAR + 1.0, NBAR)
         assert np.array_equal(got[:-1], expected)
 
     def test_each_spectrum_rescales_only_its_own_overflowing_rows(self):
@@ -611,8 +624,8 @@ class TestMatrixRouteCancellation:
 
     @pytest.mark.parametrize("branch", [Branch.SMALL, Branch.LARGE])
     def test_matches_a_50_digit_resolvent(self, branch):
-        (a,) = [x for x in stable_attractors(0.12, 0.3) if x.branch is branch]
-        k, cov = covariance_for(a, 0.3, lambda_s=1e-3)
+        u, _, _ = solve_branches(0.12, 0.3).pick(branch)
+        k, cov = covariance_for(u, 0.12, 0.3, lambda_s=1e-3)
         w = np.array([1e3, -1e3, 1e6, -1e6, 1e20, -1e20])
         matrix = np.array(spectra_from_matrix(k, cov, 1e-3, w))
         oracle = np.transpose([mp_resolvent_spectra(k, cov, 1e-3, x) for x in w])
@@ -633,12 +646,12 @@ class TestMatrixRouteCancellation:
     def test_routes_agree_over_log_frequency(self, beta, kappa, lambda_s, n_bar,
                                              log_omega, negate):
         w = (-1.0 if negate else 1.0) * 10.0 ** np.array(log_omega)
-        attractors = [a for a in stable_attractors(beta, kappa) if a.nu_scaled > 0.05]
-        assume(attractors)
-        for a in attractors:
-            k, cov = covariance_for(a, kappa, lambda_s=lambda_s, n_bar=n_bar)
+        states = [(u, nu) for u, nu in stable_states(beta, kappa) if nu > 0.05]
+        assume(states)
+        for u, nu in states:
+            k, cov = covariance_for(u, beta, kappa, lambda_s=lambda_s, n_bar=n_bar)
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                closed = np.array(spectra(w, a.u, a.nu_scaled, kappa, lambda_s, n_bar))
+                closed = np.array(spectra(w, u, nu, kappa, lambda_s, n_bar))
                 matrix = np.array(spectra_from_matrix(k, cov, lambda_s, w))
             assert np.all(closed > 0.0) and np.all(matrix > 0.0)
             assert np.all(np.abs(closed - matrix) <= 1e-10 * np.maximum(closed, matrix))
@@ -650,7 +663,7 @@ class TestSpectraPair:
     def test_public_api_is_pinned(self):
         import duffing_qubit
         assert sorted(duffing_qubit.__all__) == [
-            "Attractor", "BathSpec", "BifurcationInfo", "Branch", "Branches",
+            "BathSpec", "BifurcationInfo", "Branch", "Branches",
             "MarginalAttractorError", "NearResonanceError", "PhysicalParams",
             "QubitParams", "RateResult", "ScaledParams", "bath_j", "bifurcation_betas",
             "bloch_redfield", "c_gamma", "dephasing_g_zero", "drift_matrix",
@@ -658,9 +671,8 @@ class TestSpectraPair:
             "gamma_nonresonant", "gamma_nonresonant_2q", "gamma_resonant_1q",
             "gamma_resonant_2q", "gamma_total_resonant", "log_rate_ratio",
             "physical_from_scaled", "planck", "resonant_1q_scaled", "scale_params",
-            "solve_attractors", "solve_branches", "spectra", "spectra_from_matrix",
-            "spectrum_matrix", "stationary_covariance", "two_quantum_spectrum",
-            "validity_flags",
+            "solve_branches", "spectra", "spectra_from_matrix", "stationary_covariance",
+            "two_quantum_spectrum", "validity_flags",
         ]
         assert all(hasattr(duffing_qubit, name) for name in duffing_qubit.__all__)
 
@@ -675,21 +687,21 @@ class TestSpectraPair:
                    for x in two_quantum_spectrum(3e10, 1.5e10, 1e6, NBAR, 1e-12))
 
     def test_one_spectrum_matrix_solve_per_check(self, monkeypatch, capsys):
-        # the matrix route takes the adjugate: spectrum --check solves nothing
-        import duffing_qubit.fluctuations as fl
+        # the matrix route takes the adjugate: spectrum --check makes no solve
+        # over omega, only the covariance's one stacked 3x3 solve
         from duffing_qubit.cli import main
         calls = []
-        solve = fl.spectrum_matrix
+        solve = np.linalg.solve
 
-        def counted(drift, covariance, lambda_s, omega):
-            calls.append(np.shape(omega))
-            return solve(drift, covariance, lambda_s, omega)
+        def counted(a, b):
+            calls.append(np.shape(a))
+            return solve(a, b)
 
-        monkeypatch.setattr(fl, "spectrum_matrix", counted)
+        monkeypatch.setattr(np.linalg, "solve", counted)
         assert main(["spectrum", "--beta", "0.12", "--kappa-scaled", "0.3",
                      "--grid=-2:2:101", "--check"]) == 0
         capsys.readouterr()
-        assert calls == []
+        assert calls == [(1, 3, 3)]
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -703,14 +715,14 @@ class TestSpectraPair:
             self, beta, kappa, lambda_s, n_bars, omega):
         w = np.array(omega)
         # away from bifurcations, where the gap nu closes
-        attractors = [a for a in stable_attractors(beta, kappa) if a.nu_scaled > 0.05]
-        assume(attractors)
-        for a in attractors:
-            k = drift_matrix(a.u, a.beta, kappa)
+        states = [(u, nu) for u, nu in stable_states(beta, kappa) if nu > 0.05]
+        assume(states)
+        for u, nu in states:
+            k = drift_matrix(u, beta, kappa)
             diffs = []
             for n_bar in n_bars:
                 cov = stationary_covariance(k, lambda_s, kappa, n_bar)
-                closed = np.array(spectra(w, a.u, a.nu_scaled, kappa, lambda_s, n_bar))
+                closed = np.array(spectra(w, u, nu, kappa, lambda_s, n_bar))
                 matrix = np.array(spectra_from_matrix(k, cov, lambda_s, w))
                 assert np.all(closed > 0.0) and np.all(matrix > 0.0)
                 assert np.all(np.abs(closed - matrix) <= 1e-6 * np.maximum(closed, matrix))
@@ -734,13 +746,13 @@ class TestSpectraPair:
         # qubit: the matrix-route gamma_g/gamma_e is the closed-form
         # u^2/((omega - (2u - 1))^2 + kappa^2), so T_eff stays finite
         w = np.array(omega)
-        attractors = [a for a in stable_attractors(beta, kappa) if a.nu_scaled > 0.05]
-        assume(attractors)
-        for a in attractors:
-            k = drift_matrix(a.u, a.beta, kappa)
+        states = [(u, nu) for u, nu in stable_states(beta, kappa) if nu > 0.05]
+        assume(states)
+        for u, nu in states:
+            k = drift_matrix(u, beta, kappa)
             cov = stationary_covariance(k, lambda_s, kappa, 0.0)
             emission, absorption = spectra_from_matrix(k, cov, lambda_s, w)
-            expected = a.u**2 / ((w - (2.0 * a.u - 1.0)) ** 2 + kappa**2)
+            expected = u**2 / ((w - (2.0 * u - 1.0)) ** 2 + kappa**2)
             assert np.all(absorption > 0.0) and np.all(emission > 0.0)
             np.testing.assert_allclose(absorption / emission, expected, rtol=1e-6)
             assert np.all(np.isfinite(1.0 / np.log(emission / absorption)))

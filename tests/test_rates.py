@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import hbar, k as k_B
 
 from duffing_qubit import (
@@ -13,11 +15,13 @@ from duffing_qubit import (
     NearResonanceError,
     PhysicalParams,
     QubitParams,
+    ScaledParams,
     bath_j,
     bifurcation_betas,
     bloch_redfield,
     c_gamma,
     dephasing_g_zero,
+    drift_matrix,
     effective_temperature,
     gamma_linear_nonresonant,
     gamma_linear_resonant,
@@ -31,8 +35,10 @@ from duffing_qubit import (
     planck,
     resonant_1q_scaled,
     scale_params,
-    solve_attractors,
+    solve_branches,
+    stationary_covariance,
 )
+from duffing_qubit.attractors import _quadratures
 from duffing_qubit.rates import (
     FLAG_QUBIT_FASTER,
     FLAG_RESONANT_PUMPING,
@@ -40,6 +46,7 @@ from duffing_qubit.rates import (
     FLAG_TWO_QUANTUM,
     FLAG_WEAK_DAMPING,
 )
+from test_fluctuations import spectrum_matrix
 
 
 def make_setup(beta=0.12, kappa=0.3, lambda_s=1e-4, n_bar=0.5, omega_rel=0.5,
@@ -48,15 +55,12 @@ def make_setup(beta=0.12, kappa=0.3, lambda_s=1e-4, n_bar=0.5, omega_rel=0.5,
     phys = physical_from_scaled(beta, kappa, lambda_s, n_bar,
                                 detuning=1.0, omega_f_ratio=50.0)
     scaled = scale_params(phys)
-    attractor = next(
-        a for a in solve_attractors(scaled.beta, scaled.kappa_scaled)
-        if a.branch is branch
-    )
+    u, nu, _ = solve_branches(scaled.beta, scaled.kappa_scaled).pick(branch)
     omega_q = 2.0 * phys.omega_f + omega_rel
     delta = delta_frac * omega_q
     qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                         delta_q=delta_q)
-    return qubit, phys, attractor, scaled
+    return qubit, phys, u, nu, scaled
 
 
 def squid_params(omega_0=2 * math.pi * 1.5e9, drive_frac=0.98,
@@ -78,24 +82,24 @@ class TestResonantOneQuantum:
     def test_zero_amplitude_rate_ratio(self):
         # the SI rate itself carries the factor u and vanishes; the scaled
         # spectra keep the pure thermal-weight ratio at every detuning
-        qubit, phys, a, s = make_setup(beta=0.0, omega_rel=0.7,
-                                       branch=Branch.SMALL)
-        res = gamma_resonant_1q(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup(beta=0.0, omega_rel=0.7,
+                                           branch=Branch.SMALL)
+        res = gamma_resonant_1q(qubit, phys, u, nu, s)
         assert res.gamma_e == 0.0 and res.gamma_g == 0.0
         for w in (-2.3, -0.7, 0.1, 0.7, 4.0):
-            ge, gg = resonant_1q_scaled(w, 0.0, a.nu_scaled, s.kappa_scaled,
+            ge, gg = resonant_1q_scaled(w, 0.0, nu, s.kappa_scaled,
                                         s.n_bar)
             assert math.isclose(ge / gg, (s.n_bar + 1) / s.n_bar, rel_tol=1e-12)
 
     def test_scaled_and_si_forms_consistent(self):
-        qubit, phys, a, s = make_setup()
-        res = gamma_resonant_1q(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup()
+        res = gamma_resonant_1q(qubit, phys, u, nu, s)
         assert math.isclose(res.gamma_e / res.gamma_0, res.gamma_e_scaled,
                             rel_tol=1e-12)
         assert math.isclose(res.gamma_g / res.gamma_0, res.gamma_g_scaled,
                             rel_tol=1e-12)
         assert math.isclose(res.gamma_0,
-                            hbar * c_gamma(qubit, phys.m, phys.omega_0) * a.u
+                            hbar * c_gamma(qubit, phys.m, phys.omega_0) * u
                             / (6.0 * phys.gamma_s), rel_tol=1e-14)
 
     def test_scaled_form_closed_expression(self):
@@ -111,71 +115,71 @@ class TestResonantOneQuantum:
                             / den, rel_tol=1e-14)
 
     def test_quadratic_coupling_scaling_exact(self):
-        qubit, phys, a, s = make_setup(delta_q=0.01)
+        qubit, phys, u, nu, s = make_setup(delta_q=0.01)
         doubled = dataclasses.replace(qubit, delta_q=0.02)
-        r1 = gamma_resonant_1q(qubit, phys, a, s)
-        r2 = gamma_resonant_1q(doubled, phys, a, s)
+        r1 = gamma_resonant_1q(qubit, phys, u, nu, s)
+        r2 = gamma_resonant_1q(doubled, phys, u, nu, s)
         assert r2.gamma_e == 4.0 * r1.gamma_e
         assert r2.gamma_g == 4.0 * r1.gamma_g
 
     def test_rejects_marginal_attractor(self):
         info = bifurcation_betas(0.3)
-        qubit, phys, _, s = make_setup()
-        marginal = next(a for a in solve_attractors(info.beta_high, 0.3)
-                        if a.marginal)
+        qubit, phys, _, _, s = make_setup()
+        u, nu, marginal = solve_branches(info.beta_high, 0.3).pick(Branch.SMALL)
+        assert marginal and nu == 0.0
         with pytest.raises(MarginalAttractorError):
-            gamma_resonant_1q(qubit, phys, marginal, s)
+            gamma_resonant_1q(qubit, phys, u, nu, s)
 
     def test_peak_ordinate_ratio(self):
         # the denominator is even in the detuning, so the ratio of the two
         # quasienergy peaks is fixed by the numerator brackets alone
-        _, _, a, s = make_setup(beta=0.12, branch=Branch.LARGE)
+        _, _, u, nu, s = make_setup(beta=0.12, branch=Branch.LARGE)
         k, n_bar = s.kappa_scaled, s.n_bar
-        plus, _ = resonant_1q_scaled(a.nu_scaled, a.u, a.nu_scaled, k, n_bar)
-        minus, _ = resonant_1q_scaled(-a.nu_scaled, a.u, a.nu_scaled, k, n_bar)
+        plus, _ = resonant_1q_scaled(nu, u, nu, k, n_bar)
+        minus, _ = resonant_1q_scaled(-nu, u, nu, k, n_bar)
 
         def bracket(w):
-            return (n_bar + 1) * ((w - (2 * a.u - 1)) ** 2 + k**2) \
-                + n_bar * a.u**2
+            return (n_bar + 1) * ((w - (2 * u - 1)) ** 2 + k**2) \
+                + n_bar * u**2
 
         assert math.isclose(plus / minus,
-                            bracket(a.nu_scaled) / bracket(-a.nu_scaled),
+                            bracket(nu) / bracket(-nu),
                             rel_tol=1e-12)
 
     def test_peaks_track_quasienergy_gap_at_weak_damping(self):
         kappa = 0.03
         for branch in (Branch.SMALL, Branch.LARGE):
-            _, phys, a, s = make_setup(beta=0.12, kappa=kappa,
-                                       branch=branch, omega_rel=0.0)
+            _, phys, u, nu, s = make_setup(beta=0.12, kappa=kappa,
+                                           branch=branch, omega_rel=0.0)
             grid = np.linspace(-2.0, 2.0, 2001)
-            ge, _ = resonant_1q_scaled(grid, a.u, a.nu_scaled, kappa, s.n_bar)
+            ge, _ = resonant_1q_scaled(grid, u, nu, kappa, s.n_bar)
             for sign in (-1.0, 1.0):
                 window = sign * grid > 0.2
                 peak = grid[window][np.argmax(ge[window])]
-                assert abs(abs(peak) - a.nu_scaled) < kappa / 2.0
+                assert abs(abs(peak) - nu) < kappa / 2.0
 
     def test_thermal_swap_oracle(self):
-        qubit, phys, a, s = make_setup(n_bar=0.8)
-        res = gamma_resonant_1q(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup(n_bar=0.8)
+        res = gamma_resonant_1q(qubit, phys, u, nu, s)
         w = (qubit.omega_q - 2 * phys.omega_f) / s.scale
-        den = (w**2 - a.nu_scaled**2) ** 2 + 4 * s.kappa_scaled**2 * w**2
-        bracket = (w - (2 * a.u - 1)) ** 2 + s.kappa_scaled**2
+        den = (w**2 - nu**2) ** 2 + 4 * s.kappa_scaled**2 * w**2
+        bracket = (w - (2 * u - 1)) ** 2 + s.kappa_scaled**2
         pref = (
             c_gamma(qubit, phys.m, phys.omega_0)
-            * (phys.m * phys.omega_f) ** 2 * s.scale / (9 * phys.gamma_s**2) * a.u
+            * (phys.m * phys.omega_f) ** 2 * s.scale / (9 * phys.gamma_s**2) * u
             * 2 * s.lambda_s * s.kappa_scaled / den
         )
         assert math.isclose(res.gamma_e,
-                            pref * ((s.n_bar + 1) * bracket + s.n_bar * a.u**2),
+                            pref * ((s.n_bar + 1) * bracket + s.n_bar * u**2),
                             rel_tol=1e-12)
         assert math.isclose(res.gamma_g,
-                            pref * (s.n_bar * bracket + (s.n_bar + 1) * a.u**2),
+                            pref * (s.n_bar * bracket + (s.n_bar + 1) * u**2),
                             rel_tol=1e-12)
 
 
 class TestResonantTwoQuantum:
     def test_wiring_and_swap(self):
-        qubit, phys, _, s = make_setup()
+        qubit, phys, _, _, s = make_setup()
         res = gamma_resonant_2q(qubit, phys, n_bar=s.n_bar)
         cg = c_gamma(qubit, phys.m, phys.omega_0)
         det = qubit.omega_q - 2 * phys.omega_0
@@ -185,27 +189,27 @@ class TestResonantTwoQuantum:
         assert math.isclose(res.gamma_g, base * s.n_bar**2, rel_tol=1e-12)
 
     def test_vacuum_ground_rate_vanishes(self):
-        qubit, phys, _, _ = make_setup()
+        qubit, phys, _, _, _ = make_setup()
         res = gamma_resonant_2q(qubit, phys, n_bar=0.0)
         assert res.gamma_g == 0.0 and res.gamma_e > 0.0
 
 
 class TestTotalResonant:
     def test_additivity_exact(self):
-        qubit, phys, a, s = make_setup()
-        one = gamma_resonant_1q(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup()
+        one = gamma_resonant_1q(qubit, phys, u, nu, s)
         two = gamma_resonant_2q(qubit, phys, n_bar=s.n_bar)
-        tot = gamma_total_resonant(qubit, phys, a, s)
+        tot = gamma_total_resonant(qubit, phys, u, nu, s)
         assert tot.gamma_e == one.gamma_e + two.gamma_e
         assert tot.gamma_g == one.gamma_g + two.gamma_g
 
     def test_one_quantum_dominates_at_large_amplitude(self):
         # kappa * r_a >> nu * sqrt(lambda_s (2 nbar + 1)) here
-        qubit, phys, a, s = make_setup(lambda_s=1e-4, omega_rel=0.5)
-        assert s.kappa_scaled * math.sqrt(a.u) > \
-            10 * a.nu_scaled * math.sqrt(s.fluctuation_area)
-        one = gamma_resonant_1q(qubit, phys, a, s)
-        tot = gamma_total_resonant(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup(lambda_s=1e-4, omega_rel=0.5)
+        assert s.kappa_scaled * math.sqrt(u) > \
+            10 * nu * math.sqrt(s.fluctuation_area)
+        one = gamma_resonant_1q(qubit, phys, u, nu, s)
+        tot = gamma_total_resonant(qubit, phys, u, nu, s)
         assert abs(tot.gamma_e / one.gamma_e - 1.0) < 0.01
         assert FLAG_TWO_QUANTUM not in tot.flags
 
@@ -213,14 +217,14 @@ class TestTotalResonant:
         phys = physical_from_scaled(1e-6, 0.3, 0.05, 0.5,
                                     detuning=1.0, omega_f_ratio=50.0)
         s = scale_params(phys)
-        (a,) = solve_attractors(s.beta, s.kappa_scaled)
+        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
         omega_q = 2.0 * phys.omega_0  # two-quantum resonance
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=0.01)
-        one = gamma_resonant_1q(qubit, phys, a, s)
+        one = gamma_resonant_1q(qubit, phys, u, nu, s)
         two = gamma_resonant_2q(qubit, phys, n_bar=s.n_bar)
-        tot = gamma_total_resonant(qubit, phys, a, s)
+        tot = gamma_total_resonant(qubit, phys, u, nu, s)
         assert two.gamma_e > 100 * one.gamma_e
         assert FLAG_TWO_QUANTUM in tot.flags
 
@@ -234,19 +238,19 @@ class TestNonresonant:
             temperature=0.0,
         )
         s = scale_params(phys)
-        a = solve_attractors(s.beta, s.kappa_scaled)[-1]
+        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.LARGE)
         omega_q = 0.6 * phys.omega_f
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=0.01)
-        res = gamma_nonresonant(qubit, phys, a, s=s)
+        res = gamma_nonresonant(qubit, phys, u, nu, s=s)
         assert res.gamma_g > 0.0
         # oracle: single open channel at omega_f - omega_q with weight n+1=1
         b = BathSpec.from_physical(phys)
         wi = phys.omega_f - omega_q
         expected = (
             c_gamma(qubit, phys.m, phys.omega_0)
-            * 2 * phys.omega_f * s.scale / (3 * phys.m * phys.gamma_s) * a.u
+            * 2 * phys.omega_f * s.scale / (3 * phys.m * phys.gamma_s) * u
             * bath_j(b, wi) / (phys.omega_0**2 - wi**2) ** 2
         )
         assert math.isclose(res.gamma_g, expected, rel_tol=1e-12)
@@ -256,33 +260,33 @@ class TestNonresonant:
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=0.01)
-        res = gamma_nonresonant(qubit, phys, a, s=s)
+        res = gamma_nonresonant(qubit, phys, u, nu, s=s)
         assert res.gamma_g == 0.0 and res.gamma_e > 0.0
 
     def test_rate_proportional_to_amplitude(self):
-        qubit, phys, a1, s = make_setup(beta=0.05, omega_rel=20.0,
-                                        branch=Branch.SMALL)
-        a2 = solve_attractors(0.02, s.kappa_scaled)[0]
-        r1 = gamma_nonresonant(qubit, phys, a1, s=s)
-        r2 = gamma_nonresonant(qubit, phys, a2, s=s)
-        assert math.isclose(r1.gamma_e / r2.gamma_e, a1.u / a2.u, rel_tol=1e-12)
-        assert math.isclose(r1.gamma_g / r2.gamma_g, a1.u / a2.u, rel_tol=1e-12)
+        qubit, phys, u1, nu1, s = make_setup(beta=0.05, omega_rel=20.0,
+                                             branch=Branch.SMALL)
+        u2, nu2, _ = solve_branches(0.02, s.kappa_scaled).pick(Branch.SMALL)
+        r1 = gamma_nonresonant(qubit, phys, u1, nu1, s=s)
+        r2 = gamma_nonresonant(qubit, phys, u2, nu2, s=s)
+        assert math.isclose(r1.gamma_e / r2.gamma_e, u1 / u2, rel_tol=1e-12)
+        assert math.isclose(r1.gamma_g / r2.gamma_g, u1 / u2, rel_tol=1e-12)
 
     def test_denominator_guard(self):
-        qubit, phys, a, s = make_setup()
+        qubit, phys, u, nu, s = make_setup()
         # place omega_q - omega_f exactly at the oscillator resonance
         omega_q = phys.omega_f + phys.omega_0
         bad = QubitParams(w=omega_q, delta=0.0, delta_q=0.01)
         with pytest.raises(NearResonanceError):
-            gamma_nonresonant(bad, phys, a, s=s)
+            gamma_nonresonant(bad, phys, u, nu, s=s)
 
     def test_thermal_swap(self):
-        qubit, phys, a, s = make_setup(omega_rel=25.0)
-        res = gamma_nonresonant(qubit, phys, a, s=s)
+        qubit, phys, u, nu, s = make_setup(omega_rel=25.0)
+        res = gamma_nonresonant(qubit, phys, u, nu, s=s)
         b = BathSpec.from_physical(phys)
         pref = (
             c_gamma(qubit, phys.m, phys.omega_0)
-            * 2 * phys.omega_f * s.scale / (3 * phys.m * phys.gamma_s) * a.u
+            * 2 * phys.omega_f * s.scale / (3 * phys.m * phys.gamma_s) * u
         )
         wq, wf = qubit.omega_q, phys.omega_f
         t = phys.temperature
@@ -319,46 +323,46 @@ class TestNonresonantTwoQuantum:
 
 class TestLinearCoupling:
     def test_zero_coupling_zero_rate(self):
-        qubit, phys, a, s = make_setup()
-        res = gamma_linear_resonant(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup()
+        res = gamma_linear_resonant(qubit, phys, u, nu, s)
         assert res.gamma_e == 0.0 and res.gamma_g == 0.0
 
     def test_prefactor_amplitude_independent(self):
-        _, phys, _, s = make_setup(omega_rel=0.0)
+        _, phys, _, _, s = make_setup(omega_rel=0.0)
         omega_q = phys.omega_f + 0.4 * s.scale
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             v_x=1e-30)
-        small, large = [a for a in solve_attractors(s.beta, s.kappa_scaled)
-                        if a.stable]
+        branches = solve_branches(s.beta, s.kappa_scaled)
+        small, large = (branches.pick(b)[:2] for b in (Branch.SMALL, Branch.LARGE))
         w = (omega_q - phys.omega_f) / s.scale
         results = []
-        for a in (small, large):
-            res = gamma_linear_resonant(qubit, phys, a, s)
+        for u, nu in (small, large):
+            res = gamma_linear_resonant(qubit, phys, u, nu, s)
             from duffing_qubit import spectra
-            f = spectra(w, a.u, a.nu_scaled, s.kappa_scaled,
+            f = spectra(w, u, nu, s.kappa_scaled,
                         s.lambda_s, s.n_bar)[0]
             results.append(res.gamma_e / f)
         assert math.isclose(results[0], results[1], rel_tol=1e-12)
         # still attractor-dependent through the spectrum itself
-        r_small = gamma_linear_resonant(qubit, phys, small, s)
-        r_large = gamma_linear_resonant(qubit, phys, large, s)
+        r_small = gamma_linear_resonant(qubit, phys, *small, s)
+        r_large = gamma_linear_resonant(qubit, phys, *large, s)
         assert abs(r_small.gamma_e / r_large.gamma_e - 1.0) > 0.05
 
     def test_sigma_z_route_equivalent_weight(self):
-        qubit, phys, a, s = make_setup(omega_rel=0.6)
+        qubit, phys, u, nu, s = make_setup(omega_rel=0.6)
         v = 1e-30
         with_x = dataclasses.replace(qubit, v_x=v, v_z=0.0)
         with_z = dataclasses.replace(qubit, v_x=0.0,
                                      v_z=v * qubit.w / qubit.delta)
-        rx = gamma_linear_resonant(with_x, phys, a, s)
-        rz = gamma_linear_resonant(with_z, phys, a, s)
+        rx = gamma_linear_resonant(with_x, phys, u, nu, s)
+        rz = gamma_linear_resonant(with_z, phys, u, nu, s)
         assert math.isclose(rx.gamma_e, rz.gamma_e, rel_tol=1e-12)
 
     def test_quasienergy_resonance_position(self):
         kappa = 0.03
-        _, phys, a, s = make_setup(beta=0.12, kappa=kappa, branch=Branch.LARGE,
-                                   omega_rel=0.0)
+        _, phys, u, nu, s = make_setup(beta=0.12, kappa=kappa, branch=Branch.LARGE,
+                                       omega_rel=0.0)
         detunings = np.linspace(0.2, 1.5, 1301)
         rates = []
         for wrel in detunings:
@@ -366,9 +370,9 @@ class TestLinearCoupling:
             delta = 0.02 * omega_q
             qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2),
                                 delta=delta, v_x=1e-30)
-            rates.append(gamma_linear_resonant(qubit, phys, a, s).gamma_e)
+            rates.append(gamma_linear_resonant(qubit, phys, u, nu, s).gamma_e)
         peak = detunings[int(np.argmax(rates))]
-        assert abs(peak - a.nu_scaled) < kappa
+        assert abs(peak - nu) < kappa
 
     def test_linear_nonresonant_detailed_balance(self):
         phys = squid_params()
@@ -401,13 +405,13 @@ class TestEffectiveTemperature:
     def test_doubled_bath_temperature_at_twice_drive(self):
         # omega_q = 2 omega_f with the curly-bracket term dominating
         # (vanishing amplitude: the u^2 term is negligible)
-        qubit, phys, a, s = make_setup(beta=1e-8, omega_rel=0.0,
-                                       branch=Branch.SMALL)
+        qubit, phys, u, nu, s = make_setup(beta=1e-8, omega_rel=0.0,
+                                           branch=Branch.SMALL)
         omega_q = 2.0 * phys.omega_f
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=0.01)
-        res = gamma_resonant_1q(qubit, phys, a, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu, s)
         assert math.isclose(res.t_eff, 2.0 * phys.temperature, rel_tol=1e-10)
 
     def test_single_open_channel_scalings(self):
@@ -419,8 +423,8 @@ class TestEffectiveTemperature:
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=1e6)
         s = scale_params(phys)
-        a = solve_attractors(s.beta, s.kappa_scaled)[0]
-        res = gamma_nonresonant(qubit, phys, a, s=s)
+        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
+        res = gamma_nonresonant(qubit, phys, u, nu, s=s)
         expected = phys.temperature * omega_q / (omega_q - phys.omega_f)
         assert abs(res.t_eff / expected - 1.0) < 1e-3
         assert math.isclose(res.t_eff, expected, rel_tol=1e-12)
@@ -434,8 +438,8 @@ class TestEffectiveTemperature:
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=1e6)
         s = scale_params(phys)
-        a = solve_attractors(s.beta, s.kappa_scaled)[0]
-        res = gamma_nonresonant(qubit, phys, a, s=s)
+        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
+        res = gamma_nonresonant(qubit, phys, u, nu, s=s)
         expected = -phys.temperature * omega_q / (phys.omega_f - omega_q)
         assert math.isclose(res.t_eff, expected, rel_tol=1e-12)
         assert res.t_eff < 0.0
@@ -461,20 +465,46 @@ class TestBlochRedfield:
         assert math.isclose(t2, 2.0 * t1, rel_tol=1e-15)
 
     def test_t1_is_rate_sum(self):
-        qubit, phys, a, s = make_setup()
-        res = gamma_resonant_1q(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup()
+        res = gamma_resonant_1q(qubit, phys, u, nu, s)
         assert math.isclose(res.t1, 1.0 / (res.gamma_e + res.gamma_g),
                             rel_tol=1e-15)
 
     def test_dephasing_dominates_at_small_transverse_term(self):
-        qubit, phys, a, s = make_setup(delta_frac=1e-3)
-        res = gamma_resonant_1q(qubit, phys, a, s)
-        g0 = dephasing_g_zero(a, s)
+        qubit, phys, u, nu, s = make_setup(delta_frac=1e-3)
+        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        g0 = dephasing_g_zero(u, s)
         assert g0 > 0.0
         dephasing = 2 * c_gamma(qubit, phys.m, phys.omega_0) \
             * (qubit.w / qubit.delta) ** 2 * g0
         assert dephasing > 100.0 * (0.5 / res.t1)
         assert res.t2 < 0.02 * res.t1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.floats(0.02, 0.57),
+        beta=st.one_of(st.just(0.0), st.floats(1e-200, 0.3), st.floats(0.3, 1e30),
+                   st.just(1e300)),
+        lambda_s=st.floats(-4.0, -1.0).map(lambda x: 10.0**x),
+        n_bar=st.floats(0.0, 5.0),
+    )
+    def test_dc_weight_matches_the_lapack_resolvent(self, kappa, beta, lambda_s, n_bar):
+        # the closed form -v.adj K.C.v / det K against v.Re N(0).v from one
+        # LAPACK solve, with c_res = 1 and scale 1 so the weight is the bare
+        # product; on both stable branches.  The weight is ~ beta lambda_s, so
+        # a drive far below 1e-200 would leave it in the subnormal range
+        s = ScaledParams(beta=beta, kappa_scaled=kappa, lambda_s=lambda_s, n_bar=n_bar,
+                         scale=1.0, c_res=1.0)
+        solved = solve_branches(beta, kappa)
+        for branch in (Branch.SMALL, Branch.LARGE):
+            u, nu, _ = solved.pick(branch)
+            if not nu > 0.0:
+                continue
+            k = drift_matrix(u, beta, kappa)
+            cov = stationary_covariance(k, lambda_s, kappa, n_bar)
+            v = np.array(_quadratures(u, beta, kappa))
+            reference = float(v @ spectrum_matrix(k, cov, lambda_s, 0.0).real @ v)
+            assert math.isclose(dephasing_g_zero(u, s), reference, rel_tol=1e-12)
 
     def test_rejects_zero_delta_with_dephasing(self):
         phys = squid_params()
@@ -483,60 +513,84 @@ class TestBlochRedfield:
             bloch_redfield(1.0, 1.0, qubit, phys, 1e-30)
 
 
+class TestMarginalOrAbsentSteadyState:
+    """A rate needs a strictly stable steady state: the gap nu is 0 at a
+    marginal one and NaN where the branch is absent."""
+
+    @pytest.mark.parametrize("rate", [gamma_resonant_1q, gamma_total_resonant,
+                                      gamma_nonresonant, gamma_linear_resonant])
+    @pytest.mark.parametrize("nu", [0.0, math.nan])
+    def test_every_rate_refuses(self, rate, nu):
+        qubit, phys, u, _, s = make_setup()
+        with pytest.raises(MarginalAttractorError, match="nu_scaled"):
+            rate(qubit, phys, u, nu, s)
+
+    def test_dephasing_weight_refuses(self):
+        info = bifurcation_betas(0.3)
+        s = ScaledParams(beta=info.beta_high, kappa_scaled=0.3, lambda_s=1e-4, n_bar=0.5,
+                         scale=1.0, c_res=1.0)
+        solved = solve_branches(info.beta_high, 0.3)
+        u, _, marginal = solved.pick(Branch.SMALL)
+        assert marginal
+        for bad in (u, solved.u_unstable):  # marginal, then absent (NaN)
+            with pytest.raises(MarginalAttractorError):
+                dephasing_g_zero(bad, s)
+        assert dephasing_g_zero(solved.u_large, s) > 0.0
+
+
 class TestValidityFlags:
     def test_semiclassical_quiet_at_small_lambda(self):
-        qubit, phys, a, s = make_setup(lambda_s=1e-4)
-        res = gamma_resonant_1q(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup(lambda_s=1e-4)
+        res = gamma_resonant_1q(qubit, phys, u, nu, s)
         assert FLAG_SEMICLASSICAL not in res.flags
         assert res.ratios[FLAG_SEMICLASSICAL] == s.fluctuation_area
 
     def test_semiclassical_raised_at_large_cloud(self):
-        qubit, phys, a, s = make_setup(lambda_s=0.2)
-        res = gamma_resonant_1q(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup(lambda_s=0.2)
+        res = gamma_resonant_1q(qubit, phys, u, nu, s)
         assert FLAG_SEMICLASSICAL in res.flags
 
     def test_weak_damping_raised_near_bifurcation(self):
-        qubit, phys, _, s = make_setup(beta=0.1802, branch=Branch.SMALL)
-        a = solve_attractors(0.1802, s.kappa_scaled)[0]
-        assert a.nu_scaled < s.kappa_scaled
-        res = gamma_resonant_1q(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup(beta=0.1802, branch=Branch.SMALL)
+        assert nu < s.kappa_scaled
+        res = gamma_resonant_1q(qubit, phys, u, nu, s)
         assert FLAG_WEAK_DAMPING in res.flags
 
     def test_pumping_flag_absent_without_coupling(self):
-        qubit, phys, a, s = make_setup(delta_q=0.0)
-        res = gamma_resonant_1q(qubit, phys, a, s)
+        qubit, phys, u, nu, s = make_setup(delta_q=0.0)
+        res = gamma_resonant_1q(qubit, phys, u, nu, s)
         assert FLAG_RESONANT_PUMPING not in res.flags
 
 
 def sweep_params():
     """GHz oscillator driven 2e8 rad/s below resonance, its scaled
-    parameters and the large-amplitude attractor."""
+    parameters and the large-amplitude steady state (u, nu)."""
     phys = physical_from_scaled(0.12, 0.3, 1e-4, 0.5, detuning=2e8,
                                 omega_f_ratio=46.0, m=3e-13)
     scaled = scale_params(phys)
-    attractor = solve_attractors(scaled.beta, scaled.kappa_scaled)[-1]
-    return phys, scaled, attractor
+    u, nu, _ = solve_branches(scaled.beta, scaled.kappa_scaled).pick(Branch.LARGE)
+    return phys, scaled, u, nu
 
 
 # regime -> (rate call, omega_q grid clear of the resonance guard band)
 SWEEPS = {
     "resonant-2q": (
-        lambda q, p, a, s: gamma_resonant_2q(q, p),
+        lambda q, p, u, nu, s: gamma_resonant_2q(q, p),
         lambda p, s: np.linspace(2 * p.omega_0 - 50 * p.kappa, 2 * p.omega_0 + 50 * p.kappa, 41)),
     "resonant-total": (
-        lambda q, p, a, s: gamma_total_resonant(q, p, a, s),
+        lambda q, p, u, nu, s: gamma_total_resonant(q, p, u, nu, s),
         lambda p, s: np.linspace(2 * p.omega_f - 4 * s.scale, 2 * p.omega_f + 4 * s.scale, 41)),
     "nonresonant": (
-        lambda q, p, a, s: gamma_nonresonant(q, p, a, s=s),
+        lambda q, p, u, nu, s: gamma_nonresonant(q, p, u, nu, s=s),
         lambda p, s: np.linspace(3.2 * p.omega_f, 5.0 * p.omega_f, 41)),
     "nonresonant-2q": (
-        lambda q, p, a, s: gamma_nonresonant_2q(q, p),
+        lambda q, p, u, nu, s: gamma_nonresonant_2q(q, p),
         lambda p, s: np.linspace(2.5 * p.omega_0, 4.0 * p.omega_0, 41)),
     "linear-resonant": (
-        lambda q, p, a, s: gamma_linear_resonant(q, p, a, s),
+        lambda q, p, u, nu, s: gamma_linear_resonant(q, p, u, nu, s),
         lambda p, s: np.linspace(p.omega_f - 4 * s.scale, p.omega_f + 4 * s.scale, 41)),
     "linear-nonresonant": (
-        lambda q, p, a, s: gamma_linear_nonresonant(q, p),
+        lambda q, p, u, nu, s: gamma_linear_nonresonant(q, p),
         lambda p, s: np.geomspace(1.5 * p.omega_0, 3.0 * p.omega_0, 41)),
 }
 
@@ -557,12 +611,12 @@ class TestArraySweeps:
     @pytest.mark.parametrize("regime", sorted(SWEEPS))
     def test_array_matches_per_point_calls(self, regime):
         rate, grid = SWEEPS[regime]
-        phys, scaled, a = sweep_params()
+        phys, scaled, u, nu = sweep_params()
         q = sweep_qubit(grid(phys, scaled))
-        swept = rate(q, phys, a, scaled)
+        swept = rate(q, phys, u, nu, scaled)
         assert len(swept.flags) == q.w.size
         for i, w in enumerate(q.w.tolist()):
-            point = rate(dataclasses.replace(q, w=w), phys, a, scaled)
+            point = rate(dataclasses.replace(q, w=w), phys, u, nu, scaled)
             assert point.regime == swept.regime == regime
             assert point.flags == swept.flags[i]
             for name in NUMERIC_FIELDS:
@@ -579,15 +633,15 @@ class TestArraySweeps:
     @pytest.mark.parametrize("regime", sorted(SWEEPS))
     def test_scalar_gives_floats_and_a_frozenset(self, regime):
         rate, grid = SWEEPS[regime]
-        phys, scaled, a = sweep_params()
+        phys, scaled, u, nu = sweep_params()
         omega_q = grid(phys, scaled)
-        res = rate(sweep_qubit(float(omega_q[7])), phys, a, scaled)
+        res = rate(sweep_qubit(float(omega_q[7])), phys, u, nu, scaled)
         assert isinstance(res.flags, frozenset)
         for name in NUMERIC_FIELDS:
             value = getattr(res, name)
             assert value is None or type(value) is float, name
         assert all(type(v) is float for v in res.ratios.values())
-        swept = rate(sweep_qubit(omega_q), phys, a, scaled)
+        swept = rate(sweep_qubit(omega_q), phys, u, nu, scaled)
         assert isinstance(swept.flags, tuple)
         assert all(isinstance(f, frozenset) for f in swept.flags)
         assert swept.gamma_e.shape == swept.t_eff.shape == omega_q.shape
@@ -600,7 +654,7 @@ class TestArraySweeps:
     ])
     def test_guard_band_names_first_failing_point(self, regime, crossing):
         rate, _ = SWEEPS[regime]
-        phys, scaled, a = sweep_params()
+        phys, scaled, u, nu = sweep_params()
         centre = crossing(phys)
         omega_q = np.linspace(centre - 20 * phys.kappa, centre + 20 * phys.kappa, 81)
         omega_q = omega_q[omega_q > 5e8]
@@ -608,13 +662,13 @@ class TestArraySweeps:
         first = None
         for w in q.w.tolist():
             try:
-                rate(dataclasses.replace(q, w=w), phys, a, scaled)
+                rate(dataclasses.replace(q, w=w), phys, u, nu, scaled)
             except NearResonanceError as exc:
                 first = str(exc)
                 break
         assert first is not None
         with pytest.raises(NearResonanceError) as info:
-            rate(q, phys, a, scaled)
+            rate(q, phys, u, nu, scaled)
         assert str(info.value) == first
 
     def test_guard_band_reports_channel_order_within_a_point(self):
@@ -622,24 +676,24 @@ class TestArraySweeps:
         # omega_q + omega_f and omega_f - omega_q; the first listed is named
         phys = squid_params(kappa_frac=0.3)
         s = scale_params(phys)
-        a = solve_attractors(s.beta, s.kappa_scaled)[0]
+        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
         omega_q = np.array([0.5, 0.6]) * phys.omega_0
         q = QubitParams(w=omega_q, delta=0.0, delta_q=1e6)
         named = re.escape(f"frequency {omega_q[0] + phys.omega_f:g} rad/s")
         with pytest.raises(NearResonanceError, match=named):
-            gamma_nonresonant(q, phys, a, s=s)
+            gamma_nonresonant(q, phys, u, nu, s=s)
         with pytest.raises(NearResonanceError, match=named):
-            gamma_nonresonant(dataclasses.replace(q, w=float(omega_q[0])), phys, a, s=s)
+            gamma_nonresonant(dataclasses.replace(q, w=float(omega_q[0])), phys, u, nu, s=s)
 
 
 class TestTotalResonantQubitFaster:
     def test_ratio_uses_the_total_t1(self):
-        phys, scaled, a = sweep_params()
+        phys, scaled, u, nu = sweep_params()
         omega_q = 2 * phys.omega_f
         delta = 5e8
         q = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1e8)
-        total = gamma_total_resonant(q, phys, a, scaled)
-        one = gamma_resonant_1q(q, phys, a, scaled)
+        total = gamma_total_resonant(q, phys, u, nu, scaled)
+        one = gamma_resonant_1q(q, phys, u, nu, scaled)
         assert total.ratios[FLAG_QUBIT_FASTER] == 1.0 / (total.t1 * phys.kappa)
         assert total.ratios[FLAG_QUBIT_FASTER] > 1.0
         assert FLAG_QUBIT_FASTER in total.flags
@@ -739,12 +793,12 @@ class TestOneAssemblyPerResult:
         return calls
 
     def test_every_regime(self, counts):
-        phys, s, a = sweep_params()
+        phys, s, u, nu = sweep_params()
         regimes = dict(SWEEPS)
-        regimes["resonant-1q"] = (lambda q, p, a, s: gamma_resonant_1q(q, p, a, s),
+        regimes["resonant-1q"] = (lambda q, p, u, nu, s: gamma_resonant_1q(q, p, u, nu, s),
                                   SWEEPS["resonant-total"][1])
         for n, (rate, grid) in enumerate(regimes.values(), 1):
-            rate(sweep_qubit(grid(phys, s)), phys, a, s)
+            rate(sweep_qubit(grid(phys, s)), phys, u, nu, s)
             assert counts == {"validity_flags": n, "effective_temperature": n}
 
 

@@ -699,10 +699,17 @@ def cmd_validate(args, config) -> int:
     stable[:, :len(edges)] = False
     k, u, nu = k[stable], u[stable], nu[stable]
     cov = stationary_covariance(k, lambda_s, kappa, n_bar)
-    src = lambda_s * kappa * (2.0 * n_bar + 1.0) * np.eye(2)
-    lyapunov = k @ cov + cov @ k.swapaxes(-1, -2) + src
-    worst = float(np.max(np.linalg.norm(lyapunov, axis=(-2, -1)), initial=0.0))
-    report("lyapunov_residual", worst < 1e-10, f"max={worst:.3e} (limit 1e-10)")
+    # the residual K C + C K^T + s I on its own rounding scale, 2 |K| |C| + s
+    # with |.| the largest entry of a row; K and C are divided by theirs first,
+    # so that no product overflows (a C that underflows to 0 gives NaN)
+    k_max, c_max = (np.abs(x).max(axis=(-2, -1), keepdims=True) for x in (k, cov))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kn, cn = k / k_max, cov / c_max
+        src = lambda_s * kappa * (2.0 * n_bar + 1.0) / k_max / c_max
+        lyapunov = kn @ cn + cn @ kn.swapaxes(-1, -2) + src * np.eye(2)
+        rel = np.abs(lyapunov).max(axis=(-2, -1)) / (2.0 + src[..., 0, 0])
+    worst = float(np.max(rel, initial=0.0))
+    report("lyapunov_residual", worst < 1e-12, f"max rel={worst:.3e} (limit 1e-12)")
     report("covariance_positive", np.all(np.linalg.eigvalsh(cov) > 0.0), "eigenvalues > 0")
     omega = np.linspace(-5, 5, 201)
     at_beta = np.nonzero(stable)[1] == len(edges) + 2  # beta is drives[2]

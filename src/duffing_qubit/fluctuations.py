@@ -6,8 +6,14 @@ The linearized rotating-frame dynamics of the quadrature deviations
 diffusion ``lambda_s * kappa_scaled * (n_bar + 1/2)``.  Drifts come as
 ``(..., 2, 2)`` stacks, one per steady state of the branch columns, and
 :func:`stationary_covariance` turns a stack into covariances of the same
-shape in one stacked solve.  Two independent routes to the one-sided power
-spectra are implemented:
+shape by the closed solution of the 2x2 Lyapunov equation,
+
+    C = s (det K I + adj K adj K^T) / (-2 tr K det K),
+    s = lambda_s * kappa_scaled * (2 n_bar + 1)
+
+(C. W. Gardiner, *Handbook of Stochastic Methods*, the two-variable
+Ornstein-Uhlenbeck process), with no linear solve.  Two independent routes
+to the one-sided power spectra are implemented:
 
 - the closed form :func:`spectra`, rational functions of frequency with
   poles at the quasienergy gap;
@@ -42,7 +48,7 @@ import math
 import numpy as np
 
 from .attractors import MarginalAttractorError
-from .model import _check_lambda_s, hbar
+from .model import _check_kappa_scaled, _check_lambda_s, hbar
 
 __all__ = [
     "stationary_covariance",
@@ -65,20 +71,27 @@ def stationary_covariance(
 ) -> np.ndarray:
     """Stationary second moments of the linearized fluctuations.
 
-    Solves the 2x2 continuous-time Lyapunov equation
+    The covariance C solves the 2x2 continuous-time Lyapunov equation
 
-        K C + C K^T + lambda_s * kappa_scaled * (2 n_bar + 1) * I = 0
+        K C + C K^T + s I = 0,    s = lambda_s * kappa_scaled * (2 n_bar + 1),
 
-    as a linear system in the three independent entries of symmetric C.
-    ``drift`` is one 2x2 K or a ``(..., 2, 2)`` stack of them, such as
+    which for a strictly stable 2x2 drift K has the closed solution
+
+        C = s (det K I + adj K adj K^T) / (-2 tr K det K)
+
+    (C. W. Gardiner, *Handbook of Stochastic Methods*, the two-variable
+    Ornstein-Uhlenbeck process).  No linear solve is made, and positive
+    definiteness is checked before the source scales C, so that a tiny
+    source cannot underflow the check.  ``drift`` is one 2x2 K or a
+    ``(..., 2, 2)`` stack of them, such as
     :func:`duffing_qubit.attractors.drift_matrix` returns; the covariances
-    come from one stacked 3x3 solve and have the shape of ``drift``.
+    have the shape of ``drift``.
 
     Raises
     ------
     ValueError
-        If ``lambda_s`` is not finite and positive, or ``n_bar`` is
-        negative or not finite.
+        If ``lambda_s`` or ``kappa_scaled`` is not finite and positive,
+        ``n_bar`` is negative or not finite, or ``s`` is not finite.
     MarginalAttractorError
         If a drift is not strictly stable (an eigenvalue with non-negative
         real part makes the stationary state ill-defined), or if a solution
@@ -86,30 +99,34 @@ def stationary_covariance(
         row of the flattened stack.
     """
     _check_lambda_s(lambda_s)
+    _check_kappa_scaled(kappa_scaled)
     _check_n_bar(n_bar)
     k = np.asarray(drift, dtype=float)
     if k.shape[-2:] != (2, 2):
         raise ValueError("drift must be a 2x2 matrix or a stack of them")
     flat = k.reshape(-1, 4)
     a, b, c, d = flat.T
+    source = lambda_s * kappa_scaled * (2.0 * n_bar + 1.0)
+    if not math.isfinite(source):
+        raise ValueError(f"lambda_s * kappa_scaled * (2 n_bar + 1) must be finite, got {source}")
     # a real 2x2 matrix is stable iff trace < 0 and det > 0; the determinant
     # is held to a margin relative to |K|^2, its own scale, so marginal
     # attractors (det at rounding level) are refused at any drive strength
-    trace = a + d
-    _refuse_rows((trace < 0.0) & (a * d - b * c > STABILITY_TOL * (flat * flat).sum(axis=1)),
+    trace, det = a + d, a * d - b * c
+    _refuse_rows((trace < 0.0) & (det > STABILITY_TOL * (flat * flat).sum(axis=1)),
                  "drift matrix is not strictly stable; no stationary covariance")
-    source = lambda_s * kappa_scaled * (2.0 * n_bar + 1.0)
-    # unknowns (C11, C12, C22): rows (2a, 2b, 0), (c, a + d, b), (0, 2c, 2d)
-    system = np.zeros((len(flat), 3, 3))
-    system[:, 0, :2] = 2.0 * flat[:, :2]
-    system[:, 1, 0], system[:, 1, 1], system[:, 1, 2] = c, trace, b
-    system[:, 2, 1:] = 2.0 * flat[:, 2:]
-    x = np.linalg.solve(system, np.array([[-source], [0.0], [-source]]))
-    cov = x[:, (0, 1, 1, 2), 0]
-    if source > 0.0:
-        _refuse_rows((cov[:, 0] > 0.0) & (np.linalg.det(cov.reshape(-1, 2, 2)) > 0.0),
-                     "covariance is not positive definite")
-    return cov.reshape(k.shape)
+    # C = (s / -tr K) N: N = (det K I + adj K adj K^T) / (2 det K) is C in
+    # units of the variance of an isotropic drift (N = I for K = -kappa I),
+    # with adj K adj K^T = [[b^2 + d^2, -(ab + cd)], [., a^2 + c^2]].  N is
+    # positive definite iff C is, and is checked before s / -tr K scales it:
+    # det C underflows at a tiny lambda_s, and 1 / -tr K alone overflows at
+    # a subnormal kappa_scaled
+    off = -(a * b + c * d)
+    cloud = np.array([det + b * b + d * d, off, off, det + a * a + c * c]) / (2.0 * det)
+    n11, n12, _, n22 = cloud
+    _refuse_rows((n11 > 0.0) & (n11 * n22 - n12 * n12 > 0.0),
+                 "covariance is not positive definite")
+    return (cloud * (source / -trace)).T.reshape(k.shape)
 
 
 def _refuse_rows(ok: np.ndarray, message: str) -> None:

@@ -692,11 +692,23 @@ class TestRefusalsLeaveStdoutEmpty:
         assert code == EXIT_VALIDITY and out == ""
         assert err.startswith("error:")
 
-    def test_validate_accepts_a_huge_stable_drift(self, capsys):
-        # |K| ~ 1e10 once refused the stable attractor (eigenvalues -0.3 +- 1.7e10 i)
-        code, out, err = run_cli(capsys, "validate", "--beta", "1e30")
+    # 1e30: |K| ~ 1e10 once refused the stable attractor (eigenvalues
+    # -0.3 +- 1.7e10 i); the middle four once failed an absolute Lyapunov
+    # residual, which rounding sets at about eps |K| |C|
+    @pytest.mark.parametrize("beta", ["1e30", "3e22", "1.0692137854286123e24",
+                                      "9.046209424616384e33", "2.3867215955463037e125",
+                                      "1e300"])
+    def test_validate_accepts_a_huge_stable_drift(self, capsys, beta):
+        code, out, err = run_cli(capsys, "validate", "--beta", beta)
         assert code == EXIT_OK, out + err
         assert [ln[:4] for ln in out.splitlines()] == ["ok  "] * 6
+
+    def test_validate_fails_an_underflowed_covariance_without_a_warning(self, capsys):
+        # at kappa_scaled 5e-324 the source underflows to 0 and so does C on
+        # some rows: the relative residual reads NaN and fails the check
+        code, out, err = run_cli(capsys, "validate", "--kappa-scaled", "5e-324")
+        assert (code, err) == (EXIT_SELFCHECK, "")
+        assert "FAIL lyapunov_residual: max rel=nan (limit 1e-12)" in out.splitlines()
 
 
 class TestBranchRefusals:

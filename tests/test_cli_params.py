@@ -43,7 +43,7 @@ CASES = {
     "match": ("match", {"beta": "0.11", "kappa_scaled": "0.3", "nbar": "0.4",
                         "lambda_s": "0.002", "hierarchies": "10,30"}, ("beta", "0.13")),
     "validate": ("validate", {"beta": "0.13", "kappa_scaled": "0.3", "lambda_s": "0.02",
-                              "nbar": "0.6"}, ("lambda_s", "0.005")),
+                              "nbar": "0.6"}, ("beta", "0.11")),
 }
 
 
@@ -160,6 +160,38 @@ class TestLambdaS:
             stationary_covariance(k, value, 0.3, 0.5)
         with pytest.raises(ValueError, match="lambda_s must be finite and positive"):
             spectra(np.linspace(-1, 1, 3), u, nu, 0.3, value, 0.5)
+
+    def test_covariance_takes_the_one_kappa_scaled_rule(self):
+        import duffing_qubit.fluctuations as fluctuations
+        import duffing_qubit.model as model
+        assert fluctuations._check_kappa_scaled is model._check_kappa_scaled
+
+    @pytest.mark.parametrize("value", [-0.3, 0.0, math.nan, math.inf])
+    def test_covariance_refuses_a_bad_kappa_scaled(self, value):
+        k = drift_matrix(solve_branches(0.12, 0.3).pick(Branch.SMALL)[0], 0.12, 0.3)
+        with pytest.raises(ValueError, match="kappa_scaled must be finite and positive"):
+            stationary_covariance(k, 1e-3, value, 0.5)
+
+    @pytest.mark.parametrize("lambda_s, kappa, n_bar", [(1e-3, 0.3, 1e308), (1e300, 1e10, 0.5)])
+    def test_covariance_refuses_a_source_that_overflows(self, lambda_s, kappa, n_bar):
+        k = drift_matrix(solve_branches(0.12, 0.3).pick(Branch.SMALL)[0], 0.12, 0.3)
+        with pytest.raises(ValueError, match=r"lambda_s \* kappa_scaled \* \(2 n_bar \+ 1\) "
+                                             r"must be finite, got inf"):
+            stationary_covariance(k, lambda_s, kappa, n_bar)
+
+    def test_spectrum_refuses_a_source_that_overflows(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--beta", "0.12", "--kappa-scaled", "0.3",
+                             "--nbar", "1e308", "--grid=-1:1:3")
+        assert code == EXIT_INPUT and out == ""
+        assert err == ("error: lambda_s * kappa_scaled * (2 n_bar + 1) must be finite, "
+                       "got inf\n")
+
+    def test_a_tiny_lambda_s_passes_the_covariance_check(self, capsys):
+        # the positive-definiteness check is made before the source scales
+        # C, so it no longer underflows
+        code, out, err = run(capsys, "spectrum", "--beta", "0.12", "--kappa-scaled", "0.3",
+                             "--lambda-s", "1e-200", "--check", "--grid=-1:1:3")
+        assert (code, err) == (EXIT_OK, "") and out
 
 
 class TestNonFiniteOmega:

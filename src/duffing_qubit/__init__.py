@@ -27,7 +27,6 @@ from .fluctuations import (
     two_quantum_spectrum,
 )
 from .model import (
-    BathSpec,
     PhysicalParams,
     ScaledParams,
     bath_j,
@@ -58,7 +57,6 @@ from .rates import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathSpec",
     "BifurcationInfo",
     "Branch",
     "Branches",

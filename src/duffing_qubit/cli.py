@@ -500,12 +500,12 @@ def _resonant_1q_columns(omega_rel, u, nu, marginal, kappa: float, n_bar: float)
 # rate functions are looked up when called, so a rebinding of the module
 # attributes takes effect
 _SI_RATES = {
-    "resonant-2q": (False, lambda q, p, u, nu, s: gamma_resonant_2q(q, p)),
-    "resonant-total": (True, lambda q, p, u, nu, s: gamma_total_resonant(q, p, u, nu, s)),
-    "nonresonant": (True, lambda q, p, u, nu, s: gamma_nonresonant(q, p, u, nu, s=s)),
-    "nonresonant-2q": (False, lambda q, p, u, nu, s: gamma_nonresonant_2q(q, p)),
-    "linear-resonant": (True, lambda q, p, u, nu, s: gamma_linear_resonant(q, p, u, nu, s)),
-    "linear-nonresonant": (False, lambda q, p, u, nu, s: gamma_linear_nonresonant(q, p)),
+    "resonant-2q": (False, lambda q, p, u, nu: gamma_resonant_2q(q, p)),
+    "resonant-total": (True, lambda q, p, u, nu: gamma_total_resonant(q, p, u, nu)),
+    "nonresonant": (True, lambda q, p, u, nu: gamma_nonresonant(q, p, u, nu)),
+    "nonresonant-2q": (False, lambda q, p, u, nu: gamma_nonresonant_2q(q, p)),
+    "linear-resonant": (True, lambda q, p, u, nu: gamma_linear_resonant(q, p, u, nu)),
+    "linear-nonresonant": (False, lambda q, p, u, nu: gamma_linear_nonresonant(q, p)),
 }
 
 
@@ -538,7 +538,7 @@ def _rates_si(args, config, regime: str) -> int:
     qubit = QubitParams(w=np.sqrt(grid**2 - delta**2), delta=delta, delta_q=args.delta_q,
                         v_x=args.v_x, v_z=args.v_z)
     columns = ["omega_q", "gamma_e", "gamma_g", "t1", "t_eff", "flags"]
-    res = rate(qubit, phys, u, nu, scaled)
+    res = rate(qubit, phys, u, nu)
     names = {flags: _flags_str(flags) for flags in set(res.flags)}
     cols = (grid, res.gamma_e, res.gamma_g, res.t1, res.t_eff,
             [names[flags] for flags in res.flags])
@@ -591,8 +591,8 @@ def match_report(
             delta = 1e-3 * omega_q
             qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1.0)
             u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
-            res = gamma_resonant_1q(qubit, phys, u, nu, scaled)
-            non = gamma_nonresonant(qubit, phys, u, nu, s=scaled)
+            res = gamma_resonant_1q(qubit, phys, u, nu)
+            non = gamma_nonresonant(qubit, phys, u, nu)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad --hierarchies: factor {h!r} gives omega_f/|delta_omega| = "
                              f"{h * omega_rel!r}, beyond float arithmetic ({exc})") from None
@@ -649,7 +649,9 @@ def cmd_validate(args, config) -> int:
     # a solve of its own gives
     info = bifurcation_betas(kappa)
     grid, counted = np.linspace(0.0, 0.25, 101), np.linspace(1e-3, 0.25, 97)
-    edges = [info.beta_low, info.beta_high] if info.bistable else []
+    # an edge that underflows to 0 (beta_low ~ kappa^2 below kappa ~ 1.6e-162)
+    # is left out: at beta = 0 the only steady state is u = 0, with no pair
+    edges = [b for b in (info.beta_low, info.beta_high) if info.bistable and b > 0.0]
     drives = [0.0, 0.05, beta, 0.2]
     betas = np.concatenate([grid, counted, edges, drives])
     s = solve_branches(betas, kappa)
@@ -688,8 +690,10 @@ def cmd_validate(args, config) -> int:
         missing = int(np.count_nonzero(at_edge.sum(axis=0) != 1))
         gap = float(np.max(np.abs(np.linalg.det(k[:, :len(edges)][at_edge])), initial=0.0))
         metric = f"|det K|={gap:.3e} at boundaries"
+        if len(edges) < 2:
+            metric += ", beta_low underflows to 0"
         if missing:
-            metric += f", no marginal pair at {missing} of 2"
+            metric += f", no marginal pair at {missing} of {len(edges)}"
         report("bifurcation_gap", not missing and gap < 1e-8, metric)
 
     # Lyapunov residual and positive definiteness from one covariance stack

@@ -48,7 +48,7 @@ import math
 import numpy as np
 
 from .attractors import MarginalAttractorError
-from .model import _check_kappa_scaled, _check_lambda_s, hbar
+from .model import _check_kappa_scaled, _check_lambda_s, _check_n_bar, hbar
 
 __all__ = [
     "stationary_covariance",
@@ -59,11 +59,6 @@ __all__ = [
 
 # smallest det(K) / |K|_F^2 of a drift that counts as strictly stable
 STABILITY_TOL = 1e-8
-
-
-def _check_n_bar(n_bar: float) -> None:
-    if not 0.0 <= n_bar < math.inf:
-        raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
 
 
 def stationary_covariance(

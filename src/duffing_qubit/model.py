@@ -12,8 +12,9 @@ Conventions
 - ``lambda_s`` acts as the effective Planck constant of the scaled rotating
   frame; the semiclassical description assumes ``lambda_s * (2*n_bar + 1)``
   is small.
-- The domain rules of the scaled parameters ``beta``, ``kappa_scaled`` and
-  ``lambda_s`` live here, once, for every module that takes them.
+- The domain rules of the scaled parameters ``beta``, ``kappa_scaled``,
+  ``lambda_s`` and ``n_bar`` live here, once, for every module that takes
+  them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 __all__ = [
     "PhysicalParams",
     "ScaledParams",
-    "BathSpec",
     "planck",
     "scale_params",
     "physical_from_scaled",
@@ -65,6 +65,11 @@ def _check_lambda_s(lambda_s: float) -> None:
 def _check_kappa_scaled(kappa_scaled: float) -> None:
     if not 0.0 < kappa_scaled < math.inf:
         raise ValueError(f"kappa_scaled must be finite and positive, got {kappa_scaled}")
+
+
+def _check_n_bar(n_bar: float) -> None:
+    if not 0.0 <= n_bar < math.inf:
+        raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
 
 
 def _check_beta(beta: float | np.ndarray) -> np.ndarray:
@@ -151,7 +156,13 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class ScaledParams:
-    """Dimensionless rotating-frame parameters derived from PhysicalParams."""
+    """Dimensionless rotating-frame parameters derived from PhysicalParams.
+
+    Refuses (ValueError) a ``beta`` or ``n_bar`` that is negative or not
+    finite, and a ``kappa_scaled``, ``lambda_s``, ``scale`` or ``c_res`` that
+    is not finite and positive, with the messages of this module's domain
+    checks.
+    """
 
     beta: float          # dimensionless drive intensity (squared field amplitude)
     kappa_scaled: float  # kappa / |delta_omega|
@@ -161,18 +172,19 @@ class ScaledParams:
     c_res: float         # resonant amplitude scale (m): x = c_res * r
 
     def __post_init__(self) -> None:
-        if self.beta < 0 or self.kappa_scaled <= 0 or self.lambda_s <= 0:
-            raise ValueError("invalid scaled parameters")
+        _check_beta(self.beta)
+        _check_kappa_scaled(self.kappa_scaled)
+        _check_lambda_s(self.lambda_s)
+        _check_n_bar(self.n_bar)
+        for name in ("scale", "c_res"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def fluctuation_area(self) -> float:
         """lambda_s*(2*n_bar + 1): squared width of the fluctuation cloud."""
         return self.lambda_s * (2.0 * self.n_bar + 1.0)
-
-    @property
-    def semiclassical(self) -> bool:
-        """True when the Gaussian (linearized) treatment is self-consistent."""
-        return self.fluctuation_area < 0.1
 
 
 def scale_params(p: PhysicalParams) -> ScaledParams:
@@ -246,56 +258,14 @@ def physical_from_scaled(
     )
 
 
-@dataclass(frozen=True)
-class BathSpec:
-    """Bath spectral density weighted with the oscillator coupling.
-
-    Ohmic form: J(omega) = 2 hbar m kappa omega for 0 < omega < omega_c,
-    zero otherwise (hard cutoff).  A tabulated density may be supplied
-    instead; it is interpolated linearly and vanishes outside its domain.
+def bath_j(p: PhysicalParams, omega: float | np.ndarray) -> float | np.ndarray:
+    """Ohmic spectral density of the oscillator's bath, weighted with its
+    coupling: J(omega) = 2 hbar m kappa omega for 0 < omega < omega_c, zero
+    otherwise (hard cutoff).  A float for a scalar ``omega``, otherwise an
+    array of its shape.
     """
-
-    kind: str                       # "ohmic" or "tabulated"
-    kappa: float                    # damping rate defining the Ohmic slope
-    m: float
-    omega_c: float
-    table: np.ndarray | None = None  # (n, 2) array of (omega, J) rows
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("ohmic", "tabulated"):
-            raise ValueError(f"unknown bath kind {self.kind!r}")
-        if self.kind == "tabulated":
-            if self.table is None:
-                raise ValueError("tabulated bath requires a table")
-            tab = np.asarray(self.table, dtype=float)
-            if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
-                raise ValueError("table must have shape (n >= 2, 2)")
-            if np.any(tab[:, 0] < 0):
-                raise ValueError("tabulated frequencies must be non-negative")
-            if np.any(np.diff(tab[:, 0]) <= 0):
-                raise ValueError("tabulated frequencies must be strictly increasing")
-            if np.any(tab[:, 1] < 0):
-                raise ValueError("spectral density must be non-negative")
-            object.__setattr__(self, "table", tab)
-
-    @classmethod
-    def ohmic(cls, kappa: float, m: float, omega_c: float) -> "BathSpec":
-        return cls(kind="ohmic", kappa=kappa, m=m, omega_c=omega_c)
-
-    @classmethod
-    def from_physical(cls, p: PhysicalParams) -> "BathSpec":
-        return cls.ohmic(p.kappa, p.m, p.omega_c)
-
-
-def bath_j(b: BathSpec, omega: float | np.ndarray) -> float | np.ndarray:
-    """Spectral density J(omega); identically zero for omega < 0."""
     w = np.asarray(omega, dtype=float)
-    if b.kind == "ohmic":
-        out = np.where((w > 0.0) & (w < b.omega_c), 2.0 * hbar * b.m * b.kappa * w, 0.0)
-    else:
-        tab = b.table
-        out = np.interp(w, tab[:, 0], tab[:, 1], left=0.0, right=0.0)
-        out = np.where(w < 0.0, 0.0, out)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
+    out = np.where((w > 0.0) & (w < p.omega_c), 2.0 * hbar * p.m * p.kappa * w, 0.0)
+    if w.ndim == 0:
         return float(out)
     return out

@@ -24,13 +24,16 @@ reported as flags, never auto-switched):
 
 Every rate function takes the qubit splitting ``QubitParams.w`` as a float
 or an array: a sweep over the qubit frequency is one call, whose results
-have the shape of ``omega_q``.  A regime that needs the oscillator's steady
-state takes it as two numbers, ``u`` and ``nu_scaled``: one branch of
-:func:`duffing_qubit.attractors.solve_branches` at ``ScaledParams.beta``.
-A marginal (``nu_scaled`` = 0) or absent (NaN) steady state raises
-MarginalAttractorError.  The terms that depend only on the steady state and
-the oscillator (the dephasing weight, the scaled parameters, the Bose
-factors at omega_f and omega_0) are computed once per call.
+have the shape of ``omega_q``.  A rate function takes only the qubit, the
+oscillator ``PhysicalParams`` and, in a regime that needs it, the latched
+steady state as two numbers, ``u`` and ``nu_scaled``: one branch of
+:func:`duffing_qubit.attractors.solve_branches` at the ``beta`` of
+``scale_params(p)``.  The scaled parameters, n_bar and the Ohmic bath all
+follow from ``p``.  A marginal (``nu_scaled`` = 0) or absent (NaN) steady
+state raises MarginalAttractorError.  The terms that depend only on the
+steady state and the oscillator (the dephasing weight, the scaled
+parameters, the Bose factors at omega_f and omega_0) are computed once per
+call.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .fluctuations import (
     two_quantum_spectrum,
 )
 from .model import (
-    BathSpec,
     PhysicalParams,
     ScaledParams,
     _per_value,
@@ -429,11 +431,7 @@ def _resonant_1q_rates(q: QubitParams, p: PhysicalParams, u, nu_scaled, s: Scale
 
 
 def gamma_resonant_1q(
-    q: QubitParams,
-    p: PhysicalParams,
-    u: float,
-    nu_scaled: float,
-    s: ScaledParams | None = None,
+    q: QubitParams, p: PhysicalParams, u: float, nu_scaled: float
 ) -> RateResult:
     """One-quantum rates near resonance, |omega_q - 2 omega_f| << omega_f.
 
@@ -447,8 +445,7 @@ def gamma_resonant_1q(
     ``q.w``) is a float or an array.
     """
     _require_stable(nu_scaled)
-    if s is None:
-        s = scale_params(p)
+    s = scale_params(p)
     gamma_e, gamma_g, gamma_0, f_e, f_g = _resonant_1q_rates(q, p, u, nu_scaled, s)
     return _rate_result(
         "resonant-1q", q, p, s, u, nu_scaled, gamma_e, gamma_g, dephasing=True,
@@ -467,27 +464,19 @@ def _moderate_t(p: PhysicalParams, n_bar: float) -> dict[str, float]:
     return {FLAG_MODERATE_T: hbar * n_bar * p.gamma_s / (p.m**2 * p.omega_0**2 * p.kappa)}
 
 
-def gamma_resonant_2q(
-    q: QubitParams, p: PhysicalParams, n_bar: float | None = None
-) -> RateResult:
+def gamma_resonant_2q(q: QubitParams, p: PhysicalParams) -> RateResult:
     """Two-quantum rates near omega_q = 2*omega_0, amplitude independent.
 
     ``omega_q`` (through ``q.w``) is a float or an array.
     """
     s = scale_params(p)
-    if n_bar is None:
-        n_bar = s.n_bar
-    gamma_e, gamma_g = _resonant_2q_rates(q, p, n_bar)
+    gamma_e, gamma_g = _resonant_2q_rates(q, p, s.n_bar)
     return _rate_result("resonant-2q", q, p, s, None, None, gamma_e, gamma_g,
-                        ratios=_moderate_t(p, n_bar))
+                        ratios=_moderate_t(p, s.n_bar))
 
 
 def gamma_total_resonant(
-    q: QubitParams,
-    p: PhysicalParams,
-    u: float,
-    nu_scaled: float,
-    s: ScaledParams | None = None,
+    q: QubitParams, p: PhysicalParams, u: float, nu_scaled: float
 ) -> RateResult:
     """Sum of the one- and two-quantum resonant channels.
 
@@ -498,8 +487,7 @@ def gamma_total_resonant(
     float or an array.
     """
     _require_stable(nu_scaled)
-    if s is None:
-        s = scale_params(p)
+    s = scale_params(p)
     one_e, one_g, gamma_0, _, _ = _resonant_1q_rates(q, p, u, nu_scaled, s)
     two_e, two_g = _resonant_2q_rates(q, p, s.n_bar)
     gamma_e, gamma_g = one_e + two_e, one_g + two_g
@@ -549,14 +537,13 @@ def _channel_sums(p: PhysicalParams, omegas, offsets, factors=None):
     _guard_denominator(p, omegas)
     if factors is None:
         factors = [(1.0, 1.0)] * len(omegas)
-    b = BathSpec.from_physical(p)
     shape = np.broadcast_shapes(*(np.shape(w) for w in omegas))
     sum_e, sum_g = np.zeros(shape), np.zeros(shape)
     for omega_i, (off_e, off_g), (fac_e, fac_g) in zip(omegas, offsets, factors):
         omega_i = np.broadcast_to(omega_i, shape)
         open_ = omega_i > 0.0
         w = omega_i[open_]
-        j = bath_j(b, w)
+        j = bath_j(p, w)
         n = planck(w, p.temperature)
         den = (p.omega_0**2 - w**2) ** 2
         sum_e[open_] += j * (n + off_e) * fac_e / den
@@ -565,11 +552,7 @@ def _channel_sums(p: PhysicalParams, omegas, offsets, factors=None):
 
 
 def gamma_nonresonant(
-    q: QubitParams,
-    p: PhysicalParams,
-    u: float,
-    nu_scaled: float,
-    s: ScaledParams | None = None,
+    q: QubitParams, p: PhysicalParams, u: float, nu_scaled: float
 ) -> RateResult:
     """One-quantum rates far from resonance (|omega_q - 2 omega_0| not small).
 
@@ -585,8 +568,7 @@ def gamma_nonresonant(
     array.
     """
     _require_stable(nu_scaled)
-    if s is None:
-        s = scale_params(p)
+    s = scale_params(p)
     wq, wf = q.omega_q, p.omega_f
     sum_e, sum_g = _channel_sums(
         p, (wq + wf, wq - wf, wf - wq), offsets=((1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -634,11 +616,7 @@ def _linear_coupling_sq(q: QubitParams) -> float | np.ndarray:
 
 
 def gamma_linear_resonant(
-    q: QubitParams,
-    p: PhysicalParams,
-    u: float,
-    nu_scaled: float,
-    s: ScaledParams | None = None,
+    q: QubitParams, p: PhysicalParams, u: float, nu_scaled: float
 ) -> RateResult:
     """Linear-coupling rates near omega_q = omega_f.
 
@@ -651,8 +629,7 @@ def gamma_linear_resonant(
     array.
     """
     _require_stable(nu_scaled)
-    if s is None:
-        s = scale_params(p)
+    s = scale_params(p)
     d = s.scale
     f_e, f_g = spectra((q.omega_q - p.omega_f) / d, u, nu_scaled, s.kappa_scaled,
                        s.lambda_s, s.n_bar)
@@ -685,7 +662,7 @@ def gamma_linear_nonresonant(q: QubitParams, p: PhysicalParams) -> RateResult:
         * _linear_coupling_sq(q)
         / (hbar * p.m * wq) ** 2
         / (wq**2 - p.omega_0**2) ** 2
-        * bath_j(BathSpec.from_physical(p), wq)
+        * bath_j(p, wq)
     )
     n_q = planck(wq, p.temperature)
     return _rate_result(

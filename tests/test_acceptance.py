@@ -266,7 +266,7 @@ def test_criterion_5_effective_temperature():
     qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                         delta_q=1e6)
     s = scale_params(phys)
-    res = gamma_nonresonant(qubit, phys, *stable(s.beta, s.kappa_scaled, Branch.SMALL), s=s)
+    res = gamma_nonresonant(qubit, phys, *stable(s.beta, s.kappa_scaled, Branch.SMALL))
     expected = phys.temperature * omega_q / (omega_q - phys.omega_f)
     assert abs(res.t_eff / expected - 1.0) < 1e-3
 
@@ -280,7 +280,7 @@ def test_criterion_5_effective_temperature():
     qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                         delta_q=1e6)
     s = scale_params(phys)
-    res = gamma_nonresonant(qubit, phys, *stable(s.beta, s.kappa_scaled, Branch.SMALL), s=s)
+    res = gamma_nonresonant(qubit, phys, *stable(s.beta, s.kappa_scaled, Branch.SMALL))
     expected = -phys.temperature * omega_q / (phys.omega_f - omega_q)
     assert abs(res.t_eff / expected - 1.0) < 1e-3
     assert res.t_eff < 0.0
@@ -362,17 +362,17 @@ def test_criterion_8_property_suite():
                         delta_q=0.01, v_x=1e-30)
 
     w = (omega_q - 2.0 * phys.omega_f) / s.scale
-    res = gamma_resonant_1q(qubit, phys, u, nu, s)
+    res = gamma_resonant_1q(qubit, phys, u, nu)
     bracket = (w - (2 * u - 1)) ** 2 + s.kappa_scaled**2
     swap = res.gamma_e * (NBAR * bracket + (NBAR + 1) * u**2) \
         / ((NBAR + 1) * bracket + NBAR * u**2)
     assert math.isclose(res.gamma_g, swap, rel_tol=1e-12)
 
-    two = gamma_resonant_2q(qubit, phys, n_bar=NBAR)
+    two = gamma_resonant_2q(qubit, phys)
     assert math.isclose(two.gamma_g / two.gamma_e, (NBAR / (NBAR + 1)) ** 2,
                         rel_tol=1e-12)
 
-    tot = gamma_total_resonant(qubit, phys, u, nu, s)
+    tot = gamma_total_resonant(qubit, phys, u, nu)
     assert tot.gamma_g == res.gamma_g + two.gamma_g
 
     # detailed balance at the open bath frequency, not at omega_q
@@ -391,7 +391,7 @@ def test_criterion_8_property_suite():
                         delta_q=1e6, v_x=1e-30)
     s_cut = scale_params(phys_cut)
     res1 = gamma_nonresonant(q_cut, phys_cut, *stable(s_cut.beta, s_cut.kappa_scaled,
-                                                      Branch.SMALL), s=s_cut)
+                                                      Branch.SMALL))
     channel = omega_q - phys_cut.omega_f
     n_ch = planck(channel, phys_cut.temperature)
     assert math.isclose(res1.gamma_e / res1.gamma_g, (n_ch + 1) / n_ch,
@@ -415,8 +415,8 @@ def test_criterion_8_property_suite():
     # exact quadratic/linear coupling scaling
     import dataclasses
 
-    r1 = gamma_resonant_1q(qubit, phys, u, nu, s)
-    r4 = gamma_resonant_1q(dataclasses.replace(qubit, delta_q=0.02), phys, u, nu, s)
+    r1 = gamma_resonant_1q(qubit, phys, u, nu)
+    r4 = gamma_resonant_1q(dataclasses.replace(qubit, delta_q=0.02), phys, u, nu)
     assert r4.gamma_e == 4.0 * r1.gamma_e and r4.gamma_g == 4.0 * r1.gamma_g
     l1 = gamma_linear_nonresonant(q_cut, phys_cut)
     l4 = gamma_linear_nonresonant(

@@ -487,16 +487,16 @@ class TestSiSweepAgainstPerPoint:
         }
 
     @staticmethod
-    def reference(regime, q, p, u, nu, s):
+    def reference(regime, q, p, u, nu):
         from duffing_qubit import (gamma_linear_nonresonant, gamma_linear_resonant,
                                    gamma_nonresonant, gamma_nonresonant_2q,
                                    gamma_resonant_2q, gamma_total_resonant)
         return {
             "resonant-2q": lambda: gamma_resonant_2q(q, p),
-            "resonant-total": lambda: gamma_total_resonant(q, p, u, nu, s),
-            "nonresonant": lambda: gamma_nonresonant(q, p, u, nu, s=s),
+            "resonant-total": lambda: gamma_total_resonant(q, p, u, nu),
+            "nonresonant": lambda: gamma_nonresonant(q, p, u, nu),
             "nonresonant-2q": lambda: gamma_nonresonant_2q(q, p),
-            "linear-resonant": lambda: gamma_linear_resonant(q, p, u, nu, s),
+            "linear-resonant": lambda: gamma_linear_resonant(q, p, u, nu),
             "linear-nonresonant": lambda: gamma_linear_nonresonant(q, p),
         }[regime]()
 
@@ -520,7 +520,7 @@ class TestSiSweepAgainstPerPoint:
             omega_q = float(row[0])
             q = QubitParams(w=math.sqrt(omega_q**2 - self.DELTA**2), delta=self.DELTA,
                             delta_q=1e8, v_x=1e-15, v_z=1e-15)
-            res = self.reference(regime, q, p, u, nu, s)
+            res = self.reference(regime, q, p, u, nu)
             for name in ("gamma_e", "gamma_g", "t1", "t_eff"):
                 assert math.isclose(float(row[columns.index(name)]), getattr(res, name),
                                     rel_tol=self.RTOL), name
@@ -709,6 +709,47 @@ class TestRefusalsLeaveStdoutEmpty:
         code, out, err = run_cli(capsys, "validate", "--kappa-scaled", "5e-324")
         assert (code, err) == (EXIT_SELFCHECK, "")
         assert "FAIL lyapunov_residual: max rel=nan (limit 1e-12)" in out.splitlines()
+
+
+class TestValidateTinyKappa:
+    """beta_low ~ kappa^2 underflows to 0.0 below kappa ~ 1.6e-162; there the
+    only steady state is u = 0, so the edge is left out of bifurcation_gap."""
+
+    @staticmethod
+    def gap_line(out):
+        (gap,) = [ln for ln in out.splitlines() if "bifurcation_gap" in ln]
+        return gap
+
+    def test_both_edges_checked_while_beta_low_is_representable(self, capsys, monkeypatch):
+        assert bifurcation_betas(1e-160).beta_low > 0.0
+        code, out, err = run_cli(capsys, "validate", "--kappa-scaled", "1e-160")
+        assert (code, err) == (EXIT_OK, "")
+        assert [ln[:4] for ln in out.splitlines()] == ["ok  "] * 6
+        assert self.gap_line(out) == "ok   bifurcation_gap: |det K|=7.401e-17 at boundaries"
+        clear_marginal_flags(monkeypatch)
+        code, out, _ = run_cli(capsys, "validate", "--kappa-scaled", "1e-160")
+        assert code == EXIT_SELFCHECK
+        assert self.gap_line(out).endswith(", no marginal pair at 2 of 2")
+
+    @pytest.mark.parametrize("kappa", ["1e-200", "1e-300"])
+    def test_an_underflowed_edge_is_left_out(self, capsys, monkeypatch, kappa):
+        assert bifurcation_betas(float(kappa)).beta_low == 0.0
+        code, out, err = run_cli(capsys, "validate", "--kappa-scaled", kappa)
+        assert (code, err) == (EXIT_OK, "")
+        assert [ln[:4] for ln in out.splitlines()] == ["ok  "] * 6
+        assert self.gap_line(out).endswith("at boundaries, beta_low underflows to 0")
+        clear_marginal_flags(monkeypatch)
+        code, out, _ = run_cli(capsys, "validate", "--kappa-scaled", kappa)
+        assert code == EXIT_SELFCHECK
+        assert self.gap_line(out).endswith(
+            ", beta_low underflows to 0, no marginal pair at 1 of 1")
+
+    def test_default_report_is_the_golden_one(self, capsys):
+        from pathlib import Path
+        golden = Path(__file__).parent / "golden" / "validate_text.txt"
+        code, out, err = run_cli(capsys, "validate")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == golden.read_text()
 
 
 class TestBranchRefusals:

@@ -710,7 +710,7 @@ class TestSpectraPair:
     def test_public_api_is_pinned(self):
         import duffing_qubit
         assert sorted(duffing_qubit.__all__) == [
-            "BathSpec", "BifurcationInfo", "Branch", "Branches",
+            "BifurcationInfo", "Branch", "Branches",
             "MarginalAttractorError", "NearResonanceError", "PhysicalParams",
             "QubitParams", "RateResult", "ScaledParams", "bath_j", "bifurcation_betas",
             "bloch_redfield", "c_gamma", "dephasing_g_zero", "drift_matrix",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -6,8 +7,8 @@ import pytest
 from scipy.constants import hbar, k as k_B
 
 from duffing_qubit import (
-    BathSpec,
     PhysicalParams,
+    ScaledParams,
     bath_j,
     physical_from_scaled,
     planck,
@@ -121,6 +122,26 @@ class TestScaleParams:
         assert math.isclose(s.scale, 2e7, rel_tol=1e-12)
 
 
+class TestScaledParamsDomain:
+    """ScaledParams takes the domain rules of ``model``: beta and n_bar finite
+    and non-negative, every other field finite and positive."""
+
+    VALID = dict(beta=0.12, kappa_scaled=0.3, lambda_s=1e-3, n_bar=0.5, scale=1.0, c_res=1.0)
+    OUT_OF_RANGE = dict(beta=-1e-300, kappa_scaled=0.0, lambda_s=-1.0, n_bar=-0.5,
+                        scale=0.0, c_res=-2.0)
+
+    def test_valid_and_edge_values_are_accepted(self):
+        assert ScaledParams(**self.VALID).fluctuation_area == 1e-3 * 2.0
+        ScaledParams(**{**self.VALID, "beta": 0.0, "n_bar": 0.0})
+
+    @pytest.mark.parametrize("name", sorted(VALID))
+    @pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "out of range"])
+    def test_each_field_refuses_a_bad_value(self, name, kind):
+        value = self.OUT_OF_RANGE[name] if kind == "out of range" else float(kind)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ScaledParams(**{**self.VALID, name: value})
+
+
 class TestPhysicalParamsValidation:
     def test_rejects_drive_above_resonance(self):
         p = squid_scale_params()
@@ -152,38 +173,32 @@ class TestPhysicalParamsValidation:
             )
 
 
+def ohmic_params():
+    """An oscillator whose Ohmic bath has kappa = 1e7 rad/s, m = 1e-12 kg and
+    its cutoff at 2e10 rad/s."""
+    return dataclasses.replace(squid_scale_params(), m=1e-12, kappa=1e7, omega_c=2e10)
+
+
 class TestBath:
     def test_ohmic_values(self):
-        b = BathSpec.ohmic(kappa=1e7, m=1e-12, omega_c=1e10)
-        assert bath_j(b, -1.0) == 0.0
-        assert bath_j(b, 1e10 * (1 + 1e-12)) == 0.0
-        half = bath_j(b, 0.5e10)
+        p = ohmic_params()
+        assert bath_j(p, -1.0) == 0.0
+        assert bath_j(p, 2e10) == 0.0
+        assert bath_j(p, 2e10 * (1 + 1e-12)) == 0.0
+        half = bath_j(p, 0.5e10)
+        assert type(half) is float
         assert math.isclose(half, hbar * 1e-12 * 1e7 * 1e10, rel_tol=1e-15)
 
     def test_ohmic_nonnegative_and_zero_outside(self):
-        b = BathSpec.ohmic(kappa=1e7, m=1e-12, omega_c=1e10)
+        p = ohmic_params()
         grid = np.linspace(-2e10, 3e10, 501)
-        j = bath_j(b, grid)
+        j = bath_j(p, grid)
+        assert j.shape == grid.shape
         assert np.all(j >= 0.0)
-        assert np.all(j[(grid < 0) | (grid > 1e10)] == 0.0)
-
-    def test_tabulated_interpolation(self):
-        table = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 6.0]])
-        b = BathSpec(kind="tabulated", kappa=1.0, m=1.0, omega_c=3.0, table=table)
-        assert math.isclose(bath_j(b, 2.0), 4.0, rel_tol=1e-15)
-        assert bath_j(b, -0.5) == 0.0
-        assert bath_j(b, 4.0) == 0.0
-
-    def test_tabulated_rejects_bad_tables(self):
-        with pytest.raises(ValueError):
-            BathSpec(kind="tabulated", kappa=1.0, m=1.0, omega_c=3.0,
-                     table=np.array([[1.0, 1.0], [0.5, 2.0]]))
-        with pytest.raises(ValueError):
-            BathSpec(kind="tabulated", kappa=1.0, m=1.0, omega_c=3.0,
-                     table=np.array([[-1.0, 1.0], [0.5, 2.0]]))
-        with pytest.raises(ValueError):
-            BathSpec(kind="tabulated", kappa=1.0, m=1.0, omega_c=3.0,
-                     table=np.array([[0.0, 1.0], [0.5, -2.0]]))
+        assert np.all(j[(grid <= 0) | (grid >= 2e10)] == 0.0)
+        inside = (grid > 0) & (grid < 2e10)
+        np.testing.assert_allclose(j[inside], 2.0 * hbar * p.m * p.kappa * grid[inside],
+                                   rtol=1e-15)
 
 
 class TestConstants:

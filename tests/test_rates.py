@@ -4,12 +4,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar, k as k_B
 
 from duffing_qubit import (
-    BathSpec,
     Branch,
     MarginalAttractorError,
     NearResonanceError,
@@ -84,7 +83,7 @@ class TestResonantOneQuantum:
         # spectra keep the pure thermal-weight ratio at every detuning
         qubit, phys, u, nu, s = make_setup(beta=0.0, omega_rel=0.7,
                                            branch=Branch.SMALL)
-        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu)
         assert res.gamma_e == 0.0 and res.gamma_g == 0.0
         for w in (-2.3, -0.7, 0.1, 0.7, 4.0):
             ge, gg = resonant_1q_scaled(w, 0.0, nu, s.kappa_scaled,
@@ -93,7 +92,7 @@ class TestResonantOneQuantum:
 
     def test_scaled_and_si_forms_consistent(self):
         qubit, phys, u, nu, s = make_setup()
-        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu)
         assert math.isclose(res.gamma_e / res.gamma_0, res.gamma_e_scaled,
                             rel_tol=1e-12)
         assert math.isclose(res.gamma_g / res.gamma_0, res.gamma_g_scaled,
@@ -117,8 +116,8 @@ class TestResonantOneQuantum:
     def test_quadratic_coupling_scaling_exact(self):
         qubit, phys, u, nu, s = make_setup(delta_q=0.01)
         doubled = dataclasses.replace(qubit, delta_q=0.02)
-        r1 = gamma_resonant_1q(qubit, phys, u, nu, s)
-        r2 = gamma_resonant_1q(doubled, phys, u, nu, s)
+        r1 = gamma_resonant_1q(qubit, phys, u, nu)
+        r2 = gamma_resonant_1q(doubled, phys, u, nu)
         assert r2.gamma_e == 4.0 * r1.gamma_e
         assert r2.gamma_g == 4.0 * r1.gamma_g
 
@@ -128,7 +127,7 @@ class TestResonantOneQuantum:
         u, nu, marginal = solve_branches(info.beta_high, 0.3).pick(Branch.SMALL)
         assert marginal and nu == 0.0
         with pytest.raises(MarginalAttractorError):
-            gamma_resonant_1q(qubit, phys, u, nu, s)
+            gamma_resonant_1q(qubit, phys, u, nu)
 
     def test_peak_ordinate_ratio(self):
         # the denominator is even in the detuning, so the ratio of the two
@@ -160,7 +159,7 @@ class TestResonantOneQuantum:
 
     def test_thermal_swap_oracle(self):
         qubit, phys, u, nu, s = make_setup(n_bar=0.8)
-        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu)
         w = (qubit.omega_q - 2 * phys.omega_f) / s.scale
         den = (w**2 - nu**2) ** 2 + 4 * s.kappa_scaled**2 * w**2
         bracket = (w - (2 * u - 1)) ** 2 + s.kappa_scaled**2
@@ -180,7 +179,7 @@ class TestResonantOneQuantum:
 class TestResonantTwoQuantum:
     def test_wiring_and_swap(self):
         qubit, phys, _, _, s = make_setup()
-        res = gamma_resonant_2q(qubit, phys, n_bar=s.n_bar)
+        res = gamma_resonant_2q(qubit, phys)
         cg = c_gamma(qubit, phys.m, phys.omega_0)
         det = qubit.omega_q - 2 * phys.omega_0
         lorentz = phys.kappa / (det**2 + 4 * phys.kappa**2)
@@ -190,16 +189,16 @@ class TestResonantTwoQuantum:
 
     def test_vacuum_ground_rate_vanishes(self):
         qubit, phys, _, _, _ = make_setup()
-        res = gamma_resonant_2q(qubit, phys, n_bar=0.0)
+        res = gamma_resonant_2q(qubit, dataclasses.replace(phys, temperature=0.0))
         assert res.gamma_g == 0.0 and res.gamma_e > 0.0
 
 
 class TestTotalResonant:
     def test_additivity_exact(self):
         qubit, phys, u, nu, s = make_setup()
-        one = gamma_resonant_1q(qubit, phys, u, nu, s)
-        two = gamma_resonant_2q(qubit, phys, n_bar=s.n_bar)
-        tot = gamma_total_resonant(qubit, phys, u, nu, s)
+        one = gamma_resonant_1q(qubit, phys, u, nu)
+        two = gamma_resonant_2q(qubit, phys)
+        tot = gamma_total_resonant(qubit, phys, u, nu)
         assert tot.gamma_e == one.gamma_e + two.gamma_e
         assert tot.gamma_g == one.gamma_g + two.gamma_g
 
@@ -208,8 +207,8 @@ class TestTotalResonant:
         qubit, phys, u, nu, s = make_setup(lambda_s=1e-4, omega_rel=0.5)
         assert s.kappa_scaled * math.sqrt(u) > \
             10 * nu * math.sqrt(s.fluctuation_area)
-        one = gamma_resonant_1q(qubit, phys, u, nu, s)
-        tot = gamma_total_resonant(qubit, phys, u, nu, s)
+        one = gamma_resonant_1q(qubit, phys, u, nu)
+        tot = gamma_total_resonant(qubit, phys, u, nu)
         assert abs(tot.gamma_e / one.gamma_e - 1.0) < 0.01
         assert FLAG_TWO_QUANTUM not in tot.flags
 
@@ -222,9 +221,9 @@ class TestTotalResonant:
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=0.01)
-        one = gamma_resonant_1q(qubit, phys, u, nu, s)
-        two = gamma_resonant_2q(qubit, phys, n_bar=s.n_bar)
-        tot = gamma_total_resonant(qubit, phys, u, nu, s)
+        one = gamma_resonant_1q(qubit, phys, u, nu)
+        two = gamma_resonant_2q(qubit, phys)
+        tot = gamma_total_resonant(qubit, phys, u, nu)
         assert two.gamma_e > 100 * one.gamma_e
         assert FLAG_TWO_QUANTUM in tot.flags
 
@@ -243,15 +242,14 @@ class TestNonresonant:
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=0.01)
-        res = gamma_nonresonant(qubit, phys, u, nu, s=s)
+        res = gamma_nonresonant(qubit, phys, u, nu)
         assert res.gamma_g > 0.0
         # oracle: single open channel at omega_f - omega_q with weight n+1=1
-        b = BathSpec.from_physical(phys)
         wi = phys.omega_f - omega_q
         expected = (
             c_gamma(qubit, phys.m, phys.omega_0)
             * 2 * phys.omega_f * s.scale / (3 * phys.m * phys.gamma_s) * u
-            * bath_j(b, wi) / (phys.omega_0**2 - wi**2) ** 2
+            * bath_j(phys, wi) / (phys.omega_0**2 - wi**2) ** 2
         )
         assert math.isclose(res.gamma_g, expected, rel_tol=1e-12)
 
@@ -260,15 +258,15 @@ class TestNonresonant:
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=0.01)
-        res = gamma_nonresonant(qubit, phys, u, nu, s=s)
+        res = gamma_nonresonant(qubit, phys, u, nu)
         assert res.gamma_g == 0.0 and res.gamma_e > 0.0
 
     def test_rate_proportional_to_amplitude(self):
         qubit, phys, u1, nu1, s = make_setup(beta=0.05, omega_rel=20.0,
                                              branch=Branch.SMALL)
         u2, nu2, _ = solve_branches(0.02, s.kappa_scaled).pick(Branch.SMALL)
-        r1 = gamma_nonresonant(qubit, phys, u1, nu1, s=s)
-        r2 = gamma_nonresonant(qubit, phys, u2, nu2, s=s)
+        r1 = gamma_nonresonant(qubit, phys, u1, nu1)
+        r2 = gamma_nonresonant(qubit, phys, u2, nu2)
         assert math.isclose(r1.gamma_e / r2.gamma_e, u1 / u2, rel_tol=1e-12)
         assert math.isclose(r1.gamma_g / r2.gamma_g, u1 / u2, rel_tol=1e-12)
 
@@ -278,12 +276,11 @@ class TestNonresonant:
         omega_q = phys.omega_f + phys.omega_0
         bad = QubitParams(w=omega_q, delta=0.0, delta_q=0.01)
         with pytest.raises(NearResonanceError):
-            gamma_nonresonant(bad, phys, u, nu, s=s)
+            gamma_nonresonant(bad, phys, u, nu)
 
     def test_thermal_swap(self):
         qubit, phys, u, nu, s = make_setup(omega_rel=25.0)
-        res = gamma_nonresonant(qubit, phys, u, nu, s=s)
-        b = BathSpec.from_physical(phys)
+        res = gamma_nonresonant(qubit, phys, u, nu)
         pref = (
             c_gamma(qubit, phys.m, phys.omega_0)
             * 2 * phys.omega_f * s.scale / (3 * phys.m * phys.gamma_s) * u
@@ -294,7 +291,7 @@ class TestNonresonant:
         def term(wi, off):
             if wi <= 0:
                 return 0.0
-            return bath_j(b, wi) * (planck(wi, t) + off) \
+            return bath_j(phys, wi) * (planck(wi, t) + off) \
                 / (phys.omega_0**2 - wi**2) ** 2
 
         expected_e = term(wq + wf, 1) + term(wq - wf, 1) + term(wf - wq, 0)
@@ -324,7 +321,7 @@ class TestNonresonantTwoQuantum:
 class TestLinearCoupling:
     def test_zero_coupling_zero_rate(self):
         qubit, phys, u, nu, s = make_setup()
-        res = gamma_linear_resonant(qubit, phys, u, nu, s)
+        res = gamma_linear_resonant(qubit, phys, u, nu)
         assert res.gamma_e == 0.0 and res.gamma_g == 0.0
 
     def test_prefactor_amplitude_independent(self):
@@ -338,15 +335,15 @@ class TestLinearCoupling:
         w = (omega_q - phys.omega_f) / s.scale
         results = []
         for u, nu in (small, large):
-            res = gamma_linear_resonant(qubit, phys, u, nu, s)
+            res = gamma_linear_resonant(qubit, phys, u, nu)
             from duffing_qubit import spectra
             f = spectra(w, u, nu, s.kappa_scaled,
                         s.lambda_s, s.n_bar)[0]
             results.append(res.gamma_e / f)
         assert math.isclose(results[0], results[1], rel_tol=1e-12)
         # still attractor-dependent through the spectrum itself
-        r_small = gamma_linear_resonant(qubit, phys, *small, s)
-        r_large = gamma_linear_resonant(qubit, phys, *large, s)
+        r_small = gamma_linear_resonant(qubit, phys, *small)
+        r_large = gamma_linear_resonant(qubit, phys, *large)
         assert abs(r_small.gamma_e / r_large.gamma_e - 1.0) > 0.05
 
     def test_sigma_z_route_equivalent_weight(self):
@@ -355,8 +352,8 @@ class TestLinearCoupling:
         with_x = dataclasses.replace(qubit, v_x=v, v_z=0.0)
         with_z = dataclasses.replace(qubit, v_x=0.0,
                                      v_z=v * qubit.w / qubit.delta)
-        rx = gamma_linear_resonant(with_x, phys, u, nu, s)
-        rz = gamma_linear_resonant(with_z, phys, u, nu, s)
+        rx = gamma_linear_resonant(with_x, phys, u, nu)
+        rz = gamma_linear_resonant(with_z, phys, u, nu)
         assert math.isclose(rx.gamma_e, rz.gamma_e, rel_tol=1e-12)
 
     def test_quasienergy_resonance_position(self):
@@ -370,7 +367,7 @@ class TestLinearCoupling:
             delta = 0.02 * omega_q
             qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2),
                                 delta=delta, v_x=1e-30)
-            rates.append(gamma_linear_resonant(qubit, phys, u, nu, s).gamma_e)
+            rates.append(gamma_linear_resonant(qubit, phys, u, nu).gamma_e)
         peak = detunings[int(np.argmax(rates))]
         assert abs(peak - nu) < kappa
 
@@ -411,7 +408,7 @@ class TestEffectiveTemperature:
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=0.01)
-        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu)
         assert math.isclose(res.t_eff, 2.0 * phys.temperature, rel_tol=1e-10)
 
     def test_single_open_channel_scalings(self):
@@ -424,7 +421,7 @@ class TestEffectiveTemperature:
                             delta_q=1e6)
         s = scale_params(phys)
         u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
-        res = gamma_nonresonant(qubit, phys, u, nu, s=s)
+        res = gamma_nonresonant(qubit, phys, u, nu)
         expected = phys.temperature * omega_q / (omega_q - phys.omega_f)
         assert abs(res.t_eff / expected - 1.0) < 1e-3
         assert math.isclose(res.t_eff, expected, rel_tol=1e-12)
@@ -439,7 +436,7 @@ class TestEffectiveTemperature:
                             delta_q=1e6)
         s = scale_params(phys)
         u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
-        res = gamma_nonresonant(qubit, phys, u, nu, s=s)
+        res = gamma_nonresonant(qubit, phys, u, nu)
         expected = -phys.temperature * omega_q / (phys.omega_f - omega_q)
         assert math.isclose(res.t_eff, expected, rel_tol=1e-12)
         assert res.t_eff < 0.0
@@ -466,13 +463,13 @@ class TestBlochRedfield:
 
     def test_t1_is_rate_sum(self):
         qubit, phys, u, nu, s = make_setup()
-        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu)
         assert math.isclose(res.t1, 1.0 / (res.gamma_e + res.gamma_g),
                             rel_tol=1e-15)
 
     def test_dephasing_dominates_at_small_transverse_term(self):
         qubit, phys, u, nu, s = make_setup(delta_frac=1e-3)
-        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu)
         g0 = dephasing_g_zero(u, s)
         assert g0 > 0.0
         dephasing = 2 * c_gamma(qubit, phys.m, phys.omega_0) \
@@ -523,7 +520,7 @@ class TestMarginalOrAbsentSteadyState:
     def test_every_rate_refuses(self, rate, nu):
         qubit, phys, u, _, s = make_setup()
         with pytest.raises(MarginalAttractorError, match="nu_scaled"):
-            rate(qubit, phys, u, nu, s)
+            rate(qubit, phys, u, nu)
 
     def test_dephasing_weight_refuses(self):
         info = bifurcation_betas(0.3)
@@ -541,24 +538,24 @@ class TestMarginalOrAbsentSteadyState:
 class TestValidityFlags:
     def test_semiclassical_quiet_at_small_lambda(self):
         qubit, phys, u, nu, s = make_setup(lambda_s=1e-4)
-        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu)
         assert FLAG_SEMICLASSICAL not in res.flags
         assert res.ratios[FLAG_SEMICLASSICAL] == s.fluctuation_area
 
     def test_semiclassical_raised_at_large_cloud(self):
         qubit, phys, u, nu, s = make_setup(lambda_s=0.2)
-        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu)
         assert FLAG_SEMICLASSICAL in res.flags
 
     def test_weak_damping_raised_near_bifurcation(self):
         qubit, phys, u, nu, s = make_setup(beta=0.1802, branch=Branch.SMALL)
         assert nu < s.kappa_scaled
-        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu)
         assert FLAG_WEAK_DAMPING in res.flags
 
     def test_pumping_flag_absent_without_coupling(self):
         qubit, phys, u, nu, s = make_setup(delta_q=0.0)
-        res = gamma_resonant_1q(qubit, phys, u, nu, s)
+        res = gamma_resonant_1q(qubit, phys, u, nu)
         assert FLAG_RESONANT_PUMPING not in res.flags
 
 
@@ -575,22 +572,22 @@ def sweep_params():
 # regime -> (rate call, omega_q grid clear of the resonance guard band)
 SWEEPS = {
     "resonant-2q": (
-        lambda q, p, u, nu, s: gamma_resonant_2q(q, p),
+        lambda q, p, u, nu: gamma_resonant_2q(q, p),
         lambda p, s: np.linspace(2 * p.omega_0 - 50 * p.kappa, 2 * p.omega_0 + 50 * p.kappa, 41)),
     "resonant-total": (
-        lambda q, p, u, nu, s: gamma_total_resonant(q, p, u, nu, s),
+        gamma_total_resonant,
         lambda p, s: np.linspace(2 * p.omega_f - 4 * s.scale, 2 * p.omega_f + 4 * s.scale, 41)),
     "nonresonant": (
-        lambda q, p, u, nu, s: gamma_nonresonant(q, p, u, nu, s=s),
+        gamma_nonresonant,
         lambda p, s: np.linspace(3.2 * p.omega_f, 5.0 * p.omega_f, 41)),
     "nonresonant-2q": (
-        lambda q, p, u, nu, s: gamma_nonresonant_2q(q, p),
+        lambda q, p, u, nu: gamma_nonresonant_2q(q, p),
         lambda p, s: np.linspace(2.5 * p.omega_0, 4.0 * p.omega_0, 41)),
     "linear-resonant": (
-        lambda q, p, u, nu, s: gamma_linear_resonant(q, p, u, nu, s),
+        gamma_linear_resonant,
         lambda p, s: np.linspace(p.omega_f - 4 * s.scale, p.omega_f + 4 * s.scale, 41)),
     "linear-nonresonant": (
-        lambda q, p, u, nu, s: gamma_linear_nonresonant(q, p),
+        lambda q, p, u, nu: gamma_linear_nonresonant(q, p),
         lambda p, s: np.geomspace(1.5 * p.omega_0, 3.0 * p.omega_0, 41)),
 }
 
@@ -613,10 +610,10 @@ class TestArraySweeps:
         rate, grid = SWEEPS[regime]
         phys, scaled, u, nu = sweep_params()
         q = sweep_qubit(grid(phys, scaled))
-        swept = rate(q, phys, u, nu, scaled)
+        swept = rate(q, phys, u, nu)
         assert len(swept.flags) == q.w.size
         for i, w in enumerate(q.w.tolist()):
-            point = rate(dataclasses.replace(q, w=w), phys, u, nu, scaled)
+            point = rate(dataclasses.replace(q, w=w), phys, u, nu)
             assert point.regime == swept.regime == regime
             assert point.flags == swept.flags[i]
             for name in NUMERIC_FIELDS:
@@ -635,13 +632,13 @@ class TestArraySweeps:
         rate, grid = SWEEPS[regime]
         phys, scaled, u, nu = sweep_params()
         omega_q = grid(phys, scaled)
-        res = rate(sweep_qubit(float(omega_q[7])), phys, u, nu, scaled)
+        res = rate(sweep_qubit(float(omega_q[7])), phys, u, nu)
         assert isinstance(res.flags, frozenset)
         for name in NUMERIC_FIELDS:
             value = getattr(res, name)
             assert value is None or type(value) is float, name
         assert all(type(v) is float for v in res.ratios.values())
-        swept = rate(sweep_qubit(omega_q), phys, u, nu, scaled)
+        swept = rate(sweep_qubit(omega_q), phys, u, nu)
         assert isinstance(swept.flags, tuple)
         assert all(isinstance(f, frozenset) for f in swept.flags)
         assert swept.gamma_e.shape == swept.t_eff.shape == omega_q.shape
@@ -662,13 +659,13 @@ class TestArraySweeps:
         first = None
         for w in q.w.tolist():
             try:
-                rate(dataclasses.replace(q, w=w), phys, u, nu, scaled)
+                rate(dataclasses.replace(q, w=w), phys, u, nu)
             except NearResonanceError as exc:
                 first = str(exc)
                 break
         assert first is not None
         with pytest.raises(NearResonanceError) as info:
-            rate(q, phys, u, nu, scaled)
+            rate(q, phys, u, nu)
         assert str(info.value) == first
 
     def test_guard_band_reports_channel_order_within_a_point(self):
@@ -681,9 +678,76 @@ class TestArraySweeps:
         q = QubitParams(w=omega_q, delta=0.0, delta_q=1e6)
         named = re.escape(f"frequency {omega_q[0] + phys.omega_f:g} rad/s")
         with pytest.raises(NearResonanceError, match=named):
-            gamma_nonresonant(q, phys, u, nu, s=s)
+            gamma_nonresonant(q, phys, u, nu)
         with pytest.raises(NearResonanceError, match=named):
-            gamma_nonresonant(dataclasses.replace(q, w=float(omega_q[0])), phys, u, nu, s=s)
+            gamma_nonresonant(dataclasses.replace(q, w=float(omega_q[0])), phys, u, nu)
+
+
+class TestThermalSwapProperties:
+    """The thermal swap n_bar + 1 <-> n_bar and detailed balance in each SI
+    regime, over kappa_scaled, lambda_s, n_bar and a drive with a stable
+    branch, on an omega_q sweep in one call."""
+
+    RTOL = 1e-12
+
+    @staticmethod
+    @st.composite
+    def setups(draw):
+        kappa = draw(st.floats(0.02, 0.57))
+        lambda_s = draw(st.floats(-5.0, -2.0).map(lambda x: 10.0**x))
+        n_bar = draw(st.floats(0.05, 5.0))
+        beta = draw(st.floats(1e-3, 0.3))
+        phys = physical_from_scaled(beta, kappa, lambda_s, n_bar,
+                                    detuning=1.0, omega_f_ratio=50.0)
+        s = scale_params(phys)
+        branches = solve_branches(s.beta, s.kappa_scaled)
+        branch = draw(st.sampled_from([Branch.SMALL, Branch.LARGE]))
+        u, nu, marginal = branches.pick(branch)
+        assume(nu > 0.0 and not marginal)
+        return phys, s, u, nu
+
+    @staticmethod
+    def assert_swapped(res, qubit, centre, s, u):
+        # gamma_g ((n+1) B + n u^2) = gamma_e (n B + (n+1) u^2), with B the
+        # bracket at the scaled detuning w of omega_q from centre
+        n = s.n_bar
+        w = (qubit.omega_q - centre) / s.scale
+        bracket = (w - (2.0 * u - 1.0)) ** 2 + s.kappa_scaled**2
+        np.testing.assert_allclose(res.gamma_g * ((n + 1.0) * bracket + n * u * u),
+                                   res.gamma_e * (n * bracket + (n + 1.0) * u * u),
+                                   rtol=TestThermalSwapProperties.RTOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(setup=setups(), omega_rel=st.floats(-4.0, 4.0))
+    def test_resonant_channels(self, setup, omega_rel):
+        phys, s, u, nu = setup
+        w = omega_rel + np.linspace(-0.5, 0.5, 5)
+        qubit = sweep_qubit(2.0 * phys.omega_f + w * s.scale, delta=0.02 * phys.omega_f)
+        one = gamma_resonant_1q(qubit, phys, u, nu)
+        self.assert_swapped(one, qubit, 2.0 * phys.omega_f, s, u)
+        two = gamma_resonant_2q(qubit, phys)
+        np.testing.assert_allclose(two.gamma_g / two.gamma_e,
+                                   (s.n_bar / (s.n_bar + 1.0)) ** 2, rtol=self.RTOL)
+        total = gamma_total_resonant(qubit, phys, u, nu)
+        np.testing.assert_array_equal(total.gamma_e, one.gamma_e + two.gamma_e)
+        np.testing.assert_array_equal(total.gamma_g, one.gamma_g + two.gamma_g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(setup=setups(), omega_rel=st.floats(-4.0, 4.0))
+    def test_linear_resonant_swaps_at_the_drive(self, setup, omega_rel):
+        phys, s, u, nu = setup
+        w = omega_rel + np.linspace(-0.5, 0.5, 5)
+        qubit = sweep_qubit(phys.omega_f + w * s.scale, delta=0.02 * phys.omega_f)
+        res = gamma_linear_resonant(qubit, phys, u, nu)
+        self.assert_swapped(res, qubit, phys.omega_f, s, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(setup=setups(), low=st.floats(1.5, 2.5))
+    def test_linear_nonresonant_is_at_the_bath_temperature(self, setup, low):
+        phys, _, _, _ = setup
+        omega_q = np.geomspace(low, low + 0.5, 5) * phys.omega_0
+        res = gamma_linear_nonresonant(sweep_qubit(omega_q, delta=0.02 * phys.omega_f), phys)
+        np.testing.assert_allclose(res.t_eff, phys.temperature, rtol=self.RTOL)
 
 
 class TestTotalResonantQubitFaster:
@@ -692,8 +756,8 @@ class TestTotalResonantQubitFaster:
         omega_q = 2 * phys.omega_f
         delta = 5e8
         q = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1e8)
-        total = gamma_total_resonant(q, phys, u, nu, scaled)
-        one = gamma_resonant_1q(q, phys, u, nu, scaled)
+        total = gamma_total_resonant(q, phys, u, nu)
+        one = gamma_resonant_1q(q, phys, u, nu)
         assert total.ratios[FLAG_QUBIT_FASTER] == 1.0 / (total.t1 * phys.kappa)
         assert total.ratios[FLAG_QUBIT_FASTER] > 1.0
         assert FLAG_QUBIT_FASTER in total.flags
@@ -795,10 +859,9 @@ class TestOneAssemblyPerResult:
     def test_every_regime(self, counts):
         phys, s, u, nu = sweep_params()
         regimes = dict(SWEEPS)
-        regimes["resonant-1q"] = (lambda q, p, u, nu, s: gamma_resonant_1q(q, p, u, nu, s),
-                                  SWEEPS["resonant-total"][1])
+        regimes["resonant-1q"] = (gamma_resonant_1q, SWEEPS["resonant-total"][1])
         for n, (rate, grid) in enumerate(regimes.values(), 1):
-            rate(sweep_qubit(grid(phys, s)), phys, u, nu, s)
+            rate(sweep_qubit(grid(phys, s)), phys, u, nu)
             assert counts == {"validity_flags": n, "effective_temperature": n}
 
 
@@ -807,3 +870,17 @@ class TestOneAssemblyPerResult:
 def test_nonresonant_rates_take_the_ohmic_bath_of_the_parameters(rate):
     import inspect
     assert "b" not in inspect.signature(rate).parameters
+
+
+def test_rate_functions_take_only_the_qubit_the_oscillator_and_the_steady_state():
+    import inspect
+    params = {rate: list(inspect.signature(rate).parameters) for rate in (
+        gamma_resonant_1q, gamma_resonant_2q, gamma_total_resonant, gamma_nonresonant,
+        gamma_nonresonant_2q, gamma_linear_resonant, gamma_linear_nonresonant, bath_j)}
+    latched = ["q", "p", "u", "nu_scaled"]
+    assert params == {
+        gamma_resonant_1q: latched, gamma_total_resonant: latched,
+        gamma_nonresonant: latched, gamma_linear_resonant: latched,
+        gamma_resonant_2q: ["q", "p"], gamma_nonresonant_2q: ["q", "p"],
+        gamma_linear_nonresonant: ["q", "p"], bath_j: ["p", "omega"],
+    }

@@ -9,86 +9,17 @@ nonlinear oscillator latched in one of its forced-vibration states:
 - golden-rule qubit decay/excitation rates, Bloch-Redfield times, and the
   effective qubit temperature, in the resonant, two-quantum, nonresonant,
   and linear-coupling regimes.
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; the package re-exports those four lists.
 """
 
-from .attractors import (
-    BifurcationInfo,
-    Branch,
-    Branches,
-    MarginalAttractorError,
-    bifurcation_betas,
-    drift_matrix,
-    solve_branches,
-)
-from .fluctuations import (
-    spectra,
-    spectra_from_matrix,
-    stationary_covariance,
-    two_quantum_spectrum,
-)
-from .model import (
-    PhysicalParams,
-    ScaledParams,
-    bath_j,
-    physical_from_scaled,
-    planck,
-    scale_params,
-)
-from .rates import (
-    NearResonanceError,
-    QubitParams,
-    RateResult,
-    bloch_redfield,
-    c_gamma,
-    dephasing_g_zero,
-    effective_temperature,
-    gamma_linear_nonresonant,
-    gamma_linear_resonant,
-    gamma_nonresonant,
-    gamma_nonresonant_2q,
-    gamma_resonant_1q,
-    gamma_resonant_2q,
-    gamma_total_resonant,
-    log_rate_ratio,
-    resonant_1q_scaled,
-    validity_flags,
-)
+from . import attractors, fluctuations, model, rates
+from .attractors import *
+from .fluctuations import *
+from .model import *
+from .rates import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BifurcationInfo",
-    "Branch",
-    "Branches",
-    "MarginalAttractorError",
-    "NearResonanceError",
-    "PhysicalParams",
-    "QubitParams",
-    "RateResult",
-    "ScaledParams",
-    "bath_j",
-    "bifurcation_betas",
-    "bloch_redfield",
-    "c_gamma",
-    "dephasing_g_zero",
-    "drift_matrix",
-    "effective_temperature",
-    "gamma_linear_nonresonant",
-    "gamma_linear_resonant",
-    "gamma_nonresonant",
-    "gamma_nonresonant_2q",
-    "gamma_resonant_1q",
-    "gamma_resonant_2q",
-    "gamma_total_resonant",
-    "log_rate_ratio",
-    "physical_from_scaled",
-    "planck",
-    "resonant_1q_scaled",
-    "scale_params",
-    "solve_branches",
-    "spectra",
-    "spectra_from_matrix",
-    "stationary_covariance",
-    "two_quantum_spectrum",
-    "validity_flags",
-]
+__all__ = [*attractors.__all__, *fluctuations.__all__, *model.__all__, *rates.__all__]

@@ -44,6 +44,8 @@ __all__ = [
 # bifurcation; the linearized theory breaks down there
 _MERGE_TOL = 1e-7
 
+_EPS = np.finfo(float).eps
+
 
 class MarginalAttractorError(Exception):
     """Raised when an operation needs a strictly stable attractor."""
@@ -154,8 +156,12 @@ def _polish(roots: np.ndarray, beta: np.ndarray, c1: float) -> None:
     """Newton on the original cubic, in place on the (n, 3) roots.
 
     Near bifurcations the closed forms alone lose digits as roots collide.
-    Each value stops on its own rule: a step below 1e-15 relative, a step
-    above 1e-6 relative, or 50 iterations.  The seeds are good to ~1e-8 even
+    Each value stops on its own rule: a step at or below the larger of
+    1e-15 relative and the rounding floor of the step, a step above 1e-6
+    relative, or 50 iterations.  The floor is the residual's rounding,
+    4 eps (|x|^3 + 2x^2 + c1 |x| + beta), over the slope: below it a step is
+    rounding noise, and where the slope is small the value would otherwise
+    wander by a few ulp until the cap.  The seeds are good to ~1e-8 even
     at a double root, so a longer step divides by a slope at rounding level
     (a seed on a turning radius) and could carry the value to another root:
     the value ends where it is.  NaN padding is left alone.
@@ -169,7 +175,9 @@ def _polish(roots: np.ndarray, beta: np.ndarray, c1: float) -> None:
         step = (((x - 2.0) * x + c1) * x - b) / df
         new = x - step
         size = np.abs(step)
-        go = ~(size <= 1e-15 * np.maximum(1.0, np.abs(new)))
+        ax = np.abs(x)
+        floor = 4.0 * _EPS * (((ax + 2.0) * ax + c1) * ax + b) / np.abs(df)
+        go = ~(size <= np.maximum(1e-15 * np.maximum(1.0, np.abs(new)), floor))
         stuck = ~(size <= 1e-6 * np.maximum(1.0, np.abs(x)))
         if np.count_nonzero(stuck):
             new[stuck] = x[stuck]

@@ -81,41 +81,37 @@ _REGIMES = (
 _SI_KEYS = ("mass", "omega0", "omega_f", "gamma_s", "f0", "kappa", "temperature", "omega_c")
 
 
-class CliInputError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad input; remap to our input-error code
     def error(self, message):
-        raise CliInputError(message)
+        raise ValueError(message)
 
 
 def parse_grid(spec: str) -> np.ndarray:
     """Parse start:stop:count[:log] into an array of sweep points."""
     parts = spec.split(":")
     if len(parts) not in (3, 4):
-        raise CliInputError(f"bad grid {spec!r}, expected start:stop:count[:log]")
+        raise ValueError(f"bad grid {spec!r}, expected start:stop:count[:log]")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise CliInputError(f"bad grid {spec!r}: {exc}") from None
+        raise ValueError(f"bad grid {spec!r}: {exc}") from None
     log = len(parts) == 4
     if log and parts[3] != "log":
-        raise CliInputError(f"bad grid suffix {parts[3]!r}, only 'log' is allowed")
+        raise ValueError(f"bad grid suffix {parts[3]!r}, only 'log' is allowed")
     # also catches finite endpoints whose span overflows to inf
     if not math.isfinite(stop - start):
-        raise CliInputError(f"bad grid {spec!r}: endpoints and their span must be finite")
+        raise ValueError(f"bad grid {spec!r}: endpoints and their span must be finite")
     if count < 2:
-        raise CliInputError("grid count must be at least 2")
+        raise ValueError("grid count must be at least 2")
     if not start < stop:
-        raise CliInputError("grid start must be below stop")
+        raise ValueError("grid start must be below stop")
     if log and start <= 0:
-        raise CliInputError("log grid requires positive endpoints")
+        raise ValueError("log grid requires positive endpoints")
     try:
         return np.geomspace(start, stop, count) if log else np.linspace(start, stop, count)
     except MemoryError as exc:  # numpy refuses a count it cannot allocate
-        raise CliInputError(f"bad grid {spec!r}: {exc}") from None
+        raise ValueError(f"bad grid {spec!r}: {exc}") from None
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -130,11 +126,11 @@ def load_config(path: str | None) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise CliInputError(f"{path}:{lineno}: expected key=value")
+                    raise ValueError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
                 out[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
-        raise CliInputError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
     return out
 
 
@@ -182,14 +178,14 @@ def _resolve(args, config: dict[str, str], table: dict, branches=_BRANCHES) -> d
             try:
                 value = config[name] if name in _TEXT else float(config[name])
             except ValueError as exc:
-                raise CliInputError(f"config key {name}: {exc}") from None
+                raise ValueError(f"config key {name}: {exc}") from None
         if value is None:
             value = default
         if value is REQUIRED:
-            raise CliInputError(f"missing required parameter {flag}")
+            raise ValueError(f"missing required parameter {flag}")
         choices = {"regime": _REGIMES, "attractor": branches}.get(name)
         if choices and value not in choices:
-            raise CliInputError(f"invalid {flag} {value!r}: choose from {', '.join(choices)}")
+            raise ValueError(f"invalid {flag} {value!r}: choose from {', '.join(choices)}")
         setattr(args, name, value)
         if name not in ("grid", "hierarchies"):
             echo[name] = value
@@ -351,11 +347,11 @@ def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
 
 
 def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> tuple[float, float]:
-    """(u, nu) of ``branch`` at the scalar ``beta``: CliInputError where the
+    """(u, nu) of ``branch`` at the scalar ``beta``: ValueError where the
     branch is absent, MarginalAttractorError where it is marginal."""
     u, nu, marginal = solve_branches(beta, kappa_scaled).pick(branch)
     if math.isnan(u):
-        raise CliInputError(
+        raise ValueError(
             f"no {branch.value}-amplitude attractor exists at beta={beta:g}, "
             f"kappa_scaled={kappa_scaled:g}"
         )
@@ -372,7 +368,7 @@ def cmd_attractors(args, config) -> int:
     params = {"command": "attractors", **_resolve(args, config, _ATTRACTORS)}
     grid = parse_grid(args.grid)
     if grid[0] < 0:
-        raise CliInputError("beta grid must be non-negative")
+        raise ValueError("beta grid must be non-negative")
     info = bifurcation_betas(args.kappa_scaled)
     params.update(bistable=info.bistable, beta_low=info.beta_low, beta_high=info.beta_high)
     columns = ["beta", "u_small", "nu_small", "u_unstable", "u_large", "nu_large"]
@@ -534,7 +530,7 @@ def _rates_si(args, config, regime: str) -> int:
     # the qubit swept over omega_q: one QubitParams with an array splitting
     delta = args.qubit_delta
     if np.any(grid <= abs(delta)):
-        raise CliInputError("swept omega_q must exceed |qubit-delta|")
+        raise ValueError("swept omega_q must exceed |qubit-delta|")
     qubit = QubitParams(w=np.sqrt(grid**2 - delta**2), delta=delta, delta_q=args.delta_q,
                         v_x=args.v_x, v_z=args.v_z)
     columns = ["omega_q", "gamma_e", "gamma_g", "t1", "t_eff", "flags"]
@@ -562,10 +558,10 @@ def cmd_teff(args, config) -> int:
 
 def match_report(
     hierarchies: list[float],
-    beta: float = 0.12,
-    kappa_scaled: float = 0.3,
-    n_bar: float = 0.5,
-    lambda_s: float = 1e-3,
+    beta: float,
+    kappa_scaled: float,
+    n_bar: float,
+    lambda_s: float,
 ) -> list[tuple[float, float, float]]:
     """Resonant-1q / nonresonant rate ratios across a frequency hierarchy.
 
@@ -583,6 +579,8 @@ def match_report(
     physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar)  # a bad input is not a bad factor
     for h in hierarchies:
         omega_rel = h * width
+        beyond = (f"bad --hierarchies: factor {h!r} gives omega_f/|delta_omega| = "
+                  f"{h * omega_rel!r}, beyond float arithmetic")
         try:  # detuning scale 1 rad/s; the ratio is invariant under the overall scale
             phys = physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar,
                                         detuning=1.0, omega_f_ratio=h * omega_rel)
@@ -590,12 +588,16 @@ def match_report(
             omega_q = 2.0 * phys.omega_f + omega_rel
             delta = 1e-3 * omega_q
             qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1.0)
-            u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"{beyond} ({exc})") from None
+        # outside the guards: the rescaled beta may differ from beta by an ulp,
+        # and a branch absent there is refused as at beta, not as a bad factor
+        u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
+        try:
             res = gamma_resonant_1q(qubit, phys, u, nu)
             non = gamma_nonresonant(qubit, phys, u, nu)
         except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"bad --hierarchies: factor {h!r} gives omega_f/|delta_omega| = "
-                             f"{h * omega_rel!r}, beyond float arithmetic ({exc})") from None
+            raise ValueError(f"{beyond} ({exc})") from None
         if not (non.gamma_e > 0.0 and non.gamma_g > 0.0):
             raise ValueError(f"arithmetic fault: at --hierarchies factor {h!r} the nonresonant "
                              f"rate underflows to 0, so the rate ratio is undefined")
@@ -608,13 +610,13 @@ def cmd_match(args, config) -> int:
     try:
         hierarchies = [float(tok) for tok in args.hierarchies.split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliInputError(f"bad --hierarchies: {exc}") from None
+        raise ValueError(f"bad --hierarchies: {exc}") from None
     for h in hierarchies:  # |omega_rel| = h * max(nu, kappa, 1) needs h > 0
         if not (math.isfinite(h) and h > 0):
-            raise CliInputError(f"bad --hierarchies: each factor must be finite and positive, "
-                                f"got {h!r}")
+            raise ValueError(f"bad --hierarchies: each factor must be finite and positive, "
+                             f"got {h!r}")
     if not hierarchies:
-        raise CliInputError("at least one hierarchy factor is required")
+        raise ValueError("at least one hierarchy factor is required")
 
     rows_raw = match_report(hierarchies, args.beta, args.kappa_scaled, args.nbar, args.lambda_s)
     columns = ["h", "ratio_e", "ratio_g", "dev_e", "dev_g"]
@@ -790,15 +792,12 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 fh = open(args.out, "w", encoding="utf-8")
             except OSError as exc:
-                raise CliInputError(f"cannot write output file: {exc}") from None
+                raise ValueError(f"cannot write output file: {exc}") from None
             with fh:
                 args.out_stream = fh
                 return run(args, config)
         args.out_stream = sys.stdout
         return run(args, config)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (MarginalAttractorError, NearResonanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDITY

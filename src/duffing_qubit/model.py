@@ -32,8 +32,6 @@ __all__ = [
     "scale_params",
     "physical_from_scaled",
     "bath_j",
-    "hbar",
-    "k_B",
 ]
 
 # exact SI-2019 values (the Planck constant h and the Boltzmann constant)
@@ -223,13 +221,12 @@ def physical_from_scaled(
     detuning: float = 1.0,
     omega_f_ratio: float = 100.0,
     m: float = 1.0,
-    omega_c_ratio: float = 1e3,
 ) -> PhysicalParams:
     """Lab-frame parameters realizing the given dimensionless targets.
 
     Inverse of :func:`scale_params` up to the free choices of the detuning
-    scale, mass, the drive-to-detuning ratio ``omega_f = omega_f_ratio *
-    detuning``, and the bath cutoff ``omega_c = omega_c_ratio * omega_f``.
+    scale, mass and the drive-to-detuning ratio ``omega_f = omega_f_ratio *
+    detuning``; the bath cutoff is ``omega_c = 1e3 * omega_f``.
     The bath temperature is fixed by requiring the Planck occupation at the
     drive frequency to equal ``n_bar``.  Raises ValueError for a negative or
     non-finite ``beta``, a ``kappa_scaled`` or ``lambda_s`` that is not
@@ -254,7 +251,7 @@ def physical_from_scaled(
         f_0=f_0,
         kappa=kappa_scaled * detuning,
         temperature=temperature,
-        omega_c=omega_c_ratio * omega_f,
+        omega_c=1e3 * omega_f,
     )
 
 

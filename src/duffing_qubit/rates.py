@@ -64,14 +64,6 @@ __all__ = [
     "QubitParams",
     "RateResult",
     "NearResonanceError",
-    "FLAG_RESONANT_PUMPING",
-    "FLAG_SEMICLASSICAL",
-    "FLAG_WEAK_DAMPING",
-    "FLAG_RWA",
-    "FLAG_QUBIT_FASTER",
-    "FLAG_MODERATE_T",
-    "FLAG_TWO_QUANTUM",
-    "FLAG_THRESHOLDS",
     "c_gamma",
     "resonant_1q_scaled",
     "gamma_resonant_1q",
@@ -86,7 +78,6 @@ __all__ = [
     "bloch_redfield",
     "dephasing_g_zero",
     "validity_flags",
-    "raised_flags",
 ]
 
 

@@ -292,7 +292,7 @@ def test_criterion_5_effective_temperature():
 
 def test_criterion_6_asymptotic_matching():
     start = time.perf_counter()
-    rows = match_report([10.0, 30.0, 100.0])
+    rows = match_report([10.0, 30.0, 100.0], 0.12, 0.3, 0.5, 1e-3)
     devs_e = [abs(re - 1.0) for _, re, _ in rows]
     devs_g = [abs(rg - 1.0) for _, _, rg in rows]
     assert devs_e[0] > devs_e[1] > devs_e[2]

@@ -14,6 +14,7 @@ from duffing_qubit import (
     drift_matrix,
     solve_branches,
 )
+from duffing_qubit import attractors
 from duffing_qubit.attractors import _quadratures
 
 
@@ -473,6 +474,26 @@ class TestSolveBranchesProperties:
                 assert len(present) == 1
         for name, expected in _per_beta_columns(grid, kappa).items():
             assert np.array_equal(getattr(s, name), expected, equal_nan=True), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.02, 0.57), st.floats(0.0, 0.3), st.floats(0.0, 0.3))
+    # the steps once wandered between 2e-15 and 1.6e-14 at the first and
+    # alternated +/-1.44e-15 at the second, above 1e-15 relative, to the cap
+    @example(0.1, 0.01, 0.01)
+    @example(0.5, 0.235, 0.235)
+    def test_polish_ends_before_its_pass_cap(self, kappa, b0, b1):
+        passes = []  # the passes of each _polish call
+
+        def counting_range(n):
+            passes.append(0)
+            for i in range(n):
+                passes[-1] += 1
+                yield i
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(attractors, "range", counting_range, raising=False)
+            solve_branches(np.linspace(min(b0, b1), max(b0, b1), 1000), kappa)
+        assert len(passes) == 1 and passes[0] < 50, passes
 
 
 def reference_seeds(beta: float, kappa: float) -> tuple[list[float], bool]:

@@ -58,6 +58,17 @@ def test_match_names_an_extreme_factor(capsys, factor, ratio, cause):
                    f"omega_f/|delta_omega| = {ratio}, beyond float arithmetic ({cause})\n")
 
 
+def test_match_refuses_a_branch_absent_at_the_rescaled_beta(capsys):
+    # near the cusp the large branch exists at this beta, but not at the beta
+    # one ulp lower that the factor's parameter set gives back: the refusal
+    # is the absent branch's, not a bad factor's
+    code, out, err = run(capsys, "match", "--beta", "0.2962815407805162",
+                         "--kappa-scaled", "0.577331152748872", "--hierarchies", "10")
+    assert code == EXIT_INPUT and out == ""
+    assert err == ("error: no large-amplitude attractor exists at beta=0.296282, "
+                   "kappa_scaled=0.577331\n")
+
+
 def test_match_names_a_nonresonant_rate_that_underflows(capsys):
     code, out, err = run(capsys, "match", "--kappa-scaled", "5e-324")
     assert code == EXIT_INPUT and out == ""

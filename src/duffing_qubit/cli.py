@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -219,8 +220,9 @@ _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 def _column_text(col: list | tuple, as_json: bool) -> list[str] | tuple[str, ...]:
     """The text of each cell of one column of scalars: ``_fmt``'s, or with
     ``as_json`` the JSON of ``_json_safe``'s value.  This formats list and
-    tuple columns, arrays of any dtype but float64, and the infinities of
-    float64 arrays; ``_float_texts`` formats the other cells of those.
+    tuple columns and arrays of any dtype but float64; ``_float_block``
+    formats float64 arrays, and here the floats of a column of floats that
+    is not constant.
 
     A value that repeats is formatted once: a constant float column, and the
     distinct strings of a string column.  Zeros are never shared, since
@@ -232,11 +234,7 @@ def _column_text(col: list | tuple, as_json: bool) -> list[str] | tuple[str, ...
         if first != 0.0 and col.count(first) == len(col):
             text = repr(first)
             return [_QUOTED.get(text, text) if as_json else text] * len(col)
-        texts = list(map(float.__repr__, col))
-        # a false alarm (a finite sum that overflows) only costs the lookups
-        if as_json and not math.isfinite(sum(col)):
-            texts = [_QUOTED.get(t, t) for t in texts]
-        return texts
+        return _float_block([np.array(col)], as_json).split(_ROW_MARK[as_json])
     if kinds == {str}:
         if not as_json:
             return col
@@ -247,60 +245,72 @@ def _column_text(col: list | tuple, as_json: bool) -> list[str] | tuple[str, ...
     return list(map(_fmt, col))
 
 
-def _float_kinds(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks of the cells of a float64 column that orjson lays out unlike
-    ``repr``: those it writes with an exponent (0 < |x| < 1e-5 and
-    1e16 <= |x| < inf), the others (1e-5 <= |x| < 1e-4 as 0.0000ddd where
-    ``repr`` writes d.ddde-05; +-inf as null), and the finite cells (NaN is
-    null as well)."""
-    mag = np.abs(col)
-    finite = mag < np.inf
-    return ((mag < 1e-5) & (col != 0) | (mag >= 1e16) & finite,
-            (mag >= 1e-5) & (mag < 1e-4) | (mag == np.inf), finite)
+def _float_block(run: list[np.ndarray], as_json: bool) -> str:
+    """The text of a run of adjacent float64 array columns: CSV lines, or with
+    ``as_json`` the cells laid out as inside the JSON "rows" list; a row but
+    the last ends in ``_ROW_MARK``.  A cell's text is ``_fmt``'s, or with
+    ``as_json`` the JSON of ``_json_safe``'s value.
 
-
-def _float_texts(col: np.ndarray, as_json: bool) -> list[str]:
-    """``_column_text(col.tolist(), as_json)`` of a float64 array, from the
-    digits orjson writes (Ryu's shortest round-trip digits, which are
-    ``repr``'s) for the whole column.  The layout is mended in bulk on the
-    column's text: two regexes with literal replacements turn its exponents
-    e16 and e-7 into ``repr``'s e+16 and e-07, and its null becomes nan.
-    Then each 0.0000ddd cell is rewritten in place as d.ddde-05, and only
-    the +-inf cells go through ``_column_text``."""
+    One ``orjson.dumps`` writes the run's cells in row-major order with
+    Ryu's shortest round-trip digits, which are ``repr``'s, and the commas
+    between them give each cell's bytes.  orjson's layout is mended on that
+    one text, with no cell formatted on its own:
+    - a non-finite cell is dumped as 0.0 (-0.0 for -inf), which orjson
+      writes fast and which is as wide as nan, inf or -inf, written over it;
+      one regex quotes these words in JSON;
+    - the comma that ends a row becomes the row mark;
+    - an exponent gains repr's sign (e16 -> e+16) or two digits (e-7 ->
+      e-07), and a cell with 1e-5 <= |x| < 1e-4 turns from 0.0000ddd into
+      d.ddde-05: in place, with marker bytes that one pass of ``replace``
+      widens and zero bytes, which it drops, for the bytes the cell frees.
+    """
     import orjson  # here, not at import: that would add ~6 ms to every start-up
-    if not len(col):
-        return []
-    text = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)
-    exponent, other, finite = _float_kinds(col)
-    if exponent.any():  # e-7 before , or ] becomes e-07 (not e-70); then e16 becomes e+16
-        text = re.sub(rb"e(?=\d)", b"e+", re.sub(rb"e-(?=\d[,\]])", b"e-0", text))
-    text = text[1:-1].decode()
-    if not finite.all():
-        text = text.replace("null", _QUOTED["nan"] if as_json else "nan")
-    texts = text.split(",")
-    infs = []
-    for i in np.flatnonzero(other).tolist():
-        sign, zeros, digits = texts[i].partition("0.0000")
-        if not zeros:  # +-inf
-            infs.append(i)
-        elif digits[1:]:
-            texts[i] = f"{sign}{digits[0]}.{digits[1:]}e-05"
-        else:
-            texts[i] = f"{sign}{digits}e-05"
-    if infs:
-        for i, cell in zip(infs, _column_text(col[infs].tolist(), as_json)):
-            texts[i] = cell
-    return texts
+    cells = np.column_stack(run).reshape(-1)
+    mag = np.abs(cells)
+    band, odd = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4)), np.flatnonzero(~(mag < np.inf))
+    odd_values = cells[odd]
+    cells[odd] = np.where(odd_values < 0, -0.0, 0.0)
+    text = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)
+    buf = bytearray(text)
+    at = np.frombuffer(buf, np.uint8)
+    if b"e" in text:  # e16 -> \1 16 and e-7 -> e \2 7, where \1 -> e+ and \2 -> -0 below
+        e = np.flatnonzero(at == ord("e"))
+        at[e[at[e + 1] != ord("-")]] = 1
+        at[e[(at[e + 1] == ord("-")) & (at[e + 3] - ord("0") > 9)] + 1] = 2  # no 2nd digit
+    seps = np.concatenate(([0], np.flatnonzero(at == ord(",")), [len(buf) - 1]))  # around cells
+    if odd.size:  # nan or inf over 0.0, or over the 0.0 of -0.0
+        at[(seps[odd] + 1 + (odd_values < 0))[:, None] + np.arange(3)] = np.where(
+            np.isnan(odd_values)[:, None], list(b"nan"), list(b"inf"))
+    if band.size:  # [-]0.0000d[ddd] -> [-]d[.ddd]e-05 and one or two zero bytes
+        p, e = seps[band] + 1 + (cells[band] < 0), seps[band + 1]
+        more = e - p - 7  # the digits after the first
+        src = np.arange(more.sum()) + np.repeat(p + 7 - np.cumsum(more) + more, more)
+        at[p], at[p + 1] = at[p + 6], np.where(more > 0, ord("."), 0)
+        at[src - 5] = at[src]
+        at[(e - 5)[:, None] + np.arange(5)] = list(b"e-05\0")
+    at[seps[len(run):-1:len(run)]] = ord(_ROW_MARK[as_json])
+    if band.size or b"e" in text:
+        buf = buf.replace(b"\1", b"e+").replace(b"\2", b"-0").replace(b"\0", b"")
+    text = re.sub(rb"-?inf|nan", rb'"\g<0>"', buf[1:-1]) if as_json and odd.size else buf[1:-1]
+    return (text.replace(b",", _SEPS[True][1].encode()) if as_json else text).decode()
 
 
 def _text(cols, as_json: bool) -> str:
     """The lines of the table ``cols`` (one sequence per column): CSV, or the
-    inside of the JSON "rows" list.  A float64 array column is formatted by
-    ``_float_texts``; any other array becomes Python scalars here."""
-    texts = [_float_texts(col, as_json) if _is_float64(col) else
-             _column_text(col.tolist() if isinstance(col, np.ndarray) else col, as_json)
-             for col in cols]
-    return _SEPS[as_json][0].join(map(_SEPS[as_json][1].join, zip(*texts)))
+    inside of the JSON "rows" list.  Each run of adjacent float64 array
+    columns is formatted by ``_float_block``, every other column by
+    ``_column_text``, an array as Python scalars.  A table of one run is that
+    run's text; otherwise each run's text is split once into row fragments,
+    which are joined with the other columns' cells."""
+    rows, cells = _SEPS[as_json]
+    if all(map(_is_float64, cols)):
+        return _float_block(cols, as_json).replace(_ROW_MARK[True], rows)
+    texts = []
+    for is_float, run in itertools.groupby(cols, _is_float64):
+        texts += [_float_block(list(run), as_json).split(_ROW_MARK[as_json])] if is_float else [
+            _column_text(col.tolist() if isinstance(col, np.ndarray) else col, as_json)
+            for col in run]
+    return rows.join(map(cells.join, zip(*texts)))
 
 
 def _is_float64(col) -> bool:
@@ -308,17 +318,19 @@ def _is_float64(col) -> bool:
 
 
 _SEPS = {False: ("\n", ","), True: ("\n    ],\n    [\n      ", ",\n      ")}  # rows, cells
+_ROW_MARK = {False: "\n", True: ";"}  # ends a row of a float block but the last
 
 
 def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
     """Write a table with a header: CSV, or JSON with ``fmt == "json"``.
 
     ``cols`` holds one sequence of scalar cells per name of ``columns``, all
-    of one length: a list, a tuple or a numpy array.  The cells are
-    formatted a column at a time and joined into lines with ``str.join``; a
-    float64 array column takes its digits from one ``orjson.dumps`` call
-    (``_float_texts``), which writes ``repr``'s shortest round-trip digits,
-    and mends orjson's layout on the column's text.  The output is
+    of one length: a list, a tuple or a numpy array.  Each run of adjacent
+    float64 array columns takes its digits from one row-major
+    ``orjson.dumps`` (``_float_block``), which writes ``repr``'s shortest
+    round-trip digits, and orjson's layout is mended in place on the run's
+    text; other columns are formatted a column at a time, and the runs and
+    columns are joined into lines with ``str.join``.  The output is
     byte-identical to formatting every cell with ``_fmt`` (CSV) or to
     ``json.dumps(doc, indent=2)`` of the ``_json_safe`` cells.
     """
@@ -418,13 +430,14 @@ def _dual_route(u: float, nu: float, drift: np.ndarray, cov: np.ndarray, kappa: 
     Returns (emission_closed, absorption_closed, emission_matrix,
     absorption_matrix) and the largest relative closed-vs-matrix deviation,
     which the self-checks hold to ``DUAL_ROUTE_LIMIT``; NaN if any cell of
-    either route is NaN, so that the check fails closed.
+    either route is NaN or infinite, so that the check fails closed.
     """
     ec, ac = spectra(omega, u, nu, kappa, lambda_s, n_bar)
     em, am = spectra_from_matrix(drift, cov, lambda_s, omega)
     closed, matrix = np.array([ec, ac]), np.array([em, am])
     scale = np.maximum(np.maximum(np.abs(closed), np.abs(matrix)), 1e-300)
-    return (ec, ac, em, am), float(np.max(np.abs(closed - matrix) / scale))
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf are NaN
+        return (ec, ac, em, am), float(np.max(np.abs(closed - matrix) / scale))
 
 
 def _flags_str(flags) -> str:
@@ -596,6 +609,8 @@ def match_report(
         try:
             res = gamma_resonant_1q(qubit, phys, u, nu)
             non = gamma_nonresonant(qubit, phys, u, nu)
+        except MarginalAttractorError:  # the covariance's own rule refuses the drift
+            raise MarginalAttractorError("large attractor is marginal") from None
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"{beyond} ({exc})") from None
         if not (non.gamma_e > 0.0 and non.gamma_g > 0.0):
@@ -623,7 +638,7 @@ def cmd_match(args, config) -> int:
     rows = [
         [h, re, rg, abs(re - 1.0), abs(rg - 1.0)] for h, re, rg in rows_raw
     ]
-    cols = list(zip(*rows))
+    cols = list(np.array(rows).T)
     emit_table(params, columns, cols, args.format, args.out_stream)
 
     devs_e, devs_g = cols[3], cols[4]

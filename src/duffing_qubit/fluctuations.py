@@ -121,7 +121,8 @@ def stationary_covariance(
     n11, n12, _, n22 = cloud
     _refuse_rows((n11 > 0.0) & (n11 * n22 - n12 * n12 > 0.0),
                  "covariance is not positive definite")
-    return (cloud * (source / -trace)).T.reshape(k.shape)
+    with np.errstate(over="ignore"):  # a covariance beyond float range is inf
+        return (cloud * (source / -trace)).T.reshape(k.shape)
 
 
 def _refuse_rows(ok: np.ndarray, message: str) -> None:
@@ -219,7 +220,7 @@ def spectra(
     # nu * nu, not nu**2: a float's ** 2 goes through libm pow, which can be
     # an ulp off the exact square an array gets, and a detuning sweep (scalar
     # nu) must give the bits of a drive sweep (array nu)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bracket = (w - (2.0 * u - 1.0)) ** 2 + kappa_scaled**2
         den = (w * w - nu_scaled * nu_scaled) ** 2 + 4.0 * kappa_scaled**2 * w * w
         nums = [wb * bracket + wq * u * u for wb, wq in weights]

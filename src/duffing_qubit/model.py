@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -185,6 +186,7 @@ class ScaledParams:
         return self.lambda_s * (2.0 * self.n_bar + 1.0)
 
 
+@functools.lru_cache(maxsize=1)
 def scale_params(p: PhysicalParams) -> ScaledParams:
     """Convert lab-frame parameters to the dimensionless rotating frame.
 
@@ -194,7 +196,9 @@ def scale_params(p: PhysicalParams) -> ScaledParams:
 
     Raises ValueError, naming the scale and the SI inputs, when lambda_s or
     c_res underflows to 0 or any of the three overflows.  beta = 0 is kept:
-    it is the f_0 -> 0 limit, also when f_0**2 underflows.
+    it is the f_0 -> 0 limit, also when f_0**2 underflows.  The last result
+    is kept, so that a command and the rate functions it calls with one
+    frozen ``p`` form it once.
     """
     d = p.detuning
     scales = {}

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -873,6 +874,25 @@ class TestSelfChecksSolveOnce:
         assert code == EXIT_OK
         # once unscaled, then once per hierarchy at its own scaled beta
         assert len(calls) == 1 + 3
+
+    def test_si_rates_and_match_form_each_scaled_set_once(self):
+        # a command and the rate functions it calls with one frozen
+        # PhysicalParams share its scaled set: scale_params keeps its last result
+        from duffing_qubit.model import scale_params
+
+        def formed(*argv):
+            scale_params.cache_clear()
+            assert main(list(argv)) == EXIT_OK
+            return scale_params.cache_info()
+
+        info = formed("rates", "--regime", "nonresonant", "--mass", "3e-13", "--omega0", "9.4e9",
+                      "--omega-f", "9.2e9", "--gamma-s", "9.631207500566774e+32",
+                      "--f0", "3.737775734334028e-09", "--kappa", "6e7",
+                      "--temperature", "0.06396409404992578", "--omega-c", "9.2e12",
+                      "--qubit-delta", "5e8", "--grid", "2.944e10:4.6e10:7", "--out", os.devnull)
+        assert (info.misses, info.hits) == (1, 1)
+        info = formed("match", "--hierarchies", "10,30,100", "--out", os.devnull)
+        assert (info.misses, info.hits) == (3, 2 * 3)  # per factor: once, then two rates
 
     def test_validate_builds_each_covariance_once(self, capsys, monkeypatch):
         solves = self.count(monkeypatch, "solve_branches")

@@ -1,5 +1,6 @@
-"""The column-wise table emitter against the per-cell one it replaced.  Tables
-are given column by column, as the commands hand them over."""
+"""The table emitter, which writes each run of float64 array columns from one
+dump, against the per-cell one it replaced.  Tables are given column by
+column, as the commands hand them over."""
 
 import io
 import json
@@ -156,20 +157,47 @@ def laid_out(values: np.ndarray, layout: str) -> np.ndarray:
     return values.copy()
 
 
+# one value of each class the block formatter mends, for a row that holds them all
+ROW_OF_CLASSES = [np.nan, np.inf, -np.inf, 2.5e-5, -1e-7, 5e16, -1e300, 1e-5]
+
+
+@st.composite
+def split_runs(draw, float_columns, n):
+    """The float64 columns drawn by ``float_columns`` (a strategy of one
+    column), one to eight of them, in runs split by zero to two str or list
+    columns of ``n`` cells; on a drawn row, if any, the float64 cells cycle
+    through ``ROW_OF_CLASSES`` from a drawn offset."""
+    cols = [draw(float_columns) for _ in range(draw(st.integers(1, 8)))]
+    if n and draw(st.booleans()):
+        row, offset = draw(st.integers(0, n - 1)), draw(st.integers(0, 7))
+        for j, col in enumerate(cols):
+            col[row] = ROW_OF_CLASSES[(offset + j) % len(ROW_OF_CLASSES)]
+    splitters = st.one_of(
+        st.lists(texts, min_size=n, max_size=n),
+        st.lists(texts, min_size=n, max_size=n).map(np.array),
+        st.lists(floats, min_size=n, max_size=n),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        cols.insert(draw(st.integers(0, len(cols))), draw(splitters))
+    return cols
+
+
+@st.composite
+def float64_column(draw, n):
+    """One float64 column of raw bit patterns, some cells replaced by edges,
+    laid out as contiguous or strided."""
+    bits = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)):
+        values[i] = draw(st.sampled_from(EDGES))
+    return laid_out(values, draw(st.sampled_from(["contiguous", "every other", "matrix column"])))
+
+
 @st.composite
 def float64_tables(draw):
-    """One to three float64 columns of raw bit patterns, some cells replaced
-    by edges, each laid out as contiguous or strided."""
+    """Runs of ``float64_column``s of 0 to 40 rows (see ``split_runs``)."""
     n = draw(st.sampled_from([0, 1]) | st.integers(2, 40))
-    cols = []
-    for _ in range(draw(st.integers(1, 3))):
-        bits = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
-        values = np.array(bits, dtype=np.uint64).view(np.float64)
-        for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)):
-            values[i] = draw(st.sampled_from(EDGES))
-        cols.append(laid_out(values, draw(st.sampled_from(
-            ["contiguous", "every other", "matrix column"]))))
-    return cols
+    return draw(split_runs(float64_column(n), n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -195,27 +223,28 @@ MENDED_EDGES = [1e-5, 2e-5, 1e-7, 5e16, 9e-5, 1.5e-5, 1e-10, 1e-100, 1e-300, 1e1
 
 
 @st.composite
+def mended_column(draw, n, rng):
+    """One float64 column of ``n`` cells in the classes whose layout the
+    block formatter mends: log-uniform over [1e-12, 1e-3] and [1e15,
+    1.8e308] with both signs (so 1e-5 <= |x| < 1e-4 and exponents of one,
+    two and three digits), with drawn edges, NaN and +-inf on drawn rows,
+    laid out as contiguous or strided."""
+    exponent = np.where(rng.random(n) < 0.5, rng.uniform(-12.0, -3.0, n),
+                        rng.uniform(15.0, 308.25, n))
+    values = 10.0**exponent * rng.choice([-1.0, 1.0], n)
+    picks = draw(st.lists(st.sampled_from([*MENDED_EDGES, math.nan, math.inf]), max_size=12))
+    for value, sign, row in zip(picks, rng.choice([-1.0, 1.0], len(picks)),
+                                rng.integers(0, n, len(picks))):
+        values[row] = sign * value
+    return laid_out(values, draw(st.sampled_from(["contiguous", "every other", "matrix column"])))
+
+
+@st.composite
 def mended_tables(draw):
-    """One to three float64 columns of 1 to 2 000 cells in the classes whose
-    layout ``_float_texts`` mends: log-uniform over [1e-12, 1e-3] and
-    [1e15, 1.8e308] with both signs (so 1e-5 <= |x| < 1e-4 and exponents of
-    one, two and three digits), with drawn edges, NaN and +-inf on drawn
-    rows, each laid out as contiguous or strided."""
+    """Runs of ``mended_column``s of 1 to 2 000 rows (see ``split_runs``)."""
     n = draw(st.integers(1, 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cols = []
-    for _ in range(draw(st.integers(1, 3))):
-        exponent = np.where(rng.random(n) < 0.5, rng.uniform(-12.0, -3.0, n),
-                            rng.uniform(15.0, 308.25, n))
-        values = 10.0**exponent * rng.choice([-1.0, 1.0], n)
-        picks = draw(st.lists(st.sampled_from([*MENDED_EDGES, math.nan, math.inf]),
-                              max_size=12))
-        for value, sign, row in zip(picks, rng.choice([-1.0, 1.0], len(picks)),
-                                    rng.integers(0, n, len(picks))):
-            values[row] = sign * value
-        cols.append(laid_out(values, draw(st.sampled_from(
-            ["contiguous", "every other", "matrix column"]))))
-    return cols
+    return draw(split_runs(mended_column(n, rng), n))
 
 
 @settings(max_examples=120, deadline=None)
@@ -226,18 +255,32 @@ def test_mended_float64_classes_match_the_per_cell_reference(cols, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_only_the_infinities_of_a_float64_column_go_through_column_text(fmt, monkeypatch):
-    cells, column_text = [], cli._column_text
+def test_no_cell_of_a_float64_run_goes_through_column_text(fmt, monkeypatch):
+    # NaN, +-inf, the 1e-5 band and the exponents are mended on the text of
+    # their run's one dump: no float64 cell takes a per-cell path, and
+    # _column_text sees only the columns that are not float64 arrays
+    import orjson
+
+    seen, dumps, column_text, dump = [], [], cli._column_text, orjson.dumps
 
     def counted(col, as_json):
-        cells.extend(col)
+        seen.append(list(col))
         return column_text(col, as_json)
 
-    monkeypatch.setattr(cli, "_column_text", counted)
-    col = np.array([1e-7, -2e-5, 5e16, 1.5e-5, -1e-300, 9.99e-5, 1e300, np.nan, 1.0] * 50)
-    assert emit({}, ["x"], [col], fmt) == reference_emit({}, ["x"], [col], fmt)
-    assert cells == []
-    col[[3, 7]] = np.inf, -np.inf
-    assert emit({}, ["x"], [col], fmt) == reference_emit({}, ["x"], [col], fmt)
-    assert cells == [math.inf, -math.inf]
+    def counted_dump(obj, *args, **kwargs):
+        dumps.append(len(obj))
+        return dump(obj, *args, **kwargs)
 
+    monkeypatch.setattr(cli, "_column_text", counted)
+    monkeypatch.setattr(orjson, "dumps", counted_dump)
+    col = np.array([1e-7, -2e-5, 5e16, 1.5e-5, -1e-300, 9.99e-5, 1e300, np.nan, np.inf, -np.inf,
+                    1.0, -0.0] * 50)
+    flags = ["a", "b|c"] * 300
+    # (columns, the columns _column_text sees, the cells of each run's dump)
+    for cols, others, runs in (([col, -col], [], [1200]),
+                               ([col, flags, col[::-1], -col], [flags], [600, 1200])):
+        seen.clear()
+        dumps.clear()
+        columns = [f"c{j}" for j in range(len(cols))]
+        assert emit({}, columns, cols, fmt) == reference_emit({}, columns, cols, fmt)
+        assert seen == others and dumps == runs

@@ -1,12 +1,22 @@
 """A finite input so extreme that float arithmetic underflows or overflows is
-refused with one error line that names the quantity it breaks."""
+refused with one error line that names the quantity it breaks, or runs to
+its exit code without a numpy warning."""
 
 import dataclasses
+import warnings
 
 import pytest
 
-from duffing_qubit import PhysicalParams, scale_params
-from duffing_qubit.cli import EXIT_INPUT, main
+from duffing_qubit import (
+    Branch,
+    MarginalAttractorError,
+    PhysicalParams,
+    drift_matrix,
+    scale_params,
+    solve_branches,
+    stationary_covariance,
+)
+from duffing_qubit.cli import EXIT_INPUT, EXIT_OK, EXIT_SELFCHECK, EXIT_VALIDITY, main
 
 SI = ["--omega0", "1.05e10", "--gamma-s", "1e5", "--f0", "1e-10", "--kappa", "1e7",
       "--temperature", "0.05", "--omega-c", "1e13", "--qubit-delta", "1e7",
@@ -74,3 +84,38 @@ def test_match_names_a_nonresonant_rate_that_underflows(capsys):
     assert code == EXIT_INPUT and out == ""
     assert err == ("error: arithmetic fault: at --hierarchies factor 10.0 the nonresonant "
                    "rate underflows to 0, so the rate ratio is undefined\n")
+
+
+@pytest.mark.parametrize("argv, code, last_line", [
+    # the covariance of lambda_s ~ 1e308 is inf: the checks read NaN and fail
+    (("validate", "--lambda-s", "1.7e308"), EXIT_SELFCHECK,
+     "FAIL dual_route: max rel dev=nan (limit 1e-6)"),
+    # 2 lambda_s overflows in both routes: inf cells, whose deviation is NaN
+    (("spectrum", "--beta", "0.12", "--kappa-scaled", "0.3", "--lambda-s", "1.7e308", "--nbar",
+      "0.12", "--attractor", "small", "--grid=1e3:1e20:5:log"), EXIT_OK,
+     "1e+20,inf,inf,inf,inf"),
+    # kappa_scaled omega underflows, so the denominator is 0 at omega = +-nu = +-1
+    (("rates", "--regime", "resonant-1q", "--beta", "0", "--kappa-scaled", "5e-324",
+      "--attractor", "small", "--grid=-5:5:11"), EXIT_OK, "5.0,0.0,1.0,0.0,0.0,nan,"),
+])
+def test_an_input_beyond_float_arithmetic_prints_no_warning(capsys, argv, code, last_line):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == [] and err == ""
+    assert got == code and out.splitlines()[-1] == last_line
+
+
+def test_match_refuses_a_large_attractor_the_covariance_finds_marginal(capsys):
+    # near the cusp the root solve finds the large branch stable (nu = 4.45e-5),
+    # but det K = nu^2 is below the covariance's STABILITY_TOL |K|^2; at
+    # factor 100 the rescaled beta keeps the branch, and the covariance's
+    # refusal of its drift is the attractor's
+    beta, kappa = 0.2962815407805162, 0.577331152748872
+    u, nu, marginal = solve_branches(beta, kappa).pick(Branch.LARGE)
+    assert nu > 0.0 and not marginal
+    with pytest.raises(MarginalAttractorError, match="drift matrix is not strictly stable"):
+        stationary_covariance(drift_matrix(u, beta, kappa), 1e-3, kappa, 0.5)
+    code, out, err = run(capsys, "match", "--beta", repr(beta), "--kappa-scaled", repr(kappa),
+                         "--hierarchies", "100")
+    assert (code, out, err) == (EXIT_VALIDITY, "", "error: large attractor is marginal\n")

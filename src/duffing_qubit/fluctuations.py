@@ -86,7 +86,8 @@ def stationary_covariance(
     ------
     ValueError
         If ``lambda_s`` or ``kappa_scaled`` is not finite and positive,
-        ``n_bar`` is negative or not finite, or ``s`` is not finite.
+        ``n_bar`` is negative or not finite, or ``s`` or a covariance is not
+        finite (lambda_s ~ 1e308 overflows C).
     MarginalAttractorError
         If a drift is not strictly stable (an eigenvalue with non-negative
         real part makes the stationary state ill-defined), or if a solution
@@ -121,8 +122,11 @@ def stationary_covariance(
     n11, n12, _, n22 = cloud
     _refuse_rows((n11 > 0.0) & (n11 * n22 - n12 * n12 > 0.0),
                  "covariance is not positive definite")
-    with np.errstate(over="ignore"):  # a covariance beyond float range is inf
-        return (cloud * (source / -trace)).T.reshape(k.shape)
+    with np.errstate(over="ignore"):
+        cov = cloud * (source / -trace)
+    if not np.isfinite(cov).all():
+        raise ValueError(f"arithmetic fault: the stationary covariance overflows, s = {source!r}")
+    return cov.T.reshape(k.shape)
 
 
 def _refuse_rows(ok: np.ndarray, message: str) -> None:
@@ -153,15 +157,17 @@ def spectra_from_matrix(
     flat, k = w.reshape(-1), np.asarray(drift, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         *pair, den = _resolvent_spectra(k, covariance, lambda_s, flat)
-        # where a square overflows (|omega| or a drift entry above ~1e77),
-        # divide omega and K by a power of two 2^e: the spectra scale as 2^-e
+        # where a square overflows (|omega| or a drift entry above ~1e77) or
+        # lambda_s ~ 1e308 does, divide omega and K by a power of two 2^e, and
+        # C and lambda_s by 2^f from lambda_s >= 1: the spectra scale as 2^(f-e)
         big = ~(np.isfinite(pair[0]) & np.isfinite(pair[1]) & np.isfinite(den))
         if big.any():
             e = np.frexp(np.maximum(np.abs(flat[big]), np.abs(k).max()))[1]
-            low = _resolvent_spectra(np.ldexp(k, -e[:, None, None]), covariance,
-                                     lambda_s, np.ldexp(flat[big], -e))
+            f = max(math.frexp(lambda_s)[1], 0)
+            low = _resolvent_spectra(np.ldexp(k, -e[:, None, None]), np.ldexp(covariance, -f),
+                                     math.ldexp(lambda_s, -f), np.ldexp(flat[big], -e))
             for out, part in zip(pair, low[:2]):
-                out[big] = np.ldexp(part, -e)
+                out[big] = np.ldexp(part, f - e)
     pair = [out.reshape(w.shape) for out in pair]
     return tuple(map(float, pair)) if w.ndim == 0 else tuple(pair)
 
@@ -208,8 +214,9 @@ def spectra(
     peaks of halfwidth kappa_scaled at omega = +/- nu_scaled.  ``omega``,
     ``u`` and ``nu_scaled`` may be floats or arrays that broadcast; floats
     come back only when all are scalars.  Raises ValueError for a
-    non-finite ``omega``, a ``lambda_s`` that is not finite and positive, or
-    a negative or non-finite ``n_bar``.
+    non-finite ``omega``, a ``lambda_s`` that is not finite and positive, a
+    negative or non-finite ``n_bar``, or a ``kappa_scaled`` so small that the
+    denominator is 0 at omega = +-nu_scaled (kappa_scaled * omega underflows).
     """
     _check_lambda_s(lambda_s)
     _check_n_bar(n_bar)
@@ -225,6 +232,13 @@ def spectra(
         den = (w * w - nu_scaled * nu_scaled) ** 2 + 4.0 * kappa_scaled**2 * w * w
         nums = [wb * bracket + wq * u * u for wb, wq in weights]
         pair = [2.0 * lambda_s * kappa_scaled * num / den for num in nums]
+        # past 1, 2 lambda_s kappa num may overflow before den divides it
+        # (lambda_s ~ 1e308): there divide first; a finite cell keeps its bits
+        if 2.0 * lambda_s * kappa_scaled > 1.0:
+            pair = [np.where(np.isinf(out), lambda_s * (2.0 * kappa_scaled * num / den), out)
+                    for out, num in zip(pair, nums)]
+    if (den == 0.0).any():  # only at omega = +-nu, where kappa_scaled * omega underflows
+        raise ValueError("arithmetic fault: kappa_scaled * omega underflows to 0 at +-nu_scaled")
     # where a square overflows (nu or |omega| above ~1e77), evaluate with
     # every frequency divided by the largest, c: num scales as c^2, den as c^4.
     # Each spectrum is rescaled only where its own numerator or den overflows

@@ -81,11 +81,8 @@ def _check_beta(beta: float | np.ndarray) -> np.ndarray:
     return flat
 
 
-def _bose(x: float) -> float:
-    try:
-        return 1.0 / math.expm1(x)
-    except OverflowError:  # exp(x) is past the float range: no thermal quanta
-        return 0.0
+# the largest float whose expm1 is finite; past it there are no thermal quanta
+_EXPM1_EDGE = 709.782712893384
 
 
 def planck(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
@@ -93,7 +90,9 @@ def planck(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
 
     ``omega: float | ndarray``; a scalar gives a float, an array an array of
     its shape.  Returns exactly 0.0 at T = 0, and where hbar*omega/kB*T is
-    too large for the exponential to be represented.
+    too large for the exponential to be represented.  Each value has the
+    bits of ``1.0 / math.expm1`` of its argument: inf where the argument is
+    subnormal, and ZeroDivisionError where it underflows to 0.
     """
     w = np.asarray(omega, dtype=float)
     if not np.all(w > 0.0):
@@ -102,7 +101,11 @@ def planck(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
         raise ValueError(f"temperature must be finite and non-negative, got {temperature}")
     if temperature == 0.0:
         return 0.0 if w.ndim == 0 else np.zeros(w.shape)
-    return _per_value(_bose, hbar * w / (k_B * temperature))
+    x = hbar * w / (k_B * temperature)
+    # 1 / expm1(inf) = 0 past the edge; 1 / expm1(x) is inf at a subnormal x
+    # and has no value at 0, as for floats
+    with np.errstate(over="ignore", divide="raise"):
+        return 1.0 / _per_value(math.expm1, np.where(x > _EXPM1_EDGE, math.inf, x))
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,15 @@ def raised_flags(
     A frozenset when every ratio is a scalar, otherwise a tuple of
     frozensets, one per point of their broadcast shape in C order.
     """
+    codes, sets = _flag_codes(ratios)
+    if not codes.ndim:
+        return sets[codes]
+    return tuple(map(sets.__getitem__, codes.ravel().tolist()))
+
+
+def _flag_codes(ratios: dict[str, float | np.ndarray]) -> tuple[np.ndarray, list[frozenset[str]]]:
+    """The distinct sets of ``raised_flags`` and, per point of the ratios'
+    broadcast shape, the index of its set."""
     names = list(ratios)
     shape = np.broadcast_shapes(*(np.shape(v) for v in ratios.values()))
     code = np.zeros(shape, dtype=np.int64)
@@ -341,13 +350,9 @@ def raised_flags(
         value = np.asarray(ratios[name], dtype=float)
         raised = np.isfinite(value) & (value >= FLAG_THRESHOLDS[name])
         code |= raised.astype(np.int64) << bit
-    sets = {
-        c: frozenset(name for bit, name in enumerate(names) if c >> bit & 1)
-        for c in np.unique(code).tolist()
-    }
-    if not shape:
-        return sets[int(code)]
-    return tuple(map(sets.__getitem__, code.ravel().tolist()))
+    found = np.unique(code)
+    return np.searchsorted(found, code), [
+        frozenset(name for bit, name in enumerate(names) if c >> bit & 1) for c in found.tolist()]
 
 
 def _rate_result(regime, q, p, s, u, nu, gamma_e, gamma_g, dephasing=False, ratios=None,

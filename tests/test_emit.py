@@ -257,7 +257,7 @@ def test_mended_float64_classes_match_the_per_cell_reference(cols, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_no_cell_of_a_float64_run_goes_through_column_text(fmt, monkeypatch):
     # NaN, +-inf, the 1e-5 band and the exponents are mended on the text of
-    # their run's one dump: no float64 cell takes a per-cell path, and
+    # the table's one dump: no float64 cell takes a per-cell path, and
     # _column_text sees only the columns that are not float64 arrays
     import orjson
 
@@ -276,11 +276,120 @@ def test_no_cell_of_a_float64_run_goes_through_column_text(fmt, monkeypatch):
     col = np.array([1e-7, -2e-5, 5e16, 1.5e-5, -1e-300, 9.99e-5, 1e300, np.nan, np.inf, -np.inf,
                     1.0, -0.0] * 50)
     flags = ["a", "b|c"] * 300
-    # (columns, the columns _column_text sees, the cells of each run's dump)
+    # (columns, the columns _column_text sees, the cells of the one dump)
     for cols, others, runs in (([col, -col], [], [1200]),
-                               ([col, flags, col[::-1], -col], [flags], [600, 1200])):
+                               ([col, flags, col[::-1], -col], [flags], [1800])):
         seen.clear()
         dumps.clear()
         columns = [f"c{j}" for j in range(len(cols))]
         assert emit({}, columns, cols, fmt) == reference_emit({}, columns, cols, fmt)
         assert seen == others and dumps == runs
+
+
+# texts that the writer carries through its byte buffer untouched:
+# separators, float-like words, and characters whose UTF-8 bytes are the
+# marker bytes (0x80 and above), one text holding most of them
+MARKER_RANGE_TEXT = "".join(map(chr, range(0x80, 0x800, 3)))
+SPLICED_TEXTS = st.one_of(
+    texts,
+    st.sampled_from([",", "a,b", ";", "\n", "nan", "-inf", "1e-05", "e", "0.0", "\x80", "\x9f",
+                     "\xff", "\u07ff", "\uffff", "\U0010ffff", MARKER_RANGE_TEXT]),
+    st.text(st.characters(min_codepoint=0x80, exclude_categories=("Cs",)), max_size=4),
+)
+
+
+@st.composite
+def spliced_column(draw, n):
+    """A column that the writer places into its buffer at a separator: one
+    scalar for every row, a pair (codes, labels) with a code per row or one
+    0-d code, or a list of a few distinct cells."""
+    labels = draw(st.lists(SPLICED_TEXTS | scalars, min_size=1, max_size=4))
+    codes = draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["scalar", "codes", "code", "list"]))
+    if kind == "scalar":
+        return labels[0]
+    if kind == "codes":
+        return np.array(codes, dtype=np.intp), labels
+    if kind == "code":
+        return np.array(draw(st.integers(0, len(labels) - 1))), tuple(labels)
+    return [labels[c] for c in codes]
+
+
+def per_row(col, n):
+    """The ``n`` cells of ``col`` as a sequence, the form ``reference_emit`` takes."""
+    if isinstance(col, tuple) and isinstance(col[0], np.ndarray):
+        codes, labels = col
+        return [labels[c] for c in np.broadcast_to(codes, n).tolist()]
+    return col if isinstance(col, (list, np.ndarray)) else [col] * n
+
+
+@st.composite
+def spliced_tables(draw):
+    """(rows, columns): no, one or a few float64 columns of 0 to 30 rows, and
+    one to four spliced columns placed at the start, in the middle or at the
+    end; a table with no column of its own length gains a list of texts."""
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 30))
+    cols = [draw(float64_column(n)) for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3])))]
+    for where in draw(st.lists(st.sampled_from(["start", "middle", "end"]), min_size=1,
+                               max_size=4)):
+        at = {"start": 0, "end": len(cols)}.get(where)
+        cols.insert(draw(st.integers(0, len(cols))) if at is None else at,
+                    draw(spliced_column(n)))
+    if all(per_row(col, n) is not col and np.ndim(col[0]) == 0 for col in cols
+           if isinstance(col, tuple)) and not any(isinstance(col, (list, np.ndarray))
+                                                  for col in cols):
+        cols.append(draw(st.lists(SPLICED_TEXTS, min_size=n, max_size=n)))
+    return n, cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(spliced_tables(), st.sampled_from(["csv", "json"]))
+def test_spliced_columns_match_the_per_cell_reference(table, fmt):
+    n, cols = table
+    columns = [f"c{j}" for j in range(len(cols))]
+    expected = reference_emit({}, columns, [per_row(col, n) for col in cols], fmt)
+    assert emit({}, columns, cols, fmt) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scalar_and_coded_columns_are_formatted_once_into_the_one_dump(fmt, monkeypatch):
+    # a constant column is one cell, and a (codes, labels) column formats its
+    # labels once; both are written into the float64 columns' one dump
+    import orjson
+
+    seen, dumps, column_text, dump = [], [], cli._column_text, orjson.dumps
+    monkeypatch.setattr(cli, "_column_text", lambda col, as_json: seen.append(list(col))
+                        or column_text(col, as_json))
+    monkeypatch.setattr(orjson, "dumps", lambda obj, *args, **kwargs: dumps.append(len(obj))
+                        or dump(obj, *args, **kwargs))
+    col = np.linspace(-1.0, 1.0, 600)
+    codes = np.arange(600) % 3
+    cols = [col, 2.5, (codes, ["", "a,b", "nan"]), "x", col[::-1], (np.array(1), ("p", "q"))]
+    columns = [f"c{j}" for j in range(len(cols))]
+    got = emit({}, columns, cols, fmt)
+    assert got == reference_emit({}, columns, [per_row(c, 600) for c in cols], fmt)
+    assert seen == [[2.5], ["", "a,b", "nan"], ["x"], ["p", "q"]] and dumps == [1200]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_texts_holding_every_marker_byte_are_written_row_by_row(fmt, where):
+    # the labels hold every byte a UTF-8 text can hold from 0x80 up, so too
+    # few bytes are left to mark them and the table is written row by row
+    every = "".join(map(chr, [*range(0x80, 0x800, 3), *range(0x800, 0xD800, 0x1000), 0xD000,
+                              0xE000, 0xF000, 0x10000, 0x40000, 0x80000, 0xC0000, 0x100000]))
+    assert len(bytes(range(0x80, 0x100)).translate(None, every.encode())) < 20
+    labels = [f"{every}{k}" for k in range(20)]
+    col = np.array([0.5, np.nan, 1e-5, -2e300] * 5)
+    cols = [col, col * 3.0]
+    cols.insert(where, (np.arange(20), labels))
+    columns = [f"c{j}" for j in range(len(cols))]
+    expected = reference_emit({}, columns, [per_row(c, 20) for c in cols], fmt)
+    assert emit({}, columns, cols, fmt) == expected
+
+
+def test_a_table_of_scalars_alone_is_refused():
+    # no column gives the number of rows
+    for cols in ([1.5], [1.5, "a"], [(np.array(0), ["a"])]):
+        with pytest.raises(ValueError, match="one cell per column"):
+            emit({}, [f"c{j}" for j in range(len(cols))], cols, "csv")

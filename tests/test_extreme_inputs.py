@@ -3,8 +3,10 @@ refused with one error line that names the quantity it breaks, or runs to
 its exit code without a numpy warning."""
 
 import dataclasses
+import math
 import warnings
 
+import numpy as np
 import pytest
 
 from duffing_qubit import (
@@ -14,9 +16,10 @@ from duffing_qubit import (
     drift_matrix,
     scale_params,
     solve_branches,
+    spectra,
     stationary_covariance,
 )
-from duffing_qubit.cli import EXIT_INPUT, EXIT_OK, EXIT_SELFCHECK, EXIT_VALIDITY, main
+from duffing_qubit.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDITY, main
 
 SI = ["--omega0", "1.05e10", "--gamma-s", "1e5", "--f0", "1e-10", "--kappa", "1e7",
       "--temperature", "0.05", "--omega-c", "1e13", "--qubit-delta", "1e7",
@@ -86,24 +89,48 @@ def test_match_names_a_nonresonant_rate_that_underflows(capsys):
                    "rate underflows to 0, so the rate ratio is undefined\n")
 
 
-@pytest.mark.parametrize("argv, code, last_line", [
-    # the covariance of lambda_s ~ 1e308 is inf: the checks read NaN and fail
-    (("validate", "--lambda-s", "1.7e308"), EXIT_SELFCHECK,
-     "FAIL dual_route: max rel dev=nan (limit 1e-6)"),
-    # 2 lambda_s overflows in both routes: inf cells, whose deviation is NaN
-    (("spectrum", "--beta", "0.12", "--kappa-scaled", "0.3", "--lambda-s", "1.7e308", "--nbar",
-      "0.12", "--attractor", "small", "--grid=1e3:1e20:5:log"), EXIT_OK,
-     "1e+20,inf,inf,inf,inf"),
+@pytest.mark.parametrize("argv, message", [
+    # the covariance of lambda_s ~ 1e308 is beyond float range
+    (("validate", "--lambda-s", "1.7e308"),
+     "arithmetic fault: the stationary covariance overflows, s = 1.0199999999999999e+308"),
     # kappa_scaled omega underflows, so the denominator is 0 at omega = +-nu = +-1
     (("rates", "--regime", "resonant-1q", "--beta", "0", "--kappa-scaled", "5e-324",
-      "--attractor", "small", "--grid=-5:5:11"), EXIT_OK, "5.0,0.0,1.0,0.0,0.0,nan,"),
-])
-def test_an_input_beyond_float_arithmetic_prints_no_warning(capsys, argv, code, last_line):
+      "--attractor", "small", "--grid=-5:5:11"),
+     "arithmetic fault: kappa_scaled * omega underflows to 0 at +-nu_scaled"),
+], ids=["validate-lambda-s", "rates-kappa-scaled"])
+def test_an_input_beyond_float_arithmetic_is_refused(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got, out, err = run(capsys, *argv)
-    assert [str(w.message) for w in caught] == [] and err == ""
-    assert got == code and out.splitlines()[-1] == last_line
+        got = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert got == (EXIT_INPUT, "", f"error: {message}\n")
+
+
+def test_the_library_refuses_a_covariance_or_a_denominator_beyond_float_range():
+    k = drift_matrix(solve_branches(0.12, 0.3).pick(Branch.LARGE)[0], 0.12, 0.3)
+    with pytest.raises(ValueError, match="the stationary covariance overflows"):
+        stationary_covariance(k, 1.7e308, 0.3, 0.5)
+    # u = 0 and nu = 1 (beta = 0): at omega = 1 the denominator is 4 kappa^2 = 0
+    with pytest.raises(ValueError, match="kappa_scaled \\* omega underflows to 0"):
+        spectra(np.array([0.5, 1.0]), 0.0, 1.0, 5e-324, 1e-3, 0.5)
+
+
+def test_a_lambda_s_near_the_float_range_gives_both_spectra(capsys):
+    # 2 lambda_s overflows, but the spectra, about 1e302 and below, do not:
+    # both routes give 2^600 times the spectra of a lambda_s 2^600 smaller
+    argv = ("spectrum", "--beta", "0.12", "--kappa-scaled", "0.3", "--nbar", "0.12",
+            "--attractor", "small", "--grid=1e3:1e20:5:log", "--check")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--lambda-s", "1.7e308")
+    assert [str(w.message) for w in caught] == [] and (code, err) == (EXIT_OK, "")
+    _, low, _ = run(capsys, *argv, "--lambda-s", repr(1.7e308 / 2.0**600))
+    rows, low_rows = ([list(map(float, line.split(","))) for line in text.splitlines()
+                       if line[0].isdigit()] for text in (out, low))
+    assert len(rows) == len(low_rows) == 5
+    for row, low_row in zip(rows, low_rows):
+        assert row[0] == low_row[0] and all(map(math.isfinite, row))
+        assert row[1:] == pytest.approx([math.ldexp(x, 600) for x in low_row[1:]], rel=1e-13)
 
 
 def test_match_refuses_a_large_attractor_the_covariance_finds_marginal(capsys):

@@ -85,6 +85,21 @@ COMMANDS: dict[str, tuple[tuple[str, ...], int]] = {
         ("spectrum", "--beta", "0.12", "--kappa-scaled", "0.3", "--grid=-1e200:1e200:3",
          "--check"), 0),
     "validate_huge_beta_text": (("validate", "--beta", "1e300"), 0),
+    # a weak qubit drive: rows with and without ResonantPumping
+    "si_resonant_total_flags_csv": (
+        ("rates", "--regime", "resonant-total", *_SI, "--delta-q", "1e4",
+         "--grid", "1.8e10:1.9e10:9"), 0),
+    # the large branch is weakly damped, the small one unflagged
+    "rates_1q_flags_csv": (
+        ("rates", "--beta", "0.2", "--kappa-scaled", "0.45", "--attractor", "both",
+         "--grid=-3:3:5"), 0),
+    "rates_1q_flags_json": (
+        ("rates", "--beta", "0.2", "--kappa-scaled", "0.45", "--attractor", "both",
+         "--grid=-3:3:5", "--format", "json"), 0),
+    # absent, weak-damping and unflagged rows
+    "teff_flags_json": (
+        ("teff", "--kappa-scaled", "0.3", "--omega-rel", "0.5", "--attractor", "large",
+         "--grid", "0.01:0.3:12", "--format", "json"), 0),
 }
 
 

@@ -217,6 +217,19 @@ class TestConstants:
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def omega_at(x: float, temperature: float) -> float:
+    """An omega at which planck's argument hbar omega / kB T is exactly ``x``."""
+    from duffing_qubit import model
+
+    omega = x * model.k_B * temperature / model.hbar
+    for _ in range(100):
+        got = model.hbar * omega / (model.k_B * temperature)
+        if got == x:
+            return omega
+        omega = math.nextafter(omega, math.inf if got < x else -math.inf)
+    raise AssertionError(f"no omega gives x = {x!r}")
+
+
 class TestPlanckArrays:
     def test_array_equals_scalar_calls(self):
         omega = np.geomspace(1e7, 1e13, 61)
@@ -228,6 +241,43 @@ class TestPlanckArrays:
     def test_no_overflow_at_low_temperature(self):
         assert planck(1e10, 1e-9) == 0.0
         assert planck(np.array([1e10, 1e12]), 1e-9).tolist() == [0.0, 0.0]
+
+    def test_each_value_is_the_reciprocal_of_math_expm1(self):
+        # at the neighbours of the largest x = hbar omega / kB T whose expm1
+        # is finite (0.0 past it), at subnormal x and on a sweep, a sweep and
+        # one call per point give the bits of 1.0 / math.expm1(x)
+        from duffing_qubit import model
+
+        def reference(omega, temperature):
+            try:
+                return 1.0 / math.expm1(model.hbar * omega / (model.k_B * temperature))
+            except OverflowError:
+                return 0.0
+
+        edge = model._EXPM1_EDGE
+        assert math.isfinite(math.expm1(edge))
+        with pytest.raises(OverflowError):
+            math.expm1(math.nextafter(edge, math.inf))
+        near = [edge]
+        for toward in (0.0, math.inf):
+            near += [math.nextafter(edge, toward), math.nextafter(math.nextafter(edge, toward),
+                                                                toward)]
+        cases = [(np.array([omega_at(x, 1.0) for x in near]), 1.0),
+                 (np.geomspace(1e-288, 1e-270, 37), 1e10),  # subnormal x
+                 (np.geomspace(1e5, 1e16, 301), 0.05)]
+        assert sorted(model.hbar * w / model.k_B for w in cases[0][0]) == sorted(near)
+        x = model.hbar * cases[1][0] / (model.k_B * 1e10)
+        assert np.all(x > 0.0) and np.any(x < np.finfo(float).tiny)
+        for omega, temperature in cases:
+            expected = [reference(w, temperature) for w in omega.tolist()]
+            assert planck(omega, temperature).tolist() == expected
+            assert [planck(w, temperature) for w in omega.tolist()] == expected
+
+    def test_an_argument_that_underflows_to_zero_is_an_arithmetic_error(self):
+        # hbar omega underflows to 0, and 1 / expm1(0) has no value
+        for omega in (1e-300, np.array([1e9, 1e-300])):
+            with pytest.raises(ArithmeticError):
+                planck(omega, 1.0)
 
     @pytest.mark.parametrize("temperature", [-1.0, math.nan, math.inf])
     def test_rejects_bad_temperature(self, temperature):

@@ -41,8 +41,11 @@ __all__ = [
 ]
 
 # roots closer than this (relative) are treated as a degenerate pair at a
-# bifurcation; the linearized theory breaks down there
+# bifurcation, one steady state
 _MERGE_TOL = 1e-7
+
+# smallest det K / |K|_F^2 of a drift that counts as strictly stable
+STABILITY_TOL = 1e-8
 
 _EPS = np.finfo(float).eps
 
@@ -74,9 +77,11 @@ class Branches:
 
     Each field has the shape of ``beta`` (a float or bool for a scalar
     ``beta``).  ``u_*`` and ``nu_*`` are NaN where the branch is absent;
-    ``marginal_*`` is True for the entry that stands for a degenerate pair
-    at a bifurcation (its ``nu`` is 0) and False where the branch is absent.
-    The unstable branch has no ``nu`` column.
+    ``marginal_*`` is True where the branch is present but its drift fails
+    :func:`_strictly_stable`, such as the entry that stands for a degenerate
+    pair at a bifurcation, and False where the branch is absent.  ``nu_*`` is
+    0 exactly on the marginal entries.  The unstable branch has no ``nu``
+    column.
     """
 
     u_small: float | np.ndarray
@@ -210,18 +215,18 @@ def _graze(roots: np.ndarray, three: np.ndarray, kappa_scaled: float) -> np.ndar
     return three | graze
 
 
-def _merge(roots: np.ndarray, beta: np.ndarray,
-           kappa_scaled: float) -> tuple[np.ndarray, np.ndarray]:
+def _merge(roots: np.ndarray, beta: np.ndarray, kappa_scaled: float) -> None:
     """Collapse a numerically degenerate pair (bifurcation point) in place.
 
     On the sorted, NaN-padded (n, 3) roots, a pair closer than
-    ``_MERGE_TOL`` becomes one marginal entry: the lower pair in column 0,
-    the upper pair in column 2, with column 1 emptied, so that whichever
-    side the pair sits on, the lower-u entry is the small branch.  NaN
-    padding makes both tests false on rows with one root.  Near a double
-    root the polished pair is only good to ~sqrt(eps) (Newton converges
-    there linearly), enough to leave |det K| above 1e-8; the analytic
-    turning radius is exact.  Returns the masks of the two merged columns.
+    ``_MERGE_TOL`` becomes one entry at the analytic turning radius: the
+    lower pair in column 0, the upper pair in column 2, with column 1
+    emptied, so that whichever side the pair sits on, the lower-u entry is
+    the small branch.  NaN padding makes both tests false on rows with one
+    root.  Near a double root the polished pair is only good to ~sqrt(eps)
+    (Newton converges there linearly), which could leave det K of either
+    root above the :func:`_strictly_stable` margin; at the turning radius
+    det K = 0, so the entry is marginal by that rule.
 
     Where the slope of the cubic is at rounding level, Newton's steps are
     rounding noise over that slope, and the polished pair can end up to
@@ -244,7 +249,6 @@ def _merge(roots: np.ndarray, beta: np.ndarray,
         roots[low, 0] = np.where(roots[low, 0] < 2.0 / 3.0, u_minus, u_plus)
         roots[high, 2] = np.where(roots[high, 1] < 2.0 / 3.0, u_minus, u_plus)
         roots[low | high, 1] = math.nan
-    return low, high
 
 
 def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
@@ -252,10 +256,14 @@ def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
 
     ``beta: float | ndarray``; every field of the result has its shape.  The
     roots of the cubic come from closed forms polished by Newton.  A pair
-    closer than a relative ``_MERGE_TOL`` (a bifurcation) is one marginal
-    entry at the analytic turning radius; so is a grazing pair that the
-    cubic's discriminant rounds away.  Outside the bistable window the one
-    root is the small branch for u <= 2/3 and the large branch above.
+    closer than a relative ``_MERGE_TOL`` (a bifurcation) is one entry at the
+    analytic turning radius; so is a grazing pair that the cubic's
+    discriminant rounds away.  Outside the bistable window the one root is
+    the small branch for u <= 2/3 and the large branch above.  A small or
+    large entry whose drift fails :func:`_strictly_stable`, the rule that
+    :func:`duffing_qubit.fluctuations.stationary_covariance` applies, is
+    marginal, with nu = 0.  The rule is evaluated on the cubic, with no drift
+    built: det K = nu^2 and |K|_F^2 = 2 (kappa_scaled^2 + (2u - 1)^2 + u^2).
 
     Raises ValueError for a negative or non-finite ``beta``, a non-positive
     or non-finite ``kappa_scaled``, and where the steady state is too large
@@ -283,29 +291,28 @@ def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
                 f"kappa_scaled={kappa_scaled:g}"
             )
         if n_three:
-            low, high = _merge(roots, flat, kappa_scaled)
-        else:
-            low, high = np.zeros(flat.size, dtype=bool), np.zeros(flat.size, dtype=bool)
+            _merge(roots, flat, kappa_scaled)
         if n_three < flat.size:
             # one root is the large branch above u = 2/3: [r, nan, nan] -> [nan, nan, r]
             large = ~three & (roots[:, 0] > 2.0 / 3.0)
             roots[large] = roots[large, ::-1]
 
-        nu = np.sqrt(np.maximum(ks2 + (3.0 * roots - 4.0) * roots + 1.0, 0.0))
-        if n_three:
-            nu[low, 0] = 0.0
-            nu[high, 2] = 0.0
+        # det K = nu^2 and |K|_F^2 of each root's drift (Q^2 + P^2 = u)
+        det = ks2 + (3.0 * roots - 4.0) * roots + 1.0
+        frob2 = 2.0 * (ks2 + (2.0 * roots - 1.0) ** 2 + roots * roots)
+        marginal = ~_strictly_stable(-2.0 * kappa_scaled, det, frob2) & ~np.isnan(roots)
+        nu = np.where(marginal, 0.0, np.sqrt(det))
 
     if b.ndim == 0:
         (u_small, u_unstable, u_large), = roots.tolist()
         (nu_small, _, nu_large), = nu.tolist()
-        return Branches(u_small, nu_small, bool(low[0]), u_unstable,
-                        u_large, nu_large, bool(high[0]))
+        return Branches(u_small, nu_small, bool(marginal[0, 0]), u_unstable,
+                        u_large, nu_large, bool(marginal[0, 2]))
     shape = b.shape
     return Branches(
-        roots[:, 0].reshape(shape), nu[:, 0].reshape(shape), low.reshape(shape),
+        roots[:, 0].reshape(shape), nu[:, 0].reshape(shape), marginal[:, 0].reshape(shape),
         roots[:, 1].reshape(shape), roots[:, 2].reshape(shape),
-        nu[:, 2].reshape(shape), high.reshape(shape),
+        nu[:, 2].reshape(shape), marginal[:, 2].reshape(shape),
     )
 
 
@@ -362,6 +369,17 @@ def drift_matrix(u, beta, kappa_scaled: float) -> np.ndarray:
     eigenvalues are -kappa_scaled +/- sqrt(kappa_scaled^2 - nu_scaled^2).
     """
     return _drift(u, *_quadratures(u, beta, kappa_scaled), kappa_scaled)
+
+
+def _strictly_stable(trace, det, frob2):
+    """The one stability rule of a 2x2 drift K, from its trace, det K and
+    |K|_F^2: tr K < 0 and det K > STABILITY_TOL |K|_F^2.
+
+    A real 2x2 matrix is stable iff tr K < 0 and det K > 0; the determinant
+    is held to a margin relative to |K|_F^2, its own scale, so a marginal
+    steady state (det K at rounding level) is refused at any drive strength.
+    """
+    return (trace < 0.0) & (det > STABILITY_TOL * frob2)
 
 
 def _drift(u, q, p, kappa_scaled: float) -> np.ndarray:

@@ -35,6 +35,7 @@ from . import __version__
 from .attractors import (
     Branch,
     MarginalAttractorError,
+    _strictly_stable,
     bifurcation_betas,
     drift_matrix,
     solve_branches,
@@ -373,17 +374,24 @@ def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
     out.write(_text(slots, n_rows, as_json, head, tail) if n_rows else head + tail)
 
 
+def _pick_stable(solved, branch: Branch) -> tuple[float, float]:
+    """(u, nu) of ``branch`` in a scalar solve, NaN where it is absent:
+    MarginalAttractorError where it is marginal."""
+    u, nu, marginal = solved.pick(branch)
+    if marginal:
+        raise MarginalAttractorError(f"{branch.value} attractor is marginal")
+    return u, nu
+
+
 def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> tuple[float, float]:
     """(u, nu) of ``branch`` at the scalar ``beta``: ValueError where the
     branch is absent, MarginalAttractorError where it is marginal."""
-    u, nu, marginal = solve_branches(beta, kappa_scaled).pick(branch)
+    u, nu = _pick_stable(solve_branches(beta, kappa_scaled), branch)
     if math.isnan(u):
         raise ValueError(
             f"no {branch.value}-amplitude attractor exists at beta={beta:g}, "
             f"kappa_scaled={kappa_scaled:g}"
         )
-    if marginal:
-        raise MarginalAttractorError(f"{branch.value} attractor is marginal")
     return u, nu
 
 
@@ -473,15 +481,13 @@ def _rates_scaled(args, config) -> int:
     # one column per output column, each branch evaluated on the whole grid
     cols: list = [grid]
     for branch in [Branch.SMALL, Branch.LARGE] if which == "both" else [Branch(which)]:
-        u, nu, marginal = solved.pick(branch)
-        if marginal:
-            raise MarginalAttractorError(f"{branch.value} attractor is marginal")
+        u, nu = _pick_stable(solved, branch)
         tag = branch.value
         columns += [f"u_{tag}", f"nu_{tag}", f"gamma_e_scaled_{tag}",
                     f"gamma_g_scaled_{tag}", f"teff_star_{tag}", f"flags_{tag}"]
         params[f"u_{tag}"], params[f"nu_{tag}"] = u, nu
         u, nu, ge, gg, _, teff_star, flags = _resonant_1q_columns(
-            grid, u, nu, marginal, kappa, args.nbar)
+            grid, u, nu, False, kappa, args.nbar)
         cols += [u, nu, ge, gg, teff_star, flags]
     emit_table(params, columns, cols, args.format, args.out_stream)
     return EXIT_OK
@@ -615,13 +621,12 @@ def match_report(
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"{beyond} ({exc})") from None
         # outside the guards: the rescaled beta may differ from beta by an ulp,
-        # and a branch absent there is refused as at beta, not as a bad factor
+        # and a branch absent or marginal there is refused as at beta, not as
+        # a bad factor
         u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
         try:
             res = gamma_resonant_1q(qubit, phys, u, nu)
             non = gamma_nonresonant(qubit, phys, u, nu)
-        except MarginalAttractorError:  # the covariance's own rule refuses the drift
-            raise MarginalAttractorError("large attractor is marginal") from None
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"{beyond} ({exc})") from None
         if not (non.gamma_e > 0.0 and non.gamma_g > 0.0):
@@ -688,14 +693,15 @@ def cmd_validate(args, config) -> int:
     report("attractor_residual", worst < 1e-10, f"max={worst:.3e} (limit 1e-10)")
 
     # attractor count matches the bistability window: 3 inside, 1 outside,
-    # and 2 on an edge, where the merging pair is one marginal entry (the
-    # solver merges a pair only where beta is within ~1e-14 of an edge)
+    # or 2 on an edge with a marginal entry, where the merging pair may be one
+    # entry (the solver merges a pair only where beta is within ~1e-14 of an
+    # edge, and marks a wider pair marginal by its drift alone)
     rows = slice(grid.size, grid.size + counted.size)
     n = sum(~np.isnan(u[rows]) for u in us)
     inside = info.bistable & (info.beta_low < counted) & (counted < info.beta_high)
     off_edge = np.minimum(abs(counted - info.beta_low), abs(counted - info.beta_high))
     on_edge = (s.marginal_small[rows] | s.marginal_large[rows]) & (off_edge < 1e-14)
-    ok = bool(np.all(n == np.where(on_edge, 2, np.where(inside, 3, 1))))
+    ok = bool(np.all((n == np.where(inside, 3, 1)) | (on_edge & (n == 2))))
     report("attractor_count", ok, "1 outside / 3 inside the bistable window")
 
     # the small and large columns of the edges and drives as (2, n) stacks,
@@ -706,17 +712,22 @@ def cmd_validate(args, config) -> int:
     marginal = np.stack([s.marginal_small[tail], s.marginal_large[tail]])
     k = drift_matrix(u, betas[tail], kappa)
 
-    # quasienergy gap closes at the boundaries, each with its merging pair
+    # quasienergy gap closes at the boundaries, each with its merging pair,
+    # whose drift fails the stability rule
     if info.bistable:
         at_edge = marginal[:, :len(edges)]
-        missing = int(np.count_nonzero(at_edge.sum(axis=0) != 1))
-        gap = float(np.max(np.abs(np.linalg.det(k[:, :len(edges)][at_edge])), initial=0.0))
+        missing = int(np.count_nonzero(~at_edge.any(axis=0)))
+        k_edge = k[:, :len(edges)][at_edge]
+        det = np.linalg.det(k_edge)
+        gap = float(np.max(np.abs(det), initial=0.0))
         metric = f"|det K|={gap:.3e} at boundaries"
         if len(edges) < 2:
             metric += ", beta_low underflows to 0"
         if missing:
             metric += f", no marginal pair at {missing} of {len(edges)}"
-        report("bifurcation_gap", not missing and gap < 1e-8, metric)
+        closed = ~_strictly_stable(np.trace(k_edge, axis1=-2, axis2=-1), det,
+                                   (k_edge * k_edge).sum(axis=(-2, -1)))
+        report("bifurcation_gap", not missing and closed.all(), metric)
 
     # Lyapunov residual and positive definiteness from one covariance stack
     # over the stable attractors of the four drives, and the dual-route

@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .attractors import MarginalAttractorError
+from .attractors import MarginalAttractorError, _strictly_stable
 from .model import _check_kappa_scaled, _check_lambda_s, _check_n_bar, hbar
 
 __all__ = [
@@ -56,9 +56,6 @@ __all__ = [
     "spectra_from_matrix",
     "two_quantum_spectrum",
 ]
-
-# smallest det(K) / |K|_F^2 of a drift that counts as strictly stable
-STABILITY_TOL = 1e-8
 
 
 def stationary_covariance(
@@ -75,10 +72,8 @@ def stationary_covariance(
         C = s (det K I + adj K adj K^T) / (-2 tr K det K)
 
     (C. W. Gardiner, *Handbook of Stochastic Methods*, the two-variable
-    Ornstein-Uhlenbeck process).  No linear solve is made, and positive
-    definiteness is checked before the source scales C, so that a tiny
-    source cannot underflow the check.  ``drift`` is one 2x2 K or a
-    ``(..., 2, 2)`` stack of them, such as
+    Ornstein-Uhlenbeck process).  No linear solve is made.  ``drift`` is one
+    2x2 K or a ``(..., 2, 2)`` stack of them, such as
     :func:`duffing_qubit.attractors.drift_matrix` returns; the covariances
     have the shape of ``drift``.
 
@@ -89,10 +84,10 @@ def stationary_covariance(
         ``n_bar`` is negative or not finite, or ``s`` or a covariance is not
         finite (lambda_s ~ 1e308 overflows C).
     MarginalAttractorError
-        If a drift is not strictly stable (an eigenvalue with non-negative
-        real part makes the stationary state ill-defined), or if a solution
-        fails to be positive definite.  The message names the first such
-        row of the flattened stack.
+        If a drift fails :func:`duffing_qubit.attractors._strictly_stable`,
+        the rule by which :func:`duffing_qubit.attractors.solve_branches`
+        marks a steady state marginal.  The message names the first such row
+        of the flattened stack.
     """
     _check_lambda_s(lambda_s)
     _check_kappa_scaled(kappa_scaled)
@@ -105,34 +100,25 @@ def stationary_covariance(
     source = lambda_s * kappa_scaled * (2.0 * n_bar + 1.0)
     if not math.isfinite(source):
         raise ValueError(f"lambda_s * kappa_scaled * (2 n_bar + 1) must be finite, got {source}")
-    # a real 2x2 matrix is stable iff trace < 0 and det > 0; the determinant
-    # is held to a margin relative to |K|^2, its own scale, so marginal
-    # attractors (det at rounding level) are refused at any drive strength
     trace, det = a + d, a * d - b * c
-    _refuse_rows((trace < 0.0) & (det > STABILITY_TOL * (flat * flat).sum(axis=1)),
-                 "drift matrix is not strictly stable; no stationary covariance")
+    ok = _strictly_stable(trace, det, (flat * flat).sum(axis=1))
+    if not ok.all():
+        raise MarginalAttractorError("drift matrix is not strictly stable; no stationary "
+                                     f"covariance (row {np.flatnonzero(~ok)[0]})")
     # C = (s / -tr K) N: N = (det K I + adj K adj K^T) / (2 det K) is C in
     # units of the variance of an isotropic drift (N = I for K = -kappa I),
-    # with adj K adj K^T = [[b^2 + d^2, -(ab + cd)], [., a^2 + c^2]].  N is
-    # positive definite iff C is, and is checked before s / -tr K scales it:
-    # det C underflows at a tiny lambda_s, and 1 / -tr K alone overflows at
-    # a subnormal kappa_scaled
+    # with adj K adj K^T = [[b^2 + d^2, -(ab + cd)], [., a^2 + c^2]]; s / -tr K
+    # is formed first, as 1 / -tr K alone overflows at a subnormal
+    # kappa_scaled.  N needs no positive-definiteness check where K passes the
+    # rule: N11 is a sum of positive terms over 2 det K > 0, and det N = 1/2 +
+    # |K|_F^2 / (4 det K) > 0 by Lagrange's identity
     off = -(a * b + c * d)
     cloud = np.array([det + b * b + d * d, off, off, det + a * a + c * c]) / (2.0 * det)
-    n11, n12, _, n22 = cloud
-    _refuse_rows((n11 > 0.0) & (n11 * n22 - n12 * n12 > 0.0),
-                 "covariance is not positive definite")
     with np.errstate(over="ignore"):
         cov = cloud * (source / -trace)
     if not np.isfinite(cov).all():
         raise ValueError(f"arithmetic fault: the stationary covariance overflows, s = {source!r}")
     return cov.T.reshape(k.shape)
-
-
-def _refuse_rows(ok: np.ndarray, message: str) -> None:
-    """MarginalAttractorError with ``message`` and the first row not ``ok``."""
-    if not ok.all():
-        raise MarginalAttractorError(f"{message} (row {np.flatnonzero(~ok)[0]})")
 
 
 def spectra_from_matrix(
@@ -224,6 +210,11 @@ def spectra(
     if not np.isfinite(w).all():
         raise ValueError("omega must be finite")
     weights = ((n_bar + 1.0, n_bar), (n_bar, n_bar + 1.0))
+    # each spectrum is formed with lambda_s / 2^f < 2 and scaled by 2^f last,
+    # f > 0 only for lambda_s >= 2, so that 2 lambda_s (lambda_s ~ 1e308)
+    # overflows no product that den and c then divide
+    f = max(math.frexp(lambda_s)[1] - 1, 0)
+    pref = 2.0 * math.ldexp(lambda_s, -f) * kappa_scaled
     # nu * nu, not nu**2: a float's ** 2 goes through libm pow, which can be
     # an ulp off the exact square an array gets, and a detuning sweep (scalar
     # nu) must give the bits of a drive sweep (array nu)
@@ -231,12 +222,7 @@ def spectra(
         bracket = (w - (2.0 * u - 1.0)) ** 2 + kappa_scaled**2
         den = (w * w - nu_scaled * nu_scaled) ** 2 + 4.0 * kappa_scaled**2 * w * w
         nums = [wb * bracket + wq * u * u for wb, wq in weights]
-        pair = [2.0 * lambda_s * kappa_scaled * num / den for num in nums]
-        # past 1, 2 lambda_s kappa num may overflow before den divides it
-        # (lambda_s ~ 1e308): there divide first; a finite cell keeps its bits
-        if 2.0 * lambda_s * kappa_scaled > 1.0:
-            pair = [np.where(np.isinf(out), lambda_s * (2.0 * kappa_scaled * num / den), out)
-                    for out, num in zip(pair, nums)]
+        pair = [np.ldexp(pref * num / den, f) for num in nums]
     if (den == 0.0).any():  # only at omega = +-nu, where kappa_scaled * omega underflows
         raise ValueError("arithmetic fault: kappa_scaled * omega underflows to 0 at +-nu_scaled")
     # where a square overflows (nu or |omega| above ~1e77), evaluate with
@@ -256,7 +242,7 @@ def spectra(
         den = (w * w - nu * nu) ** 2 + 4.0 * k * k * w * w
         for out, over, (wb, wq) in zip(pair, overs, weights):
             num = wb * bracket + wq * u * u
-            out[big & over] = (2.0 * lambda_s * kappa_scaled * num / den / c / c)[over[big]]
+            out[big & over] = (np.ldexp(pref * num / den / c, f) / c)[over[big]]
     return tuple(float(out) if np.ndim(out) == 0 else out for out in pair)
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -144,9 +145,8 @@ class RateResult:
     """Rates for one channel, with per-channel Bloch-Redfield times.
 
     The numeric fields and the ``ratios`` values have the shape of
-    ``omega_q``: floats for a scalar qubit frequency.  ``flags`` is a
-    frozenset for a scalar and a tuple of frozensets, one per point in C
-    order, for an array.
+    ``omega_q``: floats for a scalar qubit frequency.  ``flags`` follows
+    from ``ratios`` on first use.
     """
 
     gamma_e: float | np.ndarray    # excited-state decay rate (1/s)
@@ -158,8 +158,19 @@ class RateResult:
     gamma_0: float | np.ndarray | None = None  # rate scale hbar*C_gamma*u/(6*gamma_s)
     gamma_e_scaled: float | np.ndarray | None = None  # gamma_e / gamma_0
     gamma_g_scaled: float | np.ndarray | None = None
-    flags: frozenset[str] | tuple[frozenset[str], ...] = frozenset()
     ratios: dict[str, float | np.ndarray] = field(default_factory=dict)
+
+    @cached_property
+    def flags(self) -> frozenset[str] | tuple[frozenset[str], ...]:
+        """Names of the flags whose ratio is finite and meets its threshold.
+
+        A frozenset when every ratio is a scalar, otherwise a tuple of
+        frozensets, one per point of their broadcast shape in C order.
+        """
+        codes, sets = _flag_codes(self.ratios)
+        if not codes.ndim:
+            return sets[codes]
+        return tuple(map(sets.__getitem__, codes.ravel().tolist()))
 
 
 def _scalar_or_array(x):
@@ -326,23 +337,9 @@ def validity_flags(
     return {name: _scalar_or_array(value) for name, value in ratios.items()}
 
 
-def raised_flags(
-    ratios: dict[str, float | np.ndarray],
-) -> frozenset[str] | tuple[frozenset[str], ...]:
-    """Names of the flags whose ratio is finite and meets its threshold.
-
-    A frozenset when every ratio is a scalar, otherwise a tuple of
-    frozensets, one per point of their broadcast shape in C order.
-    """
-    codes, sets = _flag_codes(ratios)
-    if not codes.ndim:
-        return sets[codes]
-    return tuple(map(sets.__getitem__, codes.ravel().tolist()))
-
-
 def _flag_codes(ratios: dict[str, float | np.ndarray]) -> tuple[np.ndarray, list[frozenset[str]]]:
-    """The distinct sets of ``raised_flags`` and, per point of the ratios'
-    broadcast shape, the index of its set."""
+    """The distinct sets of raised flags (``RateResult.flags``) and, per
+    point of the ratios' broadcast shape, the index of its set."""
     names = list(ratios)
     shape = np.broadcast_shapes(*(np.shape(v) for v in ratios.values()))
     code = np.zeros(shape, dtype=np.int64)
@@ -383,14 +380,14 @@ def _rate_result(regime, q, p, s, u, nu, gamma_e, gamma_g, dephasing=False, rati
     fields = dict(gamma_e=gamma_e, gamma_g=gamma_g, t1=t1, t2=t2, t_eff=t_eff, **extra)
     return RateResult(
         regime=regime,
-        flags=raised_flags(ratios),
         ratios=ratios,
         **{name: shaped(value) for name, value in fields.items()},
     )
 
 
 def _require_stable(nu_scaled: float) -> None:
-    # nu = 0 is a marginal steady state and NaN an absent one
+    # nu = 0 is a marginal steady state, by the rule of solve_branches and
+    # stationary_covariance, and NaN an absent one
     if not nu_scaled > 0.0:
         raise MarginalAttractorError(
             f"steady state with nu_scaled={nu_scaled!r} is outside the linearized theory")

@@ -187,8 +187,8 @@ class TestLambdaS:
                        "got inf\n")
 
     def test_a_tiny_lambda_s_passes_the_covariance_check(self, capsys):
-        # the positive-definiteness check is made before the source scales
-        # C, so it no longer underflows
+        # the covariance is refused by its drift alone, never by a C that a
+        # tiny source underflows
         code, out, err = run(capsys, "spectrum", "--beta", "0.12", "--kappa-scaled", "0.3",
                              "--lambda-s", "1e-200", "--check", "--grid=-1:1:3")
         assert (code, err) == (EXIT_OK, "") and out

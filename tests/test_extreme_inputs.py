@@ -71,17 +71,6 @@ def test_match_names_an_extreme_factor(capsys, factor, ratio, cause):
                    f"omega_f/|delta_omega| = {ratio}, beyond float arithmetic ({cause})\n")
 
 
-def test_match_refuses_a_branch_absent_at_the_rescaled_beta(capsys):
-    # near the cusp the large branch exists at this beta, but not at the beta
-    # one ulp lower that the factor's parameter set gives back: the refusal
-    # is the absent branch's, not a bad factor's
-    code, out, err = run(capsys, "match", "--beta", "0.2962815407805162",
-                         "--kappa-scaled", "0.577331152748872", "--hierarchies", "10")
-    assert code == EXIT_INPUT and out == ""
-    assert err == ("error: no large-amplitude attractor exists at beta=0.296282, "
-                   "kappa_scaled=0.577331\n")
-
-
 def test_match_names_a_nonresonant_rate_that_underflows(capsys):
     code, out, err = run(capsys, "match", "--kappa-scaled", "5e-324")
     assert code == EXIT_INPUT and out == ""
@@ -117,32 +106,54 @@ def test_the_library_refuses_a_covariance_or_a_denominator_beyond_float_range():
 
 def test_a_lambda_s_near_the_float_range_gives_both_spectra(capsys):
     # 2 lambda_s overflows, but the spectra, about 1e302 and below, do not:
-    # both routes give 2^600 times the spectra of a lambda_s 2^600 smaller
-    argv = ("spectrum", "--beta", "0.12", "--kappa-scaled", "0.3", "--nbar", "0.12",
-            "--attractor", "small", "--grid=1e3:1e20:5:log", "--check")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run(capsys, *argv, "--lambda-s", "1.7e308")
-    assert [str(w.message) for w in caught] == [] and (code, err) == (EXIT_OK, "")
-    _, low, _ = run(capsys, *argv, "--lambda-s", repr(1.7e308 / 2.0**600))
-    rows, low_rows = ([list(map(float, line.split(","))) for line in text.splitlines()
-                       if line[0].isdigit()] for text in (out, low))
-    assert len(rows) == len(low_rows) == 5
-    for row, low_row in zip(rows, low_rows):
-        assert row[0] == low_row[0] and all(map(math.isfinite, row))
-        assert row[1:] == pytest.approx([math.ldexp(x, 600) for x in low_row[1:]], rel=1e-13)
+    # both routes give 2^600 times the spectra of a lambda_s 2^600 smaller,
+    # also past |omega| ~ 1e77, where the closed form is rescaled
+    for grid, n in (("--grid=1e3:1e20:5:log", 5), ("--grid=1e80:1e200:3:log", 3)):
+        argv = ("spectrum", "--beta", "0.12", "--kappa-scaled", "0.3", "--nbar", "0.12",
+                "--attractor", "small", grid, "--check")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, "--lambda-s", "1.7e308")
+        assert [str(w.message) for w in caught] == [] and (code, err) == (EXIT_OK, "")
+        (deviation,) = [float(line.split("=")[1]) for line in out.splitlines()
+                        if line.startswith("# max_route_deviation=")]
+        assert deviation <= 1e-6
+        _, low, _ = run(capsys, *argv, "--lambda-s", repr(1.7e308 / 2.0**600))
+        rows, low_rows = ([list(map(float, line.split(","))) for line in text.splitlines()
+                           if line[0].isdigit()] for text in (out, low))
+        assert len(rows) == len(low_rows) == n
+        for row, low_row in zip(rows, low_rows):
+            assert row[0] == low_row[0] and all(map(math.isfinite, row))
+            assert row[1:] == pytest.approx([math.ldexp(x, 600) for x in low_row[1:]],
+                                            rel=1e-13)
+
+
+# near the cusp: the cubic gives the large branch nu = 4.45e-5, but det K =
+# nu^2 = 2.0e-9 is below STABILITY_TOL |K|_F^2 = 1.8e-8
+CUSP_BETA, CUSP_KAPPA = 0.2962815407805162, 0.577331152748872
 
 
 def test_match_refuses_a_large_attractor_the_covariance_finds_marginal(capsys):
-    # near the cusp the root solve finds the large branch stable (nu = 4.45e-5),
-    # but det K = nu^2 is below the covariance's STABILITY_TOL |K|^2; at
-    # factor 100 the rescaled beta keeps the branch, and the covariance's
-    # refusal of its drift is the attractor's
-    beta, kappa = 0.2962815407805162, 0.577331152748872
-    u, nu, marginal = solve_branches(beta, kappa).pick(Branch.LARGE)
-    assert nu > 0.0 and not marginal
+    # the root solve marks the branch marginal, with nu = 0, by the rule the
+    # covariance applies to its drift; match refuses it at beta, before any
+    # factor's rescaled beta
+    u, nu, marginal = solve_branches(CUSP_BETA, CUSP_KAPPA).pick(Branch.LARGE)
+    assert marginal and nu == 0.0 and not math.isnan(u)
     with pytest.raises(MarginalAttractorError, match="drift matrix is not strictly stable"):
-        stationary_covariance(drift_matrix(u, beta, kappa), 1e-3, kappa, 0.5)
-    code, out, err = run(capsys, "match", "--beta", repr(beta), "--kappa-scaled", repr(kappa),
-                         "--hierarchies", "100")
+        stationary_covariance(drift_matrix(u, CUSP_BETA, CUSP_KAPPA), 1e-3, CUSP_KAPPA, 0.5)
+    code, out, err = run(capsys, "match", "--beta", repr(CUSP_BETA),
+                         "--kappa-scaled", repr(CUSP_KAPPA), "--hierarchies", "100")
+    assert (code, out, err) == (EXIT_VALIDITY, "", "error: large attractor is marginal\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rates", "--regime", "resonant-1q", "--attractor", "large", "--grid=-1:1:3"),
+    ("spectrum", "--attractor", "large"),
+    ("match", "--hierarchies", "10"),
+], ids=["rates", "spectrum", "match"])
+def test_the_cusp_large_attractor_is_marginal_to_every_command(capsys, argv):
+    # each command refuses the branch as the root solve marks it, with one
+    # message, before any rate, spectrum or factor is formed
+    code, out, err = run(capsys, *argv, "--beta", repr(CUSP_BETA),
+                         "--kappa-scaled", repr(CUSP_KAPPA))
     assert (code, out, err) == (EXIT_VALIDITY, "", "error: large attractor is marginal\n")

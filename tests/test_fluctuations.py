@@ -105,9 +105,8 @@ class TestStationaryCovariance:
         assert_matches_lapack_lyapunov(k, kappa, n_bar)
 
     def test_covariance_is_linear_in_the_source_down_to_tiny_lambda_s(self):
-        # C / s comes from K alone and is checked before the source scales
-        # it, so a tiny lambda_s neither underflows the positive-definiteness
-        # check nor changes C / s
+        # C / s comes from K alone before the source scales it, so a tiny
+        # lambda_s does not change C / s
         for u, _ in stable_states(0.12, 0.3):
             k = drift_matrix(u, 0.12, 0.3)
             tiny, usual = (stationary_covariance(k, lam, 0.3, NBAR) / (lam * 0.3 * (2 * NBAR + 1))
@@ -268,6 +267,37 @@ class TestSteadyStateStacks:
         with pytest.raises(MarginalAttractorError, match=rf"\(row {row}\)"):
             stationary_covariance(np.vstack([stack, marginal[None]]), LAMBDA_S, kappa, NBAR)
         stationary_covariance(np.delete(stack, row, axis=0), LAMBDA_S, kappa, NBAR)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # anywhere in the bistable range, and within 1e-12 ... 1e-3 of the cusp
+        kappa=st.one_of(st.floats(1e-6, 0.5773), st.floats(-12.0, -3.0).map(
+            lambda x: 1.0 / math.sqrt(3.0) - 10.0**x)),
+        # beta within 1e-16 ... 1e-3 relative of an edge, on either side
+        offsets=st.lists(st.tuples(st.booleans(), st.sampled_from([-1.0, 1.0]),
+                                   st.floats(-16.0, -3.0)), min_size=1, max_size=8),
+    )
+    def test_marginal_rows_are_those_the_covariance_refuses(self, kappa, offsets):
+        # one stability rule: the root solve marks a steady state marginal,
+        # with nu = 0, exactly where the covariance refuses its drift
+        info = bifurcation_betas(kappa)
+        assume(info.bistable)
+        beta = np.array([(info.beta_high if high else info.beta_low) * (1.0 + side * 10.0**x)
+                         for high, side, x in offsets])
+        s = solve_branches(beta, kappa)
+        for u, nu, marginal in (s.pick(Branch.SMALL), s.pick(Branch.LARGE)):
+            present = ~np.isnan(u)
+            assert not marginal[~present].any()
+            np.testing.assert_array_equal(nu[present] == 0.0, marginal[present])
+            for u_row, beta_row, marginal_row in zip(u[present], beta[present],
+                                                     marginal[present]):
+                try:
+                    stationary_covariance(drift_matrix(u_row, beta_row, kappa),
+                                          LAMBDA_S, kappa, NBAR)
+                    refused = False
+                except MarginalAttractorError:
+                    refused = True
+                assert refused == marginal_row, (kappa, beta_row)
 
 
 class TestSpectrumMatrix:

@@ -335,6 +335,14 @@ def _text(slots: list[tuple], n_rows: int, as_json: bool, head: str, tail: str) 
 _SEPS = {False: ("\n", ","), True: ("\n    ],\n    [\n      ", ",\n      ")}  # rows, cells
 
 
+def _json_nested(value: dict | list) -> str:
+    """A dict or list of scalars as ``json.dumps(..., indent=2)`` writes it
+    as a value of a top-level key, from one call of the C encoder (the
+    indent layout takes the pure-Python one)."""
+    text = json.dumps(value, separators=(",\n    ", ": "))
+    return text if len(text) == 2 else f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+
+
 def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
     """Write a table with a header: CSV, or JSON with ``fmt == "json"``.
 
@@ -357,14 +365,12 @@ def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
         raise ValueError(f"a table needs one cell per column in every row, got {columns}")
     n_rows = lengths.pop()
     if as_json:
-        doc = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "params": {k: _json_safe(v) for k, v in params.items()},
-            "columns": columns,
-        }
-        # the indent=2 layout of the "rows" entry around the cell texts
-        head = f'{json.dumps(doc, indent=2)[:-2]},\n  "rows": [' + "\n    [\n      " * bool(n_rows)
+        params = {k: _json_safe(v) for k, v in params.items()}
+        # the indent=2 layout of the document and of its "rows" entry around
+        # the cell texts
+        head = (f'{{\n  "schema": {json.dumps(SCHEMA)},\n  "version": {json.dumps(__version__)},'
+                f'\n  "params": {_json_nested(params)},\n  "columns": {_json_nested(columns)},'
+                '\n  "rows": [' + "\n    [\n      " * bool(n_rows))
         tail = "\n    ]\n  " * bool(n_rows) + "]\n}\n"
     else:
         head = "\n".join([f"# schema={SCHEMA}", f"# version={__version__}",
@@ -604,8 +610,8 @@ def match_report(
     to 0.
     """
     rows = []
-    _, nu = _pick_required(beta, kappa_scaled, Branch.LARGE)
-    width = max(nu, kappa_scaled, 1.0)
+    u_beta, nu_beta = _pick_required(beta, kappa_scaled, Branch.LARGE)
+    width = max(nu_beta, kappa_scaled, 1.0)
     physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar)  # a bad input is not a bad factor
     for h in hierarchies:
         omega_rel = h * width
@@ -622,8 +628,11 @@ def match_report(
             raise ValueError(f"{beyond} ({exc})") from None
         # outside the guards: the rescaled beta may differ from beta by an ulp,
         # and a branch absent or marginal there is refused as at beta, not as
-        # a bad factor
-        u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
+        # a bad factor.  Where neither moved, the solve at beta is the one it
+        # would make: both are positive, so equal values have equal bits
+        u, nu = u_beta, nu_beta
+        if (scaled.beta, scaled.kappa_scaled) != (beta, kappa_scaled):
+            u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
         try:
             res = gamma_resonant_1q(qubit, phys, u, nu)
             non = gamma_nonresonant(qubit, phys, u, nu)
@@ -805,6 +814,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="output file (default stdout)")
         sp.add_argument("--config", help="flat key=value parameter file")
+    parser.subcommands = sub.choices  # subcommand -> its parser, for main
     return parser
 
 
@@ -815,8 +825,23 @@ def _parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code.
+
+    An ``argv`` whose first word is a subcommand is parsed by that
+    subcommand's parser alone; the top-level parser is kept for
+    ``--version``, ``-h``, an empty ``argv`` and an unknown first word.
+    Both are built at the first call and reused.
+    """
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        parser = _parser()
+        subparser = parser.subcommands.get(argv[0]) if argv else None
+        if subparser is None:
+            args = parser.parse_args(argv)
+        else:
+            args = subparser.parse_args(argv[1:])
+            args.command = argv[0]
         config = load_config(args.config)
         run = globals()["cmd_" + args.command]
         if args.out:

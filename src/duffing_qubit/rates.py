@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -226,7 +226,9 @@ def effective_temperature(
     gamma_g = 0; negative under population inversion gamma_g > gamma_e.
     The arguments are floats or arrays; the result has their broadcast
     shape, a float when all are scalars.  The log is
-    :func:`log_rate_ratio`.
+    :func:`log_rate_ratio`.  The special cases, in order of precedence:
+    NaN where both rates are 0, +0 where only gamma_g is, -0 where only
+    gamma_e is, and inf where they are equal.
     """
     ge, gg, wq = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (gamma_e, gamma_g, omega_q))
@@ -235,11 +237,10 @@ def effective_temperature(
         raise ValueError("rates must be non-negative")
     with np.errstate(divide="ignore", invalid="ignore"):
         t_eff = hbar * wq / (k_B * np.asarray(log_rate_ratio(ge, gg)))
-    out = np.select(
-        [(ge == 0.0) & (gg == 0.0), gg == 0.0, ge == 0.0, ge == gg],
-        [math.nan, 0.0, -0.0, math.inf],
-        t_eff,
-    )
+    no_e = ge == 0.0
+    out = np.where(ge == gg, math.inf, t_eff)
+    out = np.where(no_e, -0.0, out)
+    out = np.where(gg == 0.0, np.where(no_e, math.nan, 0.0), out)
     return _scalar_or_array(out)
 
 
@@ -271,6 +272,7 @@ def bloch_redfield(
     return _scalar_or_array(t1), _scalar_or_array(t2)
 
 
+@lru_cache(maxsize=1)
 def dephasing_g_zero(u: float, s: ScaledParams) -> float:
     """Zero-frequency weight of the squared-displacement noise (m^4 s).
 
@@ -280,8 +282,10 @@ def dephasing_g_zero(u: float, s: ScaledParams) -> float:
     K and C are real, so Re N(0) = -K^-1 C = -adj K C / det K and no solve
     is made.  Two-quantum dc contributions are smaller by a factor lambda_s
     and neglected.  It does not depend on the qubit, so a sweep over the
-    qubit frequency computes it once.  Raises MarginalAttractorError where
-    ``u`` has no strictly stable drift (a marginal or absent steady state).
+    qubit frequency computes it once, and the last result is kept, so that
+    the rate calls of one steady state (``match`` makes two per factor) form
+    it once.  Raises MarginalAttractorError where ``u`` has no strictly
+    stable drift (a marginal or absent steady state).
     """
     v = np.array(_quadratures(u, s.beta, s.kappa_scaled))
     k = _drift(u, *v, s.kappa_scaled)
@@ -497,15 +501,16 @@ def gamma_total_resonant(
     )
 
 
-def _guard_denominator(p: PhysicalParams, channels) -> None:
+def _guard_denominator(p: PhysicalParams, w: np.ndarray) -> None:
     """Refuse channel frequencies within the oscillator resonance.
 
-    ``channels`` holds the channel frequencies, each a float or an array
-    over the sweep; closed channels (omega_i <= 0) are exempt.  The whole
-    sweep is checked before anything is computed, and the error names the
-    first offending frequency in grid order, then in channel order.
+    ``w`` holds the channel frequencies stacked on its first axis, each
+    channel a value or an array over the sweep; closed channels (omega_i
+    <= 0) are exempt.  The whole sweep is checked before anything is
+    computed, and the error names the first offending frequency in grid
+    order, then in channel order.
     """
-    w = np.stack(np.broadcast_arrays(*channels), axis=-1).reshape(-1)
+    w = np.moveaxis(w, 0, -1).reshape(-1)
     with np.errstate(over="ignore"):
         bad = (w > 0.0) & (np.abs(p.omega_0**2 - w**2) < 10.0 * p.kappa * p.omega_0)
     if bad.any():
@@ -525,23 +530,25 @@ def _channel_sums(p: PhysicalParams, omegas, offsets, factors=None):
     channel, ``offsets`` and ``factors`` hold one (gamma_e, gamma_g) pair
     each, and Phi_i = (planck(w_i) + offset) * factor, the factor 1 by
     default.  Channels with w_i <= 0 carry no bath states (J = 0) and add
-    nothing.
+    nothing.  The channels are stacked once, and one ``bath_j``, one
+    ``planck`` and one denominator serve the open frequencies of all of
+    them; the terms are then added in channel order, from 0, so that each
+    sum has the bits of adding one channel at a time.
     """
-    _guard_denominator(p, omegas)
-    if factors is None:
-        factors = [(1.0, 1.0)] * len(omegas)
-    shape = np.broadcast_shapes(*(np.shape(w) for w in omegas))
-    sum_e, sum_g = np.zeros(shape), np.zeros(shape)
-    for omega_i, (off_e, off_g), (fac_e, fac_g) in zip(omegas, offsets, factors):
-        omega_i = np.broadcast_to(omega_i, shape)
-        open_ = omega_i > 0.0
-        w = omega_i[open_]
-        j = bath_j(p, w)
-        n = planck(w, p.temperature)
-        den = (p.omega_0**2 - w**2) ** 2
-        sum_e[open_] += j * (n + off_e) * fac_e / den
-        sum_g[open_] += j * (n + off_g) * fac_g / den
-    return sum_e[()], sum_g[()]
+    w = np.stack(np.broadcast_arrays(*omegas))
+    _guard_denominator(p, w)
+    open_ = w > 0.0
+    wo = w[open_]
+    channel = np.nonzero(open_)[0]  # the channel of each open frequency
+    off = np.asarray(offsets)[channel].T  # (gamma_e, gamma_g) rows
+    fac = 1.0 if factors is None else np.asarray(factors)[channel].T
+    terms = np.zeros((2, *w.shape))
+    terms[:, open_] = bath_j(p, wo) * (planck(wo, p.temperature) + off) * fac / (
+        (p.omega_0**2 - wo**2) ** 2)
+    sums = np.zeros((2, *w.shape[1:]))
+    for term in terms.swapaxes(0, 1):
+        sums += term
+    return sums[0][()], sums[1][()]
 
 
 def gamma_nonresonant(
@@ -649,7 +656,7 @@ def gamma_linear_nonresonant(q: QubitParams, p: PhysicalParams) -> RateResult:
     array.
     """
     wq = q.omega_q
-    _guard_denominator(p, (wq,))
+    _guard_denominator(p, np.stack([wq]))
     pref = (
         2.0
         * _linear_coupling_sq(q)

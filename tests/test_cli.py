@@ -872,8 +872,17 @@ class TestSelfChecksSolveOnce:
         calls = self.count(monkeypatch, "solve_branches")
         code, _, _ = run_cli(capsys, "match", "--hierarchies", "10,30,100")
         assert code == EXIT_OK
-        # once unscaled, then once per hierarchy at its own scaled beta
-        assert len(calls) == 1 + 3
+        # once unscaled, then once per hierarchy whose scaled beta moved: at
+        # the defaults factors 10 and 100 rescale beta by an ulp, and 30 not
+        assert len(calls) == 1 + 2
+        assert [beta == 0.12 for beta, _ in calls] == [True, False, False]
+
+    def test_match_reuses_the_solve_at_beta_where_nothing_was_rescaled(self, monkeypatch):
+        # factor 30 rescales to beta and kappa_scaled bit for bit: one solve
+        from duffing_qubit.cli import match_report
+        calls = self.count(monkeypatch, "solve_branches")
+        assert len(match_report([30.0, 30.0], 0.12, 0.3, 0.5, 1e-3)) == 2
+        assert calls == [(0.12, 0.3)]
 
     def test_si_rates_and_match_form_each_scaled_set_once(self):
         # a command and the rate functions it calls with one frozen
@@ -893,6 +902,15 @@ class TestSelfChecksSolveOnce:
         assert (info.misses, info.hits) == (1, 1)
         info = formed("match", "--hierarchies", "10,30,100", "--out", os.devnull)
         assert (info.misses, info.hits) == (3, 2 * 3)  # per factor: once, then two rates
+
+    def test_match_forms_each_dephasing_weight_once(self):
+        # a factor's resonant and nonresonant rates share its steady state:
+        # dephasing_g_zero keeps its last result
+        from duffing_qubit.rates import dephasing_g_zero
+        dephasing_g_zero.cache_clear()
+        assert main(["match", "--hierarchies", "10,30,100", "--out", os.devnull]) == EXIT_OK
+        info = dephasing_g_zero.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
 
     def test_validate_builds_each_covariance_once(self, capsys, monkeypatch):
         solves = self.count(monkeypatch, "solve_branches")

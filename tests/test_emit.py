@@ -393,3 +393,27 @@ def test_a_table_of_scalars_alone_is_refused():
     for cols in ([1.5], [1.5, "a"], [(np.array(0), ["a"])]):
         with pytest.raises(ValueError, match="one cell per column"):
             emit({}, [f"c{j}" for j in range(len(cols))], cols, "csv")
+
+
+# header values: finite floats with their edges, the words _json_safe writes
+# for the others, bools, None and texts that JSON escapes
+header_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, "nan", "inf", "-inf",
+                     float("nan"), float("-inf"), True, False, None]),
+    texts,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.dictionaries(texts, header_values, max_size=6),
+       columns=st.lists(texts, min_size=1, max_size=5), n_rows=st.sampled_from([0, 1]))
+def test_json_header_matches_the_indented_dump(params, columns, n_rows):
+    cols = [np.zeros(n_rows)] * len(columns)
+    assert emit(params, columns, cols, "json") == reference_emit(params, columns, cols, "json")
+
+
+def test_json_nested_writes_empty_and_one_entry_values_as_indent_2():
+    for value in ({}, [], {"k": 1.5}, ["a"], {'q"\\é': None, "b": "x"}):
+        doc = json.dumps({"key": value}, indent=2)
+        assert cli._json_nested(value) == doc[len('{\n  "key": '):-2]

@@ -142,3 +142,107 @@ def test_version_twice(capsys, fresh_cache):
         assert exc.value.code == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] == f"{cli.__version__}\n"
+
+
+# argv for the one-parse property: a valid call of each subcommand (the
+# --grid value in the --grid= form), of which each flag is kept or dropped and
+# each value kept or drawn from a fixed pool, with up to three more flags and
+# words of the pool put anywhere after the subcommand
+_VALID = {
+    "attractors": [("--kappa-scaled", "0.3"), ("--grid", "0:0.2:5")],
+    "spectrum": [("--beta", "0.12"), ("--kappa-scaled", "0.3"), ("--lambda-s", "1e-3"),
+                 ("--attractor", "small"), ("--grid", "-1:1:5")],
+    "rates": [("--beta", "0.12"), ("--kappa-scaled", "0.3"), ("--nbar", "0"),
+              ("--grid", "-1:1:5")],
+    "teff": [("--kappa-scaled", "0.3"), ("--omega-rel", "0.5"), ("--attractor", "large"),
+             ("--grid", "0.05:0.2:5")],
+    "match": [("--hierarchies", "10,30")],
+    "validate": [("--beta", "0.12")],
+}
+_FLAGS = sorted({"--" + name.replace("_", "-") for _, _, params in cli._COMMANDS.values()
+                 for name in params} | {"--check", "--format", "--out", "--config", "-h",
+                                        "--version"})
+_VALUES = ["0.12", "0.3", "1e-3", "2", "0", "-0.0", "-1", "-4.5", "nan", "inf", "-inf",
+           "1e308", "-1e308", "5e-324", "junk", "x=y", "1..2", "csv", "json", "small",
+           "large", "both", "nonresonant", "linear-nonresonant", "-1:1:5", "0:0.2:5",
+           "1:100:3:log", "0:1:1", "1:0:3", "a:b:c", "10,30", "30,nan", "",
+           "{dir}/rates.cfg", "out.txt"]
+
+
+def _word(flag: str, value: str) -> list[str]:
+    return [f"{flag}={value}"] if flag == "--grid" else [flag, value]
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_VALID)))
+    words = [command]
+    for flag, value in _VALID[command]:
+        if draw(st.integers(0, 5)):  # keep the flag, and mostly its value
+            words += _word(flag, value if draw(st.integers(0, 5)) else
+                           draw(st.sampled_from(_VALUES)))
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(_FLAGS) | st.sampled_from(_VALUES))
+        if extra in _FLAGS and draw(st.booleans()):
+            extra = _word(extra, draw(st.sampled_from(_VALUES)))
+        words[draw(st.integers(1, len(words))):0] = [extra] if isinstance(extra, str) else extra
+    return words
+
+
+def parsed(parse, argv: list[str]) -> tuple:
+    """What ``parse(argv)`` gives: the repr of each value of its namespace
+    (NaN is not equal to itself), its ValueError's message, or the code and
+    stdout of its SystemExit (help and version)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", {k: repr(v) for k, v in vars(parse(argv)).items()}
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def direct(argv: list[str]):
+    args = cli._parser().subcommands[argv[0]].parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_the_subcommand_parser_alone_parses_as_the_top_level_one(argv):
+    assert parsed(direct, argv) == parsed(cli._parser().parse_args, argv)
+
+
+@pytest.fixture(scope="module")
+def drawdir(tmp_path_factory):
+    # a directory of its own: a drawn --out may overwrite a config file
+    path = tmp_path_factory.mktemp("draws")
+    for name, text in CONFIGS.items():
+        (path / name).write_text(text, encoding="utf-8")
+    return path
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_no_argv_ends_in_a_traceback(drawdir, argv):
+    # an --out path is a file in the draws' directory; help exits 0
+    with contextlib.chdir(drawdir):
+        code = run(argv, drawdir)[0]
+    assert code in (0, 1, 2, 3, "SystemExit(0)")
+    if code == "SystemExit(0)":
+        assert {"-h", "--version"} & set(argv)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["spectrum", "--version"], (1, "", "error: unrecognized arguments: --version\n")),
+    (["rates"], (1, "", "error: missing required parameter --beta\n")),
+    (["spectrum", "-h"], ("SystemExit(0)", "usage: duffing-qubit spectrum [-h]", "")),
+])
+def test_help_version_and_a_bare_subcommand_behave_as_before(workdir, argv, expected):
+    code, out, err, _ = run(argv, workdir)
+    assert (code, out[:len(expected[1])], err) == expected
+    if argv[-1] == "-h":  # the subcommand's whole help, as the top-level parser prints it
+        assert parsed(cli._parser().parse_args, argv) == ("exit", 0, out)

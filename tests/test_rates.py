@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar, k as k_B
 
@@ -44,6 +44,7 @@ from duffing_qubit.rates import (
     FLAG_SEMICLASSICAL,
     FLAG_TWO_QUANTUM,
     FLAG_WEAK_DAMPING,
+    _channel_sums,
 )
 from test_fluctuations import spectrum_matrix
 
@@ -884,3 +885,116 @@ def test_rate_functions_take_only_the_qubit_the_oscillator_and_the_steady_state(
         gamma_resonant_2q: ["q", "p"], gamma_nonresonant_2q: ["q", "p"],
         gamma_linear_nonresonant: ["q", "p"], bath_j: ["p", "omega"],
     }
+
+
+def channel_sums_per_channel(p, omegas, offsets, factors=None):
+    """The per-channel loop that ``rates._channel_sums`` replaced, kept as the
+    reference for its bits (the guard is left out)."""
+    if factors is None:
+        factors = [(1.0, 1.0)] * len(omegas)
+    shape = np.broadcast_shapes(*(np.shape(w) for w in omegas))
+    sum_e, sum_g = np.zeros(shape), np.zeros(shape)
+    for omega_i, (off_e, off_g), (fac_e, fac_g) in zip(omegas, offsets, factors):
+        omega_i = np.broadcast_to(omega_i, shape)
+        open_ = omega_i > 0.0
+        w = omega_i[open_]
+        j = bath_j(p, w)
+        n = planck(w, p.temperature)
+        den = (p.omega_0**2 - w**2) ** 2
+        sum_e[open_] += j * (n + off_e) * fac_e / den
+        sum_g[open_] += j * (n + off_g) * fac_g / den
+    return sum_e[()], sum_g[()]
+
+
+def effective_temperature_select(gamma_e, gamma_g, omega_q):
+    """``effective_temperature`` as it was with ``np.select``, kept as the
+    reference for the bits of its ``np.where`` chain."""
+    ge, gg, wq = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (gamma_e, gamma_g, omega_q)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_eff = hbar * wq / (k_B * np.asarray(log_rate_ratio(ge, gg)))
+    out = np.select([(ge == 0.0) & (gg == 0.0), gg == 0.0, ge == 0.0, ge == gg],
+                    [math.nan, 0.0, -0.0, math.inf], t_eff)
+    return float(out) if out.ndim == 0 else out
+
+
+def assert_same_bits(got, expected):
+    # the type, the shape and every bit, the sign of zero included
+    assert type(got) is type(expected)
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+class TestStackedChannelsKeepTheBits:
+    """One stacked pass over a rate's bath channels, and T_eff's ``np.where``
+    chain, against the per-channel loop and the ``np.select`` they replaced."""
+
+    @staticmethod
+    def channels(name, p, wq):
+        """The (omegas, offsets, factors) of a rate's channel set at omega_q."""
+        if name == "nonresonant":
+            return ((wq + p.omega_f, wq - p.omega_f, p.omega_f - wq),
+                    ((1.0, 0.0), (1.0, 0.0), (0.0, 1.0)), None)
+        if name == "nonresonant-2q":
+            n0 = planck(p.omega_0, p.temperature)
+            return ((wq - p.omega_0, p.omega_0 - wq, wq + p.omega_0),
+                    ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0)),
+                    ((n0 + 1.0, n0), (n0 + 1.0, n0), (n0, n0 + 1.0)))
+        if name == "linear":  # one channel, as in linear-nonresonant
+            return (wq,), ((1.0, 0.0),), None
+        # no rate has three open channels at once; here their order shows
+        return ((wq, wq + p.omega_f, wq + p.omega_0), ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)),
+                ((3.0, 0.5), (1.0, 7.0), (0.1, 1.0)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["nonresonant", "nonresonant-2q", "linear", "three open"]),
+        omega_0=st.floats(1e8, 1e11),
+        drive_frac=st.floats(0.5, 0.99),
+        temperature=st.just(0.0) | st.floats(1e-3, 10.0),
+        cutoff=st.floats(1.01, 100.0),
+        # omega_q in units of omega_0: across omega_f and omega_0, where
+        # channels open and close, and past the cutoff
+        span=st.tuples(st.floats(0.05, 12.0), st.floats(0.0, 6.0)),
+        n=st.sampled_from([0, 1, 2, 7, 40]),
+    )
+    @example(name="three open", omega_0=1e9, drive_frac=0.9, temperature=0.05, cutoff=10.0,
+             span=(0.3, 4.7), n=40)
+    def test_channel_sums_match_the_per_channel_loop(self, name, omega_0, drive_frac,
+                                                      temperature, cutoff, span, n):
+        phys = PhysicalParams(m=3e-13, omega_0=omega_0, omega_f=drive_frac * omega_0,
+                              gamma_s=1e30, f_0=1e-9, kappa=1e-3 * omega_0,
+                              temperature=temperature, omega_c=cutoff * omega_0)
+        low, width = span
+        # n = 0 is a scalar omega_q, otherwise a grid of n points
+        wq = low * omega_0 if n == 0 else np.linspace(low, low + width, n) * omega_0
+        omegas, offsets, factors = self.channels(name, phys, wq)
+        try:
+            got = _channel_sums(phys, omegas, offsets, factors)
+        except NearResonanceError:
+            assume(False)
+        for got_sum, expected in zip(got, channel_sums_per_channel(phys, omegas, offsets,
+                                                                   factors)):
+            assert_same_bits(got_sum, expected)
+
+    rate_values = st.sampled_from([0.0, 5e-324, 1.0, 3.0, 1e308]) | st.floats(0.0, 1e300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(rate_values, rate_values, st.booleans()), min_size=1,
+                       max_size=6),
+        omega_q=st.floats(1e-3, 1e12),
+        shape=st.sampled_from(["scalar", "rates", "omega_q", "all"]),
+    )
+    def test_effective_temperature_matches_np_select(self, pairs, omega_q, shape):
+        # a pair whose flag is set has equal rates
+        ge = [e for e, _, _ in pairs]
+        gg = [e if equal else g for e, g, equal in pairs]
+        if shape == "scalar":
+            ge, gg = ge[0], gg[0]
+        elif shape == "omega_q":
+            ge, gg, omega_q = ge[0], gg[0], omega_q * np.arange(1.0, len(pairs) + 1.0)
+        elif shape == "all":
+            omega_q = omega_q * np.arange(1.0, len(pairs) + 1.0)
+        assert_same_bits(effective_temperature(ge, gg, omega_q),
+                         effective_temperature_select(ge, gg, omega_q))

@@ -182,10 +182,12 @@ def argvs(draw) -> list[str]:
             words += _word(flag, value if draw(st.integers(0, 5)) else
                            draw(st.sampled_from(_VALUES)))
     for _ in range(draw(st.integers(0, 3))):
-        extra = draw(st.sampled_from(_FLAGS) | st.sampled_from(_VALUES))
-        if extra in _FLAGS and draw(st.booleans()):
-            extra = _word(extra, draw(st.sampled_from(_VALUES)))
-        words[draw(st.integers(1, len(words))):0] = [extra] if isinstance(extra, str) else extra
+        word = draw(st.sampled_from(_FLAGS) | st.sampled_from(_VALUES))
+        extra = [word]
+        if word in _FLAGS and draw(st.booleans()):  # a flag with a value
+            extra = _word(word, draw(st.sampled_from(_VALUES)))
+        at = draw(st.integers(1, len(words)))
+        words[at:at] = extra
     return words
 
 

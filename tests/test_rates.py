@@ -909,6 +909,7 @@ def channel_sums_per_channel(p, omegas, offsets, factors=None):
 def effective_temperature_select(gamma_e, gamma_g, omega_q):
     """``effective_temperature`` as it was with ``np.select``, kept as the
     reference for the bits of its ``np.where`` chain."""
+    from duffing_qubit.model import hbar, k_B  # the constants of the code, not scipy's
     ge, gg, wq = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (gamma_e, gamma_g, omega_q)))
     with np.errstate(divide="ignore", invalid="ignore"):

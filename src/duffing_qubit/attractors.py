@@ -316,6 +316,27 @@ def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
     )
 
 
+def _pick_stable(solved: Branches, branch: Branch) -> tuple[float, float]:
+    """(u, nu) of ``branch`` in a scalar solve, NaN where it is absent:
+    MarginalAttractorError where it is marginal."""
+    u, nu, marginal = solved.pick(branch)
+    if marginal:
+        raise MarginalAttractorError(f"{branch.value} attractor is marginal")
+    return u, nu
+
+
+def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> tuple[float, float]:
+    """(u, nu) of ``branch`` at the scalar ``beta``: ValueError where the
+    branch is absent, MarginalAttractorError where it is marginal."""
+    u, nu = _pick_stable(solve_branches(beta, kappa_scaled), branch)
+    if math.isnan(u):
+        raise ValueError(
+            f"no {branch.value}-amplitude attractor exists at beta={beta:g}, "
+            f"kappa_scaled={kappa_scaled:g}"
+        )
+    return u, nu
+
+
 def _turning_radii(kappa_scaled: float) -> tuple[float, float]:
     """Radii where d beta/d u = 0: u = [2 -/+ sqrt(1 - 3 kappa_scaled^2)] / 3."""
     root = math.sqrt(max(1.0 - 3.0 * kappa_scaled**2, 0.0))

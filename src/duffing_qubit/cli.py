@@ -31,31 +31,26 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, rates
 from .attractors import (
     Branch,
     MarginalAttractorError,
-    _strictly_stable,
+    _pick_required,
+    _pick_stable,
     bifurcation_betas,
     drift_matrix,
     solve_branches,
 )
-from .fluctuations import spectra, spectra_from_matrix, stationary_covariance
-from .model import PhysicalParams, physical_from_scaled, scale_params
+from .fluctuations import DUAL_ROUTE_LIMIT, dual_route, self_checks, stationary_covariance
+from .model import PhysicalParams, scale_params
 from .rates import (
     FLAG_THRESHOLDS,
     FLAG_WEAK_DAMPING,
     NearResonanceError,
     QubitParams,
     _flag_codes,
-    gamma_linear_nonresonant,
-    gamma_linear_resonant,
-    gamma_nonresonant,
-    gamma_nonresonant_2q,
-    gamma_resonant_1q,
-    gamma_resonant_2q,
-    gamma_total_resonant,
     log_rate_ratio,
+    match_report,
     resonant_1q_scaled,
 )
 
@@ -65,19 +60,6 @@ EXIT_VALIDITY = 2
 EXIT_SELFCHECK = 3
 
 SCHEMA = "duffing-qubit/1"
-
-# largest relative closed-form vs matrix-route deviation the self-checks pass
-DUAL_ROUTE_LIMIT = 1e-6
-
-_REGIMES = (
-    "resonant-1q",
-    "resonant-2q",
-    "resonant-total",
-    "nonresonant",
-    "nonresonant-2q",
-    "linear-resonant",
-    "linear-nonresonant",
-)
 
 # the SI oscillator parameters, in the field order of PhysicalParams
 _SI_KEYS = ("mass", "omega0", "omega_f", "gamma_s", "f0", "kappa", "temperature", "omega_c")
@@ -380,27 +362,6 @@ def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
     out.write(_text(slots, n_rows, as_json, head, tail) if n_rows else head + tail)
 
 
-def _pick_stable(solved, branch: Branch) -> tuple[float, float]:
-    """(u, nu) of ``branch`` in a scalar solve, NaN where it is absent:
-    MarginalAttractorError where it is marginal."""
-    u, nu, marginal = solved.pick(branch)
-    if marginal:
-        raise MarginalAttractorError(f"{branch.value} attractor is marginal")
-    return u, nu
-
-
-def _pick_required(beta: float, kappa_scaled: float, branch: Branch) -> tuple[float, float]:
-    """(u, nu) of ``branch`` at the scalar ``beta``: ValueError where the
-    branch is absent, MarginalAttractorError where it is marginal."""
-    u, nu = _pick_stable(solve_branches(beta, kappa_scaled), branch)
-    if math.isnan(u):
-        raise ValueError(
-            f"no {branch.value}-amplitude attractor exists at beta={beta:g}, "
-            f"kappa_scaled={kappa_scaled:g}"
-        )
-    return u, nu
-
-
 # ----------------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------------
@@ -437,7 +398,7 @@ def cmd_spectrum(args, config) -> int:
         "emission_matrix",
         "absorption_matrix",
     ]
-    spectra, worst = _dual_route(u, nu, k, cov, kappa, lambda_s, n_bar, grid)
+    spectra, worst = dual_route(u, nu, k, cov, kappa, lambda_s, n_bar, grid)
     params["max_route_deviation"] = worst
     emit_table(params, columns, (grid, *spectra), args.format, args.out_stream)
     if args.check and not worst <= DUAL_ROUTE_LIMIT:
@@ -448,25 +409,6 @@ def cmd_spectrum(args, config) -> int:
         )
         return EXIT_SELFCHECK
     return EXIT_OK
-
-
-def _dual_route(u: float, nu: float, drift: np.ndarray, cov: np.ndarray, kappa: float,
-                lambda_s: float, n_bar: float, omega: np.ndarray) -> tuple[tuple, float]:
-    """Both routes to both spectra over ``omega`` about the steady state ``u``
-    with gap ``nu``, drift ``drift`` and covariance ``cov``, and their worst
-    deviation.
-
-    Returns (emission_closed, absorption_closed, emission_matrix,
-    absorption_matrix) and the largest relative closed-vs-matrix deviation,
-    which the self-checks hold to ``DUAL_ROUTE_LIMIT``; NaN if any cell of
-    either route is NaN or infinite, so that the check fails closed.
-    """
-    ec, ac = spectra(omega, u, nu, kappa, lambda_s, n_bar)
-    em, am = spectra_from_matrix(drift, cov, lambda_s, omega)
-    closed, matrix = np.array([ec, ac]), np.array([em, am])
-    scale = np.maximum(np.maximum(np.abs(closed), np.abs(matrix)), 1e-300)
-    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf are NaN
-        return (ec, ac, em, am), float(np.max(np.abs(closed - matrix) / scale))
 
 
 def cmd_rates(args, config) -> int:
@@ -529,16 +471,18 @@ _FLAG_LABELS = ("", FLAG_WEAK_DAMPING, "marginal", "absent")  # by flag code
 
 
 # regime -> (needs an attractor, rate call of the steady state (u, nu)); the
-# rate functions are looked up when called, so a rebinding of the module
-# attributes takes effect
+# rate functions are looked up in ``rates`` when called, so a rebinding of
+# that module's attributes takes effect
 _SI_RATES = {
-    "resonant-2q": (False, lambda q, p, u, nu: gamma_resonant_2q(q, p)),
-    "resonant-total": (True, lambda q, p, u, nu: gamma_total_resonant(q, p, u, nu)),
-    "nonresonant": (True, lambda q, p, u, nu: gamma_nonresonant(q, p, u, nu)),
-    "nonresonant-2q": (False, lambda q, p, u, nu: gamma_nonresonant_2q(q, p)),
-    "linear-resonant": (True, lambda q, p, u, nu: gamma_linear_resonant(q, p, u, nu)),
-    "linear-nonresonant": (False, lambda q, p, u, nu: gamma_linear_nonresonant(q, p)),
+    "resonant-2q": (False, lambda q, p, u, nu: rates.gamma_resonant_2q(q, p)),
+    "resonant-total": (True, lambda q, p, u, nu: rates.gamma_total_resonant(q, p, u, nu)),
+    "nonresonant": (True, lambda q, p, u, nu: rates.gamma_nonresonant(q, p, u, nu)),
+    "nonresonant-2q": (False, lambda q, p, u, nu: rates.gamma_nonresonant_2q(q, p)),
+    "linear-resonant": (True, lambda q, p, u, nu: rates.gamma_linear_resonant(q, p, u, nu)),
+    "linear-nonresonant": (False, lambda q, p, u, nu: rates.gamma_linear_nonresonant(q, p)),
 }
+
+_REGIMES = ("resonant-1q", *_SI_RATES)
 
 
 def _rates_si(args, config, regime: str) -> int:
@@ -592,72 +536,12 @@ def cmd_teff(args, config) -> int:
     return EXIT_OK
 
 
-def match_report(
-    hierarchies: list[float],
-    beta: float,
-    kappa_scaled: float,
-    n_bar: float,
-    lambda_s: float,
-) -> list[tuple[float, float, float]]:
-    """Resonant-1q / nonresonant rate ratios across a frequency hierarchy.
-
-    For each factor h a parameter set is built with
-    |omega_rel| = h * max(nu, kappa_scaled, 1) and omega_f/|delta_omega| =
-    h * |omega_rel|, so the overlap condition nu, kappa << |omega_q - 2
-    omega_f| << omega_f deepens with h.  Returns (h, ratio_e, ratio_g) rows;
-    both ratios approach 1.  Raises ValueError when a factor gives a
-    parameter set beyond float arithmetic, or a nonresonant rate underflows
-    to 0.
-    """
-    rows = []
-    u_beta, nu_beta = _pick_required(beta, kappa_scaled, Branch.LARGE)
-    width = max(nu_beta, kappa_scaled, 1.0)
-    physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar)  # a bad input is not a bad factor
-    for h in hierarchies:
-        omega_rel = h * width
-        beyond = (f"bad --hierarchies: factor {h!r} gives omega_f/|delta_omega| = "
-                  f"{h * omega_rel!r}, beyond float arithmetic")
-        try:  # detuning scale 1 rad/s; the ratio is invariant under the overall scale
-            phys = physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar,
-                                        detuning=1.0, omega_f_ratio=h * omega_rel)
-            scaled = scale_params(phys)
-            omega_q = 2.0 * phys.omega_f + omega_rel
-            delta = 1e-3 * omega_q
-            qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1.0)
-        except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"{beyond} ({exc})") from None
-        # outside the guards: the rescaled beta may differ from beta by an ulp,
-        # and a branch absent or marginal there is refused as at beta, not as
-        # a bad factor.  Where neither moved, the solve at beta is the one it
-        # would make: both are positive, so equal values have equal bits
-        u, nu = u_beta, nu_beta
-        if (scaled.beta, scaled.kappa_scaled) != (beta, kappa_scaled):
-            u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
-        try:
-            res = gamma_resonant_1q(qubit, phys, u, nu)
-            non = gamma_nonresonant(qubit, phys, u, nu)
-        except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"{beyond} ({exc})") from None
-        if not (non.gamma_e > 0.0 and non.gamma_g > 0.0):
-            raise ValueError(f"arithmetic fault: at --hierarchies factor {h!r} the nonresonant "
-                             f"rate underflows to 0, so the rate ratio is undefined")
-        rows.append((h, res.gamma_e / non.gamma_e, res.gamma_g / non.gamma_g))
-    return rows
-
-
 def cmd_match(args, config) -> int:
     params = {"command": "match", **_resolve(args, config, _MATCH)}
     try:
         hierarchies = [float(tok) for tok in args.hierarchies.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"bad --hierarchies: {exc}") from None
-    for h in hierarchies:  # |omega_rel| = h * max(nu, kappa, 1) needs h > 0
-        if not (math.isfinite(h) and h > 0):
-            raise ValueError(f"bad --hierarchies: each factor must be finite and positive, "
-                             f"got {h!r}")
-    if not hierarchies:
-        raise ValueError("at least one hierarchy factor is required")
-
     h, ratio_e, ratio_g = np.array(match_report(
         hierarchies, args.beta, args.kappa_scaled, args.nbar, args.lambda_s)).T
     devs = [np.abs(ratio_e - 1.0), np.abs(ratio_g - 1.0)]
@@ -672,99 +556,9 @@ def cmd_match(args, config) -> int:
 
 def cmd_validate(args, config) -> int:
     params = {"command": "validate", **_resolve(args, config, _VALIDATE)}
-    beta, kappa, lambda_s, n_bar = args.beta, args.kappa_scaled, args.lambda_s, args.nbar
-    # the library calls below refuse a bad parameter; the report is written
-    # whole at the end, so an error part way through leaves stdout empty
-    checks: list[tuple[str, bool, str]] = []
-
-    def report(name: str, ok: bool, metric: str) -> None:
-        checks.append((name, bool(ok), metric))
-
-    # one root solve over the residual sweep, the count sweep, the window
-    # edges and the four drives; it works per element, so each part is what
-    # a solve of its own gives
-    info = bifurcation_betas(kappa)
-    grid, counted = np.linspace(0.0, 0.25, 101), np.linspace(1e-3, 0.25, 97)
-    # an edge that underflows to 0 (beta_low ~ kappa^2 below kappa ~ 1.6e-162)
-    # is left out: at beta = 0 the only steady state is u = 0, with no pair
-    edges = [b for b in (info.beta_low, info.beta_high) if info.bistable and b > 0.0]
-    drives = [0.0, 0.05, beta, 0.2]
-    betas = np.concatenate([grid, counted, edges, drives])
-    s = solve_branches(betas, kappa)
-    us = (s.u_small, s.u_unstable, s.u_large)
-
-    # steady-state equation residuals across the sweep
-    worst = 0.0
-    for u in us:
-        u = u[:grid.size]
-        res = np.abs(u * ((u - 1.0) ** 2 + kappa**2) - grid) / np.maximum(grid, 1.0)
-        worst = max(worst, float(np.nanmax(res, initial=0.0)))
-    report("attractor_residual", worst < 1e-10, f"max={worst:.3e} (limit 1e-10)")
-
-    # attractor count matches the bistability window: 3 inside, 1 outside,
-    # or 2 on an edge with a marginal entry, where the merging pair may be one
-    # entry (the solver merges a pair only where beta is within ~1e-14 of an
-    # edge, and marks a wider pair marginal by its drift alone)
-    rows = slice(grid.size, grid.size + counted.size)
-    n = sum(~np.isnan(u[rows]) for u in us)
-    inside = info.bistable & (info.beta_low < counted) & (counted < info.beta_high)
-    off_edge = np.minimum(abs(counted - info.beta_low), abs(counted - info.beta_high))
-    on_edge = (s.marginal_small[rows] | s.marginal_large[rows]) & (off_edge < 1e-14)
-    ok = bool(np.all((n == np.where(inside, 3, 1)) | (on_edge & (n == 2))))
-    report("attractor_count", ok, "1 outside / 3 inside the bistable window")
-
-    # the small and large columns of the edges and drives as (2, n) stacks,
-    # with one drift per steady state
-    tail = slice(grid.size + counted.size, None)
-    u = np.stack([s.u_small[tail], s.u_large[tail]])
-    nu = np.stack([s.nu_small[tail], s.nu_large[tail]])
-    marginal = np.stack([s.marginal_small[tail], s.marginal_large[tail]])
-    k = drift_matrix(u, betas[tail], kappa)
-
-    # quasienergy gap closes at the boundaries, each with its merging pair,
-    # whose drift fails the stability rule
-    if info.bistable:
-        at_edge = marginal[:, :len(edges)]
-        missing = int(np.count_nonzero(~at_edge.any(axis=0)))
-        k_edge = k[:, :len(edges)][at_edge]
-        det = np.linalg.det(k_edge)
-        gap = float(np.max(np.abs(det), initial=0.0))
-        metric = f"|det K|={gap:.3e} at boundaries"
-        if len(edges) < 2:
-            metric += ", beta_low underflows to 0"
-        if missing:
-            metric += f", no marginal pair at {missing} of {len(edges)}"
-        closed = ~_strictly_stable(np.trace(k_edge, axis1=-2, axis2=-1), det,
-                                   (k_edge * k_edge).sum(axis=(-2, -1)))
-        report("bifurcation_gap", not missing and closed.all(), metric)
-
-    # Lyapunov residual and positive definiteness from one covariance stack
-    # over the stable attractors of the four drives, and the dual-route
-    # spectrum agreement at beta; a NaN metric fails its check
-    stable = ~np.isnan(u) & ~marginal
-    stable[:, :len(edges)] = False
-    k, u, nu = k[stable], u[stable], nu[stable]
-    cov = stationary_covariance(k, lambda_s, kappa, n_bar)
-    # the residual K C + C K^T + s I on its own rounding scale, 2 |K| |C| + s
-    # with |.| the largest entry of a row; K and C are divided by theirs first,
-    # so that no product overflows (a C that underflows to 0 gives NaN)
-    k_max, c_max = (np.abs(x).max(axis=(-2, -1), keepdims=True) for x in (k, cov))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kn, cn = k / k_max, cov / c_max
-        src = lambda_s * kappa * (2.0 * n_bar + 1.0) / k_max / c_max
-        lyapunov = kn @ cn + cn @ kn.swapaxes(-1, -2) + src * np.eye(2)
-        rel = np.abs(lyapunov).max(axis=(-2, -1)) / (2.0 + src[..., 0, 0])
-    worst = float(np.max(rel, initial=0.0))
-    report("lyapunov_residual", worst < 1e-12, f"max rel={worst:.3e} (limit 1e-12)")
-    report("covariance_positive", np.all(np.linalg.eigvalsh(cov) > 0.0), "eigenvalues > 0")
-    omega = np.linspace(-5, 5, 201)
-    at_beta = np.nonzero(stable)[1] == len(edges) + 2  # beta is drives[2]
-    deviations = [0.0] + [_dual_route(*row, kappa, lambda_s, n_bar, omega)[1]
-                          for row in zip(u[at_beta], nu[at_beta], k[at_beta], cov[at_beta])]
-    worst = float(np.max(deviations))
-    report("dual_route", worst <= DUAL_ROUTE_LIMIT,
-           f"max rel dev={worst:.3e} (limit 1e-6)")
-
+    # the library refuses a bad parameter before it returns any check, and
+    # the report is written whole, so an error leaves stdout empty
+    checks = self_checks(args.beta, args.kappa_scaled, args.lambda_s, args.nbar)
     if args.format == "json":
         emit_table(params, ["check", "ok", "metric"], list(zip(*checks)), "json",
                    args.out_stream)

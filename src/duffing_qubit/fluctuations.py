@@ -31,10 +31,15 @@ spectrum, taken at the same frequency offset with the thermal weights
 n_bar + 1 and n_bar interchanged.
 
 Their agreement over parameter space is the central correctness check of
-this module.  Sign conventions: the stored covariance is the physical
-(positive definite) one, the equal-time commutator contributes
-``+i*lambda_s/2`` times the antisymmetric unit tensor with ``eps_12 = +1``,
-and one-sided (t >= 0) Fourier transforms are used throughout:
+this module: :func:`dual_route` gives both routes and their worst relative
+deviation, which the self-checks hold to ``DUAL_ROUTE_LIMIT``.
+:func:`self_checks` runs the toolkit's self-checks at one parameter set, on
+the root solve, the bistability window, the covariance and the two routes.
+
+Sign conventions: the stored covariance is the physical (positive definite)
+one, the equal-time commutator contributes ``+i*lambda_s/2`` times the
+antisymmetric unit tensor with ``eps_12 = +1``, and one-sided (t >= 0)
+Fourier transforms are used throughout:
 N_nm(omega) = int_0^inf dt exp(i omega t) <Z_n(t) Z_m(0)>.
 
 All quantities are dimensionless; spectra carry one factor of ``lambda_s``
@@ -47,7 +52,13 @@ import math
 
 import numpy as np
 
-from .attractors import MarginalAttractorError, _strictly_stable
+from .attractors import (
+    MarginalAttractorError,
+    _strictly_stable,
+    bifurcation_betas,
+    drift_matrix,
+    solve_branches,
+)
 from .model import _check_kappa_scaled, _check_lambda_s, _check_n_bar, hbar
 
 __all__ = [
@@ -55,7 +66,12 @@ __all__ = [
     "spectra",
     "spectra_from_matrix",
     "two_quantum_spectrum",
+    "dual_route",
+    "self_checks",
 ]
+
+# largest relative closed-form vs matrix-route deviation the self-checks pass
+DUAL_ROUTE_LIMIT = 1e-6
 
 
 def stationary_covariance(
@@ -137,9 +153,12 @@ def spectra_from_matrix(
     i omega tr K], and both combinations are formed from K and the symmetric
     C before the division, so each real part is a quadratic in omega over
     |det|^2 with no term that cancels at |omega| >> nu.  ``omega: float |
-    ndarray``; a scalar gives floats, an array arrays of its shape.
+    ndarray``; a scalar gives floats, an array arrays of its shape.  Raises
+    ValueError for a non-finite ``omega`` or a ``lambda_s`` that is not
+    finite and positive.
     """
-    w = np.asarray(omega, dtype=float)
+    _check_lambda_s(lambda_s)
+    w = _finite_omega(omega)
     flat, k = w.reshape(-1), np.asarray(drift, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         *pair, den = _resolvent_spectra(k, covariance, lambda_s, flat)
@@ -200,15 +219,15 @@ def spectra(
     peaks of halfwidth kappa_scaled at omega = +/- nu_scaled.  ``omega``,
     ``u`` and ``nu_scaled`` may be floats or arrays that broadcast; floats
     come back only when all are scalars.  Raises ValueError for a
-    non-finite ``omega``, a ``lambda_s`` that is not finite and positive, a
-    negative or non-finite ``n_bar``, or a ``kappa_scaled`` so small that the
-    denominator is 0 at omega = +-nu_scaled (kappa_scaled * omega underflows).
+    non-finite ``omega``, a ``lambda_s`` or ``kappa_scaled`` that is not
+    finite and positive, a negative or non-finite ``n_bar``, or a
+    ``kappa_scaled`` so small that the denominator is 0 at omega = +-nu_scaled
+    (kappa_scaled * omega underflows).
     """
     _check_lambda_s(lambda_s)
+    _check_kappa_scaled(kappa_scaled)
     _check_n_bar(n_bar)
-    w = np.asarray(omega, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError("omega must be finite")
+    w = _finite_omega(omega)
     weights = ((n_bar + 1.0, n_bar), (n_bar, n_bar + 1.0))
     # each spectrum is formed with lambda_s / 2^f < 2 and scaled by 2^f last,
     # f > 0 only for lambda_s >= 2, so that 2 lambda_s (lambda_s ~ 1e308)
@@ -244,6 +263,145 @@ def spectra(
             num = wb * bracket + wq * u * u
             out[big & over] = (np.ldexp(pref * num / den / c, f) / c)[over[big]]
     return tuple(float(out) if np.ndim(out) == 0 else out for out in pair)
+
+
+def dual_route(u: float, nu: float, drift: np.ndarray, cov: np.ndarray, kappa_scaled: float,
+               lambda_s: float, n_bar: float, omega: np.ndarray) -> tuple[tuple, float]:
+    """Both routes to both spectra over ``omega`` about the steady state ``u``
+    with gap ``nu``, drift ``drift`` and covariance ``cov``, and their worst
+    deviation.
+
+    Returns (emission_closed, absorption_closed, emission_matrix,
+    absorption_matrix) and the largest relative closed-vs-matrix deviation,
+    which the self-checks hold to ``DUAL_ROUTE_LIMIT``; NaN if any cell of
+    either route is NaN or infinite, so that the check fails closed.
+    """
+    ec, ac = spectra(omega, u, nu, kappa_scaled, lambda_s, n_bar)
+    em, am = spectra_from_matrix(drift, cov, lambda_s, omega)
+    closed, matrix = np.array([ec, ac]), np.array([em, am])
+    scale = np.maximum(np.maximum(np.abs(closed), np.abs(matrix)), 1e-300)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf are NaN
+        return (ec, ac, em, am), float(np.max(np.abs(closed - matrix) / scale))
+
+
+def self_checks(beta: float, kappa_scaled: float, lambda_s: float,
+                n_bar: float) -> list[tuple[str, bool, str]]:
+    """The toolkit's self-checks at one parameter set, as (name, ok, metric)
+    rows, in this order:
+
+    - ``attractor_residual``: the steady-state equation holds to 1e-10 over a
+      drive sweep;
+    - ``attractor_count``: 1 steady state outside the bistable window and 3
+      inside, or 2 on an edge with a marginal entry;
+    - ``bifurcation_gap`` (bistable ``kappa_scaled`` only): at each window
+      edge a merging pair whose drift fails the stability rule;
+    - ``lyapunov_residual`` and ``covariance_positive``: the covariances of
+      the stable steady states at drives 0, 0.05, ``beta`` and 0.2 solve the
+      Lyapunov equation to 1e-12 relative and are positive definite;
+    - ``dual_route``: the two spectrum routes agree to ``DUAL_ROUTE_LIMIT``
+      at ``beta`` (:func:`dual_route`).
+
+    ``metric`` is the text the ``validate`` report prints; a NaN metric fails
+    its check.  The checks share one root solve and one covariance stack.
+    A bad parameter is refused by the first call that reads it, before any
+    row is returned.
+    """
+    checks: list[tuple[str, bool, str]] = []
+
+    def report(name: str, ok: bool, metric: str) -> None:
+        checks.append((name, bool(ok), metric))
+
+    # one root solve over the residual sweep, the count sweep, the window
+    # edges and the four drives; it works per element, so each part is what
+    # a solve of its own gives
+    info = bifurcation_betas(kappa_scaled)
+    grid, counted = np.linspace(0.0, 0.25, 101), np.linspace(1e-3, 0.25, 97)
+    # an edge that underflows to 0 (beta_low ~ kappa^2 below kappa ~ 1.6e-162)
+    # is left out: at beta = 0 the only steady state is u = 0, with no pair
+    edges = [b for b in (info.beta_low, info.beta_high) if info.bistable and b > 0.0]
+    drives = [0.0, 0.05, beta, 0.2]
+    betas = np.concatenate([grid, counted, edges, drives])
+    s = solve_branches(betas, kappa_scaled)
+    us = np.stack([s.u_small, s.u_unstable, s.u_large])
+
+    # steady-state equation residuals across the sweep, of all three branches
+    u = us[:, :grid.size]
+    res = np.abs(u * ((u - 1.0) ** 2 + kappa_scaled**2) - grid) / np.maximum(grid, 1.0)
+    worst = float(np.nanmax(res, initial=0.0))
+    report("attractor_residual", worst < 1e-10, f"max={worst:.3e} (limit 1e-10)")
+
+    # attractor count matches the bistability window: 3 inside, 1 outside,
+    # or 2 on an edge with a marginal entry, where the merging pair may be one
+    # entry (the solver merges a pair only where beta is within ~1e-14 of an
+    # edge, and marks a wider pair marginal by its drift alone)
+    rows = slice(grid.size, grid.size + counted.size)
+    n = sum(~np.isnan(u[rows]) for u in us)
+    inside = info.bistable & (info.beta_low < counted) & (counted < info.beta_high)
+    off_edge = np.minimum(abs(counted - info.beta_low), abs(counted - info.beta_high))
+    on_edge = (s.marginal_small[rows] | s.marginal_large[rows]) & (off_edge < 1e-14)
+    ok = bool(np.all((n == np.where(inside, 3, 1)) | (on_edge & (n == 2))))
+    report("attractor_count", ok, "1 outside / 3 inside the bistable window")
+
+    # the small and large columns of the edges and drives as (2, n) stacks,
+    # with one drift per steady state
+    tail = slice(grid.size + counted.size, None)
+    u = np.stack([s.u_small[tail], s.u_large[tail]])
+    nu = np.stack([s.nu_small[tail], s.nu_large[tail]])
+    marginal = np.stack([s.marginal_small[tail], s.marginal_large[tail]])
+    k = drift_matrix(u, betas[tail], kappa_scaled)
+
+    # quasienergy gap closes at the boundaries, each with its merging pair,
+    # whose drift fails the stability rule
+    if info.bistable:
+        at_edge = marginal[:, :len(edges)]
+        missing = int(np.count_nonzero(~at_edge.any(axis=0)))
+        k_edge = k[:, :len(edges)][at_edge]
+        det = np.linalg.det(k_edge)
+        gap = float(np.max(np.abs(det), initial=0.0))
+        metric = f"|det K|={gap:.3e} at boundaries"
+        if len(edges) < 2:
+            metric += ", beta_low underflows to 0"
+        if missing:
+            metric += f", no marginal pair at {missing} of {len(edges)}"
+        closed = ~_strictly_stable(np.trace(k_edge, axis1=-2, axis2=-1), det,
+                                   (k_edge * k_edge).sum(axis=(-2, -1)))
+        report("bifurcation_gap", not missing and closed.all(), metric)
+
+    # Lyapunov residual and positive definiteness from one covariance stack
+    # over the stable attractors of the four drives, and the dual-route
+    # spectrum agreement at beta
+    stable = ~np.isnan(u) & ~marginal
+    stable[:, :len(edges)] = False
+    k, u, nu = k[stable], u[stable], nu[stable]
+    cov = stationary_covariance(k, lambda_s, kappa_scaled, n_bar)
+    # the residual K C + C K^T + s I on its own rounding scale, 2 |K| |C| + s
+    # with |.| the largest entry of a row; K and C are divided by theirs first,
+    # so that no product overflows (a C that underflows to 0 gives NaN)
+    k_max, c_max = (np.abs(x).max(axis=(-2, -1), keepdims=True) for x in (k, cov))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kn, cn = k / k_max, cov / c_max
+        src = lambda_s * kappa_scaled * (2.0 * n_bar + 1.0) / k_max / c_max
+        lyapunov = kn @ cn + cn @ kn.swapaxes(-1, -2) + src * np.eye(2)
+        rel = np.abs(lyapunov).max(axis=(-2, -1)) / (2.0 + src[..., 0, 0])
+    worst = float(np.max(rel, initial=0.0))
+    report("lyapunov_residual", worst < 1e-12, f"max rel={worst:.3e} (limit 1e-12)")
+    report("covariance_positive", np.all(np.linalg.eigvalsh(cov) > 0.0), "eigenvalues > 0")
+    omega = np.linspace(-5, 5, 201)
+    at_beta = np.nonzero(stable)[1] == len(edges) + 2  # beta is drives[2]
+    deviations = [0.0] + [dual_route(*row, kappa_scaled, lambda_s, n_bar, omega)[1]
+                          for row in zip(u[at_beta], nu[at_beta], k[at_beta], cov[at_beta])]
+    worst = float(np.max(deviations))
+    report("dual_route", worst <= DUAL_ROUTE_LIMIT,
+           f"max rel dev={worst:.3e} (limit 1e-6)")
+    return checks
+
+
+def _finite_omega(omega) -> np.ndarray:
+    """``omega`` as a float array; ValueError where a value is not finite."""
+    w = np.asarray(omega, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("omega must be finite")
+    return w
 
 
 def two_quantum_spectrum(

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .attractors import MarginalAttractorError, _drift, _quadratures
+from .attractors import Branch, MarginalAttractorError, _drift, _pick_required, _quadratures
 from .fluctuations import (
     spectra,
     stationary_covariance,
@@ -57,6 +57,7 @@ from .model import (
     bath_j,
     hbar,
     k_B,
+    physical_from_scaled,
     planck,
     scale_params,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "bloch_redfield",
     "dephasing_g_zero",
     "validity_flags",
+    "match_report",
 ]
 
 
@@ -668,3 +670,63 @@ def gamma_linear_nonresonant(q: QubitParams, p: PhysicalParams) -> RateResult:
     return _rate_result(
         "linear-nonresonant", q, p, scale_params(p), None, None, pref * (n_q + 1.0), pref * n_q
     )
+
+
+def match_report(
+    hierarchies: list[float],
+    beta: float,
+    kappa_scaled: float,
+    n_bar: float,
+    lambda_s: float,
+) -> list[tuple[float, float, float]]:
+    """Resonant-1q / nonresonant rate ratios across a frequency hierarchy.
+
+    For each factor h a parameter set is built with
+    |omega_rel| = h * max(nu, kappa_scaled, 1) and omega_f/|delta_omega| =
+    h * |omega_rel|, so the overlap condition nu, kappa << |omega_q - 2
+    omega_f| << omega_f deepens with h.  The large attractor at ``beta`` is
+    the latched state.  Returns (h, ratio_e, ratio_g) rows; both ratios
+    approach 1.  Raises ValueError for an empty ``hierarchies``, for a
+    factor that is not finite and positive or that gives a parameter set
+    beyond float arithmetic, and where a nonresonant rate underflows to 0.
+    """
+    for h in hierarchies:  # |omega_rel| = h * max(nu, kappa, 1) needs h > 0
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"bad --hierarchies: each factor must be finite and positive, "
+                             f"got {h!r}")
+    if not hierarchies:
+        raise ValueError("at least one hierarchy factor is required")
+    rows = []
+    u_beta, nu_beta = _pick_required(beta, kappa_scaled, Branch.LARGE)
+    width = max(nu_beta, kappa_scaled, 1.0)
+    physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar)  # a bad input is not a bad factor
+    for h in hierarchies:
+        omega_rel = h * width
+        beyond = (f"bad --hierarchies: factor {h!r} gives omega_f/|delta_omega| = "
+                  f"{h * omega_rel!r}, beyond float arithmetic")
+        try:  # detuning scale 1 rad/s; the ratio is invariant under the overall scale
+            phys = physical_from_scaled(beta, kappa_scaled, lambda_s, n_bar,
+                                        detuning=1.0, omega_f_ratio=h * omega_rel)
+            scaled = scale_params(phys)
+            omega_q = 2.0 * phys.omega_f + omega_rel
+            delta = 1e-3 * omega_q
+            qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1.0)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"{beyond} ({exc})") from None
+        # outside the guards: the rescaled beta may differ from beta by an ulp,
+        # and a branch absent or marginal there is refused as at beta, not as
+        # a bad factor.  Where neither moved, the solve at beta is the one it
+        # would make: both are positive, so equal values have equal bits
+        u, nu = u_beta, nu_beta
+        if (scaled.beta, scaled.kappa_scaled) != (beta, kappa_scaled):
+            u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
+        try:
+            res = gamma_resonant_1q(qubit, phys, u, nu)
+            non = gamma_nonresonant(qubit, phys, u, nu)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"{beyond} ({exc})") from None
+        if not (non.gamma_e > 0.0 and non.gamma_g > 0.0):
+            raise ValueError(f"arithmetic fault: at --hierarchies factor {h!r} the nonresonant "
+                             f"rate underflows to 0, so the rate ratio is undefined")
+        rows.append((h, res.gamma_e / non.gamma_e, res.gamma_g / non.gamma_g))
+    return rows

@@ -21,6 +21,7 @@ from duffing_qubit import (
     gamma_resonant_1q,
     gamma_resonant_2q,
     gamma_total_resonant,
+    match_report,
     physical_from_scaled,
     planck,
     resonant_1q_scaled,
@@ -31,7 +32,6 @@ from duffing_qubit import (
     stationary_covariance,
     two_quantum_spectrum,
 )
-from duffing_qubit.cli import match_report
 from test_fluctuations import exact_step_oracle, stable_states
 
 KAPPA = 0.3

@@ -29,17 +29,17 @@ def run_cli(capsys, *argv):
 
 
 def clear_marginal_flags(monkeypatch):
-    """Make ``cli.solve_branches`` report no marginal entry, as if no merging
-    pair were found at a window edge."""
-    import duffing_qubit.cli as cli
-    solve = cli.solve_branches
+    """Make the root solve of ``self_checks`` report no marginal entry, as if
+    no merging pair were found at a window edge."""
+    import duffing_qubit.fluctuations as fluctuations
+    solve = fluctuations.solve_branches
 
     def cleared(beta, kappa):
         s = solve(beta, kappa)
         none = np.zeros(np.shape(beta), dtype=bool)
         return dataclasses.replace(s, marginal_small=none, marginal_large=none)
 
-    monkeypatch.setattr(cli, "solve_branches", cleared)
+    monkeypatch.setattr(fluctuations, "solve_branches", cleared)
 
 
 def parse_csv(text):
@@ -668,13 +668,13 @@ class TestRefusalsLeaveStdoutEmpty:
 
     @staticmethod
     def refuse_covariance(monkeypatch):
-        import duffing_qubit.cli as cli
+        import duffing_qubit.fluctuations as fluctuations
         from duffing_qubit import MarginalAttractorError
 
         def refuse(*args):
             raise MarginalAttractorError("drift matrix is not strictly stable")
 
-        monkeypatch.setattr(cli, "stationary_covariance", refuse)
+        monkeypatch.setattr(fluctuations, "stationary_covariance", refuse)
 
     def test_validate_writes_no_partial_report_on_a_validity_error(self, capsys, monkeypatch):
         # the three attractor checks pass; the covariance is then refused (no
@@ -837,9 +837,10 @@ class TestNoTraceback:
 class TestDualRouteFailsClosed:
     @staticmethod
     def nan_closed_form(monkeypatch):
-        import duffing_qubit.cli as cli
-        spectra = cli.spectra
-        monkeypatch.setattr(cli, "spectra", lambda omega, *args: (
+        # the closed form as dual_route calls it, for spectrum --check and validate
+        import duffing_qubit.fluctuations as fluctuations
+        spectra = fluctuations.spectra
+        monkeypatch.setattr(fluctuations, "spectra", lambda omega, *args: (
             np.full(np.shape(omega), np.nan), spectra(omega, *args)[1]))
 
     def test_spectrum_check_exits_3_on_a_nan_deviation(self, capsys, monkeypatch):
@@ -861,15 +862,19 @@ class TestDualRouteFailsClosed:
 
 class TestSelfChecksSolveOnce:
     @staticmethod
-    def count(monkeypatch, name):
-        import duffing_qubit.cli as cli
+    def count(monkeypatch, module, name):
+        """Count the calls of ``name`` made from the library ``module``:
+        attractors for match's solves (``_pick_required``), fluctuations for
+        validate's (``self_checks``)."""
+        import importlib
+        mod = importlib.import_module(f"duffing_qubit.{module}")
         calls = []
-        fn = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or fn(*args))
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *args: calls.append(args) or fn(*args))
         return calls
 
     def test_match_solves_the_unscaled_attractor_once(self, capsys, monkeypatch):
-        calls = self.count(monkeypatch, "solve_branches")
+        calls = self.count(monkeypatch, "attractors", "solve_branches")
         code, _, _ = run_cli(capsys, "match", "--hierarchies", "10,30,100")
         assert code == EXIT_OK
         # once unscaled, then once per hierarchy whose scaled beta moved: at
@@ -879,8 +884,8 @@ class TestSelfChecksSolveOnce:
 
     def test_match_reuses_the_solve_at_beta_where_nothing_was_rescaled(self, monkeypatch):
         # factor 30 rescales to beta and kappa_scaled bit for bit: one solve
-        from duffing_qubit.cli import match_report
-        calls = self.count(monkeypatch, "solve_branches")
+        from duffing_qubit import match_report
+        calls = self.count(monkeypatch, "attractors", "solve_branches")
         assert len(match_report([30.0, 30.0], 0.12, 0.3, 0.5, 1e-3)) == 2
         assert calls == [(0.12, 0.3)]
 
@@ -913,8 +918,8 @@ class TestSelfChecksSolveOnce:
         assert (info.misses, info.hits) == (3, 3)
 
     def test_validate_builds_each_covariance_once(self, capsys, monkeypatch):
-        solves = self.count(monkeypatch, "solve_branches")
-        covariances = self.count(monkeypatch, "stationary_covariance")
+        solves = self.count(monkeypatch, "fluctuations", "solve_branches")
+        covariances = self.count(monkeypatch, "fluctuations", "stationary_covariance")
         code, _, _ = run_cli(capsys, "validate")
         assert code == EXIT_OK
         # one root solve for the sweeps, the two window edges and the four

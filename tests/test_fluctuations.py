@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from duffing_qubit import (
     MarginalAttractorError,
     bifurcation_betas,
     drift_matrix,
+    dual_route,
+    self_checks,
     solve_branches,
     spectra,
     spectra_from_matrix,
     stationary_covariance,
     two_quantum_spectrum,
 )
+from duffing_qubit.fluctuations import DUAL_ROUTE_LIMIT
 
 LAMBDA_S = 0.01
 NBAR = 0.5
@@ -367,6 +371,51 @@ class TestDualRoute:
         assert count >= 400
         assert worst < 1e-8
 
+    def test_dual_route_gives_both_routes_and_their_worst_deviation(self):
+        u, nu = stable_states(0.12, 0.3)[-1]
+        k, cov = covariance_for(u, 0.12, 0.3)
+        omega = np.linspace(-5.0, 5.0, 201)
+        routes, worst = dual_route(u, nu, k, cov, 0.3, LAMBDA_S, NBAR, omega)
+        closed = spectra(omega, u, nu, 0.3, LAMBDA_S, NBAR)
+        matrix = spectra_from_matrix(k, cov, LAMBDA_S, omega)
+        for got, expected in zip(routes, (*closed, *matrix)):
+            np.testing.assert_array_equal(got, expected)
+        deviation = np.abs(np.array(closed) - np.array(matrix)) / np.maximum(
+            np.abs(closed), np.abs(matrix))
+        assert worst == float(deviation.max())
+        assert 0.0 < worst <= DUAL_ROUTE_LIMIT
+
+
+class TestSelfChecks:
+    GOLDEN = Path(__file__).resolve().parent / "golden" / "validate_text.txt"
+
+    def test_defaults_give_six_passing_rows_named_as_the_validate_report(self):
+        rows = self_checks(0.12, 0.3, 0.01, 0.5)
+        names = [line.split(":")[0].split()[1] for line in self.GOLDEN.read_text().splitlines()]
+        assert [name for name, _, _ in rows] == names
+        assert [ok for _, ok, _ in rows] == [True] * 6
+        assert all(type(ok) is bool and type(metric) is str for _, ok, metric in rows)
+        # validate prints the rows as they come
+        assert "".join(f"ok   {name}: {metric}\n" for name, _, metric in rows) == \
+            self.GOLDEN.read_text()
+
+    def test_a_monostable_kappa_has_no_bifurcation_gap_row(self):
+        rows = self_checks(0.12, 0.6, 0.01, 0.5)
+        assert [name for name, _, _ in rows] == [
+            "attractor_residual", "attractor_count", "lyapunov_residual",
+            "covariance_positive", "dual_route"]
+        assert all(ok for _, ok, _ in rows)
+
+    @pytest.mark.parametrize("args, match", [
+        ((-0.1, 0.3, 0.01, 0.5), "beta"),
+        ((0.12, 0.0, 0.01, 0.5), "kappa_scaled"),
+        ((0.12, 0.3, math.nan, 0.5), "lambda_s"),
+        ((0.12, 0.3, 0.01, -1.0), "n_bar"),
+    ])
+    def test_a_bad_parameter_is_refused(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            self_checks(*args)
+
 
 def per_point_reference(k, cov, lambda_s, omega):
     """Emission/absorption by one spectrum_matrix (LAPACK) solve per point,
@@ -603,6 +652,29 @@ class TestOccupationDomain:
         with pytest.raises(ValueError, match="n_bar"):
             two_quantum_spectrum(3e10, 1.5e10, 1e6, n_bar, 1e-12)
 
+    @pytest.mark.parametrize("kappa", [0.0, -0.3, math.nan, math.inf])
+    def test_closed_form_refuses_a_kappa_scaled_out_of_domain(self, kappa):
+        # unchecked, -0.3 gives negative spectra and inf a RuntimeWarning
+        with pytest.raises(ValueError, match="kappa_scaled must be finite and positive"):
+            spectra(np.linspace(-1.0, 1.0, 5), 0.5, 0.4, kappa, LAMBDA_S, NBAR)
+
+    @pytest.mark.parametrize("lambda_s", [-0.01, 0.0, math.nan, math.inf])
+    def test_matrix_route_refuses_a_lambda_s_out_of_domain(self, lambda_s):
+        u, _ = stable_states(0.12, 0.3)[0]
+        k, cov = covariance_for(u, 0.12, 0.3)
+        with pytest.raises(ValueError, match="lambda_s must be finite and positive"):
+            spectra_from_matrix(k, cov, lambda_s, np.linspace(-1.0, 1.0, 5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_both_routes_refuse_a_non_finite_omega(self, bad):
+        u, nu = stable_states(0.12, 0.3)[0]
+        k, cov = covariance_for(u, 0.12, 0.3)
+        for omega in (bad, np.array([0.0, bad])):
+            with pytest.raises(ValueError, match="omega must be finite"):
+                spectra(omega, u, nu, 0.3, LAMBDA_S, NBAR)
+            with pytest.raises(ValueError, match="omega must be finite"):
+                spectra_from_matrix(k, cov, LAMBDA_S, omega)
+
     def test_two_quantum_array(self):
         omega_q = np.linspace(2.9e10, 3.1e10, 21)
         swept = two_quantum_spectrum(omega_q, 1.5e10, 1e6, NBAR, 1e-12)[0]
@@ -743,13 +815,13 @@ class TestSpectraPair:
             "BifurcationInfo", "Branch", "Branches",
             "MarginalAttractorError", "NearResonanceError", "PhysicalParams",
             "QubitParams", "RateResult", "ScaledParams", "bath_j", "bifurcation_betas",
-            "bloch_redfield", "c_gamma", "dephasing_g_zero", "drift_matrix",
+            "bloch_redfield", "c_gamma", "dephasing_g_zero", "drift_matrix", "dual_route",
             "effective_temperature", "gamma_linear_nonresonant", "gamma_linear_resonant",
             "gamma_nonresonant", "gamma_nonresonant_2q", "gamma_resonant_1q",
-            "gamma_resonant_2q", "gamma_total_resonant", "log_rate_ratio",
+            "gamma_resonant_2q", "gamma_total_resonant", "log_rate_ratio", "match_report",
             "physical_from_scaled", "planck", "resonant_1q_scaled", "scale_params",
-            "solve_branches", "spectra", "spectra_from_matrix", "stationary_covariance",
-            "two_quantum_spectrum", "validity_flags",
+            "self_checks", "solve_branches", "spectra", "spectra_from_matrix",
+            "stationary_covariance", "two_quantum_spectrum", "validity_flags",
         ]
         assert all(hasattr(duffing_qubit, name) for name in duffing_qubit.__all__)
 

@@ -24,3 +24,15 @@ def test_listed_classes_and_functions_are_defined_in_their_module():
             obj = getattr(module, name)
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert obj.__module__ == module.__name__, (module.__name__, name)
+
+
+def test_the_cli_wires_the_library_self_checks():
+    """validate's checks, the dual route and match_report are library
+    functions; the CLI imports them and none of the physics they call."""
+    from duffing_qubit import cli
+    for name in ("_strictly_stable", "spectra", "spectra_from_matrix", "physical_from_scaled",
+                 "gamma_resonant_1q", "gamma_nonresonant", "_dual_route"):
+        assert not hasattr(cli, name), name
+    assert cli.self_checks is fluctuations.self_checks
+    assert cli.dual_route is fluctuations.dual_route
+    assert cli.match_report is rates.match_report

@@ -30,6 +30,7 @@ from duffing_qubit import (
     gamma_resonant_2q,
     gamma_total_resonant,
     log_rate_ratio,
+    match_report,
     physical_from_scaled,
     planck,
     resonant_1q_scaled,
@@ -90,6 +91,12 @@ class TestResonantOneQuantum:
             ge, gg = resonant_1q_scaled(w, 0.0, nu, s.kappa_scaled,
                                         s.n_bar)
             assert math.isclose(ge / gg, (s.n_bar + 1) / s.n_bar, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("kappa", [-0.3, 0.0, math.nan, math.inf])
+    def test_scaled_rates_refuse_a_kappa_scaled_out_of_domain(self, kappa):
+        # unchecked, -0.3 gives the negative rates (-6.09, -9.84)
+        with pytest.raises(ValueError, match="kappa_scaled must be finite and positive"):
+            resonant_1q_scaled(0.0, 0.5, 0.4, kappa, 0.5)
 
     def test_scaled_and_si_forms_consistent(self):
         qubit, phys, u, nu, s = make_setup()
@@ -999,3 +1006,27 @@ class TestStackedChannelsKeepTheBits:
             omega_q = omega_q * np.arange(1.0, len(pairs) + 1.0)
         assert_same_bits(effective_temperature(ge, gg, omega_q),
                          effective_temperature_select(ge, gg, omega_q))
+
+
+class TestMatchReport:
+    """``match_report`` refuses a factor list the ``match`` command refuses,
+    with the command's messages, before it solves for the attractor."""
+
+    def test_an_empty_list_is_refused(self):
+        with pytest.raises(ValueError, match="^at least one hierarchy factor is required$"):
+            match_report([], 0.12, 0.3, 0.5, 1e-3)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_a_factor_that_is_not_finite_and_positive_is_refused(self, h):
+        # unchecked, -1.0 puts a combination frequency within the oscillator
+        # resonance (NearResonanceError) and 0.0 divides by zero
+        message = f"bad --hierarchies: each factor must be finite and positive, got {h!r}"
+        for factors in ([h], [10.0, h]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                match_report(factors, 0.12, 0.3, 0.5, 1e-3)
+
+    def test_the_factors_are_checked_before_the_parameters(self):
+        with pytest.raises(ValueError, match="each factor must be finite and positive"):
+            match_report([0.0], -1.0, 0.3, 0.5, 1e-3)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            match_report([10.0], -1.0, 0.3, 0.5, 1e-3)

@@ -41,18 +41,10 @@ from .attractors import (
     drift_matrix,
     solve_branches,
 )
-from .fluctuations import DUAL_ROUTE_LIMIT, dual_route, self_checks, stationary_covariance
+from .fluctuations import (DUAL_ROUTE_LIMIT, _limit_text, dual_route, self_checks,
+                           stationary_covariance)
 from .model import PhysicalParams, scale_params
-from .rates import (
-    FLAG_THRESHOLDS,
-    FLAG_WEAK_DAMPING,
-    NearResonanceError,
-    QubitParams,
-    _flag_codes,
-    log_rate_ratio,
-    match_report,
-    resonant_1q_scaled,
-)
+from .rates import NearResonanceError, QubitParams, _flag_codes, match_report
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -369,8 +361,6 @@ def emit_table(params: dict, columns: list[str], cols, fmt: str, out) -> None:
 def cmd_attractors(args, config) -> int:
     params = {"command": "attractors", **_resolve(args, config, _ATTRACTORS)}
     grid = parse_grid(args.grid)
-    if grid[0] < 0:
-        raise ValueError("beta grid must be non-negative")
     info = bifurcation_betas(args.kappa_scaled)
     params.update(bistable=info.bistable, beta_low=info.beta_low, beta_high=info.beta_high)
     columns = ["beta", "u_small", "nu_small", "u_unstable", "u_large", "nu_large"]
@@ -431,43 +421,13 @@ def _rates_scaled(args, config) -> int:
     for branch in [Branch.SMALL, Branch.LARGE] if which == "both" else [Branch(which)]:
         u, nu = _pick_stable(solved, branch)
         tag = branch.value
-        columns += [f"u_{tag}", f"nu_{tag}", f"gamma_e_scaled_{tag}",
-                    f"gamma_g_scaled_{tag}", f"teff_star_{tag}", f"flags_{tag}"]
         params[f"u_{tag}"], params[f"nu_{tag}"] = u, nu
-        u, nu, ge, gg, _, teff_star, flags = _resonant_1q_columns(
-            grid, u, nu, False, kappa, args.nbar)
-        cols += [u, nu, ge, gg, teff_star, flags]
+        table = rates._resonant_1q_columns(grid, u, nu, kappa, args.nbar)
+        del table["ln_ratio"]  # a column of teff alone
+        columns += [f"{name}_{tag}" for name in table]
+        cols += table.values()
     emit_table(params, columns, cols, args.format, args.out_stream)
     return EXIT_OK
-
-
-def _resonant_1q_columns(omega_rel, u, nu, marginal, kappa: float, n_bar: float) -> list:
-    """The u, nu, gamma_e_scaled, gamma_g_scaled, ln_ratio, teff_star and
-    flags columns of the resonant one-quantum channel.
-
-    ``u``, ``nu`` and ``marginal`` are one branch of ``solve_branches``:
-    arrays over a drive sweep, or the scalars of a stable or absent branch
-    over a detuning sweep ``omega_rel``.  A row without a stable attractor
-    has NaN cells and the flag "absent" or "marginal"; teff_star is
-    kB*T_eff/(hbar*omega_q) = 1/ln_ratio.  The flags are a pair (codes,
-    labels), with a 0-d codes array for a scalar branch.
-    """
-    absent = np.isnan(u)
-    if np.ndim(u):
-        u, nu = np.where(marginal, np.nan, u), np.where(marginal, np.nan, nu)
-    # one call on every row: a NaN row stays NaN, and a bad n_bar is refused
-    # even when no row is stable
-    ge, gg = resonant_1q_scaled(omega_rel, u, nu, kappa, n_bar)
-    ln_ratio = log_rate_ratio(ge, gg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        teff_star = np.divide(1.0, ln_ratio)
-        weak = kappa / np.asarray(nu) >= FLAG_THRESHOLDS[FLAG_WEAK_DAMPING]
-    # a scalar u, nu or flag is one cell of every row (emit_table)
-    flags = np.where(absent, 3, np.where(marginal, 2, weak)), _FLAG_LABELS
-    return [u, nu, ge, gg, ln_ratio, teff_star, flags]
-
-
-_FLAG_LABELS = ("", FLAG_WEAK_DAMPING, "marginal", "absent")  # by flag code
 
 
 # regime -> (needs an attractor, rate call of the steady state (u, nu)); the
@@ -528,11 +488,9 @@ def cmd_teff(args, config) -> int:
     branch = Branch(args.attractor)
     grid = parse_grid(args.grid)
 
-    columns = ["beta", "u", "nu", "gamma_e_scaled", "gamma_g_scaled",
-               "ln_ratio", "teff_star", "flags"]
-    u, nu, marginal = solve_branches(grid, kappa).pick(branch)
-    cols = _resonant_1q_columns(args.omega_rel, u, nu, marginal, kappa, args.nbar)
-    emit_table(params, columns, [grid, *cols], args.format, args.out_stream)
+    u, nu, _ = solve_branches(grid, kappa).pick(branch)
+    table = rates._resonant_1q_columns(args.omega_rel, u, nu, kappa, args.nbar)
+    emit_table(params, ["beta", *table], [grid, *table.values()], args.format, args.out_stream)
     return EXIT_OK
 
 
@@ -589,6 +547,7 @@ _HELP = {
     "grid": "sweep grid start:stop:count[:log]",
     "omega_rel": "fixed scaled detuning (omega_q - 2 omega_f)/|delta_omega|",
     "hierarchies": "comma-separated factors (10,30,100)",
+    "check": "exit 3 if the two routes disagree beyond " + _limit_text(DUAL_ROUTE_LIMIT),
 }
 
 
@@ -603,8 +562,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--" + name.replace("_", "-"), choices=choices.get(name),
                             type=None if name in _TEXT else float, help=_HELP.get(name))
         if command == "spectrum":
-            sp.add_argument("--check", action="store_true",
-                            help="exit 3 if the two routes disagree beyond 1e-6")
+            sp.add_argument("--check", action="store_true", help=_HELP["check"])
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="output file (default stdout)")
         sp.add_argument("--config", help="flat key=value parameter file")

@@ -72,6 +72,16 @@ __all__ = [
 
 # largest relative closed-form vs matrix-route deviation the self-checks pass
 DUAL_ROUTE_LIMIT = 1e-6
+# the steady-state equation residual and the relative Lyapunov residual that
+# validate's checks stay below
+ATTRACTOR_RESIDUAL_LIMIT = 1e-10
+LYAPUNOV_RESIDUAL_LIMIT = 1e-12
+
+
+def _limit_text(limit: float) -> str:
+    """A limit as the reports print it: ``g`` format with no padded exponent
+    digit (1e-6, not 1e-06)."""
+    return f"{limit:g}".replace("e-0", "e-")
 
 
 def stationary_covariance(
@@ -289,15 +299,16 @@ def self_checks(beta: float, kappa_scaled: float, lambda_s: float,
     """The toolkit's self-checks at one parameter set, as (name, ok, metric)
     rows, in this order:
 
-    - ``attractor_residual``: the steady-state equation holds to 1e-10 over a
-      drive sweep;
+    - ``attractor_residual``: the steady-state equation holds to
+      ``ATTRACTOR_RESIDUAL_LIMIT`` over a drive sweep;
     - ``attractor_count``: 1 steady state outside the bistable window and 3
       inside, or 2 on an edge with a marginal entry;
     - ``bifurcation_gap`` (bistable ``kappa_scaled`` only): at each window
       edge a merging pair whose drift fails the stability rule;
     - ``lyapunov_residual`` and ``covariance_positive``: the covariances of
       the stable steady states at drives 0, 0.05, ``beta`` and 0.2 solve the
-      Lyapunov equation to 1e-12 relative and are positive definite;
+      Lyapunov equation to ``LYAPUNOV_RESIDUAL_LIMIT`` relative and are
+      positive definite;
     - ``dual_route``: the two spectrum routes agree to ``DUAL_ROUTE_LIMIT``
       at ``beta`` (:func:`dual_route`).
 
@@ -328,7 +339,8 @@ def self_checks(beta: float, kappa_scaled: float, lambda_s: float,
     u = us[:, :grid.size]
     res = np.abs(u * ((u - 1.0) ** 2 + kappa_scaled**2) - grid) / np.maximum(grid, 1.0)
     worst = float(np.nanmax(res, initial=0.0))
-    report("attractor_residual", worst < 1e-10, f"max={worst:.3e} (limit 1e-10)")
+    report("attractor_residual", worst < ATTRACTOR_RESIDUAL_LIMIT,
+           f"max={worst:.3e} (limit {_limit_text(ATTRACTOR_RESIDUAL_LIMIT)})")
 
     # attractor count matches the bistability window: 3 inside, 1 outside,
     # or 2 on an edge with a marginal entry, where the merging pair may be one
@@ -384,7 +396,8 @@ def self_checks(beta: float, kappa_scaled: float, lambda_s: float,
         lyapunov = kn @ cn + cn @ kn.swapaxes(-1, -2) + src * np.eye(2)
         rel = np.abs(lyapunov).max(axis=(-2, -1)) / (2.0 + src[..., 0, 0])
     worst = float(np.max(rel, initial=0.0))
-    report("lyapunov_residual", worst < 1e-12, f"max rel={worst:.3e} (limit 1e-12)")
+    report("lyapunov_residual", worst < LYAPUNOV_RESIDUAL_LIMIT,
+           f"max rel={worst:.3e} (limit {_limit_text(LYAPUNOV_RESIDUAL_LIMIT)})")
     report("covariance_positive", np.all(np.linalg.eigvalsh(cov) > 0.0), "eigenvalues > 0")
     omega = np.linspace(-5, 5, 201)
     at_beta = np.nonzero(stable)[1] == len(edges) + 2  # beta is drives[2]
@@ -392,7 +405,7 @@ def self_checks(beta: float, kappa_scaled: float, lambda_s: float,
                           for row in zip(u[at_beta], nu[at_beta], k[at_beta], cov[at_beta])]
     worst = float(np.max(deviations))
     report("dual_route", worst <= DUAL_ROUTE_LIMIT,
-           f"max rel dev={worst:.3e} (limit 1e-6)")
+           f"max rel dev={worst:.3e} (limit {_limit_text(DUAL_ROUTE_LIMIT)})")
     return checks
 
 

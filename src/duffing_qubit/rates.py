@@ -239,11 +239,19 @@ def effective_temperature(
         raise ValueError("rates must be non-negative")
     with np.errstate(divide="ignore", invalid="ignore"):
         t_eff = hbar * wq / (k_B * np.asarray(log_rate_ratio(ge, gg)))
+    return _scalar_or_array(_teff_limits(ge, gg, t_eff))
+
+
+def _teff_limits(ge: np.ndarray, gg: np.ndarray, t_eff: np.ndarray) -> np.ndarray:
+    """``t_eff``, an effective temperature formed from ln(ge/gg), with the
+    special cases of :func:`effective_temperature` put in: NaN where both
+    rates are 0, +0 where only ``gg`` is, -0 where only ``ge`` is, and inf
+    where they are equal.  The scaled ``teff_star`` of the resonant-1q
+    tables takes the same cases."""
     no_e = ge == 0.0
     out = np.where(ge == gg, math.inf, t_eff)
     out = np.where(no_e, -0.0, out)
-    out = np.where(gg == 0.0, np.where(no_e, math.nan, 0.0), out)
-    return _scalar_or_array(out)
+    return np.where(gg == 0.0, np.where(no_e, math.nan, 0.0), out)
 
 
 def bloch_redfield(
@@ -343,6 +351,12 @@ def validity_flags(
     return {name: _scalar_or_array(value) for name, value in ratios.items()}
 
 
+def _raised(name: str, ratio: float | np.ndarray) -> np.ndarray:
+    """Where the validity ratio of the flag ``name`` is finite and meets its
+    threshold: the one rule by which a flag is raised."""
+    return np.isfinite(ratio) & np.greater_equal(ratio, FLAG_THRESHOLDS[name])
+
+
 def _flag_codes(ratios: dict[str, float | np.ndarray]) -> tuple[np.ndarray, list[frozenset[str]]]:
     """The distinct sets of raised flags (``RateResult.flags``) and, per
     point of the ratios' broadcast shape, the index of its set."""
@@ -350,9 +364,7 @@ def _flag_codes(ratios: dict[str, float | np.ndarray]) -> tuple[np.ndarray, list
     shape = np.broadcast_shapes(*(np.shape(v) for v in ratios.values()))
     code = np.zeros(shape, dtype=np.int64)
     for bit, name in enumerate(names):
-        value = np.asarray(ratios[name], dtype=float)
-        raised = np.isfinite(value) & (value >= FLAG_THRESHOLDS[name])
-        code |= raised.astype(np.int64) << bit
+        code |= _raised(name, ratios[name]).astype(np.int64) << bit
     found = np.unique(code)
     return np.searchsorted(found, code), [
         frozenset(name for bit, name in enumerate(names) if c >> bit & 1) for c in found.tolist()]
@@ -417,6 +429,40 @@ def resonant_1q_scaled(
         gamma_e/gamma_0 = 2 k [(n+1)((w-(2u-1))^2 + k^2) + n u^2] / D(w).
     """
     return spectra(omega_rel, u, nu_scaled, kappa_scaled, 1.0, n_bar)
+
+
+def _resonant_1q_columns(omega_rel, u, nu, kappa: float, n_bar: float) -> dict:
+    """The u, nu, gamma_e_scaled, gamma_g_scaled, ln_ratio, teff_star and
+    flags columns of the resonant one-quantum channel, by name in that
+    order, as the ``teff`` table prints them (``rates`` leaves out ln_ratio).
+
+    ``u`` and ``nu`` are one branch of ``solve_branches``: arrays over a
+    drive sweep, or the scalars of a stable or absent branch over a detuning
+    sweep ``omega_rel``.  A row without a stable attractor has NaN cells and
+    the flag "absent" (NaN) or "marginal" (nu = 0, the rule of
+    ``solve_branches``).  teff_star is kB*T_eff/(hbar*omega_q) = 1/ln_ratio,
+    with the special cases of :func:`effective_temperature`, and the
+    weak-damping flag is raised by the rule of ``RateResult.flags``.  The
+    flags are a pair (codes, labels), with a 0-d codes array for a scalar
+    branch.
+    """
+    absent, marginal = np.isnan(u), np.equal(nu, 0.0)
+    if np.ndim(u):
+        u, nu = np.where(marginal, np.nan, u), np.where(marginal, np.nan, nu)
+    # one call on every row: a NaN row stays NaN, and a bad n_bar is refused
+    # even when no row is stable
+    ge, gg = resonant_1q_scaled(omega_rel, u, nu, kappa, n_bar)
+    ln_ratio = log_rate_ratio(ge, gg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        teff_star = _teff_limits(ge, gg, np.divide(1.0, ln_ratio))
+        weak = _raised(FLAG_WEAK_DAMPING, kappa / np.asarray(nu))
+    # a scalar u, nu or flag is one cell of every row (emit_table)
+    flags = np.where(absent, 3, np.where(marginal, 2, weak)), _FLAG_LABELS
+    return {"u": u, "nu": nu, "gamma_e_scaled": ge, "gamma_g_scaled": gg,
+            "ln_ratio": ln_ratio, "teff_star": teff_star, "flags": flags}
+
+
+_FLAG_LABELS = ("", FLAG_WEAK_DAMPING, "marginal", "absent")  # by flag code
 
 
 def _resonant_1q_rates(q: QubitParams, p: PhysicalParams, u, nu_scaled, s: ScaledParams):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duffing_qubit import Branch, bifurcation_betas, drift_matrix, solve_branches
+from duffing_qubit import (
+    Branch,
+    bifurcation_betas,
+    drift_matrix,
+    effective_temperature,
+    solve_branches,
+)
 from duffing_qubit.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -129,6 +136,16 @@ class TestAttractorsCommand:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("command", [
+        ["attractors", "--kappa-scaled", "0.3"],
+        ["teff", "--kappa-scaled", "0.3", "--omega-rel", "0.1", "--attractor", "small"],
+    ])
+    def test_negative_beta_grid_is_refused_by_the_library(self, capsys, command):
+        # one rule for a negative drive: the root solve's, with its message
+        code, out, err = run_cli(capsys, *command, "--grid=-0.1:0.1:3")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: beta must be finite and non-negative, got -0.1\n"
 
     def test_missing_kappa_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "attractors")
@@ -360,6 +377,24 @@ class TestTeffCommand:
             u = float(row[columns.index("u")])
             assert math.isnan(u) == (beta < info.beta_low)
 
+    @pytest.mark.parametrize("argv,tag,n_zero", [
+        (["teff", "--kappa-scaled", "0.3", "--nbar", "0", "--omega-rel", "0.1",
+          "--attractor", "small", "--grid", "0:0.01:3"], "", 1),
+        (["rates", "--beta", "0", "--kappa-scaled", "0.3", "--nbar", "0",
+          "--attractor", "small", "--grid=-1:1:3"], "_small", 3),
+    ])
+    def test_teff_star_is_zero_where_gamma_g_is(self, capsys, argv, tag, n_zero):
+        # at beta = 0 the small branch is u = 0, so at n_bar = 0 the qubit is
+        # never excited: the ground-state-only limit, where T_eff is +0
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        _, columns, rows = parse_csv(out)
+        cells = [dict(zip(columns, row)) for row in rows]
+        zero = [c for c in cells if c["gamma_g_scaled" + tag] == "0.0"]
+        assert [c["teff_star" + tag] for c in zero] == ["0.0"] * n_zero
+        gamma_e = float(zero[0]["gamma_e_scaled" + tag])
+        assert gamma_e > 0.0 and effective_temperature(gamma_e, 0.0, 1.0) == 0.0
+
     def test_nonfinite_serialization(self):
         from duffing_qubit.cli import _fmt, _json_safe
         assert _fmt(math.inf) == "inf"
@@ -382,6 +417,29 @@ class TestMatchCommand:
 
 
 class TestValidateCommand:
+    def test_printed_limits_are_the_constants(self, capsys):
+        # each limit that validate and the spectrum --check help print reads
+        # back as the constant its check compares with
+        from duffing_qubit.cli import build_parser
+        from duffing_qubit.fluctuations import (
+            ATTRACTOR_RESIDUAL_LIMIT,
+            DUAL_ROUTE_LIMIT,
+            LYAPUNOV_RESIDUAL_LIMIT,
+        )
+        code, out, _ = run_cli(capsys, "validate")
+        assert code == EXIT_OK
+        printed = dict(re.findall(r" (\w+): .*\(limit ([^)]*)\)$", out, re.MULTILINE))
+        assert {name: float(text) for name, text in printed.items()} == {
+            "attractor_residual": ATTRACTOR_RESIDUAL_LIMIT,
+            "lyapunov_residual": LYAPUNOV_RESIDUAL_LIMIT,
+            "dual_route": DUAL_ROUTE_LIMIT,
+        }
+        assert printed["dual_route"] == "1e-6"  # as the golden report has it
+        spectrum = build_parser().subcommands["spectrum"]
+        check, = (a for a in spectrum._actions if a.dest == "check")
+        assert check.help.startswith("exit 3 if the two routes disagree beyond ")
+        assert float(check.help.rsplit(" ", 1)[1]) == DUAL_ROUTE_LIMIT
+
     def test_all_checks_green(self, capsys):
         code, out, _ = run_cli(capsys, "validate")
         assert code == EXIT_OK

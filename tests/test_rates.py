@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from duffing_qubit.rates import (
     FLAG_TWO_QUANTUM,
     FLAG_WEAK_DAMPING,
     _channel_sums,
+    _resonant_1q_columns,
 )
 from test_fluctuations import spectrum_matrix
 
@@ -913,17 +915,30 @@ def channel_sums_per_channel(p, omegas, offsets, factors=None):
     return sum_e[()], sum_g[()]
 
 
-def effective_temperature_select(gamma_e, gamma_g, omega_q):
+def effective_temperature_select(gamma_e, gamma_g, omega_q=None):
     """``effective_temperature`` as it was with ``np.select``, kept as the
-    reference for the bits of its ``np.where`` chain."""
+    reference for the bits of its ``np.where`` chain; with no ``omega_q``,
+    the scaled teff_star = 1/ln(gamma_e/gamma_g) of the resonant-1q tables
+    with the same special cases."""
     from duffing_qubit.model import hbar, k_B  # the constants of the code, not scipy's
-    ge, gg, wq = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (gamma_e, gamma_g, omega_q)))
+    ge, gg, wq = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (
+        gamma_e, gamma_g, 0.0 if omega_q is None else omega_q)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_eff = hbar * wq / (k_B * np.asarray(log_rate_ratio(ge, gg)))
+        ln = np.asarray(log_rate_ratio(ge, gg))
+        t_eff = np.divide(1.0, ln) if omega_q is None else hbar * wq / (k_B * ln)
     out = np.select([(ge == 0.0) & (gg == 0.0), gg == 0.0, ge == 0.0, ge == gg],
                     [math.nan, 0.0, -0.0, math.inf], t_eff)
     return float(out) if out.ndim == 0 else out
+
+
+def table_teff_star(gamma_e, gamma_g):
+    """The teff_star column that the resonant-1q table builder makes from
+    the rate columns ``gamma_e`` and ``gamma_g`` (arrays over the rows), on
+    a stable branch with no weak-damping flag."""
+    rows = np.shape(gamma_e)
+    with mock.patch("duffing_qubit.rates.resonant_1q_scaled", lambda *_: (gamma_e, gamma_g)):
+        table = _resonant_1q_columns(0.0, np.full(rows, 1.0), np.full(rows, 1.0), 0.3, 0.5)
+    return table["teff_star"]
 
 
 def assert_same_bits(got, expected):
@@ -1006,6 +1021,9 @@ class TestStackedChannelsKeepTheBits:
             omega_q = omega_q * np.arange(1.0, len(pairs) + 1.0)
         assert_same_bits(effective_temperature(ge, gg, omega_q),
                          effective_temperature_select(ge, gg, omega_q))
+        # the table's teff_star: columns over the rows, the same special cases
+        ge, gg = np.broadcast_arrays(np.atleast_1d(ge), np.atleast_1d(gg))
+        assert_same_bits(table_teff_star(ge, gg), effective_temperature_select(ge, gg))
 
 
 class TestMatchReport:

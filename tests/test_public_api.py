@@ -28,15 +28,14 @@ def test_listed_classes_and_functions_are_defined_in_their_module():
 
 def test_the_cli_wires_the_library_self_checks():
     """validate's checks, the dual route, match_report and the resonant-1q
-    table columns are library functions; the CLI imports them and none of
-    the physics or validity rules they use."""
+    table columns are library functions; the CLI calls them and holds none
+    of the physics or validity rules they use."""
     from duffing_qubit import cli
     for name in ("_strictly_stable", "spectra", "spectra_from_matrix", "physical_from_scaled",
                  "gamma_resonant_1q", "gamma_nonresonant", "_dual_route",
                  "FLAG_THRESHOLDS", "FLAG_WEAK_DAMPING", "log_rate_ratio", "resonant_1q_scaled",
                  "_resonant_1q_columns", "_FLAG_LABELS"):
         assert not hasattr(cli, name), name
-    assert cli.rates is rates
     assert cli.self_checks is fluctuations.self_checks
     assert cli.dual_route is fluctuations.dual_route
     assert cli.match_report is rates.match_report

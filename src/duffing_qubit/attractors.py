@@ -75,30 +75,26 @@ class BifurcationInfo:
 class Branches:
     """Steady states over a drive-intensity grid, one column per branch.
 
-    Each field has the shape of ``beta`` (a float or bool for a scalar
-    ``beta``).  ``u_*`` and ``nu_*`` are NaN where the branch is absent;
-    ``marginal_*`` is True where the branch is present but its drift fails
-    :func:`_strictly_stable`, such as the entry that stands for a degenerate
-    pair at a bifurcation, and False where the branch is absent.  ``nu_*`` is
-    0 exactly on the marginal entries.  The unstable branch has no ``nu``
-    column.
+    Each field has the shape of ``beta`` (a float for a scalar ``beta``).
+    ``u_*`` and ``nu_*`` are NaN where the branch is absent.  ``nu_*`` is 0
+    where the branch is present but marginal: its drift fails
+    :func:`_strictly_stable`, as does the entry that stands for a degenerate
+    pair at a bifurcation.  The unstable branch has no ``nu`` column.
     """
 
     u_small: float | np.ndarray
     nu_small: float | np.ndarray
-    marginal_small: bool | np.ndarray
     u_unstable: float | np.ndarray
     u_large: float | np.ndarray
     nu_large: float | np.ndarray
-    marginal_large: bool | np.ndarray
 
     def pick(self, branch: Branch) -> tuple:
-        """(u, nu, marginal) of the small or large branch."""
-        if branch is Branch.SMALL:
-            return self.u_small, self.nu_small, self.marginal_small
-        if branch is Branch.LARGE:
-            return self.u_large, self.nu_large, self.marginal_large
-        raise ValueError("only the small and large branches carry (u, nu, marginal)")
+        """(u, nu) of the small or large branch."""
+        if branch == Branch.SMALL:
+            return self.u_small, self.nu_small
+        if branch == Branch.LARGE:
+            return self.u_large, self.nu_large
+        raise ValueError("only the small and large branches carry (u, nu)")
 
 
 def _beta_of_u(u: float, kappa_scaled: float) -> float:
@@ -303,24 +299,17 @@ def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
         marginal = ~_strictly_stable(-2.0 * kappa_scaled, det, frob2) & ~np.isnan(roots)
         nu = np.where(marginal, 0.0, np.sqrt(det))
 
+    cols = (roots[:, 0], nu[:, 0], roots[:, 1], roots[:, 2], nu[:, 2])
     if b.ndim == 0:
-        (u_small, u_unstable, u_large), = roots.tolist()
-        (nu_small, _, nu_large), = nu.tolist()
-        return Branches(u_small, nu_small, bool(marginal[0, 0]), u_unstable,
-                        u_large, nu_large, bool(marginal[0, 2]))
-    shape = b.shape
-    return Branches(
-        roots[:, 0].reshape(shape), nu[:, 0].reshape(shape), marginal[:, 0].reshape(shape),
-        roots[:, 1].reshape(shape), roots[:, 2].reshape(shape),
-        nu[:, 2].reshape(shape), marginal[:, 2].reshape(shape),
-    )
+        return Branches(*(float(col[0]) for col in cols))
+    return Branches(*(col.reshape(b.shape) for col in cols))
 
 
 def _pick_stable(solved: Branches, branch: Branch) -> tuple[float, float]:
     """(u, nu) of ``branch`` in a scalar solve, NaN where it is absent:
     MarginalAttractorError where it is marginal."""
-    u, nu, marginal = solved.pick(branch)
-    if marginal:
+    u, nu = solved.pick(branch)
+    if nu == 0.0:
         raise MarginalAttractorError(f"{branch.value} attractor is marginal")
     return u, nu
 

@@ -394,7 +394,7 @@ def cmd_spectrum(args, config) -> int:
     if args.check and not worst <= DUAL_ROUTE_LIMIT:
         print(
             f"self-check failed: dual-route deviation {worst:g} exceeds "
-            f"{DUAL_ROUTE_LIMIT:g}",
+            f"{_limit_text(DUAL_ROUTE_LIMIT)}",
             file=sys.stderr,
         )
         return EXIT_SELFCHECK
@@ -488,7 +488,7 @@ def cmd_teff(args, config) -> int:
     branch = Branch(args.attractor)
     grid = parse_grid(args.grid)
 
-    u, nu, _ = solve_branches(grid, kappa).pick(branch)
+    u, nu = solve_branches(grid, kappa).pick(branch)
     table = rates._resonant_1q_columns(args.omega_rel, u, nu, kappa, args.nbar)
     emit_table(params, ["beta", *table], [grid, *table.values()], args.format, args.out_stream)
     return EXIT_OK

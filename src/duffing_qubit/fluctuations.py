@@ -350,7 +350,7 @@ def self_checks(beta: float, kappa_scaled: float, lambda_s: float,
     n = sum(~np.isnan(u[rows]) for u in us)
     inside = info.bistable & (info.beta_low < counted) & (counted < info.beta_high)
     off_edge = np.minimum(abs(counted - info.beta_low), abs(counted - info.beta_high))
-    on_edge = (s.marginal_small[rows] | s.marginal_large[rows]) & (off_edge < 1e-14)
+    on_edge = ((s.nu_small[rows] == 0.0) | (s.nu_large[rows] == 0.0)) & (off_edge < 1e-14)
     ok = bool(np.all((n == np.where(inside, 3, 1)) | (on_edge & (n == 2))))
     report("attractor_count", ok, "1 outside / 3 inside the bistable window")
 
@@ -359,13 +359,12 @@ def self_checks(beta: float, kappa_scaled: float, lambda_s: float,
     tail = slice(grid.size + counted.size, None)
     u = np.stack([s.u_small[tail], s.u_large[tail]])
     nu = np.stack([s.nu_small[tail], s.nu_large[tail]])
-    marginal = np.stack([s.marginal_small[tail], s.marginal_large[tail]])
     k = drift_matrix(u, betas[tail], kappa_scaled)
 
     # quasienergy gap closes at the boundaries, each with its merging pair,
     # whose drift fails the stability rule
     if info.bistable:
-        at_edge = marginal[:, :len(edges)]
+        at_edge = nu[:, :len(edges)] == 0.0
         missing = int(np.count_nonzero(~at_edge.any(axis=0)))
         k_edge = k[:, :len(edges)][at_edge]
         det = np.linalg.det(k_edge)
@@ -382,7 +381,7 @@ def self_checks(beta: float, kappa_scaled: float, lambda_s: float,
     # Lyapunov residual and positive definiteness from one covariance stack
     # over the stable attractors of the four drives, and the dual-route
     # spectrum agreement at beta
-    stable = ~np.isnan(u) & ~marginal
+    stable = nu > 0.0
     stable[:, :len(edges)] = False
     k, u, nu = k[stable], u[stable], nu[stable]
     cov = stationary_covariance(k, lambda_s, kappa_scaled, n_bar)

@@ -45,7 +45,7 @@ def report(number: int, detail: str, elapsed: float | None = None) -> None:
 
 def stable(beta, kappa, branch):
     """(u, nu) of the strictly stable steady state on ``branch``."""
-    u, nu, _ = solve_branches(beta, kappa).pick(branch)
+    u, nu = solve_branches(beta, kappa).pick(branch)
     assert nu > 0.0  # 0 where marginal, NaN where absent
     return u, nu
 
@@ -91,8 +91,7 @@ def test_criterion_1_bifurcation_diagram():
     # gap frequency closes at both boundaries
     for edge in (info.beta_low, info.beta_high):
         s = solve_branches(edge, KAPPA)
-        marginal = [nu for nu, m in ((s.nu_small, s.marginal_small),
-                                     (s.nu_large, s.marginal_large)) if m]
+        marginal = [nu for nu in (s.nu_small, s.nu_large) if nu == 0.0]
         assert marginal == [0.0]
     for eps, branch in ((1e-10, Branch.SMALL), (-1e-10, Branch.LARGE)):
         near = solve_branches(info.beta_high * (1 - eps) if eps > 0

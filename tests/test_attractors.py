@@ -36,11 +36,11 @@ def bisect_cubic_root(beta, kappa, lo=0.0, hi=2.0):
 
 
 def steady_states(beta, kappa):
-    """(branch, u, nu, marginal) of each steady state of a scalar solve, by u;
-    the unstable branch has no nu (NaN)."""
+    """(branch, u, nu) of each steady state of a scalar solve, by u; nu is 0
+    on a marginal entry, and the unstable branch has no nu (NaN)."""
     s = solve_branches(beta, kappa)
     rows = [(Branch.SMALL, *s.pick(Branch.SMALL)),
-            (Branch.UNSTABLE, s.u_unstable, math.nan, False),
+            (Branch.UNSTABLE, s.u_unstable, math.nan),
             (Branch.LARGE, *s.pick(Branch.LARGE))]
     return [row for row in rows if not math.isnan(row[1])]
 
@@ -62,8 +62,8 @@ class TestSolveAttractors:
     """A scalar beta: each branch's steady state as Python floats."""
 
     def test_undriven_fixed_point(self):
-        ((branch, u, nu, marginal),) = steady_states(0.0, 0.3)
-        assert branch is Branch.SMALL and u == 0.0 and not marginal
+        ((branch, u, nu),) = steady_states(0.0, 0.3)
+        assert branch is Branch.SMALL and u == 0.0 and nu != 0.0
         assert _quadratures(u, 0.0, 0.3) == (0.0, 0.0)
         assert math.isclose(nu**2, 0.3**2 + 1.0, rel_tol=1e-12)
 
@@ -71,11 +71,11 @@ class TestSolveAttractors:
         states = steady_states(0.12, 0.3)
         assert [row[0] for row in states] == [Branch.SMALL, Branch.UNSTABLE, Branch.LARGE]
         assert states[0][1] < states[1][1] < states[2][1]
-        assert not any(row[3] for row in states)
+        assert not any(row[2] == 0.0 for row in states)
 
     def test_single_root_against_bisection_oracle(self):
         kappa, beta = 0.3, 0.05
-        ((branch, u, _, _),) = steady_states(beta, kappa)
+        ((branch, u, _),) = steady_states(beta, kappa)
         assert branch is Branch.SMALL
         oracle = bisect_cubic_root(beta, kappa)
         assert math.isclose(u, oracle, rel_tol=1e-11)
@@ -85,8 +85,8 @@ class TestSolveAttractors:
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.5, 1.0])
     def test_residual_and_coordinates(self, kappa):
         for beta in np.linspace(0.0, 0.5, 81).tolist():
-            for _, u, _, marginal in steady_states(beta, kappa):
-                if marginal:
+            for _, u, nu in steady_states(beta, kappa):
+                if nu == 0.0:
                     continue
                 res = abs(beta_of_u(u, kappa) - beta)
                 assert res <= 1e-10 * max(beta, 1.0)
@@ -114,12 +114,12 @@ class TestSolveAttractors:
         info = bifurcation_betas(0.3)
         states = steady_states(info.beta_high, 0.3)
         assert len(states) == 2
-        marginal = [row for row in states if row[3]]
+        marginal = [row for row in states if row[2] == 0.0]
         assert len(marginal) == 1
-        branch, _, nu, _ = marginal[0]
+        branch, _, nu = marginal[0]
         assert nu == 0.0 and branch is Branch.SMALL
         states = steady_states(info.beta_low, 0.3)
-        marginal = [row for row in states if row[3]]
+        marginal = [row for row in states if row[2] == 0.0]
         assert len(marginal) == 1 and marginal[0][0] is Branch.LARGE
 
     def test_invalid_inputs(self):
@@ -148,8 +148,8 @@ class TestBifurcation:
     def test_gap_closes_at_boundaries(self):
         info = bifurcation_betas(0.3)
         for beta_edge in (info.beta_low, info.beta_high):
-            for _, u, _, marginal in steady_states(beta_edge, 0.3):
-                if marginal:
+            for _, u, nu in steady_states(beta_edge, 0.3):
+                if nu == 0.0:
                     det = float(np.linalg.det(drift_matrix(u, beta_edge, 0.3)))
                     assert abs(det) < 1e-8
 
@@ -161,9 +161,9 @@ class TestBifurcation:
         info = bifurcation_betas(kappa)
         turning = (info.u_at_beta_low, info.u_at_beta_high)
         for beta_edge in (info.beta_low, info.beta_high):
-            for _, u, _, marginal in steady_states(beta_edge, kappa):
+            for _, u, nu in steady_states(beta_edge, kappa):
                 assert abs(u * ((u - 1) ** 2 + kappa**2) - beta_edge) < 1e-10
-                if marginal:
+                if nu == 0.0:
                     assert u in turning
                     det = float(np.linalg.det(drift_matrix(u, beta_edge, kappa)))
                     assert abs(det) < 1e-8
@@ -173,8 +173,8 @@ class TestBifurcation:
         nus = []
         for eps in np.geomspace(1e-2, 1e-10, 9):
             beta = info.beta_high * (1.0 - float(eps))
-            _, nu, marginal = solve_branches(beta, 0.3).pick(Branch.SMALL)
-            assert not marginal
+            _, nu = solve_branches(beta, 0.3).pick(Branch.SMALL)
+            assert nu > 0.0
             nus.append(nu)
         assert all(a > b for a, b in zip(nus, nus[1:]))
         assert nus[-1] < 1e-2
@@ -188,8 +188,8 @@ class TestDriftMatrix:
     @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5])
     def test_trace_and_determinant_identities(self, kappa):
         for beta in np.linspace(0.0, 0.4, 41).tolist():
-            for branch, u, nu, marginal in steady_states(beta, kappa):
-                if marginal:
+            for branch, u, nu in steady_states(beta, kappa):
+                if nu == 0.0:
                     continue
                 k = drift_matrix(u, beta, kappa)
                 assert math.isclose(np.trace(k), -2.0 * kappa, rel_tol=1e-13)
@@ -202,7 +202,7 @@ class TestDriftMatrix:
                     assert math.isclose(det, nu**2, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_eigenvalue_structure(self):
-        for branch, u, nu, _ in steady_states(0.12, 0.3):
+        for branch, u, nu in steady_states(0.12, 0.3):
             eigs = np.linalg.eigvals(drift_matrix(u, 0.12, 0.3))
             if branch is Branch.UNSTABLE:
                 assert max(e.real for e in eigs) > 0.0
@@ -223,8 +223,8 @@ class TestDriftMatrix:
         nu2 = np.stack([s.nu_small**2, det, s.nu_large**2])
         k = drift_matrix(u, beta, kappa)
         assert k.shape == (3, beta.size, 2, 2)
-        rows = ~np.isnan(u) & ~np.stack([s.marginal_small, np.zeros(beta.size, bool),
-                                         s.marginal_large])
+        rows = ~np.isnan(u) & np.stack([s.nu_small != 0.0, np.ones(beta.size, bool),
+                                        s.nu_large != 0.0])
         eigs = np.linalg.eigvals(k[rows])
         root = np.sqrt((kappa**2 - nu2[rows]).astype(complex))
         expected = np.stack([-kappa + root, -kappa - root], axis=1)
@@ -236,7 +236,7 @@ class TestDriftMatrix:
     def test_weak_drive_is_stable(self):
         # pins the global sign convention of the drift field
         for beta in (1e-6, 1e-3, 0.01):
-            ((_, u, _, _),) = steady_states(beta, 0.3)
+            ((_, u, _),) = steady_states(beta, 0.3)
             eigs = np.linalg.eigvals(drift_matrix(u, beta, 0.3))
             assert max(e.real for e in eigs) < 0.0
 
@@ -247,7 +247,7 @@ class TestGapScaling:
         eps = np.geomspace(1e-7, 1e-3, 9)
         dus, nus = [], []
         for e in eps:
-            u, nu, _ = solve_branches(info.beta_high * (1.0 - float(e)), 0.3).pick(Branch.SMALL)
+            u, nu = solve_branches(info.beta_high * (1.0 - float(e)), 0.3).pick(Branch.SMALL)
             dus.append(info.u_at_beta_high - u)
             nus.append(nu)
         slope = np.polyfit(np.log(dus), np.log(nus), 1)[0]
@@ -262,7 +262,7 @@ class TestGapScaling:
             for e in eps:
                 beta = beta_edge * (1.0 - float(e)) if edge == "beta_high" \
                     else beta_edge * (1.0 + float(e))
-                _, nu, _ = solve_branches(beta, 0.3).pick(branch)
+                _, nu = solve_branches(beta, 0.3).pick(branch)
                 dbs.append(abs(beta - beta_edge))
                 nus.append(nu)
             slope = np.polyfit(np.log(dbs), np.log(np.array(nus) ** 2), 1)[0]
@@ -275,7 +275,7 @@ class TestGapScaling:
         eps = np.geomspace(1e-7, 1e-3, 9)
         dbs, nus = [], []
         for e in eps:
-            _, nu, _ = solve_branches(info.beta_high * (1.0 - float(e)), 0.3).pick(Branch.SMALL)
+            _, nu = solve_branches(info.beta_high * (1.0 - float(e)), 0.3).pick(Branch.SMALL)
             dbs.append(info.beta_high * float(e))
             nus.append(nu)
         slope = np.polyfit(np.log(dbs), np.log(nus), 1)[0]
@@ -293,7 +293,7 @@ class TestInputDomain:
 
     @pytest.mark.parametrize("beta", [1e150, 1e200, 1e300, 1e308, 1.7e308])
     def test_huge_beta_solves_the_cubic(self, beta):
-        ((branch, u, nu, _),) = steady_states(beta, 0.3)
+        ((branch, u, nu),) = steady_states(beta, 0.3)
         assert branch is Branch.LARGE
         assert math.isfinite(u) and math.isfinite(nu)
         assert math.isclose(u * ((u - 1.0) ** 2 + 0.09), beta, rel_tol=1e-12)
@@ -307,7 +307,7 @@ class TestInputDomain:
 
 
 def _per_beta_columns(betas, kappa):
-    """The seven solve_branches columns, built from one scalar solve per beta."""
+    """The five solve_branches columns, built from one scalar solve per beta."""
     solves = [solve_branches(beta, kappa) for beta in np.asarray(betas, dtype=float).tolist()]
     return {field.name: np.array([getattr(s, field.name) for s in solves])
             for field in dataclasses.fields(Branches)}
@@ -342,7 +342,7 @@ class TestSolveBranches:
         assert s.u_small[0] == 0.0 and s.u_small[1] == 0.0
         # at a subnormal beta the root r is subnormal too and 4 beta / r rounds
         # to 4, so a pair test through beta / r would see a grazing pair there
-        assert np.isnan(s.u_large[:6]).all() and not s.marginal_large.any()
+        assert np.isnan(s.u_large[:6]).all() and not (s.nu_large == 0.0).any()
 
     @staticmethod
     def assert_equal_per_beta(grid, kappa):
@@ -356,22 +356,28 @@ class TestSolveBranches:
         s = solve_branches(0.12, 0.3)
         for name in ("u_small", "nu_small", "u_unstable", "u_large", "nu_large"):
             assert type(getattr(s, name)) is float
-        assert type(s.marginal_small) is bool and type(s.marginal_large) is bool
         assert math.isnan(solve_branches(0.05, 0.3).u_large)
 
     def test_shape_is_kept(self):
         grid = np.linspace(0.0, 0.3, 12).reshape(3, 4)
         s = solve_branches(grid, 0.3)
         flat = solve_branches(grid.ravel(), 0.3)
-        assert s.u_large.shape == (3, 4) and s.marginal_small.shape == (3, 4)
+        assert s.u_large.shape == (3, 4) and s.nu_small.shape == (3, 4)
         assert np.array_equal(s.u_large.ravel(), flat.u_large, equal_nan=True)
 
     def test_pick(self):
         s = solve_branches(np.array([0.05, 0.12]), 0.3)
-        u, nu, marginal = s.pick(Branch.LARGE)
-        assert u is s.u_large and nu is s.nu_large and marginal is s.marginal_large
-        with pytest.raises(ValueError):
-            s.pick(Branch.UNSTABLE)
+        u, nu = s.pick(Branch.LARGE)
+        assert u is s.u_large and nu is s.nu_large
+        for unstable in (Branch.UNSTABLE, "unstable"):
+            with pytest.raises(ValueError, match=r"carry \(u, nu\)"):
+                s.pick(unstable)
+
+    @pytest.mark.parametrize("name", ["small", "large"])
+    def test_pick_by_value(self, name):
+        # Branch is a str enum: its plain value names the same branch
+        s = solve_branches(0.12, 0.3)
+        assert s.pick(name) == s.pick(Branch(name))
 
     @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
     def test_first_bad_beta_is_named(self, bad):
@@ -392,9 +398,9 @@ class TestBifurcationEdges:
                 (info.beta_high, Branch.SMALL, info.u_at_beta_high),
             ):
                 states = steady_states(beta, kappa)
-                marginal = [row for row in states if row[3]]
+                marginal = [row for row in states if row[2] == 0.0]
                 assert len(states) == 2 and len(marginal) == 1, (kappa, beta)
-                assert marginal[0][:3] == (branch, u_edge, 0.0)
+                assert marginal[0] == (branch, u_edge, 0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(kappa=st.floats(0.02, 0.57))
@@ -405,8 +411,8 @@ class TestBifurcationEdges:
     def test_merging_pair_is_marginal_at_every_edge(self, kappa):
         info = bifurcation_betas(kappa)
         s = solve_branches(np.array([info.beta_low, info.beta_high]), kappa)
-        assert s.marginal_large.tolist() == [True, False]
-        assert s.marginal_small.tolist() == [False, True]
+        assert (s.nu_large == 0.0).tolist() == [True, False]
+        assert (s.nu_small == 0.0).tolist() == [False, True]
         assert np.isnan(s.u_unstable).all()
         assert s.u_large[0] == info.u_at_beta_low and s.u_small[1] == info.u_at_beta_high
 
@@ -414,8 +420,8 @@ class TestBifurcationEdges:
         for kappa in self.KAPPAS[::20].tolist():
             info = bifurcation_betas(kappa)
             s = solve_branches(np.array([info.beta_low, info.beta_high]), kappa)
-            assert s.marginal_large.tolist() == [True, False]
-            assert s.marginal_small.tolist() == [False, True]
+            assert (s.nu_large == 0.0).tolist() == [True, False]
+            assert (s.nu_small == 0.0).tolist() == [False, True]
             assert np.isnan(s.u_unstable).all()
 
 
@@ -445,7 +451,7 @@ class TestHighPrecisionOracle:
             assert len(got) == (3 if inside else 1)
             for u, ref in zip(got, oracle):
                 assert abs(u - ref) <= 1e-10 * max(1.0, ref), (beta, u, ref)
-            assert not s.marginal_small[i] and not s.marginal_large[i]
+            assert s.nu_small[i] != 0.0 and s.nu_large[i] != 0.0
 
 
 class TestSolveBranchesProperties:

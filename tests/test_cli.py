@@ -36,15 +36,20 @@ def run_cli(capsys, *argv):
 
 
 def clear_marginal_flags(monkeypatch):
-    """Make the root solve of ``self_checks`` report no marginal entry, as if
-    no merging pair were found at a window edge."""
+    """Make the root solve of ``self_checks`` report each marginal entry
+    (nu = 0) as absent (NaN), as where no merging pair is found at a window
+    edge."""
     import duffing_qubit.fluctuations as fluctuations
     solve = fluctuations.solve_branches
 
     def cleared(beta, kappa):
         s = solve(beta, kappa)
-        none = np.zeros(np.shape(beta), dtype=bool)
-        return dataclasses.replace(s, marginal_small=none, marginal_large=none)
+        small, large = s.nu_small == 0.0, s.nu_large == 0.0
+        return dataclasses.replace(
+            s, u_small=np.where(small, np.nan, s.u_small),
+            nu_small=np.where(small, np.nan, s.nu_small),
+            u_large=np.where(large, np.nan, s.u_large),
+            nu_large=np.where(large, np.nan, s.nu_large))
 
     monkeypatch.setattr(fluctuations, "solve_branches", cleared)
 
@@ -162,6 +167,19 @@ class TestSpectrumCommand:
         assert float(header["max_route_deviation"]) < 1e-6
         assert len(rows) == 2001
 
+    def test_failed_check_prints_the_limit_as_validate_does(self, capsys, monkeypatch):
+        import duffing_qubit.cli as cli
+        route = cli.dual_route
+
+        def off(*args):
+            return route(*args)[0], 1.0
+
+        monkeypatch.setattr(cli, "dual_route", off)
+        code, _, err = run_cli(capsys, "spectrum", "--beta", "0.12", "--kappa-scaled", "0.3",
+                               "--check", "--grid=-1:1:3")
+        assert code == EXIT_SELFCHECK
+        assert err == "self-check failed: dual-route deviation 1 exceeds 1e-6\n"
+
     def test_zero_frequency_row_matches_direct_inverse(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--beta", "0.12",
                                "--kappa-scaled", "0.3", "--lambda-s", "0.01",
@@ -235,7 +253,7 @@ class TestBatchedSweepsAgainstPerPoint:
                                "--attractor", "small", "--grid=-4:4:161", "--check")
         assert code == EXIT_OK
         _, columns, rows = parse_csv(out)
-        u, nu, _ = solve_branches(beta, kappa).pick(Branch.SMALL)
+        u, nu = solve_branches(beta, kappa).pick(Branch.SMALL)
         k = drift_matrix(u, beta, kappa)
         cov = stationary_covariance(k, lam, kappa, n_bar)
         reference = {
@@ -264,7 +282,7 @@ class TestBatchedSweepsAgainstPerPoint:
         for row in rows:
             w = float(row[columns.index("omega")])
             for tag in ("small", "large"):
-                u, nu, _ = solved.pick(Branch(tag))
+                u, nu = solved.pick(Branch(tag))
                 ge, gg = resonant_1q_scaled(w, u, nu, kappa, n_bar)
                 got_e = float(row[columns.index(f"gamma_e_scaled_{tag}")])
                 got_g = float(row[columns.index(f"gamma_g_scaled_{tag}")])
@@ -299,7 +317,7 @@ class TestRatesCommand:
         )
         assert code == EXIT_OK
         _, columns, rows = parse_csv(out)
-        u, nu, _ = solve_branches(0.14, 0.3).pick(Branch.SMALL)
+        u, nu = solve_branches(0.14, 0.3).pick(Branch.SMALL)
         for row in rows:
             w = float(row[columns.index("omega")])
             gg = float(row[columns.index("gamma_g_scaled_small")])
@@ -572,7 +590,7 @@ class TestSiSweepAgainstPerPoint:
         _, columns, rows = parse_csv(out)
         assert len(rows) == 31
         s = scale_params(p)
-        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.LARGE)
+        u, nu = solve_branches(s.beta, s.kappa_scaled).pick(Branch.LARGE)
         for row in rows:
             omega_q = float(row[0])
             q = QubitParams(w=math.sqrt(omega_q**2 - self.DELTA**2), delta=self.DELTA,
@@ -673,7 +691,8 @@ class TestBetaSweepsAgainstPerPoint:
         for row in rows:
             beta = float(row[0])
             cell = dict(zip(columns, row))
-            u, nu, marginal = solve_branches(beta, kappa).pick(Branch(branch))
+            u, nu = solve_branches(beta, kappa).pick(Branch(branch))
+            marginal = nu == 0.0
             if math.isnan(u) or marginal:
                 tags.add(cell["flags"])
                 assert cell["flags"] == ("marginal" if marginal else "absent")

@@ -154,7 +154,7 @@ class TestLambdaS:
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
     def test_library_refuses(self, value):
-        u, nu, _ = solve_branches(0.12, 0.3).pick(Branch.SMALL)
+        u, nu = solve_branches(0.12, 0.3).pick(Branch.SMALL)
         k = drift_matrix(u, 0.12, 0.3)
         with pytest.raises(ValueError, match="lambda_s must be finite and positive"):
             stationary_covariance(k, value, 0.3, 0.5)

@@ -137,8 +137,8 @@ def test_match_refuses_a_large_attractor_the_covariance_finds_marginal(capsys):
     # the root solve marks the branch marginal, with nu = 0, by the rule the
     # covariance applies to its drift; match refuses it at beta, before any
     # factor's rescaled beta
-    u, nu, marginal = solve_branches(CUSP_BETA, CUSP_KAPPA).pick(Branch.LARGE)
-    assert marginal and nu == 0.0 and not math.isnan(u)
+    u, nu = solve_branches(CUSP_BETA, CUSP_KAPPA).pick(Branch.LARGE)
+    assert nu == 0.0 and not math.isnan(u)
     with pytest.raises(MarginalAttractorError, match="drift matrix is not strictly stable"):
         stationary_covariance(drift_matrix(u, CUSP_BETA, CUSP_KAPPA), 1e-3, CUSP_KAPPA, 0.5)
     code, out, err = run(capsys, "match", "--beta", repr(CUSP_BETA),

@@ -43,7 +43,7 @@ def stable_states(beta, kappa):
     """(u, nu) of each strictly stable steady state at a scalar ``beta``,
     small branch first; a marginal one has nu = 0 and an absent one NaN."""
     s = solve_branches(beta, kappa)
-    return [(u, nu) for u, nu, _ in (s.pick(Branch.SMALL), s.pick(Branch.LARGE))
+    return [(u, nu) for u, nu in (s.pick(Branch.SMALL), s.pick(Branch.LARGE))
             if nu > 0.0]
 
 
@@ -122,8 +122,8 @@ class TestStationaryCovariance:
         with pytest.raises(MarginalAttractorError):
             covariance_for(saddle, 0.12, 0.3)
         info = bifurcation_betas(0.3)
-        marginal, _, is_marginal = solve_branches(info.beta_high, 0.3).pick(Branch.SMALL)
-        assert is_marginal
+        marginal, nu = solve_branches(info.beta_high, 0.3).pick(Branch.SMALL)
+        assert nu == 0.0
         with pytest.raises(MarginalAttractorError):
             covariance_for(marginal, info.beta_high, 0.3)
 
@@ -145,8 +145,8 @@ class TestStationaryCovariance:
         for kappa in np.linspace(0.02, 0.57, 200):
             info = bifurcation_betas(kappa)
             for edge, branch in ((info.beta_low, Branch.LARGE), (info.beta_high, Branch.SMALL)):
-                marginal, _, is_marginal = solve_branches(edge, kappa).pick(branch)
-                assert is_marginal
+                marginal, nu = solve_branches(edge, kappa).pick(branch)
+                assert nu == 0.0
                 with pytest.raises(MarginalAttractorError):
                     covariance_for(marginal, edge, kappa)
                 refused += 1
@@ -242,7 +242,7 @@ class TestSteadyStateStacks:
         np.testing.assert_array_equal(bits(one), bits([reference_drift(*r, kappa) for r in rows]))
         assert np.isnan(k[~present]).all()
 
-        stable = present & ~np.stack([s.marginal_small, s.marginal_large])
+        stable = present & (np.stack([s.nu_small, s.nu_large]) != 0.0)
         cov = stationary_covariance(k[stable], lambda_s, kappa, n_bar)
         one = [stationary_covariance(x, lambda_s, kappa, n_bar) for x in k[stable]]
         assert cov.shape == (np.count_nonzero(stable), 2, 2)
@@ -289,19 +289,17 @@ class TestSteadyStateStacks:
         beta = np.array([(info.beta_high if high else info.beta_low) * (1.0 + side * 10.0**x)
                          for high, side, x in offsets])
         s = solve_branches(beta, kappa)
-        for u, nu, marginal in (s.pick(Branch.SMALL), s.pick(Branch.LARGE)):
+        for u, nu in (s.pick(Branch.SMALL), s.pick(Branch.LARGE)):
             present = ~np.isnan(u)
-            assert not marginal[~present].any()
-            np.testing.assert_array_equal(nu[present] == 0.0, marginal[present])
-            for u_row, beta_row, marginal_row in zip(u[present], beta[present],
-                                                     marginal[present]):
+            assert np.isnan(nu[~present]).all()
+            for u_row, beta_row, nu_row in zip(u[present], beta[present], nu[present]):
                 try:
                     stationary_covariance(drift_matrix(u_row, beta_row, kappa),
                                           LAMBDA_S, kappa, NBAR)
                     refused = False
                 except MarginalAttractorError:
                     refused = True
-                assert refused == marginal_row, (kappa, beta_row)
+                assert refused == (nu_row == 0.0), (kappa, beta_row)
 
 
 class TestSpectrumMatrix:
@@ -773,7 +771,7 @@ class TestMatrixRouteCancellation:
 
     @pytest.mark.parametrize("branch", [Branch.SMALL, Branch.LARGE])
     def test_matches_a_50_digit_resolvent(self, branch):
-        u, _, _ = solve_branches(0.12, 0.3).pick(branch)
+        u, _ = solve_branches(0.12, 0.3).pick(branch)
         k, cov = covariance_for(u, 0.12, 0.3, lambda_s=1e-3)
         w = np.array([1e3, -1e3, 1e6, -1e6, 1e20, -1e20])
         matrix = np.array(spectra_from_matrix(k, cov, 1e-3, w))

@@ -1,6 +1,7 @@
 """Each public name is declared once, in the ``__all__`` of its module, and
 the package exports exactly those lists."""
 
+import dataclasses
 import inspect
 
 import duffing_qubit
@@ -39,3 +40,13 @@ def test_the_cli_wires_the_library_self_checks():
     assert cli.self_checks is fluctuations.self_checks
     assert cli.dual_route is fluctuations.dual_route
     assert cli.match_report is rates.match_report
+
+
+def test_a_steady_state_is_u_and_nu():
+    """nu = 0 is the one marginal mark: the branch columns hold no second
+    one, and a branch's steady state is the pair (u, nu)."""
+    names = [field.name for field in dataclasses.fields(attractors.Branches)]
+    assert names == ["u_small", "nu_small", "u_unstable", "u_large", "nu_large"]
+    for branch in (attractors.Branch.SMALL, attractors.Branch.LARGE):
+        state = attractors.solve_branches(0.12, 0.3).pick(branch)
+        assert type(state) is tuple and len(state) == 2

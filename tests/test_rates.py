@@ -58,7 +58,7 @@ def make_setup(beta=0.12, kappa=0.3, lambda_s=1e-4, n_bar=0.5, omega_rel=0.5,
     phys = physical_from_scaled(beta, kappa, lambda_s, n_bar,
                                 detuning=1.0, omega_f_ratio=50.0)
     scaled = scale_params(phys)
-    u, nu, _ = solve_branches(scaled.beta, scaled.kappa_scaled).pick(branch)
+    u, nu = solve_branches(scaled.beta, scaled.kappa_scaled).pick(branch)
     omega_q = 2.0 * phys.omega_f + omega_rel
     delta = delta_frac * omega_q
     qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
@@ -134,8 +134,8 @@ class TestResonantOneQuantum:
     def test_rejects_marginal_attractor(self):
         info = bifurcation_betas(0.3)
         qubit, phys, _, _, s = make_setup()
-        u, nu, marginal = solve_branches(info.beta_high, 0.3).pick(Branch.SMALL)
-        assert marginal and nu == 0.0
+        u, nu = solve_branches(info.beta_high, 0.3).pick(Branch.SMALL)
+        assert nu == 0.0
         with pytest.raises(MarginalAttractorError):
             gamma_resonant_1q(qubit, phys, u, nu)
 
@@ -226,7 +226,7 @@ class TestTotalResonant:
         phys = physical_from_scaled(1e-6, 0.3, 0.05, 0.5,
                                     detuning=1.0, omega_f_ratio=50.0)
         s = scale_params(phys)
-        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
+        u, nu = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
         omega_q = 2.0 * phys.omega_0  # two-quantum resonance
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
@@ -247,7 +247,7 @@ class TestNonresonant:
             temperature=0.0,
         )
         s = scale_params(phys)
-        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.LARGE)
+        u, nu = solve_branches(s.beta, s.kappa_scaled).pick(Branch.LARGE)
         omega_q = 0.6 * phys.omega_f
         delta = 0.02 * omega_q
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
@@ -274,7 +274,7 @@ class TestNonresonant:
     def test_rate_proportional_to_amplitude(self):
         qubit, phys, u1, nu1, s = make_setup(beta=0.05, omega_rel=20.0,
                                              branch=Branch.SMALL)
-        u2, nu2, _ = solve_branches(0.02, s.kappa_scaled).pick(Branch.SMALL)
+        u2, nu2 = solve_branches(0.02, s.kappa_scaled).pick(Branch.SMALL)
         r1 = gamma_nonresonant(qubit, phys, u1, nu1)
         r2 = gamma_nonresonant(qubit, phys, u2, nu2)
         assert math.isclose(r1.gamma_e / r2.gamma_e, u1 / u2, rel_tol=1e-12)
@@ -341,7 +341,7 @@ class TestLinearCoupling:
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             v_x=1e-30)
         branches = solve_branches(s.beta, s.kappa_scaled)
-        small, large = (branches.pick(b)[:2] for b in (Branch.SMALL, Branch.LARGE))
+        small, large = (branches.pick(b) for b in (Branch.SMALL, Branch.LARGE))
         w = (omega_q - phys.omega_f) / s.scale
         results = []
         for u, nu in (small, large):
@@ -430,7 +430,7 @@ class TestEffectiveTemperature:
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=1e6)
         s = scale_params(phys)
-        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
+        u, nu = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
         res = gamma_nonresonant(qubit, phys, u, nu)
         expected = phys.temperature * omega_q / (omega_q - phys.omega_f)
         assert abs(res.t_eff / expected - 1.0) < 1e-3
@@ -445,7 +445,7 @@ class TestEffectiveTemperature:
         qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta,
                             delta_q=1e6)
         s = scale_params(phys)
-        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
+        u, nu = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
         res = gamma_nonresonant(qubit, phys, u, nu)
         expected = -phys.temperature * omega_q / (phys.omega_f - omega_q)
         assert math.isclose(res.t_eff, expected, rel_tol=1e-12)
@@ -504,7 +504,7 @@ class TestBlochRedfield:
                          scale=1.0, c_res=1.0)
         solved = solve_branches(beta, kappa)
         for branch in (Branch.SMALL, Branch.LARGE):
-            u, nu, _ = solved.pick(branch)
+            u, nu = solved.pick(branch)
             if not nu > 0.0:
                 continue
             k = drift_matrix(u, beta, kappa)
@@ -537,8 +537,8 @@ class TestMarginalOrAbsentSteadyState:
         s = ScaledParams(beta=info.beta_high, kappa_scaled=0.3, lambda_s=1e-4, n_bar=0.5,
                          scale=1.0, c_res=1.0)
         solved = solve_branches(info.beta_high, 0.3)
-        u, _, marginal = solved.pick(Branch.SMALL)
-        assert marginal
+        u, nu = solved.pick(Branch.SMALL)
+        assert nu == 0.0
         for bad in (u, solved.u_unstable):  # marginal, then absent (NaN)
             with pytest.raises(MarginalAttractorError):
                 dephasing_g_zero(bad, s)
@@ -575,7 +575,7 @@ def sweep_params():
     phys = physical_from_scaled(0.12, 0.3, 1e-4, 0.5, detuning=2e8,
                                 omega_f_ratio=46.0, m=3e-13)
     scaled = scale_params(phys)
-    u, nu, _ = solve_branches(scaled.beta, scaled.kappa_scaled).pick(Branch.LARGE)
+    u, nu = solve_branches(scaled.beta, scaled.kappa_scaled).pick(Branch.LARGE)
     return phys, scaled, u, nu
 
 
@@ -683,7 +683,7 @@ class TestArraySweeps:
         # omega_q + omega_f and omega_f - omega_q; the first listed is named
         phys = squid_params(kappa_frac=0.3)
         s = scale_params(phys)
-        u, nu, _ = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
+        u, nu = solve_branches(s.beta, s.kappa_scaled).pick(Branch.SMALL)
         omega_q = np.array([0.5, 0.6]) * phys.omega_0
         q = QubitParams(w=omega_q, delta=0.0, delta_q=1e6)
         named = re.escape(f"frequency {omega_q[0] + phys.omega_f:g} rad/s")
@@ -712,8 +712,8 @@ class TestThermalSwapProperties:
         s = scale_params(phys)
         branches = solve_branches(s.beta, s.kappa_scaled)
         branch = draw(st.sampled_from([Branch.SMALL, Branch.LARGE]))
-        u, nu, marginal = branches.pick(branch)
-        assume(nu > 0.0 and not marginal)
+        u, nu = branches.pick(branch)
+        assume(nu > 0.0)
         return phys, s, u, nu
 
     @staticmethod

@@ -130,15 +130,18 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
     three = (-4.0 * p3 - 27.0 * q * q > 0.0) & (beta != 0.0)
 
     n_three = np.count_nonzero(three)
+    # the rows of each form, as a slice where every row has it: no copy
     if n_three:
+        rows = three if n_three < beta.size else slice(None)
         m = 2.0 * math.sqrt(-p / 3.0)
-        theta = _per_value(math.acos, np.clip(3.0 * q[three] / (p * m), -1.0, 1.0)) / 3.0
-        roots[three] = m * _per_value(math.cos, theta[:, None] - _SHIFTS) + 2.0 / 3.0
+        cos3 = np.minimum(np.maximum(3.0 * q[rows] / (p * m), -1.0), 1.0)
+        theta = _per_value(math.acos, cos3) / 3.0
+        roots[rows] = m * _per_value(math.cos, theta[:, None] - _SHIFTS) + 2.0 / 3.0
     if n_three < beta.size:
         # single real root; avoid cancellation between the two cube roots.
         # The radicand is -disc/108, which rounds below 0 when disc ~ 0; for
         # a huge beta it is factored as (q/2)^2 (1 + ...), as q*q overflows
-        one = ~three
+        one = ~three if n_three else slice(None)
         q1 = q[one]
         h = np.abs(q1) / 2.0
         rad = np.sqrt(np.maximum(q1 * q1 / 4.0 + p3 / 27.0, 0.0))
@@ -169,7 +172,7 @@ def _polish(roots: np.ndarray, beta: np.ndarray, c1: float) -> None:
     """
     u = roots.reshape(-1)
     np.maximum(u, 0.0, out=u)
-    idx = np.flatnonzero(~np.isnan(u))
+    idx = (u == u).nonzero()[0]  # the values that are not NaN padding
     x, b = u[idx], beta[idx // 3]
     for _ in range(50):
         df = (3.0 * x - 4.0) * x + c1
@@ -203,10 +206,10 @@ def _graze(roots: np.ndarray, three: np.ndarray, kappa_scaled: float) -> np.ndar
     r = roots[:, 0]
     center = 0.5 * (2.0 - r)
     disc2 = (4.0 - 3.0 * r) * r - 4.0 * kappa_scaled * kappa_scaled
-    graze = ~three & (r > 0.0) & (
-        0.5 * np.sqrt(np.abs(disc2)) < _MERGE_TOL * np.maximum(1.0, center))
-    if not np.count_nonzero(graze):
+    graze = 0.5 * np.sqrt(np.abs(disc2)) < _MERGE_TOL * np.maximum(1.0, center)
+    if not np.count_nonzero(graze):  # the usual case: no pair that near
         return three
+    graze &= ~three & (r > 0.0)
     roots[graze, 1:] = center[graze, None]
     return three | graze
 
@@ -235,13 +238,13 @@ def _merge(roots: np.ndarray, beta: np.ndarray, kappa_scaled: float) -> None:
     close = roots[:, 1:] - roots[:, :-1] < _MERGE_TOL * np.maximum(1.0, roots[:, 1:])
     u_minus, u_plus = _turning_radii(kappa_scaled)
     edge_tol = (u_plus - u_minus) * 1.5 * (0.5 * _MERGE_TOL) ** 2
-    three = ~np.isnan(roots[:, 1])
     # the lower pair merges at beta_high = beta(u_minus), the upper at beta_low
-    close[:, 0] |= three & (abs(beta - _beta_of_u(u_minus, kappa_scaled)) <= edge_tol)
-    close[:, 1] |= three & (abs(beta - _beta_of_u(u_plus, kappa_scaled)) <= edge_tol)
-    low = close[:, 0]
-    high = close[:, 1] & ~low
+    edges = np.array([_beta_of_u(u_minus, kappa_scaled), _beta_of_u(u_plus, kappa_scaled)])
+    three = roots[:, 1:2] == roots[:, 1:2]  # not NaN: the row has three roots
+    close |= three & (abs(beta[:, None] - edges) <= edge_tol)
     if np.count_nonzero(close):
+        low = close[:, 0]
+        high = close[:, 1] & ~low
         roots[low, 0] = np.where(roots[low, 0] < 2.0 / 3.0, u_minus, u_plus)
         roots[high, 2] = np.where(roots[high, 1] < 2.0 / 3.0, u_minus, u_plus)
         roots[low | high, 1] = math.nan

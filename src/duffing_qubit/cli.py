@@ -26,7 +26,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 
 import numpy as np
@@ -234,7 +233,8 @@ def _text(slots: list[tuple], n_rows: int, as_json: bool, head: str, tail: str) 
     with no cell formatted on its own:
     - a non-finite cell is dumped as 0.0 (-0.0 for -inf), which orjson
       writes fast and which is as wide as nan, inf or -inf, written over it;
-      one regex quotes these words in JSON;
+      in JSON, fixed ``replace`` passes quote these words before any marker
+      widens;
     - the comma that ends a row becomes the row mark;
     - an exponent gains repr's sign (e16 -> e+16) or two digits (e-7 ->
       e-07), and a cell with 1e-5 <= |x| < 1e-4 turns from 0.0000ddd into
@@ -269,16 +269,16 @@ def _text(slots: list[tuple], n_rows: int, as_json: bool, head: str, tail: str) 
     import orjson  # here, not at import: that would add ~6 ms to every start-up
     table = np.array([col for col, labels in slots if labels is None]).T.reshape(-1)  # a copy
     mag = np.abs(table)
-    band, odd = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4)), np.flatnonzero(~(mag < np.inf))
+    band, odd = ((mag >= 1e-5) & (mag < 1e-4)).nonzero()[0], (~(mag < np.inf)).nonzero()[0]
     odd_values = table[odd]
     table[odd] = np.where(odd_values < 0, -0.0, 0.0)
     buf = bytearray(orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY))
     at = np.frombuffer(buf, np.uint8)
     if b"e" in buf:  # e16 -> \1 16 and e-7 -> e \2 7, where \1 -> e+ and \2 -> -0 below
-        e = np.flatnonzero(at == ord("e"))
+        e = (at == ord("e")).nonzero()[0]
         at[e[at[e + 1] != ord("-")]] = 1
         at[e[(at[e + 1] == ord("-")) & (at[e + 3] - ord("0") > 9)] + 1] = 2  # no 2nd digit
-    seps = np.concatenate(([0], np.flatnonzero(at == ord(",")), [len(buf) - 1]))  # around cells
+    seps = np.concatenate(([0], (at == ord(",")).nonzero()[0], [len(buf) - 1]))  # around cells
     if odd.size:  # nan or inf over 0.0, or over the 0.0 of -0.0
         at[(seps[odd] + 1 + (odd_values < 0))[:, None] + np.arange(3)] = np.frombuffer(
             b"infnan", np.uint8).reshape(2, 3)[np.isnan(odd_values).view(np.uint8)]
@@ -294,9 +294,9 @@ def _text(slots: list[tuple], n_rows: int, as_json: bool, head: str, tail: str) 
     for g, (code, group) in groups.items():
         at[seps[g::width]] = np.array([marker[t] for t in group], np.uint8)[code]
     del at, table, mag, seps  # only the text from here on
-    if as_json and odd.size:
-        buf = re.sub(rb"-?inf|nan", rb'"\g<0>"', buf)
-    widen = [(b"\1", b"e+"), (b"\2", b"-0"), (b"\0", b"")] + [
+    # -inf is held as \3 while inf is quoted
+    quote = [(b"-inf", b"\3"), (b"inf", b'"inf"'), (b"\3", b'"-inf"'), (b"nan", b'"nan"')]
+    widen = quote * (as_json and odd.size > 0) + [(b"\1", b"e+"), (b"\2", b"-0"), (b"\0", b"")] + [
         (b",", cells.encode()), (b";", rows.encode())] * as_json
     for old, new in widen + [(bytes([m]), t.encode()) for t, m in marker.items()]:
         if old in buf:  # a replace that finds nothing would still copy

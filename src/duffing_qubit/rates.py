@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -282,7 +282,6 @@ def bloch_redfield(
     return _scalar_or_array(t1), _scalar_or_array(t2)
 
 
-@lru_cache(maxsize=1)
 def dephasing_g_zero(u: float, s: ScaledParams) -> float:
     """Zero-frequency weight of the squared-displacement noise (m^4 s).
 
@@ -292,10 +291,8 @@ def dephasing_g_zero(u: float, s: ScaledParams) -> float:
     K and C are real, so Re N(0) = -K^-1 C = -adj K C / det K and no solve
     is made.  Two-quantum dc contributions are smaller by a factor lambda_s
     and neglected.  It does not depend on the qubit, so a sweep over the
-    qubit frequency computes it once, and the last result is kept, so that
-    the rate calls of one steady state (``match`` makes two per factor) form
-    it once.  Raises MarginalAttractorError where ``u`` has no strictly
-    stable drift (a marginal or absent steady state).
+    qubit frequency computes it once.  Raises MarginalAttractorError where
+    ``u`` has no strictly stable drift (a marginal or absent steady state).
     """
     v = np.array(_quadratures(u, s.beta, s.kappa_scaled))
     k = _drift(u, *v, s.kappa_scaled)
@@ -599,6 +596,18 @@ def _channel_sums(p: PhysicalParams, omegas, offsets, factors=None):
     return sums[0][()], sums[1][()]
 
 
+def _nonresonant_rates(q: QubitParams, p: PhysicalParams, u, s: ScaledParams):
+    # (gamma_e, gamma_g) of the one-quantum channels at the combination
+    # frequencies omega_q + omega_f, omega_q - omega_f and omega_f - omega_q
+    wq, wf = q.omega_q, p.omega_f
+    sum_e, sum_g = _channel_sums(
+        p, (wq + wf, wq - wf, wf - wq), offsets=((1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    )
+    pref = 2.0 * wf * s.scale / (3.0 * p.m * p.gamma_s) * u
+    cg = c_gamma(q, p.m, p.omega_0)
+    return cg * pref * sum_e, cg * pref * sum_g
+
+
 def gamma_nonresonant(
     q: QubitParams, p: PhysicalParams, u: float, nu_scaled: float
 ) -> RateResult:
@@ -613,20 +622,13 @@ def gamma_nonresonant(
 
     Raises NearResonanceError when a channel falls within ~kappa of the
     oscillator resonance.  ``omega_q`` (through ``q.w``) is a float or an
-    array.
+    array.  The rates are those of ``_nonresonant_rates``, which
+    :func:`match_report` reads alone.
     """
     _require_stable(nu_scaled)
     s = scale_params(p)
-    wq, wf = q.omega_q, p.omega_f
-    sum_e, sum_g = _channel_sums(
-        p, (wq + wf, wq - wf, wf - wq), offsets=((1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    )
-    pref = 2.0 * wf * s.scale / (3.0 * p.m * p.gamma_s) * u
-    cg = c_gamma(q, p.m, p.omega_0)
-    return _rate_result(
-        "nonresonant", q, p, s, u, nu_scaled, cg * pref * sum_e, cg * pref * sum_g,
-        dephasing=True,
-    )
+    gamma_e, gamma_g = _nonresonant_rates(q, p, u, s)
+    return _rate_result("nonresonant", q, p, s, u, nu_scaled, gamma_e, gamma_g, dephasing=True)
 
 
 def gamma_nonresonant_2q(q: QubitParams, p: PhysicalParams) -> RateResult:
@@ -732,9 +734,13 @@ def match_report(
     h * |omega_rel|, so the overlap condition nu, kappa << |omega_q - 2
     omega_f| << omega_f deepens with h.  The large attractor at ``beta`` is
     the latched state.  Returns (h, ratio_e, ratio_g) rows; both ratios
-    approach 1.  Raises ValueError for an empty ``hierarchies``, for a
-    factor that is not finite and positive or that gives a parameter set
-    beyond float arithmetic, and where a nonresonant rate underflows to 0.
+    approach 1.  Each ratio is formed from the channel rates alone, with the
+    bits of ``gamma_resonant_1q(...).gamma_e / gamma_nonresonant(...).gamma_e``
+    (and the same for gamma_g); no T1, T2, T_eff or validity ratio is built.
+    Raises ValueError for an empty ``hierarchies``, for a factor that is not
+    finite and positive or that gives a parameter set beyond float
+    arithmetic (a rate or ratio that overflows included), and where a
+    nonresonant rate underflows to 0.
     """
     for h in hierarchies:  # |omega_rel| = h * max(nu, kappa, 1) needs h > 0
         if not (math.isfinite(h) and h > 0):
@@ -767,12 +773,15 @@ def match_report(
         if (scaled.beta, scaled.kappa_scaled) != (beta, kappa_scaled):
             u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch.LARGE)
         try:
-            res = gamma_resonant_1q(qubit, phys, u, nu)
-            non = gamma_nonresonant(qubit, phys, u, nu)
+            res_e, res_g = _resonant_1q_rates(qubit, phys, u, nu, scaled)[:2]
+            non_e, non_g = _nonresonant_rates(qubit, phys, u, scaled)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"{beyond} ({exc})") from None
-        if not (non.gamma_e > 0.0 and non.gamma_g > 0.0):
+        if not (non_e > 0.0 and non_g > 0.0):
             raise ValueError(f"arithmetic fault: at --hierarchies factor {h!r} the nonresonant "
                              f"rate underflows to 0, so the rate ratio is undefined")
-        rows.append((h, res.gamma_e / non.gamma_e, res.gamma_g / non.gamma_g))
+        ratio_e, ratio_g = float(res_e / non_e), float(res_g / non_g)
+        if not all(map(math.isfinite, (non_e, non_g, ratio_e, ratio_g))):
+            raise ValueError(f"{beyond} (a rate or the rate ratio overflows)")
+        rows.append((h, ratio_e, ratio_g))
     return rows

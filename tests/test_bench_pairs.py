@@ -76,3 +76,30 @@ def test_an_incorrect_run_exits_one(tmp_path, monkeypatch, capsys):
 def test_a_metric_worse_than_its_bound_exits_one(tmp_path, monkeypatch, capsys):
     code, out = fake_main(tmp_path, monkeypatch, capsys, lambda p: 0.7 * p)
     assert code == 1 and "WORSE THAN BOUND" in out and "all_correct True" in out
+
+
+def test_stale_bytecode_is_removed_from_both_checkouts_and_reported(tmp_path, monkeypatch,
+                                                                      capsys):
+    # bytecode left in one checkout only would let that side start faster
+    cache = tmp_path / "src" / "duffing_qubit" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "cli.cpython-311.pyc").write_bytes(b"stale")
+    seen = []  # whether the cache was still there at each run
+
+    def run_once(checkout, workload, seed, seconds):
+        seen.append(cache.exists())
+        return {"correct": True, "metrics": {"points_per_s": 100.0}, "environment": {}}
+
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [RATE]}))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path), str(tmp_path / "change"), "--workloads",
+                             "short-calls", "--seeds", "1-2", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    assert seen == [False] * 4
+    err = capsys.readouterr().err
+    assert f"removed stale bytecode from the parent checkout: {cache}\n" in err
+    assert "change checkout" not in err
+    doc = json.loads(out.read_text())
+    assert doc["bytecode_removed"] == {"parent": True, "change": False}

@@ -983,16 +983,14 @@ class TestSelfChecksSolveOnce:
                       "--qubit-delta", "5e8", "--grid", "2.944e10:4.6e10:7", "--out", os.devnull)
         assert (info.misses, info.hits) == (1, 1)
         info = formed("match", "--hierarchies", "10,30,100", "--out", os.devnull)
-        assert (info.misses, info.hits) == (3, 2 * 3)  # per factor: once, then two rates
+        assert (info.misses, info.hits) == (3, 0)  # per factor: once, for both channel rates
 
-    def test_match_forms_each_dephasing_weight_once(self):
-        # a factor's resonant and nonresonant rates share its steady state:
-        # dephasing_g_zero keeps its last result
-        from duffing_qubit.rates import dephasing_g_zero
-        dephasing_g_zero.cache_clear()
+    def test_match_forms_no_dephasing_weight(self, monkeypatch):
+        # a ratio needs only the channel rates: no T2, so no dephasing weight
+        weights = self.count(monkeypatch, "rates", "dephasing_g_zero")
+        covariances = self.count(monkeypatch, "rates", "stationary_covariance")
         assert main(["match", "--hierarchies", "10,30,100", "--out", os.devnull]) == EXIT_OK
-        info = dephasing_g_zero.cache_info()
-        assert (info.misses, info.hits) == (3, 3)
+        assert weights == covariances == []
 
     def test_validate_builds_each_covariance_once(self, capsys, monkeypatch):
         solves = self.count(monkeypatch, "fluctuations", "solve_branches")

@@ -71,6 +71,22 @@ def test_match_names_an_extreme_factor(capsys, factor, ratio, cause):
                    f"omega_f/|delta_omega| = {ratio}, beyond float arithmetic ({cause})\n")
 
 
+@pytest.mark.parametrize("argv, ratio", [
+    (("--beta", "1e30", "--kappa-scaled", "1e8", "--nbar", "2", "--lambda-s", "1e-200",
+      "--hierarchies", "10"), "1732021940777.135"),
+    (("--beta", "0.05", "--kappa-scaled", "1e-30", "--lambda-s", "1e-200",
+      "--hierarchies", "30"), "900.0"),
+])
+def test_match_refuses_a_rate_ratio_that_overflows(capsys, argv, ratio):
+    # the resonant rate overflows to inf against a finite nonresonant one:
+    # a row of inf ratios would pass as a result
+    code, out, err = run(capsys, "match", *argv)
+    factor = float(argv[-1])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == (f"error: bad --hierarchies: factor {factor!r} gives omega_f/|delta_omega| = "
+                   f"{ratio}, beyond float arithmetic (a rate or the rate ratio overflows)\n")
+
+
 def test_match_names_a_nonresonant_rate_that_underflows(capsys):
     code, out, err = run(capsys, "match", "--kappa-scaled", "5e-324")
     assert code == EXIT_INPUT and out == ""

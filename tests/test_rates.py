@@ -47,6 +47,7 @@ from duffing_qubit.rates import (
     FLAG_TWO_QUANTUM,
     FLAG_WEAK_DAMPING,
     _channel_sums,
+    _nonresonant_rates,
     _resonant_1q_columns,
 )
 from test_fluctuations import spectrum_matrix
@@ -1048,3 +1049,34 @@ class TestMatchReport:
             match_report([0.0], -1.0, 0.3, 0.5, 1e-3)
         with pytest.raises(ValueError, match="beta must be finite"):
             match_report([10.0], -1.0, 0.3, 0.5, 1e-3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kappa=st.floats(0.02, 0.57),
+        beta=st.floats(1e-3, 3.0),
+        n_bar=st.floats(0.05, 5.0),
+        lambda_s=st.floats(-5.0, -1.0).map(lambda x: 10.0**x),
+        factors=st.lists(st.floats(3.0, 1e3), min_size=1, max_size=3),
+    )
+    def test_each_ratio_has_the_bits_of_the_public_rates(self, kappa, beta, n_bar, lambda_s,
+                                                          factors):
+        # the rows are formed from the channel rates alone; the public rate
+        # functions, called on the qubit and oscillator of each factor, are
+        # the reference
+        u, nu = solve_branches(beta, kappa).pick(Branch.LARGE)
+        assume(nu > 0.0)
+        with mock.patch("duffing_qubit.rates._nonresonant_rates",
+                        wraps=_nonresonant_rates) as spy:
+            try:
+                rows = match_report(factors, beta, kappa, n_bar, lambda_s)
+            except NearResonanceError:
+                assume(False)
+        assert [row[0] for row in rows] == factors
+        assert spy.call_count == len(factors)
+        for (_, ratio_e, ratio_g), call in zip(rows, spy.call_args_list):
+            qubit, phys, u, scaled = call.args
+            _, nu = solve_branches(scaled.beta, scaled.kappa_scaled).pick(Branch.LARGE)
+            res = gamma_resonant_1q(qubit, phys, u, nu)
+            non = gamma_nonresonant(qubit, phys, u, nu)
+            assert ratio_e == res.gamma_e / non.gamma_e
+            assert ratio_g == res.gamma_g / non.gamma_g

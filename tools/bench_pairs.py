@@ -24,12 +24,18 @@ checks.  With ``--out`` it writes the same summary and every run as JSON, with
 those marks as the booleans ``inside_parent_quartiles``, ``claim_met`` and
 ``worse_than_bound``.  The exit status is 1 when a run was incorrect or a
 metric is worse than its bound, and 0 otherwise.
+
+Before the first pair it removes ``src/duffing_qubit/__pycache__`` from both
+checkouts, so that neither side starts from bytecode the other lacks.  It
+names each directory it removed on standard error, and ``--out`` records
+per side whether one was removed (``bytecode_removed``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,6 +63,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     env = json.loads(record.read_text(encoding="utf-8"))["environment"]
     metrics = {name: m["value"] for name, m in last["metrics"].items()}
     return {"correct": last["correct"], "metrics": metrics, "environment": env}
+
+
+def clear_bytecode(checkout: Path) -> Path | None:
+    """Remove the package's bytecode cache from ``checkout``; the directory
+    removed, or None where there was none."""
+    cache = checkout / "src" / "duffing_qubit" / "__pycache__"
+    if not cache.is_dir():
+        return None
+    shutil.rmtree(cache)
+    return cache
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -106,6 +122,10 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workloads.split(",")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    removed = {side: clear_bytecode(path) for side, path in checkouts.items()}
+    for side, cache in removed.items():
+        if cache is not None:
+            print(f"removed stale bytecode from the {side} checkout: {cache}", file=sys.stderr)
 
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     environment = {}
@@ -144,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
             "seconds": args.seconds,
             "environment": environment,  # of each side's first run
             "all_correct": all_correct,
+            "bytecode_removed": {side: cache is not None for side, cache in removed.items()},
             "results": results,
         }
         args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -42,8 +42,8 @@ from .attractors import (
 )
 from .fluctuations import (DUAL_ROUTE_LIMIT, _limit_text, dual_route, self_checks,
                            stationary_covariance)
-from .model import PhysicalParams, scale_params
-from .rates import NearResonanceError, QubitParams, _flag_codes, match_report
+from .model import PhysicalParams
+from .rates import NearResonanceError, match_report
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -110,9 +110,8 @@ def load_config(path: str | None) -> dict[str, str]:
 
 
 # Each subcommand's parameters, in the order they are resolved and echoed in
-# the output header: name -> default, REQUIRED, or None for a flag that is
-# accepted but not read.  The flag is the name with "-" for "_"; a flag beats
-# its config key, which beats the default.
+# the output header: name -> default or REQUIRED.  The flag is the name with
+# "-" for "_"; a flag beats its config key, which beats the default.
 REQUIRED = object()
 _BRANCHES = ("small", "large")
 
@@ -122,12 +121,12 @@ _SPECTRUM = {"beta": REQUIRED, "kappa_scaled": REQUIRED, "lambda_s": 0.01, "nbar
 # rates reads the table of its --regime after the regime itself
 _RATES = {"regime": "resonant-1q"}
 _RATES_1Q_BRANCHES = (*_BRANCHES, "both")
-_RATES_1Q = {"beta": REQUIRED, "kappa_scaled": REQUIRED, "nbar": 0.5, "lambda_s": None,
-             "attractor": "both", "grid": "-5:5:2001"}
+_RATES_1Q = {"beta": REQUIRED, "kappa_scaled": REQUIRED, "nbar": 0.5, "attractor": "both",
+             "grid": "-5:5:2001"}
 _RATES_SI = {**dict.fromkeys(_SI_KEYS, REQUIRED), "grid": REQUIRED, "attractor": "large",
              "qubit_delta": REQUIRED, "delta_q": 0.0, "v_x": 0.0, "v_z": 0.0}
-_TEFF = {"beta": None, "kappa_scaled": REQUIRED, "nbar": 0.5, "lambda_s": None,
-         "omega_rel": REQUIRED, "attractor": REQUIRED, "grid": "0.01:0.179:170"}
+_TEFF = {"kappa_scaled": REQUIRED, "nbar": 0.5, "omega_rel": REQUIRED, "attractor": REQUIRED,
+         "grid": "0.01:0.179:170"}
 _MATCH = {"beta": 0.12, "kappa_scaled": 0.3, "nbar": 0.5, "lambda_s": 1e-3,
           "hierarchies": "10,30,100"}
 _VALIDATE = {"beta": 0.12, "kappa_scaled": 0.3, "lambda_s": 0.01, "nbar": 0.5}
@@ -145,8 +144,6 @@ def _resolve(args, config: dict[str, str], table: dict, branches=_BRANCHES) -> d
     """
     echo = {}
     for name, default in table.items():
-        if default is None:
-            continue
         flag = "--" + name.replace("_", "-")
         value = getattr(args, name)
         if value is None and name in config:
@@ -430,55 +427,21 @@ def _rates_scaled(args, config) -> int:
     return EXIT_OK
 
 
-# regime -> (needs an attractor, rate call of the steady state (u, nu)); the
-# rate functions are looked up in ``rates`` when called, so a rebinding of
-# that module's attributes takes effect
-_SI_RATES = {
-    "resonant-2q": (False, lambda q, p, u, nu: rates.gamma_resonant_2q(q, p)),
-    "resonant-total": (True, lambda q, p, u, nu: rates.gamma_total_resonant(q, p, u, nu)),
-    "nonresonant": (True, lambda q, p, u, nu: rates.gamma_nonresonant(q, p, u, nu)),
-    "nonresonant-2q": (False, lambda q, p, u, nu: rates.gamma_nonresonant_2q(q, p)),
-    "linear-resonant": (True, lambda q, p, u, nu: rates.gamma_linear_resonant(q, p, u, nu)),
-    "linear-nonresonant": (False, lambda q, p, u, nu: rates.gamma_linear_nonresonant(q, p)),
-}
-
-_REGIMES = ("resonant-1q", *_SI_RATES)
+_REGIMES = ("resonant-1q", *rates._SI_REGIMES)
 
 
 def _rates_si(args, config, regime: str) -> int:
-    """SI sweep over the qubit frequency for the remaining regimes."""
+    """SI sweep over the qubit frequency for the remaining regimes: the
+    table of ``rates._si_columns``."""
     _resolve(args, config, _RATES_SI)
     phys = PhysicalParams(*(getattr(args, key) for key in _SI_KEYS))
-    scaled = scale_params(phys)
     grid = parse_grid(args.grid)
-
-    needs_attractor, rate = _SI_RATES[regime]
-    u = nu = None
-    if needs_attractor:
-        u, nu = _pick_required(scaled.beta, scaled.kappa_scaled, Branch(args.attractor))
-
-    params = {
-        "command": "rates",
-        "regime": regime,
-        "beta": scaled.beta,
-        "kappa_scaled": scaled.kappa_scaled,
-        "lambda_s": scaled.lambda_s,
-        "nbar": scaled.n_bar,
-        "attractor": args.attractor if needs_attractor else "",
-        **{key: getattr(args, key) for key in _SI_KEYS},
-    }
-    # the qubit swept over omega_q: one QubitParams with an array splitting
-    delta = args.qubit_delta
-    if np.any(grid <= abs(delta)):
-        raise ValueError("swept omega_q must exceed |qubit-delta|")
-    qubit = QubitParams(w=np.sqrt(grid**2 - delta**2), delta=delta, delta_q=args.delta_q,
-                        v_x=args.v_x, v_z=args.v_z)
-    columns = ["omega_q", "gamma_e", "gamma_g", "t1", "t_eff", "flags"]
-    res = rate(qubit, phys, u, nu)
-    codes, sets = _flag_codes(res.ratios)
-    cols = (grid, res.gamma_e, res.gamma_g, res.t1, res.t_eff,
-            (codes, ["|".join(sorted(flags)) for flags in sets]))
-    emit_table(params, columns, cols, args.format, args.out_stream)
+    head, table = rates._si_columns(regime, phys, grid, Branch(args.attractor),
+                                    args.qubit_delta, args.delta_q, args.v_x, args.v_z)
+    params = {"command": "rates", "regime": regime, **head,
+              **{key: getattr(args, key) for key in _SI_KEYS}}
+    emit_table(params, ["omega_q", *table], [grid, *table.values()], args.format,
+               args.out_stream)
     return EXIT_OK
 
 

@@ -188,10 +188,11 @@ def c_gamma(q: QubitParams, m: float, omega_0: float) -> float | np.ndarray:
     return 0.5 * (m * omega_0 * q.delta_q * q.delta / (hbar * q.omega_q)) ** 2
 
 
-def _channel_t1(gamma_e, gamma_g):
-    total = np.add(gamma_e, gamma_g)
-    with np.errstate(divide="ignore"):
-        return np.where(total == 0.0, math.inf, np.divide(1.0, total))[()]
+def _lifetime(rate):
+    """1/rate, the one inverse of a total rate into a time: inf where the
+    rate is 0, and where it is so small that the inverse overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(rate == 0.0, math.inf, np.divide(1.0, rate))[()]
 
 
 def log_rate_ratio(
@@ -273,12 +274,10 @@ def bloch_redfield(
         raise ValueError("rates and dephasing weight must be non-negative")
     if q.delta == 0.0 and dephasing_g0 != 0.0:
         raise ValueError("delta = 0 makes the dephasing prefactor divergent")
-    t1 = _channel_t1(gamma_e, gamma_g)
     rate2 = 0.5 * (gamma_e + gamma_g)
     if dephasing_g0 != 0.0:
         rate2 = rate2 + 2.0 * c_gamma(q, p.m, p.omega_0) * (q.w / q.delta) ** 2 * dephasing_g0
-    with np.errstate(divide="ignore"):
-        t2 = np.where(rate2 == 0.0, math.inf, np.divide(1.0, rate2))
+    t1, t2 = _lifetime(np.add(gamma_e, gamma_g)), _lifetime(rate2)
     return _scalar_or_array(t1), _scalar_or_array(t2)
 
 
@@ -379,7 +378,7 @@ def _rate_result(regime, q, p, s, u, nu, gamma_e, gamma_g, dephasing=False, rati
     if dephasing and q.delta != 0.0:
         t1, t2 = bloch_redfield(gamma_e, gamma_g, q, p, dephasing_g_zero(u, s))
     else:
-        t1, t2 = _channel_t1(gamma_e, gamma_g), None
+        t1, t2 = _lifetime(np.add(gamma_e, gamma_g)), None
     shape = np.shape(q.omega_q)
 
     def shaped(x):
@@ -718,6 +717,51 @@ def gamma_linear_nonresonant(q: QubitParams, p: PhysicalParams) -> RateResult:
     return _rate_result(
         "linear-nonresonant", q, p, scale_params(p), None, None, pref * (n_q + 1.0), pref * n_q
     )
+
+
+# the SI regimes: regime -> (the name of its rate function, whether that
+# reads a steady state); the function is looked up when called, so a
+# rebinding of this module's attribute takes effect
+_SI_REGIMES = {
+    "resonant-2q": ("gamma_resonant_2q", False),
+    "resonant-total": ("gamma_total_resonant", True),
+    "nonresonant": ("gamma_nonresonant", True),
+    "nonresonant-2q": ("gamma_nonresonant_2q", False),
+    "linear-resonant": ("gamma_linear_resonant", True),
+    "linear-nonresonant": ("gamma_linear_nonresonant", False),
+}
+
+
+def _si_columns(regime: str, p: PhysicalParams, omega_q: np.ndarray, branch: Branch,
+                delta: float, delta_q: float, v_x: float, v_z: float) -> tuple[dict, dict]:
+    """The header values and the columns of the SI rate table of
+    ``regime`` (a key of ``_SI_REGIMES``) over the qubit frequencies
+    ``omega_q``, as the ``rates`` command prints them.
+
+    The header holds beta, kappa_scaled, lambda_s and nbar of
+    ``scale_params(p)``, and the attractor: ``branch``'s name in a regime
+    that reads a steady state, "" in one that does not.  That steady state
+    is the branch of ``solve_branches`` at the beta of ``scale_params(p)``;
+    an absent or marginal one raises MarginalAttractorError.  The qubit has
+    the splittings w = sqrt(omega_q^2 - delta^2), so every omega_q must
+    exceed |delta| (ValueError).  The columns are gamma_e, gamma_g, t1,
+    t_eff and flags, by name in that order, with the flags a pair (codes,
+    labels) of the distinct sets of ``RateResult.flags``, each labelled by
+    its sorted names joined with "|".
+    """
+    name, steady = _SI_REGIMES[regime]
+    s = scale_params(p)
+    state = _pick_required(s.beta, s.kappa_scaled, branch) if steady else ()
+    if np.any(omega_q <= abs(delta)):
+        raise ValueError("swept omega_q must exceed |qubit-delta|")
+    qubit = QubitParams(w=np.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=delta_q,
+                        v_x=v_x, v_z=v_z)
+    res = globals()[name](qubit, p, *state)
+    codes, sets = _flag_codes(res.ratios)
+    head = {"beta": s.beta, "kappa_scaled": s.kappa_scaled, "lambda_s": s.lambda_s,
+            "nbar": s.n_bar, "attractor": branch.value if steady else ""}
+    return head, {"gamma_e": res.gamma_e, "gamma_g": res.gamma_g, "t1": res.t1,
+                  "t_eff": res.t_eff, "flags": (codes, ["|".join(sorted(f)) for f in sets])}
 
 
 def match_report(

@@ -985,6 +985,15 @@ class TestSelfChecksSolveOnce:
         info = formed("match", "--hierarchies", "10,30,100", "--out", os.devnull)
         assert (info.misses, info.hits) == (3, 0)  # per factor: once, for both channel rates
 
+    def test_si_rates_call_the_rate_function_bound_in_rates(self, monkeypatch):
+        # the SI regime table names its rate function, looked up when called:
+        # a wrapper bound in its place, as a tracing span is, sees the call
+        calls = self.count(monkeypatch, "rates", "gamma_nonresonant")
+        flags, _ = TestRatesCommand.si_flags()
+        assert main(["rates", "--regime", "nonresonant", *flags, "--qubit-delta", "5e8",
+                     "--grid", "2.944e10:4.6e10:7", "--out", os.devnull]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_match_forms_no_dephasing_weight(self, monkeypatch):
         # a ratio needs only the channel rates: no T2, so no dephasing weight
         weights = self.count(monkeypatch, "rates", "dephasing_g_zero")

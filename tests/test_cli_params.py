@@ -95,9 +95,10 @@ _REGIMES = ("resonant-1q", "resonant-2q", "resonant-total", "nonresonant",
 OPTIONS = {
     "attractors": ({"--kappa-scaled"}, {"--grid": None}),
     "spectrum": (_FLOAT_SCALED, {"--attractor": _BRANCH, "--grid": None}),
-    "rates": (_FLOAT_SCALED | _FLOAT_SI, {"--regime": _REGIMES,
-                                          "--attractor": (*_BRANCH, "both"), "--grid": None}),
-    "teff": (_FLOAT_SCALED | {"--omega-rel"}, {"--attractor": _BRANCH, "--grid": None}),
+    "rates": ({"--beta", "--kappa-scaled", "--nbar"} | _FLOAT_SI,
+              {"--regime": _REGIMES, "--attractor": (*_BRANCH, "both"), "--grid": None}),
+    "teff": ({"--kappa-scaled", "--nbar", "--omega-rel"}, {"--attractor": _BRANCH,
+                                                          "--grid": None}),
     "match": (_FLOAT_SCALED, {"--hierarchies": None}),
     "validate": (_FLOAT_SCALED, {}),
 }
@@ -129,6 +130,16 @@ def test_flags_and_choices_are_pinned(command):
     assert actions["--format"].default == "csv"
     if extra:
         assert isinstance(actions["--check"], argparse._StoreTrueAction)
+
+
+@pytest.mark.parametrize("argv", [
+    ("teff", "--beta", "0.1"), ("teff", "--lambda-s", "0.1"), ("rates", "--lambda-s", "0.1"),
+], ids=["teff-beta", "teff-lambda-s", "rates-lambda-s"])
+def test_a_flag_no_table_reads_is_refused(capsys, argv):
+    # teff's beta is its grid, and no rates table reads lambda_s
+    command, flag, value = argv
+    assert run(capsys, command, flag, value) == (
+        EXIT_INPUT, "", f"error: unrecognized arguments: {flag} {value}\n")
 
 
 class TestResonant1qAbsentBranch:

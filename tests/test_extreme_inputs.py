@@ -173,3 +173,27 @@ def test_the_cusp_large_attractor_is_marginal_to_every_command(capsys, argv):
     code, out, err = run(capsys, *argv, "--beta", repr(CUSP_BETA),
                          "--kappa-scaled", repr(CUSP_KAPPA))
     assert (code, out, err) == (EXIT_VALIDITY, "", "error: large attractor is marginal\n")
+
+
+# the golden SI parameters (beta 0.12, kappa_scaled 0.3, lambda_s 1e-4, n_bar 0.5)
+GOLDEN_SI = ["--mass", "3e-13", "--omega0", "9.4e9", "--omega-f", "9.2e9",
+             "--gamma-s", "9.631207500566774e+32", "--f0", "3.737775734334028e-09",
+             "--kappa", "6e7", "--temperature", "0.06396409404992578", "--omega-c", "9.2e12",
+             "--qubit-delta", "5e8"]
+
+
+@pytest.mark.parametrize("argv, t1", [
+    (("nonresonant-2q", "--mass", "1.0", "--omega-f", "1e10", *SI), ["inf"] * 3),
+    (("nonresonant", *GOLDEN_SI, "--grid", "2.944e10:4.6e10:3"), ["inf"] * 3),
+    (("resonant-total", *GOLDEN_SI, "--grid", "1.76e10:1.92e10:3"),
+     ["inf", "8.14373201918432e+306", "inf"]),
+], ids=["rate-result", "bloch-redfield", "bloch-redfield-total"])
+def test_a_subnormal_total_rate_gives_an_infinite_t1(capsys, argv, t1):
+    # delta_q = 1e-150 squares to rates near 1e-310, whose inverse overflows:
+    # T1 is inf there, with no overflow warning, by _rate_result's own T1
+    # and by bloch_redfield's
+    code, out, err = run(capsys, "rates", "--regime", *argv, "--delta-q", "1e-150")
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    header = lines.index("omega_q,gamma_e,gamma_g,t1,t_eff,flags")
+    assert [line.split(",")[3] for line in lines[header + 1:]] == t1

@@ -472,6 +472,16 @@ class TestBlochRedfield:
         assert math.isclose(t1, 1.0 / 150.0, rel_tol=1e-15)
         assert math.isclose(t2, 2.0 * t1, rel_tol=1e-15)
 
+    def test_subnormal_rates_give_infinite_times(self):
+        # the inverses of the total rates 1e-309 and 4e-309, and of half of
+        # them, overflow: T1 and T2 are inf, and no overflow warning is raised
+        phys = squid_params()
+        qubit = QubitParams(w=2 * math.pi * 3e9, delta=2 * math.pi * 1e8)
+        assert bloch_redfield(1e-309, 0.0, qubit, phys, 0.0) == (math.inf, math.inf)
+        t1, t2 = bloch_redfield(np.array([2e-309, 1.0]), np.array([2e-309, 1.0]),
+                                sweep_qubit(np.array([3e10, 4e10])), phys, 0.0)
+        assert t1.tolist() == [math.inf, 0.5] and t2.tolist() == [math.inf, 1.0]
+
     def test_t1_is_rate_sum(self):
         qubit, phys, u, nu, s = make_setup()
         res = gamma_resonant_1q(qubit, phys, u, nu)

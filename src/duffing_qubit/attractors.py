@@ -101,28 +101,30 @@ def _beta_of_u(u: float, kappa_scaled: float) -> float:
     return u * ((u - 1.0) ** 2 + kappa_scaled**2)
 
 
-# phases of the three trigonometric roots
-_SHIFTS = np.array([2.0 * math.pi * kk / 3.0 for kk in range(3)])
+# phases of the three trigonometric roots, in ascending order of the root
+_SHIFTS = np.array([2.0 * math.pi * kk / 3.0 for kk in (2, 1, 0)])
 
 
 def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form roots of u^3 - 2u^2 + (1 + k^2)u - beta = 0 per beta.
 
-    Returns an (n, 3) array, NaN-padded, and the mask of the rows with
-    three real roots: trigonometric form where the discriminant is
-    positive, cancellation-safe Cardano for the one real root otherwise.
-    ``math.acos``, ``math.cos`` and the cube root ``x ** (1/3)`` run per
-    value, with no Python callback; numpy's vectorized versions round
-    differently, and these values seed Newton.
+    Returns a (3, n) array, one row per root in ascending order, NaN-padded
+    in rows 1 and 2, and the mask of the betas with three real roots:
+    trigonometric form where the discriminant is positive, cancellation-safe
+    Cardano for the one real root otherwise.  ``math.acos`` and the cube
+    root ``x ** (1/3)`` run per value, with no Python callback: numpy's
+    ``arccos`` and ``power`` round differently from libm on some values,
+    and these values seed Newton.  numpy's float64 ``cos`` is libm's, so the
+    three cosines of each beta are one vector call.
     """
     k2 = kappa_scaled * kappa_scaled
-    roots = np.full((beta.size, 3), np.nan)
+    roots = np.full((3, beta.size), np.nan)
     # depressed cubic t^3 + p t + q with u = t + 2/3
     p = k2 - 1.0 / 3.0
     try:
         p3 = p**3
     except OverflowError:  # a power of the cubic's coefficients
-        roots[:, 0] = np.where(beta == 0.0, 0.0, math.inf)
+        roots[0] = np.where(beta == 0.0, 0.0, math.inf)
         return roots, np.zeros(beta.size, dtype=bool)
     q = (2.0 + 18.0 * k2) / 27.0 - beta
     # beta = 0 gives u = 0 alone: the quadratic factor u^2 - 2u + 1 + k^2
@@ -130,13 +132,13 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
     three = (-4.0 * p3 - 27.0 * q * q > 0.0) & (beta != 0.0)
 
     n_three = np.count_nonzero(three)
-    # the rows of each form, as a slice where every row has it: no copy
+    # the betas of each form, as a slice where every beta has it: no copy
     if n_three:
         rows = three if n_three < beta.size else slice(None)
         m = 2.0 * math.sqrt(-p / 3.0)
         cos3 = np.minimum(np.maximum(3.0 * q[rows] / (p * m), -1.0), 1.0)
         theta = _per_value(math.acos, cos3) / 3.0
-        roots[rows] = m * _per_value(math.cos, theta[:, None] - _SHIFTS) + 2.0 / 3.0
+        roots[:, rows] = m * np.cos(theta - _SHIFTS[:, None]) + 2.0 / 3.0
     if n_three < beta.size:
         # single real root; avoid cancellation between the two cube roots.
         # The radicand is -disc/108, which rounds below 0 when disc ~ 0; for
@@ -152,12 +154,12 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
         a = -np.copysign(h + rad, q1)
         a = np.copysign(_per_value(pow, np.abs(a), 1.0 / 3.0), a)
         b = np.where(a == 0.0, 0.0, -p / (3.0 * a))
-        roots[one, 0] = np.where(beta[one] == 0.0, 0.0, a + b + 2.0 / 3.0)
+        roots[0, one] = np.where(beta[one] == 0.0, 0.0, a + b + 2.0 / 3.0)
     return roots, three
 
 
 def _polish(roots: np.ndarray, beta: np.ndarray, c1: float) -> None:
-    """Newton on the original cubic, in place on the (n, 3) roots.
+    """Newton on the original cubic, in place on the (3, n) roots.
 
     Near bifurcations the closed forms alone lose digits as roots collide.
     Each value stops on its own rule: a step at or below the larger of
@@ -173,7 +175,7 @@ def _polish(roots: np.ndarray, beta: np.ndarray, c1: float) -> None:
     u = roots.reshape(-1)
     np.maximum(u, 0.0, out=u)
     idx = (u == u).nonzero()[0]  # the values that are not NaN padding
-    x, b = u[idx], beta[idx // 3]
+    x, b = u[idx], beta[idx % beta.size]
     for _ in range(50):
         df = (3.0 * x - 4.0) * x + c1
         step = (((x - 2.0) * x + c1) * x - b) / df
@@ -203,26 +205,39 @@ def _graze(roots: np.ndarray, three: np.ndarray, kappa_scaled: float) -> np.ndar
     With u = r a root, the factor is u^2 + (r - 2)u + 1 + k^2 + r(r - 2),
     whose discriminant needs no division by a possibly subnormal r.
     """
-    r = roots[:, 0]
+    r = roots[0]
     center = 0.5 * (2.0 - r)
     disc2 = (4.0 - 3.0 * r) * r - 4.0 * kappa_scaled * kappa_scaled
     graze = 0.5 * np.sqrt(np.abs(disc2)) < _MERGE_TOL * np.maximum(1.0, center)
     if not np.count_nonzero(graze):  # the usual case: no pair that near
         return three
     graze &= ~three & (r > 0.0)
-    roots[graze, 1:] = center[graze, None]
+    roots[1:, graze] = center[graze]
     return three | graze
+
+
+def _sort_rows(roots: np.ndarray) -> None:
+    """Sort each column of the (3, n) roots in place, with the bits of
+    ``np.sort(roots, axis=0)``: a compare-exchange network on whole rows.
+
+    NaN padding sits only in rows 1 and 2 and compares false, so it stays
+    last, where ``np.sort`` puts it.
+    """
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        lo, hi = roots[i], roots[j]
+        swap = hi < lo
+        if np.count_nonzero(swap):
+            lo[swap], hi[swap] = hi[swap], lo[swap]
 
 
 def _merge(roots: np.ndarray, beta: np.ndarray, kappa_scaled: float) -> None:
     """Collapse a numerically degenerate pair (bifurcation point) in place.
 
-    On the sorted, NaN-padded (n, 3) roots, a pair closer than
+    On the sorted, NaN-padded (3, n) roots, a pair closer than
     ``_MERGE_TOL`` becomes one entry at the analytic turning radius: the
-    lower pair in column 0, the upper pair in column 2, with column 1
-    emptied, so that whichever side the pair sits on, the lower-u entry is
-    the small branch.  NaN padding makes both tests false on rows with one
-    root.  Near a double root the polished pair is only good to ~sqrt(eps)
+    lower pair in row 0, the upper pair in row 2, with row 1 emptied, so
+    that whichever side the pair sits on, the lower-u entry is the small
+    branch.  NaN padding makes both tests false where a beta has one root.  Near a double root the polished pair is only good to ~sqrt(eps)
     (Newton converges there linearly), which could leave det K of either
     root above the :func:`_strictly_stable` margin; at the turning radius
     det K = 0, so the entry is marginal by that rule.
@@ -235,30 +250,32 @@ def _merge(roots: np.ndarray, beta: np.ndarray, kappa_scaled: float) -> None:
     |beta''(u_t)| = 2 sqrt(1 - 3 kappa_scaled^2) at both turning radii u_t.
     """
     # (r1 - r0, r2 - r1) against the tolerance at the upper root of each pair
-    close = roots[:, 1:] - roots[:, :-1] < _MERGE_TOL * np.maximum(1.0, roots[:, 1:])
+    close = roots[1:] - roots[:-1] < _MERGE_TOL * np.maximum(1.0, roots[1:])
     u_minus, u_plus = _turning_radii(kappa_scaled)
     edge_tol = (u_plus - u_minus) * 1.5 * (0.5 * _MERGE_TOL) ** 2
     # the lower pair merges at beta_high = beta(u_minus), the upper at beta_low
-    edges = np.array([_beta_of_u(u_minus, kappa_scaled), _beta_of_u(u_plus, kappa_scaled)])
-    three = roots[:, 1:2] == roots[:, 1:2]  # not NaN: the row has three roots
-    close |= three & (abs(beta[:, None] - edges) <= edge_tol)
+    edges = np.array([[_beta_of_u(u_minus, kappa_scaled)], [_beta_of_u(u_plus, kappa_scaled)]])
+    three = roots[1] == roots[1]  # not NaN: the beta has three roots
+    close |= three & (abs(beta - edges) <= edge_tol)
     if np.count_nonzero(close):
-        low = close[:, 0]
-        high = close[:, 1] & ~low
-        roots[low, 0] = np.where(roots[low, 0] < 2.0 / 3.0, u_minus, u_plus)
-        roots[high, 2] = np.where(roots[high, 1] < 2.0 / 3.0, u_minus, u_plus)
-        roots[low | high, 1] = math.nan
+        low = close[0]
+        high = close[1] & ~low
+        roots[0, low] = np.where(roots[0, low] < 2.0 / 3.0, u_minus, u_plus)
+        roots[2, high] = np.where(roots[1, high] < 2.0 / 3.0, u_minus, u_plus)
+        roots[1, low | high] = math.nan
 
 
 def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
     """Small, unstable and large steady states at each drive intensity.
 
-    ``beta: float | ndarray``; every field of the result has its shape.  The
-    roots of the cubic come from closed forms polished by Newton.  A pair
-    closer than a relative ``_MERGE_TOL`` (a bifurcation) is one entry at the
-    analytic turning radius; so is a grazing pair that the cubic's
-    discriminant rounds away.  Outside the bistable window the one root is
-    the small branch for u <= 2/3 and the large branch above.  A small or
+    ``beta: float | ndarray``; every field of the result has its shape, and
+    for an array ``beta`` each is C-contiguous: the roots are solved as a
+    (3, n) array, one row per branch.  The roots of the cubic come from
+    closed forms polished by Newton.  A pair closer than a relative
+    ``_MERGE_TOL`` (a bifurcation) is one entry at the analytic turning
+    radius; so is a grazing pair that the cubic's discriminant rounds away.
+    Outside the bistable window the one root is the small branch for
+    u <= 2/3 and the large branch above.  A small or
     large entry whose drift fails :func:`_strictly_stable`, the rule that
     :func:`duffing_qubit.fluctuations.stationary_covariance` applies, is
     marginal, with nu = 0.  The rule is evaluated on the cubic, with no drift
@@ -281,10 +298,12 @@ def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
         if n_three < flat.size:
             three = _graze(roots, three, kappa_scaled)
             n_three = np.count_nonzero(three)
-        roots.sort(axis=1)
+        # the seeds are ascending, and Newton seldom reorders them
+        if n_three and np.count_nonzero(roots[1:] < roots[:-1]):
+            _sort_rows(roots)
 
         if np.count_nonzero(np.isfinite(roots)) < flat.size + 2 * n_three:
-            bad = ~np.isfinite(np.where(three, roots[:, 2], roots[:, 0]))
+            bad = ~np.isfinite(np.where(three, roots[2], roots[0]))
             raise ValueError(
                 f"no finite steady state at beta={flat[bad][0]:g}, "
                 f"kappa_scaled={kappa_scaled:g}"
@@ -293,16 +312,19 @@ def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
             _merge(roots, flat, kappa_scaled)
         if n_three < flat.size:
             # one root is the large branch above u = 2/3: [r, nan, nan] -> [nan, nan, r]
-            large = ~three & (roots[:, 0] > 2.0 / 3.0)
-            roots[large] = roots[large, ::-1]
+            large = ~three & (roots[0] > 2.0 / 3.0)
+            if np.count_nonzero(large):
+                roots[:, large] = roots[::-1, large]
 
-        # det K = nu^2 and |K|_F^2 of each root's drift (Q^2 + P^2 = u)
-        det = ks2 + (3.0 * roots - 4.0) * roots + 1.0
-        frob2 = 2.0 * (ks2 + (2.0 * roots - 1.0) ** 2 + roots * roots)
-        marginal = ~_strictly_stable(-2.0 * kappa_scaled, det, frob2) & ~np.isnan(roots)
+        # det K = nu^2 and |K|_F^2 of each stable root's drift (Q^2 + P^2 = u),
+        # on a copy of rows 0 and 2: a ufunc call on the strided pair costs more
+        ends = roots[::2].copy()
+        det = ks2 + (3.0 * ends - 4.0) * ends + 1.0
+        frob2 = 2.0 * (ks2 + (2.0 * ends - 1.0) ** 2 + ends * ends)
+        marginal = ~_strictly_stable(-2.0 * kappa_scaled, det, frob2) & ~np.isnan(ends)
         nu = np.where(marginal, 0.0, np.sqrt(det))
 
-    cols = (roots[:, 0], nu[:, 0], roots[:, 1], roots[:, 2], nu[:, 2])
+    cols = (roots[0], nu[0], roots[1], roots[2], nu[1])
     if b.ndim == 0:
         return Branches(*(float(col[0]) for col in cols))
     return Branches(*(col.reshape(b.shape) for col in cols))

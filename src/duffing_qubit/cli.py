@@ -558,6 +558,10 @@ def main(argv: list[str] | None = None) -> int:
             args = subparser.parse_args(argv[1:])
             args.command = argv[0]
         config = load_config(args.config)
+        params = _COMMANDS[args.command][2]
+        for key in config:
+            if key not in params:
+                raise ValueError(f"config key {key}: not a parameter of {args.command}")
         run = globals()["cmd_" + args.command]
         if args.out:
             try:

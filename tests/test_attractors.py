@@ -365,6 +365,12 @@ class TestSolveBranches:
         assert s.u_large.shape == (3, 4) and s.nu_small.shape == (3, 4)
         assert np.array_equal(s.u_large.ravel(), flat.u_large, equal_nan=True)
 
+    @pytest.mark.parametrize("shape", [(1,), (12,), (3, 4)])
+    def test_columns_are_contiguous(self, shape):
+        s = solve_branches(np.linspace(0.0, 0.3, math.prod(shape)).reshape(shape), 0.3)
+        for field in dataclasses.fields(s):
+            assert getattr(s, field.name).flags.c_contiguous, field.name
+
     def test_pick(self):
         s = solve_branches(np.array([0.05, 0.12]), 0.3)
         u, nu = s.pick(Branch.LARGE)
@@ -504,7 +510,8 @@ class TestSolveBranchesProperties:
 
 def reference_seeds(beta: float, kappa: float) -> tuple[list[float], bool]:
     """The closed-form seeds of one beta, one Python float operation at a
-    time: ``math.acos(min(1, max(-1, x))) / 3`` and ``x ** (1/3)``."""
+    time: ``math.acos(min(1, max(-1, x))) / 3`` and ``x ** (1/3)``; the
+    trigonometric roots in ascending order."""
     k2 = kappa * kappa
     p = k2 - 1.0 / 3.0
     p3 = p**3
@@ -513,7 +520,7 @@ def reference_seeds(beta: float, kappa: float) -> tuple[list[float], bool]:
         m = 2.0 * math.sqrt(-p / 3.0)
         theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m)))) / 3.0
         return [m * math.cos(theta - 2.0 * math.pi * kk / 3.0) + 2.0 / 3.0
-                for kk in range(3)], True
+                for kk in (2, 1, 0)], True
     h = abs(q) / 2.0
     if h >= 1e150:
         rad = h * math.sqrt(max(1.0 + p3 / 27.0 / h / h, 0.0))
@@ -540,6 +547,43 @@ def test_seeds_have_the_bits_of_one_math_call_per_value(betas, shares, kappa):
 
     with np.errstate(all="ignore"):
         roots, three = _seeds(np.array(betas), kappa)
-    for beta, row, is_three in zip(betas, roots.tolist(), three.tolist()):
+    for beta, row, is_three in zip(betas, roots.T.tolist(), three.tolist()):
         ref, ref_three = reference_seeds(beta, kappa)
         assert (list(map(repr, row)), is_three) == (list(map(repr, ref)), ref_three), beta
+
+
+def test_numpy_cos_has_the_bits_of_math_cos():
+    # the seeds take their cosines from one np.cos call, over theta - shift
+    # in [-4 pi/3, pi/3]; a numpy whose float64 cos is not libm's fails here
+    x = np.random.default_rng(29).uniform(-4.0 * math.pi / 3.0, math.pi / 3.0, 100_000)
+    x[:4] = (-4.0 * math.pi / 3.0, -math.pi, 0.0, math.pi / 3.0)
+    expected = np.fromiter(map(math.cos, x.tolist()), float, x.size)
+    assert np.array_equal(np.cos(x).view(np.int64), expected.view(np.int64))
+
+
+@st.composite
+def seeded_columns(draw):
+    """(3, n) roots as the seeds and the graze step leave them: three finite
+    roots in any order, a root and an equal pair in any order, or one root
+    over two NaN."""
+    finite = st.floats(0.0, 3.0)
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(("three", "pair", "one")), min_size=1,
+                              max_size=12)):
+        if kind == "three":
+            col = draw(st.lists(finite, min_size=3, max_size=3))
+        elif kind == "pair":
+            r, c = draw(finite), draw(finite)
+            col = draw(st.permutations([r, c, c]))
+        else:
+            col = [draw(finite), math.nan, math.nan]
+        columns.append(col)
+    return np.ascontiguousarray(np.array(columns).T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeded_columns())
+def test_sort_rows_has_the_bits_of_np_sort(roots):
+    expected = np.sort(roots, axis=0)
+    attractors._sort_rows(roots)
+    assert roots.tobytes() == expected.tobytes()

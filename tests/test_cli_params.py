@@ -333,6 +333,41 @@ class TestTextChoices:
         assert err == "error: invalid --attractor 'both': choose from small, large\n"
 
 
+class TestConfigKeys:
+    """A config key must be a parameter of the subcommand, as a flag must."""
+
+    @pytest.mark.parametrize("key", ["nbarr", "format", "out", "config", "check"])
+    def test_a_key_nothing_reads_is_refused(self, capsys, tmp_path, key):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"kappa_scaled = 0.3\n{key} = 3\n")
+        out_file = tmp_path / "out.txt"
+        code, out, err = run(capsys, "teff", "--config", str(path), "--grid", "0.1:0.12:2",
+                             "--omega-rel", "0.5", "--attractor", "large",
+                             "--out", str(out_file))
+        assert code == EXIT_INPUT and out == "" and not out_file.exists()
+        assert err == f"error: config key {key}: not a parameter of teff\n"
+
+    def test_a_key_of_another_subcommand_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("beta = 0.12\n")
+        code, out, err = run(capsys, "attractors", "--kappa-scaled", "0.3", "--config", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: config key beta: not a parameter of attractors\n"
+
+    def test_rates_takes_the_keys_of_all_its_regimes(self, capsys, tmp_path):
+        params = {"regime": "nonresonant", **_SI, "grid": "2.944e10:4.6e10:3"}
+        by_flag = run(capsys, "rates", *flags(params))
+        assert by_flag[0] == EXIT_OK and "v_x" in _SI and "v_z" in _SI
+        cfg = write_config(tmp_path / "si.cfg", params)
+        assert run(capsys, "rates", "--config", cfg) == by_flag
+        # a resonant-1q call reads none of the SI keys, as it ignores their flags
+        scaled = ["--beta", "0.12", "--kappa-scaled", "0.3", "--grid=-1:1:3"]
+        expected = run(capsys, "rates", *scaled)
+        assert expected[0] == EXIT_OK
+        assert run(capsys, "rates", "--config", cfg, "--regime", "resonant-1q",
+                   *scaled) == expected
+
+
 class TestHierarchyFactors:
     """match holds each --hierarchies factor h to |omega_rel| = h * max(nu, kappa, 1)."""
 

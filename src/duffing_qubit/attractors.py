@@ -112,10 +112,10 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
     in rows 1 and 2, and the mask of the betas with three real roots:
     trigonometric form where the discriminant is positive, cancellation-safe
     Cardano for the one real root otherwise.  ``math.acos`` and the cube
-    root ``x ** (1/3)`` run per value, with no Python callback: numpy's
-    ``arccos`` and ``power`` round differently from libm on some values,
-    and these values seed Newton.  numpy's float64 ``cos`` is libm's, so the
-    three cosines of each beta are one vector call.
+    root ``x ** (1/3)`` keep the bits of one ``math`` call per value, through
+    ``_per_value``: numpy's SIMD ``arccos`` and ``power`` round differently
+    from libm on some values, and these values seed Newton.  numpy's float64
+    ``cos`` is libm's, so the three cosines of each beta are one vector call.
     """
     k2 = kappa_scaled * kappa_scaled
     roots = np.full((3, beta.size), np.nan)

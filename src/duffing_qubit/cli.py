@@ -468,8 +468,9 @@ def cmd_match(args, config) -> int:
     devs = [np.abs(ratio_e - 1.0), np.abs(ratio_g - 1.0)]
     emit_table(params, ["h", "ratio_e", "ratio_g", "dev_e", "dev_g"], [h, ratio_e, ratio_g, *devs],
                args.format, args.out_stream)
-    # both deviations must fall from each factor to the next
-    if h.size > 1 and not all((np.diff(dev) < 0.0).all() for dev in devs):
+    # both deviations must fall from each distinct factor to the next larger one
+    first = np.unique(h, return_index=True)[1]
+    if not all((np.diff(dev[first]) < 0.0).all() for dev in devs):
         print("self-check failed: rate ratio does not converge to 1", file=sys.stderr)
         return EXIT_SELFCHECK
     return EXIT_OK

@@ -40,18 +40,26 @@ hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s
 k_B = 1.380649e-23                       # J/K
 
 
+# the ufunc whose scalar loop calls the same libm function as each of these
+_LIBM_UFUNCS = {math.log: np.log, math.expm1: np.expm1, math.acos: np.arccos, pow: np.power}
+
+
 def _per_value(fn, x: float | np.ndarray, *args: float) -> float | np.ndarray:
     """``fn(v, *args)`` for each value ``v`` of ``x``: a float for a scalar
     ``x``, otherwise an array of its shape.
 
     For the ``math`` functions whose numpy counterparts round differently
-    on some values (``expm1``, ``log``, ``hypot``, ``acos``, ``pow``), so
-    that a sweep gives the same bits as one call per point.  A builtin
-    ``fn`` with constant ``args`` runs with no Python frame per value.
+    on some values (``log``, ``expm1``, ``acos``, ``pow``, ``hypot``), so
+    that a sweep gives the same bits as one call per point.  The first four
+    run as one ufunc call on a reversed view: numpy's SIMD kernels for them
+    take only a positive stride, and its scalar loop calls libm, as ``math``
+    does.  ``hypot`` is CPython's own algorithm, so it is mapped per value.
     """
     a = np.asarray(x, dtype=float)
     if a.ndim == 0:
         return fn(float(a), *args)
+    if fn in _LIBM_UFUNCS:
+        return _LIBM_UFUNCS[fn](a.ravel()[::-1], *args)[::-1].reshape(a.shape)
     values = map(fn, a.ravel().tolist(), *map(itertools.repeat, args))
     return np.fromiter(values, float, a.size).reshape(a.shape)
 
@@ -91,8 +99,9 @@ def planck(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
     ``omega: float | ndarray``; a scalar gives a float, an array an array of
     its shape.  Returns exactly 0.0 at T = 0, and where hbar*omega/kB*T is
     too large for the exponential to be represented.  Each value has the
-    bits of ``1.0 / math.expm1`` of its argument: inf where the argument is
-    subnormal, and ZeroDivisionError where it underflows to 0.
+    bits of ``1.0 / math.expm1`` of its argument, also in a sweep: inf
+    where the argument is subnormal, and ZeroDivisionError where it
+    underflows to 0 (FloatingPointError in an array).
     """
     w = np.asarray(omega, dtype=float)
     if not np.all(w > 0.0):

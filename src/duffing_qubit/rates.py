@@ -201,9 +201,10 @@ def log_rate_ratio(
     """ln(gamma_e/gamma_g), NaN where either rate is <= 0 or NaN.
 
     ``hbar*omega_q / (kB * log_rate_ratio)`` is the effective temperature,
-    and its reciprocal the scaled one, kB*T_eff/(hbar*omega_q).  The log is
-    ``math.log`` per value, so a sweep gives the same bits as one call per
-    point; where the ratio under- or overflows, ln(gamma_e) - ln(gamma_g).
+    and its reciprocal the scaled one, kB*T_eff/(hbar*omega_q).  Each value
+    has the bits of ``math.log`` of the ratio, so a sweep gives the same
+    bits as one call per point; where the ratio under- or overflows,
+    ln(gamma_e) - ln(gamma_g).
     Floats or arrays; the result has their broadcast shape, a float when
     both are scalars.
     """

@@ -433,6 +433,40 @@ class TestMatchCommand:
         assert dev_g[0] > dev_g[1] > dev_g[2]
         assert dev_e[-1] < 0.05 and dev_g[-1] < 0.05
 
+    @staticmethod
+    def factor_column(out):
+        _, columns, rows = parse_csv(out)
+        return [float(r[columns.index("h")]) for r in rows]
+
+    def test_convergence_is_judged_over_ascending_factors(self, capsys):
+        # the rows keep the given order; the fall is judged from the smallest
+        # distinct factor to the largest, and a repeated factor is one factor
+        _, ascending, _ = run_cli(capsys, "match", "--hierarchies", "10,30,100")
+        lines = ascending.splitlines()
+        code, out, err = run_cli(capsys, "match", "--hierarchies", "100,30,10")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == lines[:-3] + lines[:-4:-1]
+        for factors in ("10,10", "30,10,30,100", "100,100,10"):
+            code, out, err = run_cli(capsys, "match", "--hierarchies", factors)
+            assert (code, err) == (EXIT_OK, ""), factors
+            assert self.factor_column(out) == [float(h) for h in factors.split(",")]
+
+    @pytest.mark.parametrize("factors", ["10,30,100", "100,30,10", "30,100,30,10"])
+    @pytest.mark.parametrize("rising", [(True, True), (True, False), (False, True)])
+    def test_a_deviation_that_rises_with_the_factor_fails_the_check(self, capsys, monkeypatch,
+                                                                    factors, rising):
+        import duffing_qubit.cli as cli
+
+        def report(hierarchies, *args):
+            return [(h, *(1.0 + (h if up else 1.0 / h) / 1e3 for up in rising))
+                    for h in hierarchies]
+
+        monkeypatch.setattr(cli, "match_report", report)
+        code, out, err = run_cli(capsys, "match", "--hierarchies", factors)
+        assert (code, err) == (EXIT_SELFCHECK,
+                               "self-check failed: rate ratio does not converge to 1\n")
+        assert self.factor_column(out) == [float(h) for h in factors.split(",")]
+
 
 class TestValidateCommand:
     def test_printed_limits_are_the_constants(self, capsys):

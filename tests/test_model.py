@@ -264,7 +264,10 @@ class TestPlanckArrays:
                                                                 toward)]
         cases = [(np.array([omega_at(x, 1.0) for x in near]), 1.0),
                  (np.geomspace(1e-288, 1e-270, 37), 1e10),  # subnormal x
-                 (np.geomspace(1e5, 1e16, 301), 0.05)]
+                 (np.geomspace(1e5, 1e16, 301), 0.05),
+                 # x log-uniform on about [0.015, 700], where numpy's SIMD
+                 # expm1 rounds differently from libm on some values
+                 (np.exp(np.random.default_rng(0).uniform(18.4, 29.2, 2000)), 0.05)]
         assert sorted(model.hbar * w / model.k_B for w in cases[0][0]) == sorted(near)
         x = model.hbar * cases[1][0] / (model.k_B * 1e10)
         assert np.all(x > 0.0) and np.any(x < np.finfo(float).tiny)
@@ -302,3 +305,67 @@ class TestPhysicalParamsFinite:
         values[field] = value
         with pytest.raises(ValueError, match="finite"):
             PhysicalParams(**values)
+
+
+def libm_domain(fn) -> tuple[list[float], np.ndarray]:
+    """The edge values and 10^5 seeded values of the domain on which the
+    library calls ``fn`` over arrays: ln of a rate ratio (log-uniform, and
+    near 1, where it is an effective temperature far above hbar omega_q/kB)
+    or NaN; expm1 of hbar omega/kB T up to the last finite value, or inf;
+    acos of a clipped cosine; the cube root of a non-negative finite value."""
+    from duffing_qubit import model
+
+    rng = np.random.default_rng(30)
+    edge = model._EXPM1_EDGE
+    below, above = math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)
+    if fn is math.log:
+        return ([math.nan, 5e-324, 1.0, edge, below, above, 1.7e308, math.inf],
+                np.exp(np.concatenate([rng.uniform(-700.0, 700.0, 50_000),
+                                       rng.uniform(-0.1, 0.1, 50_000)])))
+    if fn is math.expm1:
+        return [math.inf, 5e-324, 1.0, edge, below], rng.uniform(5e-324, edge, 100_000)
+    if fn is math.acos:
+        return [0.0, 5e-324, -5e-324, 1.0, -1.0], rng.uniform(-1.0, 1.0, 100_000)
+    return ([0.0, 5e-324, 1.0, edge, below, above, 1.7e308],
+            np.exp(rng.uniform(-745.0, 709.0, 100_000)))
+
+
+class TestPerValue:
+    # log, expm1, acos and the cube root over an array are one ufunc call on
+    # a reversed view, which numpy runs in its scalar loop over libm; a numpy
+    # that vectorises negative strides, or a call on the contiguous array
+    # where numpy has SIMD kernels, fails here rather than give other bits
+    @pytest.mark.parametrize("fn, ufunc, args", [(math.log, np.log, ()),
+                                                 (math.expm1, np.expm1, ()),
+                                                 (math.acos, np.arccos, ()),
+                                                 (pow, np.power, (1.0 / 3.0,))],
+                             ids=["log", "expm1", "acos", "cbrt"])
+    def test_array_values_have_the_bits_of_math(self, fn, ufunc, args):
+        from duffing_qubit.model import _per_value
+
+        def reference(values):
+            return np.fromiter((fn(v, *args) for v in values), float, len(values))
+
+        edges, drawn = libm_domain(fn)
+        x = np.concatenate([edges, drawn])
+        assert np.array_equal(_per_value(fn, x, *args).view(np.int64),
+                              reference(x.tolist()).view(np.int64))
+        # every length up to two SIMD widths and a tail, over the edge values
+        # and the values on which a contiguous call rounds differently here
+        expected = reference(drawn.tolist())
+        differ = drawn[ufunc(drawn, *args).view(np.int64) != expected.view(np.int64)]
+        probe = np.concatenate([edges, differ[:40]])
+        for size in range(1, 18):
+            for start in range(0, probe.size, size):
+                part = probe[start:start + size]
+                assert np.array_equal(_per_value(fn, part, *args).view(np.int64),
+                                      reference(part.tolist()).view(np.int64)), part
+
+    def test_a_scalar_goes_through_math_with_its_exceptions(self):
+        from duffing_qubit.model import _per_value
+
+        assert type(_per_value(math.log, 2.0)) is float
+        with pytest.raises(ValueError):
+            _per_value(math.log, 0.0)
+        with pytest.raises(OverflowError):
+            _per_value(math.expm1, 710.0)

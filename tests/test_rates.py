@@ -834,9 +834,14 @@ class TestLogRateRatio:
         assert math.isnan(log_rate_ratio(0.0, 0.0))
 
     def test_effective_temperature_is_built_on_it(self):
-        ge = np.array([2.0, 1.0, 0.3, 5e-300])
-        gg = np.array([1.0, 2.0, 0.2, 1e-300])
+        # with log-uniform rates and ratios near 1, where numpy's SIMD log
+        # rounds differently from libm on some values
+        rng = np.random.default_rng(0)
+        gg = np.concatenate([[1.0, 2.0, 0.2, 1e-300], np.exp(rng.uniform(-300.0, 300.0, 4000))])
+        ge = np.concatenate([[2.0, 1.0, 0.3, 5e-300],
+                             gg[4:] * np.exp(rng.uniform(-0.1, 0.1, 4000))])
         wq = 1e10
+        assert log_rate_ratio(ge, gg).tolist() == [math.log(e / g) for e, g in zip(ge, gg)]
         expected = [hbar * wq / (k_B * math.log(e / g)) for e, g in zip(ge, gg)]
         assert effective_temperature(ge, gg, wq).tolist() == expected
 

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import _check_beta, _check_kappa_scaled, _per_value
+from .model import _check_beta, _check_kappa_scaled
 
 __all__ = [
     "Branch",
@@ -111,11 +111,9 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
     Returns a (3, n) array, one row per root in ascending order, NaN-padded
     in rows 1 and 2, and the mask of the betas with three real roots:
     trigonometric form where the discriminant is positive, cancellation-safe
-    Cardano for the one real root otherwise.  ``math.acos`` and the cube
-    root ``x ** (1/3)`` keep the bits of one ``math`` call per value, through
-    ``_per_value``: numpy's SIMD ``arccos`` and ``power`` round differently
-    from libm on some values, and these values seed Newton.  numpy's float64
-    ``cos`` is libm's, so the three cosines of each beta are one vector call.
+    Cardano for the one real root otherwise.  ``np.arccos``, ``np.cos`` and
+    ``np.cbrt`` are each one call over the betas of their form, and each
+    value has the bits of a call on that beta alone.
     """
     k2 = kappa_scaled * kappa_scaled
     roots = np.full((3, beta.size), np.nan)
@@ -137,7 +135,7 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
         rows = three if n_three < beta.size else slice(None)
         m = 2.0 * math.sqrt(-p / 3.0)
         cos3 = np.minimum(np.maximum(3.0 * q[rows] / (p * m), -1.0), 1.0)
-        theta = _per_value(math.acos, cos3) / 3.0
+        theta = np.arccos(cos3) / 3.0
         roots[:, rows] = m * np.cos(theta - _SHIFTS[:, None]) + 2.0 / 3.0
     if n_three < beta.size:
         # single real root; avoid cancellation between the two cube roots.
@@ -151,8 +149,7 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
         if np.count_nonzero(huge):
             hh = h[huge]
             rad[huge] = hh * np.sqrt(np.maximum(1.0 + p3 / 27.0 / hh / hh, 0.0))
-        a = -np.copysign(h + rad, q1)
-        a = np.copysign(_per_value(pow, np.abs(a), 1.0 / 3.0), a)
+        a = np.cbrt(-np.copysign(h + rad, q1))
         b = np.where(a == 0.0, 0.0, -p / (3.0 * a))
         roots[0, one] = np.where(beta[one] == 0.0, 0.0, a + b + 2.0 / 3.0)
     return roots, three

@@ -20,7 +20,6 @@ Conventions
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,30 +37,6 @@ __all__ = [
 # exact SI-2019 values (the Planck constant h and the Boltzmann constant)
 hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s
 k_B = 1.380649e-23                       # J/K
-
-
-# the ufunc whose scalar loop calls the same libm function as each of these
-_LIBM_UFUNCS = {math.log: np.log, math.expm1: np.expm1, math.acos: np.arccos, pow: np.power}
-
-
-def _per_value(fn, x: float | np.ndarray, *args: float) -> float | np.ndarray:
-    """``fn(v, *args)`` for each value ``v`` of ``x``: a float for a scalar
-    ``x``, otherwise an array of its shape.
-
-    For the ``math`` functions whose numpy counterparts round differently
-    on some values (``log``, ``expm1``, ``acos``, ``pow``, ``hypot``), so
-    that a sweep gives the same bits as one call per point.  The first four
-    run as one ufunc call on a reversed view: numpy's SIMD kernels for them
-    take only a positive stride, and its scalar loop calls libm, as ``math``
-    does.  ``hypot`` is CPython's own algorithm, so it is mapped per value.
-    """
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        return fn(float(a), *args)
-    if fn in _LIBM_UFUNCS:
-        return _LIBM_UFUNCS[fn](a.ravel()[::-1], *args)[::-1].reshape(a.shape)
-    values = map(fn, a.ravel().tolist(), *map(itertools.repeat, args))
-    return np.fromiter(values, float, a.size).reshape(a.shape)
 
 
 def _check_lambda_s(lambda_s: float) -> None:
@@ -89,19 +64,15 @@ def _check_beta(beta: float | np.ndarray) -> np.ndarray:
     return flat
 
 
-# the largest float whose expm1 is finite; past it there are no thermal quanta
-_EXPM1_EDGE = 709.782712893384
-
-
 def planck(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
     """Bose occupation number 1/(exp(hbar*omega/kB*T) - 1).
 
     ``omega: float | ndarray``; a scalar gives a float, an array an array of
     its shape.  Returns exactly 0.0 at T = 0, and where hbar*omega/kB*T is
-    too large for the exponential to be represented.  Each value has the
-    bits of ``1.0 / math.expm1`` of its argument, also in a sweep: inf
-    where the argument is subnormal, and ZeroDivisionError where it
-    underflows to 0 (FloatingPointError in an array).
+    too large for the exponential to be represented.  Each value is
+    ``1.0 / np.expm1`` of its argument, so a sweep has the bits of one call
+    per point: inf where the argument is subnormal, and FloatingPointError
+    where it underflows to 0.
     """
     w = np.asarray(omega, dtype=float)
     if not np.all(w > 0.0):
@@ -111,10 +82,11 @@ def planck(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
     if temperature == 0.0:
         return 0.0 if w.ndim == 0 else np.zeros(w.shape)
     x = hbar * w / (k_B * temperature)
-    # 1 / expm1(inf) = 0 past the edge; 1 / expm1(x) is inf at a subnormal x
-    # and has no value at 0, as for floats
+    # 1 / expm1(x) is 0 where expm1 overflows and inf at a subnormal x, and
+    # has no value at 0
     with np.errstate(over="ignore", divide="raise"):
-        return 1.0 / _per_value(math.expm1, np.where(x > _EXPM1_EDGE, math.inf, x))
+        n = 1.0 / np.expm1(x)
+    return float(n) if w.ndim == 0 else n
 
 
 @dataclass(frozen=True)

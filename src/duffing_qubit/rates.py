@@ -53,7 +53,6 @@ from .fluctuations import (
 from .model import (
     PhysicalParams,
     ScaledParams,
-    _per_value,
     bath_j,
     hbar,
     k_B,
@@ -120,8 +119,9 @@ class QubitParams:
     ``w: float | ndarray``; an array of splittings is a sweep, which every
     rate function evaluates in one call.  The other fields are scalars.
     ``omega_q``, the transition frequency sqrt(w^2 + delta^2), is computed
-    once per instance: a float for a scalar ``w``, otherwise an array of
-    its shape.
+    once per instance with ``np.hypot``: a float for a scalar ``w``,
+    otherwise an array of its shape, whose values have the bits of a qubit
+    built on each ``w`` alone.
     """
 
     w: float | np.ndarray  # dominant splitting (rad/s)
@@ -139,7 +139,9 @@ class QubitParams:
         for name in ("delta", "delta_q", "v_x", "v_z"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"qubit {name} must be finite")
-        object.__setattr__(self, "omega_q", _per_value(math.hypot, self.w, self.delta))
+        with np.errstate(over="ignore"):  # inf past the largest float, as math.hypot
+            object.__setattr__(self, "omega_q",
+                               _scalar_or_array(np.hypot(self.w, self.delta)))
 
 
 @dataclass(frozen=True)
@@ -202,9 +204,8 @@ def log_rate_ratio(
 
     ``hbar*omega_q / (kB * log_rate_ratio)`` is the effective temperature,
     and its reciprocal the scaled one, kB*T_eff/(hbar*omega_q).  Each value
-    has the bits of ``math.log`` of the ratio, so a sweep gives the same
-    bits as one call per point; where the ratio under- or overflows,
-    ln(gamma_e) - ln(gamma_g).
+    is ``np.log`` of the ratio, so a sweep gives the same bits as one call
+    per point; where the ratio under- or overflows, ln(gamma_e) - ln(gamma_g).
     Floats or arrays; the result has their broadcast shape, a float when
     both are scalars.
     """
@@ -213,9 +214,9 @@ def log_rate_ratio(
         ratio = np.where((ge > 0.0) & (gg > 0.0), ge / gg, math.nan)
     split = (ratio == 0.0) | (ratio == math.inf)
     if not split.any():
-        return _per_value(math.log, ratio)
-    ln_e, ln_g = (_per_value(math.log, np.where(split, x, 1.0)) for x in (ge, gg))
-    ratio = _per_value(math.log, np.where(split, 1.0, ratio))
+        return _scalar_or_array(np.log(ratio))
+    ln_e, ln_g = (np.log(np.where(split, x, 1.0)) for x in (ge, gg))
+    ratio = np.log(np.where(split, 1.0, ratio))
     return _scalar_or_array(np.where(split, ln_e - ln_g, ratio))
 
 

@@ -224,12 +224,12 @@ class TestNonFiniteOmega:
 
 class TestLogRateRatioRange:
     def test_underflowing_ratio(self):
-        assert log_rate_ratio(1e-300, 1e100) == math.log(1e-300) - math.log(1e100)
+        assert log_rate_ratio(1e-300, 1e100) == np.log(1e-300) - np.log(1e100)
         t = effective_temperature(1e-300, 1e100, 1.0)
         assert math.isfinite(t) and t < 0.0
 
     def test_overflowing_ratio(self):
-        assert log_rate_ratio(1e300, 1e-300) == math.log(1e300) - math.log(1e-300)
+        assert log_rate_ratio(1e300, 1e-300) == np.log(1e300) - np.log(1e-300)
         assert log_rate_ratio(1e300, 1e-300) == pytest.approx(1381.5510557964274)
 
     def test_other_values_keep_their_bits(self):
@@ -238,9 +238,9 @@ class TestLogRateRatioRange:
         got = log_rate_ratio(ge, gg)
         for g_e, g_g, value in zip(ge.tolist(), gg.tolist(), got):
             if g_e > 0 and g_g > 0 and 0.0 < g_e / g_g < math.inf:
-                assert value == math.log(g_e / g_g)
+                assert value == np.log(g_e / g_g)
             elif g_e > 0 and g_g > 0:
-                assert value == math.log(g_e) - math.log(g_g)
+                assert value == np.log(g_e) - np.log(g_g)
             else:
                 assert math.isnan(value)
         assert got[4] == -math.inf and got[3] == math.inf

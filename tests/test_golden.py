@@ -8,12 +8,19 @@ an output regenerates the files and lists the difference in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py            # rewrite every file
     PYTHONPATH=src python tests/test_golden.py NAME ...   # rewrite some
+
+For each file it rewrites, the script prints how many numeric cells moved
+and the largest move, in ulps (the number of doubles between the old and the
+new value), with the line on which it happened.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
+import re
+import struct
 import sys
 import warnings
 from pathlib import Path
@@ -124,6 +131,49 @@ def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(COMMANDS)
 
 
+# what separates the cells of a CSV, JSON or text report line
+_SEPARATORS = re.compile(r'[\s,:=\[\]{}"()|/]+')
+
+
+def _ordinal(x: float) -> int:
+    """The position of ``x`` among the doubles: neighbours differ by 1."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def moves(old: str, new: str) -> str:
+    """How many numeric cells differ between two outputs of one command, and
+    the largest move in ulps with its line (1-based, in ``new``).  Any other
+    changed cell, or a changed number of lines or cells, is named too."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return f"line count {len(old_lines)} -> {len(new_lines)}"
+    moved, other, largest = 0, [], (0, 0, "")
+    for number, (a, b) in enumerate(zip(old_lines, new_lines), 1):
+        cells_a, cells_b = _SEPARATORS.split(a), _SEPARATORS.split(b)
+        if len(cells_a) != len(cells_b):
+            other.append(number)
+            continue
+        for x, y in zip(cells_a, cells_b):
+            if x == y:
+                continue
+            try:
+                u, v = float(x), float(y)
+            except ValueError:
+                other.append(number)
+                continue
+            ulps = abs(_ordinal(u) - _ordinal(v)) if u == u and v == v else math.inf
+            moved += 1
+            if ulps > largest[0]:
+                largest = (ulps, number, b.strip())
+    text = f"{moved} numeric cells moved"
+    if moved:
+        text += f", largest {largest[0]} ulps on line {largest[1]}: {largest[2]}"
+    if other:
+        text += f"; other cells changed on lines {sorted(set(other))}"
+    return text
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in sys.argv[1:] or sorted(COMMANDS):
@@ -131,5 +181,8 @@ if __name__ == "__main__":
         code, out, err = run(argv)
         if (code, err) != (exit_code, ""):
             sys.exit(f"{name}: exit {code}, expected {exit_code}; stderr {err!r}")
-        (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
-        print(f"wrote {name}.txt ({len(out)} bytes)")
+        path = GOLDEN / f"{name}.txt"
+        old = path.read_text(encoding="utf-8") if path.exists() else None
+        path.write_text(out, encoding="utf-8")
+        print(f"wrote {name}.txt ({len(out)} bytes): "
+              f"{'new file' if old is None else moves(old, out)}")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import mpmath
@@ -14,6 +15,10 @@ from duffing_qubit import (
     planck,
     scale_params,
 )
+
+
+# the largest float whose expm1 is finite; past it there are no thermal quanta
+EXPM1_EDGE = 709.782712893384
 
 
 def squid_scale_params(f_0=2.0e-7):
@@ -245,19 +250,18 @@ class TestPlanckArrays:
     def test_each_value_is_the_reciprocal_of_math_expm1(self):
         # at the neighbours of the largest x = hbar omega / kB T whose expm1
         # is finite (0.0 past it), at subnormal x and on a sweep, a sweep and
-        # one call per point give the bits of 1.0 / math.expm1(x)
+        # one call per point give the bits of 1.0 / np.expm1(x), with the
+        # ufunc called on each x alone
         from duffing_qubit import model
 
         def reference(omega, temperature):
-            try:
-                return 1.0 / math.expm1(model.hbar * omega / (model.k_B * temperature))
-            except OverflowError:
-                return 0.0
+            with np.errstate(over="ignore"):
+                return 1.0 / float(np.expm1(model.hbar * omega / (model.k_B * temperature)))
 
-        edge = model._EXPM1_EDGE
-        assert math.isfinite(math.expm1(edge))
-        with pytest.raises(OverflowError):
-            math.expm1(math.nextafter(edge, math.inf))
+        edge = EXPM1_EDGE
+        with np.errstate(over="ignore"):
+            assert math.isfinite(np.expm1(edge))
+            assert np.expm1(math.nextafter(edge, math.inf)) == math.inf
         near = [edge]
         for toward in (0.0, math.inf):
             near += [math.nextafter(edge, toward), math.nextafter(math.nextafter(edge, toward),
@@ -277,9 +281,10 @@ class TestPlanckArrays:
             assert [planck(w, temperature) for w in omega.tolist()] == expected
 
     def test_an_argument_that_underflows_to_zero_is_an_arithmetic_error(self):
-        # hbar omega underflows to 0, and 1 / expm1(0) has no value
-        for omega in (1e-300, np.array([1e9, 1e-300])):
-            with pytest.raises(ArithmeticError):
+        # hbar omega underflows to 0, and 1 / expm1(0) has no value: a scalar,
+        # a 1-element array and a point of a sweep raise alike
+        for omega in (1e-300, np.array([1e-300]), np.array([1e9, 1e-300])):
+            with pytest.raises(FloatingPointError):
                 planck(omega, 1.0)
 
     @pytest.mark.parametrize("temperature", [-1.0, math.nan, math.inf])
@@ -307,65 +312,138 @@ class TestPhysicalParamsFinite:
             PhysicalParams(**values)
 
 
-def libm_domain(fn) -> tuple[list[float], np.ndarray]:
+# the numpy functions the library evaluates over arrays, each with its
+# mpmath reference and the libm function of the same value (``math.cbrt``
+# is new in Python 3.11)
+UFUNCS = {"log": np.log, "expm1": np.expm1, "arccos": np.arccos, "cbrt": np.cbrt,
+          "cos": np.cos, "hypot": np.hypot}
+MPMATH = {"log": mpmath.log, "expm1": mpmath.expm1, "arccos": mpmath.acos,
+          "cbrt": lambda x: mpmath.sign(x) * mpmath.cbrt(abs(x)), "cos": mpmath.cos,
+          "hypot": mpmath.hypot}
+LIBM = {"log": math.log, "expm1": math.expm1, "arccos": math.acos,
+        "cbrt": getattr(math, "cbrt", None), "cos": math.cos, "hypot": math.hypot}
+
+
+@functools.lru_cache(maxsize=None)
+def ufunc_domain(name: str) -> tuple[np.ndarray, np.ndarray]:
     """The edge values and 10^5 seeded values of the domain on which the
-    library calls ``fn`` over arrays: ln of a rate ratio (log-uniform, and
-    near 1, where it is an effective temperature far above hbar omega_q/kB)
-    or NaN; expm1 of hbar omega/kB T up to the last finite value, or inf;
-    acos of a clipped cosine; the cube root of a non-negative finite value."""
-    from duffing_qubit import model
-
+    library calls ``UFUNCS[name]``, as (number of arguments, n) arrays: ln of
+    a rate ratio (log-uniform, and near 1, where it is an effective
+    temperature far above hbar omega_q/kB) or NaN; expm1 of hbar omega/kB T
+    up to the last finite value, or inf; arccos of a clipped cosine; the cube
+    root of a finite value of either sign; cos of theta minus the seeds'
+    phase shifts, on [-4 pi/3, pi/3]; hypot of SI-like splittings w and
+    transverse terms delta, and pairs whose hypot overflows."""
     rng = np.random.default_rng(30)
-    edge = model._EXPM1_EDGE
+    edge = EXPM1_EDGE
     below, above = math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)
-    if fn is math.log:
-        return ([math.nan, 5e-324, 1.0, edge, below, above, 1.7e308, math.inf],
-                np.exp(np.concatenate([rng.uniform(-700.0, 700.0, 50_000),
-                                       rng.uniform(-0.1, 0.1, 50_000)])))
-    if fn is math.expm1:
-        return [math.inf, 5e-324, 1.0, edge, below], rng.uniform(5e-324, edge, 100_000)
-    if fn is math.acos:
-        return [0.0, 5e-324, -5e-324, 1.0, -1.0], rng.uniform(-1.0, 1.0, 100_000)
-    return ([0.0, 5e-324, 1.0, edge, below, above, 1.7e308],
-            np.exp(rng.uniform(-745.0, 709.0, 100_000)))
+    if name == "log":
+        edges = [math.nan, 5e-324, 1.0, edge, below, above, 1.7e308, math.inf]
+        drawn = np.exp(np.concatenate([rng.uniform(-700.0, 700.0, 50_000),
+                                       rng.uniform(-0.1, 0.1, 50_000)]))
+    elif name == "expm1":
+        edges, drawn = [math.inf, 5e-324, 1.0, edge, below], rng.uniform(5e-324, edge, 100_000)
+    elif name == "arccos":
+        edges, drawn = [0.0, 5e-324, -5e-324, 1.0, -1.0], rng.uniform(-1.0, 1.0, 100_000)
+    elif name == "cbrt":
+        edges = [0.0, 5e-324, 1.0, edge, below, above, 1.7e308]
+        edges += [-x for x in edges]
+        drawn = np.exp(rng.uniform(-745.0, 709.0, 100_000))
+        drawn[1::2] *= -1.0
+    elif name == "cos":
+        edges = [-4.0 * math.pi / 3.0, -math.pi, 0.0, math.pi / 3.0]
+        drawn = np.random.default_rng(29).uniform(-4.0 * math.pi / 3.0, math.pi / 3.0, 100_000)
+        drawn[:4] = edges
+    else:
+        edges = np.array([[3.0, 4.0], [1e10, 0.0], [5e-324, 5e-324], [1e10, 5e8],
+                          [1.7e308, 1.0], [1.7e308, 1.7e308]]).T
+        rng = np.random.default_rng(31)
+        drawn = np.stack([np.exp(rng.uniform(math.log(1e8), math.log(1e12), 100_000)),
+                          np.exp(rng.uniform(math.log(1e5), math.log(1e11), 100_000))])
+    return np.atleast_2d(edges), np.atleast_2d(drawn)
 
 
-class TestPerValue:
-    # log, expm1, acos and the cube root over an array are one ufunc call on
-    # a reversed view, which numpy runs in its scalar loop over libm; a numpy
-    # that vectorises negative strides, or a call on the contiguous array
-    # where numpy has SIMD kernels, fails here rather than give other bits
-    @pytest.mark.parametrize("fn, ufunc, args", [(math.log, np.log, ()),
-                                                 (math.expm1, np.expm1, ()),
-                                                 (math.acos, np.arccos, ()),
-                                                 (pow, np.power, (1.0 / 3.0,))],
-                             ids=["log", "expm1", "acos", "cbrt"])
-    def test_array_values_have_the_bits_of_math(self, fn, ufunc, args):
-        from duffing_qubit.model import _per_value
+def longdouble_ulps(got: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """|got - exact| in ulps of a double in the binade of the long-double
+    ``exact``; where ``exact`` rounds to NaN or an infinity, ``got`` must be
+    that value."""
+    with np.errstate(over="ignore"):
+        nearest = exact.astype(float)
+    finite = np.isfinite(nearest)
+    assert np.array_equal(got[~finite], nearest[~finite], equal_nan=True)
+    got, exact = got[finite].astype(np.longdouble), exact[finite]
+    exponent = np.where(exact == 0.0, -1074, np.frexp(exact)[1] - 53)
+    return np.abs(got - exact) / np.ldexp(np.longdouble(1.0), np.maximum(exponent, -1074))
 
-        def reference(values):
-            return np.fromiter((fn(v, *args) for v in values), float, len(values))
 
-        edges, drawn = libm_domain(fn)
-        x = np.concatenate([edges, drawn])
-        assert np.array_equal(_per_value(fn, x, *args).view(np.int64),
-                              reference(x.tolist()).view(np.int64))
+def mpmath_ulps(got: float, exact: mpmath.mpf) -> float:
+    """|got - exact| in ulps of a double in the binade of ``exact``; 0 where
+    ``got`` is the double nearest a NaN, infinite or overflowing ``exact``."""
+    nearest = float(exact)
+    if not math.isfinite(nearest) or exact == 0:
+        return 0.0 if got == nearest or math.isnan(got) and math.isnan(nearest) else math.inf
+    ulp = mpmath.ldexp(1, max(mpmath.frexp(exact)[1] - 53, -1074))
+    return float(abs(mpmath.mpf(got) - exact) / ulp)
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestUfuncAccuracy:
+    """The accuracy contract of the numpy functions the library evaluates:
+    each value within 1 ulp of the exact one, and an array call with the
+    bits of one call per value, so that a sweep equals per-point calls."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                        reason="long double is no wider than double here; the mpmath "
+                               "check covers each function")
+    @pytest.mark.parametrize("name", UFUNCS)
+    def test_within_one_ulp_of_long_double(self, name):
+        ufunc = UFUNCS[name]
+        x = np.concatenate(ufunc_domain(name), axis=1)
+        with np.errstate(over="ignore"):
+            got = ufunc(*x)
+            exact = ufunc(*x.astype(np.longdouble))
+        assert longdouble_ulps(got, exact).max() <= 1.0
+
+    @pytest.mark.parametrize("name", UFUNCS)
+    def test_within_one_ulp_of_mpmath(self, name):
+        edges, drawn = ufunc_domain(name)
+        x = np.concatenate([edges, drawn[:, ::200]], axis=1)
+        with np.errstate(over="ignore"):
+            got = UFUNCS[name](*x).tolist()
+        with mpmath.workdps(40):
+            off = [mpmath_ulps(y, MPMATH[name](*map(mpmath.mpf, args)))
+                   for y, args in zip(got, x.T.tolist())]
+        assert max(off) <= 1.0, x[:, np.argmax(off)]
+
+    @pytest.mark.parametrize("name", UFUNCS)
+    def test_an_array_call_has_the_bits_of_its_0d_calls(self, name):
         # every length up to two SIMD widths and a tail, over the edge values
-        # and the values on which a contiguous call rounds differently here
-        expected = reference(drawn.tolist())
-        differ = drawn[ufunc(drawn, *args).view(np.int64) != expected.view(np.int64)]
-        probe = np.concatenate([edges, differ[:40]])
-        for size in range(1, 18):
-            for start in range(0, probe.size, size):
-                part = probe[start:start + size]
-                assert np.array_equal(_per_value(fn, part, *args).view(np.int64),
-                                      reference(part.tolist()).view(np.int64)), part
+        # and the values on which numpy and libm round differently here
+        ufunc, libm = UFUNCS[name], LIBM[name]
+        edges, drawn = ufunc_domain(name)
+        probe = edges
+        if libm is not None:
+            expected = np.fromiter(map(libm, *drawn.tolist()), float, drawn.shape[1])
+            differ = drawn[:, bits(ufunc(*drawn)) != bits(expected)]
+            probe = np.concatenate([edges, differ[:, :40]], axis=1)
+        with np.errstate(over="ignore"):
+            single = np.array([ufunc(*map(np.asarray, args)) for args in probe.T])
+            assert np.array_equal(bits([ufunc(*args) for args in probe.T.tolist()]),
+                                  bits(single))
+            for size in range(1, 18):
+                for start in range(0, probe.shape[1], size):
+                    part = probe[:, start:start + size]
+                    assert np.array_equal(bits(ufunc(*part)),
+                                          bits(single[start:start + size])), part
 
-    def test_a_scalar_goes_through_math_with_its_exceptions(self):
-        from duffing_qubit.model import _per_value
-
-        assert type(_per_value(math.log, 2.0)) is float
-        with pytest.raises(ValueError):
-            _per_value(math.log, 0.0)
-        with pytest.raises(OverflowError):
-            _per_value(math.expm1, 710.0)
+    @pytest.mark.parametrize("name, args", [("log", (0.0,)), ("log", (-1.0,)),
+                                            ("expm1", (710.0,)), ("arccos", (2.0,)),
+                                            ("cos", (math.inf,)), ("hypot", (1.7e308, 1.7e308))])
+    def test_a_scalar_and_a_one_element_array_raise_alike(self, name, args):
+        with np.errstate(all="raise"):
+            for call in (args, tuple(map(np.asarray, args)), [np.array([a]) for a in args]):
+                with pytest.raises(FloatingPointError):
+                    UFUNCS[name](*call)

@@ -821,11 +821,11 @@ class TestQubitParamsDomain:
 class TestLogRateRatio:
     def test_scalar_and_array(self):
         assert log_rate_ratio(math.e, 1.0) == math.log(math.e)
-        assert isinstance(log_rate_ratio(2.0, 1.0), float)
+        assert type(log_rate_ratio(2.0, 1.0)) is float
         ge = np.array([[2.0, 1.0], [3.0, 0.5]])
         got = log_rate_ratio(ge, 1.5)
         assert got.shape == (2, 2)
-        assert got.tolist() == [[math.log(e / 1.5) for e in row] for row in ge.tolist()]
+        assert got.tolist() == [[float(np.log(e / 1.5)) for e in row] for row in ge.tolist()]
 
     def test_nan_where_a_rate_is_not_positive(self):
         got = log_rate_ratio(np.array([0.0, -1.0, 1.0, math.nan, 1.0, 2.0]),
@@ -835,24 +835,31 @@ class TestLogRateRatio:
 
     def test_effective_temperature_is_built_on_it(self):
         # with log-uniform rates and ratios near 1, where numpy's SIMD log
-        # rounds differently from libm on some values
+        # rounds differently from libm on some values: a sweep has the bits of
+        # np.log called on each ratio alone
         rng = np.random.default_rng(0)
         gg = np.concatenate([[1.0, 2.0, 0.2, 1e-300], np.exp(rng.uniform(-300.0, 300.0, 4000))])
         ge = np.concatenate([[2.0, 1.0, 0.3, 5e-300],
                              gg[4:] * np.exp(rng.uniform(-0.1, 0.1, 4000))])
         wq = 1e10
-        assert log_rate_ratio(ge, gg).tolist() == [math.log(e / g) for e, g in zip(ge, gg)]
-        expected = [hbar * wq / (k_B * math.log(e / g)) for e, g in zip(ge, gg)]
+        ln = [float(np.log(e / g)) for e, g in zip(ge.tolist(), gg.tolist())]
+        assert log_rate_ratio(ge, gg).tolist() == ln
+        assert [log_rate_ratio(e, g) for e, g in zip(ge.tolist(), gg.tolist())] == ln
+        expected = [hbar * wq / (k_B * x) for x in ln]
         assert effective_temperature(ge, gg, wq).tolist() == expected
 
 
 class TestQubitOmegaQ:
-    def test_computed_once_with_per_value_hypot(self):
-        w = np.linspace(1e10, 2e10, 7)
+    def test_computed_once_with_the_bits_of_per_point_qubits(self):
+        # over SI splittings, on which np.hypot and math.hypot round
+        # differently on some values
+        w = np.exp(np.random.default_rng(31).uniform(math.log(1e8), math.log(1e12), 2000))
         q = QubitParams(w=w, delta=5e8)
         assert q.omega_q is q.omega_q
-        assert q.omega_q.tolist() == [math.hypot(x, 5e8) for x in w.tolist()]
+        assert q.omega_q.tolist() == [QubitParams(w=x, delta=5e8).omega_q for x in w.tolist()]
+        assert type(QubitParams(w=3.0, delta=4.0).omega_q) is float
         assert QubitParams(w=3.0, delta=4.0).omega_q == 5.0
+        assert QubitParams(w=1.7e308, delta=1.7e308).omega_q == math.inf
 
     def test_not_an_init_field_and_recomputed_by_replace(self):
         q = QubitParams(w=3.0, delta=4.0)

@@ -101,33 +101,32 @@ def _beta_of_u(u: float, kappa_scaled: float) -> float:
     return u * ((u - 1.0) ** 2 + kappa_scaled**2)
 
 
-# phases of the three trigonometric roots, in ascending order of the root
-_SHIFTS = np.array([2.0 * math.pi * kk / 3.0 for kk in (2, 1, 0)])
+# phase of the smallest trigonometric root (that of the largest is 0)
+_SMALLEST = 4.0 * math.pi / 3.0
 
 
-def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form roots of u^3 - 2u^2 + (1 + k^2)u - beta = 0 per beta.
+def _anchor(beta: np.ndarray, kappa_scaled: float) -> np.ndarray:
+    """One closed-form real root of u^3 - 2u^2 + (1 + k^2)u - beta = 0 per beta.
 
-    Returns a (3, n) array, one row per root in ascending order, NaN-padded
-    in rows 1 and 2, and the mask of the betas with three real roots:
-    trigonometric form where the discriminant is positive, cancellation-safe
-    Cardano for the one real root otherwise.  ``np.arccos``, ``np.cos`` and
-    ``np.cbrt`` are each one call over the betas of their form, and each
-    value has the bits of a call on that beta alone.
+    Where the discriminant says three real roots, the trigonometric root
+    that stands apart from the other two: the largest where cos 3theta > 0
+    (the lower pair merges as cos 3theta -> 1), the smallest otherwise.
+    Elsewhere the one real root, by cancellation-safe Cardano, which near a
+    double root is the same root that stands apart; beta = 0 gives u = 0.
+    ``np.arccos``, ``np.cos`` and ``np.cbrt`` are each one call over the
+    betas of their form, and each value has the bits of a call on that beta
+    alone.
     """
     k2 = kappa_scaled * kappa_scaled
-    roots = np.full((3, beta.size), np.nan)
     # depressed cubic t^3 + p t + q with u = t + 2/3
     p = k2 - 1.0 / 3.0
     try:
         p3 = p**3
     except OverflowError:  # a power of the cubic's coefficients
-        roots[0] = np.where(beta == 0.0, 0.0, math.inf)
-        return roots, np.zeros(beta.size, dtype=bool)
+        return np.where(beta == 0.0, 0.0, math.inf)
     q = (2.0 + 18.0 * k2) / 27.0 - beta
-    # beta = 0 gives u = 0 alone: the quadratic factor u^2 - 2u + 1 + k^2
-    # has no real roots there, whatever the discriminant rounds to
-    three = (-4.0 * p3 - 27.0 * q * q > 0.0) & (beta != 0.0)
+    three = -4.0 * p3 - 27.0 * q * q > 0.0
+    root = np.empty(beta.size)
 
     n_three = np.count_nonzero(three)
     # the betas of each form, as a slice where every beta has it: no copy
@@ -136,7 +135,7 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
         m = 2.0 * math.sqrt(-p / 3.0)
         cos3 = np.minimum(np.maximum(3.0 * q[rows] / (p * m), -1.0), 1.0)
         theta = np.arccos(cos3) / 3.0
-        roots[:, rows] = m * np.cos(theta - _SHIFTS[:, None]) + 2.0 / 3.0
+        root[rows] = m * np.cos(np.where(cos3 > 0.0, theta, theta - _SMALLEST)) + 2.0 / 3.0
     if n_three < beta.size:
         # single real root; avoid cancellation between the two cube roots.
         # The radicand is -disc/108, which rounds below 0 when disc ~ 0; for
@@ -151,35 +150,38 @@ def _seeds(beta: np.ndarray, kappa_scaled: float) -> tuple[np.ndarray, np.ndarra
             rad[huge] = hh * np.sqrt(np.maximum(1.0 + p3 / 27.0 / hh / hh, 0.0))
         a = np.cbrt(-np.copysign(h + rad, q1))
         b = np.where(a == 0.0, 0.0, -p / (3.0 * a))
-        roots[0, one] = np.where(beta[one] == 0.0, 0.0, a + b + 2.0 / 3.0)
-    return roots, three
+        root[one] = a + b + 2.0 / 3.0
+    return np.where(beta == 0.0, 0.0, root)
 
 
-def _polish(roots: np.ndarray, beta: np.ndarray, c1: float) -> None:
-    """Newton on the original cubic, in place on the (3, n) roots.
+def _polish(roots: np.ndarray, beta: np.ndarray, k2: float) -> None:
+    """Newton on the factored cubic x((x - 1)^2 + k2) - beta, in place on
+    the (3, n) roots, with slope (3x - 1)(x - 1) + k2.
 
-    Near bifurcations the closed forms alone lose digits as roots collide.
-    Each value stops on its own rule: a step at or below the larger of
-    1e-15 relative and the rounding floor of the step, a step above 1e-6
-    relative, or 50 iterations.  The floor is the residual's rounding,
-    4 eps (|x|^3 + 2x^2 + c1 |x| + beta), over the slope: below it a step is
+    The factored form keeps k2 = kappa_scaled^2 apart from 1, and x - 1 is
+    exact near x = 1, where the expanded cubic cancels.  Each value stops on
+    its own rule: a step at or below the larger of 1e-15 relative and the
+    rounding floor of the step, a step above 1e-6 relative, or 50
+    iterations.  The floor is the residual's rounding,
+    4 eps (|x| ((x - 1)^2 + k2) + beta), over the slope: below it a step is
     rounding noise, and where the slope is small the value would otherwise
     wander by a few ulp until the cap.  The seeds are good to ~1e-8 even
-    at a double root, so a longer step divides by a slope at rounding level
-    (a seed on a turning radius) and could carry the value to another root:
-    the value ends where it is.  NaN padding is left alone.
+    next to a double root, so a longer step divides by a slope at rounding
+    level and could carry the value to another root: the value ends where
+    it is.  NaN padding is left alone.
     """
     u = roots.reshape(-1)
     np.maximum(u, 0.0, out=u)
     idx = (u == u).nonzero()[0]  # the values that are not NaN padding
     x, b = u[idx], beta[idx % beta.size]
     for _ in range(50):
-        df = (3.0 * x - 4.0) * x + c1
-        step = (((x - 2.0) * x + c1) * x - b) / df
+        xm1 = x - 1.0
+        df = (3.0 * x - 1.0) * xm1 + k2
+        g = x * (xm1 * xm1 + k2)
+        step = (g - b) / df
         new = x - step
         size = np.abs(step)
-        ax = np.abs(x)
-        floor = 4.0 * _EPS * (((ax + 2.0) * ax + c1) * ax + b) / np.abs(df)
+        floor = 4.0 * _EPS * (np.abs(g) + b) / np.abs(df)
         go = ~(size <= np.maximum(1e-15 * np.maximum(1.0, np.abs(new)), floor))
         stuck = ~(size <= 1e-6 * np.maximum(1.0, np.abs(x)))
         if np.count_nonzero(stuck):
@@ -192,91 +194,37 @@ def _polish(roots: np.ndarray, beta: np.ndarray, c1: float) -> None:
     np.maximum(u, 0.0, out=u)
 
 
-def _graze(roots: np.ndarray, three: np.ndarray, kappa_scaled: float) -> np.ndarray:
-    """Surface a grazing pair next to one polished root; the new three-root mask.
-
-    A bifurcation value rounded to the one-root side of the cubic's
-    discriminant leaves the pair of the quadratic factor complex or real,
-    as that factor's own discriminant rounds; where the pair is closer
-    than ``_MERGE_TOL`` it is the degenerate real double root it represents.
-    With u = r a root, the factor is u^2 + (r - 2)u + 1 + k^2 + r(r - 2),
-    whose discriminant needs no division by a possibly subnormal r.
-    """
-    r = roots[0]
-    center = 0.5 * (2.0 - r)
-    disc2 = (4.0 - 3.0 * r) * r - 4.0 * kappa_scaled * kappa_scaled
-    graze = 0.5 * np.sqrt(np.abs(disc2)) < _MERGE_TOL * np.maximum(1.0, center)
-    if not np.count_nonzero(graze):  # the usual case: no pair that near
-        return three
-    graze &= ~three & (r > 0.0)
-    roots[1:, graze] = center[graze]
-    return three | graze
-
-
-def _sort_rows(roots: np.ndarray) -> None:
-    """Sort each column of the (3, n) roots in place, with the bits of
-    ``np.sort(roots, axis=0)``: a compare-exchange network on whole rows.
-
-    NaN padding sits only in rows 1 and 2 and compares false, so it stays
-    last, where ``np.sort`` puts it.
-    """
-    for i, j in ((0, 1), (1, 2), (0, 1)):
-        lo, hi = roots[i], roots[j]
-        swap = hi < lo
-        if np.count_nonzero(swap):
-            lo[swap], hi[swap] = hi[swap], lo[swap]
-
-
-def _merge(roots: np.ndarray, beta: np.ndarray, kappa_scaled: float) -> None:
-    """Collapse a numerically degenerate pair (bifurcation point) in place.
-
-    On the sorted, NaN-padded (3, n) roots, a pair closer than
-    ``_MERGE_TOL`` becomes one entry at the analytic turning radius: the
-    lower pair in row 0, the upper pair in row 2, with row 1 emptied, so
-    that whichever side the pair sits on, the lower-u entry is the small
-    branch.  NaN padding makes both tests false where a beta has one root.  Near a double root the polished pair is only good to ~sqrt(eps)
-    (Newton converges there linearly), which could leave det K of either
-    root above the :func:`_strictly_stable` margin; at the turning radius
-    det K = 0, so the entry is marginal by that rule.
-
-    Where the slope of the cubic is at rounding level, Newton's steps are
-    rounding noise over that slope, and the polished pair can end up to
-    ~1e-6 apart.  So a pair also merges where ``beta`` lies as close to the
-    edge beta(u_t) as a pair ``_MERGE_TOL`` apart would:
-    |beta - beta(u_t)| <= |beta''(u_t)| / 2 * (_MERGE_TOL / 2)^2, with
-    |beta''(u_t)| = 2 sqrt(1 - 3 kappa_scaled^2) at both turning radii u_t.
-    """
-    # (r1 - r0, r2 - r1) against the tolerance at the upper root of each pair
-    close = roots[1:] - roots[:-1] < _MERGE_TOL * np.maximum(1.0, roots[1:])
-    u_minus, u_plus = _turning_radii(kappa_scaled)
-    edge_tol = (u_plus - u_minus) * 1.5 * (0.5 * _MERGE_TOL) ** 2
-    # the lower pair merges at beta_high = beta(u_minus), the upper at beta_low
-    edges = np.array([[_beta_of_u(u_minus, kappa_scaled)], [_beta_of_u(u_plus, kappa_scaled)]])
-    three = roots[1] == roots[1]  # not NaN: the beta has three roots
-    close |= three & (abs(beta - edges) <= edge_tol)
-    if np.count_nonzero(close):
-        low = close[0]
-        high = close[1] & ~low
-        roots[0, low] = np.where(roots[0, low] < 2.0 / 3.0, u_minus, u_plus)
-        roots[2, high] = np.where(roots[1, high] < 2.0 / 3.0, u_minus, u_plus)
-        roots[1, low | high] = math.nan
-
-
 def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
     """Small, unstable and large steady states at each drive intensity.
 
     ``beta: float | ndarray``; every field of the result has its shape, and
     for an array ``beta`` each is C-contiguous: the roots are solved as a
-    (3, n) array, one row per branch.  The roots of the cubic come from
-    closed forms polished by Newton.  A pair closer than a relative
-    ``_MERGE_TOL`` (a bifurcation) is one entry at the analytic turning
-    radius; so is a grazing pair that the cubic's discriminant rounds away.
-    Outside the bistable window the one root is the small branch for
-    u <= 2/3 and the large branch above.  A small or
-    large entry whose drift fails :func:`_strictly_stable`, the rule that
-    :func:`duffing_qubit.fluctuations.stationary_covariance` applies, is
-    marginal, with nu = 0.  The rule is evaluated on the cubic, with no drift
-    built: det K = nu^2 and |K|_F^2 = 2 (kappa_scaled^2 + (2u - 1)^2 + u^2).
+    (3, n) array, one row per branch.  One closed-form root r per beta
+    (:func:`_anchor`) is the root that stands apart; the other pair is that
+    of the quadratic factor u^2 + (r - 2)u + 1 + k^2 + r(r - 2), at
+    (2 - r)/2 +/- sqrt(disc)/2 with disc = (4 - 3r)r - 4k^2.  The pair lies
+    below r exactly where r > 2/3: r is then the large branch, and the
+    small branch otherwise.  A complex pair is absent.  Newton on the
+    cubic then polishes every root in one call.
+
+    One merge rule holds on both sides of each window edge: where the
+    pair's two roots, real or complex, lie closer than ``_MERGE_TOL``
+    (|disc| < _MERGE_TOL^2; both lie below 4/3), or where a positive beta
+    lies within ``edge_tol`` of a window edge, the pair is one marginal
+    entry at the analytic turning radius, on r's side of the pair.  Near a
+    double root Newton converges only linearly, and where the slope of the
+    cubic is at rounding level its steps are rounding noise, so the pair is
+    judged before Newton.  ``edge_tol`` is how close to the edge beta(u_t)
+    a pair ``_MERGE_TOL`` apart lies:
+    |beta''(u_t)| / 2 * (_MERGE_TOL / 2)^2, with
+    |beta''(u_t)| = 2 sqrt(1 - 3 kappa_scaled^2) at both turning radii u_t.
+
+    A small or large entry whose drift fails :func:`_strictly_stable`, the
+    rule that :func:`duffing_qubit.fluctuations.stationary_covariance`
+    applies, is marginal, with nu = 0; at a turning radius det K = 0.  The
+    rule is evaluated on the cubic, with no drift built:
+    det K = nu^2 = kappa_scaled^2 + (3u - 1)(u - 1) and
+    |K|_F^2 = 2 (kappa_scaled^2 + (2u - 1)^2 + u^2).
 
     Raises ValueError for a negative or non-finite ``beta``, a non-positive
     or non-finite ``kappa_scaled``, and where the steady state is too large
@@ -288,35 +236,42 @@ def solve_branches(beta: float | np.ndarray, kappa_scaled: float) -> Branches:
     ks2 = kappa_scaled**2  # OverflowError for a kappa_scaled past ~1e154
 
     with np.errstate(all="ignore"):
-        roots, three = _seeds(flat, kappa_scaled)
-        _polish(roots, flat, 1.0 + kappa_scaled * kappa_scaled)
-
-        n_three = np.count_nonzero(three)
-        if n_three < flat.size:
-            three = _graze(roots, three, kappa_scaled)
-            n_three = np.count_nonzero(three)
-        # the seeds are ascending, and Newton seldom reorders them
-        if n_three and np.count_nonzero(roots[1:] < roots[:-1]):
-            _sort_rows(roots)
-
-        if np.count_nonzero(np.isfinite(roots)) < flat.size + 2 * n_three:
-            bad = ~np.isfinite(np.where(three, roots[2], roots[0]))
+        r = _anchor(flat, kappa_scaled)
+        bad = ~np.isfinite(r)
+        if np.count_nonzero(bad):
             raise ValueError(
                 f"no finite steady state at beta={flat[bad][0]:g}, "
                 f"kappa_scaled={kappa_scaled:g}"
             )
-        if n_three:
-            _merge(roots, flat, kappa_scaled)
-        if n_three < flat.size:
-            # one root is the large branch above u = 2/3: [r, nan, nan] -> [nan, nan, r]
-            large = ~three & (roots[0] > 2.0 / 3.0)
-            if np.count_nonzero(large):
-                roots[:, large] = roots[::-1, large]
+        disc = (4.0 - 3.0 * r) * r - 4.0 * ks2
+        below = r > 2.0 / 3.0  # the pair lies below r
+        merge = np.abs(disc) < _MERGE_TOL * _MERGE_TOL
+        u_minus, u_plus = _turning_radii(kappa_scaled)
+        if 3.0 * ks2 < 1.0:
+            edge_tol = (u_plus - u_minus) * 1.5 * (0.5 * _MERGE_TOL) ** 2
+            for edge in (_beta_of_u(u_minus, kappa_scaled), _beta_of_u(u_plus, kappa_scaled)):
+                merge |= np.abs(flat - edge) <= edge_tol
+        half = 0.5 * np.sqrt(disc)  # NaN where the pair is complex
+        n_merge = np.count_nonzero(merge)
+        if n_merge:
+            half[merge] = math.nan
+        center = 1.0 - 0.5 * r
+        lo, hi = center - half, center + half
+        roots = np.empty((3, flat.size))
+        roots[0] = np.where(below, lo, r)
+        roots[1] = np.where(below, hi, lo)
+        roots[2] = np.where(below, r, hi)
+        _polish(roots, flat, ks2)
+        if n_merge:
+            # beta = 0 has u = 0 alone, whatever its pair's disc rounds to
+            merge &= flat > 0.0
+            roots[0, merge & below] = u_minus
+            roots[2, merge & ~below] = u_plus
 
         # det K = nu^2 and |K|_F^2 of each stable root's drift (Q^2 + P^2 = u),
         # on a copy of rows 0 and 2: a ufunc call on the strided pair costs more
         ends = roots[::2].copy()
-        det = ks2 + (3.0 * ends - 4.0) * ends + 1.0
+        det = ks2 + (3.0 * ends - 1.0) * (ends - 1.0)
         frob2 = 2.0 * (ks2 + (2.0 * ends - 1.0) ** 2 + ends * ends)
         marginal = ~_strictly_stable(-2.0 * kappa_scaled, det, frob2) & ~np.isnan(ends)
         nu = np.where(marginal, 0.0, np.sqrt(det))

@@ -182,6 +182,20 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _qubit_at(omega_q, delta: float, **couplings) -> QubitParams:
+    """The qubit of transition frequency ``omega_q`` (a float or an array,
+    each above |delta|), with the splittings w = sqrt(omega_q^2 - delta^2).
+
+    Its ``omega_q`` is the one given: hypot(w, delta) is 1 ulp off it on
+    about a sixth of values, and a rate evaluated there would not be the
+    rate at the omega_q a table prints beside it.
+    """
+    q = QubitParams(w=_scalar_or_array(np.sqrt(omega_q**2 - delta**2)), delta=delta,
+                    **couplings)
+    object.__setattr__(q, "omega_q", _scalar_or_array(np.asarray(omega_q, dtype=float)))
+    return q
+
+
 def c_gamma(q: QubitParams, m: float, omega_0: float) -> float | np.ndarray:
     """Golden-rule prefactor of the quadratic coupling, (m w0 Dq d / hbar wq)^2 / 2.
 
@@ -744,9 +758,9 @@ def _si_columns(regime: str, p: PhysicalParams, omega_q: np.ndarray, branch: Bra
     ``scale_params(p)``, and the attractor: ``branch``'s name in a regime
     that reads a steady state, "" in one that does not.  That steady state
     is the branch of ``solve_branches`` at the beta of ``scale_params(p)``;
-    an absent or marginal one raises MarginalAttractorError.  The qubit has
-    the splittings w = sqrt(omega_q^2 - delta^2), so every omega_q must
-    exceed |delta| (ValueError).  The columns are gamma_e, gamma_g, t1,
+    an absent or marginal one raises MarginalAttractorError.  The rates are
+    evaluated at ``omega_q`` itself (:func:`_qubit_at`), so every omega_q
+    must exceed |delta| (ValueError).  The columns are gamma_e, gamma_g, t1,
     t_eff and flags, by name in that order, with the flags a pair (codes,
     labels) of the distinct sets of ``RateResult.flags``, each labelled by
     its sorted names joined with "|".
@@ -756,8 +770,7 @@ def _si_columns(regime: str, p: PhysicalParams, omega_q: np.ndarray, branch: Bra
     state = _pick_required(s.beta, s.kappa_scaled, branch) if steady else ()
     if np.any(omega_q <= abs(delta)):
         raise ValueError("swept omega_q must exceed |qubit-delta|")
-    qubit = QubitParams(w=np.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=delta_q,
-                        v_x=v_x, v_z=v_z)
+    qubit = _qubit_at(omega_q, delta, delta_q=delta_q, v_x=v_x, v_z=v_z)
     res = globals()[name](qubit, p, *state)
     codes, sets = _flag_codes(res.ratios)
     head = {"beta": s.beta, "kappa_scaled": s.kappa_scaled, "lambda_s": s.lambda_s,
@@ -808,7 +821,7 @@ def match_report(
             scaled = scale_params(phys)
             omega_q = 2.0 * phys.omega_f + omega_rel
             delta = 1e-3 * omega_q
-            qubit = QubitParams(w=math.sqrt(omega_q**2 - delta**2), delta=delta, delta_q=1.0)
+            qubit = _qubit_at(omega_q, delta, delta_q=1.0)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"{beyond} ({exc})") from None
         # outside the guards: the rescaled beta may differ from beta by an ulp,

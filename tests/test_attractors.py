@@ -508,19 +508,22 @@ class TestSolveBranchesProperties:
         assert len(passes) == 1 and passes[0] < 50, passes
 
 
-def reference_seeds(beta: float, kappa: float) -> tuple[list[float], bool]:
-    """The closed-form seeds of one beta, one Python float operation at a
-    time, with ``np.arccos``, ``np.cos`` and ``np.cbrt`` called on one value
-    each; the trigonometric roots in ascending order."""
+def reference_anchor(beta: float, kappa: float) -> float:
+    """The closed-form anchor root of one beta, one Python float operation
+    at a time, with ``np.arccos``, ``np.cos`` and ``np.cbrt`` called on one
+    value each: of three real roots the one apart from the other two."""
+    if beta == 0.0:
+        return 0.0
     k2 = kappa * kappa
     p = k2 - 1.0 / 3.0
     p3 = p**3
     q = (2.0 + 18.0 * k2) / 27.0 - beta
-    if -4.0 * p3 - 27.0 * q * q > 0.0 and beta != 0.0:
+    if -4.0 * p3 - 27.0 * q * q > 0.0:
         m = 2.0 * math.sqrt(-p / 3.0)
-        theta = float(np.arccos(min(1.0, max(-1.0, 3.0 * q / (p * m))))) / 3.0
-        return [m * float(np.cos(theta - 2.0 * math.pi * kk / 3.0)) + 2.0 / 3.0
-                for kk in (2, 1, 0)], True
+        cos3 = min(1.0, max(-1.0, 3.0 * q / (p * m)))
+        theta = float(np.arccos(cos3)) / 3.0
+        shift = 0.0 if cos3 > 0.0 else 4.0 * math.pi / 3.0
+        return m * float(np.cos(theta - shift)) + 2.0 / 3.0
     h = abs(q) / 2.0
     if h >= 1e150:
         rad = h * math.sqrt(max(1.0 + p3 / 27.0 / h / h, 0.0))
@@ -528,7 +531,7 @@ def reference_seeds(beta: float, kappa: float) -> tuple[list[float], bool]:
         rad = math.sqrt(max(q * q / 4.0 + p3 / 27.0, 0.0))
     a = float(np.cbrt(-math.copysign(h + rad, q)))
     b = 0.0 if a == 0.0 else -p / (3.0 * a)
-    return [0.0 if beta == 0.0 else a + b + 2.0 / 3.0, math.nan, math.nan], False
+    return a + b + 2.0 / 3.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -537,43 +540,13 @@ def reference_seeds(beta: float, kappa: float) -> tuple[list[float], bool]:
                 min_size=1, max_size=10),
        st.lists(st.floats(0.0, 1.0), max_size=20),
        st.one_of(st.floats(0.01, 0.56), st.floats(0.56, 0.6), st.floats(0.6, 1e3)))
-def test_seeds_have_the_bits_of_one_math_call_per_value(betas, shares, kappa):
+def test_anchor_has_the_bits_of_a_one_beta_call(betas, shares, kappa):
     # shares of the bistability window give rows with three real roots
     info = bifurcation_betas(kappa)
     if info.bistable:
         betas += [info.beta_low + t * (info.beta_high - info.beta_low) for t in shares]
-    from duffing_qubit.attractors import _seeds
-
     with np.errstate(all="ignore"):
-        roots, three = _seeds(np.array(betas), kappa)
-    for beta, row, is_three in zip(betas, roots.T.tolist(), three.tolist()):
-        ref, ref_three = reference_seeds(beta, kappa)
-        assert (list(map(repr, row)), is_three) == (list(map(repr, ref)), ref_three), beta
-
-
-@st.composite
-def seeded_columns(draw):
-    """(3, n) roots as the seeds and the graze step leave them: three finite
-    roots in any order, a root and an equal pair in any order, or one root
-    over two NaN."""
-    finite = st.floats(0.0, 3.0)
-    columns = []
-    for kind in draw(st.lists(st.sampled_from(("three", "pair", "one")), min_size=1,
-                              max_size=12)):
-        if kind == "three":
-            col = draw(st.lists(finite, min_size=3, max_size=3))
-        elif kind == "pair":
-            r, c = draw(finite), draw(finite)
-            col = draw(st.permutations([r, c, c]))
-        else:
-            col = [draw(finite), math.nan, math.nan]
-        columns.append(col)
-    return np.ascontiguousarray(np.array(columns).T)
-
-
-@settings(max_examples=300, deadline=None)
-@given(seeded_columns())
-def test_sort_rows_has_the_bits_of_np_sort(roots):
-    expected = np.sort(roots, axis=0)
-    attractors._sort_rows(roots)
-    assert roots.tobytes() == expected.tobytes()
+        roots = attractors._anchor(np.array(betas), kappa)
+        alone = [attractors._anchor(np.array([beta]), kappa).tolist()[0] for beta in betas]
+    for beta, got, one in zip(betas, roots.tolist(), alone):
+        assert repr(got) == repr(one) == repr(reference_anchor(beta, kappa)), beta

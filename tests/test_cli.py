@@ -28,6 +28,7 @@ from duffing_qubit.cli import (
     main,
     parse_grid,
 )
+from duffing_qubit.fluctuations import self_checks
 
 
 def run_cli(capsys, *argv):
@@ -821,6 +822,25 @@ class TestRefusalsLeaveStdoutEmpty:
         code, out, err = run_cli(capsys, "validate", "--kappa-scaled", "5e-324")
         assert (code, err) == (EXIT_SELFCHECK, "")
         assert "FAIL lyapunov_residual: max rel=nan (limit 1e-12)" in out.splitlines()
+
+
+class TestValidateNearTheCusp:
+    """Close below kappa = 1/sqrt(3) the three roots crowd together at each
+    window edge, and the merging pair is still one marginal entry."""
+
+    def test_bifurcation_gap_holds_on_200_kappa_below_the_cusp(self):
+        # the quadratic factor's discriminant once rounded below 0 by more
+        # than the merge tolerance allowed, and 73 of these lost the pair
+        kappas = 1.0 / math.sqrt(3.0) - 10.0 ** np.random.default_rng(1).uniform(-9, -2, 200)
+        failing = [kappa for kappa in kappas.tolist()
+                   if not dict((name, ok) for name, ok, _ in self_checks(
+                       0.12, kappa, 0.01, 0.5))["bifurcation_gap"]]
+        assert failing == []
+
+    def test_validate_at_0_5773_passes(self, capsys):
+        code, out, err = run_cli(capsys, "validate", "--kappa-scaled", "0.5773")
+        assert (code, err) == (EXIT_OK, "")
+        assert [ln[:4] for ln in out.splitlines()] == ["ok  "] * 6
 
 
 class TestValidateTinyKappa:

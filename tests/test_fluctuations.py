@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
 from scipy.integrate import quad, simpson
@@ -61,6 +62,25 @@ def assert_matches_lapack_lyapunov(k, kappa, n_bar):
     assert np.max(np.abs(cov - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
+def exact_lyapunov(k, source):
+    """The solution of K C + C K^T = -s I for the float K and s, in exact
+    rationals: the three equations 2(a C11 + b C12) = -s,
+    c C11 + (a + d) C12 + b C22 = 0 and 2(c C12 + d C22) = -s, by Cramer's
+    rule.  Returns (C11, C12, C22) as Fractions."""
+    a, b, c, d = (Fraction(x) for x in np.asarray(k, dtype=float).ravel().tolist())
+    s = Fraction(source)
+    rows = [[2 * a, 2 * b, 0, -s], [c, a + d, b, 0], [0, 2 * c, 2 * d, -s]]
+
+    def det3(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    full = det3([row[:3] for row in rows])
+    return tuple(det3([row[:j] + [row[3]] + row[j + 1:3] for row in rows]) / full
+                 for j in range(3))
+
+
 def lyapunov_relative_residual(k, cov, source):
     """max |K C + C K^T + s I| over its rounding scale 2 max|K| max|C| + s,
     the rule of ``validate``'s lyapunov_residual, for one K and C."""
@@ -98,15 +118,24 @@ class TestStationaryCovariance:
     @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
            margin=st.floats(1e-2, 1.0), scale=st.floats(-3.0, 3.0).map(lambda x: 10.0**x),
            kappa=st.floats(0.02, 0.57), n_bar=st.floats(0.0, 5.0))
-    def test_random_stable_drifts_match_the_lapack_lyapunov_solver(self, entries, margin, scale,
-                                                                    kappa, n_bar):
+    # a nearly defective K: the closed form is 1.2e-13 off the exact C here,
+    # scipy's Bartels-Stewart solution 1.6e-12
+    @example(entries=[-0.9999999999999999, 1.0, -0.9999999999999999, 1.0], margin=0.01,
+             scale=1.0, kappa=0.5, n_bar=0.0)
+    def test_random_stable_drifts_match_an_exact_solution(self, entries, margin, scale,
+                                                          kappa, n_bar):
         # any strictly stable K is some B shifted left of its spectrum; a
         # shift of at least 1e-2 keeps every sum of two eigenvalues of K (the
-        # Lyapunov operator's) that far from 0, so neither solution loses
+        # Lyapunov operator's) that far from 0, so the closed form loses no
         # more than a few digits to conditioning
         b = np.reshape(entries, (2, 2))
         k = scale * (b - (np.linalg.eigvals(b).real.max() + margin) * np.eye(2))
-        assert_matches_lapack_lyapunov(k, kappa, n_bar)
+        cov = stationary_covariance(k, LAMBDA_S, kappa, n_bar)
+        exact = exact_lyapunov(k, LAMBDA_S * kappa * (2.0 * n_bar + 1.0))
+        got = [Fraction(x) for x in (cov[0, 0], cov[0, 1], cov[1, 0], cov[1, 1])]
+        ref = [exact[0], exact[1], exact[1], exact[2]]
+        scale_c = max(abs(x) for x in ref)
+        assert all(abs(g - r) <= Fraction(1e-12) * scale_c for g, r in zip(got, ref))
 
     def test_covariance_is_linear_in_the_source_down_to_tiny_lambda_s(self):
         # C / s comes from K alone before the source scales it, so a tiny

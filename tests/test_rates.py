@@ -39,6 +39,7 @@ from duffing_qubit import (
     solve_branches,
     stationary_covariance,
 )
+from duffing_qubit import rates as rate_layer
 from duffing_qubit.attractors import _quadratures
 from duffing_qubit.rates import (
     FLAG_QUBIT_FASTER,
@@ -860,6 +861,37 @@ class TestQubitOmegaQ:
         assert type(QubitParams(w=3.0, delta=4.0).omega_q) is float
         assert QubitParams(w=3.0, delta=4.0).omega_q == 5.0
         assert QubitParams(w=1.7e308, delta=1.7e308).omega_q == math.inf
+
+    def test_si_table_rates_are_taken_at_the_printed_omega_q(self, monkeypatch):
+        # hypot(sqrt(omega_q^2 - delta^2), delta) is 1 ulp off 17 118 of these
+        # 10^5 omega_q, and off 2 of the 7 of si_nonresonant_csv's grid
+        grid = np.concatenate([np.linspace(2.944e10, 4.6e10, 7),
+                               np.random.default_rng(0).uniform(1e10, 5e10, 10**5)])
+        phys = sweep_params()[0]
+        seen = []
+
+        def spy(q, p):
+            seen.append(q.omega_q)
+            return gamma_linear_nonresonant(q, p)
+
+        monkeypatch.setattr(rate_layer, "gamma_linear_nonresonant", spy)
+        rate_layer._si_columns("linear-nonresonant", phys, grid, Branch.LARGE, 5e8, 1e8,
+                               1e-15, 1e-15)
+        assert seen[0].tobytes() == grid.tobytes()
+
+    def test_match_rates_are_taken_at_its_omega_q(self, monkeypatch):
+        # at the defaults omega_rel = h (nu, kappa < 1), so the qubit of each
+        # factor is at 2 omega_f + h; hypot was 1 ulp off that at 26 of these
+        factors = np.geomspace(3.0, 3000.0, 200).tolist()
+        seen = []
+
+        def spy(q, p, u, s):
+            seen.append((q.omega_q, 2.0 * p.omega_f))
+            return _nonresonant_rates(q, p, u, s)
+
+        monkeypatch.setattr(rate_layer, "_nonresonant_rates", spy)
+        match_report(factors, 0.12, 0.3, 0.5, 1e-3)
+        assert [wq for wq, _ in seen] == [f2 + h for h, (_, f2) in zip(factors, seen)]
 
     def test_not_an_init_field_and_recomputed_by_replace(self):
         q = QubitParams(w=3.0, delta=4.0)
